@@ -2,10 +2,7 @@
 
 from .calculus import (
     CurvatureParams,
-    ball_curvature,
     ball_curvature_closed_form,
-    curvature_kernel,
-    jet_kernel,
     log_hessian_eval,
     phi_gram_entry,
     series_head_coefficients,

@@ -1,4 +1,4 @@
-"""Derived-kernel constructors and closed forms.
+"""Closed forms and jet identities for the derived kernels.
 
 The curvature kernel and jet kernel are AST nodes (see expr); this module
 adds the quotient-formula evaluation of the log-Hessian, the Gram-vector
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, ShapeError
-from .expr import BallCurvature, Curvature, JetKernel, KernelExpr, Pow
+from .expr import KernelExpr, Pow
 from .geometry import as_point
 
 
@@ -50,16 +50,6 @@ def log_hessian_eval(expr: KernelExpr, z, w) -> np.ndarray:
             kj = table.entry(zero, ej)[0, 0]
             out[i, j] = (k * kij - ki * kj) / (k * k)
     return out
-
-
-def curvature_kernel(expr: KernelExpr, params: CurvatureParams) -> Curvature:
-    """The m x m matrix kernel K^{alpha+beta} (d_i dbar_j log K) as an AST node."""
-    return Curvature(expr, params.alpha, params.beta)
-
-
-def jet_kernel(k1: KernelExpr, k2: KernelExpr, k: int) -> JetKernel:
-    """The d x d kernel with entries K1 d^i dbar^j K2, d = binom(m+k, m)."""
-    return JetKernel(k1, k2, k)
 
 
 def phi_gram_entry(
@@ -121,11 +111,6 @@ def ball_curvature_closed_form(m: int, lam: float, z, w) -> np.ndarray:
             else:
                 out[i, j] = z[j] * w[i].conjugate()
     return out / (1 - ip) ** lam
-
-
-def ball_curvature(m: int, lam: float) -> BallCurvature:
-    """The explicit ball matrix kernel as an AST node."""
-    return BallCurvature(m, lam)
 
 
 def series_head_coefficients(coefficients, t: float) -> tuple[float, float]:

@@ -2,23 +2,27 @@
 
 Subcommands: eval, psd, wallach, norm, bound, quasi, repro.  JSON is the
 default output format; `psd --format csv` emits the Gram spectrum as CSV.
-Every flag can also be supplied through a JSON config file (--config);
-explicit flags win over config values.
+Every flag can also be supplied through a JSON config file (--config): keys
+are flag names, validated like flags (a bad value or unknown key exits 2),
+and explicit flags win.  --tol and --resolution must be positive.
 
 Exit codes: 0 success, 2 configuration or parse error, 3 evaluation error,
-4 scan bracket failure (no sign change in the scanned interval).
+4 scan bracket failure (no sign change in the scanned interval); `repro`
+exits 1 when any check fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__
 from .automorphisms import CocycleSpec, MobiusMap, curvature_quasi_check
+from .eig import jacobi_eigenvalues
 from .errors import BracketError, KernelCalcError, ParseError
 from .geometry import sample_points, unit_ball, unit_disc
 from .parser import parse_kernel
@@ -55,7 +59,10 @@ def _provenance(args, kernel: str | None) -> dict:
 
 
 def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2)
+    _write(args, json.dumps(payload, indent=2))
+
+
+def _write(args, text: str) -> None:
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -87,26 +94,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_psd(args) -> int:
-    if args.tol <= 0:
-        raise ParseError("--tol must be positive", 0)
     expr = parse_kernel(args.kernel)
     domain = _domain_for(expr.m, args.radius)
-    rep = psd_check(expr, domain, args.n, args.seed, args.tol)
     if args.format == "csv":
-        from .eig import hermitian_part, jacobi_eigenvalues
-
-        g = gram(expr, rep.points)
-        eigs = sorted(jacobi_eigenvalues(hermitian_part(g)))
+        eigs = jacobi_eigenvalues(gram(expr, sample_points(domain, args.n, args.seed)))
         lines = ["index,eigenvalue"] + [
             f"{i},{float(v)!r}" for i, v in enumerate(eigs)
         ]
-        text = "\n".join(lines)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write(args, "\n".join(lines))
         return EXIT_OK
+    rep = psd_check(expr, domain, args.n, args.seed, args.tol)
     payload = json.loads(rep.to_json())
     payload.update(_provenance(args, expr.to_dsl()))
     _emit(args, payload)
@@ -187,6 +184,13 @@ def cmd_repro(args) -> int:
     return EXIT_OK if failed == 0 else 1
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="kernelcalc",
@@ -196,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, kernel_flag="--kernel"):
+    def common(p):
         p.add_argument("--config", help="JSON file with default flag values")
         p.add_argument("--output", help="write the report to this path")
         p.add_argument("--radius", type=float, default=0.8,
@@ -204,96 +208,86 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a kernel or its jet table")
     common(p)
-    p.add_argument("--kernel", required=False)
-    p.add_argument("--z", required=False)
-    p.add_argument("--w", required=False)
+    p.add_argument("--kernel", required=True)
+    p.add_argument("--z", required=True)
+    p.add_argument("--w", required=True)
     p.add_argument("--order", type=int, default=0)
-    p.set_defaults(func=cmd_eval, required=("kernel", "z", "w"))
+    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("psd", help="finite-sample positivity certificate")
     common(p)
-    p.add_argument("--kernel", required=False)
+    p.add_argument("--kernel", required=True)
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_psd, required=("kernel",))
+    p.set_defaults(func=cmd_psd)
 
     p = sub.add_parser("wallach", help="bisect a curvature positivity boundary")
     common(p)
-    p.add_argument("--base", required=False)
+    p.add_argument("--base", required=True)
     p.add_argument("--lo", type=float, default=-1.0)
     p.add_argument("--hi", type=float, default=1.0)
-    p.add_argument("--resolution", type=float, default=0.05)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.set_defaults(func=cmd_wallach, required=("base",))
+    p.add_argument("--resolution", type=_positive_float, default=0.05)
+    p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
+    p.set_defaults(func=cmd_wallach)
 
     p = sub.add_parser("norm", help="derivative-section norm of the ball matrix kernel")
     common(p)
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--lambda", type=float, required=False)
-    p.set_defaults(func=cmd_norm, required=("lambda",))
+    p.add_argument("--lambda", type=float, required=True)
+    p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("bound", help="multiplier-norm bisection")
     common(p)
-    p.add_argument("--kernel", required=False)
+    p.add_argument("--kernel", required=True)
     p.add_argument("--f", default="z1", help="coordinate function, e.g. z1")
-    p.add_argument("--resolution", type=float, default=0.01)
-    p.set_defaults(func=cmd_bound, required=("kernel",))
+    p.add_argument("--resolution", type=_positive_float, default=0.01)
+    p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("quasi", help="quasi-invariance residual under a Mobius map")
     common(p)
-    p.add_argument("--kernel", required=False)
+    p.add_argument("--kernel", required=True)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--a", help="base point of the map (default: seeded random)")
     p.add_argument("--pairs", type=int, default=20)
-    p.set_defaults(func=cmd_quasi, required=("kernel",))
+    p.set_defaults(func=cmd_quasi)
 
     p = sub.add_parser("repro", help="run the full certification battery")
-    p.set_defaults(func=cmd_repro, required=())
+    p.set_defaults(func=cmd_repro)
     return top
 
 
-def _apply_config(args) -> None:
-    """Fill unset flags from the JSON config file, then check required ones."""
-    path = getattr(args, "config", None)
-    if path:
-        try:
-            with open(path) as fh:
-                conf = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"cannot read config {path!r}: {exc}", 0)
-        if not isinstance(conf, dict):
-            raise ParseError("config file must hold a JSON object", 0)
-        for key, value in conf.items():
-            attr = key.replace("-", "_")
-            if getattr(args, attr, None) in (None, _DEFAULTS.get(attr)):
-                setattr(args, attr, value)
-    missing = [name for name in args.required if getattr(args, name, None) is None]
-    if missing:
-        raise ParseError(
-            "missing required option(s): " + ", ".join(f"--{n}" for n in missing), 0
-        )
+def _with_config(parser, argv: list[str]) -> list[str]:
+    """Insert the flags of a --config file right after the subcommand name.
 
-
-# defaults that a config file is allowed to override even though argparse
-# already filled them in
-_DEFAULTS = {
-    "order": 0, "n": 20, "seed": 0, "tol": DEFAULT_TOL, "format": "json",
-    "lo": -1.0, "hi": 1.0, "resolution": 0.05, "radius": 0.8, "m": 2,
-    "f": "z1", "t": 1.0, "pairs": 20,
-}
+    Each key becomes `--key=value`, parsed like a flag typed by the user;
+    the user's own flags come later and so win.
+    """
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if not path:
+        return argv
+    try:
+        with open(path) as fh:
+            conf = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        parser.error(f"cannot read config {path!r}: {exc}")
+    if not isinstance(conf, dict):
+        parser.error("config file must hold a JSON object")
+    return argv[:1] + [f"--{key}={value}" for key, value in conf.items()] + argv[1:]
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(parser, argv))
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
-        _apply_config(args)
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

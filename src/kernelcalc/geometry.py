@@ -91,7 +91,7 @@ class MultiIndex:
         return iter(self.entries)
 
 
-def enumerate_multi_indices(m: int, max_order: int) -> list[MultiIndex]:
+def graded_lex_tuples(m: int, max_order: int) -> list[tuple[int, ...]]:
     """All multi-indices i in Z_+^m with |i| <= max_order, in graded lex order.
 
     Within each total degree the earlier coordinates dominate, e.g. for m=2,
@@ -109,13 +109,13 @@ def enumerate_multi_indices(m: int, max_order: int) -> list[MultiIndex]:
             for p in positions:
                 idx[p] += 1
             layer.add(tuple(idx))
-        out.extend(MultiIndex(t) for t in sorted(layer, reverse=True))
+        out.extend(sorted(layer, reverse=True))
     return out
 
 
-def graded_lex_tuples(m: int, max_order: int) -> list[tuple[int, ...]]:
-    """Same enumeration as :func:`enumerate_multi_indices` but as raw tuples."""
-    return [mi.entries for mi in enumerate_multi_indices(m, max_order)]
+def enumerate_multi_indices(m: int, max_order: int) -> list[MultiIndex]:
+    """Same enumeration as :func:`graded_lex_tuples`, as MultiIndex objects."""
+    return [MultiIndex(t) for t in graded_lex_tuples(m, max_order)]
 
 
 _KINDS = ("unit-disc", "unit-ball", "polydisc")

@@ -18,8 +18,6 @@ import math
 
 from .errors import BranchError, EvaluationError
 
-_ZERO_TOL = 0.0  # coefficients are kept exactly; no implicit dropping
-
 
 def _add_idx(a, b):
     return tuple(x + y for x, y in zip(a, b))

@@ -7,14 +7,16 @@ a proof (a genuine negative direction on a finite point set).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .eig import hermitian_part, jacobi_eigenvalues, min_eigenvalue
 from .errors import BracketError, EvaluationError, ShapeError
-from .expr import KernelExpr, LogHessian
+from .expr import KernelExpr, LogHessian, _require_scalar
 from .geometry import DomainSpec, Point, RngSeed, as_point, sample_points
+from .jets import variable_jets
 
 #: default relative PSD tolerance: psd iff min eig >= -tol * (1 + max diagonal)
 DEFAULT_TOL = 1e-9
@@ -72,31 +74,56 @@ class WallachEstimate:
         )
 
 
-def gram(expr: KernelExpr, points) -> np.ndarray:
-    """Block Gram matrix with block (p, q) = eval(expr, z_p, z_q), symmetrized."""
-    pts = [as_point(p, expr.m) for p in points]
-    n = len(pts)
-    k = expr.size
+def _pairwise(points, k: int, block) -> np.ndarray:
+    """Matrix whose k x k block (p, q) is block(z_p, z_q), conjugate-completed.
+
+    Blocks are evaluated for p <= q only; a failing pair is named.
+    """
+    n = len(points)
     g = np.empty((n * k, n * k), dtype=complex)
     for p in range(n):
         for q in range(p, n):
             try:
-                block = expr.eval(pts[p], pts[q])
+                b = block(points[p], points[q])
             except Exception as exc:
                 raise EvaluationError(
-                    f"evaluation failed at pair ({tuple(pts[p].coords)}, "
-                    f"{tuple(pts[q].coords)}): {exc}"
+                    f"evaluation failed at pair ({tuple(points[p].coords)}, "
+                    f"{tuple(points[q].coords)}): {exc}"
                 ) from exc
-            g[p * k : (p + 1) * k, q * k : (q + 1) * k] = block
+            g[p * k : (p + 1) * k, q * k : (q + 1) * k] = b
             if q != p:
-                g[q * k : (q + 1) * k, p * k : (p + 1) * k] = block.conj().T
-    return hermitian_part(g)
+                g[q * k : (q + 1) * k, p * k : (p + 1) * k] = b.conj().T
+    return g
+
+
+def gram(expr: KernelExpr, points) -> np.ndarray:
+    """Block Gram matrix with block (p, q) = eval(expr, z_p, z_q), symmetrized."""
+    pts = [as_point(p, expr.m) for p in points]
+    return hermitian_part(_pairwise(pts, expr.size, expr.eval))
 
 
 def _verdict(g: np.ndarray, tol: float) -> tuple[float, float, bool]:
     mineig = min_eigenvalue(g)
     maxdiag = float(np.max(np.diag(g).real))
     return mineig, maxdiag, mineig >= -tol * (1 + maxdiag)
+
+
+def _sampled_report(label: str, gram_of, domain, n, seed, tol) -> GramReport:
+    """Sample a point family, assemble its Gram matrix and certify it."""
+    seed_val = seed.seed if isinstance(seed, RngSeed) else int(seed)
+    pts = sample_points(domain, n, seed_val)
+    g = gram_of(pts)
+    mineig, maxdiag, psd = _verdict(g, tol)
+    return GramReport(
+        kernel=label,
+        size=g.shape[0],
+        min_eigenvalue=mineig,
+        psd=psd,
+        tolerance=tol,
+        max_diagonal=maxdiag,
+        points=tuple(pts),
+        seed=seed_val,
+    )
 
 
 def psd_check(
@@ -109,20 +136,8 @@ def psd_check(
     """Sample a point family and certify the Gram matrix eigenvalue verdict."""
     if domain.dim != expr.m:
         raise ShapeError("domain dimension does not match the kernel")
-    seed_val = seed.seed if isinstance(seed, RngSeed) else int(seed)
-    pts = sample_points(domain, n, seed_val)
-    g = gram(expr, pts)
-    mineig, maxdiag, psd = _verdict(g, tol)
-    return GramReport(
-        kernel=expr.to_dsl(),
-        size=g.shape[0],
-        min_eigenvalue=mineig,
-        psd=psd,
-        tolerance=tol,
-        max_diagonal=maxdiag,
-        points=tuple(pts),
-        seed=seed_val,
-    )
+    return _sampled_report(expr.to_dsl(), lambda pts: gram(expr, pts),
+                           domain, n, seed, tol)
 
 
 def kernel_order_check(
@@ -136,60 +151,79 @@ def kernel_order_check(
     """PSD verdict for the difference kernel K2 - K1 (is K1 dominated by K2)."""
     if k1.m != k2.m or k1.size != k2.size:
         raise ShapeError("kernels must share dimension and output size")
-    seed_val = seed.seed if isinstance(seed, RngSeed) else int(seed)
-    pts = sample_points(domain, n, seed_val)
-    g = gram(k2, pts) - gram(k1, pts)
-    mineig, maxdiag, psd = _verdict(g, tol)
-    return GramReport(
-        kernel=f"difference({k2.to_dsl()}, {k1.to_dsl()})",
-        size=g.shape[0],
-        min_eigenvalue=mineig,
-        psd=psd,
-        tolerance=tol,
-        max_diagonal=maxdiag,
-        points=tuple(pts),
-        seed=seed_val,
-    )
+    return _sampled_report(f"difference({k2.to_dsl()}, {k1.to_dsl()})",
+                           lambda pts: gram(k2, pts) - gram(k1, pts),
+                           domain, n, seed, tol)
 
 
 class _CurvatureFamilyGram:
-    """Precomputed Gram data for K^t (d dbar log K) as a function of t.
+    """A parametric Gram family G(t) = kron(M(t), 1_k) o B on one point set.
 
-    Points are sampled once per scan; for each pair the continuous log of
-    the base kernel and the log-Hessian block are cached, so the Gram at
-    any exponent t is exp(t log K) times the cached block.  This matches
-    the AST kernel pow(base, t) * log_hessian(base) exactly.
+    The block Gram B (k x k blocks) is assembled once; only the n x n
+    modulation M(t) changes with the parameter, so no kernel is evaluated
+    per t.  Wallach scans use B = log-Hessian Gram (or all ones) and
+    M(t) = K^t; multiplier bounds use B = Gram of K and M(c) = c^2 - f fbar.
     """
 
-    def __init__(self, base: KernelExpr, domain: DomainSpec, n: int, seed: int):
-        self.points = sample_points(domain, n, seed)
-        m = base.m
-        self.m = m
-        node = LogHessian(base)
-        npts = len(self.points)
-        self.logk = np.empty((npts, npts), dtype=complex)
-        self.blocks = np.empty((npts * m, npts * m), dtype=complex)
-        from .jets import variable_jets
-
-        for p in range(npts):
-            for q in range(p, npts):
-                z, w = self.points[p], self.points[q]
-                zv, wv = variable_jets(z.coords, w.coords, m, 1, 1)
-                g = base.scalar_log_jet(zv, wv)
-                self.logk[p, q] = g.value
-                block = np.array(
-                    [[j.value for j in row] for row in node.entry_jets(z, w, 0, 0)]
-                )
-                self.blocks[p * m : (p + 1) * m, q * m : (q + 1) * m] = block
-                if q != p:
-                    self.logk[q, p] = self.logk[p, q].conjugate()
-                    self.blocks[q * m : (q + 1) * m, p * m : (p + 1) * m] = (
-                        block.conj().T
-                    )
+    def __init__(self, points, blocks: np.ndarray, modulation):
+        self.points = points
+        self.blocks = blocks
+        self.modulation = modulation
+        self.k = blocks.shape[0] // len(points)
 
     def gram_at(self, t: float) -> np.ndarray:
-        scal = np.exp(t * self.logk)
-        return hermitian_part(np.kron(scal, np.ones((self.m, self.m))) * self.blocks)
+        ones = np.ones((self.k, self.k))
+        return hermitian_part(np.kron(self.modulation(t), ones) * self.blocks)
+
+
+def _power_families(base: KernelExpr, domain, family, blocks_of) -> list:
+    """One Gram family t -> K^t o B per (count, seed), B = blocks_of(points).
+
+    K^t is exp(t log K) on the continuous log branch of the base kernel,
+    which equals the pairwise value of pow(base, t) exactly.
+    """
+    _require_scalar(base, "pow")
+
+    def log_value(z, w):
+        base._check_pair(z, w)
+        zv, wv = variable_jets(z.coords, w.coords, base.m, 0, 0)
+        return np.array([[base.scalar_log_jet(zv, wv).value]])
+
+    fams = []
+    for n, s in family:
+        pts = sample_points(domain, n, s)
+        logk = _pairwise(pts, 1, log_value)
+        fams.append(
+            _CurvatureFamilyGram(
+                pts, blocks_of(pts), lambda t, logk=logk: np.exp(t * logk)
+            )
+        )
+    return fams
+
+
+def _check_resolution(resolution: float) -> None:
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
+
+
+def _bisect(is_psd, lo: float, hi: float, resolution: float) -> tuple[float, float]:
+    """Shrink [lo, hi], whose lower end fails and upper end passes, by halving.
+
+    Stops once the bracket is at most `resolution` wide, or once its
+    midpoint no longer splits it in floating point.
+    """
+    _check_resolution(resolution)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"bisection needs finite lo < hi, got [{lo}, {hi}]")
+    while hi - lo > resolution:
+        mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            break
+        if is_psd(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
 
 
 def wallach_scan(
@@ -206,12 +240,10 @@ def wallach_scan(
     The scanned kernel is pow(base, t) * log_hessian(base); a t counts as
     psd only if every point family passes.
     """
-    if not base.is_scalar:
-        raise ShapeError("wallach_scan needs a scalar base kernel")
-    fams = [
-        _CurvatureFamilyGram(base, domain, n, s if isinstance(s, int) else s.seed)
-        for n, s in family
-    ]
+    _check_resolution(resolution)
+    fams = _power_families(
+        base, domain, family, lambda pts: gram(LogHessian(base), pts)
+    )
     verdicts: list[tuple[float, bool]] = []
 
     def is_psd(t: float) -> bool:
@@ -229,13 +261,7 @@ def wallach_scan(
         raise BracketError(
             "psd region must lie at the upper end of the scanned interval"
         )
-    lo, hi = t_lo, t_hi
-    while hi - lo > resolution:
-        mid = (lo + hi) / 2
-        if is_psd(mid):
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _bisect(is_psd, t_lo, t_hi, resolution)
     return WallachEstimate(
         boundary=(lo + hi) / 2,
         bracket=(lo, hi),
@@ -252,20 +278,15 @@ def ordinary_wallach_scan(
     tol: float = DEFAULT_TOL,
 ) -> list[tuple[float, bool]]:
     """Per-t PSD verdicts for the powers K^t, t > 0."""
-    from .expr import Pow
-
     if any(t <= 0 for t in t_grid):
         raise ValueError("ordinary Wallach scan needs t > 0")
-    fams = [
-        sample_points(domain, n, s if isinstance(s, int) else s.seed)
-        for n, s in family
+    fams = _power_families(
+        base, domain, family, lambda pts: np.ones((len(pts), len(pts)))
+    )
+    return [
+        (t, all(_verdict(f.gram_at(t), tol)[2] for f in fams))
+        for t in map(float, t_grid)
     ]
-    out = []
-    for t in t_grid:
-        expr = Pow(base, float(t))
-        ok = all(_verdict(gram(expr, pts), tol)[2] for pts in fams)
-        out.append((float(t), ok))
-    return out
 
 
 __all__ = [

@@ -16,7 +16,8 @@ import numpy as np
 from .errors import BracketError, EvaluationError, ShapeError
 from .expr import BallCurvature, KernelExpr
 from .geometry import DomainSpec, MultiIndex, Point, as_point, sample_points
-from .positivity import DEFAULT_FAMILIES, DEFAULT_TOL, _verdict, gram
+from .positivity import DEFAULT_FAMILIES, DEFAULT_TOL, gram
+from .positivity import _bisect, _check_resolution, _CurvatureFamilyGram, _verdict
 
 
 @dataclass(frozen=True)
@@ -167,15 +168,19 @@ def _as_function(f, m):
     raise ShapeError("multiplier must be a coordinate index or a callable")
 
 
+def _multiplier_family(expr: KernelExpr, func, points) -> _CurvatureFamilyGram:
+    """The Gram family c -> (c^2 - f(z) conj(f(w))) K(z, w) on one point set."""
+    pts = [as_point(p, expr.m) for p in points]
+    vals = np.array([func(p) for p in pts], dtype=complex)
+    return _CurvatureFamilyGram(
+        pts, gram(expr, pts), lambda c: c * c - np.outer(vals, vals.conj())
+    )
+
+
 def modulated_gram(expr: KernelExpr, f, c: float, points) -> np.ndarray:
     """Gram matrix of the kernel (c^2 - f(z) conj(f(w))) K(z, w)."""
     func, _ = _as_function(f, expr.m)
-    pts = [as_point(p, expr.m) for p in points]
-    base = gram(expr, pts)
-    vals = np.array([func(p) for p in pts], dtype=complex)
-    mod = c * c - np.outer(vals, vals.conj())
-    k = expr.size
-    return np.kron(mod, np.ones((k, k))) * base
+    return _multiplier_family(expr, func, points).gram_at(c)
 
 
 def multiplier_bound(
@@ -192,34 +197,24 @@ def multiplier_bound(
     A failing verdict is authoritative (it exhibits a negative direction);
     a passing one is finite-sample evidence.
     """
+    _check_resolution(resolution)
     func, label = _as_function(f, expr.m)
     fams = [
         (n, s if isinstance(s, int) else s.seed) for n, s in family
     ]
-    pts_fams = [sample_points(domain, n, s) for n, s in fams]
-    base_grams = [gram(expr, pts) for pts in pts_fams]
-    val_fams = [np.array([func(p) for p in pts], dtype=complex) for pts in pts_fams]
-    k = expr.size
+    grams = [
+        _multiplier_family(expr, func, sample_points(domain, n, s)) for n, s in fams
+    ]
 
     def is_psd(c: float) -> bool:
-        for g, vals in zip(base_grams, val_fams):
-            mod = c * c - np.outer(vals, vals.conj())
-            if not _verdict(np.kron(mod, np.ones((k, k))) * g, tol)[2]:
-                return False
-        return True
+        return all(_verdict(g.gram_at(c), tol)[2] for g in grams)
 
     hi = 1.0
     while not is_psd(hi):
         hi *= 2.0
         if hi > c_max:
             raise BracketError(f"no certified multiplier bound below c = {c_max}")
-    lo = 0.0
-    while hi - lo > resolution:
-        mid = (lo + hi) / 2
-        if is_psd(mid):
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _bisect(is_psd, 0.0, hi, resolution)
     return MultiplierBound(
         function=label, bound=hi, bracket=(lo, hi), point_family=tuple(fams)
     )

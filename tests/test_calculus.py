@@ -3,15 +3,20 @@ import pytest
 
 from kernelcalc.calculus import (
     CurvatureParams,
-    ball_curvature,
     ball_curvature_closed_form,
-    curvature_kernel,
-    jet_kernel,
     log_hessian_eval,
     phi_gram_entry,
     series_head_coefficients,
 )
-from kernelcalc.expr import BallPower, Curvature, Product, SzegoDisc, bergman_ball
+from kernelcalc.expr import (
+    BallCurvature,
+    BallPower,
+    Curvature,
+    JetKernel,
+    Product,
+    SzegoDisc,
+    bergman_ball,
+)
 from kernelcalc.geometry import sample_points, unit_ball, unit_disc
 
 
@@ -25,7 +30,7 @@ def test_log_hessian_of_szego_closed_form():
 
 def test_curvature_kernel_power_law_on_the_disc():
     for alpha, beta in [(1.0, 1.0), (0.5, 2.0), (2.0, 3.0)]:
-        curv = curvature_kernel(SzegoDisc(), CurvatureParams(alpha, beta))
+        curv = Curvature(SzegoDisc(), alpha, beta)
         ref = BallPower(1, alpha + beta + 2)
         for z, w in zip(*[iter(sample_points(unit_disc(), 20, 9))] * 2):
             a = complex(curv.eval(z, w)[0, 0])
@@ -60,7 +65,7 @@ def test_phi_gram_factorization(base, domain):
 
 
 def test_explicit_ball_matrix_against_hand_coded_form():
-    expr = ball_curvature(2, 3.0)
+    expr = BallCurvature(2, 3.0)
     pts = sample_points(unit_ball(2), 10, 21)
     for z, w in zip(pts[:5], pts[5:]):
         got = expr.eval(z, w)
@@ -85,7 +90,7 @@ def test_series_head_matches_the_closed_form_on_random_input():
 
 
 def test_jet_kernel_order_zero_is_the_product_kernel():
-    jk = jet_kernel(SzegoDisc(), SzegoDisc(), 0)
+    jk = JetKernel(SzegoDisc(), SzegoDisc(), 0)
     prod = Product(SzegoDisc(), SzegoDisc())
     pts = sample_points(unit_disc(), 20, 3)
     for z, w in zip(pts[:10], pts[10:]):
@@ -97,7 +102,7 @@ def test_jet_kernel_order_zero_is_the_product_kernel():
 def test_jet_kernel_entries_are_kernel_derivatives():
     # row/column 0 is the undifferentiated product; entry (1, 1) is
     # K1 * (d dbar K2)
-    jk = jet_kernel(SzegoDisc(), SzegoDisc(), 1)
+    jk = JetKernel(SzegoDisc(), SzegoDisc(), 1)
     z, w = 0.3, 0.1 - 0.2j
     mat = jk.eval(z, w)
     k = 1 / (1 - z * np.conj(w))

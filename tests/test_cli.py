@@ -181,3 +181,49 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(path.read_text())["value"] == [[[1.0, 0.0]]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["wallach", "--base", "bergman_disc()", "--tol", "-1"],
+    ["wallach", "--base", "bergman_disc()", "--resolution", "0"],
+    ["wallach", "--base", "bergman_disc()", "--resolution", "nan"],
+    ["bound", "--kernel", "szego_disc()", "--resolution", "0"],
+    ["bound", "--kernel", "szego_disc()", "--resolution", "-1"],
+    ["psd", "--kernel", "szego_disc()", "--tol", "0"],
+])
+def test_non_positive_tolerance_or_resolution_exits_2(capsys, argv):
+    code, _, err = _run(capsys, *argv)
+    assert code == 2
+    assert "--tol" in err or "--resolution" in err
+
+
+def test_config_string_values_parse_like_flags(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"kernel": "szego_disc()", "n": "8"}))
+    code, out, _ = _run(capsys, "psd", "--config", str(conf))
+    assert code == 0
+    assert len(json.loads(out)["points"]) == 8
+
+
+@pytest.mark.parametrize("conf", [
+    {"kernel": "szego_disc()", "n": [8]},
+    {"kernel": "szego_disc()", "tol": "x"},
+    {"kernel": "szego_disc()", "tol": -1},
+    {"kernel": "szego_disc()", "bogus": 1},
+])
+def test_bad_config_values_and_unknown_keys_exit_2(tmp_path, capsys, conf):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    code, _, err = _run(capsys, "psd", "--config", str(path))
+    assert code == 2
+    assert err
+
+
+def test_csv_minimum_equals_the_json_min_eig(capsys):
+    flags = ["psd", "--kernel", "bergman_ball(2)", "--n", "7", "--seed", "3"]
+    code, out, _ = _run(capsys, *flags, "--format", "csv")
+    assert code == 0
+    first = float(out.strip().splitlines()[1].split(",")[1])
+    code, out, _ = _run(capsys, *flags)
+    assert code == 0
+    assert first == json.loads(out)["min_eig"]

@@ -1,12 +1,16 @@
 import json
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from kernelcalc.errors import BracketError, ShapeError
 from kernelcalc.expr import (
     BallCurvature,
     Curvature,
+    DiagonalSeries,
+    LogHessian,
     Pow,
     Scale,
     SzegoDisc,
@@ -16,6 +20,10 @@ from kernelcalc.expr import (
 from kernelcalc.geometry import Point, sample_points, unit_ball, unit_disc
 from kernelcalc.positivity import (
     DEFAULT_FAMILIES,
+    DEFAULT_TOL,
+    _bisect,
+    _power_families,
+    _verdict,
     gram,
     kernel_order_check,
     ordinary_wallach_scan,
@@ -121,3 +129,87 @@ def test_failing_pair_is_named_in_evaluation_errors():
     with pytest.raises(EvaluationError) as exc:
         gram(bad, pts)
     assert "pair" in str(exc.value)
+
+
+@pytest.mark.parametrize("resolution", [0.0, -1.0, float("nan")])
+def test_wallach_scan_rejects_bad_resolution_before_sampling(resolution, monkeypatch):
+    from kernelcalc import positivity
+
+    def no_sampling(*args):
+        raise AssertionError("a point family was built")
+
+    monkeypatch.setattr(positivity, "sample_points", no_sampling)
+    with pytest.raises(ValueError):
+        wallach_scan(bergman_disc(), -2.0, 0.0, unit_disc(), resolution=resolution)
+
+
+def test_wallach_scan_with_a_tiny_resolution_terminates():
+    t0 = time.perf_counter()
+    est = wallach_scan(
+        bergman_disc(), -2.0, 0.0, unit_disc(), family=((6, 1),), resolution=1e-300
+    )
+    assert time.perf_counter() - t0 < 1.0
+    lo, hi = est.bracket
+    assert lo < hi
+    assert not lo < (lo + hi) / 2 < hi
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.floats(0.05, 3.0), st.sampled_from([0, 1]))
+def test_curvature_family_matches_the_curvature_gram(t, which):
+    base, domain = [(bergman_disc(), unit_disc()), (bergman_ball(2), unit_ball(2))][which]
+    (fam,) = _power_families(
+        base, domain, ((6, 3),), lambda pts: gram(LogHessian(base), pts)
+    )
+    ref = gram(Curvature(base, t / 2, t / 2), fam.points)
+    assert np.abs(fam.gram_at(t) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.floats(0.05, 3.0), st.sampled_from([1.0, 2.0, 3.0])),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_ordinary_scan_verdicts_match_per_t_power_grams(ts):
+    # K^t fails for small t and passes at integer t
+    base = DiagonalSeries([0.5, 0.0, 0.2])
+    family = ((6, 2), (8, 5))
+    got = ordinary_wallach_scan(base, ts, unit_disc(), family=family)
+    fams = [sample_points(unit_disc(), n, s) for n, s in family]
+    want = [
+        (t, all(_verdict(gram(Pow(base, t), pts), DEFAULT_TOL)[2] for pts in fams))
+        for t in ts
+    ]
+    assert got == want
+
+
+@given(
+    st.floats(-10.0, 10.0),
+    st.floats(0.1, 10.0),
+    st.floats(0.0, 1.0),
+    st.floats(1e-9, 1.0),
+)
+def test_bisect_brackets_a_threshold(lo, width, frac, resolution):
+    hi = lo + width
+    threshold = lo + frac * width
+    assume(lo < threshold <= hi)
+    a, b = _bisect(lambda t: t >= threshold, lo, hi, resolution)
+    assert a < threshold <= b
+    assert b - a <= resolution
+
+
+@pytest.mark.parametrize("lo,hi,resolution", [
+    (0.0, 1.0, 0.0),
+    (0.0, 1.0, -1.0),
+    (0.0, 1.0, float("nan")),
+    (0.0, 1.0, float("inf")),
+    (1.0, 0.0, 0.1),
+    (0.0, float("inf"), 0.1),
+    (float("nan"), 1.0, 0.1),
+])
+def test_bisect_rejects_bad_input(lo, hi, resolution):
+    with pytest.raises(ValueError):
+        _bisect(lambda t: True, lo, hi, resolution)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -94,3 +96,26 @@ def test_modulated_gram_at_c_equal_bound_is_psd():
 def test_callable_multiplier_functions_are_accepted():
     est = multiplier_bound(SzegoDisc(), lambda p: 0.5 * p[0], unit_disc())
     assert est.bound == pytest.approx(0.5, abs=0.01)
+
+
+@pytest.mark.parametrize("resolution", [0.0, -1.0, float("nan")])
+def test_multiplier_bound_rejects_bad_resolution_before_sampling(resolution, monkeypatch):
+    from kernelcalc import rkhs
+
+    def no_sampling(*args):
+        raise AssertionError("a point family was built")
+
+    monkeypatch.setattr(rkhs, "sample_points", no_sampling)
+    with pytest.raises(ValueError):
+        multiplier_bound(SzegoDisc(), 0, unit_disc(), resolution=resolution)
+
+
+def test_multiplier_bound_with_a_tiny_resolution_terminates():
+    t0 = time.perf_counter()
+    est = multiplier_bound(
+        SzegoDisc(), 0, unit_disc(), family=((6, 1),), resolution=1e-300
+    )
+    assert time.perf_counter() - t0 < 1.0
+    lo, hi = est.bracket
+    assert lo < hi
+    assert not lo < (lo + hi) / 2 < hi
