@@ -9,6 +9,7 @@ engine applied to the map itself, never hand-coded.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -96,6 +97,22 @@ class MobiusMap:
     def det_derivative(self, z) -> complex:
         return complex(np.linalg.det(self.derivative(z)))
 
+    def log_det_derivative(self, z) -> complex:
+        """A branch of log det D phi(z) that is holomorphic on the ball.
+
+        det D phi(z) = det D phi(0) (1 - <z, a>)^-(m+1), and 1 - <z, a> has
+        positive real part there, so its principal log never jumps.  The
+        principal log of det D phi itself does: det D phi(0) carries the
+        sign (-1)^m.
+        """
+        z = as_point(z, self.m)
+        ip = sum(c * ac.conjugate() for c, ac in zip(z.coords, self.a))
+        return self._log_det_at_origin - (self.m + 1) * cmath.log(1.0 - ip)
+
+    @functools.cached_property
+    def _log_det_at_origin(self) -> complex:
+        return cmath.log(self.det_derivative((0.0,) * self.m))
+
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -129,11 +146,10 @@ class CocycleSpec:
 
     def matrix(self, phi: MobiusMap, z, size: int) -> np.ndarray:
         jac = phi.derivative(z)
-        det = complex(np.linalg.det(jac))
         if self.t == int(self.t):
-            scal = det ** int(self.t)
+            scal = complex(np.linalg.det(jac)) ** int(self.t)
         else:
-            scal = cmath.exp(self.t * cmath.log(det))
+            scal = cmath.exp(self.t * phi.log_det_derivative(z))
         if self.kind == "det_jacobian_power":
             return scal * np.eye(size, dtype=complex)
         if size != phi.m:

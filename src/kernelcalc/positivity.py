@@ -1,7 +1,12 @@
 """Gram assembly, eigenvalue certification, NND verdicts and Wallach scans.
 
-A passing scan is evidence for non-negative definiteness; a failing scan is
-a proof (a genuine negative direction on a finite point set).
+Reports (`psd_check`, `kernel_order_check`) carry the least eigenvalue from
+the Jacobi eigensolver.  Scan verdicts need only a sign, so they come from
+the LDL^H factorisation of G + tau I (`eig.ldl_verdict`), which computes no
+eigenvalue; a failing one breaks down at a pivot that yields a vector v with
+v^H G v < -tau |v|^2.  A passing scan is evidence for non-negative
+definiteness; a failing scan is a proof (that negative direction on a finite
+point set).
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eig import hermitian_part, jacobi_eigenvalues, min_eigenvalue
+from .eig import hermitian_part, jacobi_eigenvalues, ldl_verdict, min_eigenvalue
 from .errors import BracketError, EvaluationError, ShapeError
 from .expr import KernelExpr, LogHessian, _require_scalar
 from .geometry import DomainSpec, Point, RngSeed, as_point, sample_points
@@ -247,7 +252,7 @@ def wallach_scan(
     verdicts: list[tuple[float, bool]] = []
 
     def is_psd(t: float) -> bool:
-        ok = all(_verdict(f.gram_at(t), tol)[2] for f in fams)
+        ok = all(ldl_verdict(f.gram_at(t), tol).psd for f in fams)
         verdicts.append((t, ok))
         return ok
 
@@ -284,7 +289,7 @@ def ordinary_wallach_scan(
         base, domain, family, lambda pts: np.ones((len(pts), len(pts)))
     )
     return [
-        (t, all(_verdict(f.gram_at(t), tol)[2] for f in fams))
+        (t, all(ldl_verdict(f.gram_at(t), tol).psd for f in fams))
         for t in map(float, t_grid)
     ]
 

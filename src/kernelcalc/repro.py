@@ -24,6 +24,7 @@ from .calculus import (
     phi_gram_entry,
     series_head_coefficients,
 )
+from .eig import ldl_verdict, min_eigenvalue
 from .expr import (
     BallCurvature,
     BallPower,
@@ -39,7 +40,7 @@ from .fd import fd_relative_error
 from .geometry import sample_points, unit_ball, unit_disc
 from .parser import parse_kernel
 from .positivity import DEFAULT_FAMILIES, DEFAULT_TOL, gram, psd_check, wallach_scan
-from .positivity import _CurvatureFamilyGram, _verdict
+from .positivity import _CurvatureFamilyGram
 from .rkhs import _multiplier_family, multiplier_bound, z2_tensor_e1_norm
 
 
@@ -252,8 +253,8 @@ def check_multiplier_bound() -> CheckResult:
         for c in (0.8, 0.9, 1.0, 1.1, 1.5):
             tested += 1
             if (
-                _verdict(plain.gram_at(c), DEFAULT_TOL)[2]
-                and not _verdict(squared.gram_at(c), DEFAULT_TOL)[2]
+                ldl_verdict(plain.gram_at(c), DEFAULT_TOL).psd
+                and not ldl_verdict(squared.gram_at(c), DEFAULT_TOL).psd
             ):
                 violations += 1
     ok = bound_ok and violations == 0
@@ -276,8 +277,6 @@ def check_jet_kernel() -> CheckResult:
         worst = max(worst, abs(a - b))
     pts = sample_points(unit_disc(), 10, 29)
     g = gram(JetKernel(SzegoDisc(), SzegoDisc(), 1), pts)
-    from .eig import min_eigenvalue
-
     mineig = min_eigenvalue(g)
     ok = worst < 1e-14 and mineig > 0
     return CheckResult(

@@ -16,8 +16,9 @@ import numpy as np
 from .errors import BracketError, EvaluationError, ShapeError
 from .expr import BallCurvature, KernelExpr
 from .geometry import DomainSpec, MultiIndex, Point, as_point, sample_points
+from .eig import ldl_verdict
 from .positivity import DEFAULT_FAMILIES, DEFAULT_TOL, gram
-from .positivity import _bisect, _check_resolution, _CurvatureFamilyGram, _verdict
+from .positivity import _bisect, _check_resolution, _CurvatureFamilyGram
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,7 @@ def multiplier_bound(
     ]
 
     def is_psd(c: float) -> bool:
-        return all(_verdict(g.gram_at(c), tol)[2] for g in grams)
+        return all(ldl_verdict(g.gram_at(c), tol).psd for g in grams)
 
     hi = 1.0
     while not is_psd(hi):

@@ -1,3 +1,4 @@
+import cmath
 import json
 
 import numpy as np
@@ -135,6 +136,38 @@ def test_curvature_transformation_rule(t):
     phi = _random_map(2, 31)
     res = curvature_quasi_check(bergman_ball(2), t, phi, _pairs(unit_ball(2), 10, 2))
     assert res < 1e-8
+
+
+@pytest.mark.parametrize("m,t", [(1, 0.5), (3, 0.5), (3, 1.5)])
+def test_fractional_cocycle_powers_at_odd_dimension(m, t):
+    # det D phi carries the sign (-1)^m, so its principal log jumps between
+    # z and w; the branch through 1 - <z, a> does not
+    base = bergman_disc() if m == 1 else bergman_ball(m)
+    domain = unit_disc() if m == 1 else unit_ball(m)
+    for seed in range(3):
+        phi = _random_map(m, seed + 60, with_unitary=seed == 2)
+        res = curvature_quasi_check(base, t, phi, _pairs(domain, 10, seed))
+        assert res < 1e-8
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_log_det_derivative_is_a_log_of_the_determinant(m):
+    domain = unit_disc() if m == 1 else unit_ball(m)
+    phi = _random_map(m, 70 + m, with_unitary=True)
+    for z in sample_points(domain, 10, m):
+        assert cmath.exp(phi.log_det_derivative(z)) == pytest.approx(
+            phi.det_derivative(z), rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("t", [1.0, 2.0])
+def test_integer_cocycle_powers_use_the_determinant(t):
+    phi = _random_map(3, 81)
+    z = sample_points(unit_ball(3), 1, 8)[0]
+    jac = phi.derivative(z)
+    want = complex(np.linalg.det(jac)) ** int(t) * jac.T
+    got = CocycleSpec("curvature_cocycle", t).matrix(phi, z, 3)
+    assert np.array_equal(got, want)
 
 
 def test_unitary_factors_preserve_the_residual():

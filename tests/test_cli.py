@@ -227,3 +227,20 @@ def test_csv_minimum_equals_the_json_min_eig(capsys):
     code, out, _ = _run(capsys, *flags)
     assert code == 0
     assert first == json.loads(out)["min_eig"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_eigensolver_non_convergence_exits_3(capsys, monkeypatch, fmt):
+    import functools
+
+    from kernelcalc import cli, eig
+
+    one_sweep = functools.partial(eig.jacobi_eigenvalues, max_sweeps=1)
+    monkeypatch.setattr(eig, "jacobi_eigenvalues", one_sweep)
+    monkeypatch.setattr(cli, "jacobi_eigenvalues", one_sweep)
+    code, out, err = _run(
+        capsys, "psd", "--kernel", "szego_disc()", "--n", "20", "--format", fmt
+    )
+    assert code == 3
+    assert out == ""
+    assert "did not converge" in err

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from kernelcalc.eig import ldl_verdict
 from kernelcalc.errors import BracketError, ShapeError
 from kernelcalc.expr import (
     BallCurvature,
@@ -213,3 +214,41 @@ def test_bisect_brackets_a_threshold(lo, width, frac, resolution):
 def test_bisect_rejects_bad_input(lo, hi, resolution):
     with pytest.raises(ValueError):
         _bisect(lambda t: True, lo, hi, resolution)
+
+
+# The bisection brackets and verdict sequences the Jacobi predicate gave on
+# the battery's three cases (default families) and on three benchmark-sized
+# scans (families of 8, 12 and 16 points).  The first two verdicts are at the
+# ends of the interval, the rest at the successive midpoints.
+_SCAN_HISTORY = (False, True, True, False, False, False, False, False)
+
+
+@pytest.mark.parametrize("base,domain,lo,hi,bracket,family", [
+    (bergman_ball(2), unit_ball(2), -1.0, 1.0, (-0.03125, 0.0), DEFAULT_FAMILIES),
+    (bergman_ball(3), unit_ball(3), -1.0, 1.0, (-0.03125, 0.0), DEFAULT_FAMILIES),
+    (bergman_disc(), unit_disc(), -2.0, 0.0, (-1.03125, -1.0), DEFAULT_FAMILIES),
+    (bergman_disc(), unit_disc(), -2.0, 0.0, (-1.03125, -1.0), ((8, 1), (12, 2), (16, 3))),
+    (bergman_ball(2), unit_ball(2), -1.0, 1.0, (-0.03125, 0.0), ((8, 1), (12, 2), (16, 3))),
+    (bergman_ball(3), unit_ball(3), -1.0, 1.0, (-0.03125, 0.0), ((8, 1), (12, 2), (16, 3))),
+])
+def test_scan_verdicts_match_the_eigenvalue_predicate(base, domain, lo, hi, bracket, family):
+    est = wallach_scan(base, lo, hi, domain, family)
+    assert est.bracket == bracket
+    assert tuple(ok for _, ok in est.verdicts) == _SCAN_HISTORY
+
+
+@pytest.mark.parametrize("base,domain", [
+    (bergman_disc(), unit_disc()),
+    (bergman_ball(2), unit_ball(2)),
+])
+def test_family_verdicts_agree_with_jacobi_and_fail_with_a_witness(base, domain):
+    (fam,) = _power_families(
+        base, domain, ((10, 4),), lambda pts: gram(LogHessian(base), pts)
+    )
+    for t in np.linspace(-2.0, 1.0, 13):
+        g = fam.gram_at(t)
+        res = ldl_verdict(g, DEFAULT_TOL)
+        assert res.psd == _verdict(g, DEFAULT_TOL)[2]
+        if not res.psd:
+            v = res.witness
+            assert np.vdot(v, g @ v).real < -res.shift * np.vdot(v, v).real

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kernelcalc.errors import EvaluationError, ShapeError
-from kernelcalc.expr import BallCurvature, Curvature, SzegoDisc
+from kernelcalc.expr import BallCurvature, Curvature, SzegoDisc, bergman_disc
 from kernelcalc.geometry import unit_disc
 from kernelcalc.rkhs import (
     element,
@@ -74,6 +74,15 @@ def test_coordinate_multiplier_bound_on_the_disc():
     assert est.bound == pytest.approx(1.0, abs=0.01)
     assert est.bracket[0] <= est.bound <= est.bracket[1]
     assert est.function == "z1"
+
+
+@pytest.mark.parametrize("kernel,bracket", [
+    (SzegoDisc(), (0.9921875, 1.0)),
+    (bergman_disc(), (0.9765625, 0.984375)),
+])
+def test_multiplier_bound_brackets_match_the_eigenvalue_predicate(kernel, bracket):
+    # brackets the Jacobi predicate gave on the default families
+    assert multiplier_bound(kernel, 0, unit_disc()).bracket == bracket
 
 
 def test_multiplier_bound_transfers_to_the_curvature_kernel():
