@@ -124,11 +124,6 @@ class MobiusMap:
         )
 
 
-def compose(phi: MobiusMap, psi: MobiusMap):
-    """The composed map z -> phi(psi(z)) as a plain callable (not a MobiusMap)."""
-    return lambda z: phi.apply(psi.apply(z))
-
-
 @dataclass(frozen=True)
 class CocycleSpec:
     """Cocycle for quasi-invariance residuals.

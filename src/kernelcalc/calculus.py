@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, ShapeError
-from .expr import KernelExpr, Pow
+from .expr import DiagonalSeries, KernelExpr, LogHessian, Pow, Product
 from .geometry import as_point
 
 
@@ -116,19 +116,10 @@ def ball_curvature_closed_form(m: int, lam: float, z, w) -> np.ndarray:
 def series_head_coefficients(coefficients, t: float) -> tuple[float, float]:
     """First two diagonal Taylor coefficients of K^t (d dbar log K).
 
-    K = 1 + sum a_n z^n wbar^n on the disc.  The values are extracted from
-    an order-2 jet of the curvature expression at the origin, not from the
-    closed form a_1, 4 a_2 + (t-2) a_1^2.
+    K = 1 + sum a_n z^n wbar^n on the disc.  The values are read off the
+    order-1 jet table of product(pow(K, t), log_hessian(K)) at the origin,
+    not from the closed form a_1, 4 a_2 + (t-2) a_1^2.
     """
-    from .expr import DiagonalSeries
-    from .jets import variable_jets
-
     k = DiagonalSeries(list(coefficients))
-    # jet of K^t * (d dbar log K) around (0, 0), deep enough for the
-    # coefficient of (z wbar)^1
-    zv, wv = variable_jets([0.0], [0.0], 1, 3, 3)
-    kjet = k.scalar_jet(zv, wv)
-    curv = (kjet ** t).truncate(2, 2) * kjet.log().shift((1,), (1,)).truncate(2, 2)
-    c0 = curv.coeffs.get(((0,), (0,)), 0j)
-    c1 = curv.coeffs.get(((1,), (1,)), 0j)
-    return (c0.real, c1.real)
+    table = Product(Pow(k, t), LogHessian(k)).eval_jet(0.0, 0.0, 1)
+    return (table.value[0, 0].real, table.entry((1,), (1,))[0, 0].real)

@@ -4,7 +4,9 @@ Subcommands: eval, psd, wallach, norm, bound, quasi, repro.  JSON is the
 default output format; `psd --format csv` emits the Gram spectrum as CSV.
 Every flag can also be supplied through a JSON config file (--config): keys
 are flag names, validated like flags (a bad value or unknown key exits 2),
-and explicit flags win.  --tol and --resolution must be positive.
+and explicit flags win.  --tol and --resolution must be positive, --n and
+--pairs positive integers, --order a non-negative integer, --radius in
+(0, 1), and the coordinate of `bound --f` must exist in the kernel's domain.
 
 Exit codes: 0 success, 2 configuration or parse error, 3 evaluation error,
 4 scan bracket failure (no sign change in the scanned interval); `repro`
@@ -131,13 +133,10 @@ def cmd_norm(args) -> int:
 
 def cmd_bound(args) -> int:
     expr = parse_kernel(args.kernel)
-    f = args.f
-    if f.startswith("z") and f[1:].isdigit():
-        f = int(f[1:]) - 1
-    elif f == "z":
-        f = 0
-    else:
-        raise ParseError(f"unsupported multiplier function {args.f!r}", 0)
+    digits = args.f[1:] or "1"  # "z" is z1
+    f = int(digits) - 1 if args.f.startswith("z") and digits.isdecimal() else -1
+    if not 0 <= f < expr.m:
+        raise ParseError(f"--f {args.f!r} names no coordinate of C^{expr.m}", 0)
     domain = _domain_for(expr.m, args.radius)
     est = multiplier_bound(expr, f, domain, resolution=args.resolution)
     payload = json.loads(est.to_json())
@@ -184,11 +183,24 @@ def cmd_repro(args) -> int:
     return EXIT_OK if failed == 0 else 1
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
+def _checked(convert, ok, what: str):
+    """An argparse type: `convert` the text, then reject values failing `ok`."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                           "positive and finite")
+_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_radius = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -203,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON file with default flag values")
         p.add_argument("--output", help="write the report to this path")
-        p.add_argument("--radius", type=float, default=0.8,
+        p.add_argument("--radius", type=_radius, default=0.8,
                        help="sampling radius inside the domain")
 
     p = sub.add_parser("eval", help="evaluate a kernel or its jet table")
@@ -211,13 +223,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", required=True)
     p.add_argument("--z", required=True)
     p.add_argument("--w", required=True)
-    p.add_argument("--order", type=int, default=0)
+    p.add_argument("--order", type=_non_negative_int, default=0)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("psd", help="finite-sample positivity certificate")
     common(p)
     p.add_argument("--kernel", required=True)
-    p.add_argument("--n", type=int, default=20)
+    p.add_argument("--n", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -251,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--a", help="base point of the map (default: seeded random)")
-    p.add_argument("--pairs", type=int, default=20)
+    p.add_argument("--pairs", type=_positive_int, default=20)
     p.set_defaults(func=cmd_quasi)
 
     p = sub.add_parser("repro", help="run the full certification battery")

@@ -1,9 +1,13 @@
 """Kernel expression AST: pointwise evaluation and Wirtinger jet tables.
 
 Every node denotes a matrix-valued sesqui-analytic kernel on a domain in C^m
-(scalars are 1x1).  Evaluation and differentiation both go through one jet
-engine: each node knows how to produce the truncated Taylor expansion of its
-matrix entries around a base pair (z, w).
+(scalars are 1x1).  Evaluation and differentiation both go through one
+method per node, `jets(z, w, nz, nw)`: the k x k array of the truncated
+Taylor expansions of the node's entries around the base pair (z, w), at
+exactly the caps (nz, nw).  Leaves seed their own coordinate jets;
+combinators build on the jets of their children.  `log_jet` gives the
+continuous branch of log K of a size-1 node, so every size-1 node, derived
+kernels included, composes under the scalar combinators.
 """
 
 from __future__ import annotations
@@ -51,31 +55,20 @@ class KernelExpr:
 
     # -- jet engine ----------------------------------------------------
 
-    def scalar_jet(self, zv, wv) -> Jet:
-        """Jet of the scalar kernel in the given coordinate jets.
+    def jets(self, z: Point, w: Point, nz: int, nw: int) -> np.ndarray:
+        """k x k object array of the entry jets at (z, w), caps (nz, nw)."""
+        raise NotImplementedError
 
-        Only defined for scalar nodes; zv, wv are the seeded jets of this
-        node's own m coordinates (already embedded in the caller's space).
-        """
-        raise ShapeError(f"{type(self).__name__} is not a scalar kernel")
-
-    def scalar_log_jet(self, zv, wv) -> Jet:
-        """Jet of the continuous branch of log K.
+    def log_jet(self, z: Point, w: Point, nz: int, nw: int) -> Jet:
+        """Jet of the continuous branch of log K of a size-1 node.
 
         Nodes with multiplicative structure (powers, products, tensors)
         propagate the branch structurally, so log K stays well defined even
         where the kernel value itself leaves the right half-plane.  The
-        fallback takes the principal log of the value jet and errors out on
+        default takes the principal log of the 1x1 entry and errors out on
         a branch violation.
         """
-        return self.scalar_jet(zv, wv).log()
-
-    def entry_jets(self, z: Point, w: Point, nz: int, nw: int) -> np.ndarray:
-        """k x k object array of entry jets truncated to caps (nz, nw)."""
-        zv, wv = variable_jets(z.coords, w.coords, self.m, nz, nw)
-        out = np.empty((1, 1), dtype=object)
-        out[0, 0] = self.scalar_jet(zv, wv)
-        return out
+        return self.jets(z, w, nz, nw)[0, 0].log()
 
     # -- public evaluation ----------------------------------------------
 
@@ -84,7 +77,7 @@ class KernelExpr:
         z = as_point(z, self.m)
         w = as_point(w, self.m)
         self._check_pair(z, w)
-        jets = self.entry_jets(z, w, 0, 0)
+        jets = self.jets(z, w, 0, 0)
         k = self.size
         out = np.empty((k, k), dtype=complex)
         for r in range(k):
@@ -101,7 +94,7 @@ class KernelExpr:
         z = as_point(z, self.m)
         w = as_point(w, self.m)
         self._check_pair(z, w)
-        jets = self.entry_jets(z, w, order, order)
+        jets = self.jets(z, w, order, order)
         k = self.size
         indices = graded_lex_tuples(self.m, order)
         entries = {}
@@ -153,6 +146,21 @@ def _num(x) -> str:
     return repr(x)
 
 
+def _scalar(jet: Jet) -> np.ndarray:
+    """The 1x1 entry array of a scalar node."""
+    out = np.empty((1, 1), dtype=object)
+    out[0, 0] = jet
+    return out
+
+
+def _one_minus_inner(zv, wv) -> Jet:
+    """The jet of 1 - <z, w> from seeded coordinate jets."""
+    u = 1.0
+    for zk, wk in zip(zv, wv):
+        u = u - zk * wk
+    return u
+
+
 # ---------------------------------------------------------------------------
 # built-in scalar kernels
 # ---------------------------------------------------------------------------
@@ -167,11 +175,15 @@ class SzegoDisc(KernelExpr):
     def contains(self, p):
         return abs(p[0]) < 1
 
-    def scalar_jet(self, zv, wv):
-        return (1.0 - zv[0] * wv[0]) ** -1
+    def _base_jet(self, z, w, nz, nw):
+        zv, wv = variable_jets(z.coords, w.coords, 1, nz, nw)
+        return _one_minus_inner(zv, wv)
 
-    def scalar_log_jet(self, zv, wv):
-        return -((1.0 - zv[0] * wv[0]).log())
+    def jets(self, z, w, nz, nw):
+        return _scalar(self._base_jet(z, w, nz, nw) ** -1)
+
+    def log_jet(self, z, w, nz, nw):
+        return -(self._base_jet(z, w, nz, nw).log())
 
     def to_dsl(self):
         return "szego_disc()"
@@ -195,19 +207,17 @@ class BallPower(KernelExpr):
     def contains(self, p):
         return p.norm() < 1
 
-    def _base_jet(self, zv, wv):
-        u = 1.0
-        for zk, wk in zip(zv, wv):
-            u = u - zk * wk
-        return u
+    def _base_jet(self, z, w, nz, nw):
+        zv, wv = variable_jets(z.coords, w.coords, self.dim, nz, nw)
+        return _one_minus_inner(zv, wv)
 
-    def scalar_jet(self, zv, wv):
+    def jets(self, z, w, nz, nw):
         # 1 - <z, w> stays in the right half-plane on the ball, so the
         # principal branch of the outer power is the continuous one
-        return self._base_jet(zv, wv) ** (-self.lam)
+        return _scalar(self._base_jet(z, w, nz, nw) ** (-self.lam))
 
-    def scalar_log_jet(self, zv, wv):
-        return self._base_jet(zv, wv).log() * (-self.lam)
+    def log_jet(self, z, w, nz, nw):
+        return self._base_jet(z, w, nz, nw).log() * (-self.lam)
 
     def to_dsl(self):
         return f"ball_power({self.dim}, {_num(float(self.lam))})"
@@ -239,14 +249,15 @@ class DiagonalSeries(KernelExpr):
     def contains(self, p):
         return abs(p[0]) < 1
 
-    def scalar_jet(self, zv, wv):
+    def jets(self, z, w, nz, nw):
+        zv, wv = variable_jets(z.coords, w.coords, 1, nz, nw)
         p = zv[0] * wv[0]
         acc = 1.0 + 0.0 * p  # promotes to a jet of the right shape
         power = None
         for a in self.coefficients:
             power = p if power is None else power * p
             acc = acc + power * a
-        return acc
+        return _scalar(acc)
 
     def to_dsl(self):
         inner = ", ".join(_num(a) for a in self.coefficients)
@@ -283,11 +294,11 @@ class Pow(KernelExpr):
     def contains(self, p):
         return self.child.contains(p)
 
-    def scalar_jet(self, zv, wv):
-        return (self.child.scalar_log_jet(zv, wv) * self.t).exp()
+    def jets(self, z, w, nz, nw):
+        return _scalar(self.log_jet(z, w, nz, nw).exp())
 
-    def scalar_log_jet(self, zv, wv):
-        return self.child.scalar_log_jet(zv, wv) * self.t
+    def log_jet(self, z, w, nz, nw):
+        return self.child.log_jet(z, w, nz, nw) * self.t
 
     def to_dsl(self):
         return f"pow({self.child.to_dsl()}, {_num(float(self.t))})"
@@ -316,11 +327,11 @@ class Product(KernelExpr):
     def contains(self, p):
         return self.left.contains(p) and self.right.contains(p)
 
-    def scalar_jet(self, zv, wv):
-        return self.left.scalar_jet(zv, wv) * self.right.scalar_jet(zv, wv)
+    def jets(self, z, w, nz, nw):
+        return self.left.jets(z, w, nz, nw) * self.right.jets(z, w, nz, nw)
 
-    def scalar_log_jet(self, zv, wv):
-        return self.left.scalar_log_jet(zv, wv) + self.right.scalar_log_jet(zv, wv)
+    def log_jet(self, z, w, nz, nw):
+        return self.left.log_jet(z, w, nz, nw) + self.right.log_jet(z, w, nz, nw)
 
     def to_dsl(self):
         return f"product({self.left.to_dsl()}, {self.right.to_dsl()})"
@@ -351,16 +362,8 @@ class Sum(KernelExpr):
     def contains(self, p):
         return self.left.contains(p) and self.right.contains(p)
 
-    def scalar_jet(self, zv, wv):
-        return self.left.scalar_jet(zv, wv) + self.right.scalar_jet(zv, wv)
-
-    def entry_jets(self, z, w, nz, nw):
-        a = self.left.entry_jets(z, w, nz, nw)
-        b = self.right.entry_jets(z, w, nz, nw)
-        out = np.empty(a.shape, dtype=object)
-        for idx in np.ndindex(a.shape):
-            out[idx] = a[idx] + b[idx]
-        return out
+    def jets(self, z, w, nz, nw):
+        return self.left.jets(z, w, nz, nw) + self.right.jets(z, w, nz, nw)
 
     def to_dsl(self):
         return f"sum({self.left.to_dsl()}, {self.right.to_dsl()})"
@@ -391,18 +394,11 @@ class Scale(KernelExpr):
     def contains(self, p):
         return self.child.contains(p)
 
-    def scalar_jet(self, zv, wv):
-        return self.child.scalar_jet(zv, wv) * self.factor
+    def jets(self, z, w, nz, nw):
+        return self.child.jets(z, w, nz, nw) * self.factor
 
-    def scalar_log_jet(self, zv, wv):
-        return self.child.scalar_log_jet(zv, wv) + math.log(self.factor)
-
-    def entry_jets(self, z, w, nz, nw):
-        a = self.child.entry_jets(z, w, nz, nw)
-        out = np.empty(a.shape, dtype=object)
-        for idx in np.ndindex(a.shape):
-            out[idx] = a[idx] * self.factor
-        return out
+    def log_jet(self, z, w, nz, nw):
+        return self.child.log_jet(z, w, nz, nw) + math.log(self.factor)
 
     def to_dsl(self):
         return f"scale({self.child.to_dsl()}, {_num(float(self.factor))})"
@@ -426,23 +422,25 @@ class Tensor(KernelExpr):
     def children(self):
         return (self.left, self.right)
 
+    def _halves(self, p):
+        m1 = self.left.m
+        return Point(p.coords[:m1]), Point(p.coords[m1:])
+
     def contains(self, p):
-        m1 = self.left.m
-        return self.left.contains(Point(p.coords[:m1])) and self.right.contains(
-            Point(p.coords[m1:])
-        )
+        p1, p2 = self._halves(p)
+        return self.left.contains(p1) and self.right.contains(p2)
 
-    def scalar_jet(self, zv, wv):
-        m1 = self.left.m
-        a = self.left.scalar_jet(zv[:m1], wv[:m1])
-        b = self.right.scalar_jet(zv[m1:], wv[m1:])
-        return a * b
+    def jets(self, z, w, nz, nw):
+        (z1, z2), (w1, w2) = self._halves(z), self._halves(w)
+        a = self.left.jets(z1, w1, nz, nw)[0, 0].embed(self.m, 0)
+        b = self.right.jets(z2, w2, nz, nw)[0, 0].embed(self.m, self.left.m)
+        return _scalar(a * b)
 
-    def scalar_log_jet(self, zv, wv):
-        m1 = self.left.m
-        return self.left.scalar_log_jet(zv[:m1], wv[:m1]) + self.right.scalar_log_jet(
-            zv[m1:], wv[m1:]
-        )
+    def log_jet(self, z, w, nz, nw):
+        (z1, z2), (w1, w2) = self._halves(z), self._halves(w)
+        a = self.left.log_jet(z1, w1, nz, nw).embed(self.m, 0)
+        b = self.right.log_jet(z2, w2, nz, nw).embed(self.m, self.left.m)
+        return a + b
 
     def to_dsl(self):
         return f"tensor({self.left.to_dsl()}, {self.right.to_dsl()})"
@@ -455,6 +453,16 @@ class Tensor(KernelExpr):
 
 def _unit(m, k):
     return tuple(1 if i == k else 0 for i in range(m))
+
+
+def _hessian(g: Jet) -> np.ndarray:
+    """m x m array of the jets of d_i dbar_j g, one cap below g's."""
+    m = g.m
+    out = np.empty((m, m), dtype=object)
+    for i in range(m):
+        for j in range(m):
+            out[i, j] = g.shift(_unit(m, i), _unit(m, j))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -480,15 +488,8 @@ class LogHessian(KernelExpr):
     def contains(self, p):
         return self.child.contains(p)
 
-    def entry_jets(self, z, w, nz, nw):
-        m = self.m
-        zv, wv = variable_jets(z.coords, w.coords, m, nz + 1, nw + 1)
-        g = self.child.scalar_log_jet(zv, wv)
-        out = np.empty((m, m), dtype=object)
-        for i in range(m):
-            for j in range(m):
-                out[i, j] = g.shift(_unit(m, i), _unit(m, j)).truncate(nz, nw)
-        return out
+    def jets(self, z, w, nz, nw):
+        return _hessian(self.child.log_jet(z, w, nz + 1, nw + 1))
 
     def to_dsl(self):
         return f"log_hessian({self.child.to_dsl()})"
@@ -521,16 +522,12 @@ class Curvature(KernelExpr):
     def contains(self, p):
         return self.child.contains(p)
 
-    def entry_jets(self, z, w, nz, nw):
-        m = self.m
-        zv, wv = variable_jets(z.coords, w.coords, m, nz + 1, nw + 1)
-        g = self.child.scalar_log_jet(zv, wv)
-        power = (g * (self.alpha + self.beta)).exp().truncate(nz, nw)
-        out = np.empty((m, m), dtype=object)
-        for i in range(m):
-            for j in range(m):
-                out[i, j] = power * g.shift(_unit(m, i), _unit(m, j)).truncate(nz, nw)
-        return out
+    def jets(self, z, w, nz, nw):
+        g = self.child.log_jet(z, w, nz + 1, nw + 1)
+        power = (g.truncate(nz, nw) * (self.alpha + self.beta)).exp()
+        # np.multiply keeps the power the left factor of each entry product
+        # (Jet.__mul__ would take the whole array for a scalar)
+        return np.multiply(power, _hessian(g))
 
     def to_dsl(self):
         return (
@@ -573,18 +570,15 @@ class JetKernel(KernelExpr):
     def contains(self, p):
         return self.k1.contains(p) and self.k2.contains(p)
 
-    def entry_jets(self, z, w, nz, nw):
-        m = self.m
+    def jets(self, z, w, nz, nw):
         k = self.order
-        zv, wv = variable_jets(z.coords, w.coords, m, nz + k, nw + k)
-        j1 = self.k1.scalar_jet(zv, wv)
-        j2 = self.k2.scalar_jet(zv, wv)
-        indices = graded_lex_tuples(m, k)
-        d = len(indices)
-        out = np.empty((d, d), dtype=object)
+        j1 = self.k1.jets(z, w, nz, nw)[0, 0]
+        j2 = self.k2.jets(z, w, nz + k, nw + k)[0, 0]
+        indices = graded_lex_tuples(self.m, k)
+        out = np.empty((len(indices),) * 2, dtype=object)
         for r, i in enumerate(indices):
             for s, j in enumerate(indices):
-                out[r, s] = j1.truncate(nz, nw) * j2.shift(i, j).truncate(nz, nw)
+                out[r, s] = j1 * j2.shift(i, j).truncate(nz, nw)
         return out
 
     def to_dsl(self):
@@ -618,13 +612,10 @@ class BallCurvature(KernelExpr):
     def contains(self, p):
         return p.norm() < 1
 
-    def entry_jets(self, z, w, nz, nw):
+    def jets(self, z, w, nz, nw):
         m = self.dim
         zv, wv = variable_jets(z.coords, w.coords, m, nz, nw)
-        u = 1.0
-        for zk, wk in zip(zv, wv):
-            u = u - zk * wk
-        pref = u ** (-self.lam)
+        pref = _one_minus_inner(zv, wv) ** (-self.lam)
         out = np.empty((m, m), dtype=object)
         for i in range(m):
             for j in range(m):

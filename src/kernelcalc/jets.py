@@ -114,6 +114,14 @@ class Jet:
             out[(na, nb)] = v * fac
         return Jet(self.m, nz, nw, out)
 
+    def embed(self, m, offset):
+        """The same function of the coordinates offset .. offset + self.m - 1
+        of C^m (in both groups), constant in the other coordinates."""
+        pre, post = (0,) * offset, (0,) * (m - offset - self.m)
+        return Jet(m, self.nz, self.nw, {
+            (pre + a + post, pre + b + post): v for (a, b), v in self.coeffs.items()
+        })
+
     # -- arithmetic ----------------------------------------------------
 
     def _check_compatible(self, other):

@@ -21,7 +21,6 @@ from .eig import hermitian_part, jacobi_eigenvalues, ldl_verdict, min_eigenvalue
 from .errors import BracketError, EvaluationError, ShapeError
 from .expr import KernelExpr, LogHessian, _require_scalar
 from .geometry import DomainSpec, Point, RngSeed, as_point, sample_points
-from .jets import variable_jets
 
 #: default relative PSD tolerance: psd iff min eig >= -tol * (1 + max diagonal)
 DEFAULT_TOL = 1e-9
@@ -191,8 +190,7 @@ def _power_families(base: KernelExpr, domain, family, blocks_of) -> list:
 
     def log_value(z, w):
         base._check_pair(z, w)
-        zv, wv = variable_jets(z.coords, w.coords, base.m, 0, 0)
-        return np.array([[base.scalar_log_jet(zv, wv).value]])
+        return np.array([[base.log_jet(z, w, 0, 0).value]])
 
     fams = []
     for n, s in family:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from kernelcalc.cli import main
@@ -190,11 +191,18 @@ def test_output_file(tmp_path, capsys):
     ["bound", "--kernel", "szego_disc()", "--resolution", "0"],
     ["bound", "--kernel", "szego_disc()", "--resolution", "-1"],
     ["psd", "--kernel", "szego_disc()", "--tol", "0"],
+    ["eval", "--kernel", "szego_disc()", "--z", "0.1", "--w", "0.2", "--order", "-1"],
+    ["psd", "--kernel", "szego_disc()", "--n", "0"],
+    ["psd", "--kernel", "szego_disc()", "--radius", "1.5"],
+    ["psd", "--kernel", "szego_disc()", "--radius", "0"],
+    ["quasi", "--kernel", "bergman_disc()", "--pairs", "0"],
+    ["bound", "--kernel", "szego_disc()", "--f", "z0"],
+    ["bound", "--kernel", "bergman_ball(2)", "--f", "z3"],
 ])
 def test_non_positive_tolerance_or_resolution_exits_2(capsys, argv):
     code, _, err = _run(capsys, *argv)
     assert code == 2
-    assert "--tol" in err or "--resolution" in err
+    assert argv[-2] in err
 
 
 def test_config_string_values_parse_like_flags(tmp_path, capsys):
@@ -244,3 +252,23 @@ def test_eigensolver_non_convergence_exits_3(capsys, monkeypatch, fmt):
     assert code == 3
     assert out == ""
     assert "did not converge" in err
+
+
+@pytest.mark.parametrize("text,closed_form,z,w", [
+    ("pow(log_hessian(szego_disc()),0.5)", "szego_disc()", "0.1", "0.2"),
+    ("log_hessian(curvature(szego_disc(),1,1))", "scale(bergman_disc(),4)", "0.1", "0.2"),
+    ("product(curvature(szego_disc(),1,1),szego_disc())", "ball_power(1,5)", "0.1", "0.2"),
+    ("pow(jet(szego_disc(),szego_disc(),0),2)", "ball_power(1,4)", "0.1", "0.2"),
+    ("tensor(curvature(szego_disc(),1,1),szego_disc())",
+     "tensor(ball_power(1,4),szego_disc())", "0.1,0.3i", "0.2,-0.1"),
+    ("jet(szego_disc(),log_hessian(szego_disc()),1)",
+     "jet(szego_disc(),bergman_disc(),1)", "0.1", "0.2"),
+])
+def test_size_one_derived_kernels_evaluate_through_the_cli(capsys, text, closed_form, z, w):
+    values = []
+    for kernel in (text, closed_form):
+        code, out, _ = _run(capsys, "eval", "--kernel", kernel, "--z", z, "--w", w)
+        assert code == 0
+        values.append(np.array(json.loads(out)["value"]))
+    got, want = values
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from kernelcalc.errors import BranchError, OrderCapError, ShapeError
 from kernelcalc.expr import (
@@ -18,8 +19,9 @@ from kernelcalc.expr import (
     bergman_ball,
     bergman_disc,
 )
-from kernelcalc.fd import fd_relative_error
+from kernelcalc.fd import fd_jet_table, fd_relative_error
 from kernelcalc.geometry import sample_points, unit_ball, unit_disc
+from kernelcalc.parser import parse_kernel
 
 
 def _scalar(expr, z, w):
@@ -157,3 +159,70 @@ def test_jet_table_entries_are_derivative_values():
     p = z * w
     want = (1 + p) / (1 - p) ** 3
     assert complex(tab.entry((1,), (1,))[0, 0]) == pytest.approx(want)
+
+
+# Size-1 derived kernels (log_hessian or curvature of a disc kernel, and
+# jet(K1, K2, 0)) next to the closed forms they reduce to.
+SIZE_ONE_CLOSED_FORMS = [
+    ("pow(log_hessian(szego_disc()),0.5)", "szego_disc()"),
+    ("log_hessian(curvature(szego_disc(),1,1))", "scale(bergman_disc(),4)"),
+    ("product(curvature(szego_disc(),1,1),szego_disc())", "ball_power(1,5)"),
+    ("pow(jet(szego_disc(),szego_disc(),0),2)", "ball_power(1,4)"),
+    (
+        "tensor(curvature(szego_disc(),1,1),szego_disc())",
+        "tensor(ball_power(1,4),szego_disc())",
+    ),
+    ("jet(szego_disc(),log_hessian(szego_disc()),1)", "jet(szego_disc(),bergman_disc(),1)"),
+]
+
+
+@pytest.mark.parametrize("text,closed_form", SIZE_ONE_CLOSED_FORMS)
+def test_size_one_derived_kernels_compose_under_scalar_combinators(text, closed_form):
+    expr, want = parse_kernel(text), parse_kernel(closed_form)
+    domain = unit_disc(0.7) if expr.m == 1 else unit_ball(expr.m, 0.7)
+    pts = sample_points(domain, 6, 17)
+    for z, w in zip(pts[:3], pts[3:]):
+        for order in (0, 1, 2):
+            got, ref = expr.eval_jet(z, w, order), want.eval_jet(z, w, order)
+            scale = max(np.abs(mat).max() for mat in ref.entries.values())
+            assert got.entries.keys() == ref.entries.keys()
+            for key, mat in ref.entries.items():
+                assert np.abs(got.entries[key] - mat).max() <= 1e-12 * scale
+
+
+_DISC_LEAVES = st.sampled_from(
+    ["szego_disc()", "bergman_disc()", "ball_power(1, 1.5)", "diagonal_series([0.5, 0.25])"]
+)
+_PARAMS = st.sampled_from(["0.5", "1.0"])
+
+
+def _disc_asts(depth: int):
+    """DSL strings of m = 1 kernels, combinators nested at most `depth` deep,
+    with the size-1 derived nodes among them."""
+    if depth == 0:
+        return _DISC_LEAVES
+    sub = _disc_asts(depth - 1)
+    return st.one_of(
+        _DISC_LEAVES,
+        st.builds("pow({}, {})".format, sub, st.sampled_from(["0.5", "1.5", "2.0"])),
+        st.builds("product({}, {})".format, sub, sub),
+        st.builds("sum({}, {})".format, sub, sub),
+        st.builds("scale({}, 0.5)".format, sub),
+        st.builds("log_hessian({})".format, sub),
+        st.builds("curvature({}, {}, {})".format, sub, _PARAMS, _PARAMS),
+        st.builds("jet({}, {}, 0)".format, sub, sub),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=_disc_asts(3), seed=st.integers(1, 100))
+def test_random_disc_asts_match_finite_differences(text, seed):
+    expr = parse_kernel(text)
+    z, w = sample_points(unit_disc(0.35), 2, seed)
+    try:
+        expr.eval_jet(z, w, 2)
+    except BranchError:
+        with pytest.raises(BranchError):
+            fd_jet_table(expr, z, w, 2)
+        assume(False)
+    assert fd_relative_error(expr, z, w, 2) < 1e-6
