@@ -3,7 +3,9 @@
 The ball involution is phi_a(z) = (a - P_a z - s Q_a z) / (1 - <z, a>) with
 s = sqrt(1 - |a|^2), P_a the projection onto span{a} and Q_a = I - P_a; a
 unitary factor may be post-composed.  Jacobians are obtained from the jet
-engine applied to the map itself, never hand-coded.
+engine applied to the map itself, never hand-coded.  Images, Jacobians and
+cocycles take (B, m) arrays of points, so a quasi-invariance residual
+evaluates its maps and both kernel sides as whole batches.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, EvaluationError, ShapeError
 from .expr import KernelExpr, Curvature, LogHessian
-from .geometry import Point, as_point
+from .geometry import Point, as_point, in_unit_ball, point_array, unit_index
 from .jets import Jet
 
 
@@ -70,44 +72,54 @@ class MobiusMap:
             out.append((a[k] - pk - s * qk) * denom)
         return out
 
+    def images(self, zs) -> np.ndarray:
+        """Images of a (B, m) array of points of the open unit ball."""
+        zs = point_array(zs, self.m)
+        if not in_unit_ball(zs).all():
+            raise DomainError("point outside the unit ball")
+        img = np.stack(self._phi_a([zs[:, k] for k in range(self.m)]), axis=-1)
+        return img @ self.unitary.T
+
     def apply(self, z) -> Point:
         """Image of a point of the open unit ball."""
-        z = as_point(z, self.m)
-        if z.norm() >= 1:
-            raise DomainError("point outside the unit ball")
-        img = self._phi_a(list(z.coords))
-        return Point(self.unitary @ np.array(img, dtype=complex))
+        return Point(self.images([as_point(z, self.m)])[0])
+
+    def jacobians(self, zs) -> np.ndarray:
+        """Holomorphic Jacobians (d phi_k / d z_i) at a (B, m) array of
+        points, via order-1 jets."""
+        zs = point_array(zs, self.m)
+        m = self.m
+        img = self._phi_a([Jet.variable_z(k, zs[:, k], m, 1, 0) for k in range(m)])
+        zero = (0,) * m
+        jac = np.stack(
+            [np.stack([img[k].deriv(unit_index(m, i), zero) for i in range(m)], axis=-1)
+             for k in range(m)],
+            axis=-2,
+        )
+        return self.unitary @ jac
 
     def derivative(self, z) -> np.ndarray:
-        """Holomorphic Jacobian (d phi_k / d z_i) via order-1 jets."""
-        z = as_point(z, self.m)
-        m = self.m
-        seeds = [Jet.variable_z(k, z[k], m, 1, 0) for k in range(m)]
-        img = self._phi_a(seeds)
-        jac = np.empty((m, m), dtype=complex)
-        for k in range(m):
-            for i in range(m):
-                e = tuple(1 if t == i else 0 for t in range(m))
-                val = img[k].deriv(e, (0,) * m) if isinstance(img[k], Jet) else (
-                    1.0 if k == i else 0.0
-                )
-                jac[k, i] = val
-        return self.unitary @ jac
+        """Holomorphic Jacobian (d phi_k / d z_i) at one point."""
+        return self.jacobians([as_point(z, self.m)])[0]
 
     def det_derivative(self, z) -> complex:
         return complex(np.linalg.det(self.derivative(z)))
 
-    def log_det_derivative(self, z) -> complex:
-        """A branch of log det D phi(z) that is holomorphic on the ball.
+    def log_det_derivatives(self, zs) -> np.ndarray:
+        """A branch of log det D phi that is holomorphic on the ball, at a
+        (B, m) array of points.
 
         det D phi(z) = det D phi(0) (1 - <z, a>)^-(m+1), and 1 - <z, a> has
         positive real part there, so its principal log never jumps.  The
         principal log of det D phi itself does: det D phi(0) carries the
         sign (-1)^m.
         """
-        z = as_point(z, self.m)
-        ip = sum(c * ac.conjugate() for c, ac in zip(z.coords, self.a))
-        return self._log_det_at_origin - (self.m + 1) * cmath.log(1.0 - ip)
+        ip = point_array(zs, self.m) @ np.conj(np.array(self.a))
+        return self._log_det_at_origin - (self.m + 1) * np.log(1.0 - ip)
+
+    def log_det_derivative(self, z) -> complex:
+        """log_det_derivatives at one point."""
+        return complex(self.log_det_derivatives([as_point(z, self.m)])[0])
 
     @functools.cached_property
     def _log_det_at_origin(self) -> complex:
@@ -139,17 +151,30 @@ class CocycleSpec:
         if self.kind not in ("det_jacobian_power", "curvature_cocycle"):
             raise ShapeError(f"unknown cocycle kind {self.kind!r}")
 
-    def matrix(self, phi: MobiusMap, z, size: int) -> np.ndarray:
-        jac = phi.derivative(z)
-        if self.t == int(self.t):
-            scal = complex(np.linalg.det(jac)) ** int(self.t)
-        else:
-            scal = cmath.exp(self.t * phi.log_det_derivative(z))
-        if self.kind == "det_jacobian_power":
-            return scal * np.eye(size, dtype=complex)
-        if size != phi.m:
+    def matrices(self, phi: MobiusMap, zs, size: int) -> np.ndarray:
+        """J(phi, z) at a (B, m) array of points, as a (B, size, size) array."""
+        if self.kind == "curvature_cocycle" and size != phi.m:
             raise ShapeError("curvature cocycle needs an m x m kernel")
-        return scal * jac.T
+        zs = point_array(zs, phi.m)
+        jac = phi.jacobians(zs)
+        with np.errstate(all="ignore"):
+            if float(self.t).is_integer():
+                scal = np.linalg.det(jac) ** self.t
+            else:
+                scal = np.exp(self.t * phi.log_det_derivatives(zs))
+        if not np.isfinite(scal).all():
+            p = int(np.argmax(~np.isfinite(scal)))
+            raise EvaluationError(
+                f"cocycle (det D phi)^{self.t} is not finite at point "
+                f"{tuple(complex(c) for c in zs[p])}"
+            )
+        if self.kind == "det_jacobian_power":
+            return scal[:, None, None] * np.eye(size, dtype=complex)
+        return scal[:, None, None] * jac.transpose(0, 2, 1)
+
+    def matrix(self, phi: MobiusMap, z, size: int) -> np.ndarray:
+        """J(phi, z) at one point."""
+        return self.matrices(phi, [as_point(z, phi.m)], size)[0]
 
 
 def quasi_invariance_residual(
@@ -158,17 +183,18 @@ def quasi_invariance_residual(
     """Max relative residual of J(z) K(phi z, phi w) J(w)^* = K(z, w)."""
     if phi.m != expr.m:
         raise ShapeError("map and kernel dimensions differ")
-    worst = 0.0
-    for z, w in pairs:
-        z = as_point(z, expr.m)
-        w = as_point(w, expr.m)
-        jz = cocycle.matrix(phi, z, expr.size)
-        jw = cocycle.matrix(phi, w, expr.size)
-        lhs = jz @ expr.eval(phi.apply(z), phi.apply(w)) @ jw.conj().T
-        rhs = expr.eval(z, w)
-        res = np.linalg.norm(lhs - rhs) / (1 + np.linalg.norm(rhs))
-        worst = max(worst, res)
-    return worst
+    pairs = list(pairs)
+    if not pairs:
+        return 0.0
+    zs = point_array([z for z, _ in pairs], expr.m)
+    ws = point_array([w for _, w in pairs], expr.m)
+    jz = cocycle.matrices(phi, zs, expr.size)
+    jw = cocycle.matrices(phi, ws, expr.size)
+    moved = expr.values(phi.images(zs), phi.images(ws))
+    rhs = expr.values(zs, ws)
+    lhs = jz @ moved @ jw.conj().transpose(0, 2, 1)
+    res = np.linalg.norm(lhs - rhs, axis=(1, 2)) / (1 + np.linalg.norm(rhs, axis=(1, 2)))
+    return float(res.max())
 
 
 def curvature_quasi_check(base: KernelExpr, t: float, phi: MobiusMap, pairs) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EvaluationError, ShapeError
 from .expr import DiagonalSeries, KernelExpr, LogHessian, Pow, Product
-from .geometry import as_point
+from .geometry import as_point, unit_index
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,9 @@ def log_hessian_eval(expr: KernelExpr, z, w) -> np.ndarray:
     out = np.empty((m, m), dtype=complex)
     zero = (0,) * m
     for i in range(m):
-        ei = tuple(1 if a == i else 0 for a in range(m))
+        ei = unit_index(m, i)
         for j in range(m):
-            ej = tuple(1 if a == j else 0 for a in range(m))
+            ej = unit_index(m, j)
             kij = table.entry(ei, ej)[0, 0]
             ki = table.entry(ei, zero)[0, 0]
             kj = table.entry(zero, ej)[0, 0]
@@ -70,8 +70,7 @@ def phi_gram_entry(
     ka = Pow(expr, a).eval_jet(z, w, 1)
     kb = Pow(expr, b).eval_jet(z, w, 1)
     zero = (0,) * m
-    ei = tuple(1 if t == i else 0 for t in range(m))
-    ej = tuple(1 if t == j else 0 for t in range(m))
+    ei, ej = unit_index(m, i), unit_index(m, j)
 
     def entry(tab, di, dj):
         return tab.entry(di, dj)[0, 0]

@@ -6,7 +6,8 @@ Every flag can also be supplied through a JSON config file (--config): keys
 are flag names, validated like flags (a bad value or unknown key exits 2),
 and explicit flags win.  --tol and --resolution must be positive, --n and
 --pairs positive integers, --order a non-negative integer, --radius in
-(0, 1), and the coordinate of `bound --f` must exist in the kernel's domain.
+(0, 1), --lambda, --t, --lo and --hi finite, and the coordinate of
+`bound --f` must exist in the kernel's domain.
 
 Exit codes: 0 success, 2 configuration or parse error, 3 evaluation error,
 4 scan bracket failure (no sign change in the scanned interval); `repro`
@@ -201,6 +202,7 @@ _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0,
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
 _non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _radius = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
+_finite_float = _checked(float, math.isfinite, "finite")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -238,8 +240,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wallach", help="bisect a curvature positivity boundary")
     common(p)
     p.add_argument("--base", required=True)
-    p.add_argument("--lo", type=float, default=-1.0)
-    p.add_argument("--hi", type=float, default=1.0)
+    p.add_argument("--lo", type=_finite_float, default=-1.0)
+    p.add_argument("--hi", type=_finite_float, default=1.0)
     p.add_argument("--resolution", type=_positive_float, default=0.05)
     p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_wallach)
@@ -247,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norm", help="derivative-section norm of the ball matrix kernel")
     common(p)
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--lambda", type=float, required=True)
+    p.add_argument("--lambda", type=_finite_float, required=True)
     p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("bound", help="multiplier-norm bisection")
@@ -260,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quasi", help="quasi-invariance residual under a Mobius map")
     common(p)
     p.add_argument("--kernel", required=True)
-    p.add_argument("--t", type=float, default=1.0)
+    p.add_argument("--t", type=_finite_float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--a", help="base point of the map (default: seeded random)")
     p.add_argument("--pairs", type=_positive_int, default=20)

@@ -4,6 +4,9 @@
 class KernelCalcError(Exception):
     """Base class for all package errors."""
 
+    #: index of the offending entry when a batched jet operation fails
+    batch_index: tuple[int, ...] | None = None
+
 
 class ShapeError(KernelCalcError):
     """Kernel combinator applied to children of incompatible shape or dimension."""

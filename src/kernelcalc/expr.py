@@ -1,28 +1,54 @@
-"""Kernel expression AST: pointwise evaluation and Wirtinger jet tables.
+"""Kernel expression AST: batched evaluation and Wirtinger jet tables.
 
 Every node denotes a matrix-valued sesqui-analytic kernel on a domain in C^m
 (scalars are 1x1).  Evaluation and differentiation both go through one
-method per node, `jets(z, w, nz, nw)`: the k x k array of the truncated
-Taylor expansions of the node's entries around the base pair (z, w), at
-exactly the caps (nz, nw).  Leaves seed their own coordinate jets;
-combinators build on the jets of their children.  `log_jet` gives the
-continuous branch of log K of a size-1 node, so every size-1 node, derived
-kernels included, composes under the scalar combinators.
+method per node, `jets(z, w, nz, nw)`: for point arrays z, w of shape
+(B, m) it returns one Jet of batch shape (B, k, k), the truncated Taylor
+expansions of the node's k x k entries around each base pair (z[p], w[p]),
+at exactly the caps (nz, nw).  Leaves seed their own coordinate jets;
+combinators build on the jets of their children, so an AST is traversed
+once for a whole batch of pairs.  `log_jet` gives the continuous branch of
+log K of a size-1 node, so every size-1 node, derived kernels included,
+composes under the scalar combinators.
+
+`values(zs, ws)` evaluates B pairs at once; `eval` is its batch of one and
+`eval_jet` runs the same arrays at batch size one, so batched and per-pair
+values agree bit for bit.  A failing pair (outside the domain, across a
+branch cut, not finite) is named in the error.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OrderCapError, ShapeError
-from .geometry import Point, as_point, graded_lex_tuples
-from .jets import Jet, variable_jets
+from .errors import BranchError, DomainError, EvaluationError, OrderCapError, ShapeError
+from .geometry import as_point, graded_lex_tuples, in_unit_ball, point_array, unit_index
+from .jets import Jet, check_finite, variable_jets
 
 #: default cap on the derivative order of eval_jet
 DEFAULT_ORDER_CAP = 4
+
+
+def _coords(row) -> tuple:
+    return tuple(complex(c) for c in row)
+
+
+@contextmanager
+def _naming_pairs(zs: np.ndarray, ws: np.ndarray):
+    """Evaluate without floating-point warnings; a jet error for batch
+    entry p is raised again naming the pair (zs[p], ws[p])."""
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    except (BranchError, EvaluationError) as exc:
+        if exc.batch_index is None:
+            raise
+        p = exc.batch_index[0]
+        raise type(exc)(f"{exc} at pair ({_coords(zs[p])}, {_coords(ws[p])})") from exc
 
 
 class KernelExpr:
@@ -42,25 +68,28 @@ class KernelExpr:
 
     # -- domain --------------------------------------------------------
 
-    def contains(self, p: Point) -> bool:
-        """Membership predicate of the node's natural domain."""
+    def contains(self, p: np.ndarray) -> np.ndarray:
+        """Membership of each point of a (..., m) array in the node's
+        natural domain."""
         raise NotImplementedError
 
-    def _check_pair(self, z: Point, w: Point):
-        for p in (z, w):
-            if not self.contains(p):
+    def _check_pairs(self, zs: np.ndarray, ws: np.ndarray):
+        for pts in (zs, ws):
+            outside = ~self.contains(pts)
+            if outside.any():
+                p = int(np.argmax(outside))
                 raise DomainError(
-                    f"point {tuple(p.coords)} outside the domain of {self.to_dsl()}"
+                    f"point {_coords(pts[p])} outside the domain of {self.to_dsl()}"
                 )
 
     # -- jet engine ----------------------------------------------------
 
-    def jets(self, z: Point, w: Point, nz: int, nw: int) -> np.ndarray:
-        """k x k object array of the entry jets at (z, w), caps (nz, nw)."""
+    def jets(self, z: np.ndarray, w: np.ndarray, nz: int, nw: int) -> Jet:
+        """Entry jets at the pairs (z[p], w[p]), batch (B, k, k), caps (nz, nw)."""
         raise NotImplementedError
 
-    def log_jet(self, z: Point, w: Point, nz: int, nw: int) -> Jet:
-        """Jet of the continuous branch of log K of a size-1 node.
+    def log_jet(self, z: np.ndarray, w: np.ndarray, nz: int, nw: int) -> Jet:
+        """Jet of the continuous branch of log K of a size-1 node, batch (B, 1, 1).
 
         Nodes with multiplicative structure (powers, products, tensors)
         propagate the branch structurally, so log K stays well defined even
@@ -68,22 +97,30 @@ class KernelExpr:
         default takes the principal log of the 1x1 entry and errors out on
         a branch violation.
         """
-        return self.jets(z, w, nz, nw)[0, 0].log()
+        return self.jets(z, w, nz, nw).log()
 
     # -- public evaluation ----------------------------------------------
 
+    def values(self, zs, ws, log: bool = False) -> np.ndarray:
+        """The kernel at the B pairs (zs[p], ws[p]): a (B, k, k) array.
+
+        zs and ws are sequences of points or (B, m) arrays.  With `log`,
+        the continuous branch of log K of a size-1 node instead.
+        """
+        zs, ws = point_array(zs, self.m), point_array(ws, self.m)
+        if zs.shape != ws.shape:
+            raise ShapeError("values needs as many z as w points")
+        self._check_pairs(zs, ws)
+        with _naming_pairs(zs, ws):
+            jet = (self.log_jet if log else self.jets)(zs, ws, 0, 0)
+            out = jet.value
+            check_finite(out, "kernel value")
+        return out
+
     def eval(self, z, w) -> np.ndarray:
         """Evaluate the kernel at (z, w); returns a k x k complex matrix."""
-        z = as_point(z, self.m)
-        w = as_point(w, self.m)
-        self._check_pair(z, w)
-        jets = self.jets(z, w, 0, 0)
-        k = self.size
-        out = np.empty((k, k), dtype=complex)
-        for r in range(k):
-            for s in range(k):
-                out[r, s] = jets[r, s].value
-        return out
+        return self.values(as_point(z, self.m).array()[None],
+                           as_point(w, self.m).array()[None])[0]
 
     def eval_jet(self, z, w, order: int, cap: int = DEFAULT_ORDER_CAP) -> "JetTable":
         """All mixed derivatives d^i dbar^j of the kernel with |i|,|j| <= order."""
@@ -91,21 +128,14 @@ class KernelExpr:
             raise ValueError("order must be >= 0")
         if order > cap:
             raise OrderCapError(f"order {order} exceeds cap {cap}")
-        z = as_point(z, self.m)
-        w = as_point(w, self.m)
-        self._check_pair(z, w)
-        jets = self.jets(z, w, order, order)
-        k = self.size
-        indices = graded_lex_tuples(self.m, order)
-        entries = {}
-        for i in indices:
-            for j in indices:
-                mat = np.empty((k, k), dtype=complex)
-                for r in range(k):
-                    for s in range(k):
-                        mat[r, s] = jets[r, s].deriv(i, j)
-                entries[(i, j)] = mat
-        return JetTable(order=order, m=self.m, size=k, entries=entries)
+        z = as_point(z, self.m).array()[None]
+        w = as_point(w, self.m).array()[None]
+        self._check_pairs(z, w)
+        with _naming_pairs(z, w):
+            jet = self.jets(z, w, order, order)
+            check_finite(jet.coeffs, "kernel jet")
+        entries = {key: mat[0] for key, mat in jet.derivatives().items()}
+        return JetTable(order=order, m=self.m, size=self.size, entries=entries)
 
     # -- printing --------------------------------------------------------
 
@@ -141,16 +171,23 @@ class JetTable:
 
 
 def _num(x) -> str:
-    if isinstance(x, float) and x == int(x) and abs(x) < 1e15:
+    if isinstance(x, float) and math.isfinite(x) and x == int(x) and abs(x) < 1e15:
         return f"{x:.1f}"
     return repr(x)
 
 
-def _scalar(jet: Jet) -> np.ndarray:
-    """The 1x1 entry array of a scalar node."""
-    out = np.empty((1, 1), dtype=object)
-    out[0, 0] = jet
-    return out
+def _scalar(jet: Jet) -> Jet:
+    """The (B, 1, 1) entry jet of a scalar node from its (B,) jet."""
+    return Jet(jet.m, jet.nz, jet.nw, jet.coeffs[:, None, None])
+
+
+def _matrix(rows) -> Jet:
+    """One (B, r, c) jet from r rows of c entry jets of batch (B, 1, 1)."""
+    first = rows[0][0]
+    coeffs = np.concatenate(
+        [np.concatenate([e.coeffs for e in row], axis=2) for row in rows], axis=1
+    )
+    return Jet(first.m, first.nz, first.nw, coeffs)
 
 
 def _one_minus_inner(zv, wv) -> Jet:
@@ -173,17 +210,17 @@ class SzegoDisc(KernelExpr):
     m = 1
 
     def contains(self, p):
-        return abs(p[0]) < 1
+        return np.abs(p[..., 0]) < 1
 
     def _base_jet(self, z, w, nz, nw):
-        zv, wv = variable_jets(z.coords, w.coords, 1, nz, nw)
+        zv, wv = variable_jets(z, w, 1, nz, nw)
         return _one_minus_inner(zv, wv)
 
     def jets(self, z, w, nz, nw):
         return _scalar(self._base_jet(z, w, nz, nw) ** -1)
 
     def log_jet(self, z, w, nz, nw):
-        return -(self._base_jet(z, w, nz, nw).log())
+        return _scalar(-(self._base_jet(z, w, nz, nw).log()))
 
     def to_dsl(self):
         return "szego_disc()"
@@ -205,10 +242,10 @@ class BallPower(KernelExpr):
         return self.dim
 
     def contains(self, p):
-        return p.norm() < 1
+        return in_unit_ball(p)
 
     def _base_jet(self, z, w, nz, nw):
-        zv, wv = variable_jets(z.coords, w.coords, self.dim, nz, nw)
+        zv, wv = variable_jets(z, w, self.dim, nz, nw)
         return _one_minus_inner(zv, wv)
 
     def jets(self, z, w, nz, nw):
@@ -217,7 +254,7 @@ class BallPower(KernelExpr):
         return _scalar(self._base_jet(z, w, nz, nw) ** (-self.lam))
 
     def log_jet(self, z, w, nz, nw):
-        return self._base_jet(z, w, nz, nw).log() * (-self.lam)
+        return _scalar(self._base_jet(z, w, nz, nw).log() * (-self.lam))
 
     def to_dsl(self):
         return f"ball_power({self.dim}, {_num(float(self.lam))})"
@@ -247,10 +284,10 @@ class DiagonalSeries(KernelExpr):
         )
 
     def contains(self, p):
-        return abs(p[0]) < 1
+        return np.abs(p[..., 0]) < 1
 
     def jets(self, z, w, nz, nw):
-        zv, wv = variable_jets(z.coords, w.coords, 1, nz, nw)
+        zv, wv = variable_jets(z, w, 1, nz, nw)
         p = zv[0] * wv[0]
         acc = 1.0 + 0.0 * p  # promotes to a jet of the right shape
         power = None
@@ -295,7 +332,7 @@ class Pow(KernelExpr):
         return self.child.contains(p)
 
     def jets(self, z, w, nz, nw):
-        return _scalar(self.log_jet(z, w, nz, nw).exp())
+        return self.log_jet(z, w, nz, nw).exp()
 
     def log_jet(self, z, w, nz, nw):
         return self.child.log_jet(z, w, nz, nw) * self.t
@@ -325,7 +362,7 @@ class Product(KernelExpr):
         return (self.left, self.right)
 
     def contains(self, p):
-        return self.left.contains(p) and self.right.contains(p)
+        return self.left.contains(p) & self.right.contains(p)
 
     def jets(self, z, w, nz, nw):
         return self.left.jets(z, w, nz, nw) * self.right.jets(z, w, nz, nw)
@@ -360,7 +397,7 @@ class Sum(KernelExpr):
         return (self.left, self.right)
 
     def contains(self, p):
-        return self.left.contains(p) and self.right.contains(p)
+        return self.left.contains(p) & self.right.contains(p)
 
     def jets(self, z, w, nz, nw):
         return self.left.jets(z, w, nz, nw) + self.right.jets(z, w, nz, nw)
@@ -422,24 +459,24 @@ class Tensor(KernelExpr):
     def children(self):
         return (self.left, self.right)
 
-    def _halves(self, p):
-        m1 = self.left.m
-        return Point(p.coords[:m1]), Point(p.coords[m1:])
-
     def contains(self, p):
-        p1, p2 = self._halves(p)
-        return self.left.contains(p1) and self.right.contains(p2)
+        m1 = self.left.m
+        return self.left.contains(p[..., :m1]) & self.right.contains(p[..., m1:])
+
+    def _factors(self, method: str, z, w, nz, nw):
+        """`method` (jets or log_jet) of each child on its own columns of
+        the points, moved into the joint variables of C^m."""
+        m1 = self.left.m
+        a = getattr(self.left, method)(z[:, :m1], w[:, :m1], nz, nw)
+        b = getattr(self.right, method)(z[:, m1:], w[:, m1:], nz, nw)
+        return a.embed(self.m, 0), b.embed(self.m, m1)
 
     def jets(self, z, w, nz, nw):
-        (z1, z2), (w1, w2) = self._halves(z), self._halves(w)
-        a = self.left.jets(z1, w1, nz, nw)[0, 0].embed(self.m, 0)
-        b = self.right.jets(z2, w2, nz, nw)[0, 0].embed(self.m, self.left.m)
-        return _scalar(a * b)
+        a, b = self._factors("jets", z, w, nz, nw)
+        return a * b
 
     def log_jet(self, z, w, nz, nw):
-        (z1, z2), (w1, w2) = self._halves(z), self._halves(w)
-        a = self.left.log_jet(z1, w1, nz, nw).embed(self.m, 0)
-        b = self.right.log_jet(z2, w2, nz, nw).embed(self.m, self.left.m)
+        a, b = self._factors("log_jet", z, w, nz, nw)
         return a + b
 
     def to_dsl(self):
@@ -451,18 +488,11 @@ class Tensor(KernelExpr):
 # ---------------------------------------------------------------------------
 
 
-def _unit(m, k):
-    return tuple(1 if i == k else 0 for i in range(m))
-
-
-def _hessian(g: Jet) -> np.ndarray:
-    """m x m array of the jets of d_i dbar_j g, one cap below g's."""
+def _hessian(g: Jet) -> Jet:
+    """The (B, m, m) jet of d_i dbar_j g, one cap below g's (B, 1, 1) jet."""
     m = g.m
-    out = np.empty((m, m), dtype=object)
-    for i in range(m):
-        for j in range(m):
-            out[i, j] = g.shift(_unit(m, i), _unit(m, j))
-    return out
+    return _matrix([[g.shift(unit_index(m, i), unit_index(m, j)) for j in range(m)]
+                    for i in range(m)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -525,9 +555,8 @@ class Curvature(KernelExpr):
     def jets(self, z, w, nz, nw):
         g = self.child.log_jet(z, w, nz + 1, nw + 1)
         power = (g.truncate(nz, nw) * (self.alpha + self.beta)).exp()
-        # np.multiply keeps the power the left factor of each entry product
-        # (Jet.__mul__ would take the whole array for a scalar)
-        return np.multiply(power, _hessian(g))
+        # the power, batch (B, 1, 1), broadcasts over the m x m entries
+        return power * _hessian(g)
 
     def to_dsl(self):
         return (
@@ -568,18 +597,15 @@ class JetKernel(KernelExpr):
         return (self.k1, self.k2)
 
     def contains(self, p):
-        return self.k1.contains(p) and self.k2.contains(p)
+        return self.k1.contains(p) & self.k2.contains(p)
 
     def jets(self, z, w, nz, nw):
         k = self.order
-        j1 = self.k1.jets(z, w, nz, nw)[0, 0]
-        j2 = self.k2.jets(z, w, nz + k, nw + k)[0, 0]
+        j1 = self.k1.jets(z, w, nz, nw)
+        j2 = self.k2.jets(z, w, nz + k, nw + k)
         indices = graded_lex_tuples(self.m, k)
-        out = np.empty((len(indices),) * 2, dtype=object)
-        for r, i in enumerate(indices):
-            for s, j in enumerate(indices):
-                out[r, s] = j1 * j2.shift(i, j).truncate(nz, nw)
-        return out
+        return j1 * _matrix([[j2.shift(i, j).truncate(nz, nw) for j in indices]
+                             for i in indices])
 
     def to_dsl(self):
         return f"jet({self.k1.to_dsl()}, {self.k2.to_dsl()}, {self.order})"
@@ -610,14 +636,15 @@ class BallCurvature(KernelExpr):
         return self.dim
 
     def contains(self, p):
-        return p.norm() < 1
+        return in_unit_ball(p)
 
     def jets(self, z, w, nz, nw):
         m = self.dim
-        zv, wv = variable_jets(z.coords, w.coords, m, nz, nw)
+        zv, wv = variable_jets(z, w, m, nz, nw)
         pref = _one_minus_inner(zv, wv) ** (-self.lam)
-        out = np.empty((m, m), dtype=object)
+        rows = []
         for i in range(m):
+            row = []
             for j in range(m):
                 if i == j:
                     e = 1.0 + 0.0 * pref
@@ -626,8 +653,9 @@ class BallCurvature(KernelExpr):
                             e = e - zv[kk] * wv[kk]
                 else:
                     e = zv[j] * wv[i]
-                out[i, j] = pref * e
-        return out
+                row.append(_scalar(e))
+            rows.append(row)
+        return _scalar(pref) * _matrix(rows)
 
     def to_dsl(self):
         return f"ball_curvature({self.dim}, {_num(float(self.lam))})"

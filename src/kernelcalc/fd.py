@@ -4,7 +4,8 @@ Independent of the jet engine: derivatives of eval(expr, ., .) are taken by
 fourth-order central stencils in the holomorphic variables z_i and the
 conjugated variables (varying w along the real axis differentiates with
 respect to wbar).  All stencil nodes for one pair live on a shared tensor
-grid so the kernel is evaluated once per grid point.
+grid, evaluated as one batch of order-0 kernel values, so the oracle never
+reads a jet coefficient.
 """
 
 from __future__ import annotations
@@ -25,18 +26,20 @@ _STENCILS = {
 
 
 def _grid_values(expr: KernelExpr, z, w, h: float) -> dict:
-    """eval on the tensor grid z + h*o_z, w + h*o_w, offsets in -2..2."""
+    """Kernel values on the tensor grid z + h*o_z, w + h*o_w, offsets in
+    -2..2, evaluated as one batch of order-0 values."""
     m = expr.m
     z = as_point(z, m).array()
     w = as_point(w, m).array()
-    vals = {}
-    offsets = range(-2, 3)
-    for oz in product(offsets, repeat=m):
-        for ow in product(offsets, repeat=m):
-            zz = z + h * np.array(oz)
-            ww = w + h * np.array(ow)
-            vals[(oz, ow)] = expr.eval(zz, ww)
-    return vals
+    offsets = list(product(range(-2, 3), repeat=m))
+    grid = h * np.array(offsets)
+    n = len(offsets)
+    vals = expr.values(np.repeat(z + grid, n, axis=0), np.tile(w + grid, (n, 1)))
+    return {
+        (oz, ow): vals[a * n + b]
+        for a, oz in enumerate(offsets)
+        for b, ow in enumerate(offsets)
+    }
 
 
 def _apply_stencil(vals, i, j, m, h: float):

@@ -58,6 +58,22 @@ def as_point(p, m: int | None = None) -> Point:
     return pt
 
 
+def point_array(points, m: int) -> np.ndarray:
+    """A (B, m) complex array from a sequence of points or such an array."""
+    if isinstance(points, np.ndarray):
+        arr = points.astype(complex, copy=False)
+    else:
+        arr = np.array([as_point(p, m).coords for p in points], dtype=complex).reshape(-1, m)
+    if arr.ndim != 2 or arr.shape[1] != m:
+        raise DomainError(f"expected points of C^{m}, got an array of shape {arr.shape}")
+    return arr
+
+
+def in_unit_ball(points: np.ndarray) -> np.ndarray:
+    """Whether each point of a (..., m) array has Euclidean norm below 1."""
+    return np.sqrt((np.abs(points) ** 2).sum(axis=-1)) < 1
+
+
 @dataclass(frozen=True, order=False)
 class MultiIndex:
     """A multi-index in Z_+^m with componentwise partial order."""
@@ -111,6 +127,11 @@ def graded_lex_tuples(m: int, max_order: int) -> list[tuple[int, ...]]:
             layer.add(tuple(idx))
         out.extend(sorted(layer, reverse=True))
     return out
+
+
+def unit_index(m: int, k: int) -> tuple[int, ...]:
+    """The multi-index e_k of Z_+^m."""
+    return tuple(1 if i == k else 0 for i in range(m))
 
 
 def enumerate_multi_indices(m: int, max_order: int) -> list[MultiIndex]:

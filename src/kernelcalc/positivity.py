@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eig import hermitian_part, jacobi_eigenvalues, ldl_verdict, min_eigenvalue
-from .errors import BracketError, EvaluationError, ShapeError
+from .errors import BracketError, EvaluationError, KernelCalcError, ShapeError
 from .expr import KernelExpr, LogHessian, _require_scalar
-from .geometry import DomainSpec, Point, RngSeed, as_point, sample_points
+from .geometry import DomainSpec, Point, RngSeed, point_array, sample_points
 
 #: default relative PSD tolerance: psd iff min eig >= -tol * (1 + max diagonal)
 DEFAULT_TOL = 1e-9
@@ -78,32 +78,27 @@ class WallachEstimate:
         )
 
 
-def _pairwise(points, k: int, block) -> np.ndarray:
-    """Matrix whose k x k block (p, q) is block(z_p, z_q), conjugate-completed.
+def _pairwise(points: np.ndarray, k: int, values_of) -> np.ndarray:
+    """Matrix whose k x k block (p, q) is values_of at (z_p, z_q), conjugate-completed.
 
-    Blocks are evaluated for p <= q only; a failing pair is named.
+    All pairs p <= q are evaluated as one batch; a failing pair is named.
     """
     n = len(points)
-    g = np.empty((n * k, n * k), dtype=complex)
-    for p in range(n):
-        for q in range(p, n):
-            try:
-                b = block(points[p], points[q])
-            except Exception as exc:
-                raise EvaluationError(
-                    f"evaluation failed at pair ({tuple(points[p].coords)}, "
-                    f"{tuple(points[q].coords)}): {exc}"
-                ) from exc
-            g[p * k : (p + 1) * k, q * k : (q + 1) * k] = b
-            if q != p:
-                g[q * k : (q + 1) * k, p * k : (p + 1) * k] = b.conj().T
-    return g
+    p, q = np.triu_indices(n)
+    try:
+        blocks = values_of(points[p], points[q])
+    except KernelCalcError as exc:
+        raise EvaluationError(f"evaluation failed: {exc}") from exc
+    g = np.empty((n, k, n, k), dtype=complex)
+    g[q, :, p, :] = blocks.conj().transpose(0, 2, 1)
+    g[p, :, q, :] = blocks
+    return g.reshape(n * k, n * k)
 
 
 def gram(expr: KernelExpr, points) -> np.ndarray:
     """Block Gram matrix with block (p, q) = eval(expr, z_p, z_q), symmetrized."""
-    pts = [as_point(p, expr.m) for p in points]
-    return hermitian_part(_pairwise(pts, expr.size, expr.eval))
+    pts = point_array(points, expr.m)
+    return hermitian_part(_pairwise(pts, expr.size, expr.values))
 
 
 def _verdict(g: np.ndarray, tol: float) -> tuple[float, float, bool]:
@@ -188,14 +183,13 @@ def _power_families(base: KernelExpr, domain, family, blocks_of) -> list:
     """
     _require_scalar(base, "pow")
 
-    def log_value(z, w):
-        base._check_pair(z, w)
-        return np.array([[base.log_jet(z, w, 0, 0).value]])
+    def log_values(zs, ws):
+        return base.values(zs, ws, log=True)
 
     fams = []
     for n, s in family:
         pts = sample_points(domain, n, s)
-        logk = _pairwise(pts, 1, log_value)
+        logk = _pairwise(point_array(pts, base.m), 1, log_values)
         fams.append(
             _CurvatureFamilyGram(
                 pts, blocks_of(pts), lambda t, logk=logk: np.exp(t * logk)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -198,11 +199,28 @@ def test_output_file(tmp_path, capsys):
     ["quasi", "--kernel", "bergman_disc()", "--pairs", "0"],
     ["bound", "--kernel", "szego_disc()", "--f", "z0"],
     ["bound", "--kernel", "bergman_ball(2)", "--f", "z3"],
+    ["norm", "--lambda", "inf"],
+    ["quasi", "--kernel", "bergman_ball(2)", "--t", "inf"],
+    ["wallach", "--base", "bergman_ball(2)", "--hi", "inf"],
+    ["wallach", "--base", "bergman_ball(2)", "--lo", "nan"],
 ])
 def test_non_positive_tolerance_or_resolution_exits_2(capsys, argv):
     code, _, err = _run(capsys, *argv)
     assert code == 2
     assert argv[-2] in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--kernel", "ball_power(2,2000)", "--z", "0.6,0.4", "--w", "0.6,0.4"],
+    ["quasi", "--kernel", "bergman_ball(2)", "--t", "1e300"],
+])
+def test_overflow_exits_3_without_warnings(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "not finite" in err
 
 
 def test_config_string_values_parse_like_flags(tmp_path, capsys):

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from kernelcalc.errors import BranchError, OrderCapError, ShapeError
+from kernelcalc.errors import (
+    BranchError,
+    EvaluationError,
+    KernelCalcError,
+    OrderCapError,
+    ShapeError,
+)
 from kernelcalc.expr import (
     BallCurvature,
     BallPower,
@@ -226,3 +232,94 @@ def test_random_disc_asts_match_finite_differences(text, seed):
             fd_jet_table(expr, z, w, 2)
         assume(False)
     assert fd_relative_error(expr, z, w, 2) < 1e-6
+
+
+_BALL_LEAVES = st.sampled_from(
+    ["bergman_ball(2)", "ball_power(2, 1.5)", "ball_power(2, 0.5)"]
+)
+
+
+def _ball_scalars(depth: int):
+    """DSL strings of scalar kernels on the ball of C^2: ball kernels and
+    tensor products of disc trees, under pow, product, sum and scale."""
+    leaves = st.one_of(
+        _BALL_LEAVES, st.builds("tensor({}, {})".format, _disc_asts(1), _disc_asts(1))
+    )
+    if depth == 0:
+        return leaves
+    sub = _ball_scalars(depth - 1)
+    return st.one_of(
+        leaves,
+        st.builds("pow({}, {})".format, sub, st.sampled_from(["0.5", "2.0"])),
+        st.builds("product({}, {})".format, sub, sub),
+        st.builds("sum({}, {})".format, sub, sub),
+        st.builds("scale({}, 0.5)".format, sub),
+    )
+
+
+def _ball_asts():
+    """m = 2 trees: scalar trees and the matrix nodes built on them."""
+    sub = _ball_scalars(2)
+    return st.one_of(
+        sub,
+        st.builds("log_hessian({})".format, sub),
+        st.builds("curvature({}, {}, {})".format, sub, _PARAMS, _PARAMS),
+        st.builds("jet({}, {}, 1)".format, sub, sub),
+        st.just("ball_curvature(2, 3.0)"),
+    )
+
+
+def _assert_batch_equals_pairs(expr, zs, ws):
+    """values over all pairs equals eval pair by pair, bit for bit; if some
+    pair fails on its own, the batch fails with one of those errors."""
+    singles = []
+    for z, w in zip(zs, ws):
+        try:
+            singles.append(expr.eval(z, w))
+        except KernelCalcError as exc:
+            singles.append(exc)
+    errors = tuple({type(s) for s in singles if isinstance(s, Exception)})
+    if errors:
+        with pytest.raises(errors):
+            expr.values(zs, ws)
+        return
+    batch = expr.values(zs, ws)
+    assert batch.shape == (len(zs), expr.size, expr.size)
+    for got, want in zip(batch, singles):
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_disc_asts(3), seed=st.integers(1, 1000), n=st.integers(1, 12))
+def test_batched_values_equal_per_pair_eval_on_disc_trees(text, seed, n):
+    pts = sample_points(unit_disc(0.7), 2 * n, seed)
+    _assert_batch_equals_pairs(parse_kernel(text), pts[:n], pts[n:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_ball_asts(), seed=st.integers(1, 1000), n=st.integers(1, 12))
+def test_batched_values_equal_per_pair_eval_on_ball_trees(text, seed, n):
+    pts = sample_points(unit_ball(2, 0.7), 2 * n, seed)
+    _assert_batch_equals_pairs(parse_kernel(text), pts[:n], pts[n:])
+
+
+def test_log_values_equal_the_log_of_the_values():
+    expr = parse_kernel("product(pow(szego_disc(), 0.5), bergman_disc())")
+    pts = sample_points(unit_disc(0.7), 8, 3)
+    logs = expr.values(pts[:4], pts[4:], log=True)
+    assert np.abs(np.exp(logs) - expr.values(pts[:4], pts[4:])).max() < 1e-13
+
+
+def test_batched_branch_errors_name_the_failing_pair():
+    bad = Pow(DiagonalSeries([-40.0]), 0.5)
+    with pytest.raises(BranchError) as exc:
+        bad.values([0.0, 0.9], [0.0, 0.9])
+    assert "at pair (((0.9+0j),), ((0.9+0j),))" in str(exc.value)
+
+
+def test_overflowing_values_raise_evaluation_errors():
+    z = [0.6, 0.4]
+    with pytest.raises(EvaluationError, match="not finite"):
+        BallPower(2, 2000.0).eval(z, z)
+    with pytest.raises(EvaluationError, match="not finite"):
+        Curvature(bergman_ball(2), 5e299, 5e299).eval(z, z)

@@ -1,10 +1,12 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kernelcalc.errors import BranchError
+from kernelcalc.geometry import graded_lex_tuples
 from kernelcalc.jets import Jet, variable_jets
 
 
@@ -51,8 +53,8 @@ def test_exp_log_inverse_pair():
     (z,), (w,) = variable_jets([0.2], [0.1], 1, 2, 2)
     f = Jet.constant(2.0, 1, 2, 2) + z + w * z
     g = f.log().exp()
-    for key, c in f.coeffs.items():
-        assert g.coeffs[key] == pytest.approx(c)
+    for c, d in zip(f.coeffs.ravel(), g.coeffs.ravel()):
+        assert d == pytest.approx(c)
 
 
 def test_log_requires_right_half_plane_value():
@@ -94,8 +96,8 @@ def test_exp_of_log_is_identity_for_positive_jets(c, a, b):
     (z,), (w,) = variable_jets([0.1], [0.2], 1, 2, 2)
     f = Jet.constant(c, 1, 2, 2) + z * a + w * (b * 1j)
     g = f.log().exp()
-    for key, v in f.coeffs.items():
-        assert g.coeffs.get(key, 0j) == pytest.approx(v, abs=1e-12)
+    for v, d in zip(f.coeffs.ravel(), g.coeffs.ravel()):
+        assert d == pytest.approx(v, abs=1e-12)
 
 
 def test_multivariate_mixed_partials():
@@ -105,3 +107,162 @@ def test_multivariate_mixed_partials():
     assert f.deriv((1, 0), (0, 1)) == pytest.approx(1.0)
     assert f.deriv((0, 1), (0, 1)) == pytest.approx(2.0)
     assert f.deriv((0, 0), (1, 0)) == 0
+
+
+# -- brute-force reference: jets as {(a, b): coefficient} dicts -------------
+
+
+def _to_dict(coeffs, m, nz, nw):
+    """One batch entry's coefficient array as a multi-index dict."""
+    zs, ws = graded_lex_tuples(m, nz), graded_lex_tuples(m, nw)
+    return {(a, b): complex(coeffs[i, j]) for i, a in enumerate(zs) for j, b in enumerate(ws)}
+
+
+def _to_array(d, m, nz, nw):
+    zs, ws = graded_lex_tuples(m, nz), graded_lex_tuples(m, nw)
+    return np.array([[d.get((a, b), 0j) for b in ws] for a in zs])
+
+
+def _ref_mul(f, g, nz, nw):
+    out = {}
+    right = [(a, b, sum(a), sum(b), v) for (a, b), v in g.items()]
+    for (a1, b1), v1 in f.items():
+        rz, rw = nz - sum(a1), nw - sum(b1)
+        for a2, b2, da, db, v2 in right:
+            if da <= rz and db <= rw:
+                key = (tuple(x + y for x, y in zip(a1, a2)),
+                       tuple(x + y for x, y in zip(b1, b2)))
+                out[key] = out.get(key, 0j) + v1 * v2
+    return out
+
+
+def _ref_series(f, m, nz, nw, head, weights):
+    """head * (1 + sum_k weights[k] (x / c0)^k) with f = c0 + x, or with
+    head = None: sum_k weights[k] x^k, through dict products."""
+    zero = ((0,) * m, (0,) * m)
+    c0 = f[zero]
+    x = {k: v for k, v in f.items() if k != zero}
+    u = {k: v / c0 for k, v in x.items()} if head is not None else x
+    acc, term = {zero: 1.0 + 0j}, {zero: 1.0 + 0j}
+    for w in weights[: nz + nw]:
+        term = _ref_mul(term, u, nz, nw)
+        for k, v in term.items():
+            acc[k] = acc.get(k, 0j) + w * v
+    return {k: v * (head if head is not None else 1.0) for k, v in acc.items()}, c0
+
+
+def _binomials(t, n):
+    out, c = [], 1.0
+    for k in range(1, n + 1):
+        c *= (t - (k - 1)) / k
+        out.append(c)
+    return out
+
+
+def _ref_pow(f, m, nz, nw, t):
+    zero = ((0,) * m, (0,) * m)
+    return _ref_series(f, m, nz, nw, f[zero] ** t, _binomials(t, nz + nw))[0]
+
+
+def _ref_exp(f, m, nz, nw):
+    zero = ((0,) * m, (0,) * m)
+    c0 = f[zero]
+    x = {k: v for k, v in f.items() if k != zero}
+    weights = [1 / math.factorial(k) for k in range(1, nz + nw + 1)]
+    acc = _ref_series({zero: 0j, **x}, m, nz, nw, None, weights)[0]
+    acc[zero] = acc.get(zero, 0j)
+    return {k: v * cmath.exp(c0) for k, v in acc.items()}
+
+
+def _ref_log(f, m, nz, nw):
+    zero = ((0,) * m, (0,) * m)
+    c0 = f[zero]
+    u = {k: v / c0 for k, v in f.items() if k != zero}
+    weights = [(-1.0) ** (k + 1) / k for k in range(1, nz + nw + 1)]
+    acc = _ref_series({zero: 0j, **u}, m, nz, nw, None, weights)[0]
+    acc[zero] = acc[zero] - 1.0 + cmath.log(c0)
+    return acc
+
+
+def _ref_shift(f, di, dj):
+    out = {}
+    for (a, b), v in f.items():
+        na = tuple(x - d for x, d in zip(a, di))
+        nb = tuple(x - d for x, d in zip(b, dj))
+        if min(na + nb) < 0:
+            continue
+        fac = 1.0
+        for x, d in zip(a + b, di + dj):
+            fac *= math.factorial(x) / math.factorial(x - d)
+        out[(na, nb)] = v * fac
+    return out
+
+
+def _close(got, want, rel=1e-13):
+    scale = max(1.0, np.abs(want).max())
+    return np.abs(got - want).max() <= rel * scale
+
+
+@st.composite
+def _jet_pairs(draw):
+    """Two random jets of one shape: m <= 3, caps <= 3, batch () or (4,);
+    constant terms near 1, so log and fractional powers are defined."""
+    m = draw(st.integers(1, 3))
+    nz, nw = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    batch = draw(st.sampled_from([(), (4,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = batch + (math.comb(m + nz, m), math.comb(m + nw, m))
+
+    def coeffs():
+        c = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        c[..., 0, 0] = 1.0 + 0.3 * rng.random(batch) + 0.2j * rng.standard_normal(batch)
+        return c
+
+    return Jet(m, nz, nw, coeffs()), Jet(m, nz, nw, coeffs())
+
+
+def _entries(jet):
+    """(index, dict) for every batch entry of a jet."""
+    for index in np.ndindex(*jet.batch):
+        yield index, _to_dict(jet.coeffs[index], jet.m, jet.nz, jet.nw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=_jet_pairs(), t=st.sampled_from([-2.0, -0.5, 0.7, 3.0]))
+def test_array_arithmetic_matches_the_dict_reference(pair, t):
+    f, g = pair
+    m, nz, nw = f.m, f.nz, f.nw
+    ops = {
+        "mul": (f * g, lambda a, b: _ref_mul(a, b, nz, nw)),
+        "pow": (f ** t, lambda a, b: _ref_pow(a, m, nz, nw, t)),
+        "exp": ((f - 1.0).exp(), lambda a, b: _ref_exp(
+            {k: v - (1.0 if k == ((0,) * m, (0,) * m) else 0.0) for k, v in a.items()},
+            m, nz, nw)),
+        "log": (f.log(), lambda a, b: _ref_log(a, m, nz, nw)),
+    }
+    gs = dict(_entries(g))
+    for name, (jet, ref) in ops.items():
+        assert jet.batch == f.batch
+        for index, fd in _entries(f):
+            want = _to_array(ref(fd, gs[index]), m, nz, nw)
+            assert _close(jet.coeffs[index], want), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_jet_pairs(), data=st.data())
+def test_shift_and_embed_match_the_dict_reference(pair, data):
+    f, _ = pair
+    m, nz, nw = f.m, f.nz, f.nw
+    idx_z = graded_lex_tuples(m, nz)
+    idx_w = graded_lex_tuples(m, nw)
+    di, dj = data.draw(st.sampled_from(idx_z)), data.draw(st.sampled_from(idx_w))
+    shifted = f.shift(di, dj)
+    extra = data.draw(st.integers(0, 2))
+    offset = data.draw(st.integers(0, extra))
+    embedded = f.embed(m + extra, offset)
+    pre, post = (0,) * offset, (0,) * (extra - offset)
+    for index, fd in _entries(f):
+        want = _to_array(_ref_shift(fd, di, dj), m, nz - sum(di), nw - sum(dj))
+        assert _close(shifted.coeffs[index], want)
+        moved = {(pre + a + post, pre + b + post): v for (a, b), v in fd.items()}
+        assert _close(embedded.coeffs[index], _to_array(moved, m + extra, nz, nw))

@@ -132,6 +132,19 @@ def test_failing_pair_is_named_in_evaluation_errors():
     assert "pair" in str(exc.value)
 
 
+def test_gram_names_the_one_pair_that_breaks_the_branch():
+    from kernelcalc.errors import BranchError, EvaluationError
+
+    from kernelcalc.expr import DiagonalSeries
+
+    # 1 - 40 z wbar leaves the right half-plane only at the pair (0.2, 0.2)
+    bad = Pow(DiagonalSeries([-40.0]), 0.5)
+    with pytest.raises(EvaluationError) as exc:
+        gram(bad, [0.0, 0.2, 0.1j])
+    assert "at pair (((0.2+0j),), ((0.2+0j),))" in str(exc.value)
+    assert isinstance(exc.value.__cause__, BranchError)
+
+
 @pytest.mark.parametrize("resolution", [0.0, -1.0, float("nan")])
 def test_wallach_scan_rejects_bad_resolution_before_sampling(resolution, monkeypatch):
     from kernelcalc import positivity
