@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .automorphisms import CocycleSpec, MobiusMap, curvature_quasi_check
-from .eig import jacobi_eigenvalues
+from .eig import eigenvalues
 from .errors import BracketError, KernelCalcError, ParseError
 from .geometry import sample_points, unit_ball, unit_disc
 from .parser import parse_kernel
@@ -100,7 +100,7 @@ def cmd_psd(args) -> int:
     expr = parse_kernel(args.kernel)
     domain = _domain_for(expr.m, args.radius)
     if args.format == "csv":
-        eigs = jacobi_eigenvalues(gram(expr, sample_points(domain, args.n, args.seed)))
+        eigs = eigenvalues(gram(expr, sample_points(domain, args.n, args.seed)))
         lines = ["index,eigenvalue"] + [
             f"{i},{float(v)!r}" for i, v in enumerate(eigs)
         ]

@@ -1,10 +1,10 @@
 """In-repo Hermitian eigensolver and positivity factorisation (numpy only).
 
-`jacobi_eigenvalues` is a cyclic Jacobi eigensolver for dense complex
-Hermitian matrices: each sweep annihilates off-diagonal pivots with exact
-2x2 Hermitian eigendecompositions; convergence is quadratic once the
-off-diagonal mass is small.  Accurate to near machine precision for sizes up
-to a few hundred.  It serves reports that need the least eigenvalue.
+`eigenvalues` scales a dense complex Hermitian matrix by a power of two,
+reduces it to a real symmetric tridiagonal with Householder reflectors and
+brackets all its eigenvalues at once by Sturm multisection (Golub & Van
+Loan, Matrix Computations, 4th ed., 8.3-8.4).  As with LAPACK, the absolute
+error is of order n eps ||G||.  It serves reports that need eigenvalues.
 
 `ldl_verdict` decides only the sign question: it runs an LDL^H
 (square-root-free Cholesky) elimination of G + tau I, which succeeds exactly
@@ -35,70 +35,98 @@ def _hermitian_copy(h) -> np.ndarray:
     return hermitian_part(a)
 
 
-def _rotation(app: float, aqq: float, apq: complex) -> tuple[complex, float]:
-    """(x, y) such that V = [[x, -y], [y, conj(x)]] is unitary and
-    V^H [[app, apq], [conj(apq), aqq]] V is diagonal (apq != 0)."""
-    d = (app - aqq) / 2.0
-    r = math.hypot(d, abs(apq))
-    # eigenvector (apq, r - d) for the eigenvalue mean + r; avoid
-    # cancellation in r - d
-    if d >= 0:
-        rm = abs(apq) ** 2 / (r + d)
-    else:
-        rm = r - d
-    n1 = math.hypot(abs(apq), rm)
-    return apq / n1, rm / n1
+#: a pass splits every bracket 16 ways (15 shifts), so 53 mantissa bits take
+#: 14 passes; two more absorb the rounding of the shifts
+_SPLIT, _MAX_PASSES = 16, -(-53 // 4) + 2
 
 
-def _off_norm(a: np.ndarray) -> float:
-    """Frobenius norm of the off-diagonal part, from the strict upper
-    triangle (subtracting the diagonal mass from the total cancels)."""
-    return math.sqrt(2.0) * float(np.linalg.norm(np.triu(a, 1)))
-
-
-def jacobi_eigenvalues(
-    h: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60
-) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending, via cyclic Jacobi.
-
-    Raises EvaluationError if the off-diagonal norm is still above
-    tol * max|h| * n after `max_sweeps` sweeps.
-    """
-    a = _hermitian_copy(h)
+def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and |off-diagonal| of a real tridiagonal unitarily similar to
+    the Hermitian `a` (overwritten).  H = I - beta v v^H maps column k below
+    the diagonal to a multiple of e_1, and the trailing block becomes
+    H A H = A - v w^H - w v^H; a diagonal unitary similarity then makes the
+    off-diagonal real without changing the spectrum."""
     n = a.shape[0]
-    if n == 1:
-        return a.real.diagonal().copy()
-    target = tol * max(np.abs(a).max(), 1e-300) * n
-    sweeps = 0
-    while (off := _off_norm(a)) > target:
-        if sweeps == max_sweeps:
-            raise EvaluationError(
-                f"Jacobi eigensolver did not converge in {max_sweeps} sweeps "
-                f"(off-diagonal norm {off:.3e}, target {target:.3e})"
-            )
-        sweeps += 1
-        thresh = off / n  # annihilate only pivots that matter this sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 0.05 * thresh:
-                    continue
-                x, y = _rotation(a[p, p].real, a[q, q].real, apq)
-                xc = x.conjugate()
-                row_p, row_q = a[p].copy(), a[q]
-                a[p] = xc * row_p + y * row_q
-                a[q] = x * row_q - y * row_p
-                col_p, col_q = a[:, p].copy(), a[:, q]
-                a[:, p] = x * col_p + y * col_q
-                a[:, q] = xc * col_q - y * col_p
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    return np.sort(np.diag(a).real)
+    e = np.zeros(n - 1)
+    for k in range(n - 1):
+        x = a[k + 1 :, k]
+        e[k] = alpha = np.linalg.norm(x)
+        if alpha == 0 or k == n - 2:  # nothing to reduce
+            continue
+        v = x / alpha  # normalised first, so beta cannot overflow
+        v[0] += v[0] / abs(v[0]) if v[0] != 0 else 1.0
+        beta = 2.0 / np.vdot(v, v).real
+        sub = a[k + 1 :, k + 1 :]
+        p = beta * (sub @ v)
+        w = p - (0.5 * beta * np.vdot(v, p).real) * v
+        sub -= np.outer(v, w.conj()) + np.outer(w, v.conj())
+    return a.diagonal().real.copy(), e
+
+
+def _sturm_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Eigenvalues of T below each shift in `x`: the negative pivots of
+    T - x I = L D L^T.  A pivot below pivmin in size becomes -pivmin, as in
+    LAPACK's dstebz, so that the count is monotone in x in IEEE arithmetic
+    (Demmel, Dhillon & Ren, ETNA 3, 1995)."""
+    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
+    count = np.zeros(x.shape, dtype=np.intp)
+    q = d[0] - x
+    for k in range(len(d)):
+        if k:
+            q = (d[k] - x) - e2[k - 1] / q
+        q[np.abs(q) < pivmin] = -pivmin
+        count += q < 0
+    return count
+
+
+def eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix (symmetrized first), ascending.
+
+    Bracket j of eigenvalue j of T starts as the Gershgorin interval; a pass
+    counts at 15 interior shifts of every bracket and keeps the part where
+    the count passes j, until every bracket is within 2 eps ||T||.
+    """
+    with np.errstate(all="ignore"):  # overflow is detected, not warned about
+        a = _hermitian_copy(h)
+        n, big = a.shape[0], float(np.max(np.abs(a.view(float)), initial=0.0))
+        if big == 0:
+            return np.zeros(n)
+        exponent = math.frexp(big)[1]  # 2^-exponent rounds only subnormals
+        d, e = _tridiagonal(np.ldexp(a.view(float), -exponent).view(complex))
+        if not np.all(np.isfinite(np.r_[d, e])):
+            raise EvaluationError("eigensolver failed: the tridiagonal form is not finite")
+        radius = np.r_[e, 0.0] + np.r_[0.0, e]
+        lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
+        eps, scale = np.finfo(float).eps, max(abs(lo), abs(hi))
+        pad = 2.1 * n * eps * scale  # as in LAPACK's dstebz
+        lo, hi = np.full(n, lo - pad), np.full(n, hi + pad)
+        rows, steps = np.arange(n), np.arange(1, _SPLIT) / _SPLIT
+        for _ in range(_MAX_PASSES):
+            x = lo[:, None] + (hi - lo)[:, None] * steps
+            counts = _sturm_counts(d, e * e, x)
+            if np.any(np.diff(counts) < 0):
+                raise EvaluationError("eigensolver failed: Sturm counts not monotone in the shift")
+            below = np.count_nonzero(counts <= rows[:, None], axis=1)
+            grid = np.column_stack([lo, x, hi])
+            lo, hi = grid[rows, below], grid[rows, below + 1]
+            if np.all(hi - lo <= 2 * eps * scale):
+                break
+        else:
+            raise EvaluationError(f"eigensolver failed: no convergence in {_MAX_PASSES} passes")
+        out = np.ldexp(np.sort((lo + hi) / 2), exponent)
+    if not np.all(np.isfinite(out)):
+        raise EvaluationError("eigensolver failed: an eigenvalue overflows")
+    return out
+
+
+# perfbench/ wraps and probes the solver under this name; every module
+# global that is this function gets the wrapper, so every solve is counted
+jacobi_eigenvalues = eigenvalues
 
 
 def min_eigenvalue(h: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix (symmetrized first)."""
-    return float(jacobi_eigenvalues(h)[0])
+    return float(eigenvalues(h)[0])
 
 
 @dataclass(frozen=True)

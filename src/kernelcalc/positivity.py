@@ -1,12 +1,12 @@
 """Gram assembly, eigenvalue certification, NND verdicts and Wallach scans.
 
 Reports (`psd_check`, `kernel_order_check`) carry the least eigenvalue from
-the Jacobi eigensolver.  Scan verdicts need only a sign, so they come from
-the LDL^H factorisation of G + tau I (`eig.ldl_verdict`), which computes no
-eigenvalue; a failing one breaks down at a pivot that yields a vector v with
-v^H G v < -tau |v|^2.  A passing scan is evidence for non-negative
-definiteness; a failing scan is a proof (that negative direction on a finite
-point set).
+`eig.eigenvalues`, the max diagonal and tau = tol * (1 + max diagonal).
+Scan verdicts need only a sign, so they come from the LDL^H factorisation
+of G + tau I (`eig.ldl_verdict`), which computes no eigenvalue; a failing
+one breaks down at a pivot that yields a vector v with v^H G v < -tau |v|^2.
+A passing scan is evidence for non-negative definiteness; a failing scan is
+a proof (that negative direction on a finite point set).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eig import hermitian_part, jacobi_eigenvalues, ldl_verdict, min_eigenvalue
+from .eig import hermitian_part, ldl_verdict, min_eigenvalue
 from .errors import BracketError, EvaluationError, KernelCalcError, ShapeError
 from .expr import KernelExpr, LogHessian, _require_scalar
 from .geometry import DomainSpec, Point, RngSeed, point_array, sample_points
@@ -53,6 +53,8 @@ class GramReport:
                 "min_eig": self.min_eigenvalue,
                 "psd": self.psd,
                 "tol": self.tolerance,
+                "max_diagonal": self.max_diagonal,
+                "threshold": self.tolerance * (1 + self.max_diagonal),
                 "seed": self.seed,
             }
         )
@@ -292,7 +294,6 @@ __all__ = [
     "GramReport",
     "WallachEstimate",
     "gram",
-    "jacobi_eigenvalues",
     "kernel_order_check",
     "min_eigenvalue",
     "ordinary_wallach_scan",

@@ -255,21 +255,47 @@ def test_csv_minimum_equals_the_json_min_eig(capsys):
     assert first == json.loads(out)["min_eig"]
 
 
+def _decreasing_counts(d, e2, x):
+    return np.broadcast_to(np.arange(x.shape[-1], 0, -1), x.shape)
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_eigensolver_non_convergence_exits_3(capsys, monkeypatch, fmt):
-    import functools
+def test_non_monotone_sturm_counts_exit_3(capsys, monkeypatch, fmt):
+    from kernelcalc import eig
 
-    from kernelcalc import cli, eig
-
-    one_sweep = functools.partial(eig.jacobi_eigenvalues, max_sweeps=1)
-    monkeypatch.setattr(eig, "jacobi_eigenvalues", one_sweep)
-    monkeypatch.setattr(cli, "jacobi_eigenvalues", one_sweep)
+    monkeypatch.setattr(eig, "_sturm_counts", _decreasing_counts)
     code, out, err = _run(
         capsys, "psd", "--kernel", "szego_disc()", "--n", "20", "--format", fmt
     )
     assert code == 3
     assert out == ""
-    assert "did not converge" in err
+    assert "Sturm counts not monotone" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_grams_with_huge_entries_are_solved(capsys, fmt):
+    # entries reach ~1e200, so unscaled dot products overflow
+    from kernelcalc.geometry import sample_points, unit_disc
+    from kernelcalc.parser import parse_kernel
+    from kernelcalc.positivity import gram
+
+    text = "ball_power(1,450)"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "psd", "--kernel", text, "--n", "20", "--format", fmt)
+    assert code == 0
+    assert err == ""
+    g = gram(parse_kernel(text), sample_points(unit_disc(0.8), 20, 0))
+    exponent = np.frexp(np.abs(g.view(float)).max())[1]
+    scaled = np.ldexp(g.view(float), -exponent).view(complex)
+    want = np.ldexp(np.linalg.eigvalsh(scaled), exponent)
+    if fmt == "csv":
+        got = np.array([float(line.split(",")[1]) for line in out.split()[1:]])
+    else:
+        got = np.array([json.loads(out)["min_eig"]])
+        assert json.loads(out)["psd"]
+    assert np.all(np.isfinite(got))
+    assert np.abs(got - want[: len(got)]).max() < 1e-12 * (1 + np.max(np.diag(g).real))
 
 
 @pytest.mark.parametrize("text,closed_form,z,w", [

@@ -77,7 +77,11 @@ def test_verdicts_are_deterministic_for_a_fixed_seed():
 def test_report_serialization_schema():
     rep = psd_check(SzegoDisc(), unit_disc(), 5, 2)
     data = json.loads(rep.to_json())
-    assert set(data) == {"kernel", "points", "size", "min_eig", "psd", "tol", "seed"}
+    assert set(data) == {
+        "kernel", "points", "size", "min_eig", "psd", "tol", "seed", "max_diagonal", "threshold"
+    }
+    assert data["threshold"] == data["tol"] * (1 + data["max_diagonal"])
+    assert data["psd"] == (data["min_eig"] >= -data["threshold"])
     assert data["kernel"] == "szego_disc()"
     assert len(data["points"]) == 5
 
