@@ -255,6 +255,19 @@ def test_csv_minimum_equals_the_json_min_eig(capsys):
     assert first == json.loads(out)["min_eig"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_eigensolver_non_convergence_exits_3(capsys, monkeypatch, fmt):
+    from kernelcalc import eig
+
+    monkeypatch.setattr(eig, "_MAX_PASSES", 1)
+    code, out, err = _run(
+        capsys, "psd", "--kernel", "szego_disc()", "--n", "20", "--format", fmt
+    )
+    assert code == 3
+    assert out == ""
+    assert "no convergence" in err
+
+
 def _decreasing_counts(d, e2, x):
     return np.broadcast_to(np.arange(x.shape[-1], 0, -1), x.shape)
 

@@ -81,6 +81,13 @@ def test_near_singular_grams_match_the_numpy_oracle(text):
     assert np.abs(got - want).max() < 1e-12 * (1 + np.max(np.diag(g).real))
 
 
+def test_running_out_of_sweeps_raises(monkeypatch):
+    # one bisection pass narrows each bracket only 16-fold
+    monkeypatch.setattr(eig, "_MAX_PASSES", 1)
+    with pytest.raises(EvaluationError, match="no convergence in 1 passes"):
+        eigenvalues(_random_hermitian(20, 5))
+
+
 def test_non_monotone_sturm_counts_raise(monkeypatch):
     real = eig._sturm_counts
     monkeypatch.setattr(eig, "_sturm_counts", lambda d, e2, x: real(d, e2, x)[:, ::-1])
