@@ -2,8 +2,6 @@
 
 from .calculus import (
     CurvatureParams,
-    ball_curvature_closed_form,
-    log_hessian_eval,
     phi_gram_entry,
     series_head_coefficients,
 )
@@ -45,8 +43,6 @@ from .geometry import (
     DomainSpec,
     MultiIndex,
     Point,
-    RngSeed,
-    enumerate_multi_indices,
     sample_points,
     unit_ball,
     unit_disc,

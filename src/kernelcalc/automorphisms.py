@@ -102,9 +102,6 @@ class MobiusMap:
         """Holomorphic Jacobian (d phi_k / d z_i) at one point."""
         return self.jacobians([as_point(z, self.m)])[0]
 
-    def det_derivative(self, z) -> complex:
-        return complex(np.linalg.det(self.derivative(z)))
-
     def log_det_derivatives(self, zs) -> np.ndarray:
         """A branch of log det D phi that is holomorphic on the ball, at a
         (B, m) array of points.
@@ -117,13 +114,9 @@ class MobiusMap:
         ip = point_array(zs, self.m) @ np.conj(np.array(self.a))
         return self._log_det_at_origin - (self.m + 1) * np.log(1.0 - ip)
 
-    def log_det_derivative(self, z) -> complex:
-        """log_det_derivatives at one point."""
-        return complex(self.log_det_derivatives([as_point(z, self.m)])[0])
-
     @functools.cached_property
     def _log_det_at_origin(self) -> complex:
-        return cmath.log(self.det_derivative((0.0,) * self.m))
+        return cmath.log(np.linalg.det(self.jacobians(np.zeros((1, self.m)))[0]))
 
     def to_json(self) -> str:
         return json.dumps(

@@ -1,21 +1,21 @@
-"""Closed forms and jet identities for the derived kernels.
+"""Jet identities for the curvature kernel, read off the jet engine.
 
-The curvature kernel and jet kernel are AST nodes (see expr); this module
-adds the quotient-formula evaluation of the log-Hessian, the Gram-vector
-expansion that factorizes the curvature kernel, the hand-coded closed form
-of the explicit ball matrix kernel, and the leading diagonal Taylor
-coefficients used by the positivity counterexample.
+The curvature kernel K^(a+b) (d dbar log K) and the jet kernel are AST
+nodes (see expr).  This module adds two quantities that the `repro` battery
+checks against them: the inner product of the Gram vectors that factorize
+the curvature kernel (`phi_gram_entry`), and the leading diagonal Taylor
+coefficients of K^t (d dbar log K) that the positivity counterexample needs
+(`series_head_coefficients`).  Independent closed forms that cross-check
+the engine live with the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import EvaluationError, ShapeError
+from .errors import ShapeError
 from .expr import DiagonalSeries, KernelExpr, LogHessian, Pow, Product
-from .geometry import as_point, unit_index
+from .geometry import unit_index
 
 
 @dataclass(frozen=True)
@@ -28,28 +28,6 @@ class CurvatureParams:
     def __post_init__(self):
         if not (self.alpha > 0 and self.beta > 0):
             raise ValueError("alpha and beta must be positive")
-
-
-def log_hessian_eval(expr: KernelExpr, z, w) -> np.ndarray:
-    """(K d_i dbar_j K - d_i K dbar_j K) / K^2 assembled from an order-1 jet."""
-    if not expr.is_scalar:
-        raise ShapeError("log_hessian_eval needs a scalar kernel")
-    m = expr.m
-    table = expr.eval_jet(z, w, 1)
-    k = table.value[0, 0]
-    if k == 0:
-        raise EvaluationError("kernel vanishes at the requested pair")
-    out = np.empty((m, m), dtype=complex)
-    zero = (0,) * m
-    for i in range(m):
-        ei = unit_index(m, i)
-        for j in range(m):
-            ej = unit_index(m, j)
-            kij = table.entry(ei, ej)[0, 0]
-            ki = table.entry(ei, zero)[0, 0]
-            kj = table.entry(zero, ej)[0, 0]
-            out[i, j] = (k * kij - ki * kj) / (k * k)
-    return out
 
 
 def phi_gram_entry(
@@ -85,31 +63,6 @@ def phi_gram_entry(
             + entry(ka, zero, ej) * entry(kb, ei, zero)
         )
     )
-
-
-def ball_curvature_closed_form(m: int, lam: float, z, w) -> np.ndarray:
-    """Hand-coded closed form of the explicit ball matrix kernel.
-
-    Serves as a mutual cross-check against the jet-engine route of the
-    BallCurvature AST node.
-    """
-    if m < 2:
-        raise ShapeError("closed form defined for dimension >= 2")
-    z = as_point(z, m).array()
-    w = as_point(w, m).array()
-    ip = complex(np.dot(z, w.conj()))
-    if ip == 1:
-        raise EvaluationError("singular prefactor: <z, w> = 1")
-    out = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                out[i, j] = 1 - sum(
-                    z[k] * w[k].conjugate() for k in range(m) if k != i
-                )
-            else:
-                out[i, j] = z[j] * w[i].conjugate()
-    return out / (1 - ip) ** lam
 
 
 def series_head_coefficients(coefficients, t: float) -> tuple[float, float]:

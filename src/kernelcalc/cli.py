@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .automorphisms import CocycleSpec, MobiusMap, curvature_quasi_check
+from .automorphisms import MobiusMap, curvature_quasi_check
 from .eig import eigenvalues
 from .errors import BracketError, KernelCalcError, ParseError
 from .geometry import sample_points, unit_ball, unit_disc

@@ -23,7 +23,8 @@ from .errors import EvaluationError
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2
+    # halved before the sum, so entries near the float maximum cannot overflow
+    return a / 2 + a.conj().T / 2
 
 
 def _hermitian_copy(h) -> np.ndarray:

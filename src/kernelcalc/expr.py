@@ -59,9 +59,6 @@ class KernelExpr:
     #: output size k (values are k x k matrices; scalars have k = 1)
     size: int = 1
 
-    def children(self) -> tuple["KernelExpr", ...]:
-        return ()
-
     @property
     def is_scalar(self) -> bool:
         return self.size == 1
@@ -325,9 +322,6 @@ class Pow(KernelExpr):
     def m(self):
         return self.child.m
 
-    def children(self):
-        return (self.child,)
-
     def contains(self, p):
         return self.child.contains(p)
 
@@ -357,9 +351,6 @@ class Product(KernelExpr):
     @property
     def m(self):
         return self.left.m
-
-    def children(self):
-        return (self.left, self.right)
 
     def contains(self, p):
         return self.left.contains(p) & self.right.contains(p)
@@ -393,9 +384,6 @@ class Sum(KernelExpr):
     def size(self):
         return self.left.size
 
-    def children(self):
-        return (self.left, self.right)
-
     def contains(self, p):
         return self.left.contains(p) & self.right.contains(p)
 
@@ -425,9 +413,6 @@ class Scale(KernelExpr):
     def size(self):
         return self.child.size
 
-    def children(self):
-        return (self.child,)
-
     def contains(self, p):
         return self.child.contains(p)
 
@@ -455,9 +440,6 @@ class Tensor(KernelExpr):
     @property
     def m(self):
         return self.left.m + self.right.m
-
-    def children(self):
-        return (self.left, self.right)
 
     def contains(self, p):
         m1 = self.left.m
@@ -512,9 +494,6 @@ class LogHessian(KernelExpr):
     def size(self):
         return self.child.m
 
-    def children(self):
-        return (self.child,)
-
     def contains(self, p):
         return self.child.contains(p)
 
@@ -545,9 +524,6 @@ class Curvature(KernelExpr):
     @property
     def size(self):
         return self.child.m
-
-    def children(self):
-        return (self.child,)
 
     def contains(self, p):
         return self.child.contains(p)
@@ -592,9 +568,6 @@ class JetKernel(KernelExpr):
     @property
     def size(self):
         return math.comb(self.m + self.order, self.m)
-
-    def children(self):
-        return (self.k1, self.k2)
 
     def contains(self, p):
         return self.k1.contains(p) & self.k2.contains(p)

@@ -1,9 +1,17 @@
-"""Points of C^m, multi-indices, domains and deterministic sampling."""
+"""Edge records for points and multi-indices, domains and seeded sampling.
+
+Inside the engine a batch of points is a (B, m) complex array and a
+multi-index is a tuple of ints.  `Point` and `MultiIndex` are the records
+that public results carry (`sample_points`, `GramReport.points`, the terms
+of an RKHS element); `as_point` and `point_array` convert at the edge.
+Domains are the disc, the ball and the polydisc, each with the radius that
+`sample_points` draws from.
+"""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -28,9 +36,6 @@ class Point:
     @property
     def dim(self) -> int:
         return len(self.coords)
-
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(c) ** 2 for c in self.coords))
 
     def array(self) -> np.ndarray:
         return np.array(self.coords, dtype=complex)
@@ -76,7 +81,7 @@ def in_unit_ball(points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, order=False)
 class MultiIndex:
-    """A multi-index in Z_+^m with componentwise partial order."""
+    """A multi-index in Z_+^m: a tuple of non-negative ints."""
 
     entries: tuple[int, ...]
 
@@ -94,17 +99,6 @@ class MultiIndex:
     @property
     def dim(self) -> int:
         return len(self.entries)
-
-    def __le__(self, other: "MultiIndex") -> bool:
-        if self.dim != other.dim:
-            raise ValueError("multi-index dimensions differ")
-        return all(a <= b for a, b in zip(self.entries, other.entries))
-
-    def __getitem__(self, k):
-        return self.entries[k]
-
-    def __iter__(self):
-        return iter(self.entries)
 
 
 def graded_lex_tuples(m: int, max_order: int) -> list[tuple[int, ...]]:
@@ -134,11 +128,6 @@ def unit_index(m: int, k: int) -> tuple[int, ...]:
     return tuple(1 if i == k else 0 for i in range(m))
 
 
-def enumerate_multi_indices(m: int, max_order: int) -> list[MultiIndex]:
-    """Same enumeration as :func:`graded_lex_tuples`, as MultiIndex objects."""
-    return [MultiIndex(t) for t in graded_lex_tuples(m, max_order)]
-
-
 _KINDS = ("unit-disc", "unit-ball", "polydisc")
 
 
@@ -160,12 +149,6 @@ class DomainSpec:
         if not 0 < self.sample_radius < 1:
             raise ValueError("sample_radius must lie in (0, 1)")
 
-    def contains(self, p: Point) -> bool:
-        p = as_point(p, self.dim)
-        if self.kind == "unit-ball":
-            return p.norm() < 1
-        return max(abs(c) for c in p.coords) < 1
-
 
 def unit_disc(sample_radius: float = DEFAULT_SAMPLE_RADIUS) -> DomainSpec:
     return DomainSpec("unit-disc", 1, sample_radius)
@@ -179,32 +162,20 @@ def polydisc(m: int, sample_radius: float = DEFAULT_SAMPLE_RADIUS) -> DomainSpec
     return DomainSpec("polydisc", m, sample_radius)
 
 
-@dataclass(frozen=True)
-class RngSeed:
-    """64-bit seed; identical seeds give bitwise-identical sample sequences."""
-
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
-
-    def generator(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
-
-
-def sample_points(domain: DomainSpec, count: int, seed: RngSeed | int = 0) -> list[Point]:
+def sample_points(domain: DomainSpec, count: int, seed: int = 0) -> list[Point]:
     """Draw `count` points inside the closed sub-domain of radius sample_radius.
 
     Coordinates are drawn area-uniformly on the disc of radius sample_radius;
     for the unit ball, draws are rejected until the Euclidean norm is within
-    the radius.  Deterministic given the seed.
+    the radius.  `seed` is any integer in [0, 2^64), numpy integers included;
+    equal seeds give bitwise-identical points.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if isinstance(seed, int):
-        seed = RngSeed(seed)
-    rng = seed.generator()
+    seed = operator.index(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 bits")
+    rng = np.random.default_rng(seed)
     r = domain.sample_radius
     m = domain.dim
     pts: list[Point] = []

@@ -133,62 +133,43 @@ def _parse_arg(tz: _Tokenizer):
     raise ParseError(f"expected an argument, found {val or 'end of input'!r}", pos)
 
 
-def _want(args, pos, *types):
-    if len(args) != len(types):
-        raise ParseError(f"expected {len(types)} argument(s), got {len(args)}", pos)
-    for a, t in zip(args, types):
+#: DSL name -> (constructor, kinds of its arguments as checked by _want)
+_NODES = {
+    "szego_disc": (SzegoDisc, ()),
+    "ball_power": (BallPower, ("int", "num")),
+    "bergman_ball": (bergman_ball, ("int",)),
+    "bergman_disc": (bergman_disc, ()),
+    "diagonal_series": (DiagonalSeries, ("list",)),
+    "pow": (Pow, ("expr", "num")),
+    "product": (Product, ("expr", "expr")),
+    "sum": (Sum, ("expr", "expr")),
+    "tensor": (Tensor, ("expr", "expr")),
+    "scale": (Scale, ("expr", "num")),
+    "log_hessian": (LogHessian, ("expr",)),
+    "curvature": (Curvature, ("expr", "num", "num")),
+    "jet": (JetKernel, ("expr", "expr", "int")),
+    "ball_curvature": (BallCurvature, ("int", "num")),
+}
+
+
+def _want(args, pos, kinds):
+    """Check the parsed arguments against their kinds; "int" ones become ints."""
+    if len(args) != len(kinds):
+        raise ParseError(f"expected {len(kinds)} argument(s), got {len(args)}", pos)
+    for a, t in zip(args, kinds):
         if t == "num" and not isinstance(a, float):
             raise ParseError("expected a numeric argument", pos)
-        if t == "int" and not (isinstance(a, float) and a == int(a)):
+        if t == "int" and not (isinstance(a, float) and a.is_integer()):
             raise ParseError("expected an integer argument", pos)
         if t == "expr" and not isinstance(a, KernelExpr):
             raise ParseError("expected a kernel expression argument", pos)
         if t == "list" and not isinstance(a, list):
             raise ParseError("expected a coefficient list argument", pos)
-    return args
+    return [int(a) if t == "int" else a for a, t in zip(args, kinds)]
 
 
 def _build(name: str, args, pos) -> KernelExpr:
-    if name == "szego_disc":
-        _want(args, pos)
-        return SzegoDisc()
-    if name == "ball_power":
-        m, lam = _want(args, pos, "int", "num")
-        return BallPower(int(m), lam)
-    if name == "bergman_ball":
-        (m,) = _want(args, pos, "int")
-        return bergman_ball(int(m))
-    if name == "bergman_disc":
-        _want(args, pos)
-        return bergman_disc()
-    if name == "diagonal_series":
-        (coeffs,) = _want(args, pos, "list")
-        return DiagonalSeries(coeffs)
-    if name == "pow":
-        child, t = _want(args, pos, "expr", "num")
-        return Pow(child, t)
-    if name == "product":
-        a, b = _want(args, pos, "expr", "expr")
-        return Product(a, b)
-    if name == "sum":
-        a, b = _want(args, pos, "expr", "expr")
-        return Sum(a, b)
-    if name == "tensor":
-        a, b = _want(args, pos, "expr", "expr")
-        return Tensor(a, b)
-    if name == "scale":
-        child, c = _want(args, pos, "expr", "num")
-        return Scale(child, c)
-    if name == "log_hessian":
-        (child,) = _want(args, pos, "expr")
-        return LogHessian(child)
-    if name == "curvature":
-        child, a, b = _want(args, pos, "expr", "num", "num")
-        return Curvature(child, a, b)
-    if name == "jet":
-        k1, k2, k = _want(args, pos, "expr", "expr", "int")
-        return JetKernel(k1, k2, int(k))
-    if name == "ball_curvature":
-        m, lam = _want(args, pos, "int", "num")
-        return BallCurvature(int(m), lam)
-    raise ParseError(f"unknown kernel name {name!r}", pos)
+    if name not in _NODES:
+        raise ParseError(f"unknown kernel name {name!r}", pos)
+    make, kinds = _NODES[name]
+    return make(*_want(args, pos, kinds))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .eig import hermitian_part, ldl_verdict, min_eigenvalue
 from .errors import BracketError, EvaluationError, KernelCalcError, ShapeError
 from .expr import KernelExpr, LogHessian, _require_scalar
-from .geometry import DomainSpec, Point, RngSeed, point_array, sample_points
+from .geometry import DomainSpec, Point, point_array, sample_points
 
 #: default relative PSD tolerance: psd iff min eig >= -tol * (1 + max diagonal)
 DEFAULT_TOL = 1e-9
@@ -111,8 +112,7 @@ def _verdict(g: np.ndarray, tol: float) -> tuple[float, float, bool]:
 
 def _sampled_report(label: str, gram_of, domain, n, seed, tol) -> GramReport:
     """Sample a point family, assemble its Gram matrix and certify it."""
-    seed_val = seed.seed if isinstance(seed, RngSeed) else int(seed)
-    pts = sample_points(domain, n, seed_val)
+    pts = sample_points(domain, n, seed)
     g = gram_of(pts)
     mineig, maxdiag, psd = _verdict(g, tol)
     return GramReport(
@@ -123,7 +123,7 @@ def _sampled_report(label: str, gram_of, domain, n, seed, tol) -> GramReport:
         tolerance=tol,
         max_diagonal=maxdiag,
         points=tuple(pts),
-        seed=seed_val,
+        seed=operator.index(seed),
     )
 
 
@@ -131,7 +131,7 @@ def psd_check(
     expr: KernelExpr,
     domain: DomainSpec,
     n: int,
-    seed: RngSeed | int = 0,
+    seed: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> GramReport:
     """Sample a point family and certify the Gram matrix eigenvalue verdict."""
@@ -146,7 +146,7 @@ def kernel_order_check(
     k2: KernelExpr,
     domain: DomainSpec,
     n: int,
-    seed: RngSeed | int = 0,
+    seed: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> GramReport:
     """PSD verdict for the difference kernel K2 - K1 (is K1 dominated by K2)."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,12 +179,6 @@ def _multiplier_family(expr: KernelExpr, func, points) -> _CurvatureFamilyGram:
     )
 
 
-def modulated_gram(expr: KernelExpr, f, c: float, points) -> np.ndarray:
-    """Gram matrix of the kernel (c^2 - f(z) conj(f(w))) K(z, w)."""
-    func, _ = _as_function(f, expr.m)
-    return _multiplier_family(expr, func, points).gram_at(c)
-
-
 def multiplier_bound(
     expr: KernelExpr,
     f,
@@ -200,9 +195,7 @@ def multiplier_bound(
     """
     _check_resolution(resolution)
     func, label = _as_function(f, expr.m)
-    fams = [
-        (n, s if isinstance(s, int) else s.seed) for n, s in family
-    ]
+    fams = [(n, operator.index(s)) for n, s in family]
     grams = [
         _multiplier_family(expr, func, sample_points(domain, n, s)) for n, s in fams
     ]

@@ -3,8 +3,6 @@ import pytest
 
 from kernelcalc.calculus import (
     CurvatureParams,
-    ball_curvature_closed_form,
-    log_hessian_eval,
     phi_gram_entry,
     series_head_coefficients,
 )
@@ -18,6 +16,8 @@ from kernelcalc.expr import (
     bergman_ball,
 )
 from kernelcalc.geometry import sample_points, unit_ball, unit_disc
+
+from oracles import ball_curvature_closed_form, log_hessian_eval
 
 
 def test_log_hessian_of_szego_closed_form():

@@ -52,6 +52,14 @@ def test_malformed_kernel_exits_2(capsys):
     assert "position" in err
 
 
+def test_infinite_integer_argument_exits_2(capsys):
+    code, _, err = _run(
+        capsys, "eval", "--kernel", "ball_power(1e999, 2)", "--z", "0", "--w", "0"
+    )
+    assert code == 2
+    assert "expected an integer argument" in err
+
+
 def test_psd_reports_failure_certificates(capsys):
     code, out, _ = _run(
         capsys, "psd", "--kernel", "ball_curvature(2,1.5)", "--n", "30",

@@ -7,7 +7,6 @@ from kernelcalc.geometry import (
     MultiIndex,
     Point,
     as_point,
-    enumerate_multi_indices,
     graded_lex_tuples,
     polydisc,
     sample_points,
@@ -19,7 +18,7 @@ from kernelcalc.geometry import (
 def test_point_basics():
     p = Point((0.3 + 0.4j, 0.0))
     assert p.dim == 2
-    assert p.norm() == pytest.approx(0.5)
+    assert np.linalg.norm(p.coords) == pytest.approx(0.5)
     assert list(p) == [0.3 + 0.4j, 0.0]
 
 
@@ -33,14 +32,12 @@ def test_as_point_coercion_and_dimension_check():
 def test_multi_index_order_and_partial_order():
     i = MultiIndex((1, 2))
     assert i.order == 3
-    assert MultiIndex((0, 1)) <= i
-    assert not (MultiIndex((2, 0)) <= i)
     with pytest.raises(ValueError):
         MultiIndex((-1, 0))
 
 
 def test_enumeration_matches_hand_listing():
-    got = [idx.entries for idx in enumerate_multi_indices(2, 1)]
+    got = graded_lex_tuples(2, 1)
     assert got == [(0, 0), (1, 0), (0, 1)]
     got2 = graded_lex_tuples(2, 2)
     assert got2 == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
@@ -48,7 +45,7 @@ def test_enumeration_matches_hand_listing():
 
 @given(st.integers(1, 3), st.integers(0, 4))
 def test_enumeration_is_strictly_increasing_and_complete(m, max_order):
-    idxs = [i.entries for i in enumerate_multi_indices(m, max_order)]
+    idxs = graded_lex_tuples(m, max_order)
     assert len(set(idxs)) == len(idxs)
     orders = [sum(i) for i in idxs]
     assert orders == sorted(orders)
@@ -72,12 +69,26 @@ def test_sampling_is_deterministic_and_in_domain(domain):
     c = sample_points(domain, 25, 8)
     assert a != c
     for p in a:
-        assert domain.contains(p)
+        if domain.kind == "unit-ball":
+            assert np.linalg.norm(p.coords) < 1
+        else:
+            assert np.abs(p.coords).max() < 1
 
 
 def test_sample_radius_bounds_the_points():
     for p in sample_points(unit_ball(2, 0.3), 50, 1):
-        assert p.norm() <= 0.3 + 1e-12
+        assert np.linalg.norm(p.coords) <= 0.3 + 1e-12
+
+
+def test_seeds_are_integers_below_2_to_the_64():
+    dom = unit_disc()
+    assert sample_points(dom, 3, np.uint64(7)) == sample_points(dom, 3, 7)
+    assert len(sample_points(dom, 3, 2**64 - 1)) == 3
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match="64 bits"):
+            sample_points(dom, 3, bad)
+    with pytest.raises(TypeError):
+        sample_points(dom, 3, 1.5)
 
 
 def test_domain_validation():

@@ -103,6 +103,26 @@ def test_wallach_scan_brackets_the_disc_boundary():
     assert lo_verdict is False
 
 
+def test_numpy_integer_seeds_give_the_same_results_as_int_seeds():
+    from kernelcalc.rkhs import multiplier_bound
+
+    sizes, seeds = (8, 12), np.array([11, 23])
+    np_family = tuple(zip(sizes, seeds))
+    int_family = tuple(zip(sizes, seeds.tolist()))
+    assert isinstance(np_family[0][1], np.integer)
+
+    def bracket(fam):
+        return wallach_scan(bergman_disc(), -2.0, 0.0, unit_disc(), family=fam).bracket
+
+    assert bracket(np_family) == bracket(int_family)
+    bound_np = multiplier_bound(SzegoDisc(), 0, unit_disc(), np_family)
+    bound_int = multiplier_bound(SzegoDisc(), 0, unit_disc(), int_family)
+    assert bound_np.bracket == bound_int.bracket
+    assert bound_np.to_json() == bound_int.to_json()
+    rep = psd_check(SzegoDisc(), unit_disc(), 5, np.int64(3))
+    assert rep.to_json() == psd_check(SzegoDisc(), unit_disc(), 5, 3).to_json()
+
+
 def test_wallach_scan_requires_a_sign_change():
     with pytest.raises(BracketError):
         wallach_scan(bergman_disc(), 0.5, 1.0, unit_disc())

@@ -9,7 +9,6 @@ from kernelcalc.geometry import unit_disc
 from kernelcalc.rkhs import (
     element,
     inner_product,
-    modulated_gram,
     multiplier_bound,
     norm,
     z2_tensor_e1_norm,
@@ -94,11 +93,18 @@ def test_multiplier_bound_transfers_to_the_curvature_kernel():
 def test_modulated_gram_at_c_equal_bound_is_psd():
     from kernelcalc.eig import min_eigenvalue
     from kernelcalc.geometry import sample_points
+    from kernelcalc.positivity import gram
 
     pts = sample_points(unit_disc(), 20, 11)
-    g = modulated_gram(SzegoDisc(), 0, 1.0, pts)
+    f = np.array([p.coords[0] for p in pts])
+
+    def modulated_gram(c):
+        """Gram matrix of (c^2 - z wbar) K(z, w) for the Szego kernel K."""
+        return (c * c - np.outer(f, f.conj())) * gram(SzegoDisc(), pts)
+
+    g = modulated_gram(1.0)
     assert min_eigenvalue(g) > -1e-9 * (1 + np.abs(np.diag(g)).max())
-    g_low = modulated_gram(SzegoDisc(), 0, 0.5, pts)
+    g_low = modulated_gram(0.5)
     assert min_eigenvalue(g_low) < -1e-9
 
 
