@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Subcommands: eval, psd, wallach, norm, bound, quasi, repro.  JSON is the
-default output format; `psd --format csv` emits the Gram spectrum as CSV.
+default output format, one compact line per report; `psd --format csv`
+emits the Gram spectrum as CSV.
 Every flag can also be supplied through a JSON config file (--config): keys
 are flag names, validated like flags (a bad value or unknown key exits 2),
 and explicit flags win.  --tol and --resolution must be positive, --n and
 --pairs positive integers, --order a non-negative integer, --radius in
-(0, 1), --lambda, --t, --lo and --hi finite, and the coordinate of
-`bound --f` must exist in the kernel's domain.
+(0, 1), --lambda, --t, --lo and --hi finite, the coordinates of --z, --w
+and `quasi --a` finite complex numbers, and the coordinate of `bound --f`
+must exist in the kernel's domain.
 
 Exit codes: 0 success, 2 configuration or parse error, 3 evaluation error,
 4 scan bracket failure (no sign change in the scanned interval); `repro`
@@ -17,9 +19,11 @@ exits 1 when any check fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -39,11 +43,20 @@ EXIT_EVAL = 3
 EXIT_BRACKET = 4
 
 
-def _parse_point(text: str) -> tuple[complex, ...]:
-    try:
-        return tuple(complex(c.strip().replace("i", "j")) for c in text.split(","))
-    except ValueError as exc:
-        raise ParseError(f"bad point {text!r}: {exc}", 0)
+def _parse_point(text: str, flag: str) -> tuple[complex, ...]:
+    """Comma-separated complex coordinates; a trailing `i` is the imaginary unit."""
+    coords = []
+    for k, c in enumerate(text.split(","), 1):
+        c = c.strip()
+        try:
+            value = complex(c[:-1] + "j" if c.endswith("i") else c)
+        except ValueError as exc:
+            raise ParseError(f"bad point {flag} {text!r}: {exc}", 0)
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise ParseError(f"bad point {flag} {text!r}: coordinate {k} ({c!r}) "
+                             "is not finite", 0)
+        coords.append(value)
+    return tuple(coords)
 
 
 def _domain_for(m: int, radius: float):
@@ -62,7 +75,7 @@ def _provenance(args, kernel: str | None) -> dict:
 
 
 def _emit(args, payload: dict) -> None:
-    _write(args, json.dumps(payload, indent=2))
+    _write(args, json.dumps(payload))
 
 
 def _write(args, text: str) -> None:
@@ -73,25 +86,27 @@ def _write(args, text: str) -> None:
         print(text)
 
 
-def _complex_matrix(mat) -> list:
-    mat = np.atleast_2d(np.asarray(mat, dtype=complex))
-    return [[[c.real, c.imag] for c in row] for row in mat]
+def _complex_lists(arr) -> list:
+    """A complex array as nested lists ending in [re, im] pairs, in one conversion."""
+    arr = np.asarray(arr, dtype=complex)
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
 def cmd_eval(args) -> int:
     expr = parse_kernel(args.kernel)
-    z = _parse_point(args.z)
-    w = _parse_point(args.w)
+    z = _parse_point(args.z, "--z")
+    w = _parse_point(args.w, "--w")
     report = _provenance(args, expr.to_dsl())
     if args.order > 0:
-        tab = expr.eval_jet(z, w, args.order)
+        entries = expr.eval_jet(z, w, args.order).entries
+        label = {idx: f"{list(idx)}" for idx in dict.fromkeys(chain.from_iterable(entries))}
         report["order"] = args.order
-        report["entries"] = {
-            f"{list(i)}|{list(j)}": _complex_matrix(mat)
-            for (i, j), mat in tab.entries.items()
-        }
+        report["entries"] = dict(zip(
+            [f"{label[i]}|{label[j]}" for i, j in entries],
+            _complex_lists(np.stack(list(entries.values()))),
+        ))
     else:
-        report["value"] = _complex_matrix(expr.eval(z, w))
+        report["value"] = _complex_lists(np.atleast_2d(expr.eval(z, w)))
     _emit(args, report)
     return EXIT_OK
 
@@ -151,7 +166,7 @@ def cmd_quasi(args) -> int:
     m = base.m
     rng = np.random.default_rng(args.seed)
     if args.a:
-        a = _parse_point(args.a)
+        a = _parse_point(args.a, "--a")
     else:
         v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         a = tuple(0.5 * rng.random() * v / np.linalg.norm(v))
@@ -205,6 +220,7 @@ _radius = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 _finite_float = _checked(float, math.isfinite, "finite")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="kernelcalc",

@@ -10,6 +10,7 @@ Domains are the disc, the ball and the polydisc, each with the radius that
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -20,6 +21,9 @@ from .errors import DomainError
 
 #: default radius of the closed sub-domain that sampled points live in
 DEFAULT_SAMPLE_RADIUS = 0.8
+
+#: most attempts `sample_points` draws at once (2m doubles each)
+_MAX_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -165,10 +169,12 @@ def polydisc(m: int, sample_radius: float = DEFAULT_SAMPLE_RADIUS) -> DomainSpec
 def sample_points(domain: DomainSpec, count: int, seed: int = 0) -> list[Point]:
     """Draw `count` points inside the closed sub-domain of radius sample_radius.
 
-    Coordinates are drawn area-uniformly on the disc of radius sample_radius;
-    for the unit ball, draws are rejected until the Euclidean norm is within
-    the radius.  `seed` is any integer in [0, 2^64), numpy integers included;
-    equal seeds give bitwise-identical points.
+    Each attempt draws m uniforms for the moduli and then m for the angles,
+    so that coordinates are area-uniform on the disc of radius sample_radius;
+    for the unit ball, attempts are rejected until the Euclidean norm is
+    within the radius.  Attempts are drawn in chunks, in the order of a loop
+    over single attempts.  `seed` is any integer in [0, 2^64), numpy integers
+    included; equal seeds give bitwise-identical points.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -178,12 +184,17 @@ def sample_points(domain: DomainSpec, count: int, seed: int = 0) -> list[Point]:
     rng = np.random.default_rng(seed)
     r = domain.sample_radius
     m = domain.dim
-    pts: list[Point] = []
-    while len(pts) < count:
-        rho = r * np.sqrt(rng.uniform(0, 1, m))
-        theta = rng.uniform(0, 2 * np.pi, m)
-        z = rho * np.exp(1j * theta)
-        if domain.kind == "unit-ball" and np.linalg.norm(z) > r:
-            continue
-        pts.append(Point(z))
-    return pts
+    ball = domain.kind == "unit-ball"
+    # the ball keeps 1/m! of the attempts (its volume over the polydisc's)
+    attempts_per_point = math.factorial(m) if ball else 1
+    chunks = []
+    need = count
+    while need > 0:
+        n = min(need * attempts_per_point * 5 // 4 + 8, _MAX_CHUNK)
+        u = rng.random((n, 2, m))
+        z = r * np.sqrt(u[:, 0]) * np.exp(1j * (2 * np.pi * u[:, 1]))
+        if ball:
+            z = z[np.linalg.norm(z, axis=1) <= r]
+        chunks.append(z[:need])
+        need -= len(chunks[-1])
+    return [Point(p) for p in np.concatenate(chunks).tolist()]

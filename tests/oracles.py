@@ -2,7 +2,8 @@
 
 Each oracle computes a quantity that the engine also computes, by another
 route: the log-Hessian by the quotient formula from an order-1 jet, and the
-explicit ball matrix kernel from its hand-coded closed form.
+explicit ball matrix kernel from its hand-coded closed form, and seeded
+sampling by a loop that draws and tests one attempt at a time.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import numpy as np
 
 from kernelcalc.errors import EvaluationError, ShapeError
 from kernelcalc.expr import KernelExpr
-from kernelcalc.geometry import as_point, unit_index
+from kernelcalc.geometry import DomainSpec, Point, as_point, unit_index
 
 
 def log_hessian_eval(expr: KernelExpr, z, w) -> np.ndarray:
@@ -59,3 +60,19 @@ def ball_curvature_closed_form(m: int, lam: float, z, w) -> np.ndarray:
             else:
                 out[i, j] = z[j] * w[i].conjugate()
     return out / (1 - ip) ** lam
+
+
+def sample_points_per_attempt(domain: DomainSpec, count: int, seed: int) -> list[Point]:
+    """`sample_points` one attempt at a time: m moduli, then m angles, then
+    the ball's rejection test."""
+    rng = np.random.default_rng(seed)
+    r, m = domain.sample_radius, domain.dim
+    pts: list[Point] = []
+    while len(pts) < count:
+        rho = r * np.sqrt(rng.uniform(0, 1, m))
+        theta = rng.uniform(0, 2 * np.pi, m)
+        z = rho * np.exp(1j * theta)
+        if domain.kind == "unit-ball" and np.linalg.norm(z) > r:
+            continue
+        pts.append(Point(z))
+    return pts

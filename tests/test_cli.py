@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kernelcalc.cli import main
+from kernelcalc.geometry import sample_points, unit_ball, unit_disc
+from kernelcalc.parser import parse_kernel
 
 
 def _run(capsys, *argv):
@@ -42,6 +47,56 @@ def test_eval_jet_table(capsys):
     data = json.loads(out)
     assert data["order"] == 1
     assert "[1]|[1]" in data["entries"]
+
+
+def test_reports_are_single_line_json(capsys):
+    code, out, _ = _run(
+        capsys, "eval", "--kernel", "ball_curvature(2,1.5)", "--z", "0.1,0.2i",
+        "--w", "0.3,0", "--order", "2",
+    )
+    assert code == 0
+    assert out.count("\n") == 1
+    assert out == json.dumps(json.loads(out)) + "\n"
+
+
+_BUILTINS = st.one_of(
+    st.sampled_from(["szego_disc()", "bergman_disc()", "diagonal_series([0.5, 0.25])",
+                     "jet(szego_disc(),bergman_disc(),1)"]),
+    st.builds("ball_power({}, {})".format, st.integers(1, 3),
+              st.sampled_from(["0.5", "1.5", "4.2"])),
+    st.builds("bergman_ball({})".format, st.integers(1, 3)),
+    st.builds("ball_curvature({}, {})".format, st.integers(2, 3),
+              st.sampled_from(["1.5", "2.5"])),
+)
+
+
+def _bits(pairs) -> np.ndarray:
+    """The float64 bit patterns of nested [re, im] lists."""
+    return np.array(pairs, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=_BUILTINS, order=st.integers(0, 3), seed=st.integers(0, 10**6))
+def test_eval_report_equals_the_library_jet_table_bit_for_bit(text, order, seed):
+    expr = parse_kernel(text)
+    domain = unit_disc(0.5) if expr.m == 1 else unit_ball(expr.m, 0.5)
+    z, w = sample_points(domain, 2, seed)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["eval", "--kernel", text, "--z", ",".join(map(repr, z)),
+                     "--w", ",".join(map(repr, w)), "--order", str(order)])
+    assert code == 0
+    data = json.loads(out.getvalue())
+    table = expr.eval_jet(z, w, order).entries
+    if order == 0:
+        got, want = {"value": data["value"]}, {"value": table[next(iter(table))]}
+    else:
+        got = data["entries"]
+        want = {f"{list(i)}|{list(j)}": mat for (i, j), mat in table.items()}
+    assert list(got) == list(want)
+    for key, mat in want.items():
+        pairs = np.stack([mat.real, mat.imag], -1)
+        assert np.array_equal(_bits(got[key]), pairs.view(np.uint64)), key
 
 
 def test_malformed_kernel_exits_2(capsys):
@@ -229,6 +284,19 @@ def test_overflow_exits_3_without_warnings(capsys, argv):
     assert code == 3
     assert out == ""
     assert "not finite" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-infi", "1e400"])
+@pytest.mark.parametrize("argv,flag", [
+    (["eval", "--kernel", "bergman_ball(2)", "--w", "0,0"], "--z"),
+    (["eval", "--kernel", "bergman_ball(2)", "--z", "0,0"], "--w"),
+    (["quasi", "--kernel", "bergman_ball(2)"], "--a"),
+])
+def test_non_finite_coordinates_exit_2(capsys, argv, flag, bad):
+    code, out, err = _run(capsys, *argv, flag, f"0.1,{bad}")
+    assert code == 2
+    assert out == ""
+    assert f"{flag} '0.1,{bad}': coordinate 2 ('{bad}') is not finite" in err
 
 
 def test_config_string_values_parse_like_flags(tmp_path, capsys):

@@ -14,6 +14,8 @@ from kernelcalc.geometry import (
     unit_disc,
 )
 
+from oracles import sample_points_per_attempt
+
 
 def test_point_basics():
     p = Point((0.3 + 0.4j, 0.0))
@@ -96,3 +98,23 @@ def test_domain_validation():
         unit_disc(1.5)
     with pytest.raises(ValueError):
         unit_ball(0)
+
+
+def _bits(points) -> np.ndarray:
+    return np.array([p.coords for p in points], dtype=complex).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [unit_disc(), unit_disc(0.35)]
+    + [unit_ball(m, r) for m in (1, 2, 3, 4) for r in (0.8, 0.5)]
+    + [polydisc(2), polydisc(3, 0.9)],
+    ids=repr,
+)
+def test_sampling_equals_the_per_attempt_loop(domain):
+    for seed in range(120):
+        count = (1, 2, 13, 40)[seed % 4]
+        got = sample_points(domain, count, seed)
+        want = sample_points_per_attempt(domain, count, seed)
+        assert len(got) == count
+        assert np.array_equal(_bits(got), _bits(want)), seed
