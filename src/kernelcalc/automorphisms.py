@@ -118,15 +118,14 @@ class MobiusMap:
     def _log_det_at_origin(self) -> complex:
         return cmath.log(np.linalg.det(self.jacobians(np.zeros((1, self.m)))[0]))
 
+    def to_dict(self) -> dict:
+        return {
+            "a": [[c.real, c.imag] for c in self.a],
+            "U": [[[v.real, v.imag] for v in row] for row in np.asarray(self.unitary)],
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "a": [[c.real, c.imag] for c in self.a],
-                "U": [
-                    [[v.real, v.imag] for v in row] for row in np.asarray(self.unitary)
-                ],
-            }
-        )
+        return json.dumps(self.to_dict())
 
 
 @dataclass(frozen=True)

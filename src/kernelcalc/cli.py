@@ -122,7 +122,7 @@ def cmd_psd(args) -> int:
         _write(args, "\n".join(lines))
         return EXIT_OK
     rep = psd_check(expr, domain, args.n, args.seed, args.tol)
-    payload = json.loads(rep.to_json())
+    payload = rep.to_dict()
     payload.update(_provenance(args, expr.to_dsl()))
     _emit(args, payload)
     return EXIT_OK
@@ -133,7 +133,7 @@ def cmd_wallach(args) -> int:
     domain = _domain_for(base.m, args.radius)
     est = wallach_scan(base, args.lo, args.hi, domain, tol=args.tol,
                        resolution=args.resolution)
-    payload = json.loads(est.to_json())
+    payload = est.to_dict()
     payload.update(_provenance(args, base.to_dsl()))
     _emit(args, payload)
     return EXIT_OK
@@ -155,7 +155,7 @@ def cmd_bound(args) -> int:
         raise ParseError(f"--f {args.f!r} names no coordinate of C^{expr.m}", 0)
     domain = _domain_for(expr.m, args.radius)
     est = multiplier_bound(expr, f, domain, resolution=args.resolution)
-    payload = json.loads(est.to_json())
+    payload = est.to_dict()
     payload.update(_provenance(args, expr.to_dsl()))
     _emit(args, payload)
     return EXIT_OK
@@ -179,7 +179,7 @@ def cmd_quasi(args) -> int:
     payload.update(
         {
             "t": args.t,
-            "map": json.loads(phi.to_json()),
+            "map": phi.to_dict(),
             "pairs": args.pairs,
             "residual": residual,
         }

@@ -102,9 +102,10 @@ def eigenvalues(h: np.ndarray) -> np.ndarray:
         pad = 2.1 * n * eps * scale  # as in LAPACK's dstebz
         lo, hi = np.full(n, lo - pad), np.full(n, hi + pad)
         rows, steps = np.arange(n), np.arange(1, _SPLIT) / _SPLIT
-        for _ in range(_MAX_PASSES):
+        for p in range(_MAX_PASSES):
             x = lo[:, None] + (hi - lo)[:, None] * steps
-            counts = _sturm_counts(d, e * e, x)
+            # every bracket starts as the same interval: pass 1 counts one row
+            counts = _sturm_counts(d, e * e, x[:1] if p == 0 else x)
             if np.any(np.diff(counts) < 0):
                 raise EvaluationError("eigensolver failed: Sturm counts not monotone in the shift")
             below = np.count_nonzero(counts <= rows[:, None], axis=1)

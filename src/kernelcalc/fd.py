@@ -4,8 +4,14 @@ Independent of the jet engine: derivatives of eval(expr, ., .) are taken by
 fourth-order central stencils in the holomorphic variables z_i and the
 conjugated variables (varying w along the real axis differentiates with
 respect to wbar).  All stencil nodes for one pair live on a shared tensor
-grid, evaluated as one batch of order-0 kernel values, so the oracle never
-reads a jet coefficient.
+grid, offsets -2..2 in each of the 2m variables, evaluated as one batch of
+order-0 kernel values, so the oracle never reads a jet coefficient.
+
+The 2m-variable stencil is the tensor product of the 1-D ones, so the grid
+is contracted once along each offset axis with the 3 x 5 matrix of 1-D
+weights for derivative orders 0, 1 and 2.  That yields every mixed
+derivative of order <= 2 per variable at once; each (i, j) entry is read
+off by indexing, scaled by h^-(|i| + |j|) and Richardson-extrapolated.
 """
 
 from __future__ import annotations
@@ -17,62 +23,40 @@ import numpy as np
 from .expr import KernelExpr
 from .geometry import as_point, graded_lex_tuples
 
-# 4th-order central stencils on offsets -2..2 (times 1/h, 1/h^2)
-_STENCILS = {
-    0: {0: 1.0},
-    1: {-2: 1 / 12, -1: -8 / 12, 1: 8 / 12, 2: -1 / 12},
-    2: {-2: -1 / 12, -1: 16 / 12, 0: -30 / 12, 1: 16 / 12, 2: -1 / 12},
-}
+# 4th-order central weights on offsets -2..2, one row per derivative order
+# 0, 1, 2 (times 1/h^order)
+_WEIGHTS = np.array([[0, 0, 12, 0, 0], [1, -8, 0, 8, -1], [-1, 16, -30, 16, -1]]) / 12
 
 
-def _grid_values(expr: KernelExpr, z, w, h: float) -> dict:
-    """Kernel values on the tensor grid z + h*o_z, w + h*o_w, offsets in
-    -2..2, evaluated as one batch of order-0 values."""
+def _stencil_sums(expr: KernelExpr, z, w, h: float) -> np.ndarray:
+    """Unscaled stencil sums of the kernel values on the grid z + h*o_z,
+    w + h*o_w: entry [a_1, ..., a_2m] (a k x k matrix) weighs offset axis e
+    by row a_e of _WEIGHTS, the z axes first."""
     m = expr.m
     z = as_point(z, m).array()
     w = as_point(w, m).array()
-    offsets = list(product(range(-2, 3), repeat=m))
-    grid = h * np.array(offsets)
-    n = len(offsets)
+    grid = h * np.array(list(product(range(-2, 3), repeat=m)))
+    n = len(grid)
     vals = expr.values(np.repeat(z + grid, n, axis=0), np.tile(w + grid, (n, 1)))
-    return {
-        (oz, ow): vals[a * n + b]
-        for a, oz in enumerate(offsets)
-        for b, ow in enumerate(offsets)
-    }
-
-
-def _apply_stencil(vals, i, j, m, h: float):
-    for e in (*i, *j):
-        if e > 2:
-            raise ValueError("finite-difference oracle supports order <= 2 per variable")
-    acc = None
-    axes = [_STENCILS[e] for e in (*i, *j)]
-    for combo in product(*[list(s.items()) for s in axes]):
-        offs = tuple(c[0] for c in combo)
-        coef = 1.0
-        for c in combo:
-            coef *= c[1]
-        key = (offs[:m], offs[m:])
-        term = coef * vals[key]
-        acc = term if acc is None else acc + term
-    return acc / h ** (sum(i) + sum(j))
+    sums = vals.reshape((5,) * (2 * m) + vals.shape[1:])
+    for _ in range(2 * m):  # the last offset axis becomes the first order axis
+        sums = np.tensordot(_WEIGHTS, sums, axes=(1, 2 * m - 1))
+    return sums
 
 
 def fd_jet_table(expr: KernelExpr, z, w, order: int, h: float = 0.02) -> dict:
     """Mixed derivatives up to `order` per group, via Richardson-extrapolated
     central differences; returns {(i, j): k x k matrix}."""
-    m = expr.m
-    coarse = _grid_values(expr, z, w, h)
-    fine = _grid_values(expr, z, w, h / 2)
-    indices = graded_lex_tuples(m, order)
-    out = {}
-    for i in indices:
-        for j in indices:
-            d_h = _apply_stencil(coarse, i, j, m, h)
-            d_h2 = _apply_stencil(fine, i, j, m, h / 2)
-            out[(i, j)] = (16.0 * d_h2 - d_h) / 15.0
-    return out
+    if order > 2:
+        raise ValueError("finite-difference oracle supports order <= 2 per variable")
+    indices = graded_lex_tuples(expr.m, order)
+    keys = [(i, j) for i in indices for j in indices]
+    orders = np.array([i + j for i, j in keys])  # one row of 2m orders per key
+    at = tuple(orders.T)
+    degree = orders.sum(axis=1)[:, None, None]
+    d_h = _stencil_sums(expr, z, w, h)[at] / h**degree
+    d_h2 = _stencil_sums(expr, z, w, h / 2)[at] / (h / 2) ** degree
+    return dict(zip(keys, (16.0 * d_h2 - d_h) / 15.0))
 
 
 def fd_relative_error(expr: KernelExpr, z, w, order: int, h: float = 0.02) -> float:

@@ -43,22 +43,21 @@ class GramReport:
     points: tuple[Point, ...]
     seed: int | None = None
 
+    def to_dict(self) -> dict:
+        return {
+            "kernel": self.kernel,
+            "points": [[[c.real, c.imag] for c in p.coords] for p in self.points],
+            "size": self.size,
+            "min_eig": self.min_eigenvalue,
+            "psd": self.psd,
+            "tol": self.tolerance,
+            "max_diagonal": self.max_diagonal,
+            "threshold": self.tolerance * (1 + self.max_diagonal),
+            "seed": self.seed,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kernel": self.kernel,
-                "points": [
-                    [[c.real, c.imag] for c in p.coords] for p in self.points
-                ],
-                "size": self.size,
-                "min_eig": self.min_eigenvalue,
-                "psd": self.psd,
-                "tol": self.tolerance,
-                "max_diagonal": self.max_diagonal,
-                "threshold": self.tolerance * (1 + self.max_diagonal),
-                "seed": self.seed,
-            }
-        )
+        return json.dumps(self.to_dict())
 
 
 @dataclass(frozen=True)
@@ -70,15 +69,16 @@ class WallachEstimate:
     resolution: float
     verdicts: tuple[tuple[float, bool], ...]
 
+    def to_dict(self) -> dict:
+        return {
+            "boundary": self.boundary,
+            "bracket": list(self.bracket),
+            "resolution": self.resolution,
+            "verdicts": [[t, bool(p)] for t, p in self.verdicts],
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "boundary": self.boundary,
-                "bracket": list(self.bracket),
-                "resolution": self.resolution,
-                "verdicts": [[t, bool(p)] for t, p in self.verdicts],
-            }
-        )
+        return json.dumps(self.to_dict())
 
 
 def _pairwise(points: np.ndarray, k: int, values_of) -> np.ndarray:

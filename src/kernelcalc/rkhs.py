@@ -148,15 +148,16 @@ class MultiplierBound:
     bracket: tuple[float, float]
     point_family: tuple[tuple[int, int], ...]
 
+    def to_dict(self) -> dict:
+        return {
+            "function": self.function,
+            "bound": self.bound,
+            "bracket": list(self.bracket),
+            "families": [list(f) for f in self.point_family],
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "function": self.function,
-                "bound": self.bound,
-                "bracket": list(self.bracket),
-                "families": [list(f) for f in self.point_family],
-            }
-        )
+        return json.dumps(self.to_dict())
 
 
 def _as_function(f, m):

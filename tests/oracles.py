@@ -2,17 +2,21 @@
 
 Each oracle computes a quantity that the engine also computes, by another
 route: the log-Hessian by the quotient formula from an order-1 jet, and the
-explicit ball matrix kernel from its hand-coded closed form, and seeded
-sampling by a loop that draws and tests one attempt at a time.
+explicit ball matrix kernel from its hand-coded closed form, seeded
+sampling by a loop that draws and tests one attempt at a time, and the
+finite-difference table by a loop over the terms of each 2m-variable
+stencil.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 
 from kernelcalc.errors import EvaluationError, ShapeError
 from kernelcalc.expr import KernelExpr
-from kernelcalc.geometry import DomainSpec, Point, as_point, unit_index
+from kernelcalc.geometry import DomainSpec, Point, as_point, graded_lex_tuples, unit_index
 
 
 def log_hessian_eval(expr: KernelExpr, z, w) -> np.ndarray:
@@ -76,3 +80,62 @@ def sample_points_per_attempt(domain: DomainSpec, count: int, seed: int) -> list
             continue
         pts.append(Point(z))
     return pts
+
+
+# 4th-order central stencils on offsets -2..2 (times 1/h, 1/h^2)
+_STENCILS = {
+    0: {0: 1.0},
+    1: {-2: 1 / 12, -1: -8 / 12, 1: 8 / 12, 2: -1 / 12},
+    2: {-2: -1 / 12, -1: 16 / 12, 0: -30 / 12, 1: 16 / 12, 2: -1 / 12},
+}
+
+
+def grid_values_per_term(expr: KernelExpr, z, w, h: float) -> dict:
+    """Kernel values on the tensor grid z + h*o_z, w + h*o_w, offsets in
+    -2..2, evaluated as one batch of order-0 values."""
+    m = expr.m
+    z = as_point(z, m).array()
+    w = as_point(w, m).array()
+    offsets = list(product(range(-2, 3), repeat=m))
+    grid = h * np.array(offsets)
+    n = len(offsets)
+    vals = expr.values(np.repeat(z + grid, n, axis=0), np.tile(w + grid, (n, 1)))
+    return {
+        (oz, ow): vals[a * n + b]
+        for a, oz in enumerate(offsets)
+        for b, ow in enumerate(offsets)
+    }
+
+
+def _apply_stencil(vals, i, j, m, h: float):
+    for e in (*i, *j):
+        if e > 2:
+            raise ValueError("finite-difference oracle supports order <= 2 per variable")
+    acc = None
+    axes = [_STENCILS[e] for e in (*i, *j)]
+    for combo in product(*[list(s.items()) for s in axes]):
+        offs = tuple(c[0] for c in combo)
+        coef = 1.0
+        for c in combo:
+            coef *= c[1]
+        key = (offs[:m], offs[m:])
+        term = coef * vals[key]
+        acc = term if acc is None else acc + term
+    return acc / h ** (sum(i) + sum(j))
+
+
+def fd_jet_table_per_term(expr: KernelExpr, z, w, order: int, h: float = 0.02) -> dict:
+    """`kernelcalc.fd.fd_jet_table` one stencil term at a time: each mixed
+    derivative sums its up to 5^(2m) weighted grid values in a Python loop,
+    then the same Richardson step."""
+    m = expr.m
+    coarse = grid_values_per_term(expr, z, w, h)
+    fine = grid_values_per_term(expr, z, w, h / 2)
+    indices = graded_lex_tuples(m, order)
+    out = {}
+    for i in indices:
+        for j in indices:
+            d_h = _apply_stencil(coarse, i, j, m, h)
+            d_h2 = _apply_stencil(fine, i, j, m, h / 2)
+            out[(i, j)] = (16.0 * d_h2 - d_h) / 15.0
+    return out

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kernelcalc.automorphisms import MobiusMap
 from kernelcalc.cli import main
 from kernelcalc.geometry import sample_points, unit_ball, unit_disc
 from kernelcalc.parser import parse_kernel
+from kernelcalc.positivity import psd_check, wallach_scan
+from kernelcalc.rkhs import multiplier_bound
 
 
 def _run(capsys, *argv):
@@ -193,6 +196,22 @@ def test_quasi_command_is_seeded_and_small(capsys):
         capsys, "quasi", "--kernel", "bergman_ball(2)", "--t", "1", "--seed", "3"
     )
     assert json.loads(out2) == data
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        lambda: psd_check(parse_kernel("ball_curvature(2,1.5)"), unit_ball(2, 0.8), 8, 23),
+        lambda: wallach_scan(parse_kernel("bergman_disc()"), -2.0, 0.0, unit_disc(0.8)),
+        lambda: multiplier_bound(parse_kernel("szego_disc()"), 0, unit_disc(0.8)),
+        lambda: MobiusMap((0.3, 0.1j), np.array([[0, 1j], [1, 0]])),
+    ],
+    ids=["GramReport", "WallachEstimate", "MultiplierBound", "MobiusMap"],
+)
+def test_record_dicts_encode_to_their_json(record):
+    # the CLI emits to_dict() payloads; to_json must be their exact encoding
+    r = record()
+    assert json.dumps(r.to_dict()) == r.to_json()
 
 
 def test_config_file_supplies_flags(tmp_path, capsys):

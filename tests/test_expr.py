@@ -28,6 +28,7 @@ from kernelcalc.expr import (
 from kernelcalc.fd import fd_jet_table, fd_relative_error
 from kernelcalc.geometry import sample_points, unit_ball, unit_disc
 from kernelcalc.parser import parse_kernel
+from oracles import fd_jet_table_per_term, grid_values_per_term
 
 
 def _scalar(expr, z, w):
@@ -237,6 +238,51 @@ def test_random_disc_asts_match_finite_differences(text, seed):
 _BALL_LEAVES = st.sampled_from(
     ["bergman_ball(2)", "ball_power(2, 1.5)", "ball_power(2, 0.5)"]
 )
+
+
+#: sum of |weights| of the order-0, 1 and 2 stencils (times 1/h^order)
+_STENCIL_ABS_SUMS = (1.0, 18 / 12, 64 / 12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    text=st.one_of(_disc_asts(3), _BALL_LEAVES),
+    order=st.integers(0, 2),
+    seed=st.integers(1, 100),
+)
+def test_fd_contraction_matches_the_per_term_stencil_loop(text, order, seed):
+    # the contraction only reorders the sums of the per-term loop: each entry
+    # moves by at most a few roundings of the largest grid value times the
+    # stencil's absolute weight, scaled like the Richardson step
+    expr = parse_kernel(text)
+    domain = unit_disc(0.35) if expr.m == 1 else unit_ball(expr.m, 0.35)
+    z, w = sample_points(domain, 2, seed)
+    h = 0.02
+    try:
+        old = fd_jet_table_per_term(expr, z, w, order, h)
+    except BranchError:
+        with pytest.raises(BranchError):
+            fd_jet_table(expr, z, w, order, h)
+        assume(False)
+    new = fd_jet_table(expr, z, w, order, h)
+    assert new.keys() == old.keys()
+    big = max(
+        np.abs(np.stack(list(grid_values_per_term(expr, z, w, step).values()))).max()
+        for step in (h, h / 2)
+    )
+    for (i, j), want in old.items():
+        weight = np.prod([_STENCIL_ABS_SUMS[e] for e in (*i, *j)])
+        tol = 4 * np.finfo(float).eps * weight * big * (17 / 15) / (h / 2) ** (sum(i) + sum(j))
+        assert np.abs(new[(i, j)] - want).max() <= tol
+
+
+def test_fd_refuses_order_three_before_evaluating_the_grids(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the grid was evaluated")
+
+    monkeypatch.setattr(SzegoDisc, "values", unreachable)
+    with pytest.raises(ValueError, match=r"supports order <= 2 per variable"):
+        fd_jet_table(SzegoDisc(), 0.1, 0.2, 3)
 
 
 def _ball_scalars(depth: int):
