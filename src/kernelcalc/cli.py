@@ -23,7 +23,6 @@ import functools
 import json
 import math
 import sys
-from itertools import chain
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from . import __version__
 from .automorphisms import MobiusMap, curvature_quasi_check
 from .eig import eigenvalues
 from .errors import BracketError, KernelCalcError, ParseError
-from .geometry import sample_points, unit_ball, unit_disc
+from .geometry import graded_lex_tuples, sample_points, unit_ball, unit_disc
 from .parser import parse_kernel
 from .positivity import DEFAULT_TOL, gram, psd_check, wallach_scan
 from .repro import run_all
@@ -98,12 +97,12 @@ def cmd_eval(args) -> int:
     w = _parse_point(args.w, "--w")
     report = _provenance(args, expr.to_dsl())
     if args.order > 0:
-        entries = expr.eval_jet(z, w, args.order).entries
-        label = {idx: f"{list(idx)}" for idx in dict.fromkeys(chain.from_iterable(entries))}
+        derivatives = expr.eval_jet(z, w, args.order).derivatives
+        labels = [f"{list(i)}" for i in graded_lex_tuples(expr.m, args.order)]
         report["order"] = args.order
         report["entries"] = dict(zip(
-            [f"{label[i]}|{label[j]}" for i, j in entries],
-            _complex_lists(np.stack(list(entries.values()))),
+            [f"{i}|{j}" for i in labels for j in labels],
+            _complex_lists(derivatives.reshape((-1,) + derivatives.shape[2:])),
         ))
     else:
         report["value"] = _complex_lists(np.atleast_2d(expr.eval(z, w)))

@@ -11,14 +11,16 @@ once for a whole batch of pairs.  `log_jet` gives the continuous branch of
 log K of a size-1 node, so every size-1 node, derived kernels included,
 composes under the scalar combinators.
 
-`values(zs, ws)` evaluates B pairs at once; `eval` is its batch of one and
-`eval_jet` runs the same arrays at batch size one, so batched and per-pair
-values agree bit for bit.  A failing pair (outside the domain, across a
-branch cut, not finite) is named in the error.
+`values(zs, ws)` evaluates B pairs at once and `eval` is its batch of one;
+`eval_jets(zs, ws, order)` gives the jet tables of B pairs at once and
+`eval_jet` is its batch of one, so batched and per-pair results agree bit
+for bit.  A failing pair (outside the domain, across a branch cut, not
+finite) is named in the error.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import BranchError, DomainError, EvaluationError, OrderCapError, ShapeError
 from .geometry import as_point, graded_lex_tuples, in_unit_ball, point_array, unit_index
-from .jets import Jet, check_finite, variable_jets
+from .jets import Jet, check_finite, coordinate_products, monomial_index
 
 #: default cap on the derivative order of eval_jet
 DEFAULT_ORDER_CAP = 4
@@ -119,20 +121,30 @@ class KernelExpr:
         return self.values(as_point(z, self.m).array()[None],
                            as_point(w, self.m).array()[None])[0]
 
-    def eval_jet(self, z, w, order: int, cap: int = DEFAULT_ORDER_CAP) -> "JetTable":
-        """All mixed derivatives d^i dbar^j of the kernel with |i|,|j| <= order."""
+    def eval_jets(self, zs, ws, order: int, cap: int = DEFAULT_ORDER_CAP) -> list:
+        """The JetTables of the B pairs (zs[p], ws[p]), from one batch of jets.
+
+        Lower coefficients do not depend on the truncation caps, so each
+        table equals its own `eval_jet` bit for bit.
+        """
         if order < 0:
             raise ValueError("order must be >= 0")
         if order > cap:
             raise OrderCapError(f"order {order} exceeds cap {cap}")
-        z = as_point(z, self.m).array()[None]
-        w = as_point(w, self.m).array()[None]
-        self._check_pairs(z, w)
-        with _naming_pairs(z, w):
-            jet = self.jets(z, w, order, order)
+        zs, ws = point_array(zs, self.m), point_array(ws, self.m)
+        if zs.shape != ws.shape:
+            raise ShapeError("eval_jets needs as many z as w points")
+        self._check_pairs(zs, ws)
+        with _naming_pairs(zs, ws):
+            jet = self.jets(zs, ws, order, order)
             check_finite(jet.coeffs, "kernel jet")
-        entries = {key: mat[0] for key, mat in jet.derivatives().items()}
-        return JetTable(order=order, m=self.m, size=self.size, entries=entries)
+        # (B, k, k, N, N) -> (B, N, N, k, k): one k x k block per derivative
+        blocks = np.ascontiguousarray(np.moveaxis(jet.derivatives(), (-2, -1), (1, 2)))
+        return [JetTable(order, self.m, self.size, d) for d in blocks]
+
+    def eval_jet(self, z, w, order: int, cap: int = DEFAULT_ORDER_CAP) -> "JetTable":
+        """All mixed derivatives d^i dbar^j of the kernel with |i|,|j| <= order."""
+        return self.eval_jets([z], [w], order, cap)[0]
 
     # -- printing --------------------------------------------------------
 
@@ -151,20 +163,31 @@ class KernelExpr:
 
 @dataclass(frozen=True)
 class JetTable:
-    """Mixed Wirtinger derivatives of a kernel at one pair, up to a cutoff."""
+    """Mixed Wirtinger derivatives of a kernel at one pair, up to a cutoff.
+
+    `derivatives[a, b]` is the k x k matrix d^i dbar^j K for the a-th and
+    b-th multi-indices i, j of degree <= order in graded lex order.
+    """
 
     order: int
     m: int
     size: int
-    entries: dict
+    derivatives: np.ndarray
 
     def entry(self, i, j) -> np.ndarray:
-        return self.entries[(tuple(i), tuple(j))]
+        index = monomial_index(self.m, self.order)
+        return self.derivatives[index[tuple(i)], index[tuple(j)]]
+
+    @functools.cached_property
+    def entries(self) -> dict:
+        """{(i, j): k x k matrix} for all multi-indices i, j."""
+        index = monomial_index(self.m, self.order)
+        return {(i, j): self.derivatives[a, b]
+                for i, a in index.items() for j, b in index.items()}
 
     @property
     def value(self) -> np.ndarray:
-        zero = (0,) * self.m
-        return self.entries[(zero, zero)]
+        return self.derivatives[0, 0]
 
 
 def _num(x) -> str:
@@ -187,12 +210,22 @@ def _matrix(rows) -> Jet:
     return Jet(first.m, first.nz, first.nw, coeffs)
 
 
-def _one_minus_inner(zv, wv) -> Jet:
-    """The jet of 1 - <z, w> from seeded coordinate jets."""
-    u = 1.0
-    for zk, wk in zip(zv, wv):
-        u = u - zk * wk
-    return u
+def _inner_terms(z, w, m, nz, nw) -> list:
+    """The jets z_k wbar_k, batch (B,), for k < m."""
+    k = np.arange(m)
+    p = coordinate_products(z, w, m, nz, nw, k, k).coeffs
+    return [Jet(m, nz, nw, p[:, i]) for i in range(m)]
+
+
+def _one_minus(terms) -> Jet:
+    """The jet of 1 minus the given jets, subtracted in order, in place."""
+    terms = iter(terms)
+    first = next(terms)
+    u = np.negative(first.coeffs)
+    u[..., 0, 0] += 1.0
+    for term in terms:
+        u -= term.coeffs
+    return Jet(first.m, first.nz, first.nw, u)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +243,7 @@ class SzegoDisc(KernelExpr):
         return np.abs(p[..., 0]) < 1
 
     def _base_jet(self, z, w, nz, nw):
-        zv, wv = variable_jets(z, w, 1, nz, nw)
-        return _one_minus_inner(zv, wv)
+        return _one_minus(_inner_terms(z, w, 1, nz, nw))
 
     def jets(self, z, w, nz, nw):
         return _scalar(self._base_jet(z, w, nz, nw) ** -1)
@@ -242,8 +274,7 @@ class BallPower(KernelExpr):
         return in_unit_ball(p)
 
     def _base_jet(self, z, w, nz, nw):
-        zv, wv = variable_jets(z, w, self.dim, nz, nw)
-        return _one_minus_inner(zv, wv)
+        return _one_minus(_inner_terms(z, w, self.dim, nz, nw))
 
     def jets(self, z, w, nz, nw):
         # 1 - <z, w> stays in the right half-plane on the ball, so the
@@ -284,8 +315,7 @@ class DiagonalSeries(KernelExpr):
         return np.abs(p[..., 0]) < 1
 
     def jets(self, z, w, nz, nw):
-        zv, wv = variable_jets(z, w, 1, nz, nw)
-        p = zv[0] * wv[0]
+        (p,) = _inner_terms(z, w, 1, nz, nw)
         acc = 1.0 + 0.0 * p  # promotes to a jet of the right shape
         power = None
         for a in self.coefficients:
@@ -577,8 +607,9 @@ class JetKernel(KernelExpr):
         j1 = self.k1.jets(z, w, nz, nw)
         j2 = self.k2.jets(z, w, nz + k, nw + k)
         indices = graded_lex_tuples(self.m, k)
-        return j1 * _matrix([[j2.shift(i, j).truncate(nz, nw) for j in indices]
-                             for i in indices])
+        # truncating before the shift leaves exactly the caps (nz, nw)
+        return j1 * _matrix([[j2.truncate(nz + sum(i), nw + sum(j)).shift(i, j)
+                              for j in indices] for i in indices])
 
     def to_dsl(self):
         return f"jet({self.k1.to_dsl()}, {self.k2.to_dsl()}, {self.order})"
@@ -613,22 +644,13 @@ class BallCurvature(KernelExpr):
 
     def jets(self, z, w, nz, nw):
         m = self.dim
-        zv, wv = variable_jets(z, w, m, nz, nw)
-        pref = _one_minus_inner(zv, wv) ** (-self.lam)
-        rows = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                if i == j:
-                    e = 1.0 + 0.0 * pref
-                    for kk in range(m):
-                        if kk != i:
-                            e = e - zv[kk] * wv[kk]
-                else:
-                    e = zv[j] * wv[i]
-                row.append(_scalar(e))
-            rows.append(row)
-        return _scalar(pref) * _matrix(rows)
+        rows, cols = np.indices((m, m))
+        entries = coordinate_products(z, w, m, nz, nw, cols, rows).coeffs  # z_j wbar_i
+        diagonal = [Jet(m, nz, nw, entries[:, i, i].copy()) for i in range(m)]
+        pref = _one_minus(diagonal) ** (-self.lam)
+        for i in range(m):  # 1 - sum_{j != i} z_j wbar_j on the diagonal
+            entries[:, i, i] = _one_minus(d for j, d in enumerate(diagonal) if j != i).coeffs
+        return _scalar(pref) * Jet(m, nz, nw, entries)
 
     def to_dsl(self):
         return f"ball_curvature({self.dim}, {_num(float(self.lam))})"

@@ -4,8 +4,9 @@ Independent of the jet engine: derivatives of eval(expr, ., .) are taken by
 fourth-order central stencils in the holomorphic variables z_i and the
 conjugated variables (varying w along the real axis differentiates with
 respect to wbar).  All stencil nodes for one pair live on a shared tensor
-grid, offsets -2..2 in each of the 2m variables, evaluated as one batch of
-order-0 kernel values, so the oracle never reads a jet coefficient.
+grid, offsets -2..2 in each of the 2m variables; the grids of both steps
+(h and h/2) are evaluated as one batch of order-0 kernel values, so the
+oracle never reads a jet coefficient.
 
 The 2m-variable stencil is the tensor product of the 1-D ones, so the grid
 is contracted once along each offset axis with the 3 x 5 matrix of 1-D
@@ -28,20 +29,26 @@ from .geometry import as_point, graded_lex_tuples
 _WEIGHTS = np.array([[0, 0, 12, 0, 0], [1, -8, 0, 8, -1], [-1, 16, -30, 16, -1]]) / 12
 
 
-def _stencil_sums(expr: KernelExpr, z, w, h: float) -> np.ndarray:
-    """Unscaled stencil sums of the kernel values on the grid z + h*o_z,
-    w + h*o_w: entry [a_1, ..., a_2m] (a k x k matrix) weighs offset axis e
-    by row a_e of _WEIGHTS, the z axes first."""
+def _stencil_sums(expr: KernelExpr, z, w, steps) -> list:
+    """Unscaled stencil sums of the kernel values on the grids z + h*o_z,
+    w + h*o_w, one per step h, all evaluated as one batch: entry
+    [a_1, ..., a_2m] (a k x k matrix) weighs offset axis e by row a_e of
+    _WEIGHTS, the z axes first."""
     m = expr.m
     z = as_point(z, m).array()
     w = as_point(w, m).array()
-    grid = h * np.array(list(product(range(-2, 3), repeat=m)))
-    n = len(grid)
-    vals = expr.values(np.repeat(z + grid, n, axis=0), np.tile(w + grid, (n, 1)))
-    sums = vals.reshape((5,) * (2 * m) + vals.shape[1:])
-    for _ in range(2 * m):  # the last offset axis becomes the first order axis
-        sums = np.tensordot(_WEIGHTS, sums, axes=(1, 2 * m - 1))
-    return sums
+    offsets = np.array(list(product(range(-2, 3), repeat=m)))
+    n = len(offsets)
+    zs = np.concatenate([np.repeat(z + h * offsets, n, axis=0) for h in steps])
+    ws = np.concatenate([np.tile(w + h * offsets, (n, 1)) for h in steps])
+    vals = expr.values(zs, ws)
+    out = []
+    for grid in np.split(vals, len(steps)):
+        sums = grid.reshape((5,) * (2 * m) + vals.shape[1:])
+        for _ in range(2 * m):  # the last offset axis becomes the first order axis
+            sums = np.tensordot(_WEIGHTS, sums, axes=(1, 2 * m - 1))
+        out.append(sums)
+    return out
 
 
 def fd_jet_table(expr: KernelExpr, z, w, order: int, h: float = 0.02) -> dict:
@@ -54,8 +61,9 @@ def fd_jet_table(expr: KernelExpr, z, w, order: int, h: float = 0.02) -> dict:
     orders = np.array([i + j for i, j in keys])  # one row of 2m orders per key
     at = tuple(orders.T)
     degree = orders.sum(axis=1)[:, None, None]
-    d_h = _stencil_sums(expr, z, w, h)[at] / h**degree
-    d_h2 = _stencil_sums(expr, z, w, h / 2)[at] / (h / 2) ** degree
+    coarse, fine = _stencil_sums(expr, z, w, (h, h / 2))
+    d_h = coarse[at] / h**degree
+    d_h2 = fine[at] / (h / 2) ** degree
     return dict(zip(keys, (16.0 * d_h2 - d_h) / 15.0))
 
 

@@ -17,19 +17,39 @@ result equals the one-entry results bit for bit.
 Products, shifts and embeddings use index tables that are built on first
 use and cached per (m, degree) of one variable group; a product contracts
 the w group and then the z group, for a bounded run of output z-monomials
-at a time, so no table or temporary spans all z-pairs times all w-pairs.  pow, log and exp
-compose the univariate series through the standard recurrences, so results
-are exact to the truncation order.  Their branch, zero-base and non-finite
-checks are vectorized: each raises for the first bad batch entry and
-records its index as the error's `batch_index`.
+at a time, so no table or temporary spans all z-pairs times all w-pairs.
+
+pow, exp and log solve for their series one total degree D = |a| + |b| at
+a time, by the Euler-operator recurrences of Taylor arithmetic (Griewank &
+Walther, "Evaluating Derivatives", ch. 13).  With g = c0 (1 + x) for pow
+and log, g = c0 + x for exp, and x without constant term:
+
+    (1 + x)^t:   D h_D = sum (t |l| - |r|) x_l h_r,    h_0 = 1
+    exp(x):      D h_D = sum |l| x_l h_r,              h_0 = 1
+    log(1 + x):  D h_D = D x_D - sum |r| x_l h_r,      h_0 = 0
+
+summed over the pairs (l, r) with l + r = an output monomial of degree D,
+so each degree needs only lower ones and the result is exact to the caps.
+That is one pass over the pairs of one product, where summing the powers
+x, x^2, ... took nz + nw - 1 products.  The pairs of each degree form a
+flat table over the Nz * Nw monomials, int32 indices sorted by output;
+an (m, nz, nw) table has C(2m + nz, 2m) * C(2m + nw, 2m) pairs, e.g.
+44,100 at m = 3 and caps (4, 4), 213,444 at (5, 5) and 853,776 at (6, 6).
+Tables of at most `_TABLE_BUDGET` pairs (65,536, about 0.5 MB) are cached;
+larger ones are rebuilt on each call, one degree at a time, so they never
+stay in memory.  The pairs are applied in runs of at most `_PRODUCT_CHUNK`
+temporary entries, like a product's.  At caps (0, 0) there is no series
+work at all.
+
+The branch, zero-base and non-finite checks of pow, exp and log are
+vectorized: each raises for the first bad batch entry and records its
+index as the error's `batch_index`.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import operator
 
 import numpy as np
 
@@ -70,15 +90,8 @@ class _Group:
         run unless one monomial alone has more."""
         left, right, starts = self.pairs
         bounds = np.r_[starts, len(left)]
-        out, k0 = [], 0
-        while k0 < self.size:
-            k1 = k0 + 1
-            while k1 < self.size and bounds[k1 + 1] - bounds[k0] <= max_pairs:
-                k1 += 1
-            s0, s1 = bounds[k0], bounds[k1]
-            out.append((slice(k0, k1), left[s0:s1], right[s0:s1], starts[k0:k1] - s0))
-            k0 = k1
-        return out
+        return [(slice(k0, k1), left[s0:s1], right[s0:s1], starts[k0:k1] - s0)
+                for k0, k1, s0, s1 in _cuts(bounds, max_pairs)]
 
     @functools.cache
     def shift(self, d: tuple) -> tuple:
@@ -105,6 +118,12 @@ def _group(m: int, n: int) -> _Group:
     return _Group(m, n)
 
 
+def monomial_index(m: int, n: int) -> dict:
+    """{multi-index: position} of the monomials of degree <= n in m
+    variables along a coefficient axis (graded lex order); do not modify."""
+    return _group(m, n).index
+
+
 def _fail_where(mask, error, message):
     """Raise `error` for the first batch entry where `mask` holds; `message`
     maps that entry's batch index to the error text."""
@@ -128,6 +147,23 @@ def check_finite(coeffs: np.ndarray, what: str) -> None:
 _PRODUCT_CHUNK = 1 << 12
 
 
+def _cuts(bounds: np.ndarray, max_pairs: int):
+    """Yield (k0, k1, s0, s1) for runs of consecutive outputs k0 .. k1 - 1,
+    whose pairs s0 .. s1 - 1 (output k has bounds[k] .. bounds[k + 1] - 1)
+    number at most `max_pairs` unless one output alone has more."""
+    k0 = 0
+    while k0 < len(bounds) - 1:
+        k1 = max(int(np.searchsorted(bounds, bounds[k0] + max_pairs, "right")) - 1, k0 + 1)
+        yield k0, k1, bounds[k0], bounds[k1]
+        k0 = k1
+
+
+def _run_pairs(per_pair: int) -> int:
+    """Pairs per run of a product whose pairs each take `per_pair` entries
+    of the temporary; a power of two, so that few run tables are cached."""
+    return 1 << (max(_PRODUCT_CHUNK // max(per_pair, 1), 1).bit_length() - 1)
+
+
 def _convolve(x: np.ndarray, y: np.ndarray, gz: _Group, gw: _Group) -> np.ndarray:
     """Truncated Leibniz product of two coefficient arrays (batch broadcast).
 
@@ -141,10 +177,7 @@ def _convolve(x: np.ndarray, y: np.ndarray, gz: _Group, gw: _Group) -> np.ndarra
     wl, wr, wstarts = gw.pairs
     batch = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
     out = np.empty(batch + (gz.size, gw.size), dtype=complex)
-    per_pair = math.prod(batch) * len(wl)
-    # a power of two, so that few run tables are cached per group
-    max_pairs = 1 << (max(_PRODUCT_CHUNK // max(per_pair, 1), 1).bit_length() - 1)
-    for rows, zl, zr, zstarts in gz.chunks(max_pairs):
+    for rows, zl, zr, zstarts in gz.chunks(_run_pairs(math.prod(batch) * len(wl))):
         terms = x[..., zl, :][..., wl]
         terms = np.multiply(terms, y[..., zr, :][..., wr],
                             out=terms if x.shape[:-2] == batch else None)
@@ -207,18 +240,11 @@ class Jet:
         """The constant terms, one per batch entry."""
         return self.coeffs[..., 0, 0]
 
-    def derivatives(self) -> dict:
-        """All mixed derivatives (d/dz)^a (d/dwbar)^b at the base point, as
-        {(a, b): array of the batch shape}."""
+    def derivatives(self) -> np.ndarray:
+        """All mixed derivatives (d/dz)^a (d/dwbar)^b at the base point: the
+        coefficients times a! b!, shape (*batch, Nz, Nw)."""
         gz, gw = _group(self.m, self.nz), _group(self.m, self.nw)
-        scaled = self.coeffs * (gz.factorials[:, None] * gw.factorials[None, :])
-        # one contiguous batch-shaped block per derivative
-        blocks = np.ascontiguousarray(np.moveaxis(scaled, (-2, -1), (0, 1)))
-        return {
-            (a, b): blocks[i, j]
-            for i, a in enumerate(gz.tuples)
-            for j, b in enumerate(gw.tuples)
-        }
+        return self.coeffs * (gz.factorials[:, None] * gw.factorials[None, :])
 
     def deriv(self, i, j):
         """Mixed Wirtinger derivative (d/dz)^i (d/dwbar)^j at the base point."""
@@ -305,32 +331,47 @@ class Jet:
     def __rtruediv__(self, other):
         return self ** -1 * complex(other)
 
-    def _series_parts(self, what: str):
-        """(c0, x) with self = c0 + x: the constant terms and a private copy
-        of the coefficients with them zeroed; all must be finite."""
+    def _constant(self, what: str):
+        """The constant terms c0; all coefficients must be finite."""
         check_finite(self.coeffs, f"{what} argument")
-        c0 = self.value
-        x = self.coeffs.copy()
-        x[..., 0, 0] = 0
-        return c0, x
+        return self.value
 
-    def _sum_powers(self, u: "Jet", weights) -> np.ndarray:
-        """sum_k weights[k-1] u^k over k = 1 .. nz + nw, the truncation
-        order; u has no constant term, so the sum stops once u^k vanishes."""
-        acc = np.zeros_like(u.coeffs)
-        term = None
-        for w in itertools.islice(weights, self.nz + self.nw):
-            term = u if term is None else term * u
-            if not term.coeffs.any():
-                break
-            acc += term.coeffs * complex(w)
-        return acc
+    def _series(self, scale, a: float, b: float, c: float, h0: float) -> np.ndarray:
+        """The series h of x = (self - c0) * scale with h_0 = h0 and
+        D h_D = c D x_D + sum (a |l| + b |r|) x_l h_r for D = 1 .. nz + nw.
+
+        The sum runs over the pairs (l, r) with l + r of total degree D;
+        x has no constant term, so h_D needs only lower degrees.  With
+        |r| = D - |l| each term is x_l h_r weighted by ((a - b) |l| + b D) / D.
+        """
+        h = np.zeros_like(self.coeffs)
+        h[..., 0, 0] = h0
+        if self.nz == self.nw == 0:
+            return h
+        x = self.coeffs * scale
+        x[..., 0, 0] = 0
+        shape = x.shape
+        flat = shape[:-2] + (shape[-2] * shape[-1],)
+        x, h = x.reshape(flat), h.reshape(flat)
+        m, nz, nw = self.m, self.nz, self.nw
+        degrees = _total_degrees(m, nz, nw)
+        for degree, runs in _series_runs(m, nz, nw, _run_pairs(math.prod(shape[:-2]))):
+            weights = degrees * ((a - b) / degree) + b  # one per left monomial
+            for out, left, right, starts in runs:
+                terms = np.take(x, left, axis=-1)
+                terms *= np.take(weights, left)
+                terms *= np.take(h, right, axis=-1)
+                sums = np.add.reduceat(terms, starts, axis=-1)
+                if c:
+                    sums += c * x[..., out]
+                h[..., out] = sums
+        return h.reshape(shape)
 
     def __pow__(self, t):
         t = float(t)
         if not math.isfinite(t):
             raise EvaluationError(f"jet power with non-finite exponent {t}")
-        c0, x = self._series_parts("pow base")
+        c0 = self._constant("pow base")
         _fail_where(c0 == 0, EvaluationError,
                     lambda i: "jet power of a series with zero constant term")
         is_integer = t == int(t)
@@ -341,42 +382,115 @@ class Jet:
             ))
         with np.errstate(all="ignore"):
             head = c0 ** t if is_integer else np.exp(t * np.log(c0))
-            # (c0 + x)^t = c0^t (1 + sum_k binom(t, k) (x/c0)^k), truncated
-            x *= (1.0 / c0)[..., None, None]
-            binomials = itertools.accumulate(
-                ((t - k) / (k + 1) for k in itertools.count()), operator.mul
-            )
-            out = self._sum_powers(self._like(x), binomials)
-            out[..., 0, 0] += 1
+            # (c0 + x)^t = c0^t (1 + x/c0)^t
+            out = self._series((1.0 / c0)[..., None, None], t, -1.0, 0.0, 1.0)
             out *= head[..., None, None]
         check_finite(out, "jet power")
         return self._like(out)
 
     def exp(self):
-        c0, x = self._series_parts("exp argument")
+        c0 = self._constant("exp argument")
         with np.errstate(all="ignore"):
-            inverse_factorials = itertools.accumulate(
-                (1 / k for k in itertools.count(1)), operator.mul
-            )
-            out = self._sum_powers(self._like(x), inverse_factorials)
-            out[..., 0, 0] += 1
+            out = self._series(1.0, 1.0, 0.0, 0.0, 1.0)
             out *= np.exp(c0)[..., None, None]
         check_finite(out, "jet exp")
         return self._like(out)
 
     def log(self):
-        c0, x = self._series_parts("log argument")
+        c0 = self._constant("log argument")
         _fail_where(c0.real <= 0, BranchError, lambda i: (
             f"log base has non-positive real part ({complex(c0[i]):.6g}); "
             "principal branch unavailable"
         ))
         with np.errstate(all="ignore"):
-            x *= (1.0 / c0)[..., None, None]
-            alternating = ((-1.0) ** (k + 1) / k for k in itertools.count(1))
-            out = self._sum_powers(self._like(x), alternating)
+            # log(c0 + x) = log(c0) + log(1 + x/c0)
+            out = self._series((1.0 / c0)[..., None, None], 0.0, -1.0, 1.0, 0.0)
             out[..., 0, 0] += np.log(c0)
         check_finite(out, "jet log")
         return self._like(out)
+
+
+# -- series by the Euler-operator recurrence ---------------------------------
+
+#: pairs in one (m, nz, nw) series table that may be cached (about 0.5 MB);
+#: a larger table is rebuilt on each call, one total degree at a time
+_TABLE_BUDGET = 1 << 16
+
+
+def _degree_tables(m: int, nz: int, nw: int):
+    """Yield (D, out, left, right, starts) for each total degree D = 1 .. nz + nw.
+
+    Positions are flattened, i * Nw + j for z-monomial i and w-monomial j.
+    `out` holds the output monomials of degree D; `left` and `right` list,
+    for each output in turn, every pair of monomials whose product it is
+    (z pair major), and `starts` is where each output's pairs begin.  An
+    output's pairs are the z pairs of its z part times the w pairs of its w
+    part, so the tables are built one block of degrees (dz, D - dz) at a
+    time from the group tables.
+    """
+    gz, gw = _group(m, nz), _group(m, nw)
+    groups = []
+    for g in (gz, gw):
+        left, right, starts = g.pairs
+        bounds = np.r_[starts, len(left)]
+        product = np.repeat(np.arange(g.size, dtype=np.int32), np.diff(bounds))
+        first = np.searchsorted([sum(a) for a in g.tuples], np.arange(g.n + 2))
+        groups.append((left.astype(np.int32), right.astype(np.int32), product,
+                       bounds, np.diff(bounds), first))
+    (zl, zr, zk, zb, zlen, zfirst), (wl, wr, wk, wb, wlen, wfirst) = groups
+    nw_size = np.int32(gw.size)
+    for degree in range(1, nz + nw + 1):
+        outs, lefts, rights, counts = [], [], [], []
+        for dz in range(max(0, degree - nw), min(nz, degree) + 1):
+            kz = slice(zfirst[dz], zfirst[dz + 1])
+            kw = slice(wfirst[degree - dz], wfirst[degree - dz + 1])
+            pz, pw = slice(zb[kz.start], zb[kz.stop]), slice(wb[kw.start], wb[kw.stop])
+            order = np.argsort((zk[pz, None] * nw_size + wk[pw]).ravel(), kind="stable")
+            lefts.append((zl[pz, None] * nw_size + wl[pw]).ravel()[order])
+            rights.append((zr[pz, None] * nw_size + wr[pw]).ravel()[order])
+            outs.append((np.arange(kz.start, kz.stop)[:, None] * gw.size
+                         + np.arange(kw.start, kw.stop)).ravel())
+            counts.append(np.multiply.outer(zlen[kz], wlen[kw]).ravel())
+        counts = np.concatenate(counts)
+        yield (degree, np.concatenate(outs), np.concatenate(lefts),
+               np.concatenate(rights), np.cumsum(counts) - counts)
+
+
+def _runs(out, left, right, starts, max_pairs: int) -> list:
+    """The table of one degree cut into runs of consecutive outputs,
+    (out, left, right, starts) each, as `_cuts` cuts them."""
+    bounds = np.r_[starts, len(left)]
+    return [(out[k0:k1], left[s0:s1], right[s0:s1], starts[k0:k1] - s0)
+            for k0, k1, s0, s1 in _cuts(bounds, max_pairs)]
+
+
+@functools.cache
+def _cached_tables(m: int, nz: int, nw: int) -> list:
+    return list(_degree_tables(m, nz, nw))
+
+
+@functools.cache
+def _cached_runs(m: int, nz: int, nw: int, max_pairs: int) -> list:
+    return [(degree, _runs(*table, max_pairs))
+            for degree, *table in _cached_tables(m, nz, nw)]
+
+
+def _series_runs(m: int, nz: int, nw: int, max_pairs: int):
+    """(D, runs) per total degree: cached while the table fits the budget,
+    else built as it is consumed."""
+    pairs = len(_group(m, nz).pairs[0]) * len(_group(m, nw).pairs[0])
+    if pairs <= _TABLE_BUDGET:
+        return _cached_runs(m, nz, nw, max_pairs)
+    return ((degree, _runs(*table, max_pairs))
+            for degree, *table in _degree_tables(m, nz, nw))
+
+
+@functools.cache
+def _total_degrees(m: int, nz: int, nw: int) -> np.ndarray:
+    """|a| + |b| of every flattened monomial (a, b)."""
+    dz = np.array([sum(a) for a in _group(m, nz).tuples], dtype=float)
+    dw = np.array([sum(b) for b in _group(m, nw).tuples], dtype=float)
+    return (dz[:, None] + dw).ravel()
 
 
 def variable_jets(z, w, m, nz, nw):
@@ -390,3 +504,31 @@ def variable_jets(z, w, m, nz, nw):
     zv = [Jet.variable_z(k, z[..., k], m, nz, nw) for k in range(m)]
     wv = [Jet.variable_wbar(k, w[..., k], m, nz, nw) for k in range(m)]
     return zv, wv
+
+
+def coordinate_products(z, w, m, nz, nw, i, j) -> Jet:
+    """The jets of z_i wbar_j for index arrays i and j of one shape S:
+    batch (*batch, *S).
+
+    z and w are as for `variable_jets`.  The coefficients are filled in
+    directly: the constant z_i conj(w_j), the z-linear term wbar_j at e_i,
+    the wbar-linear term z_i at e_j and 1 at (e_i, e_j); nothing else is
+    nonzero.  The values equal the products of the `variable_jets` seeds.
+    """
+    zi = np.asarray(z, dtype=complex)[..., i]
+    wj = np.conj(np.asarray(w, dtype=complex))[..., j]
+    value = zi * wj
+    if nz == nw == 0:
+        return Jet(m, 0, 0, value[..., None, None])
+    coeffs = np.zeros(value.shape + (_group(m, nz).size, _group(m, nw).size), dtype=complex)
+    coeffs[..., 0, 0] = value
+    # one axis over the products; graded lex order puts e_k at position 1 + k
+    flat = coeffs.reshape(value.shape[: value.ndim - i.ndim] + (i.size,) + coeffs.shape[-2:])
+    each, i, j = np.arange(i.size), 1 + i.ravel(), 1 + j.ravel()
+    if nz >= 1:
+        flat[..., each, i, 0] = wj.reshape(flat.shape[:-2])
+    if nw >= 1:
+        flat[..., each, 0, j] = zi.reshape(flat.shape[:-2])
+    if nz >= 1 and nw >= 1:
+        flat[..., each, i, j] = 1.0
+    return Jet(m, nz, nw, coeffs)

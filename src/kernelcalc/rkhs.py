@@ -82,20 +82,24 @@ def inner_product(e1: RkhsElement, e2: RkhsElement) -> complex:
     """<e1, e2> expanded through the derivative reproducing rule.
 
     <dbar^j K(., w) eta, dbar^i K(., v) xi> = <(d^i dbar^j K)(v, w) eta, xi>,
-    pulled from jets of the kernel.
+    pulled from the jets of all term pairs, evaluated as one batch at the
+    largest order any pair needs.
     """
     if e1.kernel != e2.kernel:
         raise ShapeError("elements must reference the same kernel")
-    k = e1.kernel
+    pairs = [(s, t) for s in e1.terms for t in e2.terms]
+    if not pairs:
+        return 0j
+    order = max(max(s.index.order, t.index.order) for s, t in pairs)
+    tables = e1.kernel.eval_jets(
+        [t.base for _, t in pairs], [s.base for s, _ in pairs], order
+    )
     acc = 0j
-    for s in e1.terms:
-        for t in e2.terms:
-            order = max(s.index.order, t.index.order)
-            table = k.eval_jet(t.base, s.base, order)
-            mat = table.entry(t.index.entries, s.index.entries)
-            eta = np.array(s.direction)
-            xi = np.array(t.direction)
-            acc += s.coef * t.coef.conjugate() * (xi.conj() @ (mat @ eta))
+    for (s, t), table in zip(pairs, tables):
+        mat = table.entry(t.index.entries, s.index.entries)
+        eta = np.array(s.direction)
+        xi = np.array(t.direction)
+        acc += s.coef * t.coef.conjugate() * (xi.conj() @ (mat @ eta))
     return acc
 
 

@@ -3,13 +3,16 @@
 Each oracle computes a quantity that the engine also computes, by another
 route: the log-Hessian by the quotient formula from an order-1 jet, and the
 explicit ball matrix kernel from its hand-coded closed form, seeded
-sampling by a loop that draws and tests one attempt at a time, and the
+sampling by a loop that draws and tests one attempt at a time, the
 finite-difference table by a loop over the terms of each 2m-variable
-stencil.
+stencil, jet pow, exp and log by summing the powers of the series
+argument, and RKHS inner products by one jet table per pair of terms.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from itertools import product
 
 import numpy as np
@@ -17,6 +20,8 @@ import numpy as np
 from kernelcalc.errors import EvaluationError, ShapeError
 from kernelcalc.expr import KernelExpr
 from kernelcalc.geometry import DomainSpec, Point, as_point, graded_lex_tuples, unit_index
+from kernelcalc.jets import Jet
+from kernelcalc.rkhs import RkhsElement
 
 
 def log_hessian_eval(expr: KernelExpr, z, w) -> np.ndarray:
@@ -139,3 +144,71 @@ def fd_jet_table_per_term(expr: KernelExpr, z, w, order: int, h: float = 0.02) -
             d_h2 = _apply_stencil(fine, i, j, m, h / 2)
             out[(i, j)] = (16.0 * d_h2 - d_h) / 15.0
     return out
+
+
+def _sum_powers(self: Jet, u: Jet, weights) -> np.ndarray:
+    """sum_k weights[k-1] u^k over k = 1 .. nz + nw, the truncation
+    order; u has no constant term, so the sum stops once u^k vanishes."""
+    acc = np.zeros_like(u.coeffs)
+    term = None
+    for w in itertools.islice(weights, self.nz + self.nw):
+        term = u if term is None else term * u
+        if not term.coeffs.any():
+            break
+        acc += term.coeffs * complex(w)
+    return acc
+
+
+def _split(f: Jet):
+    """(c0, x) with f = c0 + x."""
+    x = f.coeffs.copy()
+    x[..., 0, 0] = 0
+    return f.value, x
+
+
+def pow_by_powers(f: Jet, t: float) -> np.ndarray:
+    """(c0 + x)^t = c0^t (1 + sum_k binom(t, k) (x/c0)^k), truncated."""
+    c0, x = _split(f)
+    head = c0 ** t if t == int(t) else np.exp(t * np.log(c0))
+    x *= (1.0 / c0)[..., None, None]
+    binomials = itertools.accumulate(
+        ((t - k) / (k + 1) for k in itertools.count()), operator.mul
+    )
+    out = _sum_powers(f, Jet(f.m, f.nz, f.nw, x), binomials)
+    out[..., 0, 0] += 1
+    return out * head[..., None, None]
+
+
+def exp_by_powers(f: Jet) -> np.ndarray:
+    c0, x = _split(f)
+    inverse_factorials = itertools.accumulate(
+        (1 / k for k in itertools.count(1)), operator.mul
+    )
+    out = _sum_powers(f, Jet(f.m, f.nz, f.nw, x), inverse_factorials)
+    out[..., 0, 0] += 1
+    return out * np.exp(c0)[..., None, None]
+
+
+def log_by_powers(f: Jet) -> np.ndarray:
+    c0, x = _split(f)
+    x *= (1.0 / c0)[..., None, None]
+    alternating = ((-1.0) ** (k + 1) / k for k in itertools.count(1))
+    out = _sum_powers(f, Jet(f.m, f.nz, f.nw, x), alternating)
+    out[..., 0, 0] += np.log(c0)
+    return out
+
+
+def inner_product_per_pair(e1: RkhsElement, e2: RkhsElement) -> complex:
+    """`kernelcalc.rkhs.inner_product` with one `eval_jet` per pair of
+    terms, each at the order that pair needs."""
+    k = e1.kernel
+    acc = 0j
+    for s in e1.terms:
+        for t in e2.terms:
+            order = max(s.index.order, t.index.order)
+            table = k.eval_jet(t.base, s.base, order)
+            mat = table.entry(t.index.entries, s.index.entries)
+            eta = np.array(s.direction)
+            xi = np.array(t.direction)
+            acc += s.coef * t.coef.conjugate() * (xi.conj() @ (mat @ eta))
+    return acc

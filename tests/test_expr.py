@@ -349,6 +349,23 @@ def test_batched_values_equal_per_pair_eval_on_ball_trees(text, seed, n):
     _assert_batch_equals_pairs(parse_kernel(text), pts[:n], pts[n:])
 
 
+@settings(max_examples=40, deadline=None)
+@given(text=_ball_asts(), seed=st.integers(1, 1000), n=st.integers(1, 4))
+def test_batched_jet_tables_equal_per_pair_eval_jet(text, seed, n):
+    # lower coefficients do not depend on the caps, so every table of the
+    # order-2 batch restricts to each pair's own eval_jet at orders 0-2
+    expr = parse_kernel(text)
+    pts = sample_points(unit_ball(2, 0.6), 2 * n, seed)
+    try:
+        tables = expr.eval_jets(pts[:n], pts[n:], 2)
+    except KernelCalcError:
+        assume(False)
+    for z, w, table in zip(pts[:n], pts[n:], tables):
+        for order in range(3):
+            for key, mat in expr.eval_jet(z, w, order).entries.items():
+                assert np.array_equal(table.entry(*key), mat), (order, key)
+
+
 def test_log_values_equal_the_log_of_the_values():
     expr = parse_kernel("product(pow(szego_disc(), 0.5), bergman_disc())")
     pts = sample_points(unit_disc(0.7), 8, 3)

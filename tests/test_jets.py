@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kernelcalc import jets
 from kernelcalc.errors import BranchError
+from kernelcalc.expr import BallPower
 from kernelcalc.geometry import graded_lex_tuples
-from kernelcalc.jets import Jet, variable_jets
+from kernelcalc.jets import Jet, coordinate_products, variable_jets
+from oracles import exp_by_powers, log_by_powers, pow_by_powers
 
 
 def test_variable_jets_track_the_base_point():
@@ -266,3 +269,98 @@ def test_shift_and_embed_match_the_dict_reference(pair, data):
         assert _close(shifted.coeffs[index], want)
         moved = {(pre + a + post, pre + b + post): v for (a, b), v in fd.items()}
         assert _close(embedded.coeffs[index], _to_array(moved, m + extra, nz, nw))
+
+
+# -- the degree recurrence against the sum of powers ------------------------
+
+
+@st.composite
+def _series_jets(draw):
+    """A random jet with m <= 3, caps <= (4, 4) (zero and unequal caps
+    included), batch (), (3,) or (2, 2); constant terms near 1."""
+    m = draw(st.integers(1, 3))
+    nz, nw = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    batch = draw(st.sampled_from([(), (3,), (2, 2)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = batch + (math.comb(m + nz, m), math.comb(m + nw, m))
+    c = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    c[..., 0, 0] = 1.0 + 0.3 * rng.random(batch) + 0.2j * rng.standard_normal(batch)
+    return Jet(m, nz, nw, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_series_jets(), t=st.sampled_from([-4.2, -1.0, -0.5, 0.7, 2.0, 3.3]))
+def test_series_recurrence_matches_the_sum_of_powers(f, t):
+    assert _close((f ** t).coeffs, pow_by_powers(f, t))
+    assert _close(f.exp().coeffs, exp_by_powers(f))
+    assert _close(f.log().coeffs, log_by_powers(f))
+
+
+def _ball_power_disc_derivative(lam, z0, w0, a, b, terms=3000):
+    """d^a dbar^b (1 - z wbar)^-lam at (z0, w0) as the double sum over n of
+    (lam)_n/n! n!/(n-a)! n!/(n-b)! z0^(n-a) conj(w0)^(n-b); also the sum of
+    the absolute values of its terms."""
+    n = np.arange(terms, dtype=float)
+    coef = np.concatenate([[1.0], np.cumprod((lam + n[:-1]) / (n[:-1] + 1))])
+    zp = np.concatenate([[1.0], np.cumprod(np.full(terms - 1, complex(z0)))])
+    wp = np.concatenate([[1.0], np.cumprod(np.full(terms - 1, np.conj(complex(w0))))])
+    k = np.arange(max(a, b), terms)
+    falling = np.prod([n[k] - i for i in range(a)], axis=0) * np.prod(
+        [n[k] - i for i in range(b)], axis=0
+    )
+    parts = coef[k] * falling * zp[k - a] * wp[k - b]
+    return parts.sum(), np.abs(parts).sum()
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 3.3])
+@pytest.mark.parametrize(
+    "z0, w0", [(0.979, 0.979), (0.979j, 0.979), (0.9 + 0.38j, -0.3 + 0.9j), (-0.96, 0.999)]
+)
+def test_ball_power_near_the_boundary_matches_the_double_sum(lam, z0, w0):
+    assert abs(z0 * np.conj(w0)) <= 0.96
+    table = BallPower(1, lam).eval_jet([z0], [w0], 4)
+    for a in range(5):
+        for b in range(5):
+            want, scale = _ball_power_disc_derivative(lam, z0, w0, a, b)
+            assert abs(table.entry((a,), (b,))[0, 0] - want) <= 1e-13 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    nz=st.integers(0, 3),
+    nw=st.integers(0, 3),
+    batch=st.sampled_from([(), (3,), (2, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_coordinate_products_equal_the_products_of_the_seeds(m, nz, nw, batch, seed):
+    rng = np.random.default_rng(seed)
+    z, w = (rng.standard_normal(batch + (m,)) + 1j * rng.standard_normal(batch + (m,))
+            for _ in range(2))
+    k = np.arange(m)
+    zv, wv = variable_jets(z, w, m, nz, nw)
+    rows, cols = np.indices((m, m))
+    full = coordinate_products(z, w, m, nz, nw, rows, cols)
+    assert full.coeffs.shape == batch + (m, m) + zv[0].coeffs.shape[len(batch):]
+    for i in range(m):
+        for j in range(m):
+            assert np.array_equal(full.coeffs[..., i, j, :, :], (zv[i] * wv[j]).coeffs)
+    diagonal = coordinate_products(z, w, m, nz, nw, k, k)
+    for i in range(m):
+        assert np.array_equal(diagonal.coeffs[..., i, :, :], full.coeffs[..., i, i, :, :])
+
+
+@pytest.mark.parametrize("m, nz, nw, batch", [(1, 6, 5, (2,)), (2, 4, 3, ()), (3, 4, 4, (2, 2))])
+def test_series_tables_rebuilt_per_call_give_the_cached_results(monkeypatch, m, nz, nw, batch):
+    rng = np.random.default_rng(7)
+    shape = batch + (math.comb(m + nz, m), math.comb(m + nw, m))
+    c = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    c[..., 0, 0] = 1.2
+    f = Jet(m, nz, nw, c)
+
+    def series():
+        return [g.coeffs.tobytes() for g in (f ** -2.5, f ** 0.7, f.exp(), f.log())]
+
+    cached = series()
+    monkeypatch.setattr(jets, "_TABLE_BUDGET", 0)
+    assert series() == cached

@@ -2,10 +2,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kernelcalc.errors import EvaluationError, ShapeError
 from kernelcalc.expr import BallCurvature, Curvature, SzegoDisc, bergman_disc
-from kernelcalc.geometry import unit_disc
+from kernelcalc.geometry import sample_points, unit_ball, unit_disc
+from kernelcalc.parser import parse_kernel
 from kernelcalc.rkhs import (
     element,
     inner_product,
@@ -13,6 +15,7 @@ from kernelcalc.rkhs import (
     norm,
     z2_tensor_e1_norm,
 )
+from oracles import inner_product_per_pair
 
 
 def _section(kernel, base, index=(0,), direction=(1.0,)):
@@ -36,6 +39,33 @@ def test_derivative_sections_against_the_closed_form():
     )
     p = v * np.conj(w)
     assert ip == pytest.approx((1 + p) / (1 - p) ** 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    text=st.sampled_from(["szego_disc()", "ball_power(2, 3.5)", "ball_curvature(2, 3.0)",
+                          "curvature(bergman_ball(2), 1.0, 0.5)"]),
+    sizes=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_inner_product_equals_the_per_pair_loop(text, sizes, seed):
+    # one jet batch at the largest order gives each pair's entries bit for bit
+    kernel = parse_kernel(text)
+    m, k = kernel.m, kernel.size
+    rng = np.random.default_rng(seed)
+    domain = unit_disc(0.6) if m == 1 else unit_ball(m, 0.6)
+    points = sample_points(domain, sum(sizes), seed % 1000)
+
+    def spec(p):
+        coef = complex(rng.standard_normal(), rng.standard_normal())
+        index = tuple(int(x) for x in rng.integers(0, 3 if m == 1 else 2, m))
+        direction = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        return coef, p, index, direction
+
+    e1 = element(kernel, [spec(p) for p in points[: sizes[0]]])
+    e2 = element(kernel, [spec(p) for p in points[sizes[0]:]])
+    got, want = inner_product(e1, e2), inner_product_per_pair(e1, e2)
+    assert np.array_equal(got, want), (got, want)
 
 
 def test_norm_is_linear_in_the_coefficient():
