@@ -6,8 +6,9 @@ emits the Gram spectrum as CSV.
 Every flag can also be supplied through a JSON config file (--config): keys
 are flag names, validated like flags (a bad value or unknown key exits 2),
 and explicit flags win.  --tol and --resolution must be positive, --n and
---pairs positive integers, --order a non-negative integer, --radius in
-(0, 1), --lambda, --t, --lo and --hi finite, the coordinates of --z, --w
+--pairs positive integers, --order a non-negative integer, --seed an
+integer in [0, 2^64), `norm --m` an integer >= 2, --radius in (0, 1),
+--lambda, --t, --lo and --hi finite, the coordinates of --z, --w
 and `quasi --a` finite complex numbers, and the coordinate of `bound --f`
 must exist in the kernel's domain.
 
@@ -30,11 +31,12 @@ from . import __version__
 from .automorphisms import MobiusMap, curvature_quasi_check
 from .eig import eigenvalues
 from .errors import BracketError, KernelCalcError, ParseError
-from .geometry import graded_lex_tuples, sample_points, unit_ball, unit_disc
+from .geometry import DEFAULT_SAMPLE_RADIUS, graded_lex_tuples, sample_points
+from .geometry import unit_ball, unit_disc
 from .parser import parse_kernel
-from .positivity import DEFAULT_TOL, gram, psd_check, wallach_scan
+from .positivity import DEFAULT_TOL, WALLACH_RESOLUTION, gram, psd_check, wallach_scan
 from .repro import run_all
-from .rkhs import multiplier_bound, z2_tensor_e1_norm
+from .rkhs import BOUND_RESOLUTION, multiplier_bound, z2_tensor_e1_norm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -216,6 +218,8 @@ _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0,
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
 _non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _radius = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
+_seed = _checked(int, lambda v: 0 <= v < 2**64, "in [0, 2^64)")
+_dimension = _checked(int, lambda v: v >= 2, "an integer >= 2")
 _finite_float = _checked(float, math.isfinite, "finite")
 
 
@@ -232,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON file with default flag values")
         p.add_argument("--output", help="write the report to this path")
-        p.add_argument("--radius", type=_radius, default=0.8,
+        p.add_argument("--radius", type=_radius, default=DEFAULT_SAMPLE_RADIUS,
                        help="sampling radius inside the domain")
 
     p = sub.add_parser("eval", help="evaluate a kernel or its jet table")
@@ -247,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--kernel", required=True)
     p.add_argument("--n", type=_positive_int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_psd)
@@ -257,13 +261,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True)
     p.add_argument("--lo", type=_finite_float, default=-1.0)
     p.add_argument("--hi", type=_finite_float, default=1.0)
-    p.add_argument("--resolution", type=_positive_float, default=0.05)
+    p.add_argument("--resolution", type=_positive_float, default=WALLACH_RESOLUTION)
     p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_wallach)
 
     p = sub.add_parser("norm", help="derivative-section norm of the ball matrix kernel")
     common(p)
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=_dimension, default=2)
     p.add_argument("--lambda", type=_finite_float, required=True)
     p.set_defaults(func=cmd_norm)
 
@@ -271,14 +275,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--kernel", required=True)
     p.add_argument("--f", default="z1", help="coordinate function, e.g. z1")
-    p.add_argument("--resolution", type=_positive_float, default=0.01)
+    p.add_argument("--resolution", type=_positive_float, default=BOUND_RESOLUTION)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("quasi", help="quasi-invariance residual under a Mobius map")
     common(p)
     p.add_argument("--kernel", required=True)
     p.add_argument("--t", type=_finite_float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--a", help="base point of the map (default: seeded random)")
     p.add_argument("--pairs", type=_positive_int, default=20)
     p.set_defaults(func=cmd_quasi)

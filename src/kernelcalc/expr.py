@@ -16,12 +16,19 @@ composes under the scalar combinators.
 `eval_jet` is its batch of one, so batched and per-pair results agree bit
 for bit.  A failing pair (outside the domain, across a branch cut, not
 finite) is named in the error.
+
+The node table lives on the node classes: each declares its DSL name
+(`dsl_name`) and the kind of each dataclass field in field order (`kinds`).
+The parser's table, `to_dsl`, the scalar-child `ShapeError` and the
+defaults of `m`, `size` and `contains` are all read off that declaration.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -31,7 +38,7 @@ from .errors import BranchError, DomainError, EvaluationError, OrderCapError, Sh
 from .geometry import as_point, graded_lex_tuples, in_unit_ball, point_array, unit_index
 from .jets import Jet, check_finite, coordinate_products, monomial_index
 
-#: default cap on the derivative order of eval_jet
+#: cap on the derivative order of eval_jet and of the jet kernel
 DEFAULT_ORDER_CAP = 4
 
 
@@ -56,10 +63,46 @@ def _naming_pairs(zs: np.ndarray, ws: np.ndarray):
 class KernelExpr:
     """Base class for kernel expression nodes."""
 
-    #: ambient dimension m of the domain
-    m: int
-    #: output size k (values are k x k matrices; scalars have k = 1)
-    size: int = 1
+    #: the node's name in the DSL
+    dsl_name: str
+    #: kind of each dataclass field, in field order: "expr" (a kernel child),
+    #: "scalar" (a kernel child of size 1), "num", "int" or "list" (of floats)
+    kinds: tuple = ()
+
+    def __post_init__(self):
+        for name, kind in self._layout():
+            child = getattr(self, name)
+            if kind == "scalar" and not child.is_scalar:
+                raise ShapeError(
+                    f"{self.dsl_name} requires a scalar kernel child, got size {child.size}"
+                )
+        self._check()
+
+    def _check(self):
+        """Argument checks of the node beyond its scalar children."""
+
+    @classmethod
+    @functools.cache
+    def _layout(cls) -> tuple:
+        """(field name, kind) of each dataclass field, in field order."""
+        return tuple(zip((f.name for f in dataclasses.fields(cls)), cls.kinds, strict=True))
+
+    @functools.cached_property
+    def _children(self) -> tuple:
+        """The kernel-valued fields, in field order."""
+        return tuple(getattr(self, name) for name, kind in self._layout()
+                     if kind in ("expr", "scalar"))
+
+    @property
+    def m(self) -> int:
+        """Ambient dimension m of the domain; the first child's by default."""
+        return self._children[0].m
+
+    @property
+    def size(self) -> int:
+        """Output size k (values are k x k matrices; scalars have k = 1);
+        the first child's by default, 1 for a leaf."""
+        return self._children[0].size if self._children else 1
 
     @property
     def is_scalar(self) -> bool:
@@ -69,8 +112,8 @@ class KernelExpr:
 
     def contains(self, p: np.ndarray) -> np.ndarray:
         """Membership of each point of a (..., m) array in the node's
-        natural domain."""
-        raise NotImplementedError
+        natural domain; by default the intersection of the children's."""
+        return functools.reduce(operator.and_, (c.contains(p) for c in self._children))
 
     def _check_pairs(self, zs: np.ndarray, ws: np.ndarray):
         for pts in (zs, ws):
@@ -121,7 +164,7 @@ class KernelExpr:
         return self.values(as_point(z, self.m).array()[None],
                            as_point(w, self.m).array()[None])[0]
 
-    def eval_jets(self, zs, ws, order: int, cap: int = DEFAULT_ORDER_CAP) -> list:
+    def eval_jets(self, zs, ws, order: int) -> list:
         """The JetTables of the B pairs (zs[p], ws[p]), from one batch of jets.
 
         Lower coefficients do not depend on the truncation caps, so each
@@ -129,8 +172,8 @@ class KernelExpr:
         """
         if order < 0:
             raise ValueError("order must be >= 0")
-        if order > cap:
-            raise OrderCapError(f"order {order} exceeds cap {cap}")
+        if order > DEFAULT_ORDER_CAP:
+            raise OrderCapError(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
         zs, ws = point_array(zs, self.m), point_array(ws, self.m)
         if zs.shape != ws.shape:
             raise ShapeError("eval_jets needs as many z as w points")
@@ -142,17 +185,15 @@ class KernelExpr:
         blocks = np.ascontiguousarray(np.moveaxis(jet.derivatives(), (-2, -1), (1, 2)))
         return [JetTable(order, self.m, self.size, d) for d in blocks]
 
-    def eval_jet(self, z, w, order: int, cap: int = DEFAULT_ORDER_CAP) -> "JetTable":
+    def eval_jet(self, z, w, order: int) -> "JetTable":
         """All mixed derivatives d^i dbar^j of the kernel with |i|,|j| <= order."""
-        return self.eval_jets([z], [w], order, cap)[0]
+        return self.eval_jets([z], [w], order)[0]
 
     # -- printing --------------------------------------------------------
 
     def to_dsl(self) -> str:
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"<{type(self).__name__} {self.to_dsl()}>"
+        args = (_DSL_FORMATS[kind](getattr(self, name)) for name, kind in self._layout())
+        return f"{self.dsl_name}({', '.join(args)})"
 
     def __eq__(self, other):
         return isinstance(other, KernelExpr) and self.to_dsl() == other.to_dsl()
@@ -190,10 +231,14 @@ class JetTable:
         return self.derivatives[0, 0]
 
 
-def _num(x) -> str:
-    if isinstance(x, float) and math.isfinite(x) and x == int(x) and abs(x) < 1e15:
-        return f"{x:.1f}"
-    return repr(x)
+#: how to_dsl prints a field of each kind; a float prints as its repr
+_DSL_FORMATS = {
+    "expr": lambda v: v.to_dsl(),
+    "scalar": lambda v: v.to_dsl(),
+    "num": lambda v: repr(float(v)),
+    "int": str,
+    "list": lambda v: f"[{', '.join(map(repr, v))}]",
+}
 
 
 def _scalar(jet: Jet) -> Jet:
@@ -237,6 +282,7 @@ def _one_minus(terms) -> Jet:
 class SzegoDisc(KernelExpr):
     """(1 - z wbar)^{-1} on the unit disc."""
 
+    dsl_name = "szego_disc"
     m = 1
 
     def contains(self, p):
@@ -251,9 +297,6 @@ class SzegoDisc(KernelExpr):
     def log_jet(self, z, w, nz, nw):
         return _scalar(-(self._base_jet(z, w, nz, nw).log()))
 
-    def to_dsl(self):
-        return "szego_disc()"
-
 
 @dataclass(frozen=True, eq=False)
 class BallPower(KernelExpr):
@@ -262,7 +305,10 @@ class BallPower(KernelExpr):
     dim: int
     lam: float
 
-    def __post_init__(self):
+    dsl_name = "ball_power"
+    kinds = ("int", "num")
+
+    def _check(self):
         if self.dim < 1:
             raise ShapeError("ball_power needs dimension >= 1")
 
@@ -284,9 +330,6 @@ class BallPower(KernelExpr):
     def log_jet(self, z, w, nz, nw):
         return _scalar(self._base_jet(z, w, nz, nw).log() * (-self.lam))
 
-    def to_dsl(self):
-        return f"ball_power({self.dim}, {_num(float(self.lam))})"
-
 
 def bergman_ball(m: int) -> BallPower:
     """Bergman kernel of the unit ball, (1 - <z,w>)^{-(m+1)}."""
@@ -304,6 +347,8 @@ class DiagonalSeries(KernelExpr):
 
     coefficients: tuple[float, ...]
 
+    dsl_name = "diagonal_series"
+    kinds = ("list",)
     m = 1
 
     def __init__(self, coefficients):
@@ -323,19 +368,10 @@ class DiagonalSeries(KernelExpr):
             acc = acc + power * a
         return _scalar(acc)
 
-    def to_dsl(self):
-        inner = ", ".join(_num(a) for a in self.coefficients)
-        return f"diagonal_series([{inner}])"
-
 
 # ---------------------------------------------------------------------------
 # combinators
 # ---------------------------------------------------------------------------
-
-
-def _require_scalar(node: KernelExpr, what: str):
-    if not node.is_scalar:
-        raise ShapeError(f"{what} requires a scalar kernel child, got size {node.size}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,24 +381,14 @@ class Pow(KernelExpr):
     child: KernelExpr
     t: float
 
-    def __post_init__(self):
-        _require_scalar(self.child, "pow")
-
-    @property
-    def m(self):
-        return self.child.m
-
-    def contains(self, p):
-        return self.child.contains(p)
+    dsl_name = "pow"
+    kinds = ("scalar", "num")
 
     def jets(self, z, w, nz, nw):
         return self.log_jet(z, w, nz, nw).exp()
 
     def log_jet(self, z, w, nz, nw):
         return self.child.log_jet(z, w, nz, nw) * self.t
-
-    def to_dsl(self):
-        return f"pow({self.child.to_dsl()}, {_num(float(self.t))})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,27 +398,18 @@ class Product(KernelExpr):
     left: KernelExpr
     right: KernelExpr
 
-    def __post_init__(self):
-        _require_scalar(self.left, "product")
-        _require_scalar(self.right, "product")
+    dsl_name = "product"
+    kinds = ("scalar", "scalar")
+
+    def _check(self):
         if self.left.m != self.right.m:
             raise ShapeError("product children live on different dimensions")
-
-    @property
-    def m(self):
-        return self.left.m
-
-    def contains(self, p):
-        return self.left.contains(p) & self.right.contains(p)
 
     def jets(self, z, w, nz, nw):
         return self.left.jets(z, w, nz, nw) * self.right.jets(z, w, nz, nw)
 
     def log_jet(self, z, w, nz, nw):
         return self.left.log_jet(z, w, nz, nw) + self.right.log_jet(z, w, nz, nw)
-
-    def to_dsl(self):
-        return f"product({self.left.to_dsl()}, {self.right.to_dsl()})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,26 +419,15 @@ class Sum(KernelExpr):
     left: KernelExpr
     right: KernelExpr
 
-    def __post_init__(self):
+    dsl_name = "sum"
+    kinds = ("expr", "expr")
+
+    def _check(self):
         if self.left.m != self.right.m or self.left.size != self.right.size:
             raise ShapeError("sum children must share dimension and output size")
 
-    @property
-    def m(self):
-        return self.left.m
-
-    @property
-    def size(self):
-        return self.left.size
-
-    def contains(self, p):
-        return self.left.contains(p) & self.right.contains(p)
-
     def jets(self, z, w, nz, nw):
         return self.left.jets(z, w, nz, nw) + self.right.jets(z, w, nz, nw)
-
-    def to_dsl(self):
-        return f"sum({self.left.to_dsl()}, {self.right.to_dsl()})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,29 +437,18 @@ class Scale(KernelExpr):
     child: KernelExpr
     factor: float
 
-    def __post_init__(self):
+    dsl_name = "scale"
+    kinds = ("expr", "num")
+
+    def _check(self):
         if not self.factor > 0:
             raise ShapeError("scale factor must be positive")
-
-    @property
-    def m(self):
-        return self.child.m
-
-    @property
-    def size(self):
-        return self.child.size
-
-    def contains(self, p):
-        return self.child.contains(p)
 
     def jets(self, z, w, nz, nw):
         return self.child.jets(z, w, nz, nw) * self.factor
 
     def log_jet(self, z, w, nz, nw):
         return self.child.log_jet(z, w, nz, nw) + math.log(self.factor)
-
-    def to_dsl(self):
-        return f"scale({self.child.to_dsl()}, {_num(float(self.factor))})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -463,9 +458,8 @@ class Tensor(KernelExpr):
     left: KernelExpr
     right: KernelExpr
 
-    def __post_init__(self):
-        _require_scalar(self.left, "tensor")
-        _require_scalar(self.right, "tensor")
+    dsl_name = "tensor"
+    kinds = ("scalar", "scalar")
 
     @property
     def m(self):
@@ -491,9 +485,6 @@ class Tensor(KernelExpr):
         a, b = self._factors("log_jet", z, w, nz, nw)
         return a + b
 
-    def to_dsl(self):
-        return f"tensor({self.left.to_dsl()}, {self.right.to_dsl()})"
-
 
 # ---------------------------------------------------------------------------
 # matrix-valued derived kernels
@@ -513,25 +504,15 @@ class LogHessian(KernelExpr):
 
     child: KernelExpr
 
-    def __post_init__(self):
-        _require_scalar(self.child, "log_hessian")
-
-    @property
-    def m(self):
-        return self.child.m
+    dsl_name = "log_hessian"
+    kinds = ("scalar",)
 
     @property
     def size(self):
         return self.child.m
 
-    def contains(self, p):
-        return self.child.contains(p)
-
     def jets(self, z, w, nz, nw):
         return _hessian(self.child.log_jet(z, w, nz + 1, nw + 1))
-
-    def to_dsl(self):
-        return f"log_hessian({self.child.to_dsl()})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -542,33 +523,22 @@ class Curvature(KernelExpr):
     alpha: float
     beta: float
 
-    def __post_init__(self):
-        _require_scalar(self.child, "curvature")
+    dsl_name = "curvature"
+    kinds = ("scalar", "num", "num")
+
+    def _check(self):
         if not (self.alpha > 0 and self.beta > 0):
             raise ShapeError("curvature parameters alpha, beta must be positive")
 
     @property
-    def m(self):
-        return self.child.m
-
-    @property
     def size(self):
         return self.child.m
-
-    def contains(self, p):
-        return self.child.contains(p)
 
     def jets(self, z, w, nz, nw):
         g = self.child.log_jet(z, w, nz + 1, nw + 1)
         power = (g.truncate(nz, nw) * (self.alpha + self.beta)).exp()
         # the power, batch (B, 1, 1), broadcasts over the m x m entries
         return power * _hessian(g)
-
-    def to_dsl(self):
-        return (
-            f"curvature({self.child.to_dsl()}, "
-            f"{_num(float(self.alpha))}, {_num(float(self.beta))})"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -579,9 +549,10 @@ class JetKernel(KernelExpr):
     k2: KernelExpr
     order: int
 
-    def __post_init__(self):
-        _require_scalar(self.k1, "jet")
-        _require_scalar(self.k2, "jet")
+    dsl_name = "jet"
+    kinds = ("scalar", "scalar", "int")
+
+    def _check(self):
         if self.k1.m != self.k2.m:
             raise ShapeError("jet kernel children live on different dimensions")
         if self.order < 0:
@@ -592,15 +563,8 @@ class JetKernel(KernelExpr):
             )
 
     @property
-    def m(self):
-        return self.k1.m
-
-    @property
     def size(self):
         return math.comb(self.m + self.order, self.m)
-
-    def contains(self, p):
-        return self.k1.contains(p) & self.k2.contains(p)
 
     def jets(self, z, w, nz, nw):
         k = self.order
@@ -610,9 +574,6 @@ class JetKernel(KernelExpr):
         # truncating before the shift leaves exactly the caps (nz, nw)
         return j1 * _matrix([[j2.truncate(nz + sum(i), nw + sum(j)).shift(i, j)
                               for j in indices] for i in indices])
-
-    def to_dsl(self):
-        return f"jet({self.k1.to_dsl()}, {self.k2.to_dsl()}, {self.order})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -627,7 +588,10 @@ class BallCurvature(KernelExpr):
     dim: int
     lam: float
 
-    def __post_init__(self):
+    dsl_name = "ball_curvature"
+    kinds = ("int", "num")
+
+    def _check(self):
         if self.dim < 2:
             raise ShapeError("ball_curvature needs dimension >= 2")
 
@@ -651,6 +615,3 @@ class BallCurvature(KernelExpr):
         for i in range(m):  # 1 - sum_{j != i} z_j wbar_j on the diagonal
             entries[:, i, i] = _one_minus(d for j, d in enumerate(diagonal) if j != i).coeffs
         return _scalar(pref) * Jet(m, nz, nw, entries)
-
-    def to_dsl(self):
-        return f"ball_curvature({self.dim}, {_num(float(self.lam))})"

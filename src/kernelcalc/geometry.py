@@ -25,6 +25,10 @@ DEFAULT_SAMPLE_RADIUS = 0.8
 #: most attempts `sample_points` draws at once (2m doubles each)
 _MAX_CHUNK = 1 << 16
 
+#: most attempts `sample_points` expects to need for one call (count * m!
+#: on the ball); enough for 40 points of the ball of C^8
+_MAX_ATTEMPTS = 1 << 21
+
 
 @dataclass(frozen=True)
 class Point:
@@ -174,7 +178,9 @@ def sample_points(domain: DomainSpec, count: int, seed: int = 0) -> list[Point]:
     for the unit ball, attempts are rejected until the Euclidean norm is
     within the radius.  Attempts are drawn in chunks, in the order of a loop
     over single attempts.  `seed` is any integer in [0, 2^64), numpy integers
-    included; equal seeds give bitwise-identical points.
+    included; equal seeds give bitwise-identical points.  A ball request
+    expected to need more than _MAX_ATTEMPTS attempts is refused with a
+    ValueError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -187,6 +193,11 @@ def sample_points(domain: DomainSpec, count: int, seed: int = 0) -> list[Point]:
     ball = domain.kind == "unit-ball"
     # the ball keeps 1/m! of the attempts (its volume over the polydisc's)
     attempts_per_point = math.factorial(m) if ball else 1
+    if ball and count * attempts_per_point > _MAX_ATTEMPTS:
+        raise ValueError(
+            f"sampling {count} point(s) of the unit ball of C^{m} needs about "
+            f"{count * attempts_per_point} attempts, over the budget of {_MAX_ATTEMPTS}"
+        )
     chunks = []
     need = count
     while need > 0:

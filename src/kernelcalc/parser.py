@@ -4,6 +4,10 @@ Grammar:  expr := name '(' args ')', args are comma-separated numbers,
 numeric lists in square brackets, or nested expressions.  Whitespace is
 insignificant.  The canonical printer is KernelExpr.to_dsl; parse(print(e))
 reproduces e.
+
+The node table `_NODES` is read off the node classes in `expr`, each of
+which declares its DSL name and argument kinds once (`dsl_name`, `kinds`);
+only the sugar names `bergman_ball` and `bergman_disc` are added here.
 """
 
 from __future__ import annotations
@@ -11,23 +15,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError, ShapeError
-from .expr import (
-    BallCurvature,
-    BallPower,
-    Curvature,
-    DiagonalSeries,
-    JetKernel,
-    KernelExpr,
-    LogHessian,
-    Pow,
-    Product,
-    Scale,
-    Sum,
-    SzegoDisc,
-    Tensor,
-    bergman_ball,
-    bergman_disc,
-)
+from .expr import KernelExpr, bergman_ball, bergman_disc
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
@@ -134,22 +122,8 @@ def _parse_arg(tz: _Tokenizer):
 
 
 #: DSL name -> (constructor, kinds of its arguments as checked by _want)
-_NODES = {
-    "szego_disc": (SzegoDisc, ()),
-    "ball_power": (BallPower, ("int", "num")),
-    "bergman_ball": (bergman_ball, ("int",)),
-    "bergman_disc": (bergman_disc, ()),
-    "diagonal_series": (DiagonalSeries, ("list",)),
-    "pow": (Pow, ("expr", "num")),
-    "product": (Product, ("expr", "expr")),
-    "sum": (Sum, ("expr", "expr")),
-    "tensor": (Tensor, ("expr", "expr")),
-    "scale": (Scale, ("expr", "num")),
-    "log_hessian": (LogHessian, ("expr",)),
-    "curvature": (Curvature, ("expr", "num", "num")),
-    "jet": (JetKernel, ("expr", "expr", "int")),
-    "ball_curvature": (BallCurvature, ("int", "num")),
-}
+_NODES = {cls.dsl_name: (cls, cls.kinds) for cls in KernelExpr.__subclasses__()}
+_NODES.update(bergman_ball=(bergman_ball, ("int",)), bergman_disc=(bergman_disc, ()))
 
 
 def _want(args, pos, kinds):
@@ -161,7 +135,7 @@ def _want(args, pos, kinds):
             raise ParseError("expected a numeric argument", pos)
         if t == "int" and not (isinstance(a, float) and a.is_integer()):
             raise ParseError("expected an integer argument", pos)
-        if t == "expr" and not isinstance(a, KernelExpr):
+        if t in ("expr", "scalar") and not isinstance(a, KernelExpr):
             raise ParseError("expected a kernel expression argument", pos)
         if t == "list" and not isinstance(a, list):
             raise ParseError("expected a coefficient list argument", pos)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .eig import hermitian_part, ldl_verdict, min_eigenvalue
 from .errors import BracketError, EvaluationError, KernelCalcError, ShapeError
-from .expr import KernelExpr, LogHessian, _require_scalar
+from .expr import KernelExpr, LogHessian, Pow
 from .geometry import DomainSpec, Point, point_array, sample_points
 
 #: default relative PSD tolerance: psd iff min eig >= -tol * (1 + max diagonal)
@@ -28,6 +28,9 @@ DEFAULT_TOL = 1e-9
 
 #: default point families for scans: (count, seed) pairs
 DEFAULT_FAMILIES = ((20, 11), (30, 23), (40, 37))
+
+#: default bracket width at which wallach_scan stops bisecting
+WALLACH_RESOLUTION = 0.05
 
 
 @dataclass(frozen=True)
@@ -183,7 +186,7 @@ def _power_families(base: KernelExpr, domain, family, blocks_of) -> list:
     K^t is exp(t log K) on the continuous log branch of the base kernel,
     which equals the pairwise value of pow(base, t) exactly.
     """
-    _require_scalar(base, "pow")
+    Pow(base, 1.0)  # raises the ShapeError of pow for a base that is not scalar
 
     def log_values(zs, ws):
         return base.values(zs, ws, log=True)
@@ -232,7 +235,7 @@ def wallach_scan(
     domain: DomainSpec,
     family=DEFAULT_FAMILIES,
     tol: float = DEFAULT_TOL,
-    resolution: float = 0.05,
+    resolution: float = WALLACH_RESOLUTION,
 ) -> WallachEstimate:
     """Bisect the boundary of {t : K^{t-2} (K^2 d dbar log K) is NND}.
 

@@ -21,6 +21,12 @@ from .eig import ldl_verdict
 from .positivity import DEFAULT_FAMILIES, DEFAULT_TOL, gram
 from .positivity import _bisect, _check_resolution, _CurvatureFamilyGram
 
+#: default bracket width at which multiplier_bound stops bisecting
+BOUND_RESOLUTION = 0.01
+
+#: multiplier_bound gives up when no c up to this one certifies
+MAX_BOUND = 10.0
+
 
 @dataclass(frozen=True)
 class Term:
@@ -189,9 +195,8 @@ def multiplier_bound(
     f,
     domain: DomainSpec,
     family=DEFAULT_FAMILIES,
-    resolution: float = 0.01,
+    resolution: float = BOUND_RESOLUTION,
     tol: float = DEFAULT_TOL,
-    c_max: float = 10.0,
 ) -> MultiplierBound:
     """Smallest certified c with (c^2 - f fbar) K non-negative on all families.
 
@@ -211,8 +216,8 @@ def multiplier_bound(
     hi = 1.0
     while not is_psd(hi):
         hi *= 2.0
-        if hi > c_max:
-            raise BracketError(f"no certified multiplier bound below c = {c_max}")
+        if hi > MAX_BOUND:
+            raise BracketError(f"no certified multiplier bound below c = {MAX_BOUND}")
     lo, hi = _bisect(is_psd, 0.0, hi, resolution)
     return MultiplierBound(
         function=label, bound=hi, bracket=(lo, hi), point_family=tuple(fams)

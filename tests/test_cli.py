@@ -285,6 +285,10 @@ def test_output_file(tmp_path, capsys):
     ["quasi", "--kernel", "bergman_ball(2)", "--t", "inf"],
     ["wallach", "--base", "bergman_ball(2)", "--hi", "inf"],
     ["wallach", "--base", "bergman_ball(2)", "--lo", "nan"],
+    ["psd", "--kernel", "szego_disc()", "--seed", "-1"],
+    ["psd", "--kernel", "szego_disc()", "--seed", "18446744073709551616"],
+    ["quasi", "--kernel", "bergman_ball(2)", "--seed", "-1"],
+    ["norm", "--lambda", "3", "--m", "1"],
 ])
 def test_non_positive_tolerance_or_resolution_exits_2(capsys, argv):
     code, _, err = _run(capsys, *argv)

@@ -4,9 +4,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from kernelcalc.errors import (
     BranchError,
+    DomainError,
     EvaluationError,
     KernelCalcError,
     OrderCapError,
+    ParseError,
     ShapeError,
 )
 from kernelcalc.expr import (
@@ -118,6 +120,23 @@ def test_matrix_kernel_sizes():
     assert BallCurvature(2, 2.5).size == 2
     assert JetKernel(SzegoDisc(), SzegoDisc(), 1).size == 2
     assert JetKernel(bergman_ball(2), bergman_ball(2), 1).size == 3
+    # combinators take m and size from their first child
+    h, c, k = LogHessian(bergman_ball(3)), BallCurvature(2, 2.5), bergman_ball(3)
+    for expr, m, size in [(Sum(h, h), 3, 3), (Scale(c, 2.0), 2, 2), (Pow(k, 0.5), 3, 1),
+                          (Product(k, k), 3, 1), (Tensor(k, SzegoDisc()), 4, 1)]:
+        assert (expr.m, expr.size) == (m, size)
+
+
+def test_combinators_intersect_the_domains_of_their_children():
+    # (0.8, 0.8) lies in the bidisc but not in the ball of C^2
+    bidisc, ball = Tensor(SzegoDisc(), SzegoDisc()), bergman_ball(2)
+    assert np.isfinite(bidisc.eval([0.8, 0.8], [0, 0])).all()
+    pts = np.array([[0.8, 0.8], [0.1, 0.2j]])
+    for expr in (Product(bidisc, ball), Product(ball, bidisc), Sum(bidisc, ball),
+                 Sum(ball, bidisc), JetKernel(bidisc, ball, 1), JetKernel(ball, bidisc, 1)):
+        assert expr.contains(pts).tolist() == [False, True]
+        with pytest.raises(DomainError, match="outside the domain"):
+            expr.eval([0.8, 0.8], [0, 0])
 
 
 def test_shape_validation():
@@ -127,6 +146,28 @@ def test_shape_validation():
         Sum(SzegoDisc(), LogHessian(bergman_ball(2)))
     with pytest.raises(ShapeError):
         BallCurvature(1, 2.5)
+    # a size-2 child under every node that needs scalar children, built
+    # directly and through the parser, which names the outer node's position
+    H, K = "log_hessian(bergman_ball(2))", "bergman_ball(2)"
+    h, k = parse_kernel(H), parse_kernel(K)
+    for name, build, text in [
+        ("pow", lambda: Pow(h, 0.5), f"pow({H}, 0.5)"),
+        ("product", lambda: Product(h, k), f"product({H}, {K})"),
+        ("product", lambda: Product(k, h), f"product({K}, {H})"),
+        ("tensor", lambda: Tensor(h, SzegoDisc()), f"tensor({H}, szego_disc())"),
+        ("tensor", lambda: Tensor(SzegoDisc(), h), f"tensor(szego_disc(), {H})"),
+        ("log_hessian", lambda: LogHessian(h), f"log_hessian({H})"),
+        ("curvature", lambda: Curvature(h, 1.0, 2.0), f"curvature({H}, 1.0, 2.0)"),
+        ("jet", lambda: JetKernel(h, k, 1), f"jet({H}, {K}, 1)"),
+        ("jet", lambda: JetKernel(k, h, 1), f"jet({K}, {H}, 1)"),
+    ]:
+        message = f"{name} requires a scalar kernel child, got size 2"
+        with pytest.raises(ShapeError) as exc:
+            build()
+        assert str(exc.value) == message
+        with pytest.raises(ParseError) as exc:
+            parse_kernel(text)
+        assert str(exc.value) == f"{message} (at position 0)"
 
 
 def test_order_cap_is_enforced():
@@ -225,6 +266,9 @@ def _disc_asts(depth: int):
 @given(text=_disc_asts(3), seed=st.integers(1, 100))
 def test_random_disc_asts_match_finite_differences(text, seed):
     expr = parse_kernel(text)
+    # printing is canonical: it parses back to the same node and is a fixed point
+    assert parse_kernel(expr.to_dsl()) == expr
+    assert parse_kernel(expr.to_dsl()).to_dsl() == expr.to_dsl()
     z, w = sample_points(unit_disc(0.35), 2, seed)
     try:
         expr.eval_jet(z, w, 2)

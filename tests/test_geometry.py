@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -91,6 +93,15 @@ def test_seeds_are_integers_below_2_to_the_64():
             sample_points(dom, 3, bad)
     with pytest.raises(TypeError):
         sample_points(dom, 3, 1.5)
+
+
+def test_ball_sampling_over_the_attempt_budget_is_refused_at_once():
+    # the ball of C^12 keeps 1/12! of the polydisc attempts
+    for count in (1, 20):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"unit ball of C\^12"):
+            sample_points(unit_ball(12), count, 0)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_domain_validation():

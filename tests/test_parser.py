@@ -51,6 +51,8 @@ def test_whitespace_and_exponent_literals():
         "curvature(szego_disc(), 1.0)",
         "diagonal_series(1.0)",
         "szego_disc() trailing",
+        "log_hessian(1.0)",  # a number where a scalar kernel goes
+        "tensor(szego_disc(), 2.0)",
     ],
 )
 def test_malformed_input_raises(bad):
