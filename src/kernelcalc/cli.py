@@ -7,7 +7,7 @@ Every flag can also be supplied through a JSON config file (--config): keys
 are flag names, validated like flags (a bad value or unknown key exits 2),
 and explicit flags win.  --tol and --resolution must be positive, --n and
 --pairs positive integers, --order a non-negative integer, --seed an
-integer in [0, 2^64), `norm --m` an integer >= 2, --radius in (0, 1),
+integer in [0, 2^64), `norm --m` an integer in [2, 16], --radius in (0, 1),
 --lambda, --t, --lo and --hi finite, the coordinates of --z, --w
 and `quasi --a` finite complex numbers, and the coordinate of `bound --f`
 must exist in the kernel's domain.
@@ -36,7 +36,7 @@ from .geometry import unit_ball, unit_disc
 from .parser import parse_kernel
 from .positivity import DEFAULT_TOL, WALLACH_RESOLUTION, gram, psd_check, wallach_scan
 from .repro import run_all
-from .rkhs import BOUND_RESOLUTION, multiplier_bound, z2_tensor_e1_norm
+from .rkhs import BOUND_RESOLUTION, MAX_NORM_DIM, multiplier_bound, z2_tensor_e1_norm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -219,7 +219,7 @@ _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
 _non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _radius = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 _seed = _checked(int, lambda v: 0 <= v < 2**64, "in [0, 2^64)")
-_dimension = _checked(int, lambda v: v >= 2, "an integer >= 2")
+_dimension = _checked(int, lambda v: 2 <= v <= MAX_NORM_DIM, f"an integer in [2, {MAX_NORM_DIM}]")
 _finite_float = _checked(float, math.isfinite, "finite")
 
 

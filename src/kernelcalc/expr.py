@@ -191,15 +191,20 @@ class KernelExpr:
 
     # -- printing --------------------------------------------------------
 
-    def to_dsl(self) -> str:
+    @functools.cached_property
+    def _dsl(self) -> str:
+        """The node in the DSL, printed once per node."""
         args = (_DSL_FORMATS[kind](getattr(self, name)) for name, kind in self._layout())
         return f"{self.dsl_name}({', '.join(args)})"
 
+    def to_dsl(self) -> str:
+        return self._dsl
+
     def __eq__(self, other):
-        return isinstance(other, KernelExpr) and self.to_dsl() == other.to_dsl()
+        return isinstance(other, KernelExpr) and self._dsl == other._dsl
 
     def __hash__(self):
-        return hash(self.to_dsl())
+        return hash(self._dsl)
 
 
 @dataclass(frozen=True)

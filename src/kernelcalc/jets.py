@@ -14,32 +14,32 @@ finite-difference grid, the entries of a matrix kernel) and broadcast like
 numpy arrays.  Every operation acts on each batch entry alone, so a batched
 result equals the one-entry results bit for bit.
 
-Products, shifts and embeddings use index tables that are built on first
-use and cached per (m, degree) of one variable group; a product contracts
-the w group and then the z group, for a bounded run of output z-monomials
-at a time, so no table or temporary spans all z-pairs times all w-pairs.
+Shifts and embeddings use index tables that are built on first use and
+cached per (m, degree) of one variable group.
 
-pow, exp and log solve for their series one total degree D = |a| + |b| at
-a time, by the Euler-operator recurrences of Taylor arithmetic (Griewank &
-Walther, "Evaluating Derivatives", ch. 13).  With g = c0 (1 + x) for pow
-and log, g = c0 + x for exp, and x without constant term:
+A product sums the truncated Leibniz formula (f g)_k = sum x_l y_r over
+the pairs (l, r) with l + r = k, for every output monomial k.  pow, exp and
+log solve for their series one total degree D = |a| + |b| at a time, by
+the Euler-operator recurrences of Taylor arithmetic (Griewank & Walther,
+"Evaluating Derivatives", ch. 13).  With g = c0 (1 + x) for pow and log,
+g = c0 + x for exp, and x without constant term:
 
     (1 + x)^t:   D h_D = sum (t |l| - |r|) x_l h_r,    h_0 = 1
     exp(x):      D h_D = sum |l| x_l h_r,              h_0 = 1
     log(1 + x):  D h_D = D x_D - sum |r| x_l h_r,      h_0 = 0
 
-summed over the pairs (l, r) with l + r = an output monomial of degree D,
-so each degree needs only lower ones and the result is exact to the caps.
-That is one pass over the pairs of one product, where summing the powers
-x, x^2, ... took nz + nw - 1 products.  The pairs of each degree form a
-flat table over the Nz * Nw monomials, int32 indices sorted by output;
-an (m, nz, nw) table has C(2m + nz, 2m) * C(2m + nw, 2m) pairs, e.g.
-44,100 at m = 3 and caps (4, 4), 213,444 at (5, 5) and 853,776 at (6, 6).
-Tables of at most `_TABLE_BUDGET` pairs (65,536, about 0.5 MB) are cached;
-larger ones are rebuilt on each call, one degree at a time, so they never
-stay in memory.  The pairs are applied in runs of at most `_PRODUCT_CHUNK`
-temporary entries, like a product's.  At caps (0, 0) there is no series
-work at all.
+summed over the same pairs for the output monomials of degree D, so each
+degree needs only lower ones and the result is exact to the caps.  That is
+one pass over the pairs of one product, where summing the powers x, x^2,
+... took nz + nw - 1 products.  Both read one pair table per total degree,
+flat over the Nz * Nw monomials, int32 indices sorted by output; an
+(m, nz, nw) table has C(2m + nz, 2m) * C(2m + nw, 2m) pairs, e.g. 44,100 at
+m = 3 and caps (4, 4), 213,444 at (5, 5) and 853,776 at (6, 6).  Tables of
+at most `_TABLE_BUDGET` pairs (65,536, about 0.5 MB) are cached; larger
+ones are rebuilt on each call, one degree at a time, so they never stay in
+memory.  The pairs are applied in runs of at most `_PRODUCT_CHUNK` entries
+of the broadcast batch times the pairs, so no temporary spans all pairs
+whatever the batch.  At caps (0, 0) there is no pair work at all.
 
 The branch, zero-base and non-finite checks of pow, exp and log are
 vectorized: each raises for the first bad batch entry and records its
@@ -82,16 +82,6 @@ class _Group:
         )
         k, left, right = (np.array(col, dtype=np.intp) for col in zip(*pairs))
         return left, right, np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-
-    @functools.cache
-    def chunks(self, max_pairs: int) -> list:
-        """The product tables cut into runs of consecutive product monomials,
-        (rows, left, right, starts) each, with at most `max_pairs` pairs per
-        run unless one monomial alone has more."""
-        left, right, starts = self.pairs
-        bounds = np.r_[starts, len(left)]
-        return [(slice(k0, k1), left[s0:s1], right[s0:s1], starts[k0:k1] - s0)
-                for k0, k1, s0, s1 in _cuts(bounds, max_pairs)]
 
     @functools.cache
     def shift(self, d: tuple) -> tuple:
@@ -147,44 +137,31 @@ def check_finite(coeffs: np.ndarray, what: str) -> None:
 _PRODUCT_CHUNK = 1 << 12
 
 
-def _cuts(bounds: np.ndarray, max_pairs: int):
-    """Yield (k0, k1, s0, s1) for runs of consecutive outputs k0 .. k1 - 1,
-    whose pairs s0 .. s1 - 1 (output k has bounds[k] .. bounds[k + 1] - 1)
-    number at most `max_pairs` unless one output alone has more."""
-    k0 = 0
-    while k0 < len(bounds) - 1:
-        k1 = max(int(np.searchsorted(bounds, bounds[k0] + max_pairs, "right")) - 1, k0 + 1)
-        yield k0, k1, bounds[k0], bounds[k1]
-        k0 = k1
-
-
 def _run_pairs(per_pair: int) -> int:
     """Pairs per run of a product whose pairs each take `per_pair` entries
     of the temporary; a power of two, so that few run tables are cached."""
     return 1 << (max(_PRODUCT_CHUNK // max(per_pair, 1), 1).bit_length() - 1)
 
 
-def _convolve(x: np.ndarray, y: np.ndarray, gz: _Group, gw: _Group) -> np.ndarray:
+def _convolve(x: np.ndarray, y: np.ndarray, m: int, nz: int, nw: int) -> np.ndarray:
     """Truncated Leibniz product of two coefficient arrays (batch broadcast).
 
-    The w group is contracted first, for the z-pairs of a run of output
-    z-monomials at a time; the z group is then summed over the pairs of each
-    output monomial.  Both are segment sums in a fixed order, so how the
-    outputs are cut into runs (by size) leaves every result unchanged.
+    Each output monomial sums x_l y_r over its pairs in the order of the
+    per-degree tables, so how the outputs are cut into runs (by size)
+    leaves every result unchanged.
     """
-    if gz.size == gw.size == 1:  # constant jets: no pairs to sum
+    if nz == nw == 0:  # constant jets: no pairs to sum
         return x * y
-    wl, wr, wstarts = gw.pairs
     batch = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
-    out = np.empty(batch + (gz.size, gw.size), dtype=complex)
-    for rows, zl, zr, zstarts in gz.chunks(_run_pairs(math.prod(batch) * len(wl))):
-        terms = x[..., zl, :][..., wl]
-        terms = np.multiply(terms, y[..., zr, :][..., wr],
-                            out=terms if x.shape[:-2] == batch else None)
-        terms = np.add.reduceat(terms, wstarts, axis=-1)
-        out[..., rows, :] = np.add.reduceat(terms, zstarts, axis=-2)
-        del terms  # free this run's temporaries before the next run's exist
-    return out
+    shape = x.shape[-2:]
+    flat = (shape[0] * shape[1],)
+    x, y = x.reshape(x.shape[:-2] + flat), y.reshape(y.shape[:-2] + flat)
+    out = np.empty(batch + flat, dtype=complex)
+    for _, runs in _degree_runs(m, nz, nw, _run_pairs(math.prod(batch))):
+        for rows, left, right, starts in runs:
+            terms = np.take(x, left, axis=-1) * np.take(y, right, axis=-1)
+            out[..., rows] = np.add.reduceat(terms, starts, axis=-1)
+    return out.reshape(batch + shape)
 
 
 class Jet:
@@ -318,8 +295,7 @@ class Jet:
         if not isinstance(other, Jet):
             return self._like(self.coeffs * complex(other))
         self._check_compatible(other)
-        gz, gw = _group(self.m, self.nz), _group(self.m, self.nw)
-        return self._like(_convolve(self.coeffs, other.coeffs, gz, gw))
+        return self._like(_convolve(self.coeffs, other.coeffs, self.m, self.nz, self.nw))
 
     __rmul__ = __mul__
 
@@ -355,7 +331,9 @@ class Jet:
         x, h = x.reshape(flat), h.reshape(flat)
         m, nz, nw = self.m, self.nz, self.nw
         degrees = _total_degrees(m, nz, nw)
-        for degree, runs in _series_runs(m, nz, nw, _run_pairs(math.prod(shape[:-2]))):
+        for degree, runs in _degree_runs(m, nz, nw, _run_pairs(math.prod(shape[:-2]))):
+            if not degree:  # h_0 is set above
+                continue
             weights = degrees * ((a - b) / degree) + b  # one per left monomial
             for out, left, right, starts in runs:
                 terms = np.take(x, left, axis=-1)
@@ -410,15 +388,15 @@ class Jet:
         return self._like(out)
 
 
-# -- series by the Euler-operator recurrence ---------------------------------
+# -- per-degree pair tables of products and series ---------------------------
 
-#: pairs in one (m, nz, nw) series table that may be cached (about 0.5 MB);
+#: pairs in one (m, nz, nw) pair table that may be cached (about 0.5 MB);
 #: a larger table is rebuilt on each call, one total degree at a time
 _TABLE_BUDGET = 1 << 16
 
 
 def _degree_tables(m: int, nz: int, nw: int):
-    """Yield (D, out, left, right, starts) for each total degree D = 1 .. nz + nw.
+    """Yield (D, out, left, right, starts) for each total degree D = 0 .. nz + nw.
 
     Positions are flattened, i * Nw + j for z-monomial i and w-monomial j.
     `out` holds the output monomials of degree D; `left` and `right` list,
@@ -439,7 +417,7 @@ def _degree_tables(m: int, nz: int, nw: int):
                        bounds, np.diff(bounds), first))
     (zl, zr, zk, zb, zlen, zfirst), (wl, wr, wk, wb, wlen, wfirst) = groups
     nw_size = np.int32(gw.size)
-    for degree in range(1, nz + nw + 1):
+    for degree in range(nz + nw + 1):
         outs, lefts, rights, counts = [], [], [], []
         for dz in range(max(0, degree - nw), min(nz, degree) + 1):
             kz = slice(zfirst[dz], zfirst[dz + 1])
@@ -458,10 +436,16 @@ def _degree_tables(m: int, nz: int, nw: int):
 
 def _runs(out, left, right, starts, max_pairs: int) -> list:
     """The table of one degree cut into runs of consecutive outputs,
-    (out, left, right, starts) each, as `_cuts` cuts them."""
+    (out, left, right, starts) each, with at most `max_pairs` pairs per run
+    unless one output alone has more."""
     bounds = np.r_[starts, len(left)]
-    return [(out[k0:k1], left[s0:s1], right[s0:s1], starts[k0:k1] - s0)
-            for k0, k1, s0, s1 in _cuts(bounds, max_pairs)]
+    runs, k0 = [], 0
+    while k0 < len(out):
+        k1 = max(int(np.searchsorted(bounds, bounds[k0] + max_pairs, "right")) - 1, k0 + 1)
+        s0, s1 = bounds[k0], bounds[k1]
+        runs.append((out[k0:k1], left[s0:s1], right[s0:s1], starts[k0:k1] - s0))
+        k0 = k1
+    return runs
 
 
 @functools.cache
@@ -475,7 +459,7 @@ def _cached_runs(m: int, nz: int, nw: int, max_pairs: int) -> list:
             for degree, *table in _cached_tables(m, nz, nw)]
 
 
-def _series_runs(m: int, nz: int, nw: int, max_pairs: int):
+def _degree_runs(m: int, nz: int, nw: int, max_pairs: int):
     """(D, runs) per total degree: cached while the table fits the budget,
     else built as it is consumed."""
     pairs = len(_group(m, nz).pairs[0]) * len(_group(m, nw).pairs[0])

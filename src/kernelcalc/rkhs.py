@@ -27,6 +27,9 @@ BOUND_RESOLUTION = 0.01
 #: multiplier_bound gives up when no c up to this one certifies
 MAX_BOUND = 10.0
 
+#: largest m of z2_tensor_e1_norm; its jets take memory of order m^4
+MAX_NORM_DIM = 16
+
 
 @dataclass(frozen=True)
 class Term:
@@ -127,8 +130,8 @@ def z2_tensor_e1_norm(m: int, lam: float) -> float:
     and computed numerically from jets; matches
     sqrt((lam-1)/(lam (lam-2))) for lam > 2.
     """
-    if m < 2:
-        raise ShapeError("needs dimension >= 2")
+    if not 2 <= m <= MAX_NORM_DIM:
+        raise ShapeError(f"needs dimension in 2 .. {MAX_NORM_DIM}, got {m}")
     if not lam > 2:
         raise EvaluationError(
             "the monomial section leaves the space at lam <= 2 (divergent norm)"

@@ -5,13 +5,16 @@ route: the log-Hessian by the quotient formula from an order-1 jet, and the
 explicit ball matrix kernel from its hand-coded closed form, seeded
 sampling by a loop that draws and tests one attempt at a time, the
 finite-difference table by a loop over the terms of each 2m-variable
-stencil, jet pow, exp and log by summing the powers of the series
-argument, and RKHS inner products by one jet table per pair of terms.
+stencil, jet products by contracting the w group and then the z group,
+jet pow, exp and log by summing the powers of the series argument, and
+RKHS inner products by one jet table per pair of terms.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
 from itertools import product
 
@@ -20,7 +23,7 @@ import numpy as np
 from kernelcalc.errors import EvaluationError, ShapeError
 from kernelcalc.expr import KernelExpr
 from kernelcalc.geometry import DomainSpec, Point, as_point, graded_lex_tuples, unit_index
-from kernelcalc.jets import Jet
+from kernelcalc.jets import Jet, _Group, _run_pairs
 from kernelcalc.rkhs import RkhsElement
 
 
@@ -143,6 +146,51 @@ def fd_jet_table_per_term(expr: KernelExpr, z, w, order: int, h: float = 0.02) -
             d_h = _apply_stencil(coarse, i, j, m, h)
             d_h2 = _apply_stencil(fine, i, j, m, h / 2)
             out[(i, j)] = (16.0 * d_h2 - d_h) / 15.0
+    return out
+
+
+def _cuts(bounds: np.ndarray, max_pairs: int):
+    """Yield (k0, k1, s0, s1) for runs of consecutive outputs k0 .. k1 - 1,
+    whose pairs s0 .. s1 - 1 (output k has bounds[k] .. bounds[k + 1] - 1)
+    number at most `max_pairs` unless one output alone has more."""
+    k0 = 0
+    while k0 < len(bounds) - 1:
+        k1 = max(int(np.searchsorted(bounds, bounds[k0] + max_pairs, "right")) - 1, k0 + 1)
+        yield k0, k1, bounds[k0], bounds[k1]
+        k0 = k1
+
+
+@functools.cache
+def _chunks(group: _Group, max_pairs: int) -> list:
+    """The product tables cut into runs of consecutive product monomials,
+    (rows, left, right, starts) each, with at most `max_pairs` pairs per
+    run unless one monomial alone has more."""
+    left, right, starts = group.pairs
+    bounds = np.r_[starts, len(left)]
+    return [(slice(k0, k1), left[s0:s1], right[s0:s1], starts[k0:k1] - s0)
+            for k0, k1, s0, s1 in _cuts(bounds, max_pairs)]
+
+
+def convolve_separable(x: np.ndarray, y: np.ndarray, gz: _Group, gw: _Group) -> np.ndarray:
+    """Truncated Leibniz product of two coefficient arrays (batch broadcast).
+
+    The w group is contracted first, for the z-pairs of a run of output
+    z-monomials at a time; the z group is then summed over the pairs of each
+    output monomial.  Both are segment sums in a fixed order, so how the
+    outputs are cut into runs (by size) leaves every result unchanged.
+    """
+    if gz.size == gw.size == 1:  # constant jets: no pairs to sum
+        return x * y
+    wl, wr, wstarts = gw.pairs
+    batch = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+    out = np.empty(batch + (gz.size, gw.size), dtype=complex)
+    for rows, zl, zr, zstarts in _chunks(gz, _run_pairs(math.prod(batch) * len(wl))):
+        terms = x[..., zl, :][..., wl]
+        terms = np.multiply(terms, y[..., zr, :][..., wr],
+                            out=terms if x.shape[:-2] == batch else None)
+        terms = np.add.reduceat(terms, wstarts, axis=-1)
+        out[..., rows, :] = np.add.reduceat(terms, zstarts, axis=-2)
+        del terms  # free this run's temporaries before the next run's exist
     return out
 
 

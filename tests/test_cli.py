@@ -174,9 +174,10 @@ def test_wallach_disc_boundary(capsys):
 
 
 def test_norm_command(capsys):
-    code, out, _ = _run(capsys, "norm", "--m", "2", "--lambda", "3")
-    assert code == 0
-    assert json.loads(out)["norm"] == pytest.approx(0.8164966, abs=1e-7)
+    for m in ("2", "16"):  # 16 is the largest m accepted
+        code, out, _ = _run(capsys, "norm", "--m", m, "--lambda", "3")
+        assert code == 0
+        assert json.loads(out)["norm"] == pytest.approx(0.8164966, abs=1e-7)
 
 
 def test_bound_command(capsys):
@@ -289,6 +290,7 @@ def test_output_file(tmp_path, capsys):
     ["psd", "--kernel", "szego_disc()", "--seed", "18446744073709551616"],
     ["quasi", "--kernel", "bergman_ball(2)", "--seed", "-1"],
     ["norm", "--lambda", "3", "--m", "1"],
+    ["norm", "--lambda", "3", "--m", "17"],
 ])
 def test_non_positive_tolerance_or_resolution_exits_2(capsys, argv):
     code, _, err = _run(capsys, *argv)

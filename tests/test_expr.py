@@ -269,6 +269,7 @@ def test_random_disc_asts_match_finite_differences(text, seed):
     # printing is canonical: it parses back to the same node and is a fixed point
     assert parse_kernel(expr.to_dsl()) == expr
     assert parse_kernel(expr.to_dsl()).to_dsl() == expr.to_dsl()
+    assert expr.to_dsl() is expr.to_dsl()  # printed once per node
     z, w = sample_points(unit_disc(0.35), 2, seed)
     try:
         expr.eval_jet(z, w, 2)

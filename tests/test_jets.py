@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from kernelcalc.errors import BranchError
 from kernelcalc.expr import BallPower
 from kernelcalc.geometry import graded_lex_tuples
 from kernelcalc.jets import Jet, coordinate_products, variable_jets
-from oracles import exp_by_powers, log_by_powers, pow_by_powers
+from oracles import convolve_separable, exp_by_powers, log_by_powers, pow_by_powers
 
 
 def test_variable_jets_track_the_base_point():
@@ -358,9 +359,53 @@ def test_series_tables_rebuilt_per_call_give_the_cached_results(monkeypatch, m, 
     c[..., 0, 0] = 1.2
     f = Jet(m, nz, nw, c)
 
+    g = Jet(m, nz, nw, 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+
     def series():
-        return [g.coeffs.tobytes() for g in (f ** -2.5, f ** 0.7, f.exp(), f.log())]
+        return [h.coeffs.tobytes() for h in (f ** -2.5, f ** 0.7, f.exp(), f.log(), f * g)]
 
     cached = series()
     monkeypatch.setattr(jets, "_TABLE_BUDGET", 0)
     assert series() == cached
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    nz=st.integers(0, 4),
+    nw=st.integers(0, 4),
+    batches=st.sampled_from([((), ()), ((3,), (3,)), ((), (3,)), ((1, 1), (2, 3)),
+                             ((2, 3), (1, 1))]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_products_match_the_separable_contraction(m, nz, nw, batches, seed):
+    # the two sum each output's pairs in another order: |new - oracle| is
+    # at most 2 (p_k - 1) eps sum |x_l| |y_r| for an output k of p_k pairs
+    rng = np.random.default_rng(seed)
+    shape = (math.comb(m + nz, m), math.comb(m + nw, m))
+    x, y = (rng.standard_normal(b + shape) + 1j * rng.standard_normal(b + shape)
+            for b in batches)
+    gz, gw = jets._group(m, nz), jets._group(m, nw)
+    got = (Jet(m, nz, nw, x) * Jet(m, nz, nw, y)).coeffs
+    want = convolve_separable(x, y, gz, gw)
+    pairs = convolve_separable(np.ones(shape), np.ones(shape), gz, gw).real
+    scale = convolve_separable(np.abs(x), np.abs(y), gz, gw).real
+    assert got.shape == want.shape
+    assert (np.abs(got - want) <= 2 * (pairs - 1) * np.finfo(float).eps * scale).all()
+
+
+def test_a_broadcast_product_stays_within_twice_its_result():
+    # a (1, 1, 1) jet times a (1, 10, 10) one, as `JetKernel.jets` forms
+    # them for jet(bergman_ball(3), bergman_ball(3), 2) at order 4
+    rng = np.random.default_rng(3)
+    shape = (math.comb(7, 3), math.comb(7, 3))
+    f = Jet(3, 4, 4, rng.standard_normal((1, 1, 1) + shape) + 0j)
+    g = Jet(3, 4, 4, rng.standard_normal((1, 10, 10) + shape) + 0j)
+    f * g  # build the cached tables outside the traced call
+    tracemalloc.start()
+    try:
+        result = f * g
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * result.coeffs.nbytes

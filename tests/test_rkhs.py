@@ -98,6 +98,12 @@ def test_monomial_section_norm_blows_up_at_the_threshold():
         z2_tensor_e1_norm(2, 2.0)
 
 
+@pytest.mark.parametrize("m", [1, 17])
+def test_monomial_section_norm_refuses_dimensions_out_of_range(m):
+    with pytest.raises(ShapeError, match="2 .. 16"):
+        z2_tensor_e1_norm(m, 3.0)
+
+
 def test_coordinate_multiplier_bound_on_the_disc():
     est = multiplier_bound(SzegoDisc(), 0, unit_disc())
     assert est.bound == pytest.approx(1.0, abs=0.01)
