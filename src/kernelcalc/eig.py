@@ -2,9 +2,13 @@
 
 `eigenvalues` scales a dense complex Hermitian matrix by a power of two,
 reduces it to a real symmetric tridiagonal with Householder reflectors and
-brackets all its eigenvalues at once by Sturm multisection (Golub & Van
-Loan, Matrix Computations, 4th ed., 8.3-8.4).  As with LAPACK, the absolute
-error is of order n eps ||G||.  It serves reports that need eigenvalues.
+brackets the wanted eigenvalues at once by Sturm multisection (Golub & Van
+Loan, Matrix Computations, 4th ed., 8.3-8.4): all of them for a spectrum,
+only the least for `min_eigenvalue`, as LAPACK's dstebz bisects only the
+wanted brackets.  The Sturm recurrence runs without its tiny-pivot guard
+in cache-sized blocks, and a call is redone guarded only when a block met
+such a pivot.  As with LAPACK, the absolute error is of order n eps ||G||.
+It serves reports that need eigenvalues.
 
 `ldl_verdict` decides only the sign question: it runs an LDL^H
 (square-root-free Cholesky) elimination of G + tau I, which succeeds exactly
@@ -15,6 +19,7 @@ on which G is negative.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +56,7 @@ def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = np.zeros(n - 1)
     for k in range(n - 1):
         x = a[k + 1 :, k]
-        e[k] = alpha = np.linalg.norm(x)
+        e[k] = alpha = math.sqrt(np.vdot(x, x).real)
         if alpha == 0 or k == n - 2:  # nothing to reduce
             continue
         v = x / alpha  # normalised first, so beta cannot overflow
@@ -60,16 +65,26 @@ def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sub = a[k + 1 :, k + 1 :]
         p = beta * (sub @ v)
         w = p - (0.5 * beta * np.vdot(v, p).real) * v
-        sub -= np.outer(v, w.conj()) + np.outer(w, v.conj())
+        vw = np.array([v, w])
+        sub -= vw.T @ vw[::-1].conj()  # v w^H + w v^H
     return a.diagonal().real.copy(), e
 
 
-def _sturm_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
+#: pivots per block of the unguarded Sturm recurrence: 2^14 floats (128 KiB)
+#: keep the block in cache while it is counted
+_BLOCK_PIVOTS = 2**14
+
+
+def _pivmin(e2: np.ndarray) -> float:
+    return np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
+
+
+def _guarded_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Eigenvalues of T below each shift in `x`: the negative pivots of
     T - x I = L D L^T.  A pivot below pivmin in size becomes -pivmin, as in
     LAPACK's dstebz, so that the count is monotone in x in IEEE arithmetic
     (Demmel, Dhillon & Ren, ETNA 3, 1995)."""
-    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
+    pivmin = _pivmin(e2)
     count = np.zeros(x.shape, dtype=np.intp)
     q = d[0] - x
     for k in range(len(d)):
@@ -80,18 +95,57 @@ def _sturm_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
     return count
 
 
-def eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix (symmetrized first), ascending.
+def _sturm_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """`_guarded_counts`, run without the pivmin guard in blocks of about
+    `_BLOCK_PIVOTS` pivots, two ufunc calls per step.  A block with a pivot
+    below pivmin in size (or a NaN) redoes the whole call guarded, as
+    LAPACK's dlaneg does (Marques, Riedy & Voemel, SIAM J. Sci. Comput. 28,
+    2006); otherwise the arithmetic, and so every count, is the guarded
+    loop's."""
+    pivmin, n, shifts = _pivmin(e2), len(d), x.ravel()
+    steps = min(n, max(1, _BLOCK_PIVOTS // shifts.size))
+    # row 0 carries the last pivots of one block into the next; the row
+    # views and the e2 floats are made once, not per step
+    q, t = np.empty((steps + 1, shifts.size)), np.empty(shifts.size)
+    qs, e2s = list(q), e2.tolist()
+    count = np.zeros(shifts.size, dtype=np.intp)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lo in range(0, n, steps):
+            rows = q[1 : min(steps, n - lo) + 1]
+            np.subtract.outer(d[lo : lo + len(rows)], shifts, out=rows)
+            for j in range(2 if lo == 0 else 1, len(rows) + 1):
+                np.divide(e2s[lo + j - 2], qs[j - 1], t)
+                np.subtract(qs[j], t, qs[j])
+            q[0] = rows[-1]
+            count += np.count_nonzero(rows < 0, axis=0)
+            if not np.abs(rows, out=rows).min() >= pivmin:
+                return _guarded_counts(d, e2, x)
+    return count.reshape(x.shape)
+
+
+def eigenvalues(h: np.ndarray, count: int | None = None) -> np.ndarray:
+    """The `count` least eigenvalues of a Hermitian matrix (symmetrized
+    first), ascending; all of them when `count` is None.
 
     Bracket j of eigenvalue j of T starts as the Gershgorin interval; a pass
-    counts at 15 interior shifts of every bracket and keeps the part where
-    the count passes j, until every bracket is within 2 eps ||T||.
+    counts at 15 interior shifts of every wanted bracket and keeps the part
+    where the count passes j, until every wanted bracket is within
+    2 eps ||T||.  A bracket's shifts depend only on its own counts, so only
+    brackets 0 .. count - 1 are bisected: a report that needs the least
+    eigenvalue bisects one.
     """
     with np.errstate(all="ignore"):  # overflow is detected, not warned about
         a = _hermitian_copy(h)
-        n, big = a.shape[0], float(np.max(np.abs(a.view(float)), initial=0.0))
+        n = a.shape[0]
+        if count is None:
+            count = n
+        elif n == 0:
+            raise ValueError("matrix is empty: it has no eigenvalues")
+        elif not isinstance(count, numbers.Integral) or not 1 <= count <= n:
+            raise ValueError(f"count must be an integer in 1..{n}, got {count!r}")
+        big = float(np.max(np.abs(a.view(float)), initial=0.0))
         if big == 0:
-            return np.zeros(n)
+            return np.zeros(count)
         exponent = math.frexp(big)[1]  # 2^-exponent rounds only subnormals
         d, e = _tridiagonal(np.ldexp(a.view(float), -exponent).view(complex))
         if not np.all(np.isfinite(np.r_[d, e])):
@@ -100,8 +154,8 @@ def eigenvalues(h: np.ndarray) -> np.ndarray:
         lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
         eps, scale = np.finfo(float).eps, max(abs(lo), abs(hi))
         pad = 2.1 * n * eps * scale  # as in LAPACK's dstebz
-        lo, hi = np.full(n, lo - pad), np.full(n, hi + pad)
-        rows, steps = np.arange(n), np.arange(1, _SPLIT) / _SPLIT
+        lo, hi = np.full(count, lo - pad), np.full(count, hi + pad)
+        rows, steps = np.arange(count), np.arange(1, _SPLIT) / _SPLIT
         for p in range(_MAX_PASSES):
             x = lo[:, None] + (hi - lo)[:, None] * steps
             # every bracket starts as the same interval: pass 1 counts one row
@@ -127,8 +181,11 @@ jacobi_eigenvalues = eigenvalues
 
 
 def min_eigenvalue(h: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix (symmetrized first)."""
-    return float(eigenvalues(h)[0])
+    """Smallest eigenvalue of a Hermitian matrix (symmetrized first).
+
+    Goes through the module global `eigenvalues`, so that every solve is
+    seen by whatever wraps that name."""
+    return float(eigenvalues(h, 1)[0])
 
 
 @dataclass(frozen=True)
@@ -159,6 +216,8 @@ def ldl_verdict(g: np.ndarray, tol: float) -> LdlVerdict:
     """
     a = _hermitian_copy(g)
     n = a.shape[0]
+    if n == 0:
+        raise ValueError("matrix is empty: there is no verdict to give")
     shift = tol * (1 + float(np.max(a.diagonal().real)))
     a.flat[:: n + 1] += shift
     for k in range(n):

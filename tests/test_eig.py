@@ -1,8 +1,9 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kernelcalc import eig
 from kernelcalc.eig import eigenvalues, hermitian_part, ldl_verdict, min_eigenvalue
@@ -117,6 +118,70 @@ def test_entries_near_the_float_maximum_are_solved_without_warnings():
 
 def test_zero_matrix_has_zero_spectrum():
     assert np.array_equal(eigenvalues(np.zeros((3, 3))), np.zeros(3))
+    assert np.array_equal(eigenvalues(np.zeros((3, 3)), 2), np.zeros(2))
+
+
+def test_empty_matrix_has_an_empty_spectrum_and_no_least_eigenvalue():
+    assert eigenvalues(np.zeros((0, 0))).shape == (0,)
+    with pytest.raises(ValueError, match="matrix is empty"):
+        min_eigenvalue(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="matrix is empty"):
+        eigenvalues(np.zeros((0, 0)), 1)
+
+
+def _counts_both_ways(d, e2, x):
+    """(fast counts, guarded counts, whether the fast path fell back), with
+    every floating-point warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch.object(eig, "_guarded_counts", wraps=eig._guarded_counts) as spy:
+            fast = eig._sturm_counts(d, e2, x)
+        return fast, eig._guarded_counts(d, e2, x), spy.called
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 150), st.integers(1, 2250), st.integers(0, 2**32 - 1))
+@example(150, 2250, 0)  # 22 blocks of 7 steps
+def test_fast_sturm_counts_equal_the_guarded_counts(n, width, seed):
+    # widths above _BLOCK_PIVOTS / n run the recurrence in several blocks
+    rng = np.random.default_rng(seed)
+    d, e2 = rng.standard_normal(n), rng.standard_normal(n - 1) ** 2
+    x = rng.uniform(-4, 4, (1, width))
+    fast, guarded, _ = _counts_both_ways(d, e2, x)
+    assert fast.shape == x.shape and fast.dtype == guarded.dtype
+    assert np.array_equal(fast, guarded)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 150),
+    st.integers(1, 2250),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example(150, 2250, False, 0)
+@example(150, 2250, True, 0)
+def test_exact_zero_pivots_fall_back_to_the_guarded_counts(n, width, coupled, seed):
+    # integer diagonals and shifts placed on diagonal entries make pivots
+    # that are exactly zero; without off-diagonals every such shift does
+    rng = np.random.default_rng(seed)
+    d = rng.integers(-5, 6, n).astype(float)
+    e2 = rng.integers(0, 3, n - 1).astype(float) if coupled else np.zeros(n - 1)
+    x = np.where(rng.random(width) < 0.5, rng.choice(d, width), rng.uniform(-6, 6, width))
+    fast, guarded, fell_back = _counts_both_ways(d, e2, x.reshape(1, width))
+    assert np.array_equal(fast, guarded)
+    if not coupled and np.isin(x, d).any():
+        assert fell_back
+
+
+def test_a_zero_pivot_in_a_later_block_falls_back():
+    n, width = 150, 2250  # _BLOCK_PIVOTS // 2250 = 7 steps per block
+    d, e2 = np.arange(n, dtype=float), np.zeros(n - 1)
+    x = np.linspace(-1.5, 0.5, width)
+    x[-1] = d[120]
+    fast, guarded, fell_back = _counts_both_ways(d, e2, x.reshape(15, -1))
+    assert fell_back and np.array_equal(fast, guarded)
+    assert fast[-1, -1] == 121  # the zero pivot counts as -pivmin
 
 
 def _spectral_family(kind, n, rng):
@@ -137,6 +202,16 @@ def _spectral_family(kind, n, rng):
     return g
 
 
+def _scaled(g, scaling, rng):
+    """`g` as is, times one power of ten, or graded by powers of ten."""
+    if scaling == "uniform":
+        return g * 10.0 ** rng.integers(-150, 151)
+    if scaling == "graded":
+        d = 10.0 ** rng.uniform(-150, 150, g.shape[0])
+        return d[:, None] * g * d[None, :]
+    return g
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(["random", "rank_deficient", "repeated", "block_diagonal"]),
@@ -146,16 +221,38 @@ def _spectral_family(kind, n, rng):
 )
 def test_eigenvalues_match_the_numpy_oracle(kind, n, scaling, seed):
     rng = np.random.default_rng(seed)
-    g = _spectral_family(kind, n, rng)
-    if scaling == "uniform":
-        g = g * 10.0 ** rng.integers(-150, 151)
-    elif scaling == "graded":
-        d = 10.0 ** rng.uniform(-150, 150, n)
-        g = d[:, None] * g * d[None, :]
+    g = _scaled(_spectral_family(kind, n, rng), scaling, rng)
     want = np.linalg.eigvalsh(g)
     got = eigenvalues(g)
     assert np.all(np.diff(got) >= 0)
     assert np.abs(got - want).max() <= 1e-12 * (1 + np.abs(want).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["random", "rank_deficient", "repeated", "block_diagonal"]),
+    st.integers(1, 60),
+    st.sampled_from(["none", "uniform", "graded"]),
+    st.floats(0, 1),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_least_eigenvalues_match_the_numpy_oracle(kind, n, scaling, fraction, seed):
+    rng = np.random.default_rng(seed)
+    g = _scaled(_spectral_family(kind, n, rng), scaling, rng)
+    k = 1 + int(fraction * (n - 1))
+    want = np.linalg.eigvalsh(g)
+    scale = 1 + np.abs(want).max()
+    got = eigenvalues(g, np.int64(k))
+    assert got.shape == (k,) and np.all(np.diff(got) >= 0)
+    assert np.abs(got - want[:k]).max() <= 1e-12 * scale
+    # bracket 0 is bisected alone: it may stop passes earlier than with all
+    assert abs(min_eigenvalue(g) - eigenvalues(g)[0]) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("count", [0, -1, 4, 1.5, 2.0, "1"])
+def test_a_count_outside_one_to_n_raises(count):
+    with pytest.raises(ValueError, match="count must be an integer in 1..3"):
+        eigenvalues(np.eye(3), count)
 
 
 def _lapack_verdict(g, tol):
@@ -221,5 +318,7 @@ def test_ldl_verdict_on_small_matrices():
 def test_ldl_verdict_rejects_bad_input():
     with pytest.raises(ValueError):
         ldl_verdict(np.ones((2, 3)), 1e-9)
+    with pytest.raises(ValueError, match="matrix is empty"):
+        ldl_verdict(np.zeros((0, 0)), 1e-9)
     with pytest.raises(EvaluationError):
         ldl_verdict(np.array([[1.0, np.nan], [np.nan, 1.0]]), 1e-9)
