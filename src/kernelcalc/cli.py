@@ -8,9 +8,9 @@ are flag names, validated like flags (a bad value or unknown key exits 2),
 and explicit flags win.  --tol and --resolution must be positive, --n and
 --pairs positive integers, --order a non-negative integer, --seed an
 integer in [0, 2^64), `norm --m` an integer in [2, 16], --radius in (0, 1),
---lambda, --t, --lo and --hi finite, the coordinates of --z, --w
-and `quasi --a` finite complex numbers, and the coordinate of `bound --f`
-must exist in the kernel's domain.
+--lambda, --t, --lo and --hi finite, --lo below --hi, the coordinates of
+--z, --w and `quasi --a` finite complex numbers, and the coordinate of
+`bound --f` must exist in the kernel's domain.
 
 Exit codes: 0 success, 2 configuration or parse error, 3 evaluation error,
 4 scan bracket failure (no sign change in the scanned interval); `repro`
@@ -130,6 +130,8 @@ def cmd_psd(args) -> int:
 
 
 def cmd_wallach(args) -> int:
+    if not args.lo < args.hi:
+        raise ParseError(f"--lo {args.lo} must be below --hi {args.hi}", 0)
     base = parse_kernel(args.base)
     domain = _domain_for(base.m, args.radius)
     est = wallach_scan(base, args.lo, args.hi, domain, tol=args.tol,

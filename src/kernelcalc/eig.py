@@ -13,7 +13,10 @@ It serves reports that need eigenvalues.
 `ldl_verdict` decides only the sign question: it runs an LDL^H
 (square-root-free Cholesky) elimination of G + tau I, which succeeds exactly
 when every eigenvalue of G exceeds -tau, and on breakdown returns a vector
-on which G is negative.
+on which G is negative.  The elimination is left-looking (the "gaxpy" form
+of Golub & Van Loan, 4.2): step k forms column k of the Schur complement
+with one mat-vec against the columns already factored, in place, so no
+(n - k)^2 rank-1 update is formed.
 """
 
 from __future__ import annotations
@@ -209,10 +212,16 @@ class LdlVerdict:
 def ldl_verdict(g: np.ndarray, tol: float) -> LdlVerdict:
     """Is G >= -tol * (1 + max diagonal) * I?  Decided by factorising.
 
-    LDL^H of A = G + tau I, tau = tol * (1 + max diag G), as n rank-1 Schur
-    updates; the verdict passes iff every pivot is > 0, which is the case
-    exactly when the least eigenvalue of (the Hermitian part of) G exceeds
-    -tau.  No eigenvalue is computed.
+    LDL^H of A = G + tau I, tau = tol * (1 + max diag G), left-looking; the
+    verdict passes iff every pivot is > 0, which is the case exactly when
+    the least eigenvalue of (the Hermitian part of) G exceeds -tau.  No
+    eigenvalue is computed.
+
+    Step k needs the entries of A only in column k, on and below the
+    diagonal, so the factors overwrite A as they are made: below the
+    diagonal, column j holds column j of L D (L's column times the pivot
+    d_j); above it, row j holds row j of L^H.  Column k of the Schur
+    complement is then A[k:, k] - (L D)[k:, :k] L^H[:k, k], one mat-vec.
     """
     a = _hermitian_copy(g)
     n = a.shape[0]
@@ -221,21 +230,23 @@ def ldl_verdict(g: np.ndarray, tol: float) -> LdlVerdict:
     shift = tol * (1 + float(np.max(a.diagonal().real)))
     a.flat[:: n + 1] += shift
     for k in range(n):
-        d = a[k, k].real
+        col = a[k:, k]
+        if k:
+            col -= a[k:, :k] @ a[:k, k]
+        d = col[0].real
         if not d > 0:
             return _failed_verdict(g, a, k, shift)
-        col = a[k + 1 :, k] / d
-        a[k + 1 :, k + 1 :] -= np.outer(col, a[k, k + 1 :])
-        a[k + 1 :, k] = col  # column k of the unit lower factor L
+        a[k, k + 1 :] = col[1:].conj() / d  # row k of L^H
     return LdlVerdict(True, shift)
 
 
 def _failed_verdict(g, factored: np.ndarray, k: int, shift: float) -> LdlVerdict:
-    """Solve L^H v = e_k over the leading (k + 1) block by back substitution."""
+    """Solve L^H v = e_k over the leading (k + 1) block by back substitution;
+    `factored` holds L^H above its diagonal."""
     v = np.zeros(factored.shape[0], dtype=complex)
     v[k] = 1.0
     for i in range(k - 1, -1, -1):
-        v[i] = -(factored[i + 1 : k + 1, i].conj() @ v[i + 1 : k + 1])
+        v[i] = -(factored[i, i + 1 : k + 1] @ v[i + 1 : k + 1])
     gv = np.asarray(g, dtype=complex) @ v
     rayleigh = float(np.vdot(v, gv).real / np.vdot(v, v).real)
     return LdlVerdict(False, shift, k, v, rayleigh)

@@ -143,21 +143,40 @@ class KernelExpr:
 
     # -- public evaluation ----------------------------------------------
 
+    def _checked_values(self, zs, ws, evaluate) -> tuple:
+        """evaluate(zs, ws), a tuple of arrays at the B pairs (zs[p], ws[p]),
+        after the domain check; a failing or non-finite pair is named."""
+        zs, ws = point_array(zs, self.m), point_array(ws, self.m)
+        if zs.shape != ws.shape:
+            raise ShapeError("values needs as many z as w points")
+        self._check_pairs(zs, ws)
+        with _naming_pairs(zs, ws):
+            out = evaluate(zs, ws)
+            for a in out:
+                check_finite(a, "kernel value")
+        return out
+
     def values(self, zs, ws, log: bool = False) -> np.ndarray:
         """The kernel at the B pairs (zs[p], ws[p]): a (B, k, k) array.
 
         zs and ws are sequences of points or (B, m) arrays.  With `log`,
         the continuous branch of log K of a size-1 node instead.
         """
-        zs, ws = point_array(zs, self.m), point_array(ws, self.m)
-        if zs.shape != ws.shape:
-            raise ShapeError("values needs as many z as w points")
-        self._check_pairs(zs, ws)
-        with _naming_pairs(zs, ws):
-            jet = (self.log_jet if log else self.jets)(zs, ws, 0, 0)
-            out = jet.value
-            check_finite(out, "kernel value")
-        return out
+        jet_of = self.log_jet if log else self.jets
+        return self._checked_values(zs, ws, lambda z, w: (jet_of(z, w, 0, 0).value,))[0]
+
+    def log_hessian_values(self, zs, ws) -> tuple[np.ndarray, np.ndarray]:
+        """log K and its log-Hessian (d_i dbar_j log K) at the B pairs of a
+        size-1 node: (B, 1, 1) and (B, m, m) arrays from one caps-(1, 1) log
+        jet.  Lower coefficients do not depend on the caps, so they equal
+        `values(zs, ws, log=True)` and `LogHessian(self).values(zs, ws)` bit
+        for bit."""
+
+        def evaluate(z, w):
+            g = self.log_jet(z, w, 1, 1)
+            return g.value, _hessian(g).value
+
+        return self._checked_values(zs, ws, evaluate)
 
     def eval(self, z, w) -> np.ndarray:
         """Evaluate the kernel at (z, w); returns a k x k complex matrix."""

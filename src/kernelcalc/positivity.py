@@ -7,6 +7,11 @@ of G + tau I (`eig.ldl_verdict`), which computes no eigenvalue; a failing
 one breaks down at a pivot that yields a vector v with v^H G v < -tau |v|^2.
 A passing scan is evidence for non-negative definiteness; a failing scan is
 a proof (that negative direction on a finite point set).
+
+A scan evaluates its kernel once per set of point families: the pairs of
+all families go through one batch of jets (for a Wallach scan, one
+caps-(1, 1) log jet gives both log K and the log-Hessian blocks), and each
+t costs one broadcast product per family and one left-looking LDL^H.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from .eig import hermitian_part, ldl_verdict, min_eigenvalue
 from .errors import BracketError, EvaluationError, KernelCalcError, ShapeError
-from .expr import KernelExpr, LogHessian, Pow
+from .expr import KernelExpr, Pow
 from .geometry import DomainSpec, Point, point_array, sample_points
 
 #: default relative PSD tolerance: psd iff min eig >= -tol * (1 + max diagonal)
@@ -84,27 +89,55 @@ class WallachEstimate:
         return json.dumps(self.to_dict())
 
 
-def _pairwise(points: np.ndarray, k: int, values_of) -> np.ndarray:
-    """Matrix whose k x k block (p, q) is values_of at (z_p, z_q), conjugate-completed.
+def _pairwise(point_sets, values_of) -> list:
+    """Per point set, the (n, k, n, k) arrays whose block (p, q) is each array
+    that values_of gives at (z_p, z_q), conjugate-completed.
 
-    All pairs p <= q are evaluated as one batch; a failing pair is named.
+    values_of returns a tuple of (B, k, k) arrays.  The pairs p <= q of all
+    sets are evaluated as one batch; a failing pair is named.
     """
-    n = len(points)
-    p, q = np.triu_indices(n)
+    # the indices of np.triu_indices, at a third of its cost
+    upper = [np.nonzero(np.tri(len(pts), dtype=bool).T) for pts in point_sets]
+    zs = np.concatenate([pts[p] for pts, (p, _) in zip(point_sets, upper)])
+    ws = np.concatenate([pts[q] for pts, (_, q) in zip(point_sets, upper)])
     try:
-        blocks = values_of(points[p], points[q])
+        outs = values_of(zs, ws)
     except KernelCalcError as exc:
         raise EvaluationError(f"evaluation failed: {exc}") from exc
-    g = np.empty((n, k, n, k), dtype=complex)
-    g[q, :, p, :] = blocks.conj().transpose(0, 2, 1)
-    g[p, :, q, :] = blocks
+    result, start = [], 0
+    for pts, (p, q) in zip(point_sets, upper):
+        n, stop = len(pts), start + len(p)
+        completed = []
+        for out in outs:
+            blocks = out[start:stop]
+            k = blocks.shape[-1]
+            g = np.empty((n, k, n, k), dtype=complex)
+            g[q, :, p, :] = blocks.conj().transpose(0, 2, 1)
+            g[p, :, q, :] = blocks
+            completed.append(g)
+        result.append(tuple(completed))
+        start = stop
+    return result
+
+
+def _square(g: np.ndarray) -> np.ndarray:
+    """The nk x nk matrix of an (n, k, n, k) block array."""
+    n, k = g.shape[:2]
     return g.reshape(n * k, n * k)
+
+
+def _grams(expr: KernelExpr, point_sets) -> list:
+    """The block Gram of expr on each (n, m) point array, symmetrized; the
+    pairs of all sets are evaluated as one batch."""
+    return [
+        hermitian_part(_square(g))
+        for (g,) in _pairwise(point_sets, lambda zs, ws: (expr.values(zs, ws),))
+    ]
 
 
 def gram(expr: KernelExpr, points) -> np.ndarray:
     """Block Gram matrix with block (p, q) = eval(expr, z_p, z_q), symmetrized."""
-    pts = point_array(points, expr.m)
-    return hermitian_part(_pairwise(pts, expr.size, expr.values))
+    return _grams(expr, [point_array(points, expr.m)])[0]
 
 
 def _verdict(g: np.ndarray, tol: float) -> tuple[float, float, bool]:
@@ -163,49 +196,70 @@ def kernel_order_check(
 class _CurvatureFamilyGram:
     """A parametric Gram family G(t) = kron(M(t), 1_k) o B on one point set.
 
-    The block Gram B (k x k blocks) is assembled once; only the n x n
-    modulation M(t) changes with the parameter, so no kernel is evaluated
-    per t.  Wallach scans use B = log-Hessian Gram (or all ones) and
-    M(t) = K^t; multiplier bounds use B = Gram of K and M(c) = c^2 - f fbar.
+    The block Gram B (k x k blocks, an nk x nk matrix) is assembled once and
+    kept as an (n, k, n, k) view; only the n x n modulation M(t) changes with
+    the parameter, so no kernel is evaluated per t, and G(t) is one
+    broadcast product of M(t) against the blocks.  G(t) is Hermitian up to
+    the rounding of M(t); `ldl_verdict` symmetrizes it.  Wallach scans use
+    B = log-Hessian Gram (or all ones) and M(t) = K^t; multiplier bounds use
+    B = Gram of K and M(c) = c^2 - f fbar.
     """
 
     def __init__(self, points, blocks: np.ndarray, modulation):
+        n = len(points)
         self.points = points
-        self.blocks = blocks
+        self.blocks = blocks.reshape(n, blocks.shape[0] // n, n, -1)
         self.modulation = modulation
-        self.k = blocks.shape[0] // len(points)
 
     def gram_at(self, t: float) -> np.ndarray:
-        ones = np.ones((self.k, self.k))
-        return hermitian_part(np.kron(self.modulation(t), ones) * self.blocks)
+        return _square(self.modulation(t)[:, None, :, None] * self.blocks)
 
 
-def _power_families(base: KernelExpr, domain, family, blocks_of) -> list:
-    """One Gram family t -> K^t o B per (count, seed), B = blocks_of(points).
+def _check_family(family) -> tuple:
+    family = tuple(family)
+    if not family:
+        raise ValueError("the point family is empty: it needs at least one (count, seed)")
+    return family
+
+
+def _logs_and_blocks(base: KernelExpr, arrays, curvature: bool) -> list:
+    """Per (n, m) point array, log K as an n x n matrix and the block Gram B:
+    the log-Hessian Gram with `curvature`, all ones without.
+
+    The pairs of all arrays go through one batch of jets: with `curvature`,
+    one caps-(1, 1) log jet, whose value is the caps-(0, 0) log K bit for bit.
+    """
+    if curvature:
+        pairs = _pairwise(arrays, base.log_hessian_values)
+        return [(_square(logk), hermitian_part(_square(hess))) for logk, hess in pairs]
+    pairs = _pairwise(arrays, lambda zs, ws: (base.values(zs, ws, log=True),))
+    return [(_square(logk), np.ones((len(logk),) * 2)) for (logk,) in pairs]
+
+
+def _power_families(base: KernelExpr, domain, family, curvature: bool) -> list:
+    """One Gram family t -> K^t o B per (count, seed), B as in
+    `_logs_and_blocks`.
 
     K^t is exp(t log K) on the continuous log branch of the base kernel,
     which equals the pairwise value of pow(base, t) exactly.
     """
     Pow(base, 1.0)  # raises the ShapeError of pow for a base that is not scalar
-
-    def log_values(zs, ws):
-        return base.values(zs, ws, log=True)
-
-    fams = []
-    for n, s in family:
-        pts = sample_points(domain, n, s)
-        logk = _pairwise(point_array(pts, base.m), 1, log_values)
-        fams.append(
-            _CurvatureFamilyGram(
-                pts, blocks_of(pts), lambda t, logk=logk: np.exp(t * logk)
-            )
-        )
-    return fams
+    sets = [sample_points(domain, n, s) for n, s in _check_family(family)]
+    arrays = [point_array(pts, base.m) for pts in sets]
+    return [
+        _CurvatureFamilyGram(pts, blocks, lambda t, logk=logk: np.exp(t * logk))
+        for pts, (logk, blocks) in zip(sets, _logs_and_blocks(base, arrays, curvature))
+    ]
 
 
 def _check_resolution(resolution: float) -> None:
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
+
+
+def _check_interval(lo: float, hi: float) -> None:
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"the interval needs finite lo < hi, got [{lo}, {hi}]")
 
 
 def _bisect(is_psd, lo: float, hi: float, resolution: float) -> tuple[float, float]:
@@ -215,8 +269,7 @@ def _bisect(is_psd, lo: float, hi: float, resolution: float) -> tuple[float, flo
     midpoint no longer splits it in floating point.
     """
     _check_resolution(resolution)
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"bisection needs finite lo < hi, got [{lo}, {hi}]")
+    _check_interval(lo, hi)
     while hi - lo > resolution:
         mid = (lo + hi) / 2
         if not lo < mid < hi:
@@ -243,9 +296,8 @@ def wallach_scan(
     psd only if every point family passes.
     """
     _check_resolution(resolution)
-    fams = _power_families(
-        base, domain, family, lambda pts: gram(LogHessian(base), pts)
-    )
+    _check_interval(t_lo, t_hi)
+    fams = _power_families(base, domain, family, curvature=True)
     verdicts: list[tuple[float, bool]] = []
 
     def is_psd(t: float) -> bool:
@@ -282,9 +334,7 @@ def ordinary_wallach_scan(
     """Per-t PSD verdicts for the powers K^t, t > 0."""
     if any(t <= 0 for t in t_grid):
         raise ValueError("ordinary Wallach scan needs t > 0")
-    fams = _power_families(
-        base, domain, family, lambda pts: np.ones((len(pts), len(pts)))
-    )
+    fams = _power_families(base, domain, family, curvature=False)
     return [
         (t, all(ldl_verdict(f.gram_at(t), tol).psd for f in fams))
         for t in map(float, t_grid)

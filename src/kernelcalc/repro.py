@@ -41,7 +41,7 @@ from .geometry import sample_points, unit_ball, unit_disc
 from .parser import parse_kernel
 from .positivity import DEFAULT_FAMILIES, DEFAULT_TOL, gram, psd_check, wallach_scan
 from .positivity import _CurvatureFamilyGram
-from .rkhs import _multiplier_family, multiplier_bound, z2_tensor_e1_norm
+from .rkhs import _multiplier_families, multiplier_bound, z2_tensor_e1_norm
 
 
 @dataclass(frozen=True)
@@ -243,9 +243,9 @@ def check_multiplier_bound() -> CheckResult:
     curv = Curvature(base, 1.0, 1.0)
     violations = 0
     tested = 0
-    for n, seed in DEFAULT_FAMILIES:
-        pts = sample_points(unit_disc(), n, seed)
-        plain = _multiplier_family(base, lambda p: p[0], pts)
+    point_sets = [sample_points(unit_disc(), n, seed) for n, seed in DEFAULT_FAMILIES]
+    plains = _multiplier_families(base, lambda p: p[0], point_sets)
+    for pts, plain in zip(point_sets, plains):
         squared = _CurvatureFamilyGram(
             pts, gram(curv, pts), lambda c, m=plain.modulation: np.square(m(c))
         )

@@ -16,10 +16,10 @@ import numpy as np
 
 from .errors import BracketError, EvaluationError, ShapeError
 from .expr import BallCurvature, KernelExpr
-from .geometry import DomainSpec, MultiIndex, Point, as_point, sample_points
+from .geometry import DomainSpec, MultiIndex, Point, as_point, point_array, sample_points
 from .eig import ldl_verdict
-from .positivity import DEFAULT_FAMILIES, DEFAULT_TOL, gram
-from .positivity import _bisect, _check_resolution, _CurvatureFamilyGram
+from .positivity import DEFAULT_FAMILIES, DEFAULT_TOL, _bisect, _check_family
+from .positivity import _check_resolution, _CurvatureFamilyGram, _grams
 
 #: default bracket width at which multiplier_bound stops bisecting
 BOUND_RESOLUTION = 0.01
@@ -184,13 +184,20 @@ def _as_function(f, m):
     raise ShapeError("multiplier must be a coordinate index or a callable")
 
 
-def _multiplier_family(expr: KernelExpr, func, points) -> _CurvatureFamilyGram:
-    """The Gram family c -> (c^2 - f(z) conj(f(w))) K(z, w) on one point set."""
-    pts = [as_point(p, expr.m) for p in points]
-    vals = np.array([func(p) for p in pts], dtype=complex)
-    return _CurvatureFamilyGram(
-        pts, gram(expr, pts), lambda c: c * c - np.outer(vals, vals.conj())
-    )
+def _multiplier_families(expr: KernelExpr, func, point_sets) -> list:
+    """The Gram family c -> (c^2 - f(z) conj(f(w))) K(z, w) on each point
+    set; K is evaluated at the pairs of all sets as one batch."""
+    point_sets = [[as_point(p, expr.m) for p in pts] for pts in point_sets]
+    grams = _grams(expr, [point_array(pts, expr.m) for pts in point_sets])
+    fams = []
+    for pts, g in zip(point_sets, grams):
+        vals = np.array([func(p) for p in pts], dtype=complex)
+        fams.append(
+            _CurvatureFamilyGram(
+                pts, g, lambda c, vals=vals: c * c - np.outer(vals, vals.conj())
+            )
+        )
+    return fams
 
 
 def multiplier_bound(
@@ -208,10 +215,10 @@ def multiplier_bound(
     """
     _check_resolution(resolution)
     func, label = _as_function(f, expr.m)
-    fams = [(n, operator.index(s)) for n, s in family]
-    grams = [
-        _multiplier_family(expr, func, sample_points(domain, n, s)) for n, s in fams
-    ]
+    fams = [(n, operator.index(s)) for n, s in _check_family(family)]
+    grams = _multiplier_families(
+        expr, func, [sample_points(domain, n, s) for n, s in fams]
+    )
 
     def is_psd(c: float) -> bool:
         return all(ldl_verdict(g.gram_at(c), tol).psd for g in grams)

@@ -6,8 +6,9 @@ explicit ball matrix kernel from its hand-coded closed form, seeded
 sampling by a loop that draws and tests one attempt at a time, the
 finite-difference table by a loop over the terms of each 2m-variable
 stencil, jet products by contracting the w group and then the z group,
-jet pow, exp and log by summing the powers of the series argument, and
-RKHS inner products by one jet table per pair of terms.
+jet pow, exp and log by summing the powers of the series argument,
+RKHS inner products by one jet table per pair of terms, and the LDL^H
+verdict by right-looking rank-1 Schur updates.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from itertools import product
 
 import numpy as np
 
+from kernelcalc.eig import LdlVerdict, _hermitian_copy
 from kernelcalc.errors import EvaluationError, ShapeError
 from kernelcalc.expr import KernelExpr
 from kernelcalc.geometry import DomainSpec, Point, as_point, graded_lex_tuples, unit_index
@@ -260,3 +262,33 @@ def inner_product_per_pair(e1: RkhsElement, e2: RkhsElement) -> complex:
             xi = np.array(t.direction)
             acc += s.coef * t.coef.conjugate() * (xi.conj() @ (mat @ eta))
     return acc
+
+
+def ldl_verdict_right_looking(g, tol: float) -> LdlVerdict:
+    """`ldl_verdict` by the right-looking elimination: n rank-1 Schur updates
+    of the trailing block, L stored below the diagonal."""
+    a = _hermitian_copy(g)
+    n = a.shape[0]
+    if n == 0:
+        raise ValueError("matrix is empty: there is no verdict to give")
+    shift = tol * (1 + float(np.max(a.diagonal().real)))
+    a.flat[:: n + 1] += shift
+    for k in range(n):
+        d = a[k, k].real
+        if not d > 0:
+            return _failed_right_looking(g, a, k, shift)
+        col = a[k + 1 :, k] / d
+        a[k + 1 :, k + 1 :] -= np.outer(col, a[k, k + 1 :])
+        a[k + 1 :, k] = col  # column k of the unit lower factor L
+    return LdlVerdict(True, shift)
+
+
+def _failed_right_looking(g, factored: np.ndarray, k: int, shift: float) -> LdlVerdict:
+    """Solve L^H v = e_k over the leading (k + 1) block by back substitution."""
+    v = np.zeros(factored.shape[0], dtype=complex)
+    v[k] = 1.0
+    for i in range(k - 1, -1, -1):
+        v[i] = -(factored[i + 1 : k + 1, i].conj() @ v[i + 1 : k + 1])
+    gv = np.asarray(g, dtype=complex) @ v
+    rayleigh = float(np.vdot(v, gv).real / np.vdot(v, v).real)
+    return LdlVerdict(False, shift, k, v, rayleigh)

@@ -165,6 +165,22 @@ def test_wallach_bracket_failure_exits_4(capsys):
     assert "sign change" in err
 
 
+@pytest.mark.parametrize("lo,hi", [("0", "-2"), ("-2", "-2")])
+def test_wallach_refuses_lo_not_below_hi_before_scanning(capsys, monkeypatch, lo, hi):
+    import kernelcalc.cli
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(kernelcalc.cli, "wallach_scan", no_scan)
+    code, out, err = _run(
+        capsys, "wallach", "--base", "bergman_disc()", "--lo", lo, "--hi", hi,
+    )
+    assert code == 2
+    assert out == ""
+    assert "--lo" in err and "--hi" in err
+
+
 def test_wallach_disc_boundary(capsys):
     code, out, _ = _run(
         capsys, "wallach", "--base", "bergman_disc()", "--lo", "-2", "--hi", "0",

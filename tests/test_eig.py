@@ -11,6 +11,7 @@ from kernelcalc.errors import EvaluationError
 from kernelcalc.geometry import sample_points, unit_disc
 from kernelcalc.parser import parse_kernel
 from kernelcalc.positivity import gram
+from oracles import ldl_verdict_right_looking
 
 
 def _random_hermitian(n, seed):
@@ -299,6 +300,52 @@ def test_ldl_verdict_matches_the_eigenvalue_verdict(n, deficiency, mantissa, exp
     if res.psd:
         assert res.witness is None and res.pivot is None
     else:
+        _assert_witness(g, res)
+
+
+def _first_failing_block(a, gap):
+    """The first k for which the leading (k + 1) block of A is not positive
+    definite (numpy's eigvalsh), None if there is none; the run is rejected
+    when some block up to it has its least eigenvalue within `gap` of 0."""
+    for k in range(a.shape[0]):
+        lam = np.linalg.eigvalsh(a[: k + 1, : k + 1])[0]
+        assume(abs(lam) > gap)
+        if lam < 0:
+            return k
+    return None
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 120),
+    st.integers(0, 6),
+    st.floats(-1.0, 1.0),
+    st.integers(-9, 1),
+    st.sampled_from([1e-9, 1e-6]),
+    st.integers(0, 2**32 - 1),
+)
+@example(120, 4, -1.0, -3, 1e-9, 7)
+@example(120, 0, 1.0, -2, 1e-9, 8)
+def test_left_looking_ldl_matches_the_right_looking_elimination(
+    n, deficiency, mantissa, exponent, tol, seed
+):
+    # the families of test_ldl_verdict_matches_the_eigenvalue_verdict
+    rng = np.random.default_rng(seed)
+    r = max(n - deficiency, 0)
+    b = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+    g = b @ b.conj().T * rng.uniform(0.1, 2.0) + mantissa * 10.0**exponent * np.eye(n)
+    want = ldl_verdict_right_looking(g, tol)
+    res = ldl_verdict(g, tol)
+    assert res.shift == want.shift
+    # the elimination breaks down at the first leading block of G + shift I
+    # that is not positive definite; both forms find it unless some block
+    # is within rounding of singular
+    maxdiag = np.max(np.diag(g).real)
+    pivot = _first_failing_block(hermitian_part(g) + res.shift * np.eye(n),
+                                 1e-8 * (1 + maxdiag))
+    assert res.psd == want.psd == (pivot is None)
+    assert res.pivot == want.pivot == pivot
+    if not res.psd:
         _assert_witness(g, res)
 
 

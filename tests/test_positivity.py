@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from kernelcalc.eig import ldl_verdict
+from kernelcalc.eig import hermitian_part, ldl_verdict
 from kernelcalc.errors import BracketError, ShapeError
 from kernelcalc.expr import (
     BallCurvature,
@@ -18,11 +18,14 @@ from kernelcalc.expr import (
     bergman_ball,
     bergman_disc,
 )
-from kernelcalc.geometry import Point, sample_points, unit_ball, unit_disc
+from kernelcalc.geometry import Point, point_array, sample_points, unit_ball, unit_disc
+from kernelcalc.parser import parse_kernel
 from kernelcalc.positivity import (
     DEFAULT_FAMILIES,
     DEFAULT_TOL,
     _bisect,
+    _logs_and_blocks,
+    _pairwise,
     _power_families,
     _verdict,
     gram,
@@ -196,9 +199,7 @@ def test_wallach_scan_with_a_tiny_resolution_terminates():
 @given(st.floats(0.05, 3.0), st.sampled_from([0, 1]))
 def test_curvature_family_matches_the_curvature_gram(t, which):
     base, domain = [(bergman_disc(), unit_disc()), (bergman_ball(2), unit_ball(2))][which]
-    (fam,) = _power_families(
-        base, domain, ((6, 3),), lambda pts: gram(LogHessian(base), pts)
-    )
+    (fam,) = _power_families(base, domain, ((6, 3),), curvature=True)
     ref = gram(Curvature(base, t / 2, t / 2), fam.points)
     assert np.abs(fam.gram_at(t) - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -279,9 +280,7 @@ def test_scan_verdicts_match_the_eigenvalue_predicate(base, domain, lo, hi, brac
     (bergman_ball(2), unit_ball(2)),
 ])
 def test_family_verdicts_agree_with_jacobi_and_fail_with_a_witness(base, domain):
-    (fam,) = _power_families(
-        base, domain, ((10, 4),), lambda pts: gram(LogHessian(base), pts)
-    )
+    (fam,) = _power_families(base, domain, ((10, 4),), curvature=True)
     for t in np.linspace(-2.0, 1.0, 13):
         g = fam.gram_at(t)
         res = ldl_verdict(g, DEFAULT_TOL)
@@ -289,3 +288,105 @@ def test_family_verdicts_agree_with_jacobi_and_fail_with_a_witness(base, domain)
         if not res.psd:
             v = res.witness
             assert np.vdot(v, g @ v).real < -res.shift * np.vdot(v, v).real
+
+
+@pytest.mark.parametrize("scan", ["wallach", "ordinary", "bound"])
+def test_an_empty_family_is_refused_before_sampling(scan, monkeypatch):
+    from kernelcalc import positivity, rkhs
+
+    def no_sampling(*args):
+        raise AssertionError("a point family was built")
+
+    monkeypatch.setattr(positivity, "sample_points", no_sampling)
+    monkeypatch.setattr(rkhs, "sample_points", no_sampling)
+    with pytest.raises(ValueError, match="family is empty"):
+        if scan == "wallach":
+            wallach_scan(bergman_disc(), -2.0, 0.0, unit_disc(), family=())
+        elif scan == "ordinary":
+            ordinary_wallach_scan(SzegoDisc(), [0.5, 1.0], unit_disc(), family=())
+        else:
+            rkhs.multiplier_bound(SzegoDisc(), 0, unit_disc(), ())
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (0.0, -2.0), (-2.0, -2.0), (float("nan"), 0.0), (-1.0, float("inf")),
+])
+def test_wallach_scan_rejects_a_bad_interval_before_sampling(lo, hi, monkeypatch):
+    from kernelcalc import positivity
+
+    def no_sampling(*args):
+        raise AssertionError("a point family was built")
+
+    monkeypatch.setattr(positivity, "sample_points", no_sampling)
+    with pytest.raises(ValueError, match="lo < hi"):
+        wallach_scan(bergman_disc(), lo, hi, unit_disc())
+
+
+# scalar built-ins and every scalar combinator, on their own domains
+_ONE_PASS_BASES = [
+    ("szego_disc()", unit_disc()),
+    ("bergman_disc()", unit_disc()),
+    ("bergman_ball(2)", unit_ball(2)),
+    ("ball_power(3, 4.5)", unit_ball(3)),
+    ("diagonal_series([0.5, 0.0, 0.2])", unit_disc()),
+    ("pow(szego_disc(), 0.7)", unit_disc()),
+    ("pow(bergman_ball(2), 1.5)", unit_ball(2)),
+    ("product(szego_disc(), bergman_disc())", unit_disc()),
+    ("sum(szego_disc(), bergman_disc())", unit_disc()),
+    ("scale(bergman_ball(2), 2.5)", unit_ball(2)),
+    ("tensor(szego_disc(), bergman_disc())", None),
+]
+
+
+@pytest.mark.parametrize("text,domain", _ONE_PASS_BASES)
+def test_one_jet_pass_equals_the_per_family_evaluations(text, domain):
+    base = parse_kernel(text)
+    domain = domain or unit_ball(base.m, 0.6)  # inside the bidisc
+    sets = [sample_points(domain, n, s) for n, s in ((8, 1), (12, 2), (16, 3))]
+    arrays = [point_array(pts, base.m) for pts in sets]
+    for curvature in (True, False):
+        got = _logs_and_blocks(base, arrays, curvature)
+        for pts, arr, (logk, blocks) in zip(sets, arrays, got):
+            n = len(pts)
+            ((want,),) = _pairwise([arr], lambda zs, ws: (base.values(zs, ws, log=True),))
+            assert np.array_equal(logk, want.reshape(n, n))
+            if curvature:
+                assert np.array_equal(blocks, gram(LogHessian(base), pts))
+            else:
+                assert np.array_equal(blocks, np.ones((n, n)))
+
+
+def _kron_gram(fam, t):
+    """G(t) by the Kronecker formula, symmetrized."""
+    n, k = fam.blocks.shape[:2]
+    b = fam.blocks.reshape(n * k, n * k)
+    return hermitian_part(np.kron(fam.modulation(t), np.ones((k, k))) * b)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(-2.0, 3.0), st.sampled_from([0, 1, 2]))
+def test_broadcast_family_grams_equal_the_kronecker_formula(t, which):
+    from kernelcalc.rkhs import _multiplier_families
+
+    base, domain = [(bergman_disc(), unit_disc()), (bergman_ball(2), unit_ball(2)),
+                    (bergman_ball(3), unit_ball(3))][which]
+    family = ((8, 1), (12, 2))
+    fams = (
+        _power_families(base, domain, family, curvature=True)
+        + _power_families(base, domain, family, curvature=False)
+        + _multiplier_families(
+            base, lambda p: p[0], [sample_points(domain, n, s) for n, s in family]
+        )
+    )
+    for fam in fams:
+        assert np.array_equal(hermitian_part(fam.gram_at(t)), _kron_gram(fam, t))
+
+
+def test_multiplier_grams_of_one_pass_equal_the_per_family_grams():
+    from kernelcalc.rkhs import _multiplier_families
+
+    for text in ("szego_disc()", "bergman_disc()", "curvature(szego_disc(), 1, 1)"):
+        expr = parse_kernel(text)
+        sets = [sample_points(unit_disc(), n, s) for n, s in ((8, 1), (12, 2), (16, 3))]
+        for pts, fam in zip(sets, _multiplier_families(expr, lambda p: p[0], sets)):
+            assert np.array_equal(fam.blocks.reshape(len(pts), len(pts)), gram(expr, pts))
