@@ -51,20 +51,20 @@ from .geometry import (
 from .parser import parse_kernel
 from .positivity import (
     GramReport,
+    MultiplierBound,
     WallachEstimate,
     gram,
     kernel_order_check,
     min_eigenvalue,
+    multiplier_bound,
     ordinary_wallach_scan,
     psd_check,
     wallach_scan,
 )
 from .rkhs import (
-    MultiplierBound,
     RkhsElement,
     element,
     inner_product,
-    multiplier_bound,
     norm,
     z2_tensor_e1_norm,
 )

@@ -34,9 +34,10 @@ from .errors import BracketError, KernelCalcError, ParseError
 from .geometry import DEFAULT_SAMPLE_RADIUS, graded_lex_tuples, sample_points
 from .geometry import unit_ball, unit_disc
 from .parser import parse_kernel
-from .positivity import DEFAULT_TOL, WALLACH_RESOLUTION, gram, psd_check, wallach_scan
+from .positivity import BOUND_RESOLUTION, DEFAULT_TOL, WALLACH_RESOLUTION, gram
+from .positivity import multiplier_bound, psd_check, wallach_scan
 from .repro import run_all
-from .rkhs import BOUND_RESOLUTION, MAX_NORM_DIM, multiplier_bound, z2_tensor_e1_norm
+from .rkhs import MAX_NORM_DIM, z2_tensor_e1_norm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,10 +53,10 @@ def _parse_point(text: str, flag: str) -> tuple[complex, ...]:
         try:
             value = complex(c[:-1] + "j" if c.endswith("i") else c)
         except ValueError as exc:
-            raise ParseError(f"bad point {flag} {text!r}: {exc}", 0)
+            raise ParseError(f"bad point {flag} {text!r}: {exc}")
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise ParseError(f"bad point {flag} {text!r}: coordinate {k} ({c!r}) "
-                             "is not finite", 0)
+                             "is not finite")
         coords.append(value)
     return tuple(coords)
 
@@ -131,7 +132,7 @@ def cmd_psd(args) -> int:
 
 def cmd_wallach(args) -> int:
     if not args.lo < args.hi:
-        raise ParseError(f"--lo {args.lo} must be below --hi {args.hi}", 0)
+        raise ParseError(f"--lo {args.lo} must be below --hi {args.hi}")
     base = parse_kernel(args.base)
     domain = _domain_for(base.m, args.radius)
     est = wallach_scan(base, args.lo, args.hi, domain, tol=args.tol,
@@ -155,7 +156,7 @@ def cmd_bound(args) -> int:
     digits = args.f[1:] or "1"  # "z" is z1
     f = int(digits) - 1 if args.f.startswith("z") and digits.isdecimal() else -1
     if not 0 <= f < expr.m:
-        raise ParseError(f"--f {args.f!r} names no coordinate of C^{expr.m}", 0)
+        raise ParseError(f"--f {args.f!r} names no coordinate of C^{expr.m}")
     domain = _domain_for(expr.m, args.radius)
     est = multiplier_bound(expr, f, domain, resolution=args.resolution)
     payload = est.to_dict()

@@ -41,7 +41,11 @@ def _hermitian_copy(h) -> np.ndarray:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(a.view(float))):
         raise EvaluationError("matrix has non-finite entries")
-    return hermitian_part(a)
+    # `hermitian_part` in place, one temporary instead of three; every entry
+    # is equal (a zero may flip sign: conj(a / 2) and conj(a) / 2 can differ)
+    a /= 2
+    a += a.conj().T
+    return a
 
 
 #: a pass splits every bracket 16 ways (15 shifts), so 53 mantissa bits take

@@ -29,10 +29,11 @@ class OrderCapError(KernelCalcError):
 
 
 class ParseError(KernelCalcError):
-    """DSL syntax or validation error, carries the offending position."""
+    """DSL syntax or validation error, at a position of the DSL text or None."""
 
-    def __init__(self, message, position):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, message, position: int | None = None):
+        at = "" if position is None else f" (at position {position})"
+        super().__init__(message + at)
         self.position = position
 
 

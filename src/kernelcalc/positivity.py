@@ -1,17 +1,17 @@
-"""Gram assembly, eigenvalue certification, NND verdicts and Wallach scans.
+"""Gram assembly, NND verdicts, Wallach scans and multiplier bounds.
 
 Reports (`psd_check`, `kernel_order_check`) carry the least eigenvalue from
 `eig.eigenvalues`, the max diagonal and tau = tol * (1 + max diagonal).
-Scan verdicts need only a sign, so they come from the LDL^H factorisation
-of G + tau I (`eig.ldl_verdict`), which computes no eigenvalue; a failing
-one breaks down at a pivot that yields a vector v with v^H G v < -tau |v|^2.
-A passing scan is evidence for non-negative definiteness; a failing scan is
-a proof (that negative direction on a finite point set).
+Scan and bound verdicts need only a sign, so they come from the LDL^H
+factorisation of G + tau I (`eig.ldl_verdict`), which computes no
+eigenvalue; a failing one breaks down at a pivot that yields a vector v
+with v^H G v < -tau |v|^2: a proof on a finite point set, where a passing
+one is evidence for non-negative definiteness.
 
-A scan evaluates its kernel once per set of point families: the pairs of
-all families go through one batch of jets (for a Wallach scan, one
-caps-(1, 1) log jet gives both log K and the log-Hessian blocks), and each
-t costs one broadcast product per family and one left-looking LDL^H.
+Scans and bounds build their parametric Gram families t -> M(t) o B in one
+place, `gram_families`: one point set per (count, seed), the pairs of all
+sets in one batch of jets.  Each t then costs one broadcast product per
+family and one left-looking LDL^H, judged by `families_pass`.
 """
 
 from __future__ import annotations
@@ -36,6 +36,12 @@ DEFAULT_FAMILIES = ((20, 11), (30, 23), (40, 37))
 
 #: default bracket width at which wallach_scan stops bisecting
 WALLACH_RESOLUTION = 0.05
+
+#: default bracket width at which multiplier_bound stops bisecting
+BOUND_RESOLUTION = 0.01
+
+#: multiplier_bound gives up when no c up to this one certifies
+MAX_BOUND = 10.0
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,27 @@ class WallachEstimate:
         return json.dumps(self.to_dict())
 
 
+@dataclass(frozen=True)
+class MultiplierBound:
+    """Bisection estimate of the multiplier norm of a scalar function."""
+
+    function: str
+    bound: float
+    bracket: tuple[float, float]
+    point_family: tuple[tuple[int, int], ...]
+
+    def to_dict(self) -> dict:
+        return {
+            "function": self.function,
+            "bound": self.bound,
+            "bracket": list(self.bracket),
+            "families": [list(f) for f in self.point_family],
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
+
+
 def _pairwise(point_sets, values_of) -> list:
     """Per point set, the (n, k, n, k) arrays whose block (p, q) is each array
     that values_of gives at (z_p, z_q), conjugate-completed.
@@ -126,18 +153,17 @@ def _square(g: np.ndarray) -> np.ndarray:
     return g.reshape(n * k, n * k)
 
 
-def _grams(expr: KernelExpr, point_sets) -> list:
-    """The block Gram of expr on each (n, m) point array, symmetrized; the
-    pairs of all sets are evaluated as one batch."""
-    return [
-        hermitian_part(_square(g))
-        for (g,) in _pairwise(point_sets, lambda zs, ws: (expr.values(zs, ws),))
-    ]
-
-
 def gram(expr: KernelExpr, points) -> np.ndarray:
     """Block Gram matrix with block (p, q) = eval(expr, z_p, z_q), symmetrized."""
-    return _grams(expr, [point_array(points, expr.m)])[0]
+    ((g,),) = _pairwise([point_array(points, expr.m)], lambda zs, ws: (expr.values(zs, ws),))
+    return hermitian_part(_square(g))
+
+
+def _sample(domain: DomainSpec, m: int, n: int, seed) -> list[Point]:
+    """n seeded points of `domain`, which must lie in C^m."""
+    if domain.dim != m:
+        raise ShapeError("domain dimension does not match the kernel")
+    return sample_points(domain, n, seed)
 
 
 def _verdict(g: np.ndarray, tol: float) -> tuple[float, float, bool]:
@@ -146,9 +172,9 @@ def _verdict(g: np.ndarray, tol: float) -> tuple[float, float, bool]:
     return mineig, maxdiag, mineig >= -tol * (1 + maxdiag)
 
 
-def _sampled_report(label: str, gram_of, domain, n, seed, tol) -> GramReport:
+def _sampled_report(label: str, m: int, gram_of, domain, n, seed, tol) -> GramReport:
     """Sample a point family, assemble its Gram matrix and certify it."""
-    pts = sample_points(domain, n, seed)
+    pts = _sample(domain, m, n, seed)
     g = gram_of(pts)
     mineig, maxdiag, psd = _verdict(g, tol)
     return GramReport(
@@ -171,9 +197,7 @@ def psd_check(
     tol: float = DEFAULT_TOL,
 ) -> GramReport:
     """Sample a point family and certify the Gram matrix eigenvalue verdict."""
-    if domain.dim != expr.m:
-        raise ShapeError("domain dimension does not match the kernel")
-    return _sampled_report(expr.to_dsl(), lambda pts: gram(expr, pts),
+    return _sampled_report(expr.to_dsl(), expr.m, lambda pts: gram(expr, pts),
                            domain, n, seed, tol)
 
 
@@ -188,7 +212,7 @@ def kernel_order_check(
     """PSD verdict for the difference kernel K2 - K1 (is K1 dominated by K2)."""
     if k1.m != k2.m or k1.size != k2.size:
         raise ShapeError("kernels must share dimension and output size")
-    return _sampled_report(f"difference({k2.to_dsl()}, {k1.to_dsl()})",
+    return _sampled_report(f"difference({k2.to_dsl()}, {k1.to_dsl()})", k1.m,
                            lambda pts: gram(k2, pts) - gram(k1, pts),
                            domain, n, seed, tol)
 
@@ -196,60 +220,75 @@ def kernel_order_check(
 class _CurvatureFamilyGram:
     """A parametric Gram family G(t) = kron(M(t), 1_k) o B on one point set.
 
-    The block Gram B (k x k blocks, an nk x nk matrix) is assembled once and
-    kept as an (n, k, n, k) view; only the n x n modulation M(t) changes with
-    the parameter, so no kernel is evaluated per t, and G(t) is one
+    The block Gram B (k x k blocks, an nk x nk matrix) is symmetrized once
+    and kept as an (n, k, n, k) view; only the n x n modulation M(t) changes
+    with the parameter, so no kernel is evaluated per t, and G(t) is one
     broadcast product of M(t) against the blocks.  G(t) is Hermitian up to
-    the rounding of M(t); `ldl_verdict` symmetrizes it.  Wallach scans use
-    B = log-Hessian Gram (or all ones) and M(t) = K^t; multiplier bounds use
-    B = Gram of K and M(c) = c^2 - f fbar.
+    the rounding of M(t); `ldl_verdict` symmetrizes it.  Only `gram_families`
+    builds families, for `_wallach_families`, `_power_families` and
+    `multiplier_families`.
     """
 
     def __init__(self, points, blocks: np.ndarray, modulation):
         n = len(points)
         self.points = points
-        self.blocks = blocks.reshape(n, blocks.shape[0] // n, n, -1)
+        self.blocks = hermitian_part(blocks).reshape(n, blocks.shape[0] // n, n, -1)
         self.modulation = modulation
 
     def gram_at(self, t: float) -> np.ndarray:
         return _square(self.modulation(t)[:, None, :, None] * self.blocks)
 
 
-def _check_family(family) -> tuple:
+def gram_families(expr: KernelExpr, domain: DomainSpec, family, values_of, family_of) -> list:
+    """One parametric Gram family per (count, seed) of `family`, refusing an
+    empty family (ValueError) or a domain outside C^m (ShapeError) before
+    sampling.  The pairs of all point sets go through one `_pairwise` batch of
+    values_of; family_of(points, *nk x nk matrices) returns (B, M)."""
     family = tuple(family)
     if not family:
         raise ValueError("the point family is empty: it needs at least one (count, seed)")
-    return family
-
-
-def _logs_and_blocks(base: KernelExpr, arrays, curvature: bool) -> list:
-    """Per (n, m) point array, log K as an n x n matrix and the block Gram B:
-    the log-Hessian Gram with `curvature`, all ones without.
-
-    The pairs of all arrays go through one batch of jets: with `curvature`,
-    one caps-(1, 1) log jet, whose value is the caps-(0, 0) log K bit for bit.
-    """
-    if curvature:
-        pairs = _pairwise(arrays, base.log_hessian_values)
-        return [(_square(logk), hermitian_part(_square(hess))) for logk, hess in pairs]
-    pairs = _pairwise(arrays, lambda zs, ws: (base.values(zs, ws, log=True),))
-    return [(_square(logk), np.ones((len(logk),) * 2)) for (logk,) in pairs]
-
-
-def _power_families(base: KernelExpr, domain, family, curvature: bool) -> list:
-    """One Gram family t -> K^t o B per (count, seed), B as in
-    `_logs_and_blocks`.
-
-    K^t is exp(t log K) on the continuous log branch of the base kernel,
-    which equals the pairwise value of pow(base, t) exactly.
-    """
-    Pow(base, 1.0)  # raises the ShapeError of pow for a base that is not scalar
-    sets = [sample_points(domain, n, s) for n, s in _check_family(family)]
-    arrays = [point_array(pts, base.m) for pts in sets]
+    sets = [_sample(domain, expr.m, n, s) for n, s in family]
+    outs = _pairwise([point_array(pts, expr.m) for pts in sets], values_of)
     return [
-        _CurvatureFamilyGram(pts, blocks, lambda t, logk=logk: np.exp(t * logk))
-        for pts, (logk, blocks) in zip(sets, _logs_and_blocks(base, arrays, curvature))
+        _CurvatureFamilyGram(pts, *family_of(pts, *map(_square, out)))
+        for pts, out in zip(sets, outs)
     ]
+
+
+def families_pass(fams, t: float, tol: float) -> bool:
+    """Whether the Gram of every family at t passes `ldl_verdict`."""
+    return all(ldl_verdict(f.gram_at(t), tol).psd for f in fams)
+
+
+def _wallach_families(base: KernelExpr, domain: DomainSpec, family) -> list:
+    """t -> K^t o (log-Hessian Gram) per (count, seed).  K^t is exp(t log K)
+    on the continuous log branch, which equals pow(base, t) pairwise exactly;
+    one caps-(1, 1) log jet gives the blocks and log K, bit for bit."""
+    Pow(base, 1.0)  # raises the ShapeError of pow for a base that is not scalar
+    return gram_families(base, domain, family, base.log_hessian_values,
+                         lambda pts, logk, hess: (hess, lambda t: np.exp(t * logk)))
+
+
+def _power_families(base: KernelExpr, domain: DomainSpec, family) -> list:
+    """t -> K^t per (count, seed), as in `_wallach_families`, all blocks ones."""
+    Pow(base, 1.0)  # raises the ShapeError of pow for a base that is not scalar
+    return gram_families(base, domain, family,
+                         lambda zs, ws: (base.values(zs, ws, log=True),),
+                         lambda pts, logk: (np.ones(logk.shape), lambda t: np.exp(t * logk)))
+
+
+def multiplier_families(expr: KernelExpr, func, domain: DomainSpec, family, power=1) -> list:
+    """c -> (c^2 - f(z) conj(f(w)))^power o K(z, w) per (count, seed), f = func."""
+
+    def family_of(pts, k):
+        vals = np.array([func(p) for p in pts], dtype=complex)
+        ffbar = np.outer(vals, vals.conj())
+        if power == 1:  # a complex ** 1 costs three times the subtraction
+            return k, lambda c: c * c - ffbar
+        return k, lambda c: (c * c - ffbar) ** power
+
+    return gram_families(expr, domain, family, lambda zs, ws: (expr.values(zs, ws),),
+                         family_of)
 
 
 def _check_resolution(resolution: float) -> None:
@@ -297,11 +336,11 @@ def wallach_scan(
     """
     _check_resolution(resolution)
     _check_interval(t_lo, t_hi)
-    fams = _power_families(base, domain, family, curvature=True)
+    fams = _wallach_families(base, domain, family)
     verdicts: list[tuple[float, bool]] = []
 
     def is_psd(t: float) -> bool:
-        ok = all(ldl_verdict(f.gram_at(t), tol).psd for f in fams)
+        ok = families_pass(fams, t, tol)
         verdicts.append((t, ok))
         return ok
 
@@ -334,21 +373,59 @@ def ordinary_wallach_scan(
     """Per-t PSD verdicts for the powers K^t, t > 0."""
     if any(t <= 0 for t in t_grid):
         raise ValueError("ordinary Wallach scan needs t > 0")
-    fams = _power_families(base, domain, family, curvature=False)
-    return [
-        (t, all(ldl_verdict(f.gram_at(t), tol).psd for f in fams))
-        for t in map(float, t_grid)
-    ]
+    fams = _power_families(base, domain, family)
+    return [(t, families_pass(fams, t, tol)) for t in map(float, t_grid)]
+
+
+def _as_function(f, m):
+    """Coerce a multiplier spec: coordinate index (int) or callable on points."""
+    if isinstance(f, int):
+        if not 0 <= f < m:
+            raise ShapeError("coordinate index out of range")
+        return (lambda p: p[f]), f"z{f + 1}"
+    if callable(f):
+        return f, getattr(f, "__name__", "f")
+    raise ShapeError("multiplier must be a coordinate index or a callable")
+
+
+def multiplier_bound(
+    expr: KernelExpr,
+    f,
+    domain: DomainSpec,
+    family=DEFAULT_FAMILIES,
+    resolution: float = BOUND_RESOLUTION,
+    tol: float = DEFAULT_TOL,
+) -> MultiplierBound:
+    """Smallest certified c with (c^2 - f fbar) K non-negative on all families:
+    c doubles from 1 up to MAX_BOUND, which is tried itself, until it passes,
+    and then [0, c] is bisected."""
+    _check_resolution(resolution)
+    func, label = _as_function(f, expr.m)
+    family = tuple((n, operator.index(s)) for n, s in family)
+    fams = multiplier_families(expr, func, domain, family)
+    hi = 1.0
+    while not families_pass(fams, hi, tol):
+        if hi >= MAX_BOUND:
+            raise BracketError(f"no certified multiplier bound up to c = {MAX_BOUND}")
+        hi = min(2.0 * hi, MAX_BOUND)
+    lo, hi = _bisect(lambda c: families_pass(fams, c, tol), 0.0, hi, resolution)
+    return MultiplierBound(
+        function=label, bound=hi, bracket=(lo, hi), point_family=family
+    )
 
 
 __all__ = [
+    "BOUND_RESOLUTION",
     "DEFAULT_FAMILIES",
     "DEFAULT_TOL",
     "GramReport",
+    "MAX_BOUND",
+    "MultiplierBound",
     "WallachEstimate",
     "gram",
     "kernel_order_check",
     "min_eigenvalue",
+    "multiplier_bound",
     "ordinary_wallach_scan",
     "psd_check",
     "wallach_scan",

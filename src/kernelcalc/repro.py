@@ -24,7 +24,7 @@ from .calculus import (
     phi_gram_entry,
     series_head_coefficients,
 )
-from .eig import ldl_verdict, min_eigenvalue
+from .eig import min_eigenvalue
 from .expr import (
     BallCurvature,
     BallPower,
@@ -39,9 +39,9 @@ from .expr import (
 from .fd import fd_relative_error
 from .geometry import sample_points, unit_ball, unit_disc
 from .parser import parse_kernel
-from .positivity import DEFAULT_FAMILIES, DEFAULT_TOL, gram, psd_check, wallach_scan
-from .positivity import _CurvatureFamilyGram
-from .rkhs import _multiplier_families, multiplier_bound, z2_tensor_e1_norm
+from .positivity import DEFAULT_FAMILIES, DEFAULT_TOL, families_pass, gram, psd_check
+from .positivity import multiplier_bound, multiplier_families, wallach_scan
+from .rkhs import z2_tensor_e1_norm
 
 
 @dataclass(frozen=True)
@@ -243,17 +243,14 @@ def check_multiplier_bound() -> CheckResult:
     curv = Curvature(base, 1.0, 1.0)
     violations = 0
     tested = 0
-    point_sets = [sample_points(unit_disc(), n, seed) for n, seed in DEFAULT_FAMILIES]
-    plains = _multiplier_families(base, lambda p: p[0], point_sets)
-    for pts, plain in zip(point_sets, plains):
-        squared = _CurvatureFamilyGram(
-            pts, gram(curv, pts), lambda c, m=plain.modulation: np.square(m(c))
-        )
+    plains = multiplier_families(base, lambda p: p[0], unit_disc(), DEFAULT_FAMILIES)
+    squares = multiplier_families(curv, lambda p: p[0], unit_disc(), DEFAULT_FAMILIES, power=2)
+    for plain, squared in zip(plains, squares):
         for c in (0.8, 0.9, 1.0, 1.1, 1.5):
             tested += 1
             if (
-                ldl_verdict(plain.gram_at(c), DEFAULT_TOL).psd
-                and not ldl_verdict(squared.gram_at(c), DEFAULT_TOL).psd
+                families_pass([plain], c, DEFAULT_TOL)
+                and not families_pass([squared], c, DEFAULT_TOL)
             ):
                 violations += 1
     ok = bound_ok and violations == 0

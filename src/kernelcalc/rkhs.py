@@ -2,30 +2,22 @@
 
 An element is a finite combination of sections dbar^j K(., w) eta; inner
 products reduce exactly to mixed-derivative kernel values, so norms need no
-quadrature or basis truncation.
+quadrature or basis truncation.  Multiplier bounds live in `positivity`
+and are re-exported here for callers such as the benchmark in `perfbench/`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, EvaluationError, ShapeError
+from .errors import EvaluationError, ShapeError
 from .expr import BallCurvature, KernelExpr
-from .geometry import DomainSpec, MultiIndex, Point, as_point, point_array, sample_points
-from .eig import ldl_verdict
-from .positivity import DEFAULT_FAMILIES, DEFAULT_TOL, _bisect, _check_family
-from .positivity import _check_resolution, _CurvatureFamilyGram, _grams
-
-#: default bracket width at which multiplier_bound stops bisecting
-BOUND_RESOLUTION = 0.01
-
-#: multiplier_bound gives up when no c up to this one certifies
-MAX_BOUND = 10.0
+from .geometry import MultiIndex, Point, as_point
+from .positivity import MultiplierBound, multiplier_bound  # re-exported
 
 #: largest m of z2_tensor_e1_norm; its jets take memory of order m^4
 MAX_NORM_DIM = 16
@@ -150,85 +142,3 @@ def z2_tensor_e1_norm(m: int, lam: float) -> float:
         ],
     )
     return norm(combo) / (lam * lam - 2 * lam)
-
-
-@dataclass(frozen=True)
-class MultiplierBound:
-    """Bisection estimate of the multiplier norm of a scalar function."""
-
-    function: str
-    bound: float
-    bracket: tuple[float, float]
-    point_family: tuple[tuple[int, int], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "function": self.function,
-            "bound": self.bound,
-            "bracket": list(self.bracket),
-            "families": [list(f) for f in self.point_family],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-
-def _as_function(f, m):
-    """Coerce a multiplier spec: coordinate index (int) or callable on points."""
-    if isinstance(f, int):
-        if not 0 <= f < m:
-            raise ShapeError("coordinate index out of range")
-        return (lambda p: p[f]), f"z{f + 1}"
-    if callable(f):
-        return f, getattr(f, "__name__", "f")
-    raise ShapeError("multiplier must be a coordinate index or a callable")
-
-
-def _multiplier_families(expr: KernelExpr, func, point_sets) -> list:
-    """The Gram family c -> (c^2 - f(z) conj(f(w))) K(z, w) on each point
-    set; K is evaluated at the pairs of all sets as one batch."""
-    point_sets = [[as_point(p, expr.m) for p in pts] for pts in point_sets]
-    grams = _grams(expr, [point_array(pts, expr.m) for pts in point_sets])
-    fams = []
-    for pts, g in zip(point_sets, grams):
-        vals = np.array([func(p) for p in pts], dtype=complex)
-        fams.append(
-            _CurvatureFamilyGram(
-                pts, g, lambda c, vals=vals: c * c - np.outer(vals, vals.conj())
-            )
-        )
-    return fams
-
-
-def multiplier_bound(
-    expr: KernelExpr,
-    f,
-    domain: DomainSpec,
-    family=DEFAULT_FAMILIES,
-    resolution: float = BOUND_RESOLUTION,
-    tol: float = DEFAULT_TOL,
-) -> MultiplierBound:
-    """Smallest certified c with (c^2 - f fbar) K non-negative on all families.
-
-    A failing verdict is authoritative (it exhibits a negative direction);
-    a passing one is finite-sample evidence.
-    """
-    _check_resolution(resolution)
-    func, label = _as_function(f, expr.m)
-    fams = [(n, operator.index(s)) for n, s in _check_family(family)]
-    grams = _multiplier_families(
-        expr, func, [sample_points(domain, n, s) for n, s in fams]
-    )
-
-    def is_psd(c: float) -> bool:
-        return all(ldl_verdict(g.gram_at(c), tol).psd for g in grams)
-
-    hi = 1.0
-    while not is_psd(hi):
-        hi *= 2.0
-        if hi > MAX_BOUND:
-            raise BracketError(f"no certified multiplier bound below c = {MAX_BOUND}")
-    lo, hi = _bisect(is_psd, 0.0, hi, resolution)
-    return MultiplierBound(
-        function=label, bound=hi, bracket=(lo, hi), point_family=tuple(fams)
-    )

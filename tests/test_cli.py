@@ -340,6 +340,26 @@ def test_non_finite_coordinates_exit_2(capsys, argv, flag, bad):
     assert f"{flag} '0.1,{bad}': coordinate 2 ('{bad}') is not finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["wallach", "--base", "bergman_disc()", "--lo", "0", "--hi", "-2"],
+    ["bound", "--kernel", "bergman_ball(2)", "--f", "z3"],
+    ["eval", "--kernel", "bergman_ball(2)", "--z", "0.1,x", "--w", "0,0"],
+    ["eval", "--kernel", "bergman_ball(2)", "--z", "0,0", "--w", "0.1,x"],
+    ["quasi", "--kernel", "bergman_ball(2)", "--a", "0.1,x"],
+])
+def test_flag_errors_name_no_position(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "position" not in err
+
+
+def test_dsl_errors_still_name_their_position(capsys):
+    code, _, err = _run(capsys, "psd", "--kernel", "szego_disc(")
+    assert code == 2
+    assert "(at position 11)" in err
+
+
 def test_config_string_values_parse_like_flags(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"kernel": "szego_disc()", "n": "8"}))

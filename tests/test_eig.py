@@ -65,6 +65,35 @@ def test_hermitian_part():
     assert h[0, 1] == pytest.approx((2.0 + 1j) / 2)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-310, 1.7e308])
+def test_the_in_place_hermitian_copy_equals_hermitian_part(scale):
+    # subnormal entries are halved with the same rounding on both paths, and
+    # entries near the float maximum must not overflow
+    rng = np.random.default_rng(5)
+    a = scale * (rng.random((30, 30)) + 1j * rng.random((30, 30)))
+    before = a.copy()
+    got = eig._hermitian_copy(a)
+    assert np.array_equal(got.view(np.uint64), hermitian_part(a).view(np.uint64))
+    assert np.array_equal(a, before)
+
+
+def test_ldl_verdict_peaks_at_about_two_matrices():
+    import tracemalloc
+
+    rng = np.random.default_rng(9)
+    n = 300  # a 1.44 MB complex matrix
+    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    g = b @ b.conj().T / n
+    assert ldl_verdict(g, 1e-9).psd
+    tracemalloc.start()
+    try:
+        ldl_verdict(g, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.3e6
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 12), st.integers(0, 10**6))
 def test_psd_gram_matrices_have_nonnegative_spectrum(n, seed):

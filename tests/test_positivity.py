@@ -24,12 +24,14 @@ from kernelcalc.positivity import (
     DEFAULT_FAMILIES,
     DEFAULT_TOL,
     _bisect,
-    _logs_and_blocks,
     _pairwise,
     _power_families,
     _verdict,
+    _wallach_families,
     gram,
     kernel_order_check,
+    multiplier_bound,
+    multiplier_families,
     ordinary_wallach_scan,
     psd_check,
     wallach_scan,
@@ -199,7 +201,7 @@ def test_wallach_scan_with_a_tiny_resolution_terminates():
 @given(st.floats(0.05, 3.0), st.sampled_from([0, 1]))
 def test_curvature_family_matches_the_curvature_gram(t, which):
     base, domain = [(bergman_disc(), unit_disc()), (bergman_ball(2), unit_ball(2))][which]
-    (fam,) = _power_families(base, domain, ((6, 3),), curvature=True)
+    (fam,) = _wallach_families(base, domain, ((6, 3),))
     ref = gram(Curvature(base, t / 2, t / 2), fam.points)
     assert np.abs(fam.gram_at(t) - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -280,7 +282,7 @@ def test_scan_verdicts_match_the_eigenvalue_predicate(base, domain, lo, hi, brac
     (bergman_ball(2), unit_ball(2)),
 ])
 def test_family_verdicts_agree_with_jacobi_and_fail_with_a_witness(base, domain):
-    (fam,) = _power_families(base, domain, ((10, 4),), curvature=True)
+    (fam,) = _wallach_families(base, domain, ((10, 4),))
     for t in np.linspace(-2.0, 1.0, 13):
         g = fam.gram_at(t)
         res = ldl_verdict(g, DEFAULT_TOL)
@@ -298,7 +300,6 @@ def test_an_empty_family_is_refused_before_sampling(scan, monkeypatch):
         raise AssertionError("a point family was built")
 
     monkeypatch.setattr(positivity, "sample_points", no_sampling)
-    monkeypatch.setattr(rkhs, "sample_points", no_sampling)
     with pytest.raises(ValueError, match="family is empty"):
         if scan == "wallach":
             wallach_scan(bergman_disc(), -2.0, 0.0, unit_disc(), family=())
@@ -306,6 +307,25 @@ def test_an_empty_family_is_refused_before_sampling(scan, monkeypatch):
             ordinary_wallach_scan(SzegoDisc(), [0.5, 1.0], unit_disc(), family=())
         else:
             rkhs.multiplier_bound(SzegoDisc(), 0, unit_disc(), ())
+
+
+@pytest.mark.parametrize("check", [
+    lambda d: psd_check(SzegoDisc(), d, 5),
+    lambda d: kernel_order_check(SzegoDisc(), bergman_disc(), d, 5),
+    lambda d: wallach_scan(bergman_disc(), -2.0, 0.0, d),
+    lambda d: ordinary_wallach_scan(SzegoDisc(), [0.5], d),
+    lambda d: multiplier_bound(SzegoDisc(), 0, d),
+], ids=["psd_check", "kernel_order_check", "wallach_scan", "ordinary_wallach_scan",
+        "multiplier_bound"])
+def test_a_domain_of_another_dimension_is_refused_before_sampling(check, monkeypatch):
+    from kernelcalc import positivity
+
+    def no_sampling(*args):
+        raise AssertionError("a point family was built")
+
+    monkeypatch.setattr(positivity, "sample_points", no_sampling)
+    with pytest.raises(ShapeError, match="domain dimension does not match the kernel"):
+        check(unit_ball(2))
 
 
 @pytest.mark.parametrize("lo,hi", [
@@ -342,14 +362,17 @@ _ONE_PASS_BASES = [
 def test_one_jet_pass_equals_the_per_family_evaluations(text, domain):
     base = parse_kernel(text)
     domain = domain or unit_ball(base.m, 0.6)  # inside the bidisc
-    sets = [sample_points(domain, n, s) for n, s in ((8, 1), (12, 2), (16, 3))]
-    arrays = [point_array(pts, base.m) for pts in sets]
-    for curvature in (True, False):
-        got = _logs_and_blocks(base, arrays, curvature)
-        for pts, arr, (logk, blocks) in zip(sets, arrays, got):
+    family = ((8, 1), (12, 2), (16, 3))
+    sets = [sample_points(domain, n, s) for n, s in family]
+    for curvature, build in ((True, _wallach_families), (False, _power_families)):
+        for pts, fam in zip(sets, build(base, domain, family)):
             n = len(pts)
-            ((want,),) = _pairwise([arr], lambda zs, ws: (base.values(zs, ws, log=True),))
-            assert np.array_equal(logk, want.reshape(n, n))
+            assert fam.points == pts
+            arr = point_array(pts, base.m)
+            ((logk,),) = _pairwise([arr], lambda zs, ws: (base.values(zs, ws, log=True),))
+            for t in (-1.5, 0.25, 2.0):
+                assert np.array_equal(fam.modulation(t), np.exp(t * logk.reshape(n, n)))
+            blocks = fam.blocks.reshape(fam.blocks.shape[0] * fam.blocks.shape[1], -1)
             if curvature:
                 assert np.array_equal(blocks, gram(LogHessian(base), pts))
             else:
@@ -366,27 +389,32 @@ def _kron_gram(fam, t):
 @settings(max_examples=10, deadline=None)
 @given(st.floats(-2.0, 3.0), st.sampled_from([0, 1, 2]))
 def test_broadcast_family_grams_equal_the_kronecker_formula(t, which):
-    from kernelcalc.rkhs import _multiplier_families
-
     base, domain = [(bergman_disc(), unit_disc()), (bergman_ball(2), unit_ball(2)),
                     (bergman_ball(3), unit_ball(3))][which]
     family = ((8, 1), (12, 2))
     fams = (
-        _power_families(base, domain, family, curvature=True)
-        + _power_families(base, domain, family, curvature=False)
-        + _multiplier_families(
-            base, lambda p: p[0], [sample_points(domain, n, s) for n, s in family]
-        )
+        _wallach_families(base, domain, family)
+        + _power_families(base, domain, family)
+        + multiplier_families(base, lambda p: p[0], domain, family)
+        + multiplier_families(base, lambda p: p[0], domain, family, power=2)
     )
     for fam in fams:
         assert np.array_equal(hermitian_part(fam.gram_at(t)), _kron_gram(fam, t))
 
 
 def test_multiplier_grams_of_one_pass_equal_the_per_family_grams():
-    from kernelcalc.rkhs import _multiplier_families
-
+    family = ((8, 1), (12, 2), (16, 3))
     for text in ("szego_disc()", "bergman_disc()", "curvature(szego_disc(), 1, 1)"):
         expr = parse_kernel(text)
-        sets = [sample_points(unit_disc(), n, s) for n, s in ((8, 1), (12, 2), (16, 3))]
-        for pts, fam in zip(sets, _multiplier_families(expr, lambda p: p[0], sets)):
-            assert np.array_equal(fam.blocks.reshape(len(pts), len(pts)), gram(expr, pts))
+        sets = [sample_points(unit_disc(), n, s) for n, s in family]
+        plains = multiplier_families(expr, lambda p: p[0], unit_disc(), family)
+        squares = multiplier_families(expr, lambda p: p[0], unit_disc(), family, power=2)
+        for pts, plain, squared in zip(sets, plains, squares):
+            assert plain.points == pts
+            assert np.array_equal(plain.blocks.reshape(len(pts), len(pts)), gram(expr, pts))
+            assert np.array_equal(squared.blocks, plain.blocks)
+            f = np.array([p[0] for p in pts])
+            for c in (0.5, 1.0, 1.5):
+                want = c * c - np.outer(f, f.conj())
+                assert np.array_equal(plain.modulation(c), want)
+                assert np.array_equal(squared.modulation(c), np.square(want))

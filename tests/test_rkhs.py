@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernelcalc.errors import EvaluationError, ShapeError
+from kernelcalc.errors import BracketError, EvaluationError, ShapeError
 from kernelcalc.expr import BallCurvature, Curvature, SzegoDisc, bergman_disc
 from kernelcalc.geometry import sample_points, unit_ball, unit_disc
 from kernelcalc.parser import parse_kernel
@@ -149,14 +149,22 @@ def test_callable_multiplier_functions_are_accepted():
     assert est.bound == pytest.approx(0.5, abs=0.01)
 
 
+def test_a_bound_between_the_last_doubling_and_the_cap_is_found():
+    # c doubles through 1, 2, 4 and 8; the cap 10 must be tried itself
+    est = multiplier_bound(SzegoDisc(), lambda p: 9 * p[0], unit_disc())
+    assert est.bound == pytest.approx(9.0, abs=0.02)
+    with pytest.raises(BracketError, match="up to c = 10.0"):
+        multiplier_bound(SzegoDisc(), lambda p: 11 * p[0], unit_disc())
+
+
 @pytest.mark.parametrize("resolution", [0.0, -1.0, float("nan")])
 def test_multiplier_bound_rejects_bad_resolution_before_sampling(resolution, monkeypatch):
-    from kernelcalc import rkhs
+    from kernelcalc import positivity
 
     def no_sampling(*args):
         raise AssertionError("a point family was built")
 
-    monkeypatch.setattr(rkhs, "sample_points", no_sampling)
+    monkeypatch.setattr(positivity, "sample_points", no_sampling)
     with pytest.raises(ValueError):
         multiplier_bound(SzegoDisc(), 0, unit_disc(), resolution=resolution)
 
