@@ -125,7 +125,7 @@ class MobiusMap:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        return json.dumps(self.to_dict(), allow_nan=False)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .automorphisms import MobiusMap, curvature_quasi_check
 from .eig import eigenvalues
-from .errors import BracketError, KernelCalcError, ParseError
+from .errors import BracketError, EvaluationError, KernelCalcError, ParseError
 from .geometry import DEFAULT_SAMPLE_RADIUS, graded_lex_tuples, sample_points
 from .geometry import unit_ball, unit_disc
 from .parser import parse_kernel
@@ -77,7 +77,22 @@ def _provenance(args, kernel: str | None) -> dict:
 
 
 def _emit(args, payload: dict) -> None:
-    _write(args, json.dumps(payload))
+    """Write the payload as one line of strict JSON, which has no NaN or
+    infinity: a report holding one is refused, naming its key."""
+    try:
+        text = json.dumps(payload, allow_nan=False)
+    except ValueError:
+        bad = [key for key, value in payload.items() if not _finite_json(value)]
+        raise EvaluationError(f"the {', '.join(bad)} of the report is not finite") from None
+    _write(args, text)
+
+
+def _finite_json(value) -> bool:
+    try:
+        json.dumps(value, allow_nan=False)
+    except ValueError:
+        return False
+    return True
 
 
 def _write(args, text: str) -> None:

@@ -2,13 +2,16 @@
 
 `eigenvalues` scales a dense complex Hermitian matrix by a power of two,
 reduces it to a real symmetric tridiagonal with Householder reflectors and
-brackets the wanted eigenvalues at once by Sturm multisection (Golub & Van
-Loan, Matrix Computations, 4th ed., 8.3-8.4): all of them for a spectrum,
-only the least for `min_eigenvalue`, as LAPACK's dstebz bisects only the
-wanted brackets.  The Sturm recurrence runs without its tiny-pivot guard
-in cache-sized blocks, and a call is redone guarded only when a block met
-such a pivot.  As with LAPACK, the absolute error is of order n eps ||G||.
-It serves reports that need eigenvalues.
+refines Sturm brackets of the wanted eigenvalues (Golub & Van Loan, Matrix
+Computations, 4th ed., 8.3-8.4), as LAPACK's dstebz bisects only the
+wanted brackets.  A spectrum is refined by multisection: each pass counts
+15 shifts of every bracket at once, with the recurrence run without its
+tiny-pivot guard in cache-sized blocks and redone guarded only when a
+block met such a pivot.  `min_eigenvalue` needs bracket 0 alone: each pass
+binary-searches the same 16-way grid with 4 scalar guarded counts, each
+stopping at its first negative pivot, and so ends on the same bracket and
+the same float.  As with LAPACK, the absolute error is of order
+n eps ||G||.  It serves reports that need eigenvalues.
 
 `ldl_verdict` decides only the sign question: it runs an LDL^H
 (square-root-free Cholesky) elimination of G + tau I, which succeeds exactly
@@ -130,16 +133,84 @@ def _sturm_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
     return count.reshape(x.shape)
 
 
+def _multisection(d, e2, lo: float, hi: float, count: int, width: float) -> np.ndarray:
+    """Midpoints of brackets 0 .. count - 1, each starting as [lo, hi].
+
+    A pass counts at 15 interior shifts of every bracket and keeps the part
+    where the count passes the bracket's index, until every bracket is at
+    most `width` wide.
+    """
+    lo, hi = np.full(count, lo), np.full(count, hi)
+    rows, steps = np.arange(count), np.arange(1, _SPLIT) / _SPLIT
+    for p in range(_MAX_PASSES):
+        x = lo[:, None] + (hi - lo)[:, None] * steps
+        # every bracket starts as the same interval: pass 1 counts one row
+        counts = _sturm_counts(d, e2, x[:1] if p == 0 else x)
+        if np.any(np.diff(counts) < 0):
+            raise EvaluationError("eigensolver failed: Sturm counts not monotone in the shift")
+        below = np.count_nonzero(counts <= rows[:, None], axis=1)
+        grid = np.column_stack([lo, x, hi])
+        lo, hi = grid[rows, below], grid[rows, below + 1]
+        if np.all(hi - lo <= width):
+            return (lo + hi) / 2
+    raise EvaluationError(f"eigensolver failed: no convergence in {_MAX_PASSES} passes")
+
+
+def _has_negative_pivot(d: list, e2: list, x: float, pivmin: float) -> bool:
+    """Whether `_guarded_counts` is at least 1 at the one shift x, stopping at
+    the first negative pivot.  After the guard a pivot is negative exactly
+    when it was below pivmin, and the guard leaves every other pivot alone,
+    so up to the first negative pivot every float is the guarded loop's."""
+    q = d[0] - x
+    if q < pivmin:
+        return True
+    for dk, ek in zip(d[1:], e2):
+        q = (dk - x) - ek / q
+        if q < pivmin:
+            return True
+    return False
+
+
+def _least_by_search(d, e2, lo: float, hi: float, width: float) -> float:
+    """The midpoint of bracket 0 of `_multisection`, float for float.
+
+    A pass forms the same shifts lo + (hi - lo) k / 16 in Python floats and
+    keeps the same part: from the last shift with count 0 (or lo) to the
+    first with count at least 1 (or hi).  Counts are monotone in the shift,
+    so a binary search over the grid finds that part in 4 counts instead of
+    15, each stopping at its first negative pivot.
+    """
+    pivmin, d, e2 = _pivmin(e2), d.tolist(), e2.tolist()
+    # the search keeps count 0 at lo and count >= 1 at hi: check both ends
+    if _has_negative_pivot(d, e2, lo, pivmin) or not _has_negative_pivot(d, e2, hi, pivmin):
+        raise EvaluationError("eigensolver failed: Sturm counts not monotone in the shift")
+    for _ in range(_MAX_PASSES):
+        below, above, step, new_lo, new_hi = 0, _SPLIT, hi - lo, lo, hi
+        while above - below > 1:
+            k = (below + above) // 2
+            x = lo + step * (k / _SPLIT)
+            if _has_negative_pivot(d, e2, x, pivmin):
+                above, new_hi = k, x
+            else:
+                below, new_lo = k, x
+        lo, hi = new_lo, new_hi
+        if hi - lo <= width:
+            return (lo + hi) / 2
+    raise EvaluationError(f"eigensolver failed: no convergence in {_MAX_PASSES} passes")
+
+
 def eigenvalues(h: np.ndarray, count: int | None = None) -> np.ndarray:
     """The `count` least eigenvalues of a Hermitian matrix (symmetrized
     first), ascending; all of them when `count` is None.
 
     Bracket j of eigenvalue j of T starts as the Gershgorin interval; a pass
-    counts at 15 interior shifts of every wanted bracket and keeps the part
-    where the count passes j, until every wanted bracket is within
-    2 eps ||T||.  A bracket's shifts depend only on its own counts, so only
-    brackets 0 .. count - 1 are bisected: a report that needs the least
-    eigenvalue bisects one.
+    splits every wanted bracket 16 ways and keeps the part where the count
+    passes j, until every wanted bracket is within 2 eps ||T||.  A bracket's
+    shifts depend only on its own counts, so only brackets 0 .. count - 1 are
+    bisected.  A spectrum counts all 15 shifts of every bracket at once
+    (`_multisection`); a report that needs only the least eigenvalue
+    searches bracket 0's grid with early-exit scalar counts
+    (`_least_by_search`), to the same result.
     """
     with np.errstate(all="ignore"):  # overflow is detected, not warned about
         a = _hermitian_copy(h)
@@ -159,24 +230,14 @@ def eigenvalues(h: np.ndarray, count: int | None = None) -> np.ndarray:
             raise EvaluationError("eigensolver failed: the tridiagonal form is not finite")
         radius = np.r_[e, 0.0] + np.r_[0.0, e]
         lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
-        eps, scale = np.finfo(float).eps, max(abs(lo), abs(hi))
+        eps, scale = float(np.finfo(float).eps), max(abs(lo), abs(hi))
         pad = 2.1 * n * eps * scale  # as in LAPACK's dstebz
-        lo, hi = np.full(count, lo - pad), np.full(count, hi + pad)
-        rows, steps = np.arange(count), np.arange(1, _SPLIT) / _SPLIT
-        for p in range(_MAX_PASSES):
-            x = lo[:, None] + (hi - lo)[:, None] * steps
-            # every bracket starts as the same interval: pass 1 counts one row
-            counts = _sturm_counts(d, e * e, x[:1] if p == 0 else x)
-            if np.any(np.diff(counts) < 0):
-                raise EvaluationError("eigensolver failed: Sturm counts not monotone in the shift")
-            below = np.count_nonzero(counts <= rows[:, None], axis=1)
-            grid = np.column_stack([lo, x, hi])
-            lo, hi = grid[rows, below], grid[rows, below + 1]
-            if np.all(hi - lo <= 2 * eps * scale):
-                break
+        e2, lo, hi, width = e * e, lo - pad, hi + pad, 2 * eps * scale
+        if count == 1:
+            mids = np.array([_least_by_search(d, e2, lo, hi, width)])
         else:
-            raise EvaluationError(f"eigensolver failed: no convergence in {_MAX_PASSES} passes")
-        out = np.ldexp(np.sort((lo + hi) / 2), exponent)
+            mids = np.sort(_multisection(d, e2, lo, hi, count, width))
+        out = np.ldexp(mids, exponent)
     if not np.all(np.isfinite(out)):
         raise EvaluationError("eigensolver failed: an eigenvalue overflows")
     return out

@@ -60,7 +60,8 @@ class RkhsElement:
                     "dir": [[d.real, d.imag] for d in t.direction],
                 }
                 for t in self.terms
-            ]
+            ],
+            allow_nan=False,
         )
 
 
@@ -96,11 +97,14 @@ def inner_product(e1: RkhsElement, e2: RkhsElement) -> complex:
         [t.base for _, t in pairs], [s.base for s, _ in pairs], order
     )
     acc = 0j
-    for (s, t), table in zip(pairs, tables):
-        mat = table.entry(t.index.entries, s.index.entries)
-        eta = np.array(s.direction)
-        xi = np.array(t.direction)
-        acc += s.coef * t.coef.conjugate() * (xi.conj() @ (mat @ eta))
+    # a sum past the float range comes out as inf or nan, without a warning;
+    # callers that report it refuse it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (s, t), table in zip(pairs, tables):
+            mat = table.entry(t.index.entries, s.index.entries)
+            eta = np.array(s.direction)
+            xi = np.array(t.direction)
+            acc += s.coef * t.coef.conjugate() * (xi.conj() @ (mat @ eta))
     return acc
 
 

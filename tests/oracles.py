@@ -7,8 +7,9 @@ sampling by a loop that draws and tests one attempt at a time, the
 finite-difference table by a loop over the terms of each 2m-variable
 stencil, jet products by contracting the w group and then the z group,
 jet pow, exp and log by summing the powers of the series argument,
-RKHS inner products by one jet table per pair of terms, and the LDL^H
-verdict by right-looking rank-1 Schur updates.
+RKHS inner products by one jet table per pair of terms, the LDL^H
+verdict by right-looking rank-1 Schur updates, and the least eigenvalue by
+the vectorised Sturm multisection that spectra use, run for bracket 0.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from itertools import product
 
 import numpy as np
 
-from kernelcalc.eig import LdlVerdict, _hermitian_copy
+from kernelcalc.eig import _MAX_PASSES, _SPLIT, LdlVerdict, _hermitian_copy, _sturm_counts
+from kernelcalc.eig import _tridiagonal
 from kernelcalc.errors import EvaluationError, ShapeError
 from kernelcalc.expr import KernelExpr
 from kernelcalc.geometry import DomainSpec, Point, as_point, graded_lex_tuples, unit_index
@@ -292,3 +294,42 @@ def _failed_right_looking(g, factored: np.ndarray, k: int, shift: float) -> LdlV
     gv = np.asarray(g, dtype=complex) @ v
     rayleigh = float(np.vdot(v, gv).real / np.vdot(v, v).real)
     return LdlVerdict(False, shift, k, v, rayleigh)
+
+
+def min_eigenvalue_by_multisection(h) -> float:
+    """The least eigenvalue by the vectorised multisection of bracket 0: 15
+    shifts counted per pass by `_sturm_counts`, the code `min_eigenvalue`
+    ran before it searched the grid with early-exit scalar counts."""
+    with np.errstate(all="ignore"):  # overflow is detected, not warned about
+        a = _hermitian_copy(h)
+        n, count = a.shape[0], 1
+        big = float(np.max(np.abs(a.view(float)), initial=0.0))
+        if big == 0:
+            return 0.0
+        exponent = math.frexp(big)[1]  # 2^-exponent rounds only subnormals
+        d, e = _tridiagonal(np.ldexp(a.view(float), -exponent).view(complex))
+        if not np.all(np.isfinite(np.r_[d, e])):
+            raise EvaluationError("eigensolver failed: the tridiagonal form is not finite")
+        radius = np.r_[e, 0.0] + np.r_[0.0, e]
+        lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
+        eps, scale = np.finfo(float).eps, max(abs(lo), abs(hi))
+        pad = 2.1 * n * eps * scale  # as in LAPACK's dstebz
+        lo, hi = np.full(count, lo - pad), np.full(count, hi + pad)
+        rows, steps = np.arange(count), np.arange(1, _SPLIT) / _SPLIT
+        for p in range(_MAX_PASSES):
+            x = lo[:, None] + (hi - lo)[:, None] * steps
+            # every bracket starts as the same interval: pass 1 counts one row
+            counts = _sturm_counts(d, e * e, x[:1] if p == 0 else x)
+            if np.any(np.diff(counts) < 0):
+                raise EvaluationError("eigensolver failed: Sturm counts not monotone in the shift")
+            below = np.count_nonzero(counts <= rows[:, None], axis=1)
+            grid = np.column_stack([lo, x, hi])
+            lo, hi = grid[rows, below], grid[rows, below + 1]
+            if np.all(hi - lo <= 2 * eps * scale):
+                break
+        else:
+            raise EvaluationError(f"eigensolver failed: no convergence in {_MAX_PASSES} passes")
+        out = np.ldexp(np.sort((lo + hi) / 2), exponent)
+    if not np.all(np.isfinite(out)):
+        raise EvaluationError("eigensolver failed: an eigenvalue overflows")
+    return float(out[0])

@@ -327,6 +327,21 @@ def test_overflow_exits_3_without_warnings(capsys, argv):
     assert "not finite" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--m", "2", "--lambda", "1e154"],  # the norm overflows to inf
+    ["--m", "2", "--lambda", "1e155"],  # ... and to nan
+    ["--m", "3", "--lambda", "1e300"],
+])
+def test_a_norm_past_the_float_range_exits_3_without_json(capsys, flags):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "norm", *flags)
+    assert code == 3
+    assert out == ""
+    assert "norm" in err and "not finite" in err
+    assert "RuntimeWarning" not in err
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-infi", "1e400"])
 @pytest.mark.parametrize("argv,flag", [
     (["eval", "--kernel", "bergman_ball(2)", "--w", "0,0"], "--z"),
@@ -413,7 +428,13 @@ def _decreasing_counts(d, e2, x):
 def test_non_monotone_sturm_counts_exit_3(capsys, monkeypatch, fmt):
     from kernelcalc import eig
 
-    monkeypatch.setattr(eig, "_sturm_counts", _decreasing_counts)
+    # a JSON report searches for its least eigenvalue with scalar counts, a
+    # CSV spectrum counts every shift at once; either way the counts fall
+    if fmt == "json":
+        real = eig._has_negative_pivot
+        monkeypatch.setattr(eig, "_has_negative_pivot", lambda *args: not real(*args))
+    else:
+        monkeypatch.setattr(eig, "_sturm_counts", _decreasing_counts)
     code, out, err = _run(
         capsys, "psd", "--kernel", "szego_disc()", "--n", "20", "--format", fmt
     )

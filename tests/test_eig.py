@@ -11,7 +11,7 @@ from kernelcalc.errors import EvaluationError
 from kernelcalc.geometry import sample_points, unit_disc
 from kernelcalc.parser import parse_kernel
 from kernelcalc.positivity import gram
-from oracles import ldl_verdict_right_looking
+from oracles import ldl_verdict_right_looking, min_eigenvalue_by_multisection
 
 
 def _random_hermitian(n, seed):
@@ -224,6 +224,9 @@ def _spectral_family(kind, n, rng):
     if kind == "repeated":
         q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         return (q * rng.choice([-1.0, 0.0, 2.0], n)) @ q.conj().T
+    if kind == "integer_diagonal":
+        # exact pivots: the search's shifts land on diagonal entries
+        return np.diag(rng.integers(-5, 6, n).astype(float))
     # block diagonal, so the tridiagonal form splits (some e_k = 0)
     g = np.zeros((n, n), dtype=complex)
     cuts = np.unique(np.r_[0, rng.integers(1, n + 1, 3), n])
@@ -277,6 +280,57 @@ def test_the_least_eigenvalues_match_the_numpy_oracle(kind, n, scaling, fraction
     assert np.abs(got - want[:k]).max() <= 1e-12 * scale
     # bracket 0 is bisected alone: it may stop passes earlier than with all
     assert abs(min_eigenvalue(g) - eigenvalues(g)[0]) <= 1e-15 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["random", "rank_deficient", "repeated", "block_diagonal", "integer_diagonal"]),
+    st.integers(1, 60),
+    st.sampled_from(["none", "uniform", "graded"]),
+    st.integers(0, 2**32 - 1),
+)
+@example("integer_diagonal", 12, "none", 0)  # shifts 0.0 and -0.625 are pivots of 0
+def test_min_eigenvalue_equals_the_multisection(kind, n, scaling, seed):
+    rng = np.random.default_rng(seed)
+    g = _scaled(_spectral_family(kind, n, rng), scaling, rng)
+    assert min_eigenvalue(g) == min_eigenvalue_by_multisection(g)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(["szego_disc()", "jet(szego_disc(), szego_disc(), 1)"]),
+    st.integers(2, 40),
+    st.integers(0, 2**32 - 1),
+)
+@example("szego_disc()", 30, 23)
+@example("jet(szego_disc(), szego_disc(), 1)", 30, 23)
+def test_near_singular_min_eigenvalues_equal_the_multisection(text, n, seed):
+    g = gram(parse_kernel(text), sample_points(unit_disc(), n, seed))
+    assert min_eigenvalue(g) == min_eigenvalue_by_multisection(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 150),
+    st.integers(1, 2250),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example(150, 2250, False, 0)
+@example(150, 2250, True, 0)
+def test_the_early_exit_pivot_test_is_a_guarded_count_of_at_least_one(n, width, coupled, seed):
+    # the strategies of test_exact_zero_pivots_fall_back_to_the_guarded_counts
+    rng = np.random.default_rng(seed)
+    d = rng.integers(-5, 6, n).astype(float)
+    e2 = rng.integers(0, 3, n - 1).astype(float) if coupled else np.zeros(n - 1)
+    x = np.where(rng.random(width) < 0.5, rng.choice(d, width), rng.uniform(-6, 6, width))
+    pivmin, ds, e2s = eig._pivmin(e2), d.tolist(), e2.tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [eig._has_negative_pivot(ds, e2s, shift, pivmin) for shift in x.tolist()]
+        want = eig._guarded_counts(d, e2, x) >= 1
+    assert got == want.tolist()
+
 
 
 @pytest.mark.parametrize("count", [0, -1, 4, 1.5, 2.0, "1"])

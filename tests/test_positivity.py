@@ -1,5 +1,6 @@
 import json
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -98,6 +99,26 @@ def test_kernel_order_is_one_directional():
     bad = kernel_order_check(SzegoDisc(), half, unit_disc(), 20, 11)
     assert ok.psd
     assert not bad.psd
+
+
+@pytest.mark.parametrize("k1,k2,domain", [
+    (SzegoDisc(), bergman_disc(), unit_disc()),
+    (Scale(SzegoDisc(), 0.5), SzegoDisc(), unit_disc(0.5)),
+    (parse_kernel("bergman_ball(2)"), parse_kernel("ball_power(2, 3.0)"), unit_ball(2)),
+])
+def test_kernel_order_gram_is_the_difference_of_grams_from_one_batch(k1, k2, domain, monkeypatch):
+    from kernelcalc import positivity
+
+    pairwise = mock.Mock(wraps=positivity._pairwise)
+    verdict = mock.Mock(wraps=positivity._verdict)
+    monkeypatch.setattr(positivity, "_pairwise", pairwise)
+    monkeypatch.setattr(positivity, "_verdict", verdict)
+    rep = kernel_order_check(k1, k2, domain, 12, 5)
+    assert pairwise.call_count == 1
+    monkeypatch.undo()
+    pts = sample_points(domain, 12, 5)
+    assert np.array_equal(verdict.call_args.args[0], gram(k2, pts) - gram(k1, pts))
+    assert rep.min_eigenvalue == _verdict(gram(k2, pts) - gram(k1, pts), DEFAULT_TOL)[0]
 
 
 def test_wallach_scan_brackets_the_disc_boundary():
