@@ -1,7 +1,6 @@
 """Kernel-calculus workbench: sesqui-analytic kernels, jets and certification."""
 
 from .calculus import (
-    CurvatureParams,
     phi_gram_entry,
     series_head_coefficients,
 )

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -124,9 +123,6 @@ class MobiusMap:
             "U": [[[v.real, v.imag] for v in row] for row in np.asarray(self.unitary)],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), allow_nan=False)
-
 
 @dataclass(frozen=True)
 class CocycleSpec:
@@ -184,8 +180,14 @@ def quasi_invariance_residual(
     jw = cocycle.matrices(phi, ws, expr.size)
     moved = expr.values(phi.images(zs), phi.images(ws))
     rhs = expr.values(zs, ws)
-    lhs = jz @ moved @ jw.conj().transpose(0, 2, 1)
-    res = np.linalg.norm(lhs - rhs, axis=(1, 2)) / (1 + np.linalg.norm(rhs, axis=(1, 2)))
+    # a residual past the float range is refused, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = jz @ moved @ jw.conj().transpose(0, 2, 1)
+        res = np.linalg.norm(lhs - rhs, axis=(1, 2)) / (1 + np.linalg.norm(rhs, axis=(1, 2)))
+    if not np.isfinite(res).all():
+        p = int(np.argmax(~np.isfinite(res)))
+        z, w = (tuple(complex(c) for c in pts[p]) for pts in (zs, ws))
+        raise EvaluationError(f"the residual is not finite at pair ({z}, {w})")
     return float(res.max())
 
 

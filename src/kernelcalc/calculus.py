@@ -11,27 +11,13 @@ the engine live with the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ShapeError
 from .expr import DiagonalSeries, KernelExpr, LogHessian, Pow, Product
 from .geometry import unit_index
 
 
-@dataclass(frozen=True)
-class CurvatureParams:
-    """Positive exponent pair (alpha, beta) of the curvature construction."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("alpha and beta must be positive")
-
-
 def phi_gram_entry(
-    expr: KernelExpr, params: CurvatureParams, z, w, i: int, j: int
+    expr: KernelExpr, alpha: float, beta: float, z, w, i: int, j: int
 ) -> complex:
     """Inner product of the factorizing Gram vectors, from jets of K^a and K^b.
 
@@ -39,12 +25,14 @@ def phi_gram_entry(
     - a b (d_i K^a dbar_j K^b + dbar_j K^a d_i K^b); equals
     a b (a+b) times the (i, j) curvature entry.
     """
+    if not (alpha > 0 and beta > 0):
+        raise ValueError("alpha and beta must be positive")
     if not expr.is_scalar:
         raise ShapeError("phi_gram_entry needs a scalar kernel")
     m = expr.m
     if not (0 <= i < m and 0 <= j < m):
         raise ValueError("indices out of range")
-    a, b = params.alpha, params.beta
+    a, b = alpha, beta
     ka = Pow(expr, a).eval_jet(z, w, 1)
     kb = Pow(expr, b).eval_jet(z, w, 1)
     zero = (0,) * m

@@ -2,15 +2,17 @@
 
 Subcommands: eval, psd, wallach, norm, bound, quasi, repro.  JSON is the
 default output format, one compact line per report; `psd --format csv`
-emits the Gram spectrum as CSV.
+emits the Gram spectrum as CSV.  Library records give `to_dict()`, and
+`_emit` is the one writer that encodes them as strict JSON.
 Every flag can also be supplied through a JSON config file (--config): keys
 are flag names, validated like flags (a bad value or unknown key exits 2),
 and explicit flags win.  --tol and --resolution must be positive, --n and
 --pairs positive integers, --order a non-negative integer, --seed an
-integer in [0, 2^64), `norm --m` an integer in [2, 16], --radius in (0, 1),
---lambda, --t, --lo and --hi finite, --lo below --hi, the coordinates of
---z, --w and `quasi --a` finite complex numbers, and the coordinate of
-`bound --f` must exist in the kernel's domain.
+integer in [0, 2^64), `norm --m` an integer in [2, 16], --radius (psd,
+wallach, bound and quasi, which sample points) in (0, 1), --lambda, --t,
+--lo and --hi finite, --lo below --hi, the coordinates of --z, --w and
+`quasi --a` finite complex numbers, and the coordinate of `bound --f` must
+exist in the kernel's domain.
 
 Exit codes: 0 success, 2 configuration or parse error, 3 evaluation error,
 4 scan bracket failure (no sign change in the scanned interval); `repro`
@@ -251,11 +253,12 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, samples=False):
         p.add_argument("--config", help="JSON file with default flag values")
         p.add_argument("--output", help="write the report to this path")
-        p.add_argument("--radius", type=_radius, default=DEFAULT_SAMPLE_RADIUS,
-                       help="sampling radius inside the domain")
+        if samples:
+            p.add_argument("--radius", type=_radius, default=DEFAULT_SAMPLE_RADIUS,
+                           help="sampling radius inside the domain")
 
     p = sub.add_parser("eval", help="evaluate a kernel or its jet table")
     common(p)
@@ -266,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("psd", help="finite-sample positivity certificate")
-    common(p)
+    common(p, samples=True)
     p.add_argument("--kernel", required=True)
     p.add_argument("--n", type=_positive_int, default=20)
     p.add_argument("--seed", type=_seed, default=0)
@@ -275,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_psd)
 
     p = sub.add_parser("wallach", help="bisect a curvature positivity boundary")
-    common(p)
+    common(p, samples=True)
     p.add_argument("--base", required=True)
     p.add_argument("--lo", type=_finite_float, default=-1.0)
     p.add_argument("--hi", type=_finite_float, default=1.0)
@@ -290,14 +293,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("bound", help="multiplier-norm bisection")
-    common(p)
+    common(p, samples=True)
     p.add_argument("--kernel", required=True)
     p.add_argument("--f", default="z1", help="coordinate function, e.g. z1")
     p.add_argument("--resolution", type=_positive_float, default=BOUND_RESOLUTION)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("quasi", help="quasi-invariance residual under a Mobius map")
-    common(p)
+    common(p, samples=True)
     p.add_argument("--kernel", required=True)
     p.add_argument("--t", type=_finite_float, default=1.0)
     p.add_argument("--seed", type=_seed, default=0)

@@ -148,7 +148,7 @@ class KernelExpr:
         after the domain check; a failing or non-finite pair is named."""
         zs, ws = point_array(zs, self.m), point_array(ws, self.m)
         if zs.shape != ws.shape:
-            raise ShapeError("values needs as many z as w points")
+            raise ShapeError("a batch of pairs needs as many z as w points")
         self._check_pairs(zs, ws)
         with _naming_pairs(zs, ws):
             out = evaluate(zs, ws)
@@ -193,15 +193,10 @@ class KernelExpr:
             raise ValueError("order must be >= 0")
         if order > DEFAULT_ORDER_CAP:
             raise OrderCapError(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
-        zs, ws = point_array(zs, self.m), point_array(ws, self.m)
-        if zs.shape != ws.shape:
-            raise ShapeError("eval_jets needs as many z as w points")
-        self._check_pairs(zs, ws)
-        with _naming_pairs(zs, ws):
-            jet = self.jets(zs, ws, order, order)
-            check_finite(jet.coeffs, "kernel jet")
+        (derivatives,) = self._checked_values(
+            zs, ws, lambda z, w: (self.jets(z, w, order, order).derivatives(),))
         # (B, k, k, N, N) -> (B, N, N, k, k): one k x k block per derivative
-        blocks = np.ascontiguousarray(np.moveaxis(jet.derivatives(), (-2, -1), (1, 2)))
+        blocks = np.ascontiguousarray(np.moveaxis(derivatives, (-2, -1), (1, 2)))
         return [JetTable(order, self.m, self.size, d) for d in blocks]
 
     def eval_jet(self, z, w, order: int) -> "JetTable":

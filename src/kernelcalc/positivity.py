@@ -16,7 +16,6 @@ family and one left-looking LDL^H, judged by `families_pass`.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -70,9 +69,6 @@ class GramReport:
             "seed": self.seed,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), allow_nan=False)
-
 
 @dataclass(frozen=True)
 class WallachEstimate:
@@ -91,9 +87,6 @@ class WallachEstimate:
             "verdicts": [[t, bool(p)] for t, p in self.verdicts],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), allow_nan=False)
-
 
 @dataclass(frozen=True)
 class MultiplierBound:
@@ -111,9 +104,6 @@ class MultiplierBound:
             "bracket": list(self.bracket),
             "families": [list(f) for f in self.point_family],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), allow_nan=False)
 
 
 def _pairwise(point_sets, values_of) -> list:
@@ -242,7 +232,10 @@ class _CurvatureFamilyGram:
         self.modulation = modulation
 
     def gram_at(self, t: float) -> np.ndarray:
-        return _square(self.modulation(t)[:, None, :, None] * self.blocks)
+        # a product past the float range is left as inf or nan, without a
+        # warning; `families_pass` refuses it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _square(self.modulation(t)[:, None, :, None] * self.blocks)
 
 
 def gram_families(expr: KernelExpr, domain: DomainSpec, family, values_of, family_of) -> list:
@@ -262,8 +255,12 @@ def gram_families(expr: KernelExpr, domain: DomainSpec, family, values_of, famil
 
 
 def families_pass(fams, t: float, tol: float) -> bool:
-    """Whether the Gram of every family at t passes `ldl_verdict`."""
-    return all(ldl_verdict(f.gram_at(t), tol).psd for f in fams)
+    """Whether the Gram of every family at t passes `ldl_verdict`, which
+    refuses a Gram that is not finite (EvaluationError, naming t here)."""
+    try:
+        return all(ldl_verdict(f.gram_at(t), tol).psd for f in fams)
+    except EvaluationError as exc:
+        raise EvaluationError(f"the Gram family at t = {t} is not finite") from exc
 
 
 def _wallach_families(base: KernelExpr, domain: DomainSpec, family) -> list:
@@ -404,17 +401,17 @@ def multiplier_bound(
 ) -> MultiplierBound:
     """Smallest certified c with (c^2 - f fbar) K non-negative on all families:
     c doubles from 1 up to MAX_BOUND, which is tried itself, until it passes,
-    and then [0, c] is bisected."""
+    and then [last failing c, c] (or [0, 1]) is bisected."""
     _check_resolution(resolution)
     func, label = _as_function(f, expr.m)
     family = tuple((n, operator.index(s)) for n, s in family)
     fams = multiplier_families(expr, func, domain, family)
-    hi = 1.0
+    lo, hi = 0.0, 1.0
     while not families_pass(fams, hi, tol):
         if hi >= MAX_BOUND:
             raise BracketError(f"no certified multiplier bound up to c = {MAX_BOUND}")
-        hi = min(2.0 * hi, MAX_BOUND)
-    lo, hi = _bisect(lambda c: families_pass(fams, c, tol), 0.0, hi, resolution)
+        lo, hi = hi, min(2.0 * hi, MAX_BOUND)
+    lo, hi = _bisect(lambda c: families_pass(fams, c, tol), lo, hi, resolution)
     return MultiplierBound(
         function=label, bound=hi, bracket=(lo, hi), point_family=family
     )

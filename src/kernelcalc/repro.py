@@ -20,7 +20,6 @@ from .automorphisms import (
     quasi_invariance_residual,
 )
 from .calculus import (
-    CurvatureParams,
     phi_gram_entry,
     series_head_coefficients,
 )
@@ -37,7 +36,7 @@ from .expr import (
     bergman_disc,
 )
 from .fd import fd_relative_error
-from .geometry import sample_points, unit_ball, unit_disc
+from .geometry import sample_points, unit_ball, unit_disc, unit_index
 from .parser import parse_kernel
 from .positivity import DEFAULT_FAMILIES, DEFAULT_TOL, families_pass, gram, psd_check
 from .positivity import multiplier_bound, multiplier_families, wallach_scan
@@ -78,7 +77,6 @@ def check_curvature_power_law() -> CheckResult:
 def check_gram_factorization() -> CheckResult:
     """phi-section Gram entries equal a*b*(a+b) times the curvature kernel."""
     alpha, beta = 1.0, 2.0
-    params = CurvatureParams(alpha, beta)
     factor = alpha * beta * (alpha + beta)
     worst = 0.0
     for base, domain in (
@@ -91,7 +89,7 @@ def check_gram_factorization() -> CheckResult:
             mat = curv.eval(z, w)
             for i in range(m):
                 for j in range(m):
-                    lhs = phi_gram_entry(base, params, z, w, i, j)
+                    lhs = phi_gram_entry(base, alpha, beta, z, w, i, j)
                     rhs = factor * mat[i, j]
                     denom = max(abs(rhs), 1.0)
                     worst = max(worst, abs(lhs - rhs) / denom)
@@ -167,11 +165,9 @@ def check_origin_jets() -> CheckResult:
             )
             for i in range(m):
                 for j in range(m):
-                    ei = tuple(int(k == i) for k in range(m))
-                    ej = tuple(int(k == j) for k in range(m))
                     want = (lam - 1) * (i == j) * np.eye(m, dtype=complex)
                     want[j, i] += 1.0
-                    got = tab.entry(ei, ej)
+                    got = tab.entry(unit_index(m, i), unit_index(m, j))
                     worst = max(worst, float(np.abs(got - want).max()))
     ok = worst < 1e-12
     return CheckResult(

@@ -8,7 +8,6 @@ and are re-exported here for callers such as the benchmark in `perfbench/`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .errors import EvaluationError, ShapeError
 from .expr import BallCurvature, KernelExpr
-from .geometry import MultiIndex, Point, as_point
+from .geometry import MultiIndex, Point, as_point, unit_index
 from .positivity import MultiplierBound, multiplier_bound  # re-exported
 
 #: largest m of z2_tensor_e1_norm; its jets take memory of order m^4
@@ -49,20 +48,6 @@ class RkhsElement:
                 raise ShapeError("term index has the wrong dimension")
             if len(t.direction) != k:
                 raise ShapeError("term direction must match the kernel output size")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [
-                {
-                    "coef": [t.coef.real, t.coef.imag],
-                    "base": [[c.real, c.imag] for c in t.base.coords],
-                    "index": list(t.index.entries),
-                    "dir": [[d.real, d.imag] for d in t.direction],
-                }
-                for t in self.terms
-            ],
-            allow_nan=False,
-        )
 
 
 def element(kernel: KernelExpr, terms) -> RkhsElement:
@@ -122,7 +107,8 @@ def z2_tensor_e1_norm(m: int, lam: float) -> float:
     """Norm of the monomial section z_2 (x) e_1 for the explicit ball kernel.
 
     Built from the derivative-section combination
-    (lam-1) dbar_2 K(., 0) e_1 - dbar_1 K(., 0) e_2 = (lam^2 - 2 lam) z_2 (x) e_1
+    ((lam-1) dbar_2 K(., 0) e_1 - dbar_1 K(., 0) e_2) / lam = (lam - 2) z_2 (x) e_1,
+    whose self inner product grows like lam (not lam^3, as without the 1/lam),
     and computed numerically from jets; matches
     sqrt((lam-1)/(lam (lam-2))) for lam > 2.
     """
@@ -132,17 +118,10 @@ def z2_tensor_e1_norm(m: int, lam: float) -> float:
         raise EvaluationError(
             "the monomial section leaves the space at lam <= 2 (divergent norm)"
         )
-    kernel = BallCurvature(m, lam)
     origin = [0.0] * m
-    e1 = [1.0 if i == 0 else 0.0 for i in range(m)]
-    e2 = [1.0 if i == 1 else 0.0 for i in range(m)]
-    idx1 = [1 if i == 0 else 0 for i in range(m)]
-    idx2 = [1 if i == 1 else 0 for i in range(m)]
+    e1, e2 = unit_index(m, 0), unit_index(m, 1)
     combo = element(
-        kernel,
-        [
-            (lam - 1.0, origin, idx2, e1),
-            (-1.0, origin, idx1, e2),
-        ],
+        BallCurvature(m, lam),
+        [((lam - 1.0) / lam, origin, e2, e1), (-1.0 / lam, origin, e1, e2)],
     )
-    return norm(combo) / (lam * lam - 2 * lam)
+    return norm(combo) / (lam - 2)

@@ -101,7 +101,7 @@ def test_points_outside_the_ball_are_rejected():
 
 def test_serialization_round_trip():
     phi = _random_map(2, 9, with_unitary=True)
-    data = json.loads(phi.to_json())
+    data = json.loads(json.dumps(phi.to_dict(), allow_nan=False))
     a = [complex(re, im) for re, im in data["a"]]
     u = np.array([[complex(re, im) for re, im in row] for row in data["U"]])
     phi2 = MobiusMap(a, u)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from kernelcalc.calculus import (
-    CurvatureParams,
     phi_gram_entry,
     series_head_coefficients,
 )
@@ -40,9 +39,9 @@ def test_curvature_kernel_power_law_on_the_disc():
 
 def test_curvature_params_validation():
     with pytest.raises(ValueError):
-        CurvatureParams(0.0, 1.0)
+        phi_gram_entry(SzegoDisc(), 0.0, 1.0, 0.1, 0.2, 0, 0)
     with pytest.raises(ValueError):
-        CurvatureParams(1.0, -2.0)
+        phi_gram_entry(SzegoDisc(), 1.0, -2.0, 0.1, 0.2, 0, 0)
 
 
 @pytest.mark.parametrize("base,domain", [
@@ -59,7 +58,7 @@ def test_phi_gram_factorization(base, domain):
         mat = curv.eval(z, w)
         for i in range(base.m):
             for j in range(base.m):
-                lhs = phi_gram_entry(base, CurvatureParams(alpha, beta), z, w, i, j)
+                lhs = phi_gram_entry(base, alpha, beta, z, w, i, j)
                 rhs = factor * mat[i, j]
                 assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1.0)
 

@@ -1,18 +1,21 @@
 import contextlib
 import io
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kernelcalc import cli
 from kernelcalc.automorphisms import MobiusMap
 from kernelcalc.cli import main
-from kernelcalc.geometry import sample_points, unit_ball, unit_disc
+from kernelcalc.expr import BallCurvature
+from kernelcalc.geometry import sample_points, unit_ball, unit_disc, unit_index
 from kernelcalc.parser import parse_kernel
 from kernelcalc.positivity import psd_check, wallach_scan
-from kernelcalc.rkhs import multiplier_bound
+from kernelcalc.rkhs import element, multiplier_bound, norm
 
 
 def _run(capsys, *argv):
@@ -226,9 +229,9 @@ def test_quasi_command_is_seeded_and_small(capsys):
     ids=["GramReport", "WallachEstimate", "MultiplierBound", "MobiusMap"],
 )
 def test_record_dicts_encode_to_their_json(record):
-    # the CLI emits to_dict() payloads; to_json must be their exact encoding
-    r = record()
-    assert json.dumps(r.to_dict()) == r.to_json()
+    # the CLI is the one JSON writer: each to_dict() must survive strict JSON
+    d = record().to_dict()
+    assert json.loads(json.dumps(d, allow_nan=False)) == d
 
 
 def test_config_file_supplies_flags(tmp_path, capsys):
@@ -317,6 +320,10 @@ def test_non_positive_tolerance_or_resolution_exits_2(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["eval", "--kernel", "ball_power(2,2000)", "--z", "0.6,0.4", "--w", "0.6,0.4"],
     ["quasi", "--kernel", "bergman_ball(2)", "--t", "1e300"],
+    # K^t o B overflows in the scan's family Gram at t = -2
+    ["wallach", "--base", "pow(bergman_disc(), 400)", "--lo", "-2", "--hi", "0"],
+    # the residual's norms overflow although every kernel value is finite
+    ["quasi", "--kernel", "pow(szego_disc(), 1e300)", "--t", "0"],
 ])
 def test_overflow_exits_3_without_warnings(capsys, argv):
     with warnings.catch_warnings():
@@ -327,12 +334,34 @@ def test_overflow_exits_3_without_warnings(capsys, argv):
     assert "not finite" in err
 
 
+def test_radius_is_refused_where_no_point_is_sampled(capsys, tmp_path):
+    code, out, err = _run(capsys, "eval", "--kernel", "szego_disc()", "--z", "0", "--w", "0",
+                          "--radius", "0.5")
+    assert code == 2 and out == "" and "--radius" in err
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"radius": 0.5}))
+    code, out, err = _run(capsys, "norm", "--lambda", "3", "--config", str(conf))
+    assert code == 2 and out == "" and "--radius" in err
+    for argv in (["psd", "--kernel", "szego_disc()", "--n", "4"],
+                 ["quasi", "--kernel", "szego_disc()", "--pairs", "2"]):
+        assert _run(capsys, *argv, "--radius", "0.5")[0] == 0
+
+
 @pytest.mark.parametrize("flags", [
     ["--m", "2", "--lambda", "1e154"],  # the norm overflows to inf
     ["--m", "2", "--lambda", "1e155"],  # ... and to nan
     ["--m", "3", "--lambda", "1e300"],
 ])
-def test_a_norm_past_the_float_range_exits_3_without_json(capsys, flags):
+def test_a_norm_past_the_float_range_exits_3_without_json(capsys, monkeypatch, flags):
+    def unscaled_norm(m, lam):
+        # the combination without its 1/lam scaling: its self inner product
+        # grows like lam^3 and overflows to inf (1e154) or nan (the others)
+        origin, e1, e2 = [0.0] * m, unit_index(m, 0), unit_index(m, 1)
+        combo = element(BallCurvature(m, lam),
+                        [(lam - 1.0, origin, e2, e1), (-1.0, origin, e1, e2)])
+        return norm(combo) / (lam * lam - 2 * lam)
+
+    monkeypatch.setattr(cli, "z2_tensor_e1_norm", unscaled_norm)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = _run(capsys, "norm", *flags)
@@ -340,6 +369,18 @@ def test_a_norm_past_the_float_range_exits_3_without_json(capsys, flags):
     assert out == ""
     assert "norm" in err and "not finite" in err
     assert "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("m,lam", [
+    (2, 1e154), (2, 1e155), (3, 1e300), (16, 1e300), (2, 1.7e308), (3, 1.7e308), (16, 1.7e308),
+])
+def test_a_norm_near_the_float_range_is_strict_json(capsys, m, lam):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "norm", "--m", str(m), "--lambda", repr(lam))
+    assert code == 0 and err == ""
+    data = json.loads(out, parse_constant=pytest.fail)
+    assert data["norm"] == pytest.approx(math.sqrt((1 - 1 / lam) / (lam - 2)), rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-infi", "1e400"])

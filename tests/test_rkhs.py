@@ -157,6 +157,26 @@ def test_a_bound_between_the_last_doubling_and_the_cap_is_found():
         multiplier_bound(SzegoDisc(), lambda p: 11 * p[0], unit_disc())
 
 
+def test_the_bound_search_bisects_from_the_last_failing_probe(monkeypatch):
+    from kernelcalc import positivity
+
+    probes = []
+
+    def spy(fams, c, tol):
+        probes.append(c)
+        return families_pass(fams, c, tol)
+
+    families_pass = positivity.families_pass
+    monkeypatch.setattr(positivity, "families_pass", spy)
+    est = multiplier_bound(SzegoDisc(), lambda p: 9 * p[0], unit_disc())
+    # probes 1, 2, 4, 8 fail and 10 passes; 8 bisection steps take [8, 10]
+    # below the resolution 0.01, and no probe goes back below 8
+    assert len(probes) == 13
+    assert probes[:5] == [1.0, 2.0, 4.0, 8.0, 10.0]
+    assert min(probes[5:]) > 8.0
+    assert est.bracket[0] >= 8.0 and est.bracket[1] - est.bracket[0] <= 0.01
+
+
 @pytest.mark.parametrize("resolution", [0.0, -1.0, float("nan")])
 def test_multiplier_bound_rejects_bad_resolution_before_sampling(resolution, monkeypatch):
     from kernelcalc import positivity
