@@ -80,9 +80,10 @@ def _provenance(args, kernel: str | None) -> dict:
 
 def _emit(args, payload: dict) -> None:
     """Write the payload as one line of strict JSON, which has no NaN or
-    infinity: a report holding one is refused, naming its key."""
+    infinity: a report holding one is refused, naming its key.  Payloads
+    are fresh trees of dicts and lists, so no cycle check is needed."""
     try:
-        text = json.dumps(payload, allow_nan=False)
+        text = json.dumps(payload, allow_nan=False, check_circular=False)
     except ValueError:
         bad = [key for key, value in payload.items() if not _finite_json(value)]
         raise EvaluationError(f"the {', '.join(bad)} of the report is not finite") from None
@@ -91,7 +92,7 @@ def _emit(args, payload: dict) -> None:
 
 def _finite_json(value) -> bool:
     try:
-        json.dumps(value, allow_nan=False)
+        json.dumps(value, allow_nan=False, check_circular=False)
     except ValueError:
         return False
     return True
@@ -107,8 +108,15 @@ def _write(args, text: str) -> None:
 
 def _complex_lists(arr) -> list:
     """A complex array as nested lists ending in [re, im] pairs, in one conversion."""
-    arr = np.asarray(arr, dtype=complex)
-    return np.stack([arr.real, arr.imag], -1).tolist()
+    arr = np.ascontiguousarray(arr, dtype=complex)
+    return arr.view(float).reshape(arr.shape + (2,)).tolist()
+
+
+@functools.cache
+def _entry_keys(m: int, order: int) -> tuple:
+    """The "i|j" keys of a jet table's entries, in table order."""
+    labels = [f"{list(i)}" for i in graded_lex_tuples(m, order)]
+    return tuple(f"{i}|{j}" for i in labels for j in labels)
 
 
 def cmd_eval(args) -> int:
@@ -118,10 +126,9 @@ def cmd_eval(args) -> int:
     report = _provenance(args, expr.to_dsl())
     if args.order > 0:
         derivatives = expr.eval_jet(z, w, args.order).derivatives
-        labels = [f"{list(i)}" for i in graded_lex_tuples(expr.m, args.order)]
         report["order"] = args.order
         report["entries"] = dict(zip(
-            [f"{i}|{j}" for i in labels for j in labels],
+            _entry_keys(expr.m, args.order),
             _complex_lists(derivatives.reshape((-1,) + derivatives.shape[2:])),
         ))
     else:
@@ -313,15 +320,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _config_parser(prog: str) -> argparse.ArgumentParser:
+    """The pre-parser that finds --config among the other flags."""
+    pre = argparse.ArgumentParser(prog=prog, add_help=False)
+    pre.add_argument("--config")
+    return pre
+
+
 def _with_config(parser, argv: list[str]) -> list[str]:
     """Insert the flags of a --config file right after the subcommand name.
 
     Each key becomes `--key=value`, parsed like a flag typed by the user;
     the user's own flags come later and so win.
     """
-    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
+    path = _config_parser(parser.prog).parse_known_args(argv)[0].config
     if not path:
         return argv
     try:

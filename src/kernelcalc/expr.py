@@ -14,8 +14,9 @@ composes under the scalar combinators.
 `values(zs, ws)` evaluates B pairs at once and `eval` is its batch of one;
 `eval_jets(zs, ws, order)` gives the jet tables of B pairs at once and
 `eval_jet` is its batch of one, so batched and per-pair results agree bit
-for bit.  A failing pair (outside the domain, across a branch cut, not
-finite) is named in the error.
+for bit (up to an ulp at origin pairs in a mixed batch, see `eval_jets`).
+A failing pair (outside the domain, across a branch cut, not finite) is
+named in the error.
 
 The node table lives on the node classes: each declares its DSL name
 (`dsl_name`) and the kind of each dataclass field in field order (`kinds`).
@@ -187,7 +188,9 @@ class KernelExpr:
         """The JetTables of the B pairs (zs[p], ws[p]), from one batch of jets.
 
         Lower coefficients do not depend on the truncation caps, so each
-        table equals its own `eval_jet` bit for bit.
+        table equals its own `eval_jet` bit for bit, except that a batch
+        mixing origin pairs with others sums its origin pairs on the full
+        pair tables, which can move them by an ulp (see `jets`).
         """
         if order < 0:
             raise ValueError("order must be >= 0")
@@ -262,7 +265,7 @@ _DSL_FORMATS = {
 
 def _scalar(jet: Jet) -> Jet:
     """The (B, 1, 1) entry jet of a scalar node from its (B,) jet."""
-    return Jet(jet.m, jet.nz, jet.nw, jet.coeffs[:, None, None])
+    return Jet(jet.m, jet.nz, jet.nw, jet.coeffs[:, None, None], jet.balanced)
 
 
 def _matrix(rows) -> Jet:
@@ -271,14 +274,15 @@ def _matrix(rows) -> Jet:
     coeffs = np.concatenate(
         [np.concatenate([e.coeffs for e in row], axis=2) for row in rows], axis=1
     )
-    return Jet(first.m, first.nz, first.nw, coeffs)
+    balanced = all(e.balanced for row in rows for e in row)
+    return Jet(first.m, first.nz, first.nw, coeffs, balanced)
 
 
 def _inner_terms(z, w, m, nz, nw) -> list:
     """The jets z_k wbar_k, batch (B,), for k < m."""
     k = np.arange(m)
-    p = coordinate_products(z, w, m, nz, nw, k, k).coeffs
-    return [Jet(m, nz, nw, p[:, i]) for i in range(m)]
+    p = coordinate_products(z, w, m, nz, nw, k, k)
+    return [Jet(m, nz, nw, p.coeffs[:, i], p.balanced) for i in range(m)]
 
 
 def _one_minus(terms) -> Jet:
@@ -287,9 +291,11 @@ def _one_minus(terms) -> Jet:
     first = next(terms)
     u = np.negative(first.coeffs)
     u[..., 0, 0] += 1.0
+    balanced = first.balanced
     for term in terms:
         u -= term.coeffs
-    return Jet(first.m, first.nz, first.nw, u)
+        balanced = balanced and term.balanced
+    return Jet(first.m, first.nz, first.nw, u, balanced)
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +634,10 @@ class BallCurvature(KernelExpr):
     def jets(self, z, w, nz, nw):
         m = self.dim
         rows, cols = np.indices((m, m))
-        entries = coordinate_products(z, w, m, nz, nw, cols, rows).coeffs  # z_j wbar_i
-        diagonal = [Jet(m, nz, nw, entries[:, i, i].copy()) for i in range(m)]
+        products = coordinate_products(z, w, m, nz, nw, cols, rows)  # z_j wbar_i
+        entries, balanced = products.coeffs, products.balanced
+        diagonal = [Jet(m, nz, nw, entries[:, i, i].copy(), balanced) for i in range(m)]
         pref = _one_minus(diagonal) ** (-self.lam)
         for i in range(m):  # 1 - sum_{j != i} z_j wbar_j on the diagonal
             entries[:, i, i] = _one_minus(d for j, d in enumerate(diagonal) if j != i).coeffs
-        return _scalar(pref) * Jet(m, nz, nw, entries)
+        return _scalar(pref) * Jet(m, nz, nw, entries, balanced)

@@ -12,7 +12,8 @@ and Nw count the monomials of each group in graded lex order
 independent expansions (all pairs of a Gram matrix, the nodes of a
 finite-difference grid, the entries of a matrix kernel) and broadcast like
 numpy arrays.  Every operation acts on each batch entry alone, so a batched
-result equals the one-entry results bit for bit.
+result equals the one-entry results bit for bit, as long as both carry the
+same `balanced` flag (below).
 
 Shifts and embeddings use index tables that are built on first use and
 cached per (m, degree) of one variable group.
@@ -39,7 +40,27 @@ at most `_TABLE_BUDGET` pairs (65,536, about 0.5 MB) are cached; larger
 ones are rebuilt on each call, one degree at a time, so they never stay in
 memory.  The pairs are applied in runs of at most `_PRODUCT_CHUNK` entries
 of the broadcast batch times the pairs, so no temporary spans all pairs
-whatever the batch.  At caps (0, 0) there is no pair work at all.
+whatever the batch.  A product needs no degree order: it reads the runs of
+the whole cached table in one pass.  At caps (0, 0) there is no pair work.
+
+Balanced jets.  At the origin a circular kernel has coefficients only at
+|a| = |b|, so most pairs of a product or series only add exact zeros.  A
+Jet's `balanced` flag promises that every other coefficient is exactly 0.
+Only `Jet.constant` and `coordinate_products` at z = w = 0 set it; sums
+and products of flagged jets, scalar +, * and negation, pow, exp, log,
+`truncate`, `embed` and `shift(di, dj)` with |di| = |dj| keep it, and every
+other jet is unflagged, which is always safe.  Flagged products and series
+read tables restricted to the balanced outputs and to their balanced pairs
+(no odd total degree), in the order of the full tables, and leave the
+other outputs +0.0; they are cached under the same budget, and built from
+the (d, d) blocks alone (at m = 3 and caps (9, 9) the full table has 25M
+pairs, the balanced one 860k).  Only exact zeros are dropped, so the
+results equal the full tables' up to the sign of a zero and the grouping
+of numpy's pairwise sum, which can move an entry whose pair run has 8 or
+more terms by an ulp (2 of the 8,100 entries of the curvature of the
+Bergman kernel of the 2-ball at caps (8, 8)).  A batch is flagged only if
+all its entries are at the origin, so a mixed batch can differ from its
+one-entry origin results by such an ulp.
 
 The branch, zero-base and non-finite checks of pow, exp and log are
 vectorized: each raises for the first bad batch entry and records its
@@ -70,6 +91,11 @@ class _Group:
         )
 
     @functools.cached_property
+    def degrees(self) -> np.ndarray:
+        """|a| of each monomial a."""
+        return np.array([sum(a) for a in self.tuples], dtype=np.int32)
+
+    @functools.cached_property
     def pairs(self) -> tuple:
         """(left, right, starts): every pair of monomials whose product has
         degree <= n, sorted by the product; `starts[k]` is where the run of
@@ -93,6 +119,27 @@ class _Group:
             dtype=np.intp,
         )
         return source, self.factorials[source] / out.factorials
+
+    @functools.cached_property
+    def pair_arrays(self) -> tuple:
+        """`pairs` as int32 arrays (left, right, product, left degree) and
+        `first`: the pairs whose product has degree d are first[d] ..
+        first[d + 1] - 1."""
+        left, right, starts = self.pairs
+        runs = np.diff(np.r_[starts, len(left)])
+        product = np.repeat(np.arange(self.size, dtype=np.int32), runs)
+        first = np.r_[0, np.cumsum(np.bincount(self.degrees[product], minlength=self.n + 1))]
+        return (left.astype(np.int32), right.astype(np.int32), product,
+                self.degrees[left], first)
+
+    @functools.cached_property
+    def degree_counts(self) -> np.ndarray:
+        """counts[d, e]: the pairs whose product has degree d and whose left
+        monomial has degree e."""
+        _, _, product, left_degree, _ = self.pair_arrays
+        counts = np.zeros((self.n + 1, self.n + 1), dtype=np.int64)
+        np.add.at(counts, (self.degrees[product], left_degree), 1)
+        return counts
 
     @functools.cache
     def embed(self, m: int, offset: int) -> np.ndarray:
@@ -143,12 +190,14 @@ def _run_pairs(per_pair: int) -> int:
     return 1 << (max(_PRODUCT_CHUNK // max(per_pair, 1), 1).bit_length() - 1)
 
 
-def _convolve(x: np.ndarray, y: np.ndarray, m: int, nz: int, nw: int) -> np.ndarray:
+def _convolve(x: np.ndarray, y: np.ndarray, m: int, nz: int, nw: int,
+              balanced: bool) -> np.ndarray:
     """Truncated Leibniz product of two coefficient arrays (batch broadcast).
 
     Each output monomial sums x_l y_r over its pairs in the order of the
-    per-degree tables, so how the outputs are cut into runs (by size)
-    leaves every result unchanged.
+    pair tables, so how the outputs are cut into runs (by size) leaves every
+    result unchanged.  Of balanced factors only the balanced outputs are
+    summed, and the others are 0.
     """
     if nz == nw == 0:  # constant jets: no pairs to sum
         return x * y
@@ -156,28 +205,35 @@ def _convolve(x: np.ndarray, y: np.ndarray, m: int, nz: int, nw: int) -> np.ndar
     shape = x.shape[-2:]
     flat = (shape[0] * shape[1],)
     x, y = x.reshape(x.shape[:-2] + flat), y.reshape(y.shape[:-2] + flat)
-    out = np.empty(batch + flat, dtype=complex)
-    for _, runs in _degree_runs(m, nz, nw, _run_pairs(math.prod(batch))):
-        for rows, left, right, starts in runs:
-            terms = np.take(x, left, axis=-1) * np.take(y, right, axis=-1)
-            out[..., rows] = np.add.reduceat(terms, starts, axis=-1)
+    out = (np.zeros if balanced else np.empty)(batch + flat, dtype=complex)
+    for rows, left, right, starts in _product_runs(m, nz, nw, _run_pairs(math.prod(batch)),
+                                                   balanced):
+        terms = np.take(x, left, axis=-1) * np.take(y, right, axis=-1)
+        out[..., rows] = np.add.reduceat(terms, starts, axis=-1)
     return out.reshape(batch + shape)
 
 
 class Jet:
     """Truncated Taylor expansions in m + m variables (z-group, wbar-group),
-    one per entry of the batch shape `coeffs.shape[:-2]`."""
+    one per entry of the batch shape `coeffs.shape[:-2]`.
 
-    __slots__ = ("m", "nz", "nw", "coeffs")
+    `balanced` promises that every coefficient (a, b) with |a| != |b| is
+    exactly 0, as for every jet of a circular kernel at the origin; products
+    and series then sum only balanced pairs.  False promises nothing.
+    """
 
-    def __init__(self, m: int, nz: int, nw: int, coeffs: np.ndarray):
+    __slots__ = ("m", "nz", "nw", "coeffs", "balanced")
+
+    def __init__(self, m: int, nz: int, nw: int, coeffs: np.ndarray, balanced: bool = False):
         self.m = m
         self.nz = nz
         self.nw = nw
         self.coeffs = coeffs
+        self.balanced = balanced
 
-    def _like(self, coeffs) -> "Jet":
-        return Jet(self.m, self.nz, self.nw, coeffs)
+    def _like(self, coeffs, balanced: bool = True) -> "Jet":
+        """A jet of these caps, balanced if this one is and `balanced` holds."""
+        return Jet(self.m, self.nz, self.nw, coeffs, self.balanced and balanced)
 
     # -- constructors -------------------------------------------------
 
@@ -188,7 +244,7 @@ class Jet:
         coeffs = np.zeros(value.shape + (_group(m, nz).size, _group(m, nw).size),
                           dtype=complex)
         coeffs[..., 0, 0] = value
-        return cls(m, nz, nw, coeffs)
+        return cls(m, nz, nw, coeffs, balanced=True)
 
     @classmethod
     def variable_z(cls, k, value, m, nz, nw):
@@ -196,6 +252,7 @@ class Jet:
         j = cls.constant(value, m, nz, nw)
         if nz >= 1:
             j.coeffs[..., _group(m, nz).index[unit_index(m, k)], 0] = 1.0
+            j.balanced = False
         return j
 
     @classmethod
@@ -204,6 +261,7 @@ class Jet:
         j = cls.constant(np.conj(value), m, nz, nw)
         if nw >= 1:
             j.coeffs[..., 0, _group(m, nw).index[unit_index(m, k)]] = 1.0
+            j.balanced = False
         return j
 
     # -- basic queries -------------------------------------------------
@@ -238,7 +296,7 @@ class Jet:
             raise ValueError("cannot truncate upwards")
         return Jet(self.m, nz, nw, self.coeffs[
             ..., : _group(self.m, nz).size, : _group(self.m, nw).size
-        ])
+        ], self.balanced)
 
     def shift(self, di, dj):
         """The jet of the derivative (d/dz)^di (d/dwbar)^dj of this function.
@@ -254,7 +312,7 @@ class Jet:
         sz, fz = _group(self.m, self.nz).shift(di)
         sw, fw = _group(self.m, self.nw).shift(dj)
         coeffs = self.coeffs[..., sz[:, None], sw[None, :]] * (fz[:, None] * fw[None, :])
-        return Jet(self.m, nz, nw, coeffs)
+        return Jet(self.m, nz, nw, coeffs, self.balanced and sum(di) == sum(dj))
 
     def embed(self, m, offset):
         """The same function of the coordinates offset .. offset + self.m - 1
@@ -264,7 +322,7 @@ class Jet:
         coeffs = np.zeros(self.batch + (_group(m, self.nz).size, _group(m, self.nw).size),
                           dtype=complex)
         coeffs[..., pz[:, None], pw[None, :]] = self.coeffs
-        return Jet(m, self.nz, self.nw, coeffs)
+        return Jet(m, self.nz, self.nw, coeffs, self.balanced)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -278,7 +336,7 @@ class Jet:
             coeffs[..., 0, 0] += other
             return self._like(coeffs)
         self._check_compatible(other)
-        return self._like(self.coeffs + other.coeffs)
+        return self._like(self.coeffs + other.coeffs, other.balanced)
 
     __radd__ = __add__
 
@@ -295,7 +353,9 @@ class Jet:
         if not isinstance(other, Jet):
             return self._like(self.coeffs * complex(other))
         self._check_compatible(other)
-        return self._like(_convolve(self.coeffs, other.coeffs, self.m, self.nz, self.nw))
+        balanced = self.balanced and other.balanced
+        return self._like(_convolve(self.coeffs, other.coeffs, self.m, self.nz, self.nw,
+                                    balanced), balanced)
 
     __rmul__ = __mul__
 
@@ -331,7 +391,8 @@ class Jet:
         x, h = x.reshape(flat), h.reshape(flat)
         m, nz, nw = self.m, self.nz, self.nw
         degrees = _total_degrees(m, nz, nw)
-        for degree, runs in _degree_runs(m, nz, nw, _run_pairs(math.prod(shape[:-2]))):
+        max_pairs = _run_pairs(math.prod(shape[:-2]))
+        for degree, runs in _degree_runs(m, nz, nw, max_pairs, self.balanced):
             if not degree:  # h_0 is set above
                 continue
             weights = degrees * ((a - b) / degree) + b  # one per left monomial
@@ -395,7 +456,17 @@ class Jet:
 _TABLE_BUDGET = 1 << 16
 
 
-def _degree_tables(m: int, nz: int, nw: int):
+@functools.cache
+def _pair_count(m: int, nz: int, nw: int, balanced: bool) -> int:
+    """Pairs in the (m, nz, nw) table, full or balanced."""
+    gz, gw = _group(m, nz), _group(m, nw)
+    if not balanced:
+        return len(gz.pairs[0]) * len(gw.pairs[0])
+    k = min(nz, nw) + 1
+    return int((gz.degree_counts[:k, :k] * gw.degree_counts[:k, :k]).sum())
+
+
+def _degree_tables(m: int, nz: int, nw: int, balanced: bool):
     """Yield (D, out, left, right, starts) for each total degree D = 0 .. nz + nw.
 
     Positions are flattened, i * Nw + j for z-monomial i and w-monomial j.
@@ -405,39 +476,46 @@ def _degree_tables(m: int, nz: int, nw: int):
     output's pairs are the z pairs of its z part times the w pairs of its w
     part, so the tables are built one block of degrees (dz, D - dz) at a
     time from the group tables.
+
+    A balanced table keeps only the outputs with |a| = |b| and, of their
+    pairs, those whose left monomial (and so the right one) is balanced
+    too, in the same order; so it has no odd degree.  It is built from the
+    blocks (d, d) alone, matching z pairs and w pairs by the degree of their
+    left monomial, and never holds the full table.
     """
-    gz, gw = _group(m, nz), _group(m, nw)
-    groups = []
-    for g in (gz, gw):
-        left, right, starts = g.pairs
-        bounds = np.r_[starts, len(left)]
-        product = np.repeat(np.arange(g.size, dtype=np.int32), np.diff(bounds))
-        first = np.searchsorted([sum(a) for a in g.tuples], np.arange(g.n + 2))
-        groups.append((left.astype(np.int32), right.astype(np.int32), product,
-                       bounds, np.diff(bounds), first))
-    (zl, zr, zk, zb, zlen, zfirst), (wl, wr, wk, wb, wlen, wfirst) = groups
-    nw_size = np.int32(gw.size)
+    (zl, zr, zk, zdeg, zfirst), (wl, wr, wk, wdeg, wfirst) = (
+        _group(m, nz).pair_arrays, _group(m, nw).pair_arrays)
+    nw_size = np.int32(_group(m, nw).size)
     for degree in range(nz + nw + 1):
-        outs, lefts, rights, counts = [], [], [], []
-        for dz in range(max(0, degree - nw), min(nz, degree) + 1):
-            kz = slice(zfirst[dz], zfirst[dz + 1])
-            kw = slice(wfirst[degree - dz], wfirst[degree - dz + 1])
-            pz, pw = slice(zb[kz.start], zb[kz.stop]), slice(wb[kw.start], wb[kw.stop])
-            order = np.argsort((zk[pz, None] * nw_size + wk[pw]).ravel(), kind="stable")
-            lefts.append((zl[pz, None] * nw_size + wl[pw]).ravel()[order])
-            rights.append((zr[pz, None] * nw_size + wr[pw]).ravel()[order])
-            outs.append((np.arange(kz.start, kz.stop)[:, None] * gw.size
-                         + np.arange(kw.start, kw.stop)).ravel())
-            counts.append(np.multiply.outer(zlen[kz], wlen[kw]).ravel())
-        counts = np.concatenate(counts)
-        yield (degree, np.concatenate(outs), np.concatenate(lefts),
-               np.concatenate(rights), np.cumsum(counts) - counts)
+        if not balanced:
+            blocks = [(dz, degree - dz) for dz in range(max(0, degree - nw), min(nz, degree) + 1)]
+        elif degree % 2 == 0 and degree // 2 <= min(nz, nw):
+            blocks = [(degree // 2, degree // 2)]
+        else:
+            continue
+        keys, lefts, rights = [], [], []
+        for dz, dw in blocks:
+            pz = np.arange(zfirst[dz], zfirst[dz + 1])
+            pw = np.arange(wfirst[dw], wfirst[dw + 1])
+            matched = ([(pz[zdeg[pz] == e], pw[wdeg[pw] == e]) for e in range(dz + 1)]
+                       if balanced else [(pz, pw)])
+            key, left, right = (
+                np.concatenate([(a[p, None] * nw_size + b[q]).ravel() for p, q in matched])
+                for a, b in ((zk, wk), (zl, wl), (zr, wr)))
+            order = np.argsort(key, kind="stable")
+            keys.append(key[order])
+            lefts.append(left[order])
+            rights.append(right[order])
+        keys = np.concatenate(keys)
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        out = keys[starts].astype(np.intp)  # an int32 index is converted on each use
+        yield degree, out, np.concatenate(lefts), np.concatenate(rights), starts
 
 
 def _runs(out, left, right, starts, max_pairs: int) -> list:
-    """The table of one degree cut into runs of consecutive outputs,
-    (out, left, right, starts) each, with at most `max_pairs` pairs per run
-    unless one output alone has more."""
+    """A table cut into runs of consecutive outputs, (out, left, right,
+    starts) each, with at most `max_pairs` pairs per run unless one output
+    alone has more."""
     bounds = np.r_[starts, len(left)]
     runs, k0 = [], 0
     while k0 < len(out):
@@ -449,32 +527,48 @@ def _runs(out, left, right, starts, max_pairs: int) -> list:
 
 
 @functools.cache
-def _cached_tables(m: int, nz: int, nw: int) -> list:
-    return list(_degree_tables(m, nz, nw))
+def _cached_tables(m: int, nz: int, nw: int, balanced: bool) -> list:
+    return list(_degree_tables(m, nz, nw, balanced))
 
 
 @functools.cache
-def _cached_runs(m: int, nz: int, nw: int, max_pairs: int) -> list:
+def _cached_runs(m: int, nz: int, nw: int, max_pairs: int, balanced: bool) -> list:
     return [(degree, _runs(*table, max_pairs))
-            for degree, *table in _cached_tables(m, nz, nw)]
+            for degree, *table in _cached_tables(m, nz, nw, balanced)]
 
 
-def _degree_runs(m: int, nz: int, nw: int, max_pairs: int):
+def _degree_runs(m: int, nz: int, nw: int, max_pairs: int, balanced: bool):
     """(D, runs) per total degree: cached while the table fits the budget,
     else built as it is consumed."""
-    pairs = len(_group(m, nz).pairs[0]) * len(_group(m, nw).pairs[0])
-    if pairs <= _TABLE_BUDGET:
-        return _cached_runs(m, nz, nw, max_pairs)
+    if _pair_count(m, nz, nw, balanced) <= _TABLE_BUDGET:
+        return _cached_runs(m, nz, nw, max_pairs, balanced)
     return ((degree, _runs(*table, max_pairs))
-            for degree, *table in _degree_tables(m, nz, nw))
+            for degree, *table in _degree_tables(m, nz, nw, balanced))
+
+
+@functools.cache
+def _cached_product_runs(m: int, nz: int, nw: int, max_pairs: int, balanced: bool) -> list:
+    """The runs of the whole cached table, cut across its degrees."""
+    tables = _cached_tables(m, nz, nw, balanced)
+    offsets = np.cumsum([0] + [len(t[2]) for t in tables])
+    out, left, right = (np.concatenate([t[k] for t in tables]) for k in (1, 2, 3))
+    starts = np.concatenate([t[4] + offset for t, offset in zip(tables, offsets)])
+    return _runs(out, left, right, starts, max_pairs)
+
+
+def _product_runs(m: int, nz: int, nw: int, max_pairs: int, balanced: bool):
+    """The runs of a product, which needs no degree order: cut over the
+    whole table while it fits the budget, else degree by degree as built."""
+    if _pair_count(m, nz, nw, balanced) <= _TABLE_BUDGET:
+        return _cached_product_runs(m, nz, nw, max_pairs, balanced)
+    return (run for _, runs in _degree_runs(m, nz, nw, max_pairs, balanced) for run in runs)
 
 
 @functools.cache
 def _total_degrees(m: int, nz: int, nw: int) -> np.ndarray:
     """|a| + |b| of every flattened monomial (a, b)."""
-    dz = np.array([sum(a) for a in _group(m, nz).tuples], dtype=float)
-    dw = np.array([sum(b) for b in _group(m, nw).tuples], dtype=float)
-    return (dz[:, None] + dw).ravel()
+    dz, dw = _group(m, nz).degrees, _group(m, nw).degrees
+    return (dz[:, None] + dw).ravel().astype(float)
 
 
 def variable_jets(z, w, m, nz, nw):
@@ -498,14 +592,17 @@ def coordinate_products(z, w, m, nz, nw, i, j) -> Jet:
     directly: the constant z_i conj(w_j), the z-linear term wbar_j at e_i,
     the wbar-linear term z_i at e_j and 1 at (e_i, e_j); nothing else is
     nonzero.  The values equal the products of the `variable_jets` seeds.
+    Where every z_i and w_j is 0, only (e_i, e_j) is nonzero, and the jet
+    is balanced (as it is at caps (0, 0) anywhere).
     """
     zi = np.asarray(z, dtype=complex)[..., i]
     wj = np.conj(np.asarray(w, dtype=complex))[..., j]
     value = zi * wj
-    if nz == nw == 0:
-        return Jet(m, 0, 0, value[..., None, None])
+    if nz == nw == 0:  # a constant: balanced wherever it is taken
+        return Jet(m, 0, 0, value[..., None, None], True)
     coeffs = np.zeros(value.shape + (_group(m, nz).size, _group(m, nw).size), dtype=complex)
     coeffs[..., 0, 0] = value
+    balanced = not (zi.any() or wj.any())
     # one axis over the products; graded lex order puts e_k at position 1 + k
     flat = coeffs.reshape(value.shape[: value.ndim - i.ndim] + (i.size,) + coeffs.shape[-2:])
     each, i, j = np.arange(i.size), 1 + i.ravel(), 1 + j.ravel()
@@ -515,4 +612,4 @@ def coordinate_products(z, w, m, nz, nw, i, j) -> Jet:
         flat[..., each, 0, j] = zi.reshape(flat.shape[:-2])
     if nz >= 1 and nw >= 1:
         flat[..., each, i, j] = 1.0
-    return Jet(m, nz, nw, coeffs)
+    return Jet(m, nz, nw, coeffs, balanced)

@@ -528,3 +528,32 @@ def test_size_one_derived_kernels_evaluate_through_the_cli(capsys, text, closed_
         values.append(np.array(json.loads(out)["value"]))
     got, want = values
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_emit_prints_the_bytes_of_a_cycle_checked_dump(capsys):
+    code, out, _ = _run(capsys, "eval", "--kernel", "ball_curvature(2,3.0)",
+                        "--z", "0,0", "--w", "0.1,0.2j", "--order", "2")
+    assert code == 0
+    payload = json.loads(out)
+    assert out == json.dumps(payload, allow_nan=False) + "\n"
+    with pytest.raises(cli.EvaluationError, match="the norm of the report"):
+        cli._emit(None, {"m": 2, "norm": math.nan})
+
+
+def test_config_runs_share_one_pre_parser(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"kernel": "szego_disc()", "n": 4}))
+    _run(capsys, "psd", "--config", str(conf))
+    pre = cli._config_parser(cli._build_parser().prog)
+    misses = cli._config_parser.cache_info().misses
+    code, out, _ = _run(capsys, "psd", "--config", str(conf), "--n", "3")
+    assert code == 0 and len(json.loads(out)["points"]) == 3
+    assert cli._config_parser.cache_info().misses == misses
+    assert cli._config_parser(cli._build_parser().prog) is pre
+    for text, message in (("[1, 2]", "config file must hold a JSON object"),
+                          ("{", "cannot read config")):
+        conf.write_text(text)
+        code, _, err = _run(capsys, "psd", "--config", str(conf))
+        assert code == 2 and message in err
+    code, _, err = _run(capsys, "psd", "--config", str(tmp_path / "missing.json"))
+    assert code == 2 and "cannot read config" in err

@@ -1,3 +1,6 @@
+from contextlib import contextmanager, nullcontext
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -28,7 +31,8 @@ from kernelcalc.expr import (
     bergman_disc,
 )
 from kernelcalc.fd import fd_jet_table, fd_relative_error
-from kernelcalc.geometry import sample_points, unit_ball, unit_disc
+from kernelcalc.geometry import graded_lex_tuples, sample_points, unit_ball, unit_disc
+from kernelcalc.jets import Jet
 from kernelcalc.parser import parse_kernel
 from oracles import fd_jet_table_per_term, grid_values_per_term
 
@@ -431,3 +435,128 @@ def test_overflowing_values_raise_evaluation_errors():
         BallPower(2, 2000.0).eval(z, z)
     with pytest.raises(EvaluationError, match="not finite"):
         Curvature(bergman_ball(2), 5e299, 5e299).eval(z, z)
+
+
+@contextmanager
+def _recording_jets():
+    """Collect every Jet built inside the block."""
+    made, init = [], Jet.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    with mock.patch.object(Jet, "__init__", record):
+        yield made
+
+
+@contextmanager
+def _full_tables():
+    """Build every Jet inside the block unbalanced, so products and series
+    read the full pair tables."""
+    init = Jet.__init__
+
+    def unbalanced(self, m, nz, nw, coeffs, balanced=False):
+        init(self, m, nz, nw, coeffs)
+
+    with mock.patch.object(Jet, "__init__", unbalanced):
+        yield
+
+
+def _unbalanced_mask(jet: Jet) -> np.ndarray:
+    dz = np.array([sum(a) for a in graded_lex_tuples(jet.m, jet.nz)])
+    dw = np.array([sum(b) for b in graded_lex_tuples(jet.m, jet.nw)])
+    return dz[:, None] != dw
+
+
+def _origin_jets(expr, nz, nw, full=False):
+    z = np.zeros((1, expr.m))
+    with np.errstate(all="ignore"), _full_tables() if full else nullcontext():
+        return expr.jets(z, z, nz, nw).coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    text=st.one_of(_disc_asts(2), _ball_asts()),
+    where=st.sampled_from(["origin", "off", "z zero", "w zero"]),
+    nz=st.integers(0, 3),
+    nw=st.integers(0, 3),
+    seed=st.integers(1, 1000),
+)
+def test_balanced_jets_are_zero_off_balance(text, where, nz, nw, seed):
+    expr = parse_kernel(text)
+    z, w = (p.array() for p in sample_points(unit_disc(0.3) if expr.m == 1
+                                             else unit_ball(expr.m, 0.3), 2, seed))
+    if where in ("origin", "z zero"):
+        z = np.zeros_like(z)
+    if where in ("origin", "w zero"):
+        w = np.zeros_like(w)
+    with _recording_jets() as made:
+        try:
+            with np.errstate(all="ignore"):
+                expr.jets(z[None], w[None], nz, nw)
+        except KernelCalcError:
+            assume(False)
+    for jet in made:
+        if jet.balanced:
+            assert (jet.coeffs[..., _unbalanced_mask(jet)] == 0).all()
+    if where == "origin":  # every leaf is balanced there
+        assert any(jet.balanced for jet in made)
+    else:  # a leaf off the origin is not, and the root depends on a leaf
+        assert not made[-1].balanced or nz == nw == 0
+
+
+#: origin tables that the benchmark, the README, CI and `repro` read
+_EXACT_ORIGIN_CASES = (
+    [(text, order) for text in ("szego_disc()", "bergman_disc()",
+                                "diagonal_series([1.0, 0.5, 0.25])", "bergman_ball(2)",
+                                "bergman_ball(3)", "ball_power(3, 4.2)",
+                                "curvature(bergman_ball(2), 1.0, 1.0)",
+                                "curvature(bergman_ball(3), 1.0, 1.0)")
+     for order in range(5)]
+    + [(f"ball_curvature(2, {lam})", order) for lam in (2.5, 2.9, 3.3, 4.1, 5.7)
+       for order in range(5)]
+    + [(f"ball_curvature(3, {lam})", order) for lam in (2.5, 2.9, 3.3, 4.1, 5.7)
+       for order in range(4)]
+    + [("ball_curvature(3, 4.0)", 4),
+       ("product(pow(diagonal_series([1.0, 0.1]), 1.0), "
+        "log_hessian(diagonal_series([1.0, 0.1])))", 1)]
+)
+
+
+@pytest.mark.parametrize("text, order", _EXACT_ORIGIN_CASES)
+def test_balanced_origin_tables_equal_the_full_ones(text, order):
+    expr = parse_kernel(text)
+    assert np.array_equal(_origin_jets(expr, order, order),
+                          _origin_jets(expr, order, order, full=True))
+
+
+@pytest.mark.parametrize("text, order", [
+    # pair runs of 8 or more terms are summed pairwise, so dropping their
+    # zeros can regroup the other terms and move an entry by an ulp
+    ("ball_curvature(3, 2.9)", 4),
+    ("ball_curvature(3, 4.1)", 4),
+    ("curvature(product(bergman_ball(2), ball_power(2, 0.7)), 0.4, 0.6)", 4),
+    ("bergman_ball(3)", 8),
+    ("curvature(bergman_ball(2), 1.0, 1.0)", 8),
+    ("curvature(bergman_ball(3), 1.0, 1.0)", 6),
+])
+def test_deep_balanced_origin_tables_agree_with_the_full_ones(text, order):
+    expr = parse_kernel(text)
+    full = _origin_jets(expr, order, order, full=True)
+    got = _origin_jets(expr, order, order)
+    assert np.abs(got - full).max() <= 1e-15 * np.abs(full).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=st.one_of(_disc_asts(3), _ball_asts()), nz=st.integers(0, 4), nw=st.integers(0, 4))
+def test_balanced_origin_jets_of_random_trees_agree_with_the_full_ones(text, nz, nw):
+    # log_hessian of a curvature cancels most of its digits, so a regrouped
+    # sum moves its small entries by up to about 6e-14 of the largest one
+    expr = parse_kernel(text)
+    try:
+        full = _origin_jets(expr, nz, nw, full=True)
+    except KernelCalcError:
+        assume(False)
+    got = _origin_jets(expr, nz, nw)
+    assert np.abs(got - full).max() <= 1e-12 * np.abs(full).max()

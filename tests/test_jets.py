@@ -409,3 +409,95 @@ def test_a_broadcast_product_stays_within_twice_its_result():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * result.coeffs.nbytes
+
+
+def _balanced_mask(m, nz, nw):
+    dz = np.array([sum(a) for a in graded_lex_tuples(m, nz)])
+    dw = np.array([sum(b) for b in graded_lex_tuples(m, nw)])
+    return dz[:, None] == dw
+
+
+@pytest.mark.parametrize("m, nz, nw", [(1, 4, 4), (2, 3, 4), (2, 4, 2), (3, 3, 3), (3, 4, 4),
+                                       (2, 0, 3), (3, 2, 0)])
+def test_balanced_tables_are_the_full_tables_filtered(m, nz, nw):
+    balanced = _balanced_mask(m, nz, nw).ravel()
+    tables = {degree: table for degree, *table in jets._degree_tables(m, nz, nw, True)}
+    assert all(degree % 2 == 0 for degree in tables)
+    for degree, out, left, right, starts in jets._degree_tables(m, nz, nw, False):
+        keep_out = balanced[out]
+        if not keep_out.any():
+            assert degree not in tables
+            continue
+        owner = np.repeat(np.arange(len(out)), np.diff(np.r_[starts, len(left)]))
+        keep = keep_out[owner] & balanced[left]
+        assert balanced[right[keep]].all()
+        kept_starts = np.flatnonzero(np.r_[True, owner[keep][1:] != owner[keep][:-1]])
+        want = (out[keep_out], left[keep], right[keep], kept_starts)
+        for got, expected in zip(tables[degree], want, strict=True):
+            assert np.array_equal(got, expected)
+    counts = sum(len(left) for _, left, _, _ in tables.values())
+    assert jets._pair_count(m, nz, nw, True) == counts
+
+
+def _balanced_jet(rng, m, nz, nw, batch, integers=False):
+    shape = batch + (math.comb(m + nz, m), math.comb(m + nw, m))
+    if integers:  # every sum of products is exact
+        c = rng.integers(-4, 5, shape) + 1j * rng.integers(-4, 5, shape)
+    else:
+        c = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    c[..., ~_balanced_mask(m, nz, nw)] = 0
+    c[..., 0, 0] = 2 if integers else 1.2 + 0.1j
+    return Jet(m, nz, nw, c, balanced=True)
+
+
+def _unbalanced(f):
+    return Jet(f.m, f.nz, f.nw, f.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 3), nz=st.integers(0, 4), nw=st.integers(0, 4),
+       batch=st.sampled_from([(), (3,), (2, 2)]), seed=st.integers(0, 2**32 - 1))
+def test_balanced_jets_keep_the_flag_and_the_values(m, nz, nw, batch, seed):
+    rng = np.random.default_rng(seed)
+    f, g = (_balanced_jet(rng, m, nz, nw, batch, integers=True) for _ in range(2))
+    product = f * g
+    assert product.balanced
+    assert np.array_equal(product.coeffs, (_unbalanced(f) * _unbalanced(g)).coeffs)
+    assert not (product.coeffs[..., ~_balanced_mask(m, nz, nw)]).any()
+    f = _balanced_jet(rng, m, nz, nw, batch)
+    for op in (lambda h: h ** -1.5, lambda h: h ** 2, lambda h: h.exp(), lambda h: h.log()):
+        got, want = op(f), op(_unbalanced(f))
+        assert got.balanced and not want.balanced
+        assert _close(got.coeffs, want.coeffs)
+    for kept in (f + g, f - 2.0, 3.0 * f, -f, f / g, f.truncate(min(nz, 1), nw),
+                 f.embed(m + 1, 1), f.shift((0,) * m, (0,) * m)):
+        assert kept.balanced
+    assert not (f * _unbalanced(g)).balanced and not (f + _unbalanced(g)).balanced
+    if nz >= 1 and nw >= 1:
+        e = tuple(jets.unit_index(m, 0))
+        assert f.shift(e, e).balanced and not f.shift(e, (0,) * m).balanced
+
+
+def test_seeds_and_constants_carry_the_flag():
+    z = np.zeros(2)
+    zv, wv = variable_jets(z, z, 2, 2, 2)
+    assert not any(j.balanced for j in zv + wv)
+    assert Jet.constant(3.0, 2, 2, 2).balanced
+    k = np.arange(2)
+    assert coordinate_products(z, z, 2, 2, 2, k, k).balanced
+    assert not coordinate_products(z, z + [0, 0.1], 2, 2, 2, k, k).balanced
+    assert not coordinate_products(z + [0.1, 0], z, 2, 2, 2, k, k).balanced
+    assert coordinate_products(z + 0.1, z + 0.2, 2, 0, 0, k, k).balanced
+
+
+@pytest.mark.parametrize("m, nz, nw, batch", [(1, 6, 5, (2,)), (2, 4, 3, ()), (3, 4, 4, (2, 2))])
+def test_balanced_tables_rebuilt_per_call_give_the_cached_results(monkeypatch, m, nz, nw, batch):
+    rng = np.random.default_rng(11)
+    f, g = (_balanced_jet(rng, m, nz, nw, batch) for _ in range(2))
+
+    def series():
+        return [h.coeffs.tobytes() for h in (f ** -2.5, f ** 0.7, f.exp(), f.log(), f * g)]
+
+    cached = series()
+    monkeypatch.setattr(jets, "_TABLE_BUDGET", 0)
+    assert series() == cached
