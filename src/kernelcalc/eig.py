@@ -13,13 +13,13 @@ stopping at its first negative pivot, and so ends on the same bracket and
 the same float.  As with LAPACK, the absolute error is of order
 n eps ||G||.  It serves reports that need eigenvalues.
 
-`ldl_verdict` decides only the sign question: it runs an LDL^H
-(square-root-free Cholesky) elimination of G + tau I, which succeeds exactly
-when every eigenvalue of G exceeds -tau, and on breakdown returns a vector
-on which G is negative.  The elimination is left-looking (the "gaxpy" form
-of Golub & Van Loan, 4.2): step k forms column k of the Schur complement
-with one mat-vec against the columns already factored, in place, so no
-(n - k)^2 rank-1 update is formed.
+`ldl_eliminate` decides only the sign question: an LDL^H (square-root-free
+Cholesky) elimination of G + tau I succeeds exactly when every eigenvalue
+of G exceeds -tau, and stops at the first pivot that is not positive;
+`ldl_verdict` then back-substitutes a vector on which G is negative.  The
+elimination is left-looking (the "gaxpy" form of Golub & Van Loan, 4.2):
+step k forms column k of the Schur complement with one mat-vec against the
+columns already factored, in place, so no (n - k)^2 rank-1 update is formed.
 """
 
 from __future__ import annotations
@@ -39,14 +39,14 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_copy(h) -> np.ndarray:
-    a = np.array(h, dtype=complex)
+    a = np.asarray(h, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a).all():
         raise EvaluationError("matrix has non-finite entries")
-    # `hermitian_part` in place, one temporary instead of three; every entry
+    # `hermitian_part` with one halved copy and one temporary; every entry
     # is equal (a zero may flip sign: conj(a / 2) and conj(a) / 2 can differ)
-    a /= 2
+    a = a / 2
     a += a.conj().T
     return a
 
@@ -274,13 +274,11 @@ class LdlVerdict:
     rayleigh: float | None = None
 
 
-def ldl_verdict(g: np.ndarray, tol: float) -> LdlVerdict:
-    """Is G >= -tol * (1 + max diagonal) * I?  Decided by factorising.
-
-    LDL^H of A = G + tau I, tau = tol * (1 + max diag G), left-looking; the
-    verdict passes iff every pivot is > 0, which is the case exactly when
-    the least eigenvalue of (the Hermitian part of) G exceeds -tau.  No
-    eigenvalue is computed.
+def ldl_eliminate(g: np.ndarray, tol: float) -> tuple[int | None, np.ndarray, float]:
+    """LDL^H of A = G + tau I, tau = tol * (1 + max diag G), left-looking:
+    (the first pivot k that is not > 0, or None; the factors; tau).  All
+    pivots are > 0 exactly when the least eigenvalue of (the Hermitian part
+    of) G exceeds -tau.  No eigenvalue and no witness is computed.
 
     Step k needs the entries of A only in column k, on and below the
     diagonal, so the factors overwrite A as they are made: below the
@@ -292,7 +290,7 @@ def ldl_verdict(g: np.ndarray, tol: float) -> LdlVerdict:
     n = a.shape[0]
     if n == 0:
         raise ValueError("matrix is empty: there is no verdict to give")
-    shift = tol * (1 + float(np.max(a.diagonal().real)))
+    shift = tol * (1 + float(a.diagonal().real.max()))
     a.flat[:: n + 1] += shift
     for k in range(n):
         col = a[k:, k]
@@ -300,14 +298,18 @@ def ldl_verdict(g: np.ndarray, tol: float) -> LdlVerdict:
             col -= a[k:, :k] @ a[:k, k]
         d = col[0].real
         if not d > 0:
-            return _failed_verdict(g, a, k, shift)
+            return k, a, shift
         a[k, k + 1 :] = col[1:].conj() / d  # row k of L^H
-    return LdlVerdict(True, shift)
+    return None, a, shift
 
 
-def _failed_verdict(g, factored: np.ndarray, k: int, shift: float) -> LdlVerdict:
-    """Solve L^H v = e_k over the leading (k + 1) block by back substitution;
-    `factored` holds L^H above its diagonal."""
+def ldl_verdict(g: np.ndarray, tol: float) -> LdlVerdict:
+    """Is G >= -tol * (1 + max diagonal) * I?  `ldl_eliminate` decides it; a
+    failing verdict then solves L^H v = e_k over the leading (k + 1) block
+    by back substitution for its witness."""
+    k, factored, shift = ldl_eliminate(g, tol)
+    if k is None:
+        return LdlVerdict(True, shift)
     v = np.zeros(factored.shape[0], dtype=complex)
     v[k] = 1.0
     for i in range(k - 1, -1, -1):

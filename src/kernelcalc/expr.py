@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchError, DomainError, EvaluationError, OrderCapError, ShapeError
-from .geometry import as_point, graded_lex_tuples, in_unit_ball, point_array, unit_index
-from .jets import Jet, check_finite, coordinate_products, monomial_index
+from .geometry import as_point, graded_lex_tuples, in_unit_ball, point_array
+from .jets import Jet, _group, check_finite, coordinate_products, monomial_index
 
 #: cap on the derivative order of eval_jet and of the jet kernel
 DEFAULT_ORDER_CAP = 4
@@ -517,10 +517,13 @@ class Tensor(KernelExpr):
 
 
 def _hessian(g: Jet) -> Jet:
-    """The (B, m, m) jet of d_i dbar_j g, one cap below g's (B, 1, 1) jet."""
-    m = g.m
-    return _matrix([[g.shift(unit_index(m, i), unit_index(m, j)) for j in range(m)]
-                    for i in range(m)])
+    """The (B, m, m) jet of d_i dbar_j g, one cap below g's (B, 1, 1) jet: the
+    m^2 entries g.shift(e_i, e_j) as one gather over the stacked unit shifts."""
+    sz, fz = _group(g.m, g.nz).unit_shifts
+    sw, fw = _group(g.m, g.nw).unit_shifts
+    coeffs = g.coeffs[..., 0, 0, :, :][..., sz[:, None, :, None], sw[None, :, None, :]]
+    factors = fz[:, None, :, None] * fw[None, :, None, :]
+    return Jet(g.m, g.nz - 1, g.nw - 1, coeffs * factors, g.balanced)
 
 
 @dataclass(frozen=True, eq=False)

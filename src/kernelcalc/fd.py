@@ -51,32 +51,33 @@ def _stencil_sums(expr: KernelExpr, z, w, steps) -> list:
     return out
 
 
-def fd_jet_table(expr: KernelExpr, z, w, order: int, h: float = 0.02) -> dict:
-    """Mixed derivatives up to `order` per group, via Richardson-extrapolated
-    central differences; returns {(i, j): k x k matrix}."""
+def _fd_derivatives(expr: KernelExpr, z, w, order: int, h: float) -> np.ndarray:
+    """The Richardson-extrapolated derivatives as one (N * N, k, k) stack, row
+    (a, b) for the a-th and b-th multi-indices i, j in graded lex order."""
     if order > 2:
         raise ValueError("finite-difference oracle supports order <= 2 per variable")
     indices = graded_lex_tuples(expr.m, order)
-    keys = [(i, j) for i in indices for j in indices]
-    orders = np.array([i + j for i, j in keys])  # one row of 2m orders per key
+    orders = np.array([i + j for i in indices for j in indices])  # 2m orders per (i, j)
     at = tuple(orders.T)
     degree = orders.sum(axis=1)[:, None, None]
     coarse, fine = _stencil_sums(expr, z, w, (h, h / 2))
     d_h = coarse[at] / h**degree
     d_h2 = fine[at] / (h / 2) ** degree
-    return dict(zip(keys, (16.0 * d_h2 - d_h) / 15.0))
+    return (16.0 * d_h2 - d_h) / 15.0
+
+
+def fd_jet_table(expr: KernelExpr, z, w, order: int, h: float = 0.02) -> dict:
+    """Mixed derivatives up to `order` per group, via Richardson-extrapolated
+    central differences; returns {(i, j): k x k matrix}."""
+    derivatives = _fd_derivatives(expr, z, w, order, h)
+    indices = graded_lex_tuples(expr.m, order)
+    return dict(zip([(i, j) for i in indices for j in indices], derivatives))
 
 
 def fd_relative_error(expr: KernelExpr, z, w, order: int, h: float = 0.02) -> float:
     """Worst entrywise deviation between the jet engine and the
     finite-difference oracle, relative to the scale of the jet table."""
-    table = expr.eval_jet(z, w, order)
-    numeric = fd_jet_table(expr, z, w, order, h)
-    scale = max(
-        (np.abs(mat).max() for mat in table.entries.values()), default=0.0
-    )
-    scale = max(scale, 1.0)
-    worst = 0.0
-    for key, ref in table.entries.items():
-        worst = max(worst, float(np.abs(numeric[key] - np.asarray(ref)).max()))
-    return worst / scale
+    table = expr.eval_jet(z, w, order).derivatives
+    numeric = _fd_derivatives(expr, z, w, order, h).reshape(table.shape)
+    scale = max(float(np.abs(table).max()), 1.0)
+    return float(np.abs(numeric - table).max()) / scale

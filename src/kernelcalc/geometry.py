@@ -5,7 +5,7 @@ multi-index is a tuple of ints.  `Point` and `MultiIndex` are the records
 that public results carry (`sample_points`, `GramReport.points`, the terms
 of an RKHS element); `as_point` and `point_array` convert at the edge.
 Domains are the disc, the ball and the polydisc, each with the radius that
-`sample_points` draws from.
+`sample_array` draws from (`sample_points` is its `Point` view).
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from .errors import DomainError
 #: default radius of the closed sub-domain that sampled points live in
 DEFAULT_SAMPLE_RADIUS = 0.8
 
-#: most attempts `sample_points` draws at once (2m doubles each)
+#: most attempts `sample_array` draws at once (2m doubles each)
 _MAX_CHUNK = 1 << 16
 
-#: most attempts `sample_points` expects to need for one call (count * m!
+#: most attempts `sample_array` expects to need for one call (count * m!
 #: on the ball); enough for 40 points of the ball of C^8
 _MAX_ATTEMPTS = 1 << 21
 
@@ -170,8 +170,8 @@ def polydisc(m: int, sample_radius: float = DEFAULT_SAMPLE_RADIUS) -> DomainSpec
     return DomainSpec("polydisc", m, sample_radius)
 
 
-def sample_points(domain: DomainSpec, count: int, seed: int = 0) -> list[Point]:
-    """Draw `count` points inside the closed sub-domain of radius sample_radius.
+def sample_array(domain: DomainSpec, count: int, seed: int = 0) -> np.ndarray:
+    """Draw `count` points of the closed sub-domain of radius sample_radius: a (count, m) array.
 
     Each attempt draws m uniforms for the moduli and then m for the angles,
     so that coordinates are area-uniform on the disc of radius sample_radius;
@@ -208,4 +208,9 @@ def sample_points(domain: DomainSpec, count: int, seed: int = 0) -> list[Point]:
             z = z[np.linalg.norm(z, axis=1) <= r]
         chunks.append(z[:need])
         need -= len(chunks[-1])
-    return [Point(p) for p in np.concatenate(chunks).tolist()]
+    return np.concatenate(chunks)
+
+
+def sample_points(domain: DomainSpec, count: int, seed: int = 0) -> list[Point]:
+    """`sample_array` as a list of `Point`s, coordinate for coordinate."""
+    return [Point(p) for p in sample_array(domain, count, seed).tolist()]

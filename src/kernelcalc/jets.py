@@ -121,6 +121,12 @@ class _Group:
         return source, self.factorials[source] / out.factorials
 
     @functools.cached_property
+    def unit_shifts(self) -> tuple:
+        """`shift` of each unit index e_k, stacked: (m, N') sources and factors."""
+        shifts = (self.shift(unit_index(self.m, k)) for k in range(self.m))
+        return tuple(map(np.stack, zip(*shifts)))
+
+    @functools.cached_property
     def pair_arrays(self) -> tuple:
         """`pairs` as int32 arrays (left, right, product, left degree) and
         `first`: the pairs whose product has degree d are first[d] ..

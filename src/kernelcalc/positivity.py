@@ -3,29 +3,33 @@
 Reports (`psd_check`, `kernel_order_check`) carry the least eigenvalue from
 `eig.eigenvalues`, the max diagonal and tau = tol * (1 + max diagonal).
 Scan and bound verdicts need only a sign, so they come from the LDL^H
-factorisation of G + tau I (`eig.ldl_verdict`), which computes no
-eigenvalue; a failing one breaks down at a pivot that yields a vector v
-with v^H G v < -tau |v|^2: a proof on a finite point set, where a passing
-one is evidence for non-negative definiteness.
+elimination of G + tau I (`eig.ldl_eliminate`), which computes no
+eigenvalue and stops at the first pivot that is not positive, keeping no
+witness: a proof on a finite point set (`eig.ldl_verdict` gives its vector
+v with v^H G v < -tau |v|^2), where a passing one is evidence for
+non-negative definiteness.
 
 Scans and bounds build their parametric Gram families t -> M(t) o B in one
-place, `gram_families`: one point set per (count, seed), the pairs of all
-sets in one batch of jets.  Each t then costs one broadcast product per
-family and one left-looking LDL^H, judged by `families_pass`.
+place, `gram_families`: one (n, m) point array per (count, seed), the pairs
+of all arrays in one batch of jets.  Each t then costs one broadcast
+product per family and one left-looking elimination, judged by
+`families_pass`.  A multiplier callable gets each point as a length-m
+complex row, which indexes like a `Point`.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .eig import hermitian_part, ldl_verdict, min_eigenvalue
+from .eig import hermitian_part, ldl_eliminate, min_eigenvalue
 from .errors import BracketError, EvaluationError, KernelCalcError, ShapeError
 from .expr import KernelExpr, Pow
-from .geometry import DomainSpec, Point, point_array, sample_points
+from .geometry import DomainSpec, Point, point_array, sample_array
 
 #: default relative PSD tolerance: psd iff min eig >= -tol * (1 + max diagonal)
 DEFAULT_TOL = 1e-9
@@ -149,11 +153,11 @@ def gram(expr: KernelExpr, points) -> np.ndarray:
     return hermitian_part(_square(g))
 
 
-def _sample(domain: DomainSpec, m: int, n: int, seed) -> list[Point]:
-    """n seeded points of `domain`, which must lie in C^m."""
+def _sample(domain: DomainSpec, m: int, n: int, seed) -> np.ndarray:
+    """n seeded points of `domain`, which must lie in C^m: an (n, m) array."""
     if domain.dim != m:
         raise ShapeError("domain dimension does not match the kernel")
-    return sample_points(domain, n, seed)
+    return sample_array(domain, n, seed)
 
 
 def _verdict(g: np.ndarray, tol: float) -> tuple[float, float, bool]:
@@ -174,7 +178,7 @@ def _sampled_report(label: str, m: int, gram_of, domain, n, seed, tol) -> GramRe
         psd=psd,
         tolerance=tol,
         max_diagonal=maxdiag,
-        points=tuple(pts),
+        points=tuple(map(Point, pts.tolist())),
         seed=operator.index(seed),
     )
 
@@ -220,7 +224,7 @@ class _CurvatureFamilyGram:
     and kept as an (n, k, n, k) view; only the n x n modulation M(t) changes
     with the parameter, so no kernel is evaluated per t, and G(t) is one
     broadcast product of M(t) against the blocks.  G(t) is Hermitian up to
-    the rounding of M(t); `ldl_verdict` symmetrizes it.  Only `gram_families`
+    the rounding of M(t); `ldl_eliminate` symmetrizes it.  Only `gram_families`
     builds families, for `_wallach_families`, `_power_families` and
     `multiplier_families`.
     """
@@ -242,12 +246,12 @@ def gram_families(expr: KernelExpr, domain: DomainSpec, family, values_of, famil
     """One parametric Gram family per (count, seed) of `family`, refusing an
     empty family (ValueError) or a domain outside C^m (ShapeError) before
     sampling.  The pairs of all point sets go through one `_pairwise` batch of
-    values_of; family_of(points, *nk x nk matrices) returns (B, M)."""
+    values_of; family_of((n, m) points, *nk x nk matrices) returns (B, M)."""
     family = tuple(family)
     if not family:
         raise ValueError("the point family is empty: it needs at least one (count, seed)")
     sets = [_sample(domain, expr.m, n, s) for n, s in family]
-    outs = _pairwise([point_array(pts, expr.m) for pts in sets], values_of)
+    outs = _pairwise(sets, values_of)
     return [
         _CurvatureFamilyGram(pts, *family_of(pts, *map(_square, out)))
         for pts, out in zip(sets, outs)
@@ -255,10 +259,11 @@ def gram_families(expr: KernelExpr, domain: DomainSpec, family, values_of, famil
 
 
 def families_pass(fams, t: float, tol: float) -> bool:
-    """Whether the Gram of every family at t passes `ldl_verdict`, which
-    refuses a Gram that is not finite (EvaluationError, naming t here)."""
+    """Whether the Gram of every family at t has no failing pivot in
+    `ldl_eliminate`, which refuses a Gram that is not finite
+    (EvaluationError, naming t here)."""
     try:
-        return all(ldl_verdict(f.gram_at(t), tol).psd for f in fams)
+        return all(ldl_eliminate(f.gram_at(t), tol)[0] is None for f in fams)
     except EvaluationError as exc:
         raise EvaluationError(f"the Gram family at t = {t} is not finite") from exc
 
@@ -281,7 +286,7 @@ def _power_families(base: KernelExpr, domain: DomainSpec, family) -> list:
 
 
 def multiplier_families(expr: KernelExpr, func, domain: DomainSpec, family, power=1) -> list:
-    """c -> (c^2 - f(z) conj(f(w)))^power o K(z, w) per (count, seed), f = func."""
+    """c -> (c^2 - f(z) conj(f(w)))^power o K(z, w) per (count, seed), f = func on rows."""
 
     def family_of(pts, k):
         vals = np.array([func(p) for p in pts], dtype=complex)
@@ -381,14 +386,15 @@ def ordinary_wallach_scan(
 
 
 def _as_function(f, m):
-    """Coerce a multiplier spec: coordinate index (int) or callable on points."""
-    if isinstance(f, int):
-        if not 0 <= f < m:
-            raise ShapeError("coordinate index out of range")
-        return (lambda p: p[f]), f"z{f + 1}"
+    """Coerce a multiplier spec: a coordinate index (an integer, not a bool) or a callable."""
     if callable(f):
         return f, getattr(f, "__name__", "f")
-    raise ShapeError("multiplier must be a coordinate index or a callable")
+    if not isinstance(f, numbers.Integral) or isinstance(f, bool):
+        raise ShapeError("multiplier must be a coordinate index or a callable")
+    f = operator.index(f)
+    if not 0 <= f < m:
+        raise ShapeError("coordinate index out of range")
+    return (lambda p: p[f]), f"z{f + 1}"
 
 
 def multiplier_bound(

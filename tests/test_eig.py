@@ -432,6 +432,36 @@ def test_left_looking_ldl_matches_the_right_looking_elimination(
         _assert_witness(g, res)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 24),
+    st.integers(1, 6),
+    st.sampled_from(["ulp up", "ulp down", "tau"]),
+    st.floats(-1e-3, 1e-3),
+    st.sampled_from([0.0, 1e-12, 1e-9]),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_elimination_pivot_is_the_verdict_pivot(n, deficiency, move, offset, tol, seed):
+    # a PSD matrix of rank n - deficiency, its diagonal moved by one ulp, or
+    # shifted so that -lambda_min = (1 + offset) tau
+    rng = np.random.default_rng(seed)
+    r = max(n - deficiency, 0)
+    b = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+    g = b @ b.conj().T
+    if move == "tau":
+        f = 1 + offset
+        c = tol * f * (1 + np.max(np.diag(g).real)) / (1 + tol * f)
+        g -= c * np.eye(n)
+    else:
+        g.flat[:: n + 1] = np.nextafter(g.diagonal().real, np.inf if move == "ulp up" else -np.inf)
+    pivot, factored, shift = eig.ldl_eliminate(g, tol)
+    res = ldl_verdict(g, tol)
+    assert factored.shape == (n, n)
+    assert shift == res.shift
+    assert pivot == res.pivot
+    assert (pivot is None) == res.psd
+
+
 def test_ldl_verdict_on_small_matrices():
     assert ldl_verdict(np.eye(3), 1e-9).psd
     assert ldl_verdict(np.zeros((2, 2)), 1e-9).psd  # 0 >= -tol

@@ -29,9 +29,16 @@ from kernelcalc.expr import (
     Tensor,
     bergman_ball,
     bergman_disc,
+    _hessian,
 )
 from kernelcalc.fd import fd_jet_table, fd_relative_error
-from kernelcalc.geometry import graded_lex_tuples, sample_points, unit_ball, unit_disc
+from kernelcalc.geometry import (
+    graded_lex_tuples,
+    sample_points,
+    unit_ball,
+    unit_disc,
+    unit_index,
+)
 from kernelcalc.jets import Jet
 from kernelcalc.parser import parse_kernel
 from oracles import fd_jet_table_per_term, grid_values_per_term
@@ -560,3 +567,69 @@ def test_balanced_origin_jets_of_random_trees_agree_with_the_full_ones(text, nz,
         assume(False)
     got = _origin_jets(expr, nz, nw)
     assert np.abs(got - full).max() <= 1e-12 * np.abs(full).max()
+
+
+def _hessian_per_entry(g):
+    """The (B, m, m) Hessian jet of g from m^2 separate `Jet.shift` calls."""
+    m = g.m
+    rows = [[g.shift(unit_index(m, i), unit_index(m, j)) for j in range(m)] for i in range(m)]
+    coeffs = np.concatenate([np.concatenate([e.coeffs for e in row], axis=2) for row in rows],
+                            axis=1)
+    return coeffs, all(e.balanced for row in rows for e in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    text=st.one_of(_disc_asts(2), _ball_scalars(2), st.just("bergman_ball(3)")),
+    nz=st.integers(0, 3),
+    nw=st.integers(0, 3),
+    seed=st.one_of(st.none(), st.integers(1, 100)),
+)
+def test_the_gathered_hessian_equals_the_per_entry_shifts(text, nz, nw, seed):
+    # seed None is the origin pair, where the log jet is balanced
+    expr = parse_kernel(text)
+    m = expr.m
+    if seed is None:
+        z = w = np.zeros((1, m), dtype=complex)
+    else:
+        domain = unit_disc(0.35) if m == 1 else unit_ball(m, 0.35)
+        z, w = (p.array()[None] for p in sample_points(domain, 2, seed))
+    try:
+        with np.errstate(all="ignore"):
+            g = expr.log_jet(z, w, nz + 1, nw + 1)
+    except KernelCalcError:
+        assume(False)
+    assume(np.isfinite(g.coeffs).all())
+    got = _hessian(g)
+    coeffs, balanced = _hessian_per_entry(g)
+    assert (got.m, got.nz, got.nw) == (m, nz, nw)
+    assert np.array_equal(got.coeffs, coeffs)
+    assert got.balanced == balanced == (seed is None and g.balanced)
+
+
+def _fd_relative_error_by_entries(expr, z, w, order, h=0.02):
+    """`fd_relative_error` by two dict passes over `JetTable.entries`."""
+    table = expr.eval_jet(z, w, order)
+    numeric = fd_jet_table(expr, z, w, order, h)
+    scale = max(max(np.abs(mat).max() for mat in table.entries.values()), 1.0)
+    worst = 0.0
+    for key, ref in table.entries.items():
+        worst = max(worst, float(np.abs(numeric[key] - ref).max()))
+    return worst / scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    text=st.one_of(_disc_asts(2), _BALL_LEAVES, st.just("log_hessian(bergman_ball(2))")),
+    order=st.integers(0, 2),
+    seed=st.integers(1, 100),
+)
+def test_fd_relative_error_on_one_array_equals_the_entry_passes(text, order, seed):
+    expr = parse_kernel(text)
+    domain = unit_disc(0.35) if expr.m == 1 else unit_ball(expr.m, 0.35)
+    z, w = sample_points(domain, 2, seed)
+    try:
+        want = _fd_relative_error_by_entries(expr, z, w, order)
+    except KernelCalcError:
+        assume(False)
+    assert fd_relative_error(expr, z, w, order) == want

@@ -11,6 +11,7 @@ from kernelcalc.geometry import (
     as_point,
     graded_lex_tuples,
     polydisc,
+    sample_array,
     sample_points,
     unit_ball,
     unit_disc,
@@ -129,3 +130,13 @@ def test_sampling_equals_the_per_attempt_loop(domain):
         want = sample_points_per_attempt(domain, count, seed)
         assert len(got) == count
         assert np.array_equal(_bits(got), _bits(want)), seed
+
+
+@pytest.mark.parametrize("domain", [unit_disc(), unit_ball(2), unit_ball(3, 0.5), polydisc(3)],
+                         ids=["disc", "ball2", "ball3", "polydisc3"])
+@pytest.mark.parametrize("seed", [0, 17, np.int64(17), np.uint64(2**64 - 1)])
+def test_sample_points_are_the_sample_array_rows_bit_for_bit(domain, seed):
+    arr = sample_array(domain, 25, seed)
+    assert arr.shape == (25, domain.dim) and arr.dtype == complex
+    coords = np.array([p.coords for p in sample_points(domain, 25, seed)], dtype=complex)
+    assert np.array_equal(coords.view(np.uint64), arr.view(np.uint64))

@@ -149,6 +149,21 @@ def test_numpy_integer_seeds_give_the_same_results_as_int_seeds():
     assert json.dumps(rep.to_dict()) == json.dumps(psd_check(SzegoDisc(), unit_disc(), 5, 3).to_dict())
 
 
+def test_numpy_integer_coordinates_give_the_same_bound_as_int_ones():
+    family = ((8, 1), (12, 2))
+    want = multiplier_bound(bergman_ball(2), 1, unit_ball(2), family).to_dict()
+    for index in (np.int64(1), np.uint8(1), np.intp(1)):
+        got = multiplier_bound(bergman_ball(2), index, unit_ball(2), family).to_dict()
+        assert json.dumps(got) == json.dumps(want)
+    assert want["function"] == "z2"
+
+
+@pytest.mark.parametrize("f", [True, False, np.True_, 1.0, "z1", None])
+def test_a_multiplier_that_is_no_coordinate_index_or_callable_is_refused(f):
+    with pytest.raises(ShapeError, match="coordinate index or a callable"):
+        multiplier_bound(bergman_ball(2), f, unit_ball(2), ((8, 1),))
+
+
 def test_wallach_scan_requires_a_sign_change():
     with pytest.raises(BracketError):
         wallach_scan(bergman_disc(), 0.5, 1.0, unit_disc())
@@ -202,7 +217,7 @@ def test_wallach_scan_rejects_bad_resolution_before_sampling(resolution, monkeyp
     def no_sampling(*args):
         raise AssertionError("a point family was built")
 
-    monkeypatch.setattr(positivity, "sample_points", no_sampling)
+    monkeypatch.setattr(positivity, "sample_array", no_sampling)
     with pytest.raises(ValueError):
         wallach_scan(bergman_disc(), -2.0, 0.0, unit_disc(), resolution=resolution)
 
@@ -320,7 +335,7 @@ def test_an_empty_family_is_refused_before_sampling(scan, monkeypatch):
     def no_sampling(*args):
         raise AssertionError("a point family was built")
 
-    monkeypatch.setattr(positivity, "sample_points", no_sampling)
+    monkeypatch.setattr(positivity, "sample_array", no_sampling)
     with pytest.raises(ValueError, match="family is empty"):
         if scan == "wallach":
             wallach_scan(bergman_disc(), -2.0, 0.0, unit_disc(), family=())
@@ -344,7 +359,7 @@ def test_a_domain_of_another_dimension_is_refused_before_sampling(check, monkeyp
     def no_sampling(*args):
         raise AssertionError("a point family was built")
 
-    monkeypatch.setattr(positivity, "sample_points", no_sampling)
+    monkeypatch.setattr(positivity, "sample_array", no_sampling)
     with pytest.raises(ShapeError, match="domain dimension does not match the kernel"):
         check(unit_ball(2))
 
@@ -358,7 +373,7 @@ def test_wallach_scan_rejects_a_bad_interval_before_sampling(lo, hi, monkeypatch
     def no_sampling(*args):
         raise AssertionError("a point family was built")
 
-    monkeypatch.setattr(positivity, "sample_points", no_sampling)
+    monkeypatch.setattr(positivity, "sample_array", no_sampling)
     with pytest.raises(ValueError, match="lo < hi"):
         wallach_scan(bergman_disc(), lo, hi, unit_disc())
 
@@ -388,8 +403,8 @@ def test_one_jet_pass_equals_the_per_family_evaluations(text, domain):
     for curvature, build in ((True, _wallach_families), (False, _power_families)):
         for pts, fam in zip(sets, build(base, domain, family)):
             n = len(pts)
-            assert fam.points == pts
             arr = point_array(pts, base.m)
+            assert np.array_equal(fam.points, arr)
             ((logk,),) = _pairwise([arr], lambda zs, ws: (base.values(zs, ws, log=True),))
             for t in (-1.5, 0.25, 2.0):
                 assert np.array_equal(fam.modulation(t), np.exp(t * logk.reshape(n, n)))
@@ -431,7 +446,7 @@ def test_multiplier_grams_of_one_pass_equal_the_per_family_grams():
         plains = multiplier_families(expr, lambda p: p[0], unit_disc(), family)
         squares = multiplier_families(expr, lambda p: p[0], unit_disc(), family, power=2)
         for pts, plain, squared in zip(sets, plains, squares):
-            assert plain.points == pts
+            assert np.array_equal(plain.points, point_array(pts, 1))
             assert np.array_equal(plain.blocks.reshape(len(pts), len(pts)), gram(expr, pts))
             assert np.array_equal(squared.blocks, plain.blocks)
             f = np.array([p[0] for p in pts])
@@ -439,3 +454,28 @@ def test_multiplier_grams_of_one_pass_equal_the_per_family_grams():
                 want = c * c - np.outer(f, f.conj())
                 assert np.array_equal(plain.modulation(c), want)
                 assert np.array_equal(squared.modulation(c), np.square(want))
+
+
+def _families_pass_by_verdicts(fams, t, tol):
+    """`families_pass` by full `ldl_verdict`s, witnesses and all."""
+    return all(ldl_verdict(f.gram_at(t), tol).psd for f in fams)
+
+
+@pytest.mark.parametrize("seeds", [(1, 2, 3), (1911, 1912, 1913), (2**40 + 7, 5, 2**63)])
+def test_sign_only_scans_and_bounds_equal_the_full_verdict_runs(seeds):
+    # the benchmark's scan workload: three Wallach cases and two bounds
+    from kernelcalc import positivity
+
+    family = tuple(zip((8, 12, 16), seeds))
+    runs = [
+        lambda: wallach_scan(bergman_disc(), -2.0, 0.0, unit_disc(), family),
+        lambda: wallach_scan(bergman_ball(2), -1.0, 1.0, unit_ball(2), family),
+        lambda: wallach_scan(bergman_ball(3), -1.0, 1.0, unit_ball(3), family),
+        lambda: multiplier_bound(SzegoDisc(), 0, unit_disc(), family),
+        lambda: multiplier_bound(bergman_disc(), 0, unit_disc(), family),
+    ]
+    fast = [json.dumps(run().to_dict()) for run in runs]
+    with mock.patch.object(positivity, "families_pass", wraps=_families_pass_by_verdicts) as ref:
+        full = [json.dumps(run().to_dict()) for run in runs]
+    assert ref.call_count > 5 * 5
+    assert fast == full

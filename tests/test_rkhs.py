@@ -184,7 +184,7 @@ def test_multiplier_bound_rejects_bad_resolution_before_sampling(resolution, mon
     def no_sampling(*args):
         raise AssertionError("a point family was built")
 
-    monkeypatch.setattr(positivity, "sample_points", no_sampling)
+    monkeypatch.setattr(positivity, "sample_array", no_sampling)
     with pytest.raises(ValueError):
         multiplier_bound(SzegoDisc(), 0, unit_disc(), resolution=resolution)
 
