@@ -1,17 +1,12 @@
 """In-repo Hermitian eigensolver and positivity factorisation (numpy only).
 
-`eigenvalues` scales a dense complex Hermitian matrix by a power of two,
-reduces it to a real symmetric tridiagonal with Householder reflectors and
-refines Sturm brackets of the wanted eigenvalues (Golub & Van Loan, Matrix
-Computations, 4th ed., 8.3-8.4), as LAPACK's dstebz bisects only the
-wanted brackets.  A spectrum is refined by multisection: each pass counts
-15 shifts of every bracket at once, with the recurrence run without its
-tiny-pivot guard in cache-sized blocks and redone guarded only when a
-block met such a pivot.  `min_eigenvalue` needs bracket 0 alone: each pass
-binary-searches the same 16-way grid with 4 scalar guarded counts, each
-stopping at its first negative pivot, and so ends on the same bracket and
-the same float.  As with LAPACK, the absolute error is of order
-n eps ||G||.  It serves reports that need eigenvalues.
+`eigenvalues` scales a dense complex Hermitian matrix by a power of two and
+reduces it to a real symmetric tridiagonal with Householder reflectors
+(Golub & Van Loan, Matrix Computations, 4th ed., 8.3).  Its least
+eigenvalue is bisected by Sturm counts, as LAPACK's dstebz does; the rest
+of a spectrum comes from the root-free QL iteration of LAPACK's dsterf
+(Parlett, The Symmetric Eigenvalue Problem, 8.15).  As with LAPACK, the
+absolute error is of order n eps ||G||.
 
 `ldl_eliminate` decides only the sign question: an LDL^H (square-root-free
 Cholesky) elimination of G + tau I succeeds exactly when every eigenvalue
@@ -58,109 +53,121 @@ _SPLIT, _MAX_PASSES = 16, -(-53 // 4) + 2
 
 def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and |off-diagonal| of a real tridiagonal unitarily similar to
-    the Hermitian `a` (overwritten).  H = I - beta v v^H maps column k below
-    the diagonal to a multiple of e_1, and the trailing block becomes
-    H A H = A - v w^H - w v^H; a diagonal unitary similarity then makes the
-    off-diagonal real without changing the spectrum."""
-    n = a.shape[0]
-    e = np.zeros(n - 1)
+    the Hermitian `a` (n >= 1; its storage is reused).  H = I - u u^H maps
+    column k below the diagonal to a multiple of e_1; the trailing block
+    H A H = A - u w^H - w u^H is written once per column, contiguously; a
+    diagonal unitary similarity then makes the off-diagonal real."""
+    b, n = a, a.shape[0]
+    d, e = np.empty(n), np.zeros(n - 1)
+    flat = [a.reshape(-1), np.empty(n * n, dtype=complex)]
+    uw, wu = np.empty((2, 2, n), dtype=complex)
     for k in range(n - 1):
-        x = a[k + 1 :, k]
+        m, d[k], x = n - 1 - k, b[0, 0].real, b[1:, 0]
         e[k] = alpha = math.sqrt(np.vdot(x, x).real)
-        if alpha == 0 or k == n - 2:  # nothing to reduce
+        b, trail = flat[(k + 1) % 2][: m * m].reshape(m, m), b[1:, 1:]
+        if alpha == 0 or m == 1:  # nothing to reduce
+            np.copyto(b, trail)
             continue
-        v = x / alpha  # normalised first, so beta cannot overflow
-        v[0] += v[0] / abs(v[0]) if v[0] != 0 else 1.0
-        beta = 2.0 / np.vdot(v, v).real
-        sub = a[k + 1 :, k + 1 :]
-        p = beta * (sub @ v)
-        w = p - (0.5 * beta * np.vdot(v, p).real) * v
-        vw = np.array([v, w])
-        sub -= vw.T @ vw[::-1].conj()  # v w^H + w v^H
-    return a.diagonal().real.copy(), e
+        # u = sqrt(beta) v, v = x / alpha normalised before beta = 2 / |v|^2
+        # (summed: alpha may have lost entries whose squares underflow)
+        u, w = uw[0, :m], uw[1, :m]
+        np.divide(x, alpha, out=u)
+        v0 = complex(u[0])
+        u[0] = v0 + (v0 / abs(v0) if v0 else 1.0)
+        u *= math.sqrt(2.0 / np.vdot(u, u).real)
+        np.matmul(trail, u, out=w)
+        w -= (0.5 * np.vdot(u, w).real) * u
+        np.conjugate(uw[::-1, :m], out=wu[:, :m])
+        np.subtract(trail, np.matmul(uw[:, :m].T, wu[:, :m], out=b), out=b)
+    d[-1] = b[0, 0].real
+    return d, e
 
 
-#: pivots per block of the unguarded Sturm recurrence: 2^14 floats (128 KiB)
-#: keep the block in cache while it is counted
-_BLOCK_PIVOTS = 2**14
+_MAX_SWEEPS = 30  # QL sweeps allowed per eigenvalue, as in LAPACK's dsterf
 
 
-def _pivmin(e2: np.ndarray) -> float:
-    return np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
+def _dlapy2(x: float, y: float) -> float:
+    """sqrt(x^2 + y^2) without overflow, rounded as LAPACK's dlapy2."""
+    w, z = max(abs(x), abs(y)), min(abs(x), abs(y))
+    return w * math.sqrt(1.0 + (z / w) * (z / w)) if z else w
 
 
-def _guarded_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Eigenvalues of T below each shift in `x`: the negative pivots of
-    T - x I = L D L^T.  A pivot below pivmin in size becomes -pivmin, as in
-    LAPACK's dstebz, so that the count is monotone in x in IEEE arithmetic
-    (Demmel, Dhillon & Ren, ETNA 3, 1995)."""
-    pivmin = _pivmin(e2)
-    count = np.zeros(x.shape, dtype=np.intp)
-    q = d[0] - x
-    for k in range(len(d)):
-        if k:
-            q = (d[k] - x) - e2[k - 1] / q
-        q[np.abs(q) < pivmin] = -pivmin
-        count += q < 0
-    return count
+def _dlae2(a: float, b: float, c: float) -> tuple[float, float]:
+    """Eigenvalues of [[a, b], [b, c]], the larger in size first (dlae2)."""
+    sm, rt = a + c, _dlapy2(a - c, b + b)
+    if sm == 0:
+        return 0.5 * rt, -0.5 * rt
+    rt1 = 0.5 * (sm + math.copysign(rt, sm))
+    acmx, acmn = (a, c) if abs(a) > abs(c) else (c, a)
+    return rt1, (acmx / rt1) * acmn - (b / rt1) * b
 
 
-def _sturm_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """`_guarded_counts`, run without the pivmin guard in blocks of about
-    `_BLOCK_PIVOTS` pivots, two ufunc calls per step.  A block with a pivot
-    below pivmin in size (or a NaN) redoes the whole call guarded, as
-    LAPACK's dlaneg does (Marques, Riedy & Voemel, SIAM J. Sci. Comput. 28,
-    2006); otherwise the arithmetic, and so every count, is the guarded
-    loop's."""
-    pivmin, n, shifts = _pivmin(e2), len(d), x.ravel()
-    steps = min(n, max(1, _BLOCK_PIVOTS // shifts.size))
-    # row 0 carries the last pivots of one block into the next; the row
-    # views and the e2 floats are made once, not per step
-    q, t = np.empty((steps + 1, shifts.size)), np.empty(shifts.size)
-    qs, e2s = list(q), e2.tolist()
-    count = np.zeros(shifts.size, dtype=np.intp)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for lo in range(0, n, steps):
-            rows = q[1 : min(steps, n - lo) + 1]
-            np.subtract.outer(d[lo : lo + len(rows)], shifts, out=rows)
-            for j in range(2 if lo == 0 else 1, len(rows) + 1):
-                np.divide(e2s[lo + j - 2], qs[j - 1], t)
-                np.subtract(qs[j], t, qs[j])
-            q[0] = rows[-1]
-            count += np.count_nonzero(rows < 0, axis=0)
-            if not np.abs(rows, out=rows).min() >= pivmin:
-                return _guarded_counts(d, e2, x)
-    return count.reshape(x.shape)
+def _ql_block(d: list, e2: list, sweeps: int) -> int:
+    """Eigenvalues of an unreduced block, in place in d, by dsterf's QL
+    iteration on the squared off-diagonals e2 and a spare 0.0: the first
+    step of a sweep down from m writes s r = 0 over e2[m], which dsterf sets
+    to 0 when it is negligible.  Returns the sweeps left."""
+    eps2, l, last = (0.5 * np.finfo(float).eps) ** 2, 0, len(d) - 1
+    while l <= last:
+        m = l  # the first negligible off-diagonal from l on
+        while m < last and abs(e2[m]) > eps2 * abs(d[m] * d[m + 1]):
+            m += 1
+        if m <= l + 1:  # d[l] has converged, or a 2 x 2 block deflates
+            if m == l + 1:
+                d[l], d[l + 1] = _dlae2(d[l], math.sqrt(e2[l]), d[l + 1])
+            l = m + 1
+            continue
+        if sweeps == 0:
+            raise EvaluationError("eigensolver failed: no convergence in the QL sweeps")
+        sweeps -= 1
+        p, rte = d[l], math.sqrt(e2[l])  # Wilkinson's shift from the top 2 x 2
+        g = (d[l + 1] - p) / (2.0 * rte)
+        sigma = p - rte / (g + math.copysign(_dlapy2(g, 1.0), g))
+        c, s, gamma = 1.0, 0.0, d[m] - sigma
+        p = gamma * gamma
+        for i in range(m - 1, l - 1, -1):
+            bb = e2[i]
+            r = p + bb
+            e2[i + 1] = s * r
+            oldc = c
+            c = p / r
+            s = bb / r
+            oldgam = gamma
+            alpha = d[i]
+            gamma = c * (alpha - sigma) - s * oldgam
+            d[i + 1] = oldgam + (alpha - gamma)
+            p = (gamma * gamma) / c if c != 0 else oldc * bb
+        e2[l], d[l] = s * p, sigma + gamma
+    return sweeps
 
 
-def _multisection(d, e2, lo: float, hi: float, count: int, width: float) -> np.ndarray:
-    """Midpoints of brackets 0 .. count - 1, each starting as [lo, hi].
-
-    A pass counts at 15 interior shifts of every bracket and keeps the part
-    where the count passes the bracket's index, until every bracket is at
-    most `width` wide.
-    """
-    lo, hi = np.full(count, lo), np.full(count, hi)
-    rows, steps = np.arange(count), np.arange(1, _SPLIT) / _SPLIT
-    for p in range(_MAX_PASSES):
-        x = lo[:, None] + (hi - lo)[:, None] * steps
-        # every bracket starts as the same interval: pass 1 counts one row
-        counts = _sturm_counts(d, e2, x[:1] if p == 0 else x)
-        if np.any(np.diff(counts) < 0):
-            raise EvaluationError("eigensolver failed: Sturm counts not monotone in the shift")
-        below = np.count_nonzero(counts <= rows[:, None], axis=1)
-        grid = np.column_stack([lo, x, hi])
-        lo, hi = grid[rows, below], grid[rows, below + 1]
-        if np.all(hi - lo <= width):
-            return (lo + hi) / 2
-    raise EvaluationError(f"eigensolver failed: no convergence in {_MAX_PASSES} passes")
+def _root_free_ql(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Every eigenvalue of the symmetric tridiagonal (d, e), ascending, by
+    the Pal-Walker-Kahan root-free QL iteration as LAPACK's dsterf runs it:
+    split at off-diagonals below eps sqrt|d_k d_k+1|, a block below ssfmin
+    scaled up (here by a power of two), and a block reversed, dsterf's QR
+    branch, when its last diagonal entry is the smaller in size."""
+    eps = 0.5 * np.finfo(float).eps
+    floor = math.frexp(math.sqrt(np.finfo(float).tiny) / (eps * eps))[1]  # of ssfmin
+    small = np.abs(e) <= np.sqrt(np.abs(d[:-1])) * np.sqrt(np.abs(d[1:])) * eps
+    cuts = [0, *(np.flatnonzero(small) + 1).tolist(), len(d)]
+    out, sweeps = d.copy(), _MAX_SWEEPS * len(d)
+    for lo, hi in zip(cuts, cuts[1:]):
+        if hi - lo > 1:  # so some e_k is not 0
+            anorm = max(np.abs(d[lo:hi]).max(), np.abs(e[lo : hi - 1]).max())
+            k = max(0, floor - math.frexp(anorm)[1])
+            bd, be2 = np.ldexp(d[lo:hi], k).tolist(), np.square(np.ldexp(e[lo : hi - 1], k)).tolist()
+            if abs(bd[-1]) < abs(bd[0]):
+                bd, be2 = bd[::-1], be2[::-1]
+            sweeps = _ql_block(bd, be2 + [0.0], sweeps)
+            out[lo:hi] = np.ldexp(bd, -k)
+    return np.sort(out)
 
 
 def _has_negative_pivot(d: list, e2: list, x: float, pivmin: float) -> bool:
-    """Whether `_guarded_counts` is at least 1 at the one shift x, stopping at
-    the first negative pivot.  After the guard a pivot is negative exactly
-    when it was below pivmin, and the guard leaves every other pivot alone,
-    so up to the first negative pivot every float is the guarded loop's."""
+    """Whether T - x I = L D L^T has a pivot below pivmin, stopping at the
+    first (dstebz makes such a pivot -pivmin, so that counts are monotone in
+    x in IEEE arithmetic: Demmel, Dhillon & Ren, ETNA 3, 1995)."""
     q = d[0] - x
     if q < pivmin:
         return True
@@ -172,15 +179,13 @@ def _has_negative_pivot(d: list, e2: list, x: float, pivmin: float) -> bool:
 
 
 def _least_by_search(d, e2, lo: float, hi: float, width: float) -> float:
-    """The midpoint of bracket 0 of `_multisection`, float for float.
-
-    A pass forms the same shifts lo + (hi - lo) k / 16 in Python floats and
-    keeps the same part: from the last shift with count 0 (or lo) to the
-    first with count at least 1 (or hi).  Counts are monotone in the shift,
-    so a binary search over the grid finds that part in 4 counts instead of
-    15, each stopping at its first negative pivot.
-    """
-    pivmin, d, e2 = _pivmin(e2), d.tolist(), e2.tolist()
+    """The midpoint of the bracket of T's least eigenvalue, bisected from
+    [lo, hi] until at most `width` wide.  A pass keeps the part of the grid
+    lo + (hi - lo) k / 16 from the last shift with count 0 (or lo) to the
+    first with count at least 1 (or hi); counts are monotone in the shift,
+    so a binary search finds it in 4 counts."""
+    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
+    d, e2 = d.tolist(), e2.tolist()
     # the search keeps count 0 at lo and count >= 1 at hi: check both ends
     if _has_negative_pivot(d, e2, lo, pivmin) or not _has_negative_pivot(d, e2, hi, pivmin):
         raise EvaluationError("eigensolver failed: Sturm counts not monotone in the shift")
@@ -203,14 +208,11 @@ def eigenvalues(h: np.ndarray, count: int | None = None) -> np.ndarray:
     """The `count` least eigenvalues of a Hermitian matrix (symmetrized
     first), ascending; all of them when `count` is None.
 
-    Bracket j of eigenvalue j of T starts as the Gershgorin interval; a pass
-    splits every wanted bracket 16 ways and keeps the part where the count
-    passes j, until every wanted bracket is within 2 eps ||T||.  A bracket's
-    shifts depend only on its own counts, so only brackets 0 .. count - 1 are
-    bisected.  A spectrum counts all 15 shifts of every bracket at once
-    (`_multisection`); a report that needs only the least eigenvalue
-    searches bracket 0's grid with early-exit scalar counts
-    (`_least_by_search`), to the same result.
+    The least eigenvalue of T is bisected from the Gershgorin interval to
+    within 2 eps ||T|| (`_least_by_search`), so that `min_eigenvalue` and
+    every spectrum share it bit for bit.  A spectrum takes the others from
+    `_root_free_ql`, raised to at least that least eigenvalue; either
+    method meets LAPACK's n eps ||T|| contract.
     """
     with np.errstate(all="ignore"):  # overflow is detected, not warned about
         a = _hermitian_copy(h)
@@ -219,24 +221,22 @@ def eigenvalues(h: np.ndarray, count: int | None = None) -> np.ndarray:
             count = n
         elif n == 0:
             raise ValueError("matrix is empty: it has no eigenvalues")
-        elif not isinstance(count, numbers.Integral) or not 1 <= count <= n:
+        elif isinstance(count, bool) or not isinstance(count, numbers.Integral) or not 1 <= count <= n:
             raise ValueError(f"count must be an integer in 1..{n}, got {count!r}")
         big = float(np.max(np.abs(a.view(float)), initial=0.0))
         if big == 0:
             return np.zeros(count)
         exponent = math.frexp(big)[1]  # 2^-exponent rounds only subnormals
         d, e = _tridiagonal(np.ldexp(a.view(float), -exponent).view(complex))
-        if not np.all(np.isfinite(np.r_[d, e])):
+        if not (np.isfinite(d).all() and np.isfinite(e).all()):
             raise EvaluationError("eigensolver failed: the tridiagonal form is not finite")
-        radius = np.r_[e, 0.0] + np.r_[0.0, e]
+        radius = np.append(e, 0.0) + np.append(0.0, e)
         lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
         eps, scale = float(np.finfo(float).eps), max(abs(lo), abs(hi))
         pad = 2.1 * n * eps * scale  # as in LAPACK's dstebz
-        e2, lo, hi, width = e * e, lo - pad, hi + pad, 2 * eps * scale
-        if count == 1:
-            mids = np.array([_least_by_search(d, e2, lo, hi, width)])
-        else:
-            mids = np.sort(_multisection(d, e2, lo, hi, count, width))
+        least = _least_by_search(d, e * e, lo - pad, hi + pad, 2 * eps * scale)
+        mids = np.maximum(_root_free_ql(d, e)[:count], least) if count > 1 else np.zeros(1)
+        mids[0] = least
         out = np.ldexp(mids, exponent)
     if not np.all(np.isfinite(out)):
         raise EvaluationError("eigensolver failed: an eigenvalue overflows")

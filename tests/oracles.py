@@ -8,8 +8,9 @@ finite-difference table by a loop over the terms of each 2m-variable
 stencil, jet products by contracting the w group and then the z group,
 jet pow, exp and log by summing the powers of the series argument,
 RKHS inner products by one jet table per pair of terms, the LDL^H
-verdict by right-looking rank-1 Schur updates, and the least eigenvalue by
-the vectorised Sturm multisection that spectra use, run for bracket 0.
+verdict by right-looking rank-1 Schur updates, eigenvalues by vectorised
+Sturm multisection of their brackets, and the early-exit pivot test by
+Sturm counts guarded at every step.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from kernelcalc.eig import _MAX_PASSES, _SPLIT, LdlVerdict, _hermitian_copy, _sturm_counts
-from kernelcalc.eig import _tridiagonal
+from kernelcalc.eig import _MAX_PASSES, _SPLIT, LdlVerdict, _hermitian_copy, _tridiagonal
 from kernelcalc.errors import EvaluationError, ShapeError
 from kernelcalc.expr import KernelExpr
 from kernelcalc.geometry import DomainSpec, Point, as_point, graded_lex_tuples, unit_index
@@ -296,40 +296,111 @@ def _failed_right_looking(g, factored: np.ndarray, k: int, shift: float) -> LdlV
     return LdlVerdict(False, shift, k, v, rayleigh)
 
 
-def min_eigenvalue_by_multisection(h) -> float:
-    """The least eigenvalue by the vectorised multisection of bracket 0: 15
-    shifts counted per pass by `_sturm_counts`, the code `min_eigenvalue`
-    ran before it searched the grid with early-exit scalar counts."""
+def _pivmin(e2: np.ndarray) -> float:
+    return np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
+
+
+#: pivots per block of the unguarded Sturm recurrence: 2^14 floats (128 KiB)
+#: keep the block in cache while it is counted
+_BLOCK_PIVOTS = 2**14
+
+
+def _guarded_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Eigenvalues of T below each shift in `x`: the negative pivots of
+    T - x I = L D L^T.  A pivot below pivmin in size becomes -pivmin, as in
+    LAPACK's dstebz, so that the count is monotone in x in IEEE arithmetic
+    (Demmel, Dhillon & Ren, ETNA 3, 1995)."""
+    pivmin = _pivmin(e2)
+    count = np.zeros(x.shape, dtype=np.intp)
+    q = d[0] - x
+    for k in range(len(d)):
+        if k:
+            q = (d[k] - x) - e2[k - 1] / q
+        q[np.abs(q) < pivmin] = -pivmin
+        count += q < 0
+    return count
+
+
+def _sturm_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """`_guarded_counts`, run without the pivmin guard in blocks of about
+    `_BLOCK_PIVOTS` pivots, two ufunc calls per step.  A block with a pivot
+    below pivmin in size (or a NaN) redoes the whole call guarded, as
+    LAPACK's dlaneg does (Marques, Riedy & Voemel, SIAM J. Sci. Comput. 28,
+    2006); otherwise the arithmetic, and so every count, is the guarded
+    loop's."""
+    pivmin, n, shifts = _pivmin(e2), len(d), x.ravel()
+    steps = min(n, max(1, _BLOCK_PIVOTS // shifts.size))
+    # row 0 carries the last pivots of one block into the next; the row
+    # views and the e2 floats are made once, not per step
+    q, t = np.empty((steps + 1, shifts.size)), np.empty(shifts.size)
+    qs, e2s = list(q), e2.tolist()
+    count = np.zeros(shifts.size, dtype=np.intp)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lo in range(0, n, steps):
+            rows = q[1 : min(steps, n - lo) + 1]
+            np.subtract.outer(d[lo : lo + len(rows)], shifts, out=rows)
+            for j in range(2 if lo == 0 else 1, len(rows) + 1):
+                np.divide(e2s[lo + j - 2], qs[j - 1], t)
+                np.subtract(qs[j], t, qs[j])
+            q[0] = rows[-1]
+            count += np.count_nonzero(rows < 0, axis=0)
+            if not np.abs(rows, out=rows).min() >= pivmin:
+                return _guarded_counts(d, e2, x)
+    return count.reshape(x.shape)
+
+
+def _multisection(d, e2, lo: float, hi: float, count: int, width: float) -> np.ndarray:
+    """Midpoints of brackets 0 .. count - 1, each starting as [lo, hi].
+
+    A pass counts at 15 interior shifts of every bracket and keeps the part
+    where the count passes the bracket's index, until every bracket is at
+    most `width` wide.
+    """
+    lo, hi = np.full(count, lo), np.full(count, hi)
+    rows, steps = np.arange(count), np.arange(1, _SPLIT) / _SPLIT
+    for p in range(_MAX_PASSES):
+        x = lo[:, None] + (hi - lo)[:, None] * steps
+        # every bracket starts as the same interval: pass 1 counts one row
+        counts = _sturm_counts(d, e2, x[:1] if p == 0 else x)
+        if np.any(np.diff(counts) < 0):
+            raise EvaluationError("eigensolver failed: Sturm counts not monotone in the shift")
+        below = np.count_nonzero(counts <= rows[:, None], axis=1)
+        grid = np.column_stack([lo, x, hi])
+        lo, hi = grid[rows, below], grid[rows, below + 1]
+        if np.all(hi - lo <= width):
+            return (lo + hi) / 2
+    raise EvaluationError(f"eigensolver failed: no convergence in {_MAX_PASSES} passes")
+
+
+def spectrum_by_multisection(h, count: int | None = None) -> np.ndarray:
+    """The `count` least eigenvalues (all when None) by vectorised Sturm
+    multisection of their brackets: 15 shifts of every bracket counted per
+    pass by `_sturm_counts`, the code `eigenvalues` ran for spectra before
+    it used the root-free QL iteration."""
     with np.errstate(all="ignore"):  # overflow is detected, not warned about
         a = _hermitian_copy(h)
-        n, count = a.shape[0], 1
+        n = a.shape[0]
+        count = n if count is None else count
         big = float(np.max(np.abs(a.view(float)), initial=0.0))
         if big == 0:
-            return 0.0
+            return np.zeros(count)
         exponent = math.frexp(big)[1]  # 2^-exponent rounds only subnormals
         d, e = _tridiagonal(np.ldexp(a.view(float), -exponent).view(complex))
         if not np.all(np.isfinite(np.r_[d, e])):
             raise EvaluationError("eigensolver failed: the tridiagonal form is not finite")
         radius = np.r_[e, 0.0] + np.r_[0.0, e]
         lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
-        eps, scale = np.finfo(float).eps, max(abs(lo), abs(hi))
+        eps, scale = float(np.finfo(float).eps), max(abs(lo), abs(hi))
         pad = 2.1 * n * eps * scale  # as in LAPACK's dstebz
-        lo, hi = np.full(count, lo - pad), np.full(count, hi + pad)
-        rows, steps = np.arange(count), np.arange(1, _SPLIT) / _SPLIT
-        for p in range(_MAX_PASSES):
-            x = lo[:, None] + (hi - lo)[:, None] * steps
-            # every bracket starts as the same interval: pass 1 counts one row
-            counts = _sturm_counts(d, e * e, x[:1] if p == 0 else x)
-            if np.any(np.diff(counts) < 0):
-                raise EvaluationError("eigensolver failed: Sturm counts not monotone in the shift")
-            below = np.count_nonzero(counts <= rows[:, None], axis=1)
-            grid = np.column_stack([lo, x, hi])
-            lo, hi = grid[rows, below], grid[rows, below + 1]
-            if np.all(hi - lo <= 2 * eps * scale):
-                break
-        else:
-            raise EvaluationError(f"eigensolver failed: no convergence in {_MAX_PASSES} passes")
-        out = np.ldexp(np.sort((lo + hi) / 2), exponent)
+        mids = _multisection(d, e * e, lo - pad, hi + pad, count, 2 * eps * scale)
+        out = np.ldexp(np.sort(mids), exponent)
     if not np.all(np.isfinite(out)):
         raise EvaluationError("eigensolver failed: an eigenvalue overflows")
-    return float(out[0])
+    return out
+
+
+def min_eigenvalue_by_multisection(h) -> float:
+    """The least eigenvalue by the vectorised multisection of bracket 0, the
+    code `min_eigenvalue` ran before it searched the grid with early-exit
+    scalar counts."""
+    return float(spectrum_by_multisection(h, 1)[0])

@@ -438,14 +438,29 @@ def test_bad_config_values_and_unknown_keys_exit_2(tmp_path, capsys, conf):
     assert err
 
 
-def test_csv_minimum_equals_the_json_min_eig(capsys):
-    flags = ["psd", "--kernel", "bergman_ball(2)", "--n", "7", "--seed", "3"]
-    code, out, _ = _run(capsys, *flags, "--format", "csv")
+def _csv_first_and_min_eig(capsys, *flags):
+    code, out, _ = _run(capsys, "psd", *flags, "--format", "csv")
     assert code == 0
     first = float(out.strip().splitlines()[1].split(",")[1])
-    code, out, _ = _run(capsys, *flags)
+    code, out, _ = _run(capsys, "psd", *flags)
     assert code == 0
-    assert first == json.loads(out)["min_eig"]
+    return first, json.loads(out)["min_eig"]
+
+
+def test_csv_minimum_equals_the_json_min_eig(capsys):
+    first, min_eig = _csv_first_and_min_eig(
+        capsys, "--kernel", "bergman_ball(2)", "--n", "7", "--seed", "3"
+    )
+    assert first == min_eig
+
+
+@pytest.mark.parametrize("flags", [
+    ["--kernel", "ball_curvature(2,1.5)", "--n", "30", "--seed", "23"],
+    ["--kernel", "szego_disc()", "--n", "20"],
+])
+def test_the_readme_psd_examples_give_the_json_min_eig_first_in_csv(capsys, flags):
+    first, min_eig = _csv_first_and_min_eig(capsys, *flags)
+    assert first == min_eig
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -461,21 +476,26 @@ def test_eigensolver_non_convergence_exits_3(capsys, monkeypatch, fmt):
     assert "no convergence" in err
 
 
-def _decreasing_counts(d, e2, x):
-    return np.broadcast_to(np.arange(x.shape[-1], 0, -1), x.shape)
+def test_ql_non_convergence_exits_3(capsys, monkeypatch):
+    from kernelcalc import eig
+
+    monkeypatch.setattr(eig, "_MAX_SWEEPS", 0)
+    code, out, err = _run(
+        capsys, "psd", "--kernel", "szego_disc()", "--n", "20", "--format", "csv"
+    )
+    assert code == 3
+    assert out == ""
+    assert "no convergence" in err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_non_monotone_sturm_counts_exit_3(capsys, monkeypatch, fmt):
     from kernelcalc import eig
 
-    # a JSON report searches for its least eigenvalue with scalar counts, a
-    # CSV spectrum counts every shift at once; either way the counts fall
-    if fmt == "json":
-        real = eig._has_negative_pivot
-        monkeypatch.setattr(eig, "_has_negative_pivot", lambda *args: not real(*args))
-    else:
-        monkeypatch.setattr(eig, "_sturm_counts", _decreasing_counts)
+    # a JSON report and a CSV spectrum both search for the least eigenvalue
+    # with scalar counts; the counts fall
+    real = eig._has_negative_pivot
+    monkeypatch.setattr(eig, "_has_negative_pivot", lambda *args: not real(*args))
     code, out, err = _run(
         capsys, "psd", "--kernel", "szego_disc()", "--n", "20", "--format", fmt
     )
