@@ -5,7 +5,7 @@ s = sqrt(1 - |a|^2), P_a the projection onto span{a} and Q_a = I - P_a; a
 unitary factor may be post-composed.  Jacobians are obtained from the jet
 engine applied to the map itself, never hand-coded.  Images, Jacobians and
 cocycles take (B, m) arrays of points, so a quasi-invariance residual
-evaluates its maps and both kernel sides as whole batches.
+evaluates its maps and both kernel sides as one batch.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, ShapeError
+from .errors import DomainError, EvaluationError, KernelCalcError, ShapeError
 from .expr import KernelExpr, Curvature, LogHessian
 from .geometry import Point, as_point, in_unit_ball, point_array, unit_index
 from .jets import Jet
@@ -72,12 +72,12 @@ class MobiusMap:
         return out
 
     def images(self, zs) -> np.ndarray:
-        """Images of a (B, m) array of points of the open unit ball."""
+        """Images of a (B, m) array of points of the open unit ball, point by point."""
         zs = point_array(zs, self.m)
         if not in_unit_ball(zs).all():
             raise DomainError("point outside the unit ball")
         img = np.stack(self._phi_a([zs[:, k] for k in range(self.m)]), axis=-1)
-        return img @ self.unitary.T
+        return (self.unitary @ img[..., None])[..., 0]
 
     def apply(self, z) -> Point:
         """Image of a point of the open unit ball."""
@@ -110,7 +110,8 @@ class MobiusMap:
         principal log of det D phi itself does: det D phi(0) carries the
         sign (-1)^m.
         """
-        ip = point_array(zs, self.m) @ np.conj(np.array(self.a))
+        zs = point_array(zs, self.m)  # <z, a> per point as in _phi_a: batch-size free
+        ip = functools.reduce(np.add, [zs[:, k] * c.conjugate() for k, c in enumerate(self.a)])
         return self._log_det_at_origin - (self.m + 1) * np.log(1.0 - ip)
 
     @functools.cached_property
@@ -168,25 +169,30 @@ class CocycleSpec:
 def quasi_invariance_residual(
     expr: KernelExpr, cocycle: CocycleSpec, phi: MobiusMap, pairs
 ) -> float:
-    """Max relative residual of J(z) K(phi z, phi w) J(w)^* = K(z, w)."""
+    """Max relative residual of J(z) K(phi z, phi w) J(w)^* = K(z, w), from one
+    batch of the 2B points (z first) and one of the 2B pairs (moved first)."""
     if phi.m != expr.m:
         raise ShapeError("map and kernel dimensions differ")
     pairs = list(pairs)
     if not pairs:
         return 0.0
-    zs = point_array([z for z, _ in pairs], expr.m)
-    ws = point_array([w for _, w in pairs], expr.m)
-    jz = cocycle.matrices(phi, zs, expr.size)
-    jw = cocycle.matrices(phi, ws, expr.size)
-    moved = expr.values(phi.images(zs), phi.images(ws))
-    rhs = expr.values(zs, ws)
+    b = len(pairs)
+    pts = point_array([z for z, _ in pairs] + [w for _, w in pairs], expr.m)
+    j = cocycle.matrices(phi, pts, expr.size)
+    img = phi.images(pts)
+    try:
+        vals = expr.values(np.concatenate([img[:b], pts[:b]]), np.concatenate([img[b:], pts[b:]]))
+    except KernelCalcError:  # name the pair each side's own call names
+        expr.values(img[:b], img[b:])
+        expr.values(pts[:b], pts[b:])
+        raise
     # a residual past the float range is refused, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs = jz @ moved @ jw.conj().transpose(0, 2, 1)
+        lhs, rhs = j[:b] @ vals[:b] @ j[b:].conj().transpose(0, 2, 1), vals[b:]
         res = np.linalg.norm(lhs - rhs, axis=(1, 2)) / (1 + np.linalg.norm(rhs, axis=(1, 2)))
     if not np.isfinite(res).all():
         p = int(np.argmax(~np.isfinite(res)))
-        z, w = (tuple(complex(c) for c in pts[p]) for pts in (zs, ws))
+        z, w = (tuple(complex(c) for c in pts[q]) for q in (p, b + p))
         raise EvaluationError(f"the residual is not finite at pair ({z}, {w})")
     return float(res.max())
 

@@ -5,7 +5,8 @@ route: the log-Hessian by the quotient formula from an order-1 jet, and the
 explicit ball matrix kernel from its hand-coded closed form, seeded
 sampling by a loop that draws and tests one attempt at a time, the
 finite-difference table by a loop over the terms of each 2m-variable
-stencil, jet products by contracting the w group and then the z group,
+stencil and by a per-step `tensordot` contraction, the quasi-invariance
+residual by separate calls for the z and the w points, jet products by contracting the w group and then the z group,
 jet pow, exp and log by summing the powers of the series argument,
 RKHS inner products by one jet table per pair of terms, the LDL^H
 verdict by right-looking rank-1 Schur updates, eigenvalues by vectorised
@@ -23,10 +24,19 @@ from itertools import product
 
 import numpy as np
 
+from kernelcalc.automorphisms import CocycleSpec, MobiusMap
 from kernelcalc.eig import _MAX_PASSES, _SPLIT, LdlVerdict, _hermitian_copy, _tridiagonal
 from kernelcalc.errors import EvaluationError, ShapeError
 from kernelcalc.expr import KernelExpr
-from kernelcalc.geometry import DomainSpec, Point, as_point, graded_lex_tuples, unit_index
+from kernelcalc.fd import _WEIGHTS
+from kernelcalc.geometry import (
+    DomainSpec,
+    Point,
+    as_point,
+    graded_lex_tuples,
+    point_array,
+    unit_index,
+)
 from kernelcalc.jets import Jet, _Group, _run_pairs
 from kernelcalc.rkhs import RkhsElement
 
@@ -151,6 +161,72 @@ def fd_jet_table_per_term(expr: KernelExpr, z, w, order: int, h: float = 0.02) -
             d_h2 = _apply_stencil(fine, i, j, m, h / 2)
             out[(i, j)] = (16.0 * d_h2 - d_h) / 15.0
     return out
+
+
+def _stencil_sums(expr: KernelExpr, z, w, steps) -> list:
+    """Unscaled stencil sums of the kernel values on the grids z + h*o_z,
+    w + h*o_w, one per step h, all evaluated as one batch: entry
+    [a_1, ..., a_2m] (a k x k matrix) weighs offset axis e by row a_e of
+    `_WEIGHTS`, the z axes first."""
+    m = expr.m
+    z = as_point(z, m).array()
+    w = as_point(w, m).array()
+    offsets = np.array(list(product(range(-2, 3), repeat=m)))
+    n = len(offsets)
+    zs = np.concatenate([np.repeat(z + h * offsets, n, axis=0) for h in steps])
+    ws = np.concatenate([np.tile(w + h * offsets, (n, 1)) for h in steps])
+    vals = expr.values(zs, ws)
+    out = []
+    for grid in np.split(vals, len(steps)):
+        sums = grid.reshape((5,) * (2 * m) + vals.shape[1:])
+        for _ in range(2 * m):  # the last offset axis becomes the first order axis
+            sums = np.tensordot(_WEIGHTS, sums, axes=(1, 2 * m - 1))
+        out.append(sums)
+    return out
+
+
+def fd_jet_table_by_tensordot(expr: KernelExpr, z, w, order: int, h: float = 0.02) -> dict:
+    """`kernelcalc.fd.fd_jet_table` with each step's grid contracted on its
+    own by 2m `tensordot` calls and the (i, j) entries read off by fancy
+    indexing, the code it ran before it contracted both steps together."""
+    if order > 2:
+        raise ValueError("finite-difference oracle supports order <= 2 per variable")
+    indices = graded_lex_tuples(expr.m, order)
+    orders = np.array([i + j for i in indices for j in indices])  # 2m orders per (i, j)
+    at = tuple(orders.T)
+    degree = orders.sum(axis=1)[:, None, None]
+    coarse, fine = _stencil_sums(expr, z, w, (h, h / 2))
+    d_h = coarse[at] / h**degree
+    d_h2 = fine[at] / (h / 2) ** degree
+    derivatives = (16.0 * d_h2 - d_h) / 15.0
+    return dict(zip([(i, j) for i in indices for j in indices], derivatives))
+
+
+def quasi_invariance_residual_two_calls(
+    expr: KernelExpr, cocycle: CocycleSpec, phi: MobiusMap, pairs
+) -> float:
+    """`kernelcalc.automorphisms.quasi_invariance_residual` with the z and w
+    points taken apart: two cocycle calls, two image calls and two `values`
+    calls, the moved pairs first, the code it ran before it stacked them."""
+    if phi.m != expr.m:
+        raise ShapeError("map and kernel dimensions differ")
+    pairs = list(pairs)
+    if not pairs:
+        return 0.0
+    zs = point_array([z for z, _ in pairs], expr.m)
+    ws = point_array([w for _, w in pairs], expr.m)
+    jz = cocycle.matrices(phi, zs, expr.size)
+    jw = cocycle.matrices(phi, ws, expr.size)
+    moved = expr.values(phi.images(zs), phi.images(ws))
+    rhs = expr.values(zs, ws)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = jz @ moved @ jw.conj().transpose(0, 2, 1)
+        res = np.linalg.norm(lhs - rhs, axis=(1, 2)) / (1 + np.linalg.norm(rhs, axis=(1, 2)))
+    if not np.isfinite(res).all():
+        p = int(np.argmax(~np.isfinite(res)))
+        z, w = (tuple(complex(c) for c in pts[p]) for pts in (zs, ws))
+        raise EvaluationError(f"the residual is not finite at pair ({z}, {w})")
+    return float(res.max())
 
 
 def _cuts(bounds: np.ndarray, max_pairs: int):
@@ -300,11 +376,6 @@ def _pivmin(e2: np.ndarray) -> float:
     return np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
 
 
-#: pivots per block of the unguarded Sturm recurrence: 2^14 floats (128 KiB)
-#: keep the block in cache while it is counted
-_BLOCK_PIVOTS = 2**14
-
-
 def _guarded_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Eigenvalues of T below each shift in `x`: the negative pivots of
     T - x I = L D L^T.  A pivot below pivmin in size becomes -pivmin, as in
@@ -321,34 +392,6 @@ def _guarded_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
     return count
 
 
-def _sturm_counts(d: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """`_guarded_counts`, run without the pivmin guard in blocks of about
-    `_BLOCK_PIVOTS` pivots, two ufunc calls per step.  A block with a pivot
-    below pivmin in size (or a NaN) redoes the whole call guarded, as
-    LAPACK's dlaneg does (Marques, Riedy & Voemel, SIAM J. Sci. Comput. 28,
-    2006); otherwise the arithmetic, and so every count, is the guarded
-    loop's."""
-    pivmin, n, shifts = _pivmin(e2), len(d), x.ravel()
-    steps = min(n, max(1, _BLOCK_PIVOTS // shifts.size))
-    # row 0 carries the last pivots of one block into the next; the row
-    # views and the e2 floats are made once, not per step
-    q, t = np.empty((steps + 1, shifts.size)), np.empty(shifts.size)
-    qs, e2s = list(q), e2.tolist()
-    count = np.zeros(shifts.size, dtype=np.intp)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for lo in range(0, n, steps):
-            rows = q[1 : min(steps, n - lo) + 1]
-            np.subtract.outer(d[lo : lo + len(rows)], shifts, out=rows)
-            for j in range(2 if lo == 0 else 1, len(rows) + 1):
-                np.divide(e2s[lo + j - 2], qs[j - 1], t)
-                np.subtract(qs[j], t, qs[j])
-            q[0] = rows[-1]
-            count += np.count_nonzero(rows < 0, axis=0)
-            if not np.abs(rows, out=rows).min() >= pivmin:
-                return _guarded_counts(d, e2, x)
-    return count.reshape(x.shape)
-
-
 def _multisection(d, e2, lo: float, hi: float, count: int, width: float) -> np.ndarray:
     """Midpoints of brackets 0 .. count - 1, each starting as [lo, hi].
 
@@ -361,7 +404,7 @@ def _multisection(d, e2, lo: float, hi: float, count: int, width: float) -> np.n
     for p in range(_MAX_PASSES):
         x = lo[:, None] + (hi - lo)[:, None] * steps
         # every bracket starts as the same interval: pass 1 counts one row
-        counts = _sturm_counts(d, e2, x[:1] if p == 0 else x)
+        counts = _guarded_counts(d, e2, x[:1] if p == 0 else x)
         if np.any(np.diff(counts) < 0):
             raise EvaluationError("eigensolver failed: Sturm counts not monotone in the shift")
         below = np.count_nonzero(counts <= rows[:, None], axis=1)
@@ -375,8 +418,9 @@ def _multisection(d, e2, lo: float, hi: float, count: int, width: float) -> np.n
 def spectrum_by_multisection(h, count: int | None = None) -> np.ndarray:
     """The `count` least eigenvalues (all when None) by vectorised Sturm
     multisection of their brackets: 15 shifts of every bracket counted per
-    pass by `_sturm_counts`, the code `eigenvalues` ran for spectra before
-    it used the root-free QL iteration."""
+    pass by `_guarded_counts`, the search `eigenvalues` ran for spectra
+    before it used the root-free QL iteration (its blocked unguarded counts
+    equal the guarded ones wherever they did not fall back to them)."""
     with np.errstate(all="ignore"):  # overflow is detected, not warned about
         a = _hermitian_copy(h)
         n = a.shape[0]

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kernelcalc.automorphisms import (
     CocycleSpec,
@@ -10,9 +11,11 @@ from kernelcalc.automorphisms import (
     curvature_quasi_check,
     quasi_invariance_residual,
 )
-from kernelcalc.errors import DomainError, ShapeError
-from kernelcalc.expr import bergman_ball, bergman_disc
-from kernelcalc.geometry import sample_points, unit_ball, unit_disc
+from kernelcalc.errors import BranchError, DomainError, EvaluationError, ShapeError
+from kernelcalc.expr import Curvature, LogHessian, bergman_ball, bergman_disc
+from kernelcalc.geometry import point_array, sample_points, unit_ball, unit_disc
+from kernelcalc.parser import parse_kernel
+from oracles import quasi_invariance_residual_two_calls
 
 
 def _pairs(domain, n, seed):
@@ -185,3 +188,98 @@ def test_negative_curvature_power_is_rejected():
     phi = _random_map(2, 51)
     with pytest.raises(ShapeError):
         curvature_quasi_check(bergman_ball(2), -1.0, phi, [])
+
+
+def _base_and_domain(m):
+    if m == 1:
+        return bergman_disc(), unit_disc()
+    return bergman_ball(m), unit_ball(m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    kind=st.sampled_from(["det_jacobian_power", "curvature_cocycle"]),
+    t=st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+    with_unitary=st.booleans(),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_stacked_batch_equals_the_two_call_residual(m, kind, t, with_unitary, n, seed):
+    base, domain = _base_and_domain(m)
+    phi = _random_map(m, seed, with_unitary)
+    pairs = _pairs(domain, n, seed)
+    if kind == "det_jacobian_power":
+        expr, got = base, quasi_invariance_residual(base, CocycleSpec(kind, t), phi, pairs)
+    else:
+        expr = LogHessian(base) if t == 0 else Curvature(base, t / 2, t / 2)
+        got = curvature_quasi_check(base, t, phi, pairs)
+    assert got == quasi_invariance_residual_two_calls(expr, CocycleSpec(kind, t), phi, pairs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    with_unitary=st.booleans(),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_maps_and_cocycles_of_a_batch_equal_those_of_each_point(m, with_unitary, n, seed):
+    # a one-point batch must not take another matrix-product path
+    phi = _random_map(m, seed, with_unitary)
+    zs = point_array(sample_points(_base_and_domain(m)[1], n, seed), m)
+    cocycle = CocycleSpec("curvature_cocycle", 0.5)
+    images, logs, mats = phi.images(zs), phi.log_det_derivatives(zs), cocycle.matrices(phi, zs, m)
+    for p, z in enumerate(zs):
+        assert np.array_equal(images[p], phi.apply(z).array())
+        assert logs[p] == phi.log_det_derivatives(z[None])[0]
+        assert np.array_equal(mats[p], cocycle.matrix(phi, z, m))
+
+
+def _error_text(fn, *args):
+    with pytest.raises((BranchError, EvaluationError)) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_a_non_finite_cocycle_names_the_first_bad_z_before_any_w():
+    # |det D phi| > 1 near 0.6 and < 1 near -0.6, so its 10^4-th power
+    # overflows at w = 0.6 of pair 0 and at z = 0.7 of pair 1
+    phi, cocycle = MobiusMap([0.5]), CocycleSpec("det_jacobian_power", 1e4)
+    pairs = [(-0.6, 0.6), (0.7, -0.6)]
+    got = _error_text(quasi_invariance_residual, bergman_disc(), cocycle, phi, pairs)
+    assert got == (EvaluationError, "cocycle (det D phi)^10000.0 is not finite at point ((0.7+0j),)")
+    assert got == _error_text(quasi_invariance_residual_two_calls, bergman_disc(), cocycle, phi, pairs)
+
+
+#: log K of the left factor fails where Re(z wbar) > 1/4, of the right one
+#: where Re(z wbar) < -1/4; the left one is evaluated first
+_TWO_BRANCHES = "pow(product(diagonal_series([-4.0]), diagonal_series([4.0])), 0.5)"
+
+
+@pytest.mark.parametrize(
+    "pairs,named",
+    [
+        # pair 0 fails unmoved in the left factor, pair 1 only moved in the
+        # right one: the moved pair is named, as a call of its own names it
+        ([(0.6, 0.6), (-0.1, 0.9)], "((0.5714285714285714+0j),), ((-0.7272727272727273+0j),)"),
+        # no moved pair fails: the unmoved one is named
+        ([(0.6, 0.6), (-0.1, 0.1)], "((0.6+0j),), ((0.6+0j),)"),
+    ],
+)
+def test_a_failing_kernel_pair_is_named_moved_pairs_first(pairs, named):
+    expr, phi = parse_kernel(_TWO_BRANCHES), MobiusMap([0.5])
+    cocycle = CocycleSpec("det_jacobian_power", 1.0)
+    got = _error_text(quasi_invariance_residual, expr, cocycle, phi, pairs)
+    assert got[0] is BranchError and got[1].endswith(f"at pair ({named})")
+    assert got == _error_text(quasi_invariance_residual_two_calls, expr, cocycle, phi, pairs)
+
+
+def test_a_residual_past_the_float_range_names_its_pair():
+    # (det D phi)^1000 is about 1e185 at 0.6 and 1e249 at 0.7, so J K J^*
+    # overflows at pair 1
+    phi, cocycle = MobiusMap([0.5]), CocycleSpec("det_jacobian_power", 1000.0)
+    pairs = [(-0.6, -0.6), (0.6, 0.7)]
+    got = _error_text(quasi_invariance_residual, bergman_disc(), cocycle, phi, pairs)
+    assert got == (EvaluationError, "the residual is not finite at pair (((0.6+0j),), ((0.7+0j),))")
+    assert got == _error_text(quasi_invariance_residual_two_calls, bergman_disc(), cocycle, phi, pairs)

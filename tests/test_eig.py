@@ -1,5 +1,4 @@
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -171,61 +170,6 @@ def test_empty_matrix_has_an_empty_spectrum_and_no_least_eigenvalue():
         min_eigenvalue(np.zeros((0, 0)))
     with pytest.raises(ValueError, match="matrix is empty"):
         eigenvalues(np.zeros((0, 0)), 1)
-
-
-def _counts_both_ways(d, e2, x):
-    """(fast counts, guarded counts, whether the fast path fell back), with
-    every floating-point warning raised as an error."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with mock.patch.object(oracles, "_guarded_counts", wraps=oracles._guarded_counts) as spy:
-            fast = oracles._sturm_counts(d, e2, x)
-        return fast, oracles._guarded_counts(d, e2, x), spy.called
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 150), st.integers(1, 2250), st.integers(0, 2**32 - 1))
-@example(150, 2250, 0)  # 22 blocks of 7 steps
-def test_fast_sturm_counts_equal_the_guarded_counts(n, width, seed):
-    # widths above _BLOCK_PIVOTS / n run the recurrence in several blocks
-    rng = np.random.default_rng(seed)
-    d, e2 = rng.standard_normal(n), rng.standard_normal(n - 1) ** 2
-    x = rng.uniform(-4, 4, (1, width))
-    fast, guarded, _ = _counts_both_ways(d, e2, x)
-    assert fast.shape == x.shape and fast.dtype == guarded.dtype
-    assert np.array_equal(fast, guarded)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 150),
-    st.integers(1, 2250),
-    st.booleans(),
-    st.integers(0, 2**32 - 1),
-)
-@example(150, 2250, False, 0)
-@example(150, 2250, True, 0)
-def test_exact_zero_pivots_fall_back_to_the_guarded_counts(n, width, coupled, seed):
-    # integer diagonals and shifts placed on diagonal entries make pivots
-    # that are exactly zero; without off-diagonals every such shift does
-    rng = np.random.default_rng(seed)
-    d = rng.integers(-5, 6, n).astype(float)
-    e2 = rng.integers(0, 3, n - 1).astype(float) if coupled else np.zeros(n - 1)
-    x = np.where(rng.random(width) < 0.5, rng.choice(d, width), rng.uniform(-6, 6, width))
-    fast, guarded, fell_back = _counts_both_ways(d, e2, x.reshape(1, width))
-    assert np.array_equal(fast, guarded)
-    if not coupled and np.isin(x, d).any():
-        assert fell_back
-
-
-def test_a_zero_pivot_in_a_later_block_falls_back():
-    n, width = 150, 2250  # _BLOCK_PIVOTS // 2250 = 7 steps per block
-    d, e2 = np.arange(n, dtype=float), np.zeros(n - 1)
-    x = np.linspace(-1.5, 0.5, width)
-    x[-1] = d[120]
-    fast, guarded, fell_back = _counts_both_ways(d, e2, x.reshape(15, -1))
-    assert fell_back and np.array_equal(fast, guarded)
-    assert fast[-1, -1] == 121  # the zero pivot counts as -pivmin
 
 
 def _spectral_family(kind, n, rng):
@@ -404,7 +348,8 @@ def test_near_singular_min_eigenvalues_equal_the_multisection(text, n, seed):
 @example(150, 2250, False, 0)
 @example(150, 2250, True, 0)
 def test_the_early_exit_pivot_test_is_a_guarded_count_of_at_least_one(n, width, coupled, seed):
-    # the strategies of test_exact_zero_pivots_fall_back_to_the_guarded_counts
+    # integer diagonals and shifts placed on diagonal entries make pivots
+    # that are exactly zero; without off-diagonals every such shift does
     rng = np.random.default_rng(seed)
     d = rng.integers(-5, 6, n).astype(float)
     e2 = rng.integers(0, 3, n - 1).astype(float) if coupled else np.zeros(n - 1)

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kernelcalc.errors import (
     BranchError,
@@ -41,7 +41,7 @@ from kernelcalc.geometry import (
 )
 from kernelcalc.jets import Jet
 from kernelcalc.parser import parse_kernel
-from oracles import fd_jet_table_per_term, grid_values_per_term
+from oracles import fd_jet_table_by_tensordot, fd_jet_table_per_term, grid_values_per_term
 
 
 def _scalar(expr, z, w):
@@ -330,6 +330,33 @@ def test_fd_contraction_matches_the_per_term_stencil_loop(text, order, seed):
         weight = np.prod([_STENCIL_ABS_SUMS[e] for e in (*i, *j)])
         tol = 4 * np.finfo(float).eps * weight * big * (17 / 15) / (h / 2) ** (sum(i) + sum(j))
         assert np.abs(new[(i, j)] - want).max() <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    text=st.one_of(_disc_asts(3), _BALL_LEAVES),
+    order=st.integers(0, 2),
+    seed=st.integers(1, 100),
+)
+@example(text="ball_curvature(2, 3.0)", order=2, seed=7)  # 2 x 2 entries
+@example(text="jet(bergman_ball(2), bergman_ball(2), 1)", order=2, seed=7)  # 3 x 3
+@example(text="log_hessian(bergman_ball(3))", order=1, seed=7)  # m = 3
+def test_fd_tables_equal_the_per_step_tensordot_contraction(text, order, seed):
+    # both steps go through each offset axis together, in the same order
+    # and with the same 5-term sums as each step's own contraction
+    expr = parse_kernel(text)
+    domain = unit_disc(0.35) if expr.m == 1 else unit_ball(expr.m, 0.35)
+    z, w = sample_points(domain, 2, seed)
+    try:
+        want = fd_jet_table_by_tensordot(expr, z, w, order)
+    except BranchError:
+        with pytest.raises(BranchError):
+            fd_jet_table(expr, z, w, order)
+        assume(False)
+    got = fd_jet_table(expr, z, w, order)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert np.array_equal(got[key], value)
 
 
 def test_fd_refuses_order_three_before_evaluating_the_grids(monkeypatch):
