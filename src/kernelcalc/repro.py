@@ -296,7 +296,7 @@ _FD_EXPRESSIONS = (
 
 
 def check_fd_oracle(n_pairs: int = 50) -> CheckResult:
-    """Jet-engine derivatives against the finite-difference oracle."""
+    """Jet-engine derivatives against the Cauchy integrals of `fd`."""
     worst = 0.0
     worst_name = ""
     for text in _FD_EXPRESSIONS:

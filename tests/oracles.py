@@ -4,8 +4,8 @@ Each oracle computes a quantity that the engine also computes, by another
 route: the log-Hessian by the quotient formula from an order-1 jet, and the
 explicit ball matrix kernel from its hand-coded closed form, seeded
 sampling by a loop that draws and tests one attempt at a time, the
-finite-difference table by a loop over the terms of each 2m-variable
-stencil and by a per-step `tensordot` contraction, the quasi-invariance
+Cauchy-integral derivative table of `kernelcalc.fd` by Richardson-extrapolated
+fourth-order central stencils summed one term at a time, the quasi-invariance
 residual by separate calls for the z and the w points, jet products by contracting the w group and then the z group,
 jet pow, exp and log by summing the powers of the series argument,
 RKHS inner products by one jet table per pair of terms, the LDL^H
@@ -28,7 +28,6 @@ from kernelcalc.automorphisms import CocycleSpec, MobiusMap
 from kernelcalc.eig import _MAX_PASSES, _SPLIT, LdlVerdict, _hermitian_copy, _tridiagonal
 from kernelcalc.errors import EvaluationError, ShapeError
 from kernelcalc.expr import KernelExpr
-from kernelcalc.fd import _WEIGHTS
 from kernelcalc.geometry import (
     DomainSpec,
     Point,
@@ -104,12 +103,9 @@ def sample_points_per_attempt(domain: DomainSpec, count: int, seed: int) -> list
     return pts
 
 
-# 4th-order central stencils on offsets -2..2 (times 1/h, 1/h^2)
-_STENCILS = {
-    0: {0: 1.0},
-    1: {-2: 1 / 12, -1: -8 / 12, 1: 8 / 12, 2: -1 / 12},
-    2: {-2: -1 / 12, -1: 16 / 12, 0: -30 / 12, 1: 16 / 12, 2: -1 / 12},
-}
+# 4th-order central weights on offsets -2..2, one row per derivative order
+# 0, 1, 2 (times 1/h^order)
+_WEIGHTS = np.array([[0, 0, 12, 0, 0], [1, -8, 0, 8, -1], [-1, 16, -30, 16, -1]]) / 12
 
 
 def grid_values_per_term(expr: KernelExpr, z, w, h: float) -> dict:
@@ -134,8 +130,8 @@ def _apply_stencil(vals, i, j, m, h: float):
         if e > 2:
             raise ValueError("finite-difference oracle supports order <= 2 per variable")
     acc = None
-    axes = [_STENCILS[e] for e in (*i, *j)]
-    for combo in product(*[list(s.items()) for s in axes]):
+    axes = [[(o - 2, c) for o, c in enumerate(_WEIGHTS[e]) if c] for e in (*i, *j)]
+    for combo in product(*axes):
         offs = tuple(c[0] for c in combo)
         coef = 1.0
         for c in combo:
@@ -147,9 +143,11 @@ def _apply_stencil(vals, i, j, m, h: float):
 
 
 def fd_jet_table_per_term(expr: KernelExpr, z, w, order: int, h: float = 0.02) -> dict:
-    """`kernelcalc.fd.fd_jet_table` one stencil term at a time: each mixed
-    derivative sums its up to 5^(2m) weighted grid values in a Python loop,
-    then the same Richardson step."""
+    """Mixed derivatives by fourth-order central stencils in every z and wbar
+    variable (varying w along the real axis differentiates in wbar), one
+    stencil term at a time: each derivative sums its up to 5^(2m) weighted
+    grid values in a Python loop, at steps h and h/2, and the Richardson
+    step (16 D(h/2) - D(h)) / 15 follows; {(i, j): k x k matrix}."""
     m = expr.m
     coarse = grid_values_per_term(expr, z, w, h)
     fine = grid_values_per_term(expr, z, w, h / 2)
@@ -161,45 +159,6 @@ def fd_jet_table_per_term(expr: KernelExpr, z, w, order: int, h: float = 0.02) -
             d_h2 = _apply_stencil(fine, i, j, m, h / 2)
             out[(i, j)] = (16.0 * d_h2 - d_h) / 15.0
     return out
-
-
-def _stencil_sums(expr: KernelExpr, z, w, steps) -> list:
-    """Unscaled stencil sums of the kernel values on the grids z + h*o_z,
-    w + h*o_w, one per step h, all evaluated as one batch: entry
-    [a_1, ..., a_2m] (a k x k matrix) weighs offset axis e by row a_e of
-    `_WEIGHTS`, the z axes first."""
-    m = expr.m
-    z = as_point(z, m).array()
-    w = as_point(w, m).array()
-    offsets = np.array(list(product(range(-2, 3), repeat=m)))
-    n = len(offsets)
-    zs = np.concatenate([np.repeat(z + h * offsets, n, axis=0) for h in steps])
-    ws = np.concatenate([np.tile(w + h * offsets, (n, 1)) for h in steps])
-    vals = expr.values(zs, ws)
-    out = []
-    for grid in np.split(vals, len(steps)):
-        sums = grid.reshape((5,) * (2 * m) + vals.shape[1:])
-        for _ in range(2 * m):  # the last offset axis becomes the first order axis
-            sums = np.tensordot(_WEIGHTS, sums, axes=(1, 2 * m - 1))
-        out.append(sums)
-    return out
-
-
-def fd_jet_table_by_tensordot(expr: KernelExpr, z, w, order: int, h: float = 0.02) -> dict:
-    """`kernelcalc.fd.fd_jet_table` with each step's grid contracted on its
-    own by 2m `tensordot` calls and the (i, j) entries read off by fancy
-    indexing, the code it ran before it contracted both steps together."""
-    if order > 2:
-        raise ValueError("finite-difference oracle supports order <= 2 per variable")
-    indices = graded_lex_tuples(expr.m, order)
-    orders = np.array([i + j for i in indices for j in indices])  # 2m orders per (i, j)
-    at = tuple(orders.T)
-    degree = orders.sum(axis=1)[:, None, None]
-    coarse, fine = _stencil_sums(expr, z, w, (h, h / 2))
-    d_h = coarse[at] / h**degree
-    d_h2 = fine[at] / (h / 2) ** degree
-    derivatives = (16.0 * d_h2 - d_h) / 15.0
-    return dict(zip([(i, j) for i in indices for j in indices], derivatives))
 
 
 def quasi_invariance_residual_two_calls(

@@ -1,3 +1,4 @@
+import math
 from contextlib import contextmanager, nullcontext
 from unittest import mock
 
@@ -41,7 +42,7 @@ from kernelcalc.geometry import (
 )
 from kernelcalc.jets import Jet
 from kernelcalc.parser import parse_kernel
-from oracles import fd_jet_table_by_tensordot, fd_jet_table_per_term, grid_values_per_term
+from oracles import fd_jet_table_per_term
 
 
 def _scalar(expr, z, w):
@@ -296,42 +297,6 @@ _BALL_LEAVES = st.sampled_from(
 )
 
 
-#: sum of |weights| of the order-0, 1 and 2 stencils (times 1/h^order)
-_STENCIL_ABS_SUMS = (1.0, 18 / 12, 64 / 12)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    text=st.one_of(_disc_asts(3), _BALL_LEAVES),
-    order=st.integers(0, 2),
-    seed=st.integers(1, 100),
-)
-def test_fd_contraction_matches_the_per_term_stencil_loop(text, order, seed):
-    # the contraction only reorders the sums of the per-term loop: each entry
-    # moves by at most a few roundings of the largest grid value times the
-    # stencil's absolute weight, scaled like the Richardson step
-    expr = parse_kernel(text)
-    domain = unit_disc(0.35) if expr.m == 1 else unit_ball(expr.m, 0.35)
-    z, w = sample_points(domain, 2, seed)
-    h = 0.02
-    try:
-        old = fd_jet_table_per_term(expr, z, w, order, h)
-    except BranchError:
-        with pytest.raises(BranchError):
-            fd_jet_table(expr, z, w, order, h)
-        assume(False)
-    new = fd_jet_table(expr, z, w, order, h)
-    assert new.keys() == old.keys()
-    big = max(
-        np.abs(np.stack(list(grid_values_per_term(expr, z, w, step).values()))).max()
-        for step in (h, h / 2)
-    )
-    for (i, j), want in old.items():
-        weight = np.prod([_STENCIL_ABS_SUMS[e] for e in (*i, *j)])
-        tol = 4 * np.finfo(float).eps * weight * big * (17 / 15) / (h / 2) ** (sum(i) + sum(j))
-        assert np.abs(new[(i, j)] - want).max() <= tol
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     text=st.one_of(_disc_asts(3), _BALL_LEAVES),
@@ -341,22 +306,52 @@ def test_fd_contraction_matches_the_per_term_stencil_loop(text, order, seed):
 @example(text="ball_curvature(2, 3.0)", order=2, seed=7)  # 2 x 2 entries
 @example(text="jet(bergman_ball(2), bergman_ball(2), 1)", order=2, seed=7)  # 3 x 3
 @example(text="log_hessian(bergman_ball(3))", order=1, seed=7)  # m = 3
-def test_fd_tables_equal_the_per_step_tensordot_contraction(text, order, seed):
-    # both steps go through each offset axis together, in the same order
-    # and with the same 5-term sums as each step's own contraction
+def test_fd_torus_agrees_with_the_per_term_stencil_table(text, order, seed):
+    # two independent numerical routes to the same derivatives, each within
+    # a few 1e-7 of the truth at these radii
     expr = parse_kernel(text)
     domain = unit_disc(0.35) if expr.m == 1 else unit_ball(expr.m, 0.35)
     z, w = sample_points(domain, 2, seed)
     try:
-        want = fd_jet_table_by_tensordot(expr, z, w, order)
+        want = fd_jet_table_per_term(expr, z, w, order)
+        got = fd_jet_table(expr, z, w, order).entries
     except BranchError:
-        with pytest.raises(BranchError):
-            fd_jet_table(expr, z, w, order)
         assume(False)
-    got = fd_jet_table(expr, z, w, order)
     assert got.keys() == want.keys()
+    scale = max(max(np.abs(mat).max() for mat in want.values()), 1.0)
+    for key, mat in want.items():
+        assert np.abs(got[key] - mat).max() <= 1e-6 * scale
+
+
+def _diagonal_series_derivative(coefficients, z, w, i: int, j: int) -> complex:
+    """d^i dbar^j of 1 + sum_n a_n z^n wbar^n, term by term."""
+    terms = enumerate((1.0, *coefficients))
+    return sum(a * math.perm(n, i) * math.perm(n, j) * z ** (n - i) * np.conj(w) ** (n - j)
+               for n, a in terms if n >= max(i, j))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    coefficients=st.lists(st.floats(-1, 1), min_size=1, max_size=4),
+    order=st.integers(0, 2),
+    seed=st.integers(1, 100),
+)
+@example(coefficients=[1.0, 0.5, 0.25], order=2, seed=1)
+def test_fd_is_exact_on_polynomials(coefficients, order, seed):
+    # degree < 5 per variable: no Fourier coefficient folds onto another,
+    # so only rounding separates the table from the closed form
+    expr = DiagonalSeries(coefficients)
+    z, w = (complex(p.coords[0]) for p in sample_points(unit_disc(0.35), 2, seed))
+    got = fd_jet_table(expr, z, w, order).entries
+    want = {
+        ((i,), (j,)): _diagonal_series_derivative(coefficients, z, w, i, j)
+        for i in range(order + 1)
+        for j in range(order + 1)
+    }
+    assert got.keys() == want.keys()
+    scale = max(abs(v) for v in want.values())
     for key, value in want.items():
-        assert np.array_equal(got[key], value)
+        assert abs(got[key][0, 0] - value) <= 1e-8 * scale
 
 
 def test_fd_refuses_order_three_before_evaluating_the_grids(monkeypatch):
@@ -634,10 +629,10 @@ def test_the_gathered_hessian_equals_the_per_entry_shifts(text, nz, nw, seed):
     assert got.balanced == balanced == (seed is None and g.balanced)
 
 
-def _fd_relative_error_by_entries(expr, z, w, order, h=0.02):
+def _fd_relative_error_by_entries(expr, z, w, order):
     """`fd_relative_error` by two dict passes over `JetTable.entries`."""
     table = expr.eval_jet(z, w, order)
-    numeric = fd_jet_table(expr, z, w, order, h)
+    numeric = fd_jet_table(expr, z, w, order).entries
     scale = max(max(np.abs(mat).max() for mat in table.entries.values()), 1.0)
     worst = 0.0
     for key, ref in table.entries.items():
