@@ -1,7 +1,7 @@
 """Kernel-calculus workbench: sesqui-analytic kernels, jets and certification."""
 
 from .calculus import (
-    phi_gram_entry,
+    phi_gram,
     series_head_coefficients,
 )
 from .automorphisms import (

@@ -2,8 +2,8 @@
 
 The curvature kernel K^(a+b) (d dbar log K) and the jet kernel are AST
 nodes (see expr).  This module adds two quantities that the `repro` battery
-checks against them: the inner product of the Gram vectors that factorize
-the curvature kernel (`phi_gram_entry`), and the leading diagonal Taylor
+checks against them: the Gram matrix of the phi-sections that factorize
+the curvature kernel (`phi_gram`), and the leading diagonal Taylor
 coefficients of K^t (d dbar log K) that the positivity counterexample needs
 (`series_head_coefficients`).  Independent closed forms that cross-check
 the engine live with the tests.
@@ -11,46 +11,34 @@ the engine live with the tests.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import ShapeError
 from .expr import DiagonalSeries, KernelExpr, LogHessian, Pow, Product
-from .geometry import unit_index
 
 
-def phi_gram_entry(
-    expr: KernelExpr, alpha: float, beta: float, z, w, i: int, j: int
-) -> complex:
-    """Inner product of the factorizing Gram vectors, from jets of K^a and K^b.
+def phi_gram(expr: KernelExpr, alpha: float, beta: float, z, w) -> np.ndarray:
+    """The m x m Gram matrix of the factorizing phi-sections at (z, w), from
+    one order-1 jet table of K^a and one of K^b.
 
-    Computed as b^2 d_i dbar_j K^a * K^b + a^2 K^a * d_i dbar_j K^b
-    - a b (d_i K^a dbar_j K^b + dbar_j K^a d_i K^b); equals
-    a b (a+b) times the (i, j) curvature entry.
+    Entry (i, j) is b^2 d_i dbar_j K^a * K^b + a^2 K^a * d_i dbar_j K^b
+    - a b (d_i K^a dbar_j K^b + dbar_j K^a d_i K^b), summed in that order in
+    Python complex arithmetic; it equals a b (a+b) times the (i, j)
+    curvature entry.
     """
     if not (alpha > 0 and beta > 0):
         raise ValueError("alpha and beta must be positive")
     if not expr.is_scalar:
-        raise ShapeError("phi_gram_entry needs a scalar kernel")
-    m = expr.m
-    if not (0 <= i < m and 0 <= j < m):
-        raise ValueError("indices out of range")
+        raise ShapeError("phi_gram needs a scalar kernel")
     a, b = alpha, beta
-    ka = Pow(expr, a).eval_jet(z, w, 1)
-    kb = Pow(expr, b).eval_jet(z, w, 1)
-    zero = (0,) * m
-    ei, ej = unit_index(m, i), unit_index(m, j)
-
-    def entry(tab, di, dj):
-        return tab.entry(di, dj)[0, 0]
-
-    return (
-        b * b * entry(ka, ei, ej) * entry(kb, zero, zero)
-        + a * a * entry(ka, zero, zero) * entry(kb, ei, ej)
-        - a
-        * b
-        * (
-            entry(ka, ei, zero) * entry(kb, zero, ej)
-            + entry(ka, zero, ej) * entry(kb, ei, zero)
-        )
-    )
+    # an order-1 table lists the multi-indices 0, e_1, ..., e_m
+    ka, kb = (Pow(expr, t).eval_jet(z, w, 1).derivatives[:, :, 0, 0].tolist() for t in (a, b))
+    units = range(1, expr.m + 1)
+    return np.array([
+        [b * b * ka[i][j] * kb[0][0] + a * a * ka[0][0] * kb[i][j]
+         - a * b * (ka[i][0] * kb[0][j] + ka[0][j] * kb[i][0]) for j in units]
+        for i in units
+    ])
 
 
 def series_head_coefficients(coefficients, t: float) -> tuple[float, float]:

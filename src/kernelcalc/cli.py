@@ -33,7 +33,7 @@ from . import __version__
 from .automorphisms import MobiusMap, curvature_quasi_check
 from .eig import eigenvalues
 from .errors import BracketError, EvaluationError, KernelCalcError, ParseError
-from .geometry import DEFAULT_SAMPLE_RADIUS, graded_lex_tuples, sample_points
+from .geometry import DEFAULT_SAMPLE_RADIUS, graded_lex_tuples, sample_array
 from .geometry import unit_ball, unit_disc
 from .parser import parse_kernel
 from .positivity import BOUND_RESOLUTION, DEFAULT_TOL, WALLACH_RESOLUTION, gram
@@ -141,7 +141,7 @@ def cmd_psd(args) -> int:
     expr = parse_kernel(args.kernel)
     domain = _domain_for(expr.m, args.radius)
     if args.format == "csv":
-        eigs = eigenvalues(gram(expr, sample_points(domain, args.n, args.seed)))
+        eigs = eigenvalues(gram(expr, sample_array(domain, args.n, args.seed)))
         lines = ["index,eigenvalue"] + [
             f"{i},{float(v)!r}" for i, v in enumerate(eigs)
         ]
@@ -200,7 +200,7 @@ def cmd_quasi(args) -> int:
         a = tuple(0.5 * rng.random() * v / np.linalg.norm(v))
     phi = MobiusMap(a)
     domain = _domain_for(m, args.radius)
-    pts = sample_points(domain, 2 * args.pairs, args.seed)
+    pts = sample_array(domain, 2 * args.pairs, args.seed)
     pairs = list(zip(pts[: args.pairs], pts[args.pairs :]))
     residual = curvature_quasi_check(base, args.t, phi, pairs)
     payload = _provenance(args, base.to_dsl())

@@ -15,6 +15,10 @@ of G exceeds -tau, and stops at the first pivot that is not positive;
 elimination is left-looking (the "gaxpy" form of Golub & Van Loan, 4.2):
 step k forms column k of the Schur complement with one mat-vec against the
 columns already factored, in place, so no (n - k)^2 rank-1 update is formed.
+
+`hermitian_part` is the one symmetrizing rule.  The sampled Grams of
+`positivity` arrive Hermitian from it; `eigenvalues` and `ldl_eliminate`
+apply it to their input again only as a guard for other callers.
 """
 
 from __future__ import annotations
@@ -29,21 +33,22 @@ from .errors import EvaluationError
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    # halved before the sum, so entries near the float maximum cannot overflow
-    return a / 2 + a.conj().T / 2
+    """(A + A^H) / 2, halved before the sum so that entries near the float
+    maximum cannot overflow.  Equals a / 2 + a.conj().T / 2 up to the sign
+    of a zero (conj(a / 2) and conj(a) / 2 can differ in it)."""
+    a = a / 2
+    a += a.conj().T
+    return a
 
 
 def _hermitian_copy(h) -> np.ndarray:
+    """`hermitian_part` of a finite square matrix, refusing any other input."""
     a = np.asarray(h, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if not np.isfinite(a).all():
         raise EvaluationError("matrix has non-finite entries")
-    # `hermitian_part` with one halved copy and one temporary; every entry
-    # is equal (a zero may flip sign: conj(a / 2) and conj(a) / 2 can differ)
-    a = a / 2
-    a += a.conj().T
-    return a
+    return hermitian_part(a)
 
 
 #: a pass splits every bracket 16 ways (15 shifts), so 53 mantissa bits take

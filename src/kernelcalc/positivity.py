@@ -1,5 +1,8 @@
 """Gram assembly, NND verdicts, Wallach scans and multiplier bounds.
 
+Every sampled Gram comes from `_pairwise`, the one place where it is made
+Hermitian; reports, differences and families use it as it is.
+
 Reports (`psd_check`, `kernel_order_check`) carry the least eigenvalue from
 `eig.eigenvalues`, the max diagonal and tau = tol * (1 + max diagonal).
 Scan and bound verdicts need only a sign, so they come from the LDL^H
@@ -28,7 +31,7 @@ import numpy as np
 
 from .eig import hermitian_part, ldl_eliminate, min_eigenvalue
 from .errors import BracketError, EvaluationError, KernelCalcError, ShapeError
-from .expr import KernelExpr, Pow
+from .expr import KernelExpr
 from .geometry import DomainSpec, Point, point_array, sample_array
 
 #: default relative PSD tolerance: psd iff min eig >= -tol * (1 + max diagonal)
@@ -111,8 +114,9 @@ class MultiplierBound:
 
 
 def _pairwise(point_sets, values_of) -> list:
-    """Per point set, the (n, k, n, k) arrays whose block (p, q) is each array
-    that values_of gives at (z_p, z_q), conjugate-completed.
+    """Per point set, the nk x nk matrices whose block (p, q) is each array
+    that values_of gives at (z_p, z_q), conjugate-completed and then made
+    Hermitian by `hermitian_part`.
 
     values_of returns a tuple of (B, k, k) arrays.  The pairs p <= q of all
     sets are evaluated as one batch; a failing pair is named.
@@ -135,22 +139,16 @@ def _pairwise(point_sets, values_of) -> list:
             g = np.empty((n, k, n, k), dtype=complex)
             g[q, :, p, :] = blocks.conj().transpose(0, 2, 1)
             g[p, :, q, :] = blocks
-            completed.append(g)
+            completed.append(hermitian_part(g.reshape(n * k, n * k)))
         result.append(tuple(completed))
         start = stop
     return result
 
 
-def _square(g: np.ndarray) -> np.ndarray:
-    """The nk x nk matrix of an (n, k, n, k) block array."""
-    n, k = g.shape[:2]
-    return g.reshape(n * k, n * k)
-
-
 def gram(expr: KernelExpr, points) -> np.ndarray:
-    """Block Gram matrix with block (p, q) = eval(expr, z_p, z_q), symmetrized."""
+    """Block Gram matrix with block (p, q) = eval(expr, z_p, z_q), Hermitian."""
     ((g,),) = _pairwise([point_array(points, expr.m)], lambda zs, ws: (expr.values(zs, ws),))
-    return hermitian_part(_square(g))
+    return g
 
 
 def _sample(domain: DomainSpec, m: int, n: int, seed) -> np.ndarray:
@@ -211,7 +209,7 @@ def kernel_order_check(
         # K2 and K1 at the same pairs, in one batch
         ((g2, g1),) = _pairwise([point_array(pts, k1.m)],
                                 lambda zs, ws: (k2.values(zs, ws), k1.values(zs, ws)))
-        return hermitian_part(_square(g2)) - hermitian_part(_square(g1))
+        return g2 - g1
 
     return _sampled_report(f"difference({k2.to_dsl()}, {k1.to_dsl()})", k1.m,
                            difference_gram, domain, n, seed, tol)
@@ -220,8 +218,8 @@ def kernel_order_check(
 class _CurvatureFamilyGram:
     """A parametric Gram family G(t) = kron(M(t), 1_k) o B on one point set.
 
-    The block Gram B (k x k blocks, an nk x nk matrix) is symmetrized once
-    and kept as an (n, k, n, k) view; only the n x n modulation M(t) changes
+    The block Gram B (k x k blocks, an nk x nk matrix from `_pairwise`) is
+    kept as an (n, k, n, k) view; only the n x n modulation M(t) changes
     with the parameter, so no kernel is evaluated per t, and G(t) is one
     broadcast product of M(t) against the blocks.  G(t) is Hermitian up to
     the rounding of M(t); `ldl_eliminate` symmetrizes it.  Only `gram_families`
@@ -232,14 +230,15 @@ class _CurvatureFamilyGram:
     def __init__(self, points, blocks: np.ndarray, modulation):
         n = len(points)
         self.points = points
-        self.blocks = hermitian_part(blocks).reshape(n, blocks.shape[0] // n, n, -1)
+        self.blocks = blocks.reshape(n, blocks.shape[0] // n, n, -1)
         self.modulation = modulation
 
     def gram_at(self, t: float) -> np.ndarray:
         # a product past the float range is left as inf or nan, without a
         # warning; `families_pass` refuses it
         with np.errstate(over="ignore", invalid="ignore"):
-            return _square(self.modulation(t)[:, None, :, None] * self.blocks)
+            g = self.modulation(t)[:, None, :, None] * self.blocks
+        return g.reshape(self.blocks.shape[0] * self.blocks.shape[1], -1)
 
 
 def gram_families(expr: KernelExpr, domain: DomainSpec, family, values_of, family_of) -> list:
@@ -253,7 +252,7 @@ def gram_families(expr: KernelExpr, domain: DomainSpec, family, values_of, famil
     sets = [_sample(domain, expr.m, n, s) for n, s in family]
     outs = _pairwise(sets, values_of)
     return [
-        _CurvatureFamilyGram(pts, *family_of(pts, *map(_square, out)))
+        _CurvatureFamilyGram(pts, *family_of(pts, *out))
         for pts, out in zip(sets, outs)
     ]
 
@@ -268,18 +267,24 @@ def families_pass(fams, t: float, tol: float) -> bool:
         raise EvaluationError(f"the Gram family at t = {t} is not finite") from exc
 
 
+def _check_scalar_base(base: KernelExpr, scan: str) -> None:
+    """Refuse a base kernel that is not scalar: K^t needs one (ShapeError)."""
+    if not base.is_scalar:
+        raise ShapeError(f"{scan} needs a scalar base kernel, got size {base.size}")
+
+
 def _wallach_families(base: KernelExpr, domain: DomainSpec, family) -> list:
     """t -> K^t o (log-Hessian Gram) per (count, seed).  K^t is exp(t log K)
     on the continuous log branch, which equals pow(base, t) pairwise exactly;
     one caps-(1, 1) log jet gives the blocks and log K, bit for bit."""
-    Pow(base, 1.0)  # raises the ShapeError of pow for a base that is not scalar
+    _check_scalar_base(base, "wallach_scan")
     return gram_families(base, domain, family, base.log_hessian_values,
                          lambda pts, logk, hess: (hess, lambda t: np.exp(t * logk)))
 
 
 def _power_families(base: KernelExpr, domain: DomainSpec, family) -> list:
     """t -> K^t per (count, seed), as in `_wallach_families`, all blocks ones."""
-    Pow(base, 1.0)  # raises the ShapeError of pow for a base that is not scalar
+    _check_scalar_base(base, "ordinary_wallach_scan")
     return gram_families(base, domain, family,
                          lambda zs, ws: (base.values(zs, ws, log=True),),
                          lambda pts, logk: (np.ones(logk.shape), lambda t: np.exp(t * logk)))

@@ -10,8 +10,10 @@ residual by separate calls for the z and the w points, jet products by contracti
 jet pow, exp and log by summing the powers of the series argument,
 RKHS inner products by one jet table per pair of terms, the LDL^H
 verdict by right-looking rank-1 Schur updates, eigenvalues by vectorised
-Sturm multisection of their brackets, and the early-exit pivot test by
-Sturm counts guarded at every step.
+Sturm multisection of their brackets, the early-exit pivot test by
+Sturm counts guarded at every step, sampled Grams by per-pair evaluation,
+conjugate completion and the two-halves symmetrization, and the phi-section
+Gram one entry (two jet tables) at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from kernelcalc.automorphisms import CocycleSpec, MobiusMap
 from kernelcalc.eig import _MAX_PASSES, _SPLIT, LdlVerdict, _hermitian_copy, _tridiagonal
 from kernelcalc.errors import EvaluationError, ShapeError
-from kernelcalc.expr import KernelExpr
+from kernelcalc.expr import KernelExpr, Pow
 from kernelcalc.geometry import (
     DomainSpec,
     Point,
@@ -407,3 +409,51 @@ def min_eigenvalue_by_multisection(h) -> float:
     code `min_eigenvalue` ran before it searched the grid with early-exit
     scalar counts."""
     return float(spectrum_by_multisection(h, 1)[0])
+
+
+def hermitian_part_by_halves(a: np.ndarray) -> np.ndarray:
+    """(A + A^H) / 2 as the sum of two halved matrices."""
+    return a / 2 + a.conj().T / 2
+
+
+def pairwise_by_completion(points: np.ndarray, values_of) -> tuple:
+    """The Grams `positivity._pairwise` gives for one (n, m) point set, each
+    pair p <= q evaluated on its own: per array of values_of, the (n, k, n, k)
+    array with block (p, q) the value and block (q, p) its conjugate
+    transpose, then `hermitian_part_by_halves` of its nk x nk matrix."""
+    n = len(points)
+    grams = None
+    for p in range(n):
+        for q in range(p, n):
+            outs = values_of(points[p : p + 1], points[q : q + 1])
+            if grams is None:
+                grams = [np.empty((n, v.shape[-1], n, v.shape[-1]), dtype=complex) for v in outs]
+            for g, v in zip(grams, outs):
+                g[q, :, p, :] = v[0].conj().T
+                g[p, :, q, :] = v[0]
+    return tuple(hermitian_part_by_halves(g.reshape(n * g.shape[1], -1)) for g in grams)
+
+
+def phi_gram_by_entries(expr: KernelExpr, alpha: float, beta: float, z, w) -> np.ndarray:
+    """The phi-section Gram entry by entry, two fresh jet tables each:
+    b^2 d_i dbar_j K^a K^b + a^2 K^a d_i dbar_j K^b
+    - a b (d_i K^a dbar_j K^b + dbar_j K^a d_i K^b)."""
+    m, a, b = expr.m, alpha, beta
+    zero = (0,) * m
+    out = np.empty((m, m), dtype=complex)
+
+    def entry(tab, di, dj):
+        return tab.entry(di, dj)[0, 0]
+
+    for i in range(m):
+        for j in range(m):
+            ka = Pow(expr, a).eval_jet(z, w, 1)
+            kb = Pow(expr, b).eval_jet(z, w, 1)
+            ei, ej = unit_index(m, i), unit_index(m, j)
+            out[i, j] = (
+                b * b * entry(ka, ei, ej) * entry(kb, zero, zero)
+                + a * a * entry(ka, zero, zero) * entry(kb, ei, ej)
+                - a * b * (entry(ka, ei, zero) * entry(kb, zero, ej)
+                           + entry(ka, zero, ej) * entry(kb, ei, zero))
+            )
+    return out

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kernelcalc.calculus import (
-    phi_gram_entry,
+    phi_gram,
     series_head_coefficients,
 )
 from kernelcalc.expr import (
@@ -14,9 +15,11 @@ from kernelcalc.expr import (
     SzegoDisc,
     bergman_ball,
 )
+from kernelcalc.errors import ShapeError
 from kernelcalc.geometry import sample_points, unit_ball, unit_disc
+from kernelcalc.parser import parse_kernel
 
-from oracles import ball_curvature_closed_form, log_hessian_eval
+from oracles import ball_curvature_closed_form, log_hessian_eval, phi_gram_by_entries
 
 
 def test_log_hessian_of_szego_closed_form():
@@ -39,9 +42,9 @@ def test_curvature_kernel_power_law_on_the_disc():
 
 def test_curvature_params_validation():
     with pytest.raises(ValueError):
-        phi_gram_entry(SzegoDisc(), 0.0, 1.0, 0.1, 0.2, 0, 0)
+        phi_gram(SzegoDisc(), 0.0, 1.0, 0.1, 0.2)
     with pytest.raises(ValueError):
-        phi_gram_entry(SzegoDisc(), 1.0, -2.0, 0.1, 0.2, 0, 0)
+        phi_gram(SzegoDisc(), 1.0, -2.0, 0.1, 0.2)
 
 
 @pytest.mark.parametrize("base,domain", [
@@ -56,11 +59,41 @@ def test_phi_gram_factorization(base, domain):
     pts = sample_points(domain, 10, 13)
     for z, w in zip(pts[:5], pts[5:]):
         mat = curv.eval(z, w)
+        gram = phi_gram(base, alpha, beta, z, w)
         for i in range(base.m):
             for j in range(base.m):
-                lhs = phi_gram_entry(base, alpha, beta, z, w, i, j)
+                lhs = gram[i, j]
                 rhs = factor * mat[i, j]
                 assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1.0)
+
+
+_PHI_KERNELS = ("szego_disc()", "bergman_disc()", "bergman_ball(2)", "ball_power(2, 2.5)",
+                "bergman_ball(3)")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_PHI_KERNELS), st.floats(0.1, 4.0), st.floats(0.1, 4.0),
+       st.integers(0, 2**64 - 1))
+def test_phi_gram_equals_the_entrywise_formula_bit_for_bit(text, alpha, beta, seed):
+    base = parse_kernel(text)
+    domain = unit_disc() if base.m == 1 else unit_ball(base.m)
+    z, w = sample_points(domain, 2, seed)
+    got = phi_gram(base, alpha, beta, z, w)
+    want = phi_gram_by_entries(base, alpha, beta, z, w)
+    assert got.shape == (base.m, base.m)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_phi_gram_refuses_a_matrix_kernel():
+    with pytest.raises(ShapeError, match="phi_gram needs a scalar kernel"):
+        phi_gram(BallCurvature(2, 3.0), 1.0, 2.0, (0.1, 0.0), (0.0, 0.2))
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.0, 1.0), (1.0, 0.0), (-0.5, 2.0), (2.0, -1e-300),
+                                        (-1.0, -1.0)])
+def test_phi_gram_refuses_exponents_that_are_not_positive(alpha, beta):
+    with pytest.raises(ValueError, match="alpha and beta must be positive"):
+        phi_gram(bergman_ball(2), alpha, beta, (0.1, 0.0), (0.0, 0.2))
 
 
 def test_explicit_ball_matrix_against_hand_coded_form():

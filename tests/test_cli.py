@@ -317,6 +317,13 @@ def test_non_positive_tolerance_or_resolution_exits_2(capsys, argv):
     assert argv[-2] in err
 
 
+def test_wallach_with_a_matrix_base_exits_3_naming_the_scan(capsys):
+    code, out, err = _run(capsys, "wallach", "--base", "ball_curvature(2,3)")
+    assert code == 3
+    assert out == ""
+    assert err == "error: wallach_scan needs a scalar base kernel, got size 2\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--kernel", "ball_power(2,2000)", "--z", "0.6,0.4", "--w", "0.6,0.4"],
     ["quasi", "--kernel", "bergman_ball(2)", "--t", "1e300"],

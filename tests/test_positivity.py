@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from kernelcalc.eig import hermitian_part, ldl_verdict
+from kernelcalc.eig import ldl_verdict
 from kernelcalc.errors import BracketError, ShapeError
 from kernelcalc.expr import (
     BallCurvature,
@@ -19,7 +19,7 @@ from kernelcalc.expr import (
     bergman_ball,
     bergman_disc,
 )
-from kernelcalc.geometry import Point, point_array, sample_points, unit_ball, unit_disc
+from kernelcalc.geometry import Point, point_array, sample_array, sample_points, unit_ball, unit_disc
 from kernelcalc.parser import parse_kernel
 from kernelcalc.positivity import (
     DEFAULT_FAMILIES,
@@ -38,11 +38,36 @@ from kernelcalc.positivity import (
     wallach_scan,
 )
 
+from oracles import hermitian_part_by_halves, pairwise_by_completion
+
 
 def test_gram_against_a_hand_computed_matrix():
     # szego at {0, 0.5}: K(0,0) = K(0,.5) = K(.5,0) = 1, K(.5,.5) = 4/3
     g = gram(SzegoDisc(), [Point((0.0,)), Point((0.5,))])
     assert np.allclose(g, [[1.0, 1.0], [1.0, 4 / 3]])
+
+
+_PAIRWISE_KERNELS = ("szego_disc()", "bergman_ball(2)", "ball_curvature(2,1.5)",
+                     "jet(szego_disc(),szego_disc(),1)", "log_hessian(bergman_ball(3))")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_PAIRWISE_KERNELS),
+       st.lists(st.tuples(st.integers(1, 7), st.integers(0, 2**64 - 1)), min_size=1, max_size=3))
+def test_pairwise_grams_are_hermitian_and_equal_the_completed_halves(text, family):
+    # every sampled Gram is made Hermitian once, in `_pairwise`; it must be
+    # the conjugate completion of its pairs, symmetrized as two halves
+    expr = parse_kernel(text)
+    domain = unit_disc() if expr.m == 1 else unit_ball(expr.m)
+    sets = [sample_array(domain, n, s) for n, s in family]
+    batches = [lambda zs, ws: (expr.values(zs, ws),)]
+    if expr.is_scalar:  # the log K and log-Hessian pair of a Wallach scan
+        batches.append(expr.log_hessian_values)
+    for values_of in batches:
+        for pts, grams in zip(sets, _pairwise(sets, values_of), strict=True):
+            for got, want in zip(grams, pairwise_by_completion(pts, values_of), strict=True):
+                assert np.array_equal(got, got.conj().T)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_gram_blocks_for_matrix_kernels():
@@ -174,6 +199,18 @@ def test_wallach_scan_requires_a_sign_change():
 def test_wallach_scan_rejects_matrix_bases():
     with pytest.raises(ShapeError):
         wallach_scan(BallCurvature(2, 3.0), -1.0, 1.0, unit_ball(2))
+
+
+@pytest.mark.parametrize("name,scan", [
+    ("wallach_scan", lambda base: wallach_scan(base, -1.0, 1.0, unit_ball(2))),
+    ("ordinary_wallach_scan", lambda base: ordinary_wallach_scan(base, [0.5], unit_ball(2))),
+])
+def test_a_matrix_base_is_refused_by_name_before_sampling(name, scan, monkeypatch):
+    from kernelcalc import positivity
+
+    monkeypatch.setattr(positivity, "sample_array", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(ShapeError, match=f"^{name} needs a scalar base kernel, got size 2$"):
+        scan(BallCurvature(2, 3.0))
 
 
 def test_ordinary_wallach_powers_of_szego_stay_positive():
@@ -419,7 +456,7 @@ def _kron_gram(fam, t):
     """G(t) by the Kronecker formula, symmetrized."""
     n, k = fam.blocks.shape[:2]
     b = fam.blocks.reshape(n * k, n * k)
-    return hermitian_part(np.kron(fam.modulation(t), np.ones((k, k))) * b)
+    return hermitian_part_by_halves(np.kron(fam.modulation(t), np.ones((k, k))) * b)
 
 
 @settings(max_examples=10, deadline=None)
@@ -435,7 +472,7 @@ def test_broadcast_family_grams_equal_the_kronecker_formula(t, which):
         + multiplier_families(base, lambda p: p[0], domain, family, power=2)
     )
     for fam in fams:
-        assert np.array_equal(hermitian_part(fam.gram_at(t)), _kron_gram(fam, t))
+        assert np.array_equal(hermitian_part_by_halves(fam.gram_at(t)), _kron_gram(fam, t))
 
 
 def test_multiplier_grams_of_one_pass_equal_the_per_family_grams():
