@@ -1,11 +1,17 @@
 """Mobius automorphisms of the disc and Euclidean ball, and quasi-invariance.
 
 The ball involution is phi_a(z) = (a - P_a z - s Q_a z) / (1 - <z, a>) with
-s = sqrt(1 - |a|^2), P_a the projection onto span{a} and Q_a = I - P_a; a
-unitary factor may be post-composed.  Jacobians are obtained from the jet
-engine applied to the map itself, never hand-coded.  Images, Jacobians and
-cocycles take (B, m) arrays of points, so a quasi-invariance residual
-evaluates its maps and both kernel sides as one batch.
+s = sqrt(1 - |a|^2), P_a the projection onto span{a} and Q_a = I - P_a
+(Rudin, Function Theory in the Unit Ball of C^n, 2.2); a unitary factor U may
+be post-composed, and a = 0 gives the identity by convention.  D phi and
+det D phi are taken in closed form, so a residual that checks the jet
+engine's kernels does not lean on that engine for its cocycle:
+    D phi(z) = U (phi_a(z) abar^T - s I - a abar^T / (1 + s)) / (1 - <z, a>),
+    det D phi(z) = det U (-1)^m s^(m+1) (1 - <z, a>)^-(m+1).
+Images, Jacobians and cocycles take (B, m) arrays of points, so a
+quasi-invariance residual evaluates its maps and both kernel sides as one
+batch; each is built from coordinate arrays times Python scalars, so a batch
+gives the floats of each of its points alone.
 """
 
 from __future__ import annotations
@@ -19,8 +25,7 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError, KernelCalcError, ShapeError
 from .expr import KernelExpr, Curvature, LogHessian
-from .geometry import Point, as_point, in_unit_ball, point_array, unit_index
-from .jets import Jet
+from .geometry import Point, as_point, in_unit_ball, point_array
 
 
 @dataclass(frozen=True)
@@ -32,9 +37,12 @@ class MobiusMap:
 
     def __init__(self, a, unitary=None):
         a = tuple(complex(c) for c in a)
-        if math.sqrt(sum(abs(c) ** 2 for c in a)) >= 1:
+        norm2 = sum(abs(c) ** 2 for c in a)
+        if not math.sqrt(norm2) < 1:  # NaN compares false
             raise DomainError("base point must lie inside the unit ball")
         object.__setattr__(self, "a", a)
+        object.__setattr__(self, "_norm2", norm2)
+        object.__setattr__(self, "_s", math.sqrt(1 - norm2))
         m = len(a)
         if unitary is None:
             u = np.eye(m, dtype=complex)
@@ -42,7 +50,7 @@ class MobiusMap:
             u = np.array(unitary, dtype=complex)
             if u.shape != (m, m):
                 raise ShapeError("unitary factor has the wrong shape")
-            if np.max(np.abs(u @ u.conj().T - np.eye(m))) > 1e-10:
+            if not np.isfinite(u).all() or np.max(np.abs(u @ u.conj().T - np.eye(m))) > 1e-10:
                 raise ShapeError("factor is not unitary")
         object.__setattr__(self, "unitary", u)
 
@@ -50,33 +58,31 @@ class MobiusMap:
     def m(self) -> int:
         return len(self.a)
 
-    def _phi_a(self, coords):
-        """The involution phi_a applied to scalars or jets (same arithmetic)."""
-        a = self.a
-        m = self.m
-        norm2 = sum(abs(c) ** 2 for c in a)
-        if norm2 == 0:
-            # degenerate base point: the identity (convention; still involutive)
-            return list(coords)
-        s = math.sqrt(1 - norm2)
-        ip = coords[0] * a[0].conjugate()
-        for k in range(1, m):
-            ip = ip + coords[k] * a[k].conjugate()
+    def _inner(self, zs):
+        """<z, a> at each point of a (B, m) array."""
+        return functools.reduce(np.add, [zs[:, k] * c.conjugate() for k, c in enumerate(self.a)])
+
+    def _phi_a(self, zs):
+        """The involution phi_a at a (B, m) array, as a list of coordinate
+        arrays, and 1 / (1 - <z, a>); the identity and None at a = 0."""
+        coords = [zs[:, k] for k in range(self.m)]
+        if self._norm2 == 0:
+            return coords, None
+        ip = self._inner(zs)
         denom = (1.0 - ip) ** -1
-        proj_scale = ip * (1.0 / norm2)
+        proj_scale = ip * (1.0 / self._norm2)
         out = []
-        for k in range(m):
-            pk = proj_scale * a[k]
-            qk = coords[k] - pk
-            out.append((a[k] - pk - s * qk) * denom)
-        return out
+        for k, ak in enumerate(self.a):
+            pk = proj_scale * ak
+            out.append((ak - pk - self._s * (coords[k] - pk)) * denom)
+        return out, denom
 
     def images(self, zs) -> np.ndarray:
         """Images of a (B, m) array of points of the open unit ball, point by point."""
         zs = point_array(zs, self.m)
         if not in_unit_ball(zs).all():
             raise DomainError("point outside the unit ball")
-        img = np.stack(self._phi_a([zs[:, k] for k in range(self.m)]), axis=-1)
+        img = np.stack(self._phi_a(zs)[0], axis=-1)
         return (self.unitary @ img[..., None])[..., 0]
 
     def apply(self, z) -> Point:
@@ -85,16 +91,16 @@ class MobiusMap:
 
     def jacobians(self, zs) -> np.ndarray:
         """Holomorphic Jacobians (d phi_k / d z_i) at a (B, m) array of
-        points, via order-1 jets."""
+        points, from the closed form of the module docstring."""
         zs = point_array(zs, self.m)
-        m = self.m
-        img = self._phi_a([Jet.variable_z(k, zs[:, k], m, 1, 0) for k in range(m)])
-        zero = (0,) * m
-        jac = np.stack(
-            [np.stack([img[k].deriv(unit_index(m, i), zero) for i in range(m)], axis=-1)
-             for k in range(m)],
-            axis=-2,
-        )
+        img, denom = self._phi_a(zs)
+        jac = np.zeros((len(zs), self.m, self.m), dtype=complex)
+        if denom is None:
+            return self.unitary @ (jac + np.eye(self.m))
+        s = self._s
+        for i, c in enumerate(ai.conjugate() for ai in self.a):
+            for k, ak in enumerate(self.a):
+                jac[:, k, i] = (img[k] * c - (ak * c / (1 + s) + s * (k == i))) * denom
         return self.unitary @ jac
 
     def derivative(self, z) -> np.ndarray:
@@ -103,20 +109,20 @@ class MobiusMap:
 
     def log_det_derivatives(self, zs) -> np.ndarray:
         """A branch of log det D phi that is holomorphic on the ball, at a
-        (B, m) array of points.
+        (B, m) array of points: log det D phi(0) - (m+1) log(1 - <z, a>).
 
-        det D phi(z) = det D phi(0) (1 - <z, a>)^-(m+1), and 1 - <z, a> has
-        positive real part there, so its principal log never jumps.  The
-        principal log of det D phi itself does: det D phi(0) carries the
-        sign (-1)^m.
+        1 - <z, a> has positive real part there, so its principal log never
+        jumps.  The principal log of det D phi itself does: det D phi(0)
+        carries the sign (-1)^m.
         """
-        zs = point_array(zs, self.m)  # <z, a> per point as in _phi_a: batch-size free
-        ip = functools.reduce(np.add, [zs[:, k] * c.conjugate() for k, c in enumerate(self.a)])
-        return self._log_det_at_origin - (self.m + 1) * np.log(1.0 - ip)
+        zs = point_array(zs, self.m)
+        return self._log_det_at_origin - (self.m + 1) * np.log(1.0 - self._inner(zs))
 
     @functools.cached_property
     def _log_det_at_origin(self) -> complex:
-        return cmath.log(np.linalg.det(self.jacobians(np.zeros((1, self.m)))[0]))
+        """log(det U (-1)^m s^(m+1)), and log det U at a = 0."""
+        det_phi_a = (-1) ** self.m * self._s ** (self.m + 1) if self._norm2 else 1
+        return cmath.log(np.linalg.det(self.unitary) * det_phi_a)
 
     def to_dict(self) -> dict:
         return {
@@ -145,12 +151,8 @@ class CocycleSpec:
         if self.kind == "curvature_cocycle" and size != phi.m:
             raise ShapeError("curvature cocycle needs an m x m kernel")
         zs = point_array(zs, phi.m)
-        jac = phi.jacobians(zs)
         with np.errstate(all="ignore"):
-            if float(self.t).is_integer():
-                scal = np.linalg.det(jac) ** self.t
-            else:
-                scal = np.exp(self.t * phi.log_det_derivatives(zs))
+            scal = np.exp(self.t * phi.log_det_derivatives(zs))
         if not np.isfinite(scal).all():
             p = int(np.argmax(~np.isfinite(scal)))
             raise EvaluationError(
@@ -159,7 +161,7 @@ class CocycleSpec:
             )
         if self.kind == "det_jacobian_power":
             return scal[:, None, None] * np.eye(size, dtype=complex)
-        return scal[:, None, None] * jac.transpose(0, 2, 1)
+        return scal[:, None, None] * phi.jacobians(zs).transpose(0, 2, 1)
 
     def matrix(self, phi: MobiusMap, z, size: int) -> np.ndarray:
         """J(phi, z) at one point."""

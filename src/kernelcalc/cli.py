@@ -10,9 +10,9 @@ and explicit flags win.  --tol and --resolution must be positive, --n and
 --pairs positive integers, --order a non-negative integer, --seed an
 integer in [0, 2^64), `norm --m` an integer in [2, 16], --radius (psd,
 wallach, bound and quasi, which sample points) in (0, 1), --lambda, --t,
---lo and --hi finite, --lo below --hi, the coordinates of --z, --w and
-`quasi --a` finite complex numbers, and the coordinate of `bound --f` must
-exist in the kernel's domain.
+--lo and --hi finite, --lo below --hi, --z, --w and `quasi --a` points of
+C^m (m the kernel's dimension) with finite complex coordinates, `quasi --a`
+inside the unit ball, and `bound --f` a coordinate of C^m.  A bad flag exits 2.
 
 Exit codes: 0 success, 2 configuration or parse error, 3 evaluation error,
 4 scan bracket failure (no sign change in the scanned interval); `repro`
@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .automorphisms import MobiusMap, curvature_quasi_check
 from .eig import eigenvalues
-from .errors import BracketError, EvaluationError, KernelCalcError, ParseError
+from .errors import BracketError, DomainError, EvaluationError, KernelCalcError, ParseError
 from .geometry import DEFAULT_SAMPLE_RADIUS, graded_lex_tuples, sample_array
 from .geometry import unit_ball, unit_disc
 from .parser import parse_kernel
@@ -47,8 +47,8 @@ EXIT_EVAL = 3
 EXIT_BRACKET = 4
 
 
-def _parse_point(text: str, flag: str) -> tuple[complex, ...]:
-    """Comma-separated complex coordinates; a trailing `i` is the imaginary unit."""
+def _parse_point(text: str, flag: str, m: int) -> tuple[complex, ...]:
+    """m comma-separated complex coordinates; a trailing `i` is the imaginary unit."""
     coords = []
     for k, c in enumerate(text.split(","), 1):
         c = c.strip()
@@ -60,6 +60,9 @@ def _parse_point(text: str, flag: str) -> tuple[complex, ...]:
             raise ParseError(f"bad point {flag} {text!r}: coordinate {k} ({c!r}) "
                              "is not finite")
         coords.append(value)
+    if len(coords) != m:
+        raise ParseError(f"bad point {flag} {text!r}: expected a point of C^{m}, "
+                         f"got dimension {len(coords)}")
     return tuple(coords)
 
 
@@ -121,8 +124,8 @@ def _entry_keys(m: int, order: int) -> tuple:
 
 def cmd_eval(args) -> int:
     expr = parse_kernel(args.kernel)
-    z = _parse_point(args.z, "--z")
-    w = _parse_point(args.w, "--w")
+    z = _parse_point(args.z, "--z", expr.m)
+    w = _parse_point(args.w, "--w", expr.m)
     report = _provenance(args, expr.to_dsl())
     if args.order > 0:
         derivatives = expr.eval_jet(z, w, args.order).derivatives
@@ -194,24 +197,19 @@ def cmd_quasi(args) -> int:
     m = base.m
     rng = np.random.default_rng(args.seed)
     if args.a:
-        a = _parse_point(args.a, "--a")
+        try:
+            phi = MobiusMap(_parse_point(args.a, "--a", m))
+        except DomainError as exc:
+            raise ParseError(f"bad point --a {args.a!r}: {exc}") from None
     else:
         v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        a = tuple(0.5 * rng.random() * v / np.linalg.norm(v))
-    phi = MobiusMap(a)
+        phi = MobiusMap(0.5 * rng.random() * v / np.linalg.norm(v))
     domain = _domain_for(m, args.radius)
     pts = sample_array(domain, 2 * args.pairs, args.seed)
     pairs = list(zip(pts[: args.pairs], pts[args.pairs :]))
     residual = curvature_quasi_check(base, args.t, phi, pairs)
     payload = _provenance(args, base.to_dsl())
-    payload.update(
-        {
-            "t": args.t,
-            "map": phi.to_dict(),
-            "pairs": args.pairs,
-            "residual": residual,
-        }
-    )
+    payload.update({"t": args.t, "map": phi.to_dict(), "pairs": args.pairs, "residual": residual})
     _emit(args, payload)
     return EXIT_OK
 

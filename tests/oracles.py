@@ -12,8 +12,9 @@ RKHS inner products by one jet table per pair of terms, the LDL^H
 verdict by right-looking rank-1 Schur updates, eigenvalues by vectorised
 Sturm multisection of their brackets, the early-exit pivot test by
 Sturm counts guarded at every step, sampled Grams by per-pair evaluation,
-conjugate completion and the two-halves symmetrization, and the phi-section
-Gram one entry (two jet tables) at a time.
+conjugate completion and the two-halves symmetrization, the phi-section
+Gram one entry (two jet tables) at a time, and Mobius Jacobians by pushing
+order-1 jets of the coordinates through the involution.
 """
 
 from __future__ import annotations
@@ -188,6 +189,32 @@ def quasi_invariance_residual_two_calls(
         z, w = (tuple(complex(c) for c in pts[p]) for pts in (zs, ws))
         raise EvaluationError(f"the residual is not finite at pair ({z}, {w})")
     return float(res.max())
+
+
+def jacobians_by_jets(phi: MobiusMap, zs) -> np.ndarray:
+    """`MobiusMap.jacobians` by the jet engine: order-1 jets of the
+    coordinates pushed through phi_a(z) = (a - P_a z - s Q_a z) / (1 - <z, a>),
+    the identity at a = 0, then U applied; a (B, m, m) array."""
+    zs = point_array(zs, phi.m)
+    m, a = phi.m, phi.a
+    img = [Jet.variable_z(k, zs[:, k], m, 1, 0) for k in range(m)]
+    norm2 = sum(abs(c) ** 2 for c in a)
+    if norm2 != 0:
+        s = math.sqrt(1 - norm2)
+        ip = img[0] * a[0].conjugate()
+        for k in range(1, m):
+            ip = ip + img[k] * a[k].conjugate()
+        denom = (1.0 - ip) ** -1
+        proj_scale = ip * (1.0 / norm2)
+        img = [(a[k] - proj_scale * a[k] - s * (img[k] - proj_scale * a[k])) * denom
+               for k in range(m)]
+    zero = (0,) * m
+    jac = np.stack(
+        [np.stack([img[k].deriv(unit_index(m, i), zero) for i in range(m)], axis=-1)
+         for k in range(m)],
+        axis=-2,
+    )
+    return phi.unitary @ jac
 
 
 def _cuts(bounds: np.ndarray, max_pairs: int):

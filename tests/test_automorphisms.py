@@ -15,7 +15,7 @@ from kernelcalc.errors import BranchError, DomainError, EvaluationError, ShapeEr
 from kernelcalc.expr import Curvature, LogHessian, bergman_ball, bergman_disc
 from kernelcalc.geometry import point_array, sample_points, unit_ball, unit_disc
 from kernelcalc.parser import parse_kernel
-from oracles import quasi_invariance_residual_two_calls
+from oracles import jacobians_by_jets, quasi_invariance_residual_two_calls
 
 
 def _pairs(domain, n, seed):
@@ -90,6 +90,14 @@ def test_chain_rule_for_compositions():
 def test_validation_of_map_data():
     with pytest.raises(DomainError):
         MobiusMap([1.2])
+    with pytest.raises(DomainError):
+        MobiusMap([float("nan")])
+    with pytest.raises(DomainError):
+        MobiusMap([0.1, complex(0, float("inf"))])
+    with pytest.raises(ShapeError):
+        MobiusMap([0.1], [[float("nan")]])
+    with pytest.raises(ShapeError):
+        MobiusMap([0.1, 0.2], [[1, 0], [0, float("inf")]])
     with pytest.raises(ShapeError):
         MobiusMap([0.1, 0.2], np.ones((2, 2)))
     with pytest.raises(ShapeError):
@@ -161,14 +169,44 @@ def test_log_det_derivative_is_a_log_of_the_determinant(m):
         )
 
 
-@pytest.mark.parametrize("t", [1.0, 2.0])
-def test_integer_cocycle_powers_use_the_determinant(t):
-    phi = _random_map(3, 81)
-    z = sample_points(unit_ball(3), 1, 8)[0]
-    jac = phi.derivative(z)
-    want = complex(np.linalg.det(jac)) ** int(t) * jac.T
-    got = CocycleSpec("curvature_cocycle", t).matrix(phi, z, 3)
-    assert np.array_equal(got, want)
+@pytest.mark.parametrize("kind", ["det_jacobian_power", "curvature_cocycle"])
+@pytest.mark.parametrize("t", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_integer_cocycle_powers_equal_powers_of_the_jet_determinant(m, t, kind):
+    phi = _random_map(m, 80 + m, with_unitary=m == 2)
+    zs = point_array(sample_points(_base_and_domain(m)[1], 8, m), m)
+    jac = jacobians_by_jets(phi, zs)
+    factor = jac.transpose(0, 2, 1) if kind == "curvature_cocycle" else np.eye(m)
+    want = (np.linalg.det(jac) ** int(t))[:, None, None] * factor
+    got = CocycleSpec(kind, t).matrices(phi, zs, m)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    radius=st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
+    with_unitary=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_jacobians_equal_the_jet_jacobians(m, radius, with_unitary, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    u = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+    phi = MobiusMap(radius * v / np.linalg.norm(v), u if with_unitary else None)
+    zs = point_array(sample_points(_base_and_domain(m)[1], 6, seed), m)
+    for got, want in zip(phi.jacobians(zs), jacobians_by_jets(phi, zs)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("radius", [0.0, 0.3, 0.9])
+def test_log_det_at_the_origin_is_a_log_of_the_jet_determinant(m, radius):
+    phi = _random_map(m, 90 + m, with_unitary=True)
+    phi = MobiusMap(radius * np.array(phi.a) / np.linalg.norm(phi.a), phi.unitary)
+    want = np.linalg.det(jacobians_by_jets(phi, np.zeros((1, m)))[0])
+    assert cmath.exp(phi._log_det_at_origin) == pytest.approx(want, rel=1e-13)
 
 
 def test_unitary_factors_preserve_the_residual():

@@ -403,6 +403,28 @@ def test_non_finite_coordinates_exit_2(capsys, argv, flag, bad):
     assert f"{flag} '0.1,{bad}': coordinate 2 ('{bad}') is not finite" in err
 
 
+@pytest.mark.parametrize("argv,flag,value,message", [
+    (["quasi", "--kernel", "bergman_ball(2)"], "--a", "0.1",
+     "expected a point of C^2, got dimension 1"),
+    (["quasi", "--kernel", "bergman_ball(2)"], "--a", "0.1,0,0",
+     "expected a point of C^2, got dimension 3"),
+    (["quasi", "--kernel", "bergman_ball(2)"], "--a", "0.9,0.9",
+     "base point must lie inside the unit ball"),
+    (["quasi", "--kernel", "bergman_disc()"], "--a", "1",
+     "base point must lie inside the unit ball"),
+    (["eval", "--kernel", "szego_disc()", "--w", "0"], "--z", "0.1,0.2",
+     "expected a point of C^1, got dimension 2"),
+    (["eval", "--kernel", "bergman_ball(2)", "--z", "0,0"], "--w", "0.1",
+     "expected a point of C^2, got dimension 1"),
+])
+def test_a_point_of_the_wrong_dimension_or_outside_the_ball_exits_2(capsys, argv, flag, value,
+                                                                     message):
+    code, out, err = _run(capsys, *argv, flag, value)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad point {flag} {value!r}: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["wallach", "--base", "bergman_disc()", "--lo", "0", "--hi", "-2"],
     ["bound", "--kernel", "bergman_ball(2)", "--f", "z3"],
