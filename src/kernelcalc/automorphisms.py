@@ -11,7 +11,8 @@ engine's kernels does not lean on that engine for its cocycle:
 Images, Jacobians and cocycles take (B, m) arrays of points, so a
 quasi-invariance residual evaluates its maps and both kernel sides as one
 batch; each is built from coordinate arrays times Python scalars, so a batch
-gives the floats of each of its points alone.
+gives the floats of each of its points alone.  Every method refuses a point
+outside the open ball.
 """
 
 from __future__ import annotations
@@ -58,6 +59,13 @@ class MobiusMap:
     def m(self) -> int:
         return len(self.a)
 
+    def _points(self, zs) -> np.ndarray:
+        """The (B, m) array of points of the open ball that every method takes."""
+        zs = point_array(zs, self.m)
+        if not in_unit_ball(zs).all():
+            raise DomainError("point outside the unit ball")
+        return zs
+
     def _inner(self, zs):
         """<z, a> at each point of a (B, m) array."""
         return functools.reduce(np.add, [zs[:, k] * c.conjugate() for k, c in enumerate(self.a)])
@@ -70,6 +78,8 @@ class MobiusMap:
             return coords, None
         ip = self._inner(zs)
         denom = (1.0 - ip) ** -1
+        if self._s == 1.0:  # then P_a z + s Q_a z = z, and 1 / |a|^2 may overflow
+            return [(ak - coords[k]) * denom for k, ak in enumerate(self.a)], denom
         proj_scale = ip * (1.0 / self._norm2)
         out = []
         for k, ak in enumerate(self.a):
@@ -79,9 +89,7 @@ class MobiusMap:
 
     def images(self, zs) -> np.ndarray:
         """Images of a (B, m) array of points of the open unit ball, point by point."""
-        zs = point_array(zs, self.m)
-        if not in_unit_ball(zs).all():
-            raise DomainError("point outside the unit ball")
+        zs = self._points(zs)
         img = np.stack(self._phi_a(zs)[0], axis=-1)
         return (self.unitary @ img[..., None])[..., 0]
 
@@ -92,7 +100,7 @@ class MobiusMap:
     def jacobians(self, zs) -> np.ndarray:
         """Holomorphic Jacobians (d phi_k / d z_i) at a (B, m) array of
         points, from the closed form of the module docstring."""
-        zs = point_array(zs, self.m)
+        zs = self._points(zs)
         img, denom = self._phi_a(zs)
         jac = np.zeros((len(zs), self.m, self.m), dtype=complex)
         if denom is None:
@@ -115,7 +123,7 @@ class MobiusMap:
         jumps.  The principal log of det D phi itself does: det D phi(0)
         carries the sign (-1)^m.
         """
-        zs = point_array(zs, self.m)
+        zs = self._points(zs)
         return self._log_det_at_origin - (self.m + 1) * np.log(1.0 - self._inner(zs))
 
     @functools.cached_property
@@ -150,7 +158,7 @@ class CocycleSpec:
         """J(phi, z) at a (B, m) array of points, as a (B, size, size) array."""
         if self.kind == "curvature_cocycle" and size != phi.m:
             raise ShapeError("curvature cocycle needs an m x m kernel")
-        zs = point_array(zs, phi.m)
+        zs = phi._points(zs)
         with np.errstate(all="ignore"):
             scal = np.exp(self.t * phi.log_det_derivatives(zs))
         if not np.isfinite(scal).all():

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import BranchError, DomainError, EvaluationError, OrderCapError, ShapeError
 from .geometry import as_point, graded_lex_tuples, in_unit_ball, point_array
-from .jets import Jet, _group, check_finite, coordinate_products, monomial_index
+from .jets import Jet, _group, check_finite, coordinate_products, monomial_positions
 
 #: cap on the derivative order of eval_jet and of the jet kernel
 DEFAULT_ORDER_CAP = 4
@@ -189,8 +189,9 @@ class KernelExpr:
 
         Lower coefficients do not depend on the truncation caps, so each
         table equals its own `eval_jet` bit for bit, except that a batch
-        mixing origin pairs with others sums its origin pairs on the full
-        pair tables, which can move them by an ulp (see `jets`).
+        mixing pairs with balanced jets (origin pairs, say) with others sums
+        them on the full pair tables, which can move them by an ulp (see
+        `jets`).
         """
         if order < 0:
             raise ValueError("order must be >= 0")
@@ -238,13 +239,13 @@ class JetTable:
     derivatives: np.ndarray
 
     def entry(self, i, j) -> np.ndarray:
-        index = monomial_index(self.m, self.order)
-        return self.derivatives[index[tuple(i)], index[tuple(j)]]
+        """The k x k matrix d^i dbar^j K; a ValueError beyond the order."""
+        return self.derivatives[monomial_positions(self.m, self.order, self.order, i, j)]
 
     @functools.cached_property
     def entries(self) -> dict:
         """{(i, j): k x k matrix} for all multi-indices i, j."""
-        index = monomial_index(self.m, self.order)
+        index = _group(self.m, self.order).index
         return {(i, j): self.derivatives[a, b]
                 for i, a in index.items() for j, b in index.items()}
 
@@ -265,7 +266,7 @@ _DSL_FORMATS = {
 
 def _scalar(jet: Jet) -> Jet:
     """The (B, 1, 1) entry jet of a scalar node from its (B,) jet."""
-    return Jet(jet.m, jet.nz, jet.nw, jet.coeffs[:, None, None], jet.balanced)
+    return Jet(jet.m, jet.nz, jet.nw, jet.coeffs[:, None, None])
 
 
 def _matrix(rows) -> Jet:
@@ -274,15 +275,14 @@ def _matrix(rows) -> Jet:
     coeffs = np.concatenate(
         [np.concatenate([e.coeffs for e in row], axis=2) for row in rows], axis=1
     )
-    balanced = all(e.balanced for row in rows for e in row)
-    return Jet(first.m, first.nz, first.nw, coeffs, balanced)
+    return Jet(first.m, first.nz, first.nw, coeffs)
 
 
 def _inner_terms(z, w, m, nz, nw) -> list:
     """The jets z_k wbar_k, batch (B,), for k < m."""
     k = np.arange(m)
     p = coordinate_products(z, w, m, nz, nw, k, k)
-    return [Jet(m, nz, nw, p.coeffs[:, i], p.balanced) for i in range(m)]
+    return [Jet(m, nz, nw, p.coeffs[:, i]) for i in range(m)]
 
 
 def _one_minus(terms) -> Jet:
@@ -291,11 +291,9 @@ def _one_minus(terms) -> Jet:
     first = next(terms)
     u = np.negative(first.coeffs)
     u[..., 0, 0] += 1.0
-    balanced = first.balanced
     for term in terms:
         u -= term.coeffs
-        balanced = balanced and term.balanced
-    return Jet(first.m, first.nz, first.nw, u, balanced)
+    return Jet(first.m, first.nz, first.nw, u)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +521,7 @@ def _hessian(g: Jet) -> Jet:
     sw, fw = _group(g.m, g.nw).unit_shifts
     coeffs = g.coeffs[..., 0, 0, :, :][..., sz[:, None, :, None], sw[None, :, None, :]]
     factors = fz[:, None, :, None] * fw[None, :, None, :]
-    return Jet(g.m, g.nz - 1, g.nw - 1, coeffs * factors, g.balanced)
+    return Jet(g.m, g.nz - 1, g.nw - 1, coeffs * factors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -637,10 +635,9 @@ class BallCurvature(KernelExpr):
     def jets(self, z, w, nz, nw):
         m = self.dim
         rows, cols = np.indices((m, m))
-        products = coordinate_products(z, w, m, nz, nw, cols, rows)  # z_j wbar_i
-        entries, balanced = products.coeffs, products.balanced
-        diagonal = [Jet(m, nz, nw, entries[:, i, i].copy(), balanced) for i in range(m)]
+        entries = coordinate_products(z, w, m, nz, nw, cols, rows).coeffs  # z_j wbar_i
+        diagonal = [Jet(m, nz, nw, entries[:, i, i].copy()) for i in range(m)]
         pref = _one_minus(diagonal) ** (-self.lam)
         for i in range(m):  # 1 - sum_{j != i} z_j wbar_j on the diagonal
             entries[:, i, i] = _one_minus(d for j, d in enumerate(diagonal) if j != i).coeffs
-        return _scalar(pref) * Jet(m, nz, nw, entries, balanced)
+        return _scalar(pref) * Jet(m, nz, nw, entries)

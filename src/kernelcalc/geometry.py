@@ -72,11 +72,16 @@ def as_point(p, m: int | None = None) -> Point:
 
 
 def point_array(points, m: int) -> np.ndarray:
-    """A (B, m) complex array from a sequence of points or such an array."""
+    """A (B, m) complex array from such an array or a sequence of points:
+    `Point`s, sequences of coordinates or, when m = 1, scalars."""
     if isinstance(points, np.ndarray):
         arr = points.astype(complex, copy=False)
     else:
-        arr = np.array([as_point(p, m).coords for p in points], dtype=complex).reshape(-1, m)
+        rows = [p.coords if isinstance(p, Point) else p for p in points]
+        try:  # a scalar is a point of C^1
+            arr = np.array(rows, dtype=complex).reshape(len(rows), -1 if rows else m)
+        except ValueError:  # rows of different lengths: one by one, naming a wrong one
+            arr = np.array([as_point(p, m).coords for p in rows], dtype=complex)
     if arr.ndim != 2 or arr.shape[1] != m:
         raise DomainError(f"expected points of C^{m}, got an array of shape {arr.shape}")
     return arr

@@ -12,8 +12,8 @@ and Nw count the monomials of each group in graded lex order
 independent expansions (all pairs of a Gram matrix, the nodes of a
 finite-difference grid, the entries of a matrix kernel) and broadcast like
 numpy arrays.  Every operation acts on each batch entry alone, so a batched
-result equals the one-entry results bit for bit, as long as both carry the
-same `balanced` flag (below).
+result equals the one-entry results bit for bit, except where an entry
+that is balanced on its own sits in a batch that is not (below).
 
 Shifts and embeddings use index tables that are built on first use and
 cached per (m, degree) of one variable group.
@@ -32,8 +32,9 @@ g = c0 + x for exp, and x without constant term:
 summed over the same pairs for the output monomials of degree D, so each
 degree needs only lower ones and the result is exact to the caps.  That is
 one pass over the pairs of one product, where summing the powers x, x^2,
-... took nz + nw - 1 products.  Both read one pair table per total degree,
-flat over the Nz * Nw monomials, int32 indices sorted by output; an
+... took nz + nw - 1 products.  Both sum their pairs in one loop,
+`_pair_sums`, over one pair table per total degree, flat over the Nz * Nw
+monomials, int32 indices sorted by output; an
 (m, nz, nw) table has C(2m + nz, 2m) * C(2m + nw, 2m) pairs, e.g. 44,100 at
 m = 3 and caps (4, 4), 213,444 at (5, 5) and 853,776 at (6, 6).  Tables of
 at most `_TABLE_BUDGET` pairs (65,536, about 0.5 MB) are cached; larger
@@ -44,23 +45,14 @@ whatever the batch.  A product needs no degree order: it reads the runs of
 the whole cached table in one pass.  At caps (0, 0) there is no pair work.
 
 Balanced jets.  At the origin a circular kernel has coefficients only at
-|a| = |b|, so most pairs of a product or series only add exact zeros.  A
-Jet's `balanced` flag promises that every other coefficient is exactly 0.
-Only `Jet.constant` and `coordinate_products` at z = w = 0 set it; sums
-and products of flagged jets, scalar +, * and negation, pow, exp, log,
-`truncate`, `embed` and `shift(di, dj)` with |di| = |dj| keep it, and every
-other jet is unflagged, which is always safe.  Flagged products and series
-read tables restricted to the balanced outputs and to their balanced pairs
-(no odd total degree), in the order of the full tables, and leave the
-other outputs +0.0; they are cached under the same budget, and built from
-the (d, d) blocks alone (at m = 3 and caps (9, 9) the full table has 25M
-pairs, the balanced one 860k).  Only exact zeros are dropped, so the
-results equal the full tables' up to the sign of a zero and the grouping
-of numpy's pairwise sum, which can move an entry whose pair run has 8 or
-more terms by an ulp (2 of the 8,100 entries of the curvature of the
-Bergman kernel of the 2-ball at caps (8, 8)).  A batch is flagged only if
-all its entries are at the origin, so a mixed batch can differ from its
-one-entry origin results by such an ulp.
+|a| = |b|.  A product or series reads this off its inputs: if every other
+coefficient is exactly 0 (NaN is not) in every batch entry, it reads
+tables of the balanced outputs and pairs only, built from the (d, d)
+blocks (at m = 3 and caps (9, 9), 860k of the full table's 25M pairs), and
+leaves the other outputs +0.0.  Only exact zeros are dropped, so the
+results equal the full tables' up to the sign of a zero and an ulp where
+numpy's pairwise sum regroups a run of 8 or more terms; a balanced entry of
+a batch that is not balanced can move by such an ulp too.
 
 The branch, zero-base and non-finite checks of pow, exp and log are
 vectorized: each raises for the first bad batch entry and records its
@@ -161,10 +153,14 @@ def _group(m: int, n: int) -> _Group:
     return _Group(m, n)
 
 
-def monomial_index(m: int, n: int) -> dict:
-    """{multi-index: position} of the monomials of degree <= n in m
-    variables along a coefficient axis (graded lex order); do not modify."""
-    return _group(m, n).index
+def monomial_positions(m: int, nz: int, nw: int, i, j) -> tuple:
+    """Positions (a, b) of the multi-indices i and j along the coefficient
+    axes of caps (nz, nw); a ValueError names the caps beyond them."""
+    i, j = tuple(i), tuple(j)
+    iz, iw = _group(m, nz).index, _group(m, nw).index
+    if i not in iz or j not in iw:
+        raise ValueError(f"derivative {i}, {j} lies beyond the caps ({nz}, {nw})")
+    return iz[i], iw[j]
 
 
 def _fail_where(mask, error, message):
@@ -196,50 +192,65 @@ def _run_pairs(per_pair: int) -> int:
     return 1 << (max(_PRODUCT_CHUNK // max(per_pair, 1), 1).bit_length() - 1)
 
 
-def _convolve(x: np.ndarray, y: np.ndarray, m: int, nz: int, nw: int,
-              balanced: bool) -> np.ndarray:
-    """Truncated Leibniz product of two coefficient arrays (batch broadcast).
+@functools.cache
+def _off_balance(m: int, nz: int, nw: int) -> np.ndarray:
+    """The flattened positions of the coefficients (a, b) with |a| != |b|."""
+    return np.flatnonzero(_group(m, nz).degrees[:, None] != _group(m, nw).degrees)
 
-    Each output monomial sums x_l y_r over its pairs in the order of the
-    pair tables, so how the outputs are cut into runs (by size) leaves every
-    result unchanged.  Of balanced factors only the balanced outputs are
-    summed, and the others are 0.
-    """
+
+def _balanced(coeffs: np.ndarray, m: int, nz: int, nw: int) -> bool:
+    """Whether every coefficient (a, b) with |a| != |b| is exactly 0, in
+    every batch entry.  The row (0, b) and the column (a, 0), nonzero at
+    every pair off the origin, are looked at first."""
+    if np.count_nonzero(coeffs[..., 0, 1:]) or np.count_nonzero(coeffs[..., 1:, 0]):
+        return False
+    flat = coeffs.reshape(coeffs.shape[:-2] + (-1,))
+    return not np.count_nonzero(np.take(flat, _off_balance(m, nz, nw), axis=-1))
+
+
+def _pair_sums(x: np.ndarray, y: np.ndarray, runs, weights=None):
+    """Yield (rows, sums) per run: sum x_l y_r (times weights[l], if given)
+    over the pairs (l, r) of each output in rows, in table order.  y is read
+    when a run starts, after the caller has stored the runs before it."""
+    for rows, left, right, starts in runs:
+        terms = np.take(x, left, axis=-1)
+        if weights is not None:
+            terms *= np.take(weights, left)
+        yield rows, np.add.reduceat(terms * np.take(y, right, axis=-1), starts, axis=-1)
+
+
+def _convolve(x: np.ndarray, y: np.ndarray, m: int, nz: int, nw: int) -> np.ndarray:
+    """Truncated Leibniz product of two coefficient arrays (batch broadcast);
+    of balanced factors only the balanced outputs are summed, the others 0."""
     if nz == nw == 0:  # constant jets: no pairs to sum
         return x * y
+    balanced = _balanced(x, m, nz, nw) and _balanced(y, m, nz, nw)
     batch = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
     shape = x.shape[-2:]
     flat = (shape[0] * shape[1],)
     x, y = x.reshape(x.shape[:-2] + flat), y.reshape(y.shape[:-2] + flat)
     out = (np.zeros if balanced else np.empty)(batch + flat, dtype=complex)
-    for rows, left, right, starts in _product_runs(m, nz, nw, _run_pairs(math.prod(batch)),
-                                                   balanced):
-        terms = np.take(x, left, axis=-1) * np.take(y, right, axis=-1)
-        out[..., rows] = np.add.reduceat(terms, starts, axis=-1)
+    runs = _product_runs(m, nz, nw, _run_pairs(math.prod(batch)), balanced)
+    for rows, sums in _pair_sums(x, y, runs):
+        out[..., rows] = sums
     return out.reshape(batch + shape)
 
 
 class Jet:
     """Truncated Taylor expansions in m + m variables (z-group, wbar-group),
-    one per entry of the batch shape `coeffs.shape[:-2]`.
+    one per entry of the batch shape `coeffs.shape[:-2]`."""
 
-    `balanced` promises that every coefficient (a, b) with |a| != |b| is
-    exactly 0, as for every jet of a circular kernel at the origin; products
-    and series then sum only balanced pairs.  False promises nothing.
-    """
+    __slots__ = ("m", "nz", "nw", "coeffs")
 
-    __slots__ = ("m", "nz", "nw", "coeffs", "balanced")
-
-    def __init__(self, m: int, nz: int, nw: int, coeffs: np.ndarray, balanced: bool = False):
+    def __init__(self, m: int, nz: int, nw: int, coeffs: np.ndarray):
         self.m = m
         self.nz = nz
         self.nw = nw
         self.coeffs = coeffs
-        self.balanced = balanced
 
-    def _like(self, coeffs, balanced: bool = True) -> "Jet":
-        """A jet of these caps, balanced if this one is and `balanced` holds."""
-        return Jet(self.m, self.nz, self.nw, coeffs, self.balanced and balanced)
+    def _like(self, coeffs) -> "Jet":
+        """A jet of these caps."""
+        return Jet(self.m, self.nz, self.nw, coeffs)
 
     # -- constructors -------------------------------------------------
 
@@ -250,25 +261,7 @@ class Jet:
         coeffs = np.zeros(value.shape + (_group(m, nz).size, _group(m, nw).size),
                           dtype=complex)
         coeffs[..., 0, 0] = value
-        return cls(m, nz, nw, coeffs, balanced=True)
-
-    @classmethod
-    def variable_z(cls, k, value, m, nz, nw):
-        """The coordinate function z_k seeded at `value`."""
-        j = cls.constant(value, m, nz, nw)
-        if nz >= 1:
-            j.coeffs[..., _group(m, nz).index[unit_index(m, k)], 0] = 1.0
-            j.balanced = False
-        return j
-
-    @classmethod
-    def variable_wbar(cls, k, value, m, nz, nw):
-        """The conjugated coordinate wbar_k seeded at conj(value)."""
-        j = cls.constant(np.conj(value), m, nz, nw)
-        if nw >= 1:
-            j.coeffs[..., 0, _group(m, nw).index[unit_index(m, k)]] = 1.0
-            j.balanced = False
-        return j
+        return cls(m, nz, nw, coeffs)
 
     # -- basic queries -------------------------------------------------
 
@@ -289,12 +282,8 @@ class Jet:
 
     def deriv(self, i, j):
         """Mixed Wirtinger derivative (d/dz)^i (d/dwbar)^j at the base point."""
+        a, b = monomial_positions(self.m, self.nz, self.nw, i, j)
         gz, gw = _group(self.m, self.nz), _group(self.m, self.nw)
-        i, j = tuple(i), tuple(j)
-        if i not in gz.index or j not in gw.index:
-            raise ValueError(f"derivative {i}, {j} lies beyond the caps "
-                             f"({self.nz}, {self.nw})")
-        a, b = gz.index[i], gw.index[j]
         return self.coeffs[..., a, b] * (gz.factorials[a] * gw.factorials[b])
 
     def truncate(self, nz, nw):
@@ -302,7 +291,7 @@ class Jet:
             raise ValueError("cannot truncate upwards")
         return Jet(self.m, nz, nw, self.coeffs[
             ..., : _group(self.m, nz).size, : _group(self.m, nw).size
-        ], self.balanced)
+        ])
 
     def shift(self, di, dj):
         """The jet of the derivative (d/dz)^di (d/dwbar)^dj of this function.
@@ -318,7 +307,7 @@ class Jet:
         sz, fz = _group(self.m, self.nz).shift(di)
         sw, fw = _group(self.m, self.nw).shift(dj)
         coeffs = self.coeffs[..., sz[:, None], sw[None, :]] * (fz[:, None] * fw[None, :])
-        return Jet(self.m, nz, nw, coeffs, self.balanced and sum(di) == sum(dj))
+        return Jet(self.m, nz, nw, coeffs)
 
     def embed(self, m, offset):
         """The same function of the coordinates offset .. offset + self.m - 1
@@ -328,7 +317,7 @@ class Jet:
         coeffs = np.zeros(self.batch + (_group(m, self.nz).size, _group(m, self.nw).size),
                           dtype=complex)
         coeffs[..., pz[:, None], pw[None, :]] = self.coeffs
-        return Jet(m, self.nz, self.nw, coeffs, self.balanced)
+        return Jet(m, self.nz, self.nw, coeffs)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -342,7 +331,7 @@ class Jet:
             coeffs[..., 0, 0] += other
             return self._like(coeffs)
         self._check_compatible(other)
-        return self._like(self.coeffs + other.coeffs, other.balanced)
+        return self._like(self.coeffs + other.coeffs)
 
     __radd__ = __add__
 
@@ -359,9 +348,7 @@ class Jet:
         if not isinstance(other, Jet):
             return self._like(self.coeffs * complex(other))
         self._check_compatible(other)
-        balanced = self.balanced and other.balanced
-        return self._like(_convolve(self.coeffs, other.coeffs, self.m, self.nz, self.nw,
-                                    balanced), balanced)
+        return self._like(_convolve(self.coeffs, other.coeffs, self.m, self.nz, self.nw))
 
     __rmul__ = __mul__
 
@@ -385,6 +372,7 @@ class Jet:
         The sum runs over the pairs (l, r) with l + r of total degree D;
         x has no constant term, so h_D needs only lower degrees.  With
         |r| = D - |l| each term is x_l h_r weighted by ((a - b) |l| + b D) / D.
+        Of a balanced x only the balanced outputs are summed.
         """
         h = np.zeros_like(self.coeffs)
         h[..., 0, 0] = h0
@@ -392,24 +380,21 @@ class Jet:
             return h
         x = self.coeffs * scale
         x[..., 0, 0] = 0
+        m, nz, nw = self.m, self.nz, self.nw
+        by_degree = _degree_runs(m, nz, nw, _run_pairs(math.prod(x.shape[:-2])),
+                                 _balanced(x, m, nz, nw))
         shape = x.shape
         flat = shape[:-2] + (shape[-2] * shape[-1],)
         x, h = x.reshape(flat), h.reshape(flat)
-        m, nz, nw = self.m, self.nz, self.nw
         degrees = _total_degrees(m, nz, nw)
-        max_pairs = _run_pairs(math.prod(shape[:-2]))
-        for degree, runs in _degree_runs(m, nz, nw, max_pairs, self.balanced):
+        for degree, runs in by_degree:
             if not degree:  # h_0 is set above
                 continue
-            weights = degrees * ((a - b) / degree) + b  # one per left monomial
-            for out, left, right, starts in runs:
-                terms = np.take(x, left, axis=-1)
-                terms *= np.take(weights, left)
-                terms *= np.take(h, right, axis=-1)
-                sums = np.add.reduceat(terms, starts, axis=-1)
+            # one weight per left monomial
+            for rows, sums in _pair_sums(x, h, runs, degrees * ((a - b) / degree) + b):
                 if c:
-                    sums += c * x[..., out]
-                h[..., out] = sums
+                    sums += c * x[..., rows]
+                h[..., rows] = sums
         return h.reshape(shape)
 
     def __pow__(self, t):
@@ -581,12 +566,16 @@ def variable_jets(z, w, m, nz, nw):
     """Seed jets for the coordinates z_1..z_m and wbar_1..wbar_m.
 
     z and w are points of C^m, or arrays of shape (*batch, m) of them; the
-    jets carry that batch shape.
+    jets carry that batch shape.  Graded lex order puts e_k at position 1 + k.
     """
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    zv = [Jet.variable_z(k, z[..., k], m, nz, nw) for k in range(m)]
-    wv = [Jet.variable_wbar(k, w[..., k], m, nz, nw) for k in range(m)]
+    z, wbar = np.asarray(z, dtype=complex), np.conj(np.asarray(w, dtype=complex))
+    zv = [Jet.constant(z[..., k], m, nz, nw) for k in range(m)]
+    wv = [Jet.constant(wbar[..., k], m, nz, nw) for k in range(m)]
+    for k in range(m):
+        if nz >= 1:
+            zv[k].coeffs[..., 1 + k, 0] = 1.0
+        if nw >= 1:
+            wv[k].coeffs[..., 0, 1 + k] = 1.0
     return zv, wv
 
 
@@ -598,17 +587,14 @@ def coordinate_products(z, w, m, nz, nw, i, j) -> Jet:
     directly: the constant z_i conj(w_j), the z-linear term wbar_j at e_i,
     the wbar-linear term z_i at e_j and 1 at (e_i, e_j); nothing else is
     nonzero.  The values equal the products of the `variable_jets` seeds.
-    Where every z_i and w_j is 0, only (e_i, e_j) is nonzero, and the jet
-    is balanced (as it is at caps (0, 0) anywhere).
     """
     zi = np.asarray(z, dtype=complex)[..., i]
     wj = np.conj(np.asarray(w, dtype=complex))[..., j]
     value = zi * wj
-    if nz == nw == 0:  # a constant: balanced wherever it is taken
-        return Jet(m, 0, 0, value[..., None, None], True)
+    if nz == nw == 0:  # a constant: the value alone
+        return Jet(m, 0, 0, value[..., None, None])
     coeffs = np.zeros(value.shape + (_group(m, nz).size, _group(m, nw).size), dtype=complex)
     coeffs[..., 0, 0] = value
-    balanced = not (zi.any() or wj.any())
     # one axis over the products; graded lex order puts e_k at position 1 + k
     flat = coeffs.reshape(value.shape[: value.ndim - i.ndim] + (i.size,) + coeffs.shape[-2:])
     each, i, j = np.arange(i.size), 1 + i.ravel(), 1 + j.ravel()
@@ -618,4 +604,4 @@ def coordinate_products(z, w, m, nz, nw, i, j) -> Jet:
         flat[..., each, 0, j] = zi.reshape(flat.shape[:-2])
     if nz >= 1 and nw >= 1:
         flat[..., each, i, j] = 1.0
-    return Jet(m, nz, nw, coeffs, balanced)
+    return Jet(m, nz, nw, coeffs)

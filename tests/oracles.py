@@ -13,8 +13,9 @@ verdict by right-looking rank-1 Schur updates, eigenvalues by vectorised
 Sturm multisection of their brackets, the early-exit pivot test by
 Sturm counts guarded at every step, sampled Grams by per-pair evaluation,
 conjugate completion and the two-halves symmetrization, the phi-section
-Gram one entry (two jet tables) at a time, and Mobius Jacobians by pushing
-order-1 jets of the coordinates through the involution.
+Gram one entry (two jet tables) at a time, Mobius Jacobians by pushing
+order-1 jets of the coordinates through the involution, and the products
+and series of balanced jets on the full pair tables.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ import functools
 import itertools
 import math
 import operator
+from contextlib import contextmanager
 from itertools import product
+from unittest import mock
 
 import numpy as np
 
@@ -39,7 +42,8 @@ from kernelcalc.geometry import (
     point_array,
     unit_index,
 )
-from kernelcalc.jets import Jet, _Group, _run_pairs
+from kernelcalc import jets
+from kernelcalc.jets import Jet, _Group, _run_pairs, variable_jets
 from kernelcalc.rkhs import RkhsElement
 
 
@@ -197,7 +201,7 @@ def jacobians_by_jets(phi: MobiusMap, zs) -> np.ndarray:
     the identity at a = 0, then U applied; a (B, m, m) array."""
     zs = point_array(zs, phi.m)
     m, a = phi.m, phi.a
-    img = [Jet.variable_z(k, zs[:, k], m, 1, 0) for k in range(m)]
+    img = variable_jets(zs, zs, m, 1, 0)[0]
     norm2 = sum(abs(c) ** 2 for c in a)
     if norm2 != 0:
         s = math.sqrt(1 - norm2)
@@ -205,9 +209,14 @@ def jacobians_by_jets(phi: MobiusMap, zs) -> np.ndarray:
         for k in range(1, m):
             ip = ip + img[k] * a[k].conjugate()
         denom = (1.0 - ip) ** -1
-        proj_scale = ip * (1.0 / norm2)
-        img = [(a[k] - proj_scale * a[k] - s * (img[k] - proj_scale * a[k])) * denom
-               for k in range(m)]
+        # P_a z = <z, u> u for the unit vector u = a / |a|, scaled first:
+        # |a|^2 may be subnormal
+        u = np.array(a) / max(abs(c) for c in a)
+        u = u / np.linalg.norm(u)
+        proj = img[0] * u[0].conjugate()
+        for k in range(1, m):
+            proj = proj + img[k] * u[k].conjugate()
+        img = [(a[k] - proj * u[k] - s * (img[k] - proj * u[k])) * denom for k in range(m)]
     zero = (0,) * m
     jac = np.stack(
         [np.stack([img[k].deriv(unit_index(m, i), zero) for i in range(m)], axis=-1)
@@ -484,3 +493,19 @@ def phi_gram_by_entries(expr: KernelExpr, alpha: float, beta: float, z, w) -> np
                            + entry(ka, zero, ej) * entry(kb, ei, zero))
             )
     return out
+
+
+@contextmanager
+def full_tables():
+    """Read every jet as unbalanced inside the block, so that products and
+    series sum the full pair tables.  Yields the (m, nz, nw) of each balance
+    check that was answered, so a caller can see that the block took
+    effect."""
+    asked = []
+
+    def unbalanced(coeffs, m, nz, nw):
+        asked.append((m, nz, nw))
+        return False
+
+    with mock.patch.object(jets, "_balanced", unbalanced):
+        yield asked

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kernelcalc.automorphisms import (
     CocycleSpec,
@@ -110,6 +110,43 @@ def test_points_outside_the_ball_are_rejected():
         phi.apply((1.5, 0.0))
 
 
+_OUTSIDE = [(MobiusMap([0.5]), [[1.5]]), (MobiusMap([0.2, 0.1]), [(0.1, 0.0), (0.8, 0.8)]),
+            (MobiusMap([0.0, 0.0]), [(1.0, 0.0)])]
+
+
+@pytest.mark.parametrize("phi, zs", _OUTSIDE)
+def test_jacobians_refuse_points_outside_the_ball(phi, zs):
+    # the closed form is finite there: [[-12]] for a = 0.5 at z = 1.5
+    with pytest.raises(DomainError, match="outside the unit ball"):
+        phi.jacobians(zs)
+
+
+@pytest.mark.parametrize("phi, zs", _OUTSIDE)
+def test_derivative_refuses_a_point_outside_the_ball(phi, zs):
+    with pytest.raises(DomainError, match="outside the unit ball"):
+        phi.derivative(zs[-1])
+
+
+@pytest.mark.parametrize("phi, zs", _OUTSIDE)
+def test_log_det_derivatives_refuse_points_outside_the_ball(phi, zs):
+    with pytest.raises(DomainError, match="outside the unit ball"):
+        phi.log_det_derivatives(zs)
+
+
+@pytest.mark.parametrize("kind", ["det_jacobian_power", "curvature_cocycle"])
+@pytest.mark.parametrize("phi, zs", _OUTSIDE)
+def test_cocycle_matrices_refuse_points_outside_the_ball(phi, zs, kind):
+    with pytest.raises(DomainError, match="outside the unit ball"):
+        CocycleSpec(kind, 1.5).matrices(phi, zs, phi.m)
+
+
+@pytest.mark.parametrize("kind", ["det_jacobian_power", "curvature_cocycle"])
+@pytest.mark.parametrize("phi, zs", _OUTSIDE)
+def test_cocycle_matrix_refuses_a_point_outside_the_ball(phi, zs, kind):
+    with pytest.raises(DomainError, match="outside the unit ball"):
+        CocycleSpec(kind, 1.5).matrix(phi, zs[-1], phi.m)
+
+
 def test_serialization_round_trip():
     phi = _random_map(2, 9, with_unitary=True)
     data = json.loads(json.dumps(phi.to_dict(), allow_nan=False))
@@ -190,6 +227,10 @@ def test_integer_cocycle_powers_equal_powers_of_the_jet_determinant(m, t, kind):
     with_unitary=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+# |a|^2 subnormal, where 1 / |a|^2 overflows, and |a|^2 = 0 for a != 0
+@example(m=1, radius=1.744183200610716e-162, with_unitary=False, seed=0)
+@example(m=2, radius=1e-155, with_unitary=True, seed=1)
+@example(m=1, radius=2.225073858507203e-309, with_unitary=False, seed=0)
 def test_closed_form_jacobians_equal_the_jet_jacobians(m, radius, with_unitary, seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(m) + 1j * rng.standard_normal(m)

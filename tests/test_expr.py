@@ -40,9 +40,9 @@ from kernelcalc.geometry import (
     unit_disc,
     unit_index,
 )
-from kernelcalc.jets import Jet
+from kernelcalc import jets
 from kernelcalc.parser import parse_kernel
-from oracles import fd_jet_table_per_term
+from oracles import fd_jet_table_per_term, full_tables
 
 
 def _scalar(expr, z, w):
@@ -219,6 +219,13 @@ def test_jet_table_entries_are_derivative_values():
     p = z * w
     want = (1 + p) / (1 - p) ** 3
     assert complex(tab.entry((1,), (1,))[0, 0]) == pytest.approx(want)
+
+
+@pytest.mark.parametrize("i, j", [((2,), (0,)), ((0,), (2,)), ((0, 0), (0,))])
+def test_jet_table_entries_beyond_the_order_are_refused_naming_the_caps(i, j):
+    tab = parse_kernel("szego_disc()").eval_jet(0.1, 0.2, 1)
+    with pytest.raises(ValueError, match=r"lies beyond the caps \(1, 1\)"):
+        tab.entry(i, j)
 
 
 # Size-1 derived kernels (log_hessian or curvature of a disc kernel, and
@@ -467,41 +474,36 @@ def test_overflowing_values_raise_evaluation_errors():
 
 
 @contextmanager
-def _recording_jets():
-    """Collect every Jet built inside the block."""
-    made, init = [], Jet.__init__
+def _recording_balance_checks():
+    """Collect (coefficients, m, nz, nw, answer) of every balance check made
+    inside the block."""
+    seen, check = [], jets._balanced
 
-    def record(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        made.append(self)
+    def record(coeffs, m, nz, nw):
+        answer = check(coeffs, m, nz, nw)
+        seen.append((coeffs.copy(), m, nz, nw, answer))
+        return answer
 
-    with mock.patch.object(Jet, "__init__", record):
-        yield made
-
-
-@contextmanager
-def _full_tables():
-    """Build every Jet inside the block unbalanced, so products and series
-    read the full pair tables."""
-    init = Jet.__init__
-
-    def unbalanced(self, m, nz, nw, coeffs, balanced=False):
-        init(self, m, nz, nw, coeffs)
-
-    with mock.patch.object(Jet, "__init__", unbalanced):
-        yield
+    with mock.patch.object(jets, "_balanced", record):
+        yield seen
 
 
-def _unbalanced_mask(jet: Jet) -> np.ndarray:
-    dz = np.array([sum(a) for a in graded_lex_tuples(jet.m, jet.nz)])
-    dw = np.array([sum(b) for b in graded_lex_tuples(jet.m, jet.nw)])
+def _unbalanced_mask(m, nz, nw) -> np.ndarray:
+    dz = np.array([sum(a) for a in graded_lex_tuples(m, nz)])
+    dw = np.array([sum(b) for b in graded_lex_tuples(m, nw)])
     return dz[:, None] != dw
+
+
+def _jets(expr, z, w, nz, nw, full=False):
+    with np.errstate(all="ignore"), full_tables() if full else nullcontext() as asked:
+        coeffs = expr.jets(z, w, nz, nw).coeffs
+    assert not full or asked or nz == nw == 0  # the full tables were forced
+    return coeffs
 
 
 def _origin_jets(expr, nz, nw, full=False):
     z = np.zeros((1, expr.m))
-    with np.errstate(all="ignore"), _full_tables() if full else nullcontext():
-        return expr.jets(z, z, nz, nw).coeffs
+    return _jets(expr, z, z, nz, nw, full)
 
 
 @settings(max_examples=60, deadline=None)
@@ -520,19 +522,19 @@ def test_balanced_jets_are_zero_off_balance(text, where, nz, nw, seed):
         z = np.zeros_like(z)
     if where in ("origin", "w zero"):
         w = np.zeros_like(w)
-    with _recording_jets() as made:
+    with _recording_balance_checks() as seen:
         try:
             with np.errstate(all="ignore"):
                 expr.jets(z[None], w[None], nz, nw)
         except KernelCalcError:
             assume(False)
-    for jet in made:
-        if jet.balanced:
-            assert (jet.coeffs[..., _unbalanced_mask(jet)] == 0).all()
-    if where == "origin":  # every leaf is balanced there
-        assert any(jet.balanced for jet in made)
-    else:  # a leaf off the origin is not, and the root depends on a leaf
-        assert not made[-1].balanced or nz == nw == 0
+    for coeffs, m, cz, cw, answer in seen:
+        assert answer == (coeffs[..., _unbalanced_mask(m, cz, cw)] == 0).all()
+    assert seen or nz == nw == 0  # every leaf sums a product or a series
+    if seen and where == "origin":  # every leaf is balanced there
+        assert any(answer for *_, answer in seen)
+    if seen and where == "off":  # no leaf is off the origin, and the first check reads a leaf
+        assert not seen[0][-1]
 
 
 #: origin tables that the benchmark, the README, CI and `repro` read
@@ -591,13 +593,26 @@ def test_balanced_origin_jets_of_random_trees_agree_with_the_full_ones(text, nz,
     assert np.abs(got - full).max() <= 1e-12 * np.abs(full).max()
 
 
+@pytest.mark.parametrize("z, w, nz, nw", [(0.0, 0.3, 0, 1), (0.0, 0.3, 0, 3), (0.3, 0.0, 2, 0),
+                                          (0.0, 0.3j, 0, 4)])
+def test_jets_read_balanced_off_the_origin_equal_the_full_ones(z, w, nz, nw):
+    # at z = 0 without z-derivatives every coefficient (0, b), b != 0, of
+    # szego_disc is exactly 0 whatever w is (and so for w = 0 without
+    # w-derivatives), so the balance check takes the balanced tables there
+    expr = parse_kernel("szego_disc()")
+    z, w = np.array([[z]]), np.array([[w]])
+    with _recording_balance_checks() as seen:
+        got = _jets(expr, z, w, nz, nw)
+    assert seen and all(answer for *_, answer in seen)
+    assert np.array_equal(got, _jets(expr, z, w, nz, nw, full=True))
+
+
 def _hessian_per_entry(g):
     """The (B, m, m) Hessian jet of g from m^2 separate `Jet.shift` calls."""
     m = g.m
     rows = [[g.shift(unit_index(m, i), unit_index(m, j)) for j in range(m)] for i in range(m)]
-    coeffs = np.concatenate([np.concatenate([e.coeffs for e in row], axis=2) for row in rows],
-                            axis=1)
-    return coeffs, all(e.balanced for row in rows for e in row)
+    return np.concatenate([np.concatenate([e.coeffs for e in row], axis=2) for row in rows],
+                          axis=1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -623,10 +638,8 @@ def test_the_gathered_hessian_equals_the_per_entry_shifts(text, nz, nw, seed):
         assume(False)
     assume(np.isfinite(g.coeffs).all())
     got = _hessian(g)
-    coeffs, balanced = _hessian_per_entry(g)
     assert (got.m, got.nz, got.nw) == (m, nz, nw)
-    assert np.array_equal(got.coeffs, coeffs)
-    assert got.balanced == balanced == (seed is None and g.balanced)
+    assert np.array_equal(got.coeffs, _hessian_per_entry(g))
 
 
 def _fd_relative_error_by_entries(expr, z, w, order):

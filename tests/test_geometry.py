@@ -10,6 +10,7 @@ from kernelcalc.geometry import (
     Point,
     as_point,
     graded_lex_tuples,
+    point_array,
     polydisc,
     sample_array,
     sample_points,
@@ -32,6 +33,36 @@ def test_as_point_coercion_and_dimension_check():
     assert as_point([0.1, 0.2], 2).coords == (0.1 + 0j, 0.2 + 0j)
     with pytest.raises(DomainError):
         as_point([0.1], 2)
+
+
+def test_point_arrays_of_points_tuples_and_scalars():
+    pts = [Point((0.1, 0.2j)), Point((0.3, -0.4))]
+    want = np.array([[0.1, 0.2j], [0.3, -0.4]], dtype=complex)
+    for got in (point_array(pts, 2), point_array([p.coords for p in pts], 2),
+                point_array([[0.1, 0.2j], (0.3, -0.4)], 2), point_array(want, 2)):
+        assert got.dtype == complex and np.array_equal(got, want)
+    scalars = point_array([0.1, 0.2j, 3], 1)
+    assert np.array_equal(scalars, np.array([[0.1], [0.2j], [3.0]], dtype=complex))
+    for mixed in ((Point((0.5,)), (0.25,)), [Point((0.5,)), 0.25]):
+        assert np.array_equal(point_array(mixed, 1), [[0.5], [0.25]])
+    assert point_array([], 2).shape == (0, 2)
+
+
+@pytest.mark.parametrize("points, m, dimension", [
+    ([(0.1, 0.2, 0.3)], 2, r"\(1, 3\)"),
+    ([Point((0.1,))], 2, r"\(1, 1\)"),
+    ([(0.1, 0.2), (0.3,)], 2, "dimension 1"),
+    ([(0.1,), (0.2, 0.3)], 1, "dimension 2"),
+    (np.zeros((3, 1)), 2, r"\(3, 1\)"),
+])
+def test_point_arrays_of_the_wrong_dimension_are_refused_by_name(points, m, dimension):
+    with pytest.raises(DomainError, match=f"C\\^{m}, got .*{dimension}"):
+        point_array(points, m)
+
+
+def test_scalars_are_points_only_of_c1():
+    with pytest.raises(DomainError, match=r"C\^2, got an array of shape \(2, 1\)"):
+        point_array([0.3, 0.5], 2)
 
 
 def test_multi_index_order_and_partial_order():

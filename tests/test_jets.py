@@ -11,7 +11,8 @@ from kernelcalc.errors import BranchError
 from kernelcalc.expr import BallPower
 from kernelcalc.geometry import graded_lex_tuples
 from kernelcalc.jets import Jet, coordinate_products, variable_jets
-from oracles import convolve_separable, exp_by_powers, log_by_powers, pow_by_powers
+from oracles import (convolve_separable, exp_by_powers, full_tables, log_by_powers,
+                     pow_by_powers)
 
 
 def test_variable_jets_track_the_base_point():
@@ -447,53 +448,64 @@ def _balanced_jet(rng, m, nz, nw, batch, integers=False):
         c = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     c[..., ~_balanced_mask(m, nz, nw)] = 0
     c[..., 0, 0] = 2 if integers else 1.2 + 0.1j
-    return Jet(m, nz, nw, c, balanced=True)
+    return Jet(m, nz, nw, c)
 
 
-def _unbalanced(f):
-    return Jet(f.m, f.nz, f.nw, f.coeffs)
+def _read_balanced(f) -> bool:
+    return jets._balanced(f.coeffs, f.m, f.nz, f.nw)
 
 
 @settings(max_examples=60, deadline=None)
 @given(m=st.integers(1, 3), nz=st.integers(0, 4), nw=st.integers(0, 4),
        batch=st.sampled_from([(), (3,), (2, 2)]), seed=st.integers(0, 2**32 - 1))
-def test_balanced_jets_keep_the_flag_and_the_values(m, nz, nw, batch, seed):
+def test_balanced_jets_give_the_values_of_the_full_tables(m, nz, nw, batch, seed):
     rng = np.random.default_rng(seed)
     f, g = (_balanced_jet(rng, m, nz, nw, batch, integers=True) for _ in range(2))
     product = f * g
-    assert product.balanced
-    assert np.array_equal(product.coeffs, (_unbalanced(f) * _unbalanced(g)).coeffs)
+    with full_tables():
+        assert np.array_equal(product.coeffs, (f * g).coeffs)
     assert not (product.coeffs[..., ~_balanced_mask(m, nz, nw)]).any()
     f = _balanced_jet(rng, m, nz, nw, batch)
     for op in (lambda h: h ** -1.5, lambda h: h ** 2, lambda h: h.exp(), lambda h: h.log()):
-        got, want = op(f), op(_unbalanced(f))
-        assert got.balanced and not want.balanced
+        got = op(f)
+        with full_tables():
+            want = op(f)
         assert _close(got.coeffs, want.coeffs)
+        assert _read_balanced(got)
     for kept in (f + g, f - 2.0, 3.0 * f, -f, f / g, f.truncate(min(nz, 1), nw),
                  f.embed(m + 1, 1), f.shift((0,) * m, (0,) * m)):
-        assert kept.balanced
-    assert not (f * _unbalanced(g)).balanced and not (f + _unbalanced(g)).balanced
+        assert _read_balanced(kept)
     if nz >= 1 and nw >= 1:
         e = tuple(jets.unit_index(m, 0))
-        assert f.shift(e, e).balanced and not f.shift(e, (0,) * m).balanced
+        assert _read_balanced(f.shift(e, e)) and not _read_balanced(f.shift(e, (0,) * m))
 
 
-def test_seeds_and_constants_carry_the_flag():
+def test_the_balance_check_reads_every_coefficient_off_balance():
     z = np.zeros(2)
     zv, wv = variable_jets(z, z, 2, 2, 2)
-    assert not any(j.balanced for j in zv + wv)
-    assert Jet.constant(3.0, 2, 2, 2).balanced
+    assert not any(_read_balanced(j) for j in zv + wv)
+    assert _read_balanced(Jet.constant(3.0, 2, 2, 2))
     k = np.arange(2)
-    assert coordinate_products(z, z, 2, 2, 2, k, k).balanced
-    assert not coordinate_products(z, z + [0, 0.1], 2, 2, 2, k, k).balanced
-    assert not coordinate_products(z + [0.1, 0], z, 2, 2, 2, k, k).balanced
-    assert coordinate_products(z + 0.1, z + 0.2, 2, 0, 0, k, k).balanced
+    assert _read_balanced(coordinate_products(z, z, 2, 2, 2, k, k))
+    assert not _read_balanced(coordinate_products(z, z + [0, 0.1], 2, 2, 2, k, k))
+    assert not _read_balanced(coordinate_products(z + [0.1, 0], z, 2, 2, 2, k, k))
+    assert _read_balanced(coordinate_products(z + 0.1, z + 0.2, 2, 0, 0, k, k))
+    # z = 0 without z-derivatives: the wbar-terms z_i are 0 whatever w is
+    assert _read_balanced(coordinate_products(z, z + 0.2, 2, 0, 2, k, k))
+    # a batch is balanced only if every entry is
+    assert not _read_balanced(coordinate_products([z, z + 0.1], [z, z], 2, 2, 2, k, k))
+    # off the row (0, b) and the column (a, 0): (2 e_1, e_1), and NaN is not 0
+    for bad in (1e-300, np.nan):
+        f = Jet.constant(1.0, 2, 2, 2)
+        f.coeffs[3, 1] = bad
+        assert not _read_balanced(f)
 
 
 @pytest.mark.parametrize("m, nz, nw, batch", [(1, 6, 5, (2,)), (2, 4, 3, ()), (3, 4, 4, (2, 2))])
 def test_balanced_tables_rebuilt_per_call_give_the_cached_results(monkeypatch, m, nz, nw, batch):
     rng = np.random.default_rng(11)
     f, g = (_balanced_jet(rng, m, nz, nw, batch) for _ in range(2))
+    assert _read_balanced(f) and _read_balanced(g)
 
     def series():
         return [h.coeffs.tobytes() for h in (f ** -2.5, f ** 0.7, f.exp(), f.log(), f * g)]
