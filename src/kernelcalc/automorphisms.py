@@ -72,9 +72,10 @@ class MobiusMap:
 
     def _phi_a(self, zs):
         """The involution phi_a at a (B, m) array, as a list of coordinate
-        arrays, and 1 / (1 - <z, a>); the identity and None at a = 0."""
+        arrays, and 1 / (1 - <z, a>); the identity and None at a = 0 (not
+        at a tiny a whose |a|^2 underflows to 0)."""
         coords = [zs[:, k] for k in range(self.m)]
-        if self._norm2 == 0:
+        if not any(self.a):
             return coords, None
         ip = self._inner(zs)
         denom = (1.0 - ip) ** -1
@@ -129,7 +130,7 @@ class MobiusMap:
     @functools.cached_property
     def _log_det_at_origin(self) -> complex:
         """log(det U (-1)^m s^(m+1)), and log det U at a = 0."""
-        det_phi_a = (-1) ** self.m * self._s ** (self.m + 1) if self._norm2 else 1
+        det_phi_a = (-1) ** self.m * self._s ** (self.m + 1) if any(self.a) else 1
         return cmath.log(np.linalg.det(self.unitary) * det_phi_a)
 
     def to_dict(self) -> dict:

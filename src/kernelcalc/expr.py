@@ -9,7 +9,9 @@ at exactly the caps (nz, nw).  Leaves seed their own coordinate jets;
 combinators build on the jets of their children, so an AST is traversed
 once for a whole batch of pairs.  `log_jet` gives the continuous branch of
 log K of a size-1 node, so every size-1 node, derived kernels included,
-composes under the scalar combinators.
+composes under the scalar combinators.  The matrix nodes `log_hessian`,
+`curvature` and `jet` read their matrices of mixed derivatives off one
+scalar jet in one gather, `Jet.shifts`.
 
 `values(zs, ws)` evaluates B pairs at once and `eval` is its batch of one;
 `eval_jets(zs, ws, order)` gives the jet tables of B pairs at once and
@@ -269,13 +271,9 @@ def _scalar(jet: Jet) -> Jet:
     return Jet(jet.m, jet.nz, jet.nw, jet.coeffs[:, None, None])
 
 
-def _matrix(rows) -> Jet:
-    """One (B, r, c) jet from r rows of c entry jets of batch (B, 1, 1)."""
-    first = rows[0][0]
-    coeffs = np.concatenate(
-        [np.concatenate([e.coeffs for e in row], axis=2) for row in rows], axis=1
-    )
-    return Jet(first.m, first.nz, first.nw, coeffs)
+def _entry(jet: Jet) -> Jet:
+    """The (B,) jet of a scalar node from its (B, 1, 1) entry jet."""
+    return Jet(jet.m, jet.nz, jet.nw, jet.coeffs[:, 0, 0])
 
 
 def _inner_terms(z, w, m, nz, nw) -> list:
@@ -515,13 +513,9 @@ class Tensor(KernelExpr):
 
 
 def _hessian(g: Jet) -> Jet:
-    """The (B, m, m) jet of d_i dbar_j g, one cap below g's (B, 1, 1) jet: the
-    m^2 entries g.shift(e_i, e_j) as one gather over the stacked unit shifts."""
-    sz, fz = _group(g.m, g.nz).unit_shifts
-    sw, fw = _group(g.m, g.nw).unit_shifts
-    coeffs = g.coeffs[..., 0, 0, :, :][..., sz[:, None, :, None], sw[None, :, None, :]]
-    factors = fz[:, None, :, None] * fw[None, :, None, :]
-    return Jet(g.m, g.nz - 1, g.nw - 1, coeffs * factors)
+    """The (B, m, m) jet of d_i dbar_j g, one cap below g's (B, 1, 1) jet."""
+    units = _group(g.m, 1).tuples[1:]  # e_0 .. e_(m-1) in graded lex order
+    return _entry(g).shifts(units, units)
 
 
 @dataclass(frozen=True, eq=False)
@@ -595,11 +589,10 @@ class JetKernel(KernelExpr):
     def jets(self, z, w, nz, nw):
         k = self.order
         j1 = self.k1.jets(z, w, nz, nw)
-        j2 = self.k2.jets(z, w, nz + k, nw + k)
+        j2 = _entry(self.k2.jets(z, w, nz + k, nw + k))
         indices = graded_lex_tuples(self.m, k)
-        # truncating before the shift leaves exactly the caps (nz, nw)
-        return j1 * _matrix([[j2.truncate(nz + sum(i), nw + sum(j)).shift(i, j)
-                              for j in indices] for i in indices])
+        # the deepest shifts, |i| = |j| = k, leave exactly the caps (nz, nw)
+        return j1 * j2.shifts(indices, indices)
 
 
 @dataclass(frozen=True, eq=False)

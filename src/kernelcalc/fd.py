@@ -3,14 +3,15 @@
 Independent of the jet engine: K is holomorphic in z and in wbar, so on the
 torus z + r e^{i theta}, w + r e^{i phi} it is the Fourier series
 sum c_ij r^(|i|+|j|) e^{i(i.theta - j.phi)}, c_ij = d^i dbar^j K / (i! j!)
-(Lyness & Moler 1967; Bornemann 2011).  One batch of order-0 values on N
-angles per variable, an FFT over the z axes and an inverse FFT over the w
-axes give every c_ij; no jet coefficient is read.  Aliasing folds c_(i+N)
-onto c_i and falls like (r/rho)^N for a singularity at distance rho, so a
-polynomial of degree < N per variable is exact up to rounding; rounding
-grows like eps / r^(|i|+|j|).  N = 5 and r = 0.02 balance the two up to
-order 2 per group (battery worst 8.6e-8 against the jet engine, bound
-1e-6); order 3 would lose two more factors of 1/r, so it is refused.
+(Lyness & Moler 1967; Bornemann 2011).  One batch of order-0 values V on N
+angles per variable gives every derivative as F V F^H over the node axes,
+where row i of F is the DFT row of the multi-index i times i! / (N^m r^|i|);
+no jet coefficient is read.  Aliasing folds c_(i+N) onto c_i and falls
+like (r/rho)^N for a singularity at distance rho, so a polynomial of degree
+< N per variable is exact up to rounding; rounding grows like
+eps / r^(|i|+|j|).  N = 5 and r = 0.02 balance the two up to order 2 per
+group (battery worst 8.6e-8 against the jet engine, bound 1e-6); order 3
+would lose two more factors of 1/r, so it is refused.
 """
 
 from __future__ import annotations
@@ -29,17 +30,16 @@ _NODES, _RADIUS = 5, 0.02  # angles per variable, radius of the torus
 
 @functools.cache
 def _torus(m: int, order: int) -> tuple:
-    """The N^m node offsets in C^m, the flat place of the coefficient of each
-    (i, j) in graded lex order as an (n, n) array, and i! j! / (N^m r^(|i|+|j|));
+    """The N^m node offsets in C^m and the (n, N^m) matrix F of scaled DFT
+    rows, F[a, p] = i! e^(-2 pi i (i . k_p) / N) / (N^m r^|i|) for the a-th
+    multi-index i in graded lex order and the angle indices k_p of node p;
     shared: do not modify."""
-    roots = _RADIUS * np.exp(2j * np.pi * np.arange(_NODES) / _NODES)
-    offsets = np.array(list(product(roots, repeat=m)))
-    indices = graded_lex_tuples(m, order)
-    orders = [i + j for i in indices for j in indices]  # 2m orders per (i, j)
-    rows = np.ravel_multi_index(tuple(np.array(orders).T), (_NODES,) * (2 * m))
-    scale = [prod(map(factorial, o)) / (_NODES**m * _RADIUS ** sum(o)) for o in orders]
-    n = len(indices)
-    return offsets, rows.reshape(n, n), np.reshape(scale, (n, n, 1, 1))
+    nodes = np.array(list(product(range(_NODES), repeat=m)))
+    offsets = _RADIUS * np.exp(2j * np.pi * nodes / _NODES)
+    indices = np.array(graded_lex_tuples(m, order))
+    twiddles = np.exp(-2j * np.pi * np.arange(_NODES) / _NODES)
+    scale = [prod(map(factorial, i)) / (_NODES**m * _RADIUS ** sum(i)) for i in indices]
+    return offsets, twiddles[indices @ nodes.T % _NODES] * np.array(scale)[:, None]
 
 
 def _fd_derivatives(expr: KernelExpr, z, w, order: int) -> np.ndarray:
@@ -48,13 +48,14 @@ def _fd_derivatives(expr: KernelExpr, z, w, order: int) -> np.ndarray:
     if order > 2:
         raise ValueError("finite-difference oracle supports order <= 2 per variable")
     m = expr.m
-    offsets, rows, scale = _torus(m, order)
+    offsets, rows = _torus(m, order)
     n = len(offsets)
     zs, ws = (as_point(p, m).array() + offsets for p in (z, w))
     vals = expr.values(np.repeat(zs, n, 0), np.tile(ws, (n, 1)))
-    grid = vals.reshape((_NODES,) * (2 * m) + vals.shape[1:])
-    coeffs = np.fft.ifftn(np.fft.fftn(grid, axes=range(m)), axes=range(m, 2 * m))
-    return coeffs.reshape((-1,) + vals.shape[1:])[rows] * scale
+    grid = vals.reshape((n, n) + vals.shape[1:])
+    # (a, q, k, k), then (a, k, k, b)
+    coeffs = np.tensordot(np.tensordot(rows, grid, axes=(1, 0)), rows.conj(), axes=(1, 1))
+    return np.moveaxis(coeffs, -1, 1)
 
 
 def fd_jet_table(expr: KernelExpr, z, w, order: int) -> JetTable:

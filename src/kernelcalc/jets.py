@@ -15,8 +15,11 @@ numpy arrays.  Every operation acts on each batch entry alone, so a batched
 result equals the one-entry results bit for bit, except where an entry
 that is balanced on its own sits in a batch that is not (below).
 
-Shifts and embeddings use index tables that are built on first use and
-cached per (m, degree) of one variable group.
+`Jet.shifts` gathers a whole matrix of derivative jets, (d/dz)^i
+(d/dwbar)^j for rows i and columns j, at once; the log-Hessian and the jet
+kernel are both such matrices.  Shifts and embeddings use index tables
+that are built on first use and cached per variable group (m, degree),
+shifts also per row indices and output degree.
 
 A product sums the truncated Leibniz formula (f g)_k = sum x_l y_r over
 the pairs (l, r) with l + r = k, for every output monomial k.  pow, exp and
@@ -67,7 +70,7 @@ import math
 import numpy as np
 
 from .errors import BranchError, EvaluationError
-from .geometry import graded_lex_tuples, unit_index
+from .geometry import graded_lex_tuples
 
 
 class _Group:
@@ -102,21 +105,14 @@ class _Group:
         return left, right, np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
 
     @functools.cache
-    def shift(self, d: tuple) -> tuple:
-        """(source, factor) of the derivative d/dz^d: output monomial a of
-        degree <= n - |d| reads monomial a + d, times (a + d)! / a!."""
-        out = _group(self.m, self.n - sum(d))
-        source = np.array(
-            [self.index[tuple(x + y for x, y in zip(a, d))] for a in out.tuples],
-            dtype=np.intp,
-        )
+    def shifts(self, indices: tuple, n: int) -> tuple:
+        """(source, factor) of the derivatives d/dz^d for d in `indices`,
+        (len(indices), N_n) each: output monomial a of degree <= n (at most
+        self.n - |d|) reads monomial a + d, times (a + d)! / a!."""
+        out = _group(self.m, n)
+        source = np.array([[self.index[tuple(x + y for x, y in zip(a, d))] for a in out.tuples]
+                           for d in indices], dtype=np.intp)
         return source, self.factorials[source] / out.factorials
-
-    @functools.cached_property
-    def unit_shifts(self) -> tuple:
-        """`shift` of each unit index e_k, stacked: (m, N') sources and factors."""
-        shifts = (self.shift(unit_index(self.m, k)) for k in range(self.m))
-        return tuple(map(np.stack, zip(*shifts)))
 
     @functools.cached_property
     def pair_arrays(self) -> tuple:
@@ -293,21 +289,19 @@ class Jet:
             ..., : _group(self.m, nz).size, : _group(self.m, nw).size
         ])
 
-    def shift(self, di, dj):
-        """The jet of the derivative (d/dz)^di (d/dwbar)^dj of this function.
-
-        The result is truncated to caps (nz - |di|, nw - |dj|); the caller
-        must have computed this jet deep enough.
-        """
-        di, dj = tuple(di), tuple(dj)
-        nz = self.nz - sum(di)
-        nw = self.nw - sum(dj)
+    def shifts(self, rows, cols):
+        """The jets of (d/dz)^rows[p] (d/dwbar)^cols[q] of this function in
+        one gather: batch (*batch, len(rows), len(cols)), caps (nz - max
+        |rows[p]|, nw - max |cols[q]|), which must not be negative."""
+        rows, cols = tuple(map(tuple, rows)), tuple(map(tuple, cols))
+        nz = self.nz - max(map(sum, rows))
+        nw = self.nw - max(map(sum, cols))
         if nz < 0 or nw < 0:
             raise ValueError("jet not deep enough for requested derivative")
-        sz, fz = _group(self.m, self.nz).shift(di)
-        sw, fw = _group(self.m, self.nw).shift(dj)
-        coeffs = self.coeffs[..., sz[:, None], sw[None, :]] * (fz[:, None] * fw[None, :])
-        return Jet(self.m, nz, nw, coeffs)
+        sz, fz = _group(self.m, self.nz).shifts(rows, nz)
+        sw, fw = _group(self.m, self.nw).shifts(cols, nw)
+        coeffs = self.coeffs[..., sz[:, None, :, None], sw[None, :, None, :]]
+        return Jet(self.m, nz, nw, coeffs * (fz[:, None, :, None] * fw[None, :, None, :]))
 
     def embed(self, m, offset):
         """The same function of the coordinates offset .. offset + self.m - 1

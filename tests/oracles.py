@@ -14,8 +14,9 @@ Sturm multisection of their brackets, the early-exit pivot test by
 Sturm counts guarded at every step, sampled Grams by per-pair evaluation,
 conjugate completion and the two-halves symmetrization, the phi-section
 Gram one entry (two jet tables) at a time, Mobius Jacobians by pushing
-order-1 jets of the coordinates through the involution, and the products
-and series of balanced jets on the full pair tables.
+order-1 jets of the coordinates through the involution, the products
+and series of balanced jets on the full pair tables, and the log-Hessian
+and jet-kernel matrices of derivative jets one shifted entry at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from kernelcalc.automorphisms import CocycleSpec, MobiusMap
 from kernelcalc.eig import _MAX_PASSES, _SPLIT, LdlVerdict, _hermitian_copy, _tridiagonal
 from kernelcalc.errors import EvaluationError, ShapeError
-from kernelcalc.expr import KernelExpr, Pow
+from kernelcalc.expr import JetKernel, KernelExpr, Pow
 from kernelcalc.geometry import (
     DomainSpec,
     Point,
@@ -198,20 +199,21 @@ def quasi_invariance_residual_two_calls(
 def jacobians_by_jets(phi: MobiusMap, zs) -> np.ndarray:
     """`MobiusMap.jacobians` by the jet engine: order-1 jets of the
     coordinates pushed through phi_a(z) = (a - P_a z - s Q_a z) / (1 - <z, a>),
-    the identity at a = 0, then U applied; a (B, m, m) array."""
+    the identity at a = 0 (every coordinate 0), then U applied; a (B, m, m)
+    array."""
     zs = point_array(zs, phi.m)
     m, a = phi.m, phi.a
     img = variable_jets(zs, zs, m, 1, 0)[0]
-    norm2 = sum(abs(c) ** 2 for c in a)
-    if norm2 != 0:
-        s = math.sqrt(1 - norm2)
+    if any(a):
+        s = math.sqrt(1 - sum(abs(c) ** 2 for c in a))
         ip = img[0] * a[0].conjugate()
         for k in range(1, m):
             ip = ip + img[k] * a[k].conjugate()
         denom = (1.0 - ip) ** -1
         # P_a z = <z, u> u for the unit vector u = a / |a|, scaled first:
-        # |a|^2 may be subnormal
-        u = np.array(a) / max(abs(c) for c in a)
+        # |a|^2 may be subnormal, and so may a, whose reciprocal overflows
+        u = np.array(a) * 2.0**600
+        u = u / max(abs(c) for c in u)
         u = u / np.linalg.norm(u)
         proj = img[0] * u[0].conjugate()
         for k in range(1, m):
@@ -509,3 +511,50 @@ def full_tables():
 
     with mock.patch.object(jets, "_balanced", unbalanced):
         yield asked
+
+
+def _shift_table(m: int, n: int, d: tuple) -> tuple:
+    """(source, factor) of d/dz^d on the monomials of degree <= n: output
+    monomial a reads a + d, times (a + d)! / a!, an integer."""
+    index = {a: k for k, a in enumerate(graded_lex_tuples(m, n))}
+    out = graded_lex_tuples(m, n - sum(d))
+    source = [index[tuple(x + y for x, y in zip(a, d))] for a in out]
+    factor = [math.prod(math.factorial(x + y) // math.factorial(x) for x, y in zip(a, d))
+              for a in out]
+    return np.array(source, dtype=np.intp), np.array(factor, dtype=float)
+
+
+def shift_per_entry(f: Jet, di, dj) -> Jet:
+    """The jet of (d/dz)^di (d/dwbar)^dj f at caps (nz - |di|, nw - |dj|),
+    from index tables built monomial by monomial."""
+    di, dj = tuple(di), tuple(dj)
+    sz, fz = _shift_table(f.m, f.nz, di)
+    sw, fw = _shift_table(f.m, f.nw, dj)
+    coeffs = f.coeffs[..., sz[:, None], sw[None, :]] * (fz[:, None] * fw[None, :])
+    return Jet(f.m, f.nz - sum(di), f.nw - sum(dj), coeffs)
+
+
+def _entry_matrix(rows) -> np.ndarray:
+    """The (B, r, c, ...) coefficients of r rows of c entry jets of batch
+    (B, 1, 1), concatenated."""
+    return np.concatenate([np.concatenate([e.coeffs for e in row], axis=2) for row in rows],
+                          axis=1)
+
+
+def hessian_per_entry(g: Jet) -> np.ndarray:
+    """The (B, m, m) Hessian coefficients of a (B, 1, 1) jet g, from m^2
+    separate shifts by (e_i, e_j)."""
+    units = [unit_index(g.m, k) for k in range(g.m)]
+    return _entry_matrix([[shift_per_entry(g, i, j) for j in units] for i in units])
+
+
+def jet_kernel_per_entry(expr: JetKernel, z, w, nz: int, nw: int) -> Jet:
+    """`JetKernel.jets` one entry at a time: K1 times the d^2 jets of K2,
+    each truncated to caps (nz + |i|, nw + |j|) and then shifted by (i, j),
+    so that every entry comes out at caps (nz, nw)."""
+    j1 = expr.k1.jets(z, w, nz, nw)
+    j2 = expr.k2.jets(z, w, nz + expr.order, nw + expr.order)
+    indices = graded_lex_tuples(expr.m, expr.order)
+    rows = [[shift_per_entry(j2.truncate(nz + sum(i), nw + sum(j)), i, j) for j in indices]
+            for i in indices]
+    return j1 * Jet(expr.m, nz, nw, _entry_matrix(rows))

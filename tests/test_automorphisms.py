@@ -250,6 +250,26 @@ def test_log_det_at_the_origin_is_a_log_of_the_jet_determinant(m, radius):
     assert cmath.exp(phi._log_det_at_origin) == pytest.approx(want, rel=1e-13)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_base_point_whose_norm_underflows_maps_like_any_tiny_one(m):
+    # |a|^2 underflows to 0 at 1e-170 and 5e-324 but not at 1e-160; a = 0
+    # alone is the identity
+    zs = point_array(sample_points(_base_and_domain(m)[1], 6, 17), m)
+    maps = [MobiusMap([a] + [0.0] * (m - 1)) for a in (1e-160, 1e-170, 5e-324)]
+    for phi in maps:
+        np.testing.assert_allclose(phi.images(zs), -zs, rtol=1e-15, atol=1e-150)
+        np.testing.assert_allclose(phi.jacobians(zs), np.broadcast_to(-np.eye(m), (6, m, m)),
+                                   rtol=1e-15, atol=1e-150)
+        assert phi.log_det_derivatives(zs) == pytest.approx(np.full(6, maps[0]._log_det_at_origin))
+        assert cmath.exp(phi._log_det_at_origin) == pytest.approx((-1) ** m)
+    assert MobiusMap([0.0] * m).images(zs) == pytest.approx(zs)
+    if m == 1:
+        for phi in maps:
+            res = quasi_invariance_residual(bergman_disc(), CocycleSpec("det_jacobian_power", 1.0),
+                                            phi, _pairs(unit_disc(), 10, 5))
+            assert res < 1e-12
+
+
 def test_unitary_factors_preserve_the_residual():
     phi = _random_map(2, 41, with_unitary=True)
     res = curvature_quasi_check(bergman_ball(2), 1.0, phi, _pairs(unit_ball(2), 10, 3))

@@ -38,11 +38,11 @@ from kernelcalc.geometry import (
     sample_points,
     unit_ball,
     unit_disc,
-    unit_index,
 )
 from kernelcalc import jets
 from kernelcalc.parser import parse_kernel
-from oracles import fd_jet_table_per_term, full_tables
+from oracles import (fd_jet_table_per_term, full_tables, hessian_per_entry,
+                     jet_kernel_per_entry)
 
 
 def _scalar(expr, z, w):
@@ -607,14 +607,6 @@ def test_jets_read_balanced_off_the_origin_equal_the_full_ones(z, w, nz, nw):
     assert np.array_equal(got, _jets(expr, z, w, nz, nw, full=True))
 
 
-def _hessian_per_entry(g):
-    """The (B, m, m) Hessian jet of g from m^2 separate `Jet.shift` calls."""
-    m = g.m
-    rows = [[g.shift(unit_index(m, i), unit_index(m, j)) for j in range(m)] for i in range(m)]
-    return np.concatenate([np.concatenate([e.coeffs for e in row], axis=2) for row in rows],
-                          axis=1)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     text=st.one_of(_disc_asts(2), _ball_scalars(2), st.just("bergman_ball(3)")),
@@ -639,7 +631,38 @@ def test_the_gathered_hessian_equals_the_per_entry_shifts(text, nz, nw, seed):
     assume(np.isfinite(g.coeffs).all())
     got = _hessian(g)
     assert (got.m, got.nz, got.nw) == (m, nz, nw)
-    assert np.array_equal(got.coeffs, _hessian_per_entry(g))
+    assert np.array_equal(got.coeffs, hessian_per_entry(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k1=st.one_of(_disc_asts(1), _ball_scalars(1)),
+    k2=st.one_of(_disc_asts(1), _ball_scalars(1)),
+    k=st.integers(0, 3),
+    nz=st.integers(0, 2),
+    nw=st.integers(0, 2),
+    seed=st.one_of(st.none(), st.integers(1, 100)),
+)
+def test_the_gathered_jet_kernel_equals_the_per_entry_shifts(k1, k2, k, nz, nw, seed):
+    # seed None is the origin pair; a disc child of a ball kernel is refused
+    try:
+        expr = parse_kernel(f"jet({k1}, {k2}, {k})")
+    except KernelCalcError:
+        assume(False)
+    m = expr.m
+    if seed is None:
+        z = w = np.zeros((1, m), dtype=complex)
+    else:
+        domain = unit_disc(0.35) if m == 1 else unit_ball(m, 0.35)
+        z, w = (p.array()[None] for p in sample_points(domain, 2, seed))
+    try:
+        with np.errstate(all="ignore"):
+            got = expr.jets(z, w, nz, nw)
+            want = jet_kernel_per_entry(expr, z, w, nz, nw)
+    except KernelCalcError:
+        assume(False)
+    assert (got.m, got.nz, got.nw) == (m, nz, nw)
+    assert np.array_equal(got.derivatives(), want.derivatives(), equal_nan=True)
 
 
 def _fd_relative_error_by_entries(expr, z, w, order):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from kernelcalc import jets
 from kernelcalc.errors import BranchError
 from kernelcalc.expr import BallPower
-from kernelcalc.geometry import graded_lex_tuples
+from kernelcalc.geometry import graded_lex_tuples, unit_index
 from kernelcalc.jets import Jet, coordinate_products, variable_jets
 from oracles import (convolve_separable, exp_by_powers, full_tables, log_by_powers,
                      pow_by_powers)
@@ -86,7 +86,7 @@ def test_division_by_jet():
 def test_shift_produces_the_derivative_jet():
     (z,), (w,) = variable_jets([0.0], [0.0], 1, 3, 3)
     f = (Jet.constant(1.0, 1, 3, 3) - z * w) ** -1
-    g = f.shift((1,), (1,))  # d/dz dbar/dwbar of the series
+    g = f.shifts([(1,)], [(1,)])  # d/dz dbar/dwbar of the series
     # d/dz d/dwbar 1/(1-z wbar) at 0 = 1
     assert g.value == pytest.approx(1.0)
     assert g.deriv((1,), (1,)) == pytest.approx(4.0)  # n=2 coeff: 2!2!/(1!1!)
@@ -261,16 +261,43 @@ def test_shift_and_embed_match_the_dict_reference(pair, data):
     idx_z = graded_lex_tuples(m, nz)
     idx_w = graded_lex_tuples(m, nw)
     di, dj = data.draw(st.sampled_from(idx_z)), data.draw(st.sampled_from(idx_w))
-    shifted = f.shift(di, dj)
+    shifted = f.shifts([di], [dj])
     extra = data.draw(st.integers(0, 2))
     offset = data.draw(st.integers(0, extra))
     embedded = f.embed(m + extra, offset)
     pre, post = (0,) * offset, (0,) * (extra - offset)
     for index, fd in _entries(f):
         want = _to_array(_ref_shift(fd, di, dj), m, nz - sum(di), nw - sum(dj))
-        assert _close(shifted.coeffs[index], want)
+        assert _close(shifted.coeffs[index + (0, 0)], want)
         moved = {(pre + a + post, pre + b + post): v for (a, b), v in fd.items()}
         assert _close(embedded.coeffs[index], _to_array(moved, m + extra, nz, nw))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_jet_pairs(), data=st.data())
+def test_gathered_shifts_match_the_dict_reference(pair, data):
+    # rows and columns may repeat an index and include the zero index
+    f, _ = pair
+    m, nz, nw = f.m, f.nz, f.nw
+    rows = data.draw(st.lists(st.sampled_from(graded_lex_tuples(m, nz)), min_size=1, max_size=4))
+    cols = data.draw(st.lists(st.sampled_from(graded_lex_tuples(m, nw)), min_size=1, max_size=4))
+    got = f.shifts(rows, cols)
+    onz, onw = nz - max(map(sum, rows)), nw - max(map(sum, cols))
+    assert (got.m, got.nz, got.nw) == (m, onz, onw)
+    assert got.batch == f.batch + (len(rows), len(cols))
+    for index, fd in _entries(f):
+        for p, di in enumerate(rows):
+            for q, dj in enumerate(cols):
+                want = _to_array(_ref_shift(fd, di, dj), m, onz, onw)
+                assert _close(got.coeffs[index + (p, q)], want)
+
+
+def test_a_row_deeper_than_the_caps_is_refused():
+    f = Jet.constant(1.0, 2, 2, 1)
+    with pytest.raises(ValueError, match="not deep enough"):
+        f.shifts([(0, 0), (2, 1)], [(0, 0)])
+    with pytest.raises(ValueError, match="not deep enough"):
+        f.shifts([(0, 0)], [(1, 1)])
 
 
 # -- the degree recurrence against the sum of powers ------------------------
@@ -473,11 +500,11 @@ def test_balanced_jets_give_the_values_of_the_full_tables(m, nz, nw, batch, seed
         assert _close(got.coeffs, want.coeffs)
         assert _read_balanced(got)
     for kept in (f + g, f - 2.0, 3.0 * f, -f, f / g, f.truncate(min(nz, 1), nw),
-                 f.embed(m + 1, 1), f.shift((0,) * m, (0,) * m)):
+                 f.embed(m + 1, 1), f.shifts([(0,) * m], [(0,) * m])):
         assert _read_balanced(kept)
     if nz >= 1 and nw >= 1:
-        e = tuple(jets.unit_index(m, 0))
-        assert _read_balanced(f.shift(e, e)) and not _read_balanced(f.shift(e, (0,) * m))
+        e = unit_index(m, 0)
+        assert _read_balanced(f.shifts([e], [e])) and not _read_balanced(f.shifts([e], [(0,) * m]))
 
 
 def test_the_balance_check_reads_every_coefficient_off_balance():
