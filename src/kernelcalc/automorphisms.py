@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError, KernelCalcError, ShapeError
 from .expr import KernelExpr, Curvature, LogHessian
-from .geometry import Point, as_point, in_unit_ball, point_array
+from .geometry import Point, in_unit_ball, point_array
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class MobiusMap:
 
     def apply(self, z) -> Point:
         """Image of a point of the open unit ball."""
-        return Point(self.images([as_point(z, self.m)])[0])
+        return Point(self.images([z])[0])
 
     def jacobians(self, zs) -> np.ndarray:
         """Holomorphic Jacobians (d phi_k / d z_i) at a (B, m) array of
@@ -114,7 +114,7 @@ class MobiusMap:
 
     def derivative(self, z) -> np.ndarray:
         """Holomorphic Jacobian (d phi_k / d z_i) at one point."""
-        return self.jacobians([as_point(z, self.m)])[0]
+        return self.jacobians([z])[0]
 
     def log_det_derivatives(self, zs) -> np.ndarray:
         """A branch of log det D phi that is holomorphic on the ball, at a
@@ -174,7 +174,7 @@ class CocycleSpec:
 
     def matrix(self, phi: MobiusMap, z, size: int) -> np.ndarray:
         """J(phi, z) at one point."""
-        return self.matrices(phi, [as_point(z, phi.m)], size)[0]
+        return self.matrices(phi, [z], size)[0]
 
 
 def quasi_invariance_residual(

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchError, DomainError, EvaluationError, OrderCapError, ShapeError
-from .geometry import as_point, graded_lex_tuples, in_unit_ball, point_array
+from .geometry import graded_lex_tuples, in_unit_ball, point_array
 from .jets import Jet, _group, check_finite, coordinate_products, monomial_positions
 
 #: cap on the derivative order of eval_jet and of the jet kernel
@@ -183,8 +183,7 @@ class KernelExpr:
 
     def eval(self, z, w) -> np.ndarray:
         """Evaluate the kernel at (z, w); returns a k x k complex matrix."""
-        return self.values(as_point(z, self.m).array()[None],
-                           as_point(w, self.m).array()[None])[0]
+        return self.values([z], [w])[0]
 
     def eval_jets(self, zs, ws, order: int) -> list:
         """The JetTables of the B pairs (zs[p], ws[p]), from one batch of jets.

@@ -23,7 +23,7 @@ from math import factorial, prod
 import numpy as np
 
 from .expr import JetTable, KernelExpr
-from .geometry import as_point, graded_lex_tuples
+from .geometry import graded_lex_tuples, point_array
 
 _NODES, _RADIUS = 5, 0.02  # angles per variable, radius of the torus
 
@@ -50,7 +50,7 @@ def _fd_derivatives(expr: KernelExpr, z, w, order: int) -> np.ndarray:
     m = expr.m
     offsets, rows = _torus(m, order)
     n = len(offsets)
-    zs, ws = (as_point(p, m).array() + offsets for p in (z, w))
+    zs, ws = point_array([z, w], m)[:, None] + offsets
     vals = expr.values(np.repeat(zs, n, 0), np.tile(ws, (n, 1)))
     grid = vals.reshape((n, n) + vals.shape[1:])
     # (a, q, k, k), then (a, k, k, b)

@@ -3,7 +3,8 @@
 Inside the engine a batch of points is a (B, m) complex array and a
 multi-index is a tuple of ints.  `Point` and `MultiIndex` are the records
 that public results carry (`sample_points`, `GramReport.points`, the terms
-of an RKHS element); `as_point` and `point_array` convert at the edge.
+of an RKHS element, `MobiusMap.apply`); `point_array` is the one converter
+at the edge, for a batch and, as a batch of one, for a single point.
 Domains are the disc, the ball and the polydisc, each with the radius that
 `sample_array` draws from (`sample_points` is its `Point` view).
 """
@@ -58,30 +59,25 @@ class Point:
         return len(self.coords)
 
 
-def as_point(p, m: int | None = None) -> Point:
-    """Coerce a Point / scalar / sequence of complex numbers into a Point."""
-    if isinstance(p, Point):
-        pt = p
-    elif isinstance(p, (int, float, complex)):
-        pt = Point((p,))
-    else:
-        pt = Point(p)
-    if m is not None and pt.dim != m:
-        raise DomainError(f"expected a point of C^{m}, got dimension {pt.dim}")
-    return pt
-
-
 def point_array(points, m: int) -> np.ndarray:
     """A (B, m) complex array from such an array or a sequence of points:
-    `Point`s, sequences of coordinates or, when m = 1, scalars."""
+    `Point`s, sequences of coordinates or, when m = 1, scalars (numpy
+    scalars and 0-d arrays included)."""
     if isinstance(points, np.ndarray):
         arr = points.astype(complex, copy=False)
     else:
         rows = [p.coords if isinstance(p, Point) else p for p in points]
-        try:  # a scalar is a point of C^1
-            arr = np.array(rows, dtype=complex).reshape(len(rows), -1 if rows else m)
-        except ValueError:  # rows of different lengths: one by one, naming a wrong one
-            arr = np.array([as_point(p, m).coords for p in rows], dtype=complex)
+        try:
+            arr = np.array(rows, dtype=complex)
+        except ValueError:  # rows of different lengths: name the first wrong one
+            rows = [np.atleast_1d(np.asarray(p, dtype=complex)) for p in rows]
+            for i, row in enumerate(rows):
+                if row.shape != (m,):
+                    raise DomainError(
+                        f"expected points of C^{m}, got row {i} of dimension {row.size}")
+            arr = np.array(rows)
+        if arr.ndim == 1:  # scalars are points of C^1, and no rows is (0, m)
+            arr = arr.reshape(len(rows), -1 if rows else m)
     if arr.ndim != 2 or arr.shape[1] != m:
         raise DomainError(f"expected points of C^{m}, got an array of shape {arr.shape}")
     return arr

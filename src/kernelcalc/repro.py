@@ -36,7 +36,7 @@ from .expr import (
     bergman_disc,
 )
 from .fd import fd_relative_error
-from .geometry import sample_points, unit_ball, unit_disc, unit_index
+from .geometry import sample_array, unit_ball, unit_disc, unit_index
 from .parser import parse_kernel
 from .positivity import DEFAULT_FAMILIES, DEFAULT_TOL, families_pass, gram, psd_check
 from .positivity import multiplier_bound, multiplier_families, wallach_scan
@@ -51,7 +51,7 @@ class CheckResult:
 
 
 def _pairs(domain, n, seed):
-    pts = sample_points(domain, 2 * n, seed)
+    pts = sample_array(domain, 2 * n, seed)
     return list(zip(pts[:n], pts[n:]))
 
 
@@ -259,7 +259,7 @@ def check_jet_kernel() -> CheckResult:
     prod = Product(SzegoDisc(), bergman_disc())
     zs, ws = zip(*_pairs(unit_disc(), 50, 17))
     worst = float(np.max(np.abs(jk0.values(zs, ws) - prod.values(zs, ws))))
-    pts = sample_points(unit_disc(), 10, 29)
+    pts = sample_array(unit_disc(), 10, 29)
     g = gram(JetKernel(SzegoDisc(), SzegoDisc(), 1), pts)
     mineig = min_eigenvalue(g)
     ok = worst < 1e-14 and mineig > 0
@@ -298,7 +298,7 @@ def check_fd_oracle(n_pairs: int = 50) -> CheckResult:
         expr = parse_kernel(text)
         domain = unit_ball(expr.m, 0.35) if expr.m > 1 else unit_disc(0.35)
         for seed in range(n_pairs):
-            z, w = sample_points(domain, 2, seed + 1)
+            z, w = sample_array(domain, 2, seed + 1)
             err = fd_relative_error(expr, z, w, 2)
             if err > worst:
                 worst, worst_name = err, text

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EvaluationError, ShapeError
 from .expr import BallCurvature, KernelExpr
-from .geometry import MultiIndex, Point, as_point, unit_index
+from .geometry import MultiIndex, Point, point_array, unit_index
 from .positivity import MultiplierBound, multiplier_bound  # re-exported
 
 #: largest m of z2_tensor_e1_norm; its jets take memory of order m^4
@@ -57,7 +57,7 @@ def element(kernel: KernelExpr, terms) -> RkhsElement:
         built.append(
             Term(
                 complex(coef),
-                as_point(base, kernel.m),
+                Point(point_array([base], kernel.m)[0]),
                 index if isinstance(index, MultiIndex) else MultiIndex(index),
                 tuple(complex(d) for d in direction),
             )

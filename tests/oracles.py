@@ -1,9 +1,10 @@
 """Independent cross-checks that only the tests use.
 
 Each oracle computes a quantity that the engine also computes, by another
-route: the log-Hessian by the quotient formula from an order-1 jet, and the
-explicit ball matrix kernel from its hand-coded closed form, seeded
-sampling by a loop that draws and tests one attempt at a time, the
+route: single points by `as_point`, the coercion through one `Point` that
+`point_array` replaced, the log-Hessian by the quotient formula from an
+order-1 jet, and the explicit ball matrix kernel from its hand-coded
+closed form, seeded sampling by a loop that draws and tests one attempt at a time, the
 Cauchy-integral derivative table of `kernelcalc.fd` by Richardson-extrapolated
 fourth-order central stencils summed one term at a time, the quasi-invariance
 residual by separate calls for the z and the w points, jet products by contracting the w group and then the z group,
@@ -33,12 +34,11 @@ import numpy as np
 
 from kernelcalc.automorphisms import CocycleSpec, MobiusMap
 from kernelcalc.eig import _MAX_PASSES, _SPLIT, LdlVerdict, _hermitian_copy, _tridiagonal
-from kernelcalc.errors import EvaluationError, ShapeError
+from kernelcalc.errors import DomainError, EvaluationError, ShapeError
 from kernelcalc.expr import JetKernel, KernelExpr, Pow
 from kernelcalc.geometry import (
     DomainSpec,
     Point,
-    as_point,
     graded_lex_tuples,
     point_array,
     unit_index,
@@ -46,6 +46,19 @@ from kernelcalc.geometry import (
 from kernelcalc import jets
 from kernelcalc.jets import Jet, _Group, _run_pairs, variable_jets
 from kernelcalc.rkhs import RkhsElement
+
+
+def as_point(p, m: int | None = None) -> Point:
+    """Coerce a Point / scalar / sequence of complex numbers into a Point."""
+    if isinstance(p, Point):
+        pt = p
+    elif isinstance(p, (int, float, complex)):
+        pt = Point((p,))
+    else:
+        pt = Point(p)
+    if m is not None and pt.dim != m:
+        raise DomainError(f"expected a point of C^{m}, got dimension {pt.dim}")
+    return pt
 
 
 def log_hessian_eval(expr: KernelExpr, z, w) -> np.ndarray:

@@ -2,13 +2,14 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from kernelcalc.automorphisms import CocycleSpec, MobiusMap
 from kernelcalc.errors import DomainError
+from kernelcalc.fd import fd_relative_error
 from kernelcalc.geometry import (
     MultiIndex,
     Point,
-    as_point,
     graded_lex_tuples,
     point_array,
     polydisc,
@@ -17,8 +18,10 @@ from kernelcalc.geometry import (
     unit_ball,
     unit_disc,
 )
+from kernelcalc.parser import parse_kernel
+from kernelcalc.rkhs import element, norm
 
-from oracles import sample_points_per_attempt
+from oracles import as_point, sample_points_per_attempt
 
 
 def test_point_basics():
@@ -54,6 +57,7 @@ def test_point_arrays_of_points_tuples_and_scalars():
     ([(0.1, 0.2), (0.3,)], 2, "dimension 1"),
     ([(0.1,), (0.2, 0.3)], 1, "dimension 2"),
     (np.zeros((3, 1)), 2, r"\(3, 1\)"),
+    ([[[0.1, 0.2]]], 2, r"\(1, 1, 2\)"),
 ])
 def test_point_arrays_of_the_wrong_dimension_are_refused_by_name(points, m, dimension):
     with pytest.raises(DomainError, match=f"C\\^{m}, got .*{dimension}"):
@@ -63,6 +67,75 @@ def test_point_arrays_of_the_wrong_dimension_are_refused_by_name(points, m, dime
 def test_scalars_are_points_only_of_c1():
     with pytest.raises(DomainError, match=r"C\^2, got an array of shape \(2, 1\)"):
         point_array([0.3, 0.5], 2)
+
+
+_COORDS = st.one_of(
+    st.integers(-10, 10),
+    st.floats(width=64),
+    st.complex_numbers(),
+    st.floats(width=64).map(np.float64),
+    st.complex_numbers().map(np.complex128),
+)
+
+
+@st.composite
+def _single_points(draw):
+    """A point in each form a caller may pass, and its dimension."""
+    kind = draw(st.sampled_from(["scalar", "tuple", "list", "Point", "array"]))
+    if kind == "scalar":
+        return draw(_COORDS), 1
+    coords = draw(st.lists(_COORDS, min_size=1, max_size=4))
+    wrap = {"tuple": tuple, "list": list, "Point": Point, "array": np.array}[kind]
+    return wrap(coords), len(coords)
+
+
+def _bit_pattern(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=complex).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(point=_single_points(), m=st.integers(1, 3))
+def test_a_batch_of_one_point_is_the_reference_coercion_bit_for_bit(point, m):
+    p, dimension = point
+    if dimension != m:
+        with pytest.raises(DomainError, match=f"C\\^{m}"):
+            as_point(p, m)
+        with pytest.raises(DomainError, match=f"C\\^{m}"):
+            point_array([p], m)
+        return
+    want = as_point(p, m).array()[None]
+    got = point_array([p], m)
+    assert got.shape == want.shape == (1, m) and got.dtype == complex
+    assert _bit_pattern(got) == _bit_pattern(want)
+
+
+_DISC_MAP = MobiusMap([0.5])
+
+
+def _element_base_and_norm(x):
+    e = element(parse_kernel("szego_disc()"), [(1.0, x, (1,), (1.0,))])
+    return [*e.terms[0].base.coords, norm(e)]
+
+
+#: every entry that takes one point, on C^1
+_SINGLE_POINT_ENTRIES = {
+    "eval z": lambda x: parse_kernel("szego_disc()").eval(x, 0.2),
+    "eval w": lambda x: parse_kernel("bergman_disc()").eval(0.3j, x),
+    "eval_jet": lambda x: parse_kernel("szego_disc()").eval_jet(x, x, 2).derivatives,
+    "fd_relative_error": lambda x: fd_relative_error(parse_kernel("bergman_disc()"), x, 0.2, 2),
+    "MobiusMap.apply": lambda x: _DISC_MAP.apply(x).coords,
+    "MobiusMap.derivative": _DISC_MAP.derivative,
+    "CocycleSpec.matrix": lambda x: CocycleSpec("curvature_cocycle", 0.5).matrix(_DISC_MAP, x, 1),
+    "rkhs.element": _element_base_and_norm,
+}
+
+
+@pytest.mark.parametrize("x", [np.int64(0), np.float64(0.1), np.array(0.1)],
+                         ids=["int64", "float64", "0-d array"])
+@pytest.mark.parametrize("entry", list(_SINGLE_POINT_ENTRIES))
+def test_numpy_scalars_are_points_of_c1_at_every_single_point_entry(entry, x):
+    f = _SINGLE_POINT_ENTRIES[entry]
+    assert _bit_pattern(f(x)) == _bit_pattern(f(float(x)))
 
 
 def test_multi_index_order_and_partial_order():
