@@ -3,7 +3,10 @@
 Subcommands: eval, psd, wallach, norm, bound, quasi, repro.  JSON is the
 default output format, one compact line per report; `psd --format csv`
 emits the Gram spectrum as CSV.  Library records give `to_dict()`, and
-`_emit` is the one writer that encodes them as strict JSON.
+`_emit` is the one writer that encodes them as strict JSON.  `eval` tables
+go through `_emit_table`, which writes the bytes of `json.dumps` from
+cached k x k block templates: a block of exact +0.0 entries is not
+re-encoded, and a non-finite table is refused like any other report.
 Every flag can also be supplied through a JSON config file (--config): keys
 are flag names, validated like flags (a bad value or unknown key exits 2),
 and explicit flags win.  --tol and --resolution must be positive, --n and
@@ -109,17 +112,42 @@ def _write(args, text: str) -> None:
         print(text)
 
 
-def _complex_lists(arr) -> list:
-    """A complex array as nested lists ending in [re, im] pairs, in one conversion."""
-    arr = np.ascontiguousarray(arr, dtype=complex)
-    return arr.view(float).reshape(arr.shape + (2,)).tolist()
+@functools.cache
+def _block_templates(k: int) -> tuple[str, str]:
+    """The JSON text of a k x k block of +0.0 [re, im] pairs, and a `%`
+    format that writes any k x k block: `%r` of a float is its JSON text."""
+    row = "[" + ", ".join(["[%r, %r]"] * k) + "]"
+    fmt = "[" + ", ".join([row] * k) + "]"
+    return fmt % ((0.0,) * (2 * k * k)), fmt
+
+
+def _emit_table(args, report: dict, name: str, blocks: np.ndarray, keys=None) -> None:
+    """Write the report with report[name] set to a (n, k, k) stack of complex
+    blocks, in the bytes of `json.dumps` with [re, im] pairs: an object of
+    the blocks under `keys` (their `"key": ` texts, as `_entry_keys` gives
+    them) or, without keys, the one block.  A non-finite entry is refused,
+    naming the key, before anything is written.  A block of +0.0 reuses its
+    cached text (a -0.0 has its sign bit set), so only the others are
+    encoded, and the table goes before the head's closing brace."""
+    n, k = blocks.shape[:2]
+    floats = np.ascontiguousarray(blocks, dtype=complex).view(float).reshape(n, 2 * k * k)
+    if not np.isfinite(floats).all():
+        raise EvaluationError(f"the {name} of the report is not finite")
+    zero, fmt = _block_templates(k)
+    texts = [zero] * n
+    live = floats.view(np.int64).any(axis=1)  # +0.0 is the one float whose bits are all 0
+    for i, values in zip(np.flatnonzero(live).tolist(), floats[live].tolist()):
+        texts[i] = fmt % tuple(values)
+    table = texts[0] if keys is None else "{" + ", ".join(map(str.__add__, keys, texts)) + "}"
+    head = json.dumps(report, allow_nan=False, check_circular=False)
+    _write(args, f'{head[:-1]}, "{name}": {table}}}')
 
 
 @functools.cache
 def _entry_keys(m: int, order: int) -> tuple:
-    """The "i|j" keys of a jet table's entries, in table order."""
+    """The JSON text `"i|j": ` opening each entry of a jet table, in table order."""
     labels = [f"{list(i)}" for i in graded_lex_tuples(m, order)]
-    return tuple(f"{i}|{j}" for i in labels for j in labels)
+    return tuple(f'"{i}|{j}": ' for i in labels for j in labels)
 
 
 def cmd_eval(args) -> int:
@@ -130,13 +158,10 @@ def cmd_eval(args) -> int:
     if args.order > 0:
         derivatives = expr.eval_jet(z, w, args.order).derivatives
         report["order"] = args.order
-        report["entries"] = dict(zip(
-            _entry_keys(expr.m, args.order),
-            _complex_lists(derivatives.reshape((-1,) + derivatives.shape[2:])),
-        ))
+        _emit_table(args, report, "entries", derivatives.reshape((-1,) + derivatives.shape[2:]),
+                    _entry_keys(expr.m, args.order))
     else:
-        report["value"] = _complex_lists(np.atleast_2d(expr.eval(z, w)))
-    _emit(args, report)
+        _emit_table(args, report, "value", expr.eval(z, w)[None])
     return EXIT_OK
 
 

@@ -62,9 +62,11 @@ class Point:
 def point_array(points, m: int) -> np.ndarray:
     """A (B, m) complex array from such an array or a sequence of points:
     `Point`s, sequences of coordinates or, when m = 1, scalars (numpy
-    scalars and 0-d arrays included)."""
+    scalars and 0-d arrays included, and a 1-D array is B scalars)."""
     if isinstance(points, np.ndarray):
         arr = points.astype(complex, copy=False)
+        if arr.ndim == 1 and m == 1:
+            arr = arr.reshape(-1, 1)
     else:
         rows = [p.coords if isinstance(p, Point) else p for p in points]
         try:

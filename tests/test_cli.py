@@ -12,7 +12,7 @@ from kernelcalc import cli
 from kernelcalc.automorphisms import MobiusMap
 from kernelcalc.cli import main
 from kernelcalc.expr import BallCurvature
-from kernelcalc.geometry import sample_points, unit_ball, unit_disc, unit_index
+from kernelcalc.geometry import graded_lex_tuples, sample_points, unit_ball, unit_disc, unit_index
 from kernelcalc.parser import parse_kernel
 from kernelcalc.positivity import psd_check, wallach_scan
 from kernelcalc.rkhs import element, multiplier_bound, norm
@@ -579,14 +579,77 @@ def test_size_one_derived_kernels_evaluate_through_the_cli(capsys, text, closed_
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_emit_prints_the_bytes_of_a_cycle_checked_dump(capsys):
-    code, out, _ = _run(capsys, "eval", "--kernel", "ball_curvature(2,3.0)",
-                        "--z", "0,0", "--w", "0.1,0.2j", "--order", "2")
+_ORIGIN_CURVATURE = ["--kernel", "ball_curvature(3,4.0)", "--z", "0,0,0", "--w", "0,0,0",
+                     "--order", "3"]
+
+
+@pytest.mark.parametrize("argv, to_file", [
+    (["--kernel", "ball_curvature(2,3.0)", "--z", "0,0", "--w", "0.1,0.2j", "--order", "2"],
+     False),
+    (_ORIGIN_CURVATURE, False),  # 7080 of its 7200 floats are +0.0
+    (["--kernel", "jet(bergman_ball(2),bergman_ball(2),1)", "--z", "0,0", "--w", "0,0"], False),
+    (_ORIGIN_CURVATURE, True),
+])
+def test_emit_prints_the_bytes_of_a_cycle_checked_dump(capsys, tmp_path, argv, to_file):
+    code, out, _ = _run(capsys, "eval", *argv)
     assert code == 0
     payload = json.loads(out)
     assert out == json.dumps(payload, allow_nan=False) + "\n"
+    if to_file:
+        path = tmp_path / "report.json"
+        code, printed, _ = _run(capsys, "eval", *argv, "--output", str(path))
+        assert code == 0 and printed == ""
+        assert path.read_bytes() == out.encode()
     with pytest.raises(cli.EvaluationError, match="the norm of the report"):
         cli._emit(None, {"m": 2, "norm": math.nan})
+
+
+_TABLE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@st.composite
+def _jet_tables(draw):
+    """m, an order and a (n, k, k) complex stack of the table's size, k in 1..3:
+    each block all +0.0 or of drawn floats, -0.0, subnormals and huge ones among them."""
+    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    order = draw(st.integers(1, 3 if m == 1 else 2))
+    n = len(graded_lex_tuples(m, order)) ** 2
+    floats = np.zeros((n, 2 * k * k))
+    for i in np.flatnonzero(draw(st.lists(st.booleans(), min_size=n, max_size=n))):
+        floats[i] = draw(st.lists(_TABLE_FLOATS, min_size=2 * k * k, max_size=2 * k * k))
+    return m, order, floats.view(complex).reshape(n, k, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_jet_tables(), poison=st.none() | st.tuples(
+    st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 10**6)))
+def test_the_table_writer_writes_the_bytes_of_json_dumps(table, poison):
+    m, order, blocks = table
+    head = {"version": "0", "kernel": "k", "order": order}
+    labels = [f"{list(i)}" for i in graded_lex_tuples(m, order)]
+    keys = [f"{i}|{j}" for i in labels for j in labels]
+    if poison is not None:
+        value, at = poison
+        blocks.view(float).reshape(-1)[at % blocks.view(float).size] = value
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if poison is not None:
+            with pytest.raises(cli.EvaluationError, match="the entries of the report is not"):
+                cli._emit_table(None, head, "entries", blocks, cli._entry_keys(m, order))
+        else:
+            cli._emit_table(None, head, "entries", blocks, cli._entry_keys(m, order))
+            cli._emit_table(None, head, "value", blocks[:1])
+    if poison is not None:
+        assert out.getvalue() == ""
+        return
+    pairs = blocks.view(float).reshape(blocks.shape + (2,)).tolist()
+    want = [json.dumps({**head, "entries": dict(zip(keys, pairs))}),
+            json.dumps({**head, "value": pairs[0]})]
+    assert out.getvalue() == "\n".join(want) + "\n"
 
 
 def test_config_runs_share_one_pre_parser(tmp_path, capsys):

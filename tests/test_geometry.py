@@ -67,6 +67,19 @@ def test_point_arrays_of_the_wrong_dimension_are_refused_by_name(points, m, dime
 def test_scalars_are_points_only_of_c1():
     with pytest.raises(DomainError, match=r"C\^2, got an array of shape \(2, 1\)"):
         point_array([0.3, 0.5], 2)
+    with pytest.raises(DomainError, match=r"C\^2, got an array of shape \(2,\)"):
+        point_array(np.array([0.3, 0.5]), 2)
+
+
+def test_a_1d_array_is_scalars_of_c1_like_the_list():
+    zs, ws = [0.1, 0.2j, -0.0], [0.0, 0.1, 3e-310]
+    assert _bit_pattern(point_array(np.array(zs), 1)) == _bit_pattern(point_array(zs, 1))
+    assert point_array(np.array(zs), 1).shape == (3, 1)
+    assert point_array(np.array([]), 1).shape == (0, 1)
+    kern = parse_kernel("szego_disc()")
+    got, want = kern.values(np.array(zs), np.array(ws)), kern.values(zs, ws)
+    assert got.shape == want.shape == (3, 1, 1)
+    assert _bit_pattern(got) == _bit_pattern(want)
 
 
 _COORDS = st.one_of(
