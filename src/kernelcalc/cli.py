@@ -3,10 +3,10 @@
 Subcommands: eval, psd, wallach, norm, bound, quasi, repro.  JSON is the
 default output format, one compact line per report; `psd --format csv`
 emits the Gram spectrum as CSV.  Library records give `to_dict()`, and
-`_emit` is the one writer that encodes them as strict JSON.  `eval` tables
-go through `_emit_table`, which writes the bytes of `json.dumps` from
-cached k x k block templates: a block of exact +0.0 entries is not
-re-encoded, and a non-finite table is refused like any other report.
+`_emit` is the one writer that encodes them as strict JSON.  It writes the
+tables of `eval` in the bytes of `json.dumps` from cached k x k block
+templates: a block of exact +0.0 entries is not re-encoded, and a
+non-finite table is refused like any other report.
 Every flag can also be supplied through a JSON config file (--config): keys
 are flag names, validated like flags (a bad value or unknown key exits 2),
 and explicit flags win.  --tol and --resolution must be positive, --n and
@@ -84,16 +84,34 @@ def _provenance(args, kernel: str | None) -> dict:
     return out
 
 
-def _emit(args, payload: dict) -> None:
-    """Write the payload as one line of strict JSON, which has no NaN or
-    infinity: a report holding one is refused, naming its key.  Payloads
-    are fresh trees of dicts and lists, so no cycle check is needed."""
+def _emit(args, report: dict, name: str | None = None, blocks=None, keys=None) -> None:
+    """Write the report as one line of strict JSON, which has no NaN or
+    infinity: a report holding one is refused, naming its key, before
+    anything is written.  Reports are fresh trees of dicts and lists, so no
+    cycle check is needed.  With a `name`, report[name] is a (n, k, k) stack
+    of complex `blocks` as [re, im] pairs, in the bytes of `json.dumps`: an
+    object under `keys` (the `"key": ` texts of `_entry_keys`) or, without
+    keys, the one block.  A block of +0.0 reuses its cached text (a -0.0 has
+    its sign bit set), so only the others are encoded."""
+    table = ""
+    if name is not None:
+        n, k = blocks.shape[:2]
+        floats = np.ascontiguousarray(blocks, dtype=complex).view(float).reshape(n, 2 * k * k)
+        if not np.isfinite(floats).all():
+            raise EvaluationError(f"the {name} of the report is not finite")
+        zero, fmt = _block_templates(k)
+        texts = [zero] * n
+        live = floats.view(np.int64).any(axis=1)  # +0.0 is the one float whose bits are all 0
+        for i, values in zip(np.flatnonzero(live).tolist(), floats[live].tolist()):
+            texts[i] = fmt % tuple(values)
+        entries = texts[0] if keys is None else "{" + ", ".join(map(str.__add__, keys, texts)) + "}"
+        table = f', "{name}": {entries}'
     try:
-        text = json.dumps(payload, allow_nan=False, check_circular=False)
+        text = json.dumps(report, allow_nan=False, check_circular=False)
     except ValueError:
-        bad = [key for key, value in payload.items() if not _finite_json(value)]
+        bad = [key for key, value in report.items() if not _finite_json(value)]
         raise EvaluationError(f"the {', '.join(bad)} of the report is not finite") from None
-    _write(args, text)
+    _write(args, f"{text[:-1]}{table}}}")
 
 
 def _finite_json(value) -> bool:
@@ -121,28 +139,6 @@ def _block_templates(k: int) -> tuple[str, str]:
     return fmt % ((0.0,) * (2 * k * k)), fmt
 
 
-def _emit_table(args, report: dict, name: str, blocks: np.ndarray, keys=None) -> None:
-    """Write the report with report[name] set to a (n, k, k) stack of complex
-    blocks, in the bytes of `json.dumps` with [re, im] pairs: an object of
-    the blocks under `keys` (their `"key": ` texts, as `_entry_keys` gives
-    them) or, without keys, the one block.  A non-finite entry is refused,
-    naming the key, before anything is written.  A block of +0.0 reuses its
-    cached text (a -0.0 has its sign bit set), so only the others are
-    encoded, and the table goes before the head's closing brace."""
-    n, k = blocks.shape[:2]
-    floats = np.ascontiguousarray(blocks, dtype=complex).view(float).reshape(n, 2 * k * k)
-    if not np.isfinite(floats).all():
-        raise EvaluationError(f"the {name} of the report is not finite")
-    zero, fmt = _block_templates(k)
-    texts = [zero] * n
-    live = floats.view(np.int64).any(axis=1)  # +0.0 is the one float whose bits are all 0
-    for i, values in zip(np.flatnonzero(live).tolist(), floats[live].tolist()):
-        texts[i] = fmt % tuple(values)
-    table = texts[0] if keys is None else "{" + ", ".join(map(str.__add__, keys, texts)) + "}"
-    head = json.dumps(report, allow_nan=False, check_circular=False)
-    _write(args, f'{head[:-1]}, "{name}": {table}}}')
-
-
 @functools.cache
 def _entry_keys(m: int, order: int) -> tuple:
     """The JSON text `"i|j": ` opening each entry of a jet table, in table order."""
@@ -158,10 +154,10 @@ def cmd_eval(args) -> int:
     if args.order > 0:
         derivatives = expr.eval_jet(z, w, args.order).derivatives
         report["order"] = args.order
-        _emit_table(args, report, "entries", derivatives.reshape((-1,) + derivatives.shape[2:]),
-                    _entry_keys(expr.m, args.order))
+        _emit(args, report, "entries", derivatives.reshape((-1,) + derivatives.shape[2:]),
+              _entry_keys(expr.m, args.order))
     else:
-        _emit_table(args, report, "value", expr.eval(z, w)[None])
+        _emit(args, report, "value", expr.eval(z, w)[None])
     return EXIT_OK
 
 

@@ -43,6 +43,9 @@ from .jets import Jet, _group, check_finite, coordinate_products, monomial_posit
 
 #: cap on the derivative order of eval_jet and of the jet kernel
 DEFAULT_ORDER_CAP = 4
+#: deepest nesting of kernel nodes: a leaf is at depth 0, a combinator one
+#: level above its deepest child
+MAX_DEPTH = 64
 
 
 def _coords(row) -> tuple:
@@ -71,8 +74,15 @@ class KernelExpr:
     #: kind of each dataclass field, in field order: "expr" (a kernel child),
     #: "scalar" (a kernel child of size 1), "num", "int" or "list" (of floats)
     kinds: tuple = ()
+    #: nesting depth, set bottom-up by __post_init__; 0 for a leaf
+    _depth = 0
 
     def __post_init__(self):
+        if self._children:
+            depth = 1 + max(child._depth for child in self._children)
+            if depth > MAX_DEPTH:
+                raise ShapeError(f"kernel nested deeper than {MAX_DEPTH} levels")
+            object.__setattr__(self, "_depth", depth)
         for name, kind in self._layout():
             child = getattr(self, name)
             if kind == "scalar" and not child.is_scalar:

@@ -5,6 +5,13 @@ numeric lists in square brackets, or nested expressions.  Whitespace is
 insignificant.  The canonical printer is KernelExpr.to_dsl; parse(print(e))
 reproduces e.
 
+The text becomes one token list in one pass of `_TOKEN_RE`; an unexpected
+character is reported at the end of the last good token.  One rule,
+`_sequence`, reads both comma-separated sequences: the arguments up to ')'
+and the numbers of a list up to ']'.  The parser descends at most
+`MAX_DEPTH` levels, the nesting limit every kernel node enforces, and
+refuses a deeper kernel at the name of its first node past the limit.
+
 The node table `_NODES` is read off the node classes in `expr`, each of
 which declares its DSL name and argument kinds once (`dsl_name`, `kinds`);
 only the sugar names `bergman_ball` and `bergman_disc` are added here.
@@ -15,7 +22,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError, ShapeError
-from .expr import KernelExpr, bergman_ball, bergman_disc
+from .expr import MAX_DEPTH, KernelExpr, bergman_ball, bergman_disc
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
@@ -24,101 +31,78 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, str, int]] = []
-        while self.pos < len(text):
-            m = _TOKEN_RE.match(text, self.pos)
-            if m is None or m.end() == self.pos:
-                # skip pure whitespace tail
-                if text[self.pos :].strip() == "":
-                    break
-                raise ParseError(
-                    f"unexpected character {text[self.pos:self.pos+1]!r}", self.pos
-                )
-            for kind in ("name", "number", "punct"):
-                val = m.group(kind)
-                if val is not None:
-                    self.tokens.append((kind, val, m.start(kind)))
-                    break
-            self.pos = m.end()
-        self.index = 0
-
-    def peek(self):
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return ("eof", "", len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.index += 1
-        return tok
-
-    def expect(self, value: str):
-        kind, val, pos = self.next()
-        if val != value:
-            raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", pos)
+def _tokens(text: str) -> list:
+    """The (kind, text, position) tokens of the text and the end-of-input
+    token ("eof", "", len(text)), in reverse, so `pop` takes the next one."""
+    tokens, pos = [], 0
+    while m := _TOKEN_RE.match(text, pos):
+        tokens.append((m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)))
+        pos = m.end()
+    if text[pos:].strip():
+        raise ParseError(f"unexpected character {text[pos:pos + 1]!r}", pos)
+    tokens.append(("eof", "", len(text)))
+    return tokens[::-1]
 
 
 def parse_kernel(text: str) -> KernelExpr:
     """Parse DSL text into a KernelExpr with shapes resolved."""
-    tz = _Tokenizer(text)
-    expr = _parse_expr(tz)
-    kind, val, pos = tz.peek()
+    tokens = _tokens(text)
+    expr = _expr(tokens, tokens.pop(), 0)
+    kind, val, pos = tokens[-1]
     if kind != "eof":
         raise ParseError(f"trailing input {val!r}", pos)
     return expr
 
 
-def _parse_expr(tz: _Tokenizer) -> KernelExpr:
-    kind, name, pos = tz.next()
+def _expr(tokens: list, token, depth: int) -> KernelExpr:
+    """The expression opened by `token`, a name at nesting `depth`."""
+    kind, name, pos = token
     if kind != "name":
         raise ParseError(f"expected a kernel name, found {name or 'end of input'!r}", pos)
-    tz.expect("(")
-    args = []
-    if tz.peek()[1] != ")":
-        while True:
-            args.append(_parse_arg(tz))
-            kind, val, p = tz.next()
-            if val == ")":
-                break
-            if val != ",":
-                raise ParseError(f"expected ',' or ')', found {val!r}", p)
-    else:
-        tz.next()
+    if depth > MAX_DEPTH:
+        raise ParseError(f"kernel nested deeper than {MAX_DEPTH} levels", pos)
+    kind, val, p = tokens.pop()
+    if val != "(":
+        raise ParseError(f"expected '(', found {val or 'end of input'!r}", p)
+    args = _sequence(tokens, ")", lambda tokens: _arg(tokens, depth + 1))
     try:
         return _build(name, args, pos)
     except ShapeError as exc:
         raise ParseError(str(exc), pos) from exc
 
 
-def _parse_arg(tz: _Tokenizer):
-    kind, val, pos = tz.peek()
+def _sequence(tokens: list, close: str, item) -> list:
+    """The items that `item` reads off the tokens, separated by commas, up
+    to and including the `close` token."""
+    items = []
+    if tokens[-1][1] == close:
+        tokens.pop()
+        return items
+    while True:
+        items.append(item(tokens))
+        kind, val, pos = tokens.pop()
+        if val == close:
+            return items
+        if val != ",":
+            raise ParseError(f"expected ',' or {close!r}, found {val!r}", pos)
+
+
+def _arg(tokens: list, depth: int):
+    kind, val, pos = token = tokens.pop()
+    if kind == "name":
+        return _expr(tokens, token, depth)
     if kind == "number":
-        tz.next()
         return float(val)
     if val == "[":
-        tz.next()
-        items = []
-        if tz.peek()[1] != "]":
-            while True:
-                k, v, p = tz.next()
-                if k != "number":
-                    raise ParseError(f"expected a number in list, found {v!r}", p)
-                items.append(float(v))
-                k, v, p = tz.next()
-                if v == "]":
-                    break
-                if v != ",":
-                    raise ParseError(f"expected ',' or ']', found {v!r}", p)
-        else:
-            tz.next()
-        return items
-    if kind == "name":
-        return _parse_expr(tz)
+        return _sequence(tokens, "]", _number)
     raise ParseError(f"expected an argument, found {val or 'end of input'!r}", pos)
+
+
+def _number(tokens: list) -> float:
+    kind, val, pos = tokens.pop()
+    if kind != "number":
+        raise ParseError(f"expected a number in list, found {val!r}", pos)
+    return float(val)
 
 
 #: DSL name -> (constructor, kinds of its arguments as checked by _want)

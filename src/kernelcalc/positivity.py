@@ -318,10 +318,9 @@ def _bisect(is_psd, lo: float, hi: float, resolution: float) -> tuple[float, flo
     """Shrink [lo, hi], whose lower end fails and upper end passes, by halving.
 
     Stops once the bracket is at most `resolution` wide, or once its
-    midpoint no longer splits it in floating point.
+    midpoint no longer splits it in floating point.  The callers check
+    `resolution` and the interval before they sample.
     """
-    _check_resolution(resolution)
-    _check_interval(lo, hi)
     while hi - lo > resolution:
         mid = (lo + hi) / 2
         if not lo < mid < hi:

@@ -17,7 +17,9 @@ conjugate completion and the two-halves symmetrization, the phi-section
 Gram one entry (two jet tables) at a time, Mobius Jacobians by pushing
 order-1 jets of the coordinates through the involution, the products
 and series of balanced jets on the full pair tables, and the log-Hessian
-and jet-kernel matrices of derivative jets one shifted entry at a time.
+and jet-kernel matrices of derivative jets one shifted entry at a time,
+and kernel DSL text by the tokenizer class with its two comma-list loops
+that the one token list and `_sequence` rule of `kernelcalc.parser` replaced.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from kernelcalc.automorphisms import CocycleSpec, MobiusMap
 from kernelcalc.eig import _MAX_PASSES, _SPLIT, LdlVerdict, _hermitian_copy, _tridiagonal
-from kernelcalc.errors import DomainError, EvaluationError, ShapeError
+from kernelcalc.errors import DomainError, EvaluationError, ParseError, ShapeError
 from kernelcalc.expr import JetKernel, KernelExpr, Pow
 from kernelcalc.geometry import (
     DomainSpec,
@@ -45,6 +47,7 @@ from kernelcalc.geometry import (
 )
 from kernelcalc import jets
 from kernelcalc.jets import Jet, _Group, _run_pairs, variable_jets
+from kernelcalc.parser import _TOKEN_RE, _build
 from kernelcalc.rkhs import RkhsElement
 
 
@@ -571,3 +574,100 @@ def jet_kernel_per_entry(expr: JetKernel, z, w, nz: int, nw: int) -> Jet:
     rows = [[shift_per_entry(j2.truncate(nz + sum(i), nw + sum(j)), i, j) for j in indices]
             for i in indices]
     return j1 * Jet(expr.m, nz, nw, _entry_matrix(rows))
+
+
+class _Tokenizer:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.tokens: list[tuple[str, str, int]] = []
+        while self.pos < len(text):
+            m = _TOKEN_RE.match(text, self.pos)
+            if m is None or m.end() == self.pos:
+                # skip pure whitespace tail
+                if text[self.pos :].strip() == "":
+                    break
+                raise ParseError(
+                    f"unexpected character {text[self.pos:self.pos+1]!r}", self.pos
+                )
+            for kind in ("name", "number", "punct"):
+                val = m.group(kind)
+                if val is not None:
+                    self.tokens.append((kind, val, m.start(kind)))
+                    break
+            self.pos = m.end()
+        self.index = 0
+
+    def peek(self):
+        if self.index < len(self.tokens):
+            return self.tokens[self.index]
+        return ("eof", "", len(self.text))
+
+    def next(self):
+        tok = self.peek()
+        self.index += 1
+        return tok
+
+    def expect(self, value: str):
+        kind, val, pos = self.next()
+        if val != value:
+            raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", pos)
+
+
+def parse_kernel_by_tokenizer(text: str) -> KernelExpr:
+    """Parse DSL text into a KernelExpr with shapes resolved."""
+    tz = _Tokenizer(text)
+    expr = _parse_expr(tz)
+    kind, val, pos = tz.peek()
+    if kind != "eof":
+        raise ParseError(f"trailing input {val!r}", pos)
+    return expr
+
+
+def _parse_expr(tz: _Tokenizer) -> KernelExpr:
+    kind, name, pos = tz.next()
+    if kind != "name":
+        raise ParseError(f"expected a kernel name, found {name or 'end of input'!r}", pos)
+    tz.expect("(")
+    args = []
+    if tz.peek()[1] != ")":
+        while True:
+            args.append(_parse_arg(tz))
+            kind, val, p = tz.next()
+            if val == ")":
+                break
+            if val != ",":
+                raise ParseError(f"expected ',' or ')', found {val!r}", p)
+    else:
+        tz.next()
+    try:
+        return _build(name, args, pos)
+    except ShapeError as exc:
+        raise ParseError(str(exc), pos) from exc
+
+
+def _parse_arg(tz: _Tokenizer):
+    kind, val, pos = tz.peek()
+    if kind == "number":
+        tz.next()
+        return float(val)
+    if val == "[":
+        tz.next()
+        items = []
+        if tz.peek()[1] != "]":
+            while True:
+                k, v, p = tz.next()
+                if k != "number":
+                    raise ParseError(f"expected a number in list, found {v!r}", p)
+                items.append(float(v))
+                k, v, p = tz.next()
+                if v == "]":
+                    break
+                if v != ",":
+                    raise ParseError(f"expected ',' or ']', found {v!r}", p)
+        else:
+            tz.next()
+        return items
+    if kind == "name":
+        return _parse_expr(tz)
+    raise ParseError(f"expected an argument, found {val or 'end of input'!r}", pos)

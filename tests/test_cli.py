@@ -639,10 +639,10 @@ def test_the_table_writer_writes_the_bytes_of_json_dumps(table, poison):
     with contextlib.redirect_stdout(out):
         if poison is not None:
             with pytest.raises(cli.EvaluationError, match="the entries of the report is not"):
-                cli._emit_table(None, head, "entries", blocks, cli._entry_keys(m, order))
+                cli._emit(None, head, "entries", blocks, cli._entry_keys(m, order))
         else:
-            cli._emit_table(None, head, "entries", blocks, cli._entry_keys(m, order))
-            cli._emit_table(None, head, "value", blocks[:1])
+            cli._emit(None, head, "entries", blocks, cli._entry_keys(m, order))
+            cli._emit(None, head, "value", blocks[:1])
     if poison is not None:
         assert out.getvalue() == ""
         return
@@ -669,3 +669,13 @@ def test_config_runs_share_one_pre_parser(tmp_path, capsys):
         assert code == 2 and message in err
     code, _, err = _run(capsys, "psd", "--config", str(tmp_path / "missing.json"))
     assert code == 2 and "cannot read config" in err
+
+
+@pytest.mark.parametrize("depth", [180, 1000])
+@pytest.mark.parametrize("command", [["psd", "--n", "4"], ["eval", "--z", "0", "--w", "0"]],
+                         ids=["psd", "eval"])
+def test_deep_nesting_exits_2_with_one_error_line(capsys, command, depth):
+    kernel = "pow(" * depth + "szego_disc()" + ", 0.5)" * depth
+    code, out, err = _run(capsys, command[0], "--kernel", kernel, *command[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: kernel nested deeper than 64 levels (at position 260)\n"

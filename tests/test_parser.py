@@ -1,7 +1,13 @@
-import pytest
+import re
 
-from kernelcalc.errors import ParseError
-from kernelcalc.parser import parse_kernel
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from kernelcalc.errors import ParseError, ShapeError
+from kernelcalc.expr import MAX_DEPTH, Pow, SzegoDisc
+from kernelcalc.parser import _NODES, parse_kernel
+
+from oracles import parse_kernel_by_tokenizer
 
 ROUND_TRIP = [
     "szego_disc()",
@@ -73,3 +79,87 @@ def test_structural_equality_via_dsl():
     assert a == b
     assert hash(a) == hash(b)
     assert a != c
+
+
+# Valid kernels to mutate, and the pieces a mutation inserts: DSL names and
+# punctuation, a character outside the DSL, whitespace and number literals.
+MUTATED = [
+    "szego_disc()",
+    "bergman_ball(2)",
+    "diagonal_series([1.0, -0.5, 0.25])",
+    "pow(szego_disc(), 0.7)",
+    "product(szego_disc(), ball_power(1, 2.0))",
+    "sum(szego_disc(), scale(szego_disc(), 0.5))",
+    "curvature(tensor(szego_disc(), szego_disc()), 1.0, 2.0)",
+    "jet(szego_disc(), bergman_disc(), 1)",
+    "ball_curvature(2, 2.5)",
+]
+PIECES = sorted(_NODES) + [
+    "x", "(", ")", "[", "]", ",", "@", " ", "\t", "\n ",
+    "-1e2", ".5", "1.", "+3", "2", "0", "-0.0", "1e999", "e5", "5e",
+]
+_PIECE_RE = re.compile(r"\s+|[A-Za-z_][A-Za-z_0-9]*|[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|.")
+
+
+@st.composite
+def mutated_kernels(draw):
+    """A valid kernel with 1-4 pieces inserted or deleted."""
+    pieces = _PIECE_RE.findall(draw(st.sampled_from(MUTATED)))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(pieces)))
+        if pieces and draw(st.booleans()):
+            del pieces[min(at, len(pieces) - 1)]
+        else:
+            pieces.insert(at, draw(st.sampled_from(PIECES)))
+    return "".join(pieces)
+
+
+def _outcome(parse, text):
+    """The printed kernel, or the type and message of the error raised."""
+    try:
+        return parse(text).to_dsl()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_kernels() | st.lists(st.sampled_from(PIECES), max_size=12).map("".join))
+@example("szego_disc() @")  # an unexpected character is reported after the last token
+@example("pow(szego_disc() 0.5)")
+@example("diagonal_series([1.0 2.0])")
+@example("diagonal_series([1.0, ])")
+@example("pow(szego_disc(),")
+@example("pow(szego_disc()")
+@example("jet(szego_disc(), szego_disc(), 5)")  # an OrderCapError, not a ParseError
+def test_the_parser_agrees_with_the_tokenizer_it_replaced(text):
+    # the inputs nest at most a few levels, far inside MAX_DEPTH, where the
+    # two parsers give the same kernel or the same error and position
+    assert _outcome(parse_kernel, text) == _outcome(parse_kernel_by_tokenizer, text)
+
+
+def _pow_chain(depth: int) -> str:
+    return "pow(" * depth + "szego_disc()" + ", 0.5)" * depth
+
+
+def test_a_kernel_at_the_depth_limit_round_trips_and_evaluates():
+    expr = SzegoDisc()
+    for _ in range(MAX_DEPTH):
+        expr = Pow(expr, 0.5)
+    assert expr.to_dsl() == _pow_chain(MAX_DEPTH)
+    assert parse_kernel(expr.to_dsl()) == expr
+    assert expr.eval(0.1, 0.2)[0, 0] == pytest.approx((1 / (1 - 0.02)) ** 0.5**MAX_DEPTH)
+
+
+def test_nesting_past_the_limit_raises_a_shape_error_naming_it():
+    expr = parse_kernel(_pow_chain(MAX_DEPTH))
+    with pytest.raises(ShapeError, match=f"^kernel nested deeper than {MAX_DEPTH} levels$"):
+        Pow(expr, 0.5)
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 1000])
+def test_the_parser_refuses_deep_nesting_at_a_position(depth):
+    with pytest.raises(ParseError) as exc:
+        parse_kernel(_pow_chain(depth))
+    # at the name of the first node past the limit, before any deeper one
+    assert exc.value.position == len("pow(") * (MAX_DEPTH + 1)
+    assert str(exc.value).startswith(f"kernel nested deeper than {MAX_DEPTH} levels")

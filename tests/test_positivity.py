@@ -316,17 +316,20 @@ def test_bisect_brackets_a_threshold(lo, width, frac, resolution):
 
 
 @pytest.mark.parametrize("lo,hi,resolution", [
-    (0.0, 1.0, 0.0),
-    (0.0, 1.0, -1.0),
-    (0.0, 1.0, float("nan")),
     (0.0, 1.0, float("inf")),
     (1.0, 0.0, 0.1),
     (0.0, float("inf"), 0.1),
     (float("nan"), 1.0, 0.1),
 ])
-def test_bisect_rejects_bad_input(lo, hi, resolution):
+def test_wallach_scan_rejects_bad_input_before_sampling(lo, hi, resolution, monkeypatch):
+    from kernelcalc import positivity
+
+    def no_sampling(*args):
+        raise AssertionError("a point family was built")
+
+    monkeypatch.setattr(positivity, "sample_array", no_sampling)
     with pytest.raises(ValueError):
-        _bisect(lambda t: True, lo, hi, resolution)
+        wallach_scan(bergman_disc(), lo, hi, unit_disc(), resolution=resolution)
 
 
 # The bisection brackets and verdict sequences the Jacobi predicate gave on
