@@ -27,6 +27,7 @@ import numpy as np
 from .errors import DomainError, EvaluationError, KernelCalcError, ShapeError
 from .expr import KernelExpr, Curvature, LogHessian
 from .geometry import Point, in_unit_ball, point_array
+from .params import checked
 
 
 @dataclass(frozen=True)
@@ -216,7 +217,7 @@ def curvature_quasi_check(base: KernelExpr, t: float, phi: MobiusMap, pairs) -> 
     """
     if not base.is_scalar:
         raise ShapeError("needs a scalar base kernel")
-    if t == 0:
+    if checked("finite", t, "t") == 0:
         expr: KernelExpr = LogHessian(base)
     elif t > 0:
         expr = Curvature(base, t / 2, t / 2)

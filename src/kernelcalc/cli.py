@@ -9,13 +9,11 @@ templates: a block of exact +0.0 entries is not re-encoded, and a
 non-finite table is refused like any other report.
 Every flag can also be supplied through a JSON config file (--config): keys
 are flag names, validated like flags (a bad value or unknown key exits 2),
-and explicit flags win.  --tol and --resolution must be positive, --n and
---pairs positive integers, --order a non-negative integer, --seed an
-integer in [0, 2^64), `norm --m` an integer in [2, 16], --radius (psd,
-wallach, bound and quasi, which sample points) in (0, 1), --lambda, --t,
---lo and --hi finite, --lo below --hi, --z, --w and `quasi --a` points of
-C^m (m the kernel's dimension) with finite complex coordinates, `quasi --a`
-inside the unit ball, and `bound --f` a coordinate of C^m.  A bad flag exits 2.
+and explicit flags win.  Each numeric flag follows a rule of `params.RULES`,
+the table the library checks the same parameters with.  Beyond it, --lo
+must lie below --hi, --z, --w and `quasi --a` must be points of C^m (m the
+kernel's dimension) with finite coordinates, `quasi --a` inside the unit
+ball, and `bound --f` a coordinate of C^m.  A bad flag exits 2.
 
 Exit codes: 0 success, 2 configuration or parse error, 3 evaluation error,
 4 scan bracket failure (no sign change in the scanned interval); `repro`
@@ -38,11 +36,12 @@ from .eig import eigenvalues
 from .errors import BracketError, DomainError, EvaluationError, KernelCalcError, ParseError
 from .geometry import DEFAULT_SAMPLE_RADIUS, graded_lex_tuples, sample_array
 from .geometry import unit_ball, unit_disc
+from .params import RULES
 from .parser import parse_kernel
 from .positivity import BOUND_RESOLUTION, DEFAULT_TOL, WALLACH_RESOLUTION, gram
 from .positivity import multiplier_bound, psd_check, wallach_scan
 from .repro import run_all
-from .rkhs import MAX_NORM_DIM, z2_tensor_e1_norm
+from .rkhs import z2_tensor_e1_norm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -246,27 +245,18 @@ def cmd_repro(args) -> int:
     return EXIT_OK if failed == 0 else 1
 
 
-def _checked(convert, ok, what: str):
-    """An argparse type: `convert` the text, then reject values failing `ok`."""
+def _flag(rule: str):
+    """The argparse type of a flag that follows `rule` of `params.RULES`."""
+    convert, in_range, what = RULES[rule]
 
     def parse(text: str):
         value = convert(text)
-        if not ok(value):
+        if not in_range(value):
             raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
         return value
 
     parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
     return parse
-
-
-_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0,
-                           "positive and finite")
-_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
-_non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
-_radius = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
-_seed = _checked(int, lambda v: 0 <= v < 2**64, "in [0, 2^64)")
-_dimension = _checked(int, lambda v: 2 <= v <= MAX_NORM_DIM, f"an integer in [2, {MAX_NORM_DIM}]")
-_finite_float = _checked(float, math.isfinite, "finite")
 
 
 @functools.cache
@@ -283,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file with default flag values")
         p.add_argument("--output", help="write the report to this path")
         if samples:
-            p.add_argument("--radius", type=_radius, default=DEFAULT_SAMPLE_RADIUS,
+            p.add_argument("--radius", type=_flag("radius"), default=DEFAULT_SAMPLE_RADIUS,
                            help="sampling radius inside the domain")
 
     p = sub.add_parser("eval", help="evaluate a kernel or its jet table")
@@ -291,47 +281,47 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", required=True)
     p.add_argument("--z", required=True)
     p.add_argument("--w", required=True)
-    p.add_argument("--order", type=_non_negative_int, default=0)
+    p.add_argument("--order", type=_flag("non_negative_int"), default=0)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("psd", help="finite-sample positivity certificate")
     common(p, samples=True)
     p.add_argument("--kernel", required=True)
-    p.add_argument("--n", type=_positive_int, default=20)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
+    p.add_argument("--n", type=_flag("positive_int"), default=20)
+    p.add_argument("--seed", type=_flag("seed"), default=0)
+    p.add_argument("--tol", type=_flag("positive"), default=DEFAULT_TOL)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_psd)
 
     p = sub.add_parser("wallach", help="bisect a curvature positivity boundary")
     common(p, samples=True)
     p.add_argument("--base", required=True)
-    p.add_argument("--lo", type=_finite_float, default=-1.0)
-    p.add_argument("--hi", type=_finite_float, default=1.0)
-    p.add_argument("--resolution", type=_positive_float, default=WALLACH_RESOLUTION)
-    p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
+    p.add_argument("--lo", type=_flag("finite"), default=-1.0)
+    p.add_argument("--hi", type=_flag("finite"), default=1.0)
+    p.add_argument("--resolution", type=_flag("positive"), default=WALLACH_RESOLUTION)
+    p.add_argument("--tol", type=_flag("positive"), default=DEFAULT_TOL)
     p.set_defaults(func=cmd_wallach)
 
     p = sub.add_parser("norm", help="derivative-section norm of the ball matrix kernel")
     common(p)
-    p.add_argument("--m", type=_dimension, default=2)
-    p.add_argument("--lambda", type=_finite_float, required=True)
+    p.add_argument("--m", type=_flag("norm_dim"), default=2)
+    p.add_argument("--lambda", type=_flag("finite"), required=True)
     p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("bound", help="multiplier-norm bisection")
     common(p, samples=True)
     p.add_argument("--kernel", required=True)
     p.add_argument("--f", default="z1", help="coordinate function, e.g. z1")
-    p.add_argument("--resolution", type=_positive_float, default=BOUND_RESOLUTION)
+    p.add_argument("--resolution", type=_flag("positive"), default=BOUND_RESOLUTION)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("quasi", help="quasi-invariance residual under a Mobius map")
     common(p, samples=True)
     p.add_argument("--kernel", required=True)
-    p.add_argument("--t", type=_finite_float, default=1.0)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--t", type=_flag("finite"), default=1.0)
+    p.add_argument("--seed", type=_flag("seed"), default=0)
     p.add_argument("--a", help="base point of the map (default: seeded random)")
-    p.add_argument("--pairs", type=_positive_int, default=20)
+    p.add_argument("--pairs", type=_flag("positive_int"), default=20)
     p.set_defaults(func=cmd_quasi)
 
     p = sub.add_parser("repro", help="run the full certification battery")

@@ -22,8 +22,9 @@ named in the error.
 
 The node table lives on the node classes: each declares its DSL name
 (`dsl_name`) and the kind of each dataclass field in field order (`kinds`).
-The parser's table, `to_dsl`, the scalar-child `ShapeError` and the
-defaults of `m`, `size` and `contains` are all read off that declaration.
+The parser's table, the kind checks on construction, `to_dsl`, the
+scalar-child `ShapeError` and the defaults of `m`, `size` and `contains`
+are all read off that declaration.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -40,6 +42,7 @@ import numpy as np
 from .errors import BranchError, DomainError, EvaluationError, OrderCapError, ShapeError
 from .geometry import graded_lex_tuples, in_unit_ball, point_array
 from .jets import Jet, _group, check_finite, coordinate_products, monomial_positions
+from .params import checked
 
 #: cap on the derivative order of eval_jet and of the jet kernel
 DEFAULT_ORDER_CAP = 4
@@ -72,12 +75,14 @@ class KernelExpr:
     #: the node's name in the DSL
     dsl_name: str
     #: kind of each dataclass field, in field order: "expr" (a kernel child),
-    #: "scalar" (a kernel child of size 1), "num", "int" or "list" (of floats)
+    #: "scalar" (a kernel child of size 1), "num", "int" or "list", as in `_KINDS`
     kinds: tuple = ()
     #: nesting depth, set bottom-up by __post_init__; 0 for a leaf
     _depth = 0
 
     def __post_init__(self):
+        for name, kind in self._layout():
+            object.__setattr__(self, name, _of_kind(kind, getattr(self, name), self.dsl_name, name))
         if self._children:
             depth = 1 + max(child._depth for child in self._children)
             if depth > MAX_DEPTH:
@@ -204,8 +209,7 @@ class KernelExpr:
         them on the full pair tables, which can move them by an ulp (see
         `jets`).
         """
-        if order < 0:
-            raise ValueError("order must be >= 0")
+        order = checked("non_negative_int", order, "order")
         if order > DEFAULT_ORDER_CAP:
             raise OrderCapError(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
         (derivatives,) = self._checked_values(
@@ -223,7 +227,7 @@ class KernelExpr:
     @functools.cached_property
     def _dsl(self) -> str:
         """The node in the DSL, printed once per node."""
-        args = (_DSL_FORMATS[kind](getattr(self, name)) for name, kind in self._layout())
+        args = (_KINDS[kind][3](getattr(self, name)) for name, kind in self._layout())
         return f"{self.dsl_name}({', '.join(args)})"
 
     def to_dsl(self) -> str:
@@ -265,14 +269,32 @@ class JetTable:
         return self.derivatives[0, 0]
 
 
-#: how to_dsl prints a field of each kind; a float prints as its repr
-_DSL_FORMATS = {
-    "expr": lambda v: v.to_dsl(),
-    "scalar": lambda v: v.to_dsl(),
-    "num": lambda v: repr(float(v)),
-    "int": str,
-    "list": lambda v: f"[{', '.join(map(repr, v))}]",
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+#: kind of a field -> (the kind in words, whether a value has it, the value
+#: stored or None for the value itself, how to_dsl prints it)
+_KINDS = {
+    "expr": ("a kernel expression", lambda v: isinstance(v, KernelExpr), None, KernelExpr.to_dsl),
+    "num": ("a numeric", _real, None, lambda v: repr(float(v))),  # a float prints as its repr
+    "int": ("an integer",
+            lambda v: _real(v) and (isinstance(v, numbers.Integral) or float(v).is_integer()),
+            int, str),
+    "list": ("a coefficient list",
+             lambda v: isinstance(v, (list, tuple, np.ndarray)) and all(map(_real, v)),
+             lambda v: tuple(map(float, v)), lambda v: f"[{', '.join(map(repr, v))}]"),
 }
+_KINDS["scalar"] = _KINDS["expr"]
+
+
+def _of_kind(kind: str, value, node: str, field: str):
+    """`value` as the field `field` of kind `kind` of `node`; a ShapeError
+    naming both unless it has the kind."""
+    what, has_kind, store, _ = _KINDS[kind]
+    if not has_kind(value):
+        raise ShapeError(f"{node}: expected {what} argument for {field}, got {value!r}")
+    return value if store is None else store(value)
 
 
 def _scalar(jet: Jet) -> Jet:
@@ -363,6 +385,7 @@ class BallPower(KernelExpr):
 
 def bergman_ball(m: int) -> BallPower:
     """Bergman kernel of the unit ball, (1 - <z,w>)^{-(m+1)}."""
+    m = _of_kind("int", m, "bergman_ball", "m")
     return BallPower(m, float(m + 1))
 
 
@@ -380,11 +403,6 @@ class DiagonalSeries(KernelExpr):
     dsl_name = "diagonal_series"
     kinds = ("list",)
     m = 1
-
-    def __init__(self, coefficients):
-        object.__setattr__(
-            self, "coefficients", tuple(float(a) for a in coefficients)
-        )
 
     def contains(self, p):
         return np.abs(p[..., 0]) < 1

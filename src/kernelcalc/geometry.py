@@ -12,13 +12,13 @@ Domains are the disc, the ball and the polydisc, each with the radius that
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .errors import DomainError
+from .params import checked
 
 #: default radius of the closed sub-domain that sampled points live in
 DEFAULT_SAMPLE_RADIUS = 0.8
@@ -153,12 +153,10 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown domain kind {self.kind!r}")
+        checked("positive_int", self.dim, "dim")
         if self.kind == "unit-disc" and self.dim != 1:
             raise ValueError("unit-disc is one dimensional")
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
-        if not 0 < self.sample_radius < 1:
-            raise ValueError("sample_radius must lie in (0, 1)")
+        checked("radius", self.sample_radius, "sample_radius")
 
 
 def unit_disc(sample_radius: float = DEFAULT_SAMPLE_RADIUS) -> DomainSpec:
@@ -185,11 +183,8 @@ def sample_array(domain: DomainSpec, count: int, seed: int = 0) -> np.ndarray:
     expected to need more than _MAX_ATTEMPTS attempts is refused with a
     ValueError.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    seed = operator.index(seed)
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in 64 bits")
+    count = checked("positive_int", count, "count")
+    seed = checked("seed", seed, "seed")
     rng = np.random.default_rng(seed)
     r = domain.sample_radius
     m = domain.dim

@@ -14,7 +14,8 @@ refuses a deeper kernel at the name of its first node past the limit.
 
 The node table `_NODES` is read off the node classes in `expr`, each of
 which declares its DSL name and argument kinds once (`dsl_name`, `kinds`);
-only the sugar names `bergman_ball` and `bergman_disc` are added here.
+only the sugar names `bergman_ball` and `bergman_disc` are added here.  The
+constructors check the kinds; their `ShapeError`s become `ParseError`s.
 """
 
 from __future__ import annotations
@@ -105,29 +106,15 @@ def _number(tokens: list) -> float:
     return float(val)
 
 
-#: DSL name -> (constructor, kinds of its arguments as checked by _want)
+#: DSL name -> (constructor, kinds of its arguments, checked by the constructor)
 _NODES = {cls.dsl_name: (cls, cls.kinds) for cls in KernelExpr.__subclasses__()}
 _NODES.update(bergman_ball=(bergman_ball, ("int",)), bergman_disc=(bergman_disc, ()))
-
-
-def _want(args, pos, kinds):
-    """Check the parsed arguments against their kinds; "int" ones become ints."""
-    if len(args) != len(kinds):
-        raise ParseError(f"expected {len(kinds)} argument(s), got {len(args)}", pos)
-    for a, t in zip(args, kinds):
-        if t == "num" and not isinstance(a, float):
-            raise ParseError("expected a numeric argument", pos)
-        if t == "int" and not (isinstance(a, float) and a.is_integer()):
-            raise ParseError("expected an integer argument", pos)
-        if t in ("expr", "scalar") and not isinstance(a, KernelExpr):
-            raise ParseError("expected a kernel expression argument", pos)
-        if t == "list" and not isinstance(a, list):
-            raise ParseError("expected a coefficient list argument", pos)
-    return [int(a) if t == "int" else a for a, t in zip(args, kinds)]
 
 
 def _build(name: str, args, pos) -> KernelExpr:
     if name not in _NODES:
         raise ParseError(f"unknown kernel name {name!r}", pos)
     make, kinds = _NODES[name]
-    return make(*_want(args, pos, kinds))
+    if len(args) != len(kinds):
+        raise ParseError(f"expected {len(kinds)} argument(s), got {len(args)}", pos)
+    return make(*args)

@@ -33,6 +33,7 @@ from .eig import hermitian_part, ldl_eliminate, min_eigenvalue
 from .errors import BracketError, EvaluationError, KernelCalcError, ShapeError
 from .expr import KernelExpr
 from .geometry import DomainSpec, Point, point_array, sample_array
+from .params import checked
 
 #: default relative PSD tolerance: psd iff min eig >= -tol * (1 + max diagonal)
 DEFAULT_TOL = 1e-9
@@ -166,6 +167,8 @@ def _verdict(g: np.ndarray, tol: float) -> tuple[float, float, bool]:
 
 def _sampled_report(label: str, m: int, gram_of, domain, n, seed, tol) -> GramReport:
     """Sample a point family, assemble its Gram matrix and certify it."""
+    n = checked("positive_int", n, "n")
+    checked("positive", tol, "tol")
     pts = _sample(domain, m, n, seed)
     g = gram_of(pts)
     mineig, maxdiag, psd = _verdict(g, tol)
@@ -304,11 +307,6 @@ def multiplier_families(expr: KernelExpr, func, domain: DomainSpec, family, powe
                          family_of)
 
 
-def _check_resolution(resolution: float) -> None:
-    if not (math.isfinite(resolution) and resolution > 0):
-        raise ValueError(f"resolution must be positive and finite, got {resolution}")
-
-
 def _check_interval(lo: float, hi: float) -> None:
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"the interval needs finite lo < hi, got [{lo}, {hi}]")
@@ -346,7 +344,8 @@ def wallach_scan(
     The scanned kernel is pow(base, t) * log_hessian(base); a t counts as
     psd only if every point family passes.
     """
-    _check_resolution(resolution)
+    checked("positive", tol, "tol")
+    checked("positive", resolution, "resolution")
     _check_interval(t_lo, t_hi)
     fams = _wallach_families(base, domain, family)
     verdicts: list[tuple[float, bool]] = []
@@ -383,6 +382,7 @@ def ordinary_wallach_scan(
     tol: float = DEFAULT_TOL,
 ) -> list[tuple[float, bool]]:
     """Per-t PSD verdicts for the powers K^t, t > 0."""
+    checked("positive", tol, "tol")
     if any(t <= 0 for t in t_grid):
         raise ValueError("ordinary Wallach scan needs t > 0")
     fams = _power_families(base, domain, family)
@@ -412,9 +412,10 @@ def multiplier_bound(
     """Smallest certified c with (c^2 - f fbar) K non-negative on all families:
     c doubles from 1 up to MAX_BOUND, which is tried itself, until it passes,
     and then [last failing c, c] (or [0, 1]) is bisected."""
-    _check_resolution(resolution)
+    checked("positive", resolution, "resolution")
+    checked("positive", tol, "tol")
     func, label = _as_function(f, expr.m)
-    family = tuple((n, operator.index(s)) for n, s in family)
+    family = tuple((n, checked("seed", s, "seed")) for n, s in family)
     fams = multiplier_families(expr, func, domain, family)
     lo, hi = 0.0, 1.0
     while not families_pass(fams, hi, tol):

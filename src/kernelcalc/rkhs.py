@@ -16,10 +16,8 @@ import numpy as np
 from .errors import EvaluationError, ShapeError
 from .expr import BallCurvature, KernelExpr
 from .geometry import MultiIndex, Point, point_array, unit_index
+from .params import checked
 from .positivity import MultiplierBound, multiplier_bound  # re-exported
-
-#: largest m of z2_tensor_e1_norm; its jets take memory of order m^4
-MAX_NORM_DIM = 16
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,11 @@ class RkhsElement:
 def element(kernel: KernelExpr, terms) -> RkhsElement:
     """Build an RkhsElement from (coef, base, index, direction) tuples."""
     built = []
-    for coef, base, index, direction in terms:
+    for i, term in enumerate(terms):
+        try:
+            coef, base, index, direction = term
+        except (TypeError, ValueError):
+            raise ShapeError(f"term {i} is not a (coef, base, index, direction) tuple") from None
         built.append(
             Term(
                 complex(coef),
@@ -112,9 +114,11 @@ def z2_tensor_e1_norm(m: int, lam: float) -> float:
     and computed numerically from jets; matches
     sqrt((lam-1)/(lam (lam-2))) for lam > 2.
     """
-    if not 2 <= m <= MAX_NORM_DIM:
-        raise ShapeError(f"needs dimension in 2 .. {MAX_NORM_DIM}, got {m}")
-    if not lam > 2:
+    try:
+        m = checked("norm_dim", m, "m")
+    except ValueError as exc:  # a dimension out of range is a shape error
+        raise ShapeError(str(exc)) from None
+    if not checked("finite", lam, "lam") > 2:
         raise EvaluationError(
             "the monomial section leaves the space at lam <= 2 (divergent norm)"
         )

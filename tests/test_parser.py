@@ -1,11 +1,16 @@
+import inspect
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kernelcalc.errors import ParseError, ShapeError
-from kernelcalc.expr import MAX_DEPTH, Pow, SzegoDisc
+from kernelcalc.expr import (MAX_DEPTH, BallPower, DiagonalSeries, JetKernel, Pow, Scale,
+                             SzegoDisc)
+from kernelcalc.geometry import unit_disc
 from kernelcalc.parser import _NODES, parse_kernel
+from kernelcalc.positivity import psd_check
 
 from oracles import parse_kernel_by_tokenizer
 
@@ -64,6 +69,74 @@ def test_whitespace_and_exponent_literals():
 def test_malformed_input_raises(bad):
     with pytest.raises(ParseError):
         parse_kernel(bad)
+
+
+# a valid value of each argument kind, as DSL text and as the Python value
+VALID = {"expr": ("szego_disc()", SzegoDisc()), "scalar": ("szego_disc()", SzegoDisc()),
+         "num": ("1.0", 1.0), "int": ("1", 1), "list": ("[0.5]", [0.5])}
+KIND_WORDS = {"expr": "a kernel expression", "scalar": "a kernel expression",
+              "num": "a numeric", "int": "an integer", "list": "a coefficient list"}
+# values the DSL can write, each with the kinds it has
+DSL_VALUES = [("szego_disc()", SzegoDisc(), {"expr", "scalar"}), ("1.5", 1.5, {"num"}),
+              ("[1.0]", [1.0], {"list"})]
+# values only the Python API can pass, which have no kind
+API_VALUES = [True, None, "2", 1j]
+
+
+def _kind_cases():
+    for name, (make, kinds) in sorted(_NODES.items()):
+        fields = list(inspect.signature(make).parameters)
+        for i, kind in enumerate(kinds):
+            for text, value, has in DSL_VALUES:
+                if kind not in has:
+                    yield name, fields[i], i, text, value
+            for value in API_VALUES:
+                yield name, fields[i], i, None, value
+
+
+@pytest.mark.parametrize("name,field,i,text,value", list(_kind_cases()))
+def test_an_argument_of_the_wrong_kind_is_refused_naming_the_node_and_field(
+        name, field, i, text, value):
+    make, kinds = _NODES[name]
+    args = [VALID[kind][1] for kind in kinds]
+    args[i] = value
+    message = f"{name}: expected {KIND_WORDS[kinds[i]]} argument for {field}, got {value!r}"
+    with pytest.raises(ShapeError) as exc:
+        make(*args)
+    assert str(exc.value) == message
+    if text is not None:  # the parser reports the same text at the node's position
+        texts = [VALID[kind][0] for kind in kinds]
+        texts[i] = text
+        with pytest.raises(ParseError) as exc:
+            parse_kernel(f"pow({name}({', '.join(texts)}), 1.0)")
+        assert str(exc.value) == f"{message} (at position 4)"
+        assert exc.value.position == 4
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Scale(5, 2.0), "scale: expected a kernel expression argument for child, got 5"),
+    (lambda: JetKernel(SzegoDisc(), SzegoDisc(), 1.5),
+     "jet: expected an integer argument for order, got 1.5"),
+    (lambda: BallPower("2", 1.0), "ball_power: expected an integer argument for dim, got '2'"),
+    (lambda: BallPower(float("inf"), 1.0),
+     "ball_power: expected an integer argument for dim, got inf"),
+    (lambda: DiagonalSeries(x for x in [1.0]), "diagonal_series: expected a coefficient list"),
+])
+def test_api_probes_of_the_wrong_kind_are_shape_errors(build, message):
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}"):
+        build()
+
+
+def test_a_count_that_is_a_bool_is_a_type_error_naming_it():
+    with pytest.raises(TypeError, match="^n must be an integer, got True$"):
+        psd_check(SzegoDisc(), unit_disc(), True)
+
+
+def test_integral_reals_are_stored_as_ints_and_lists_as_float_tuples():
+    expr = BallPower(np.int64(2), 3)
+    assert type(expr.dim) is int and expr == BallPower(2.0, 3.0) == parse_kernel("ball_power(2, 3)")
+    series = DiagonalSeries(np.array([1, 2]))
+    assert series.coefficients == (1.0, 2.0) and type(series.coefficients[0]) is float
 
 
 def test_errors_carry_a_position():

@@ -418,6 +418,40 @@ def test_wallach_scan_rejects_a_bad_interval_before_sampling(lo, hi, monkeypatch
         wallach_scan(bergman_disc(), lo, hi, unit_disc())
 
 
+def test_an_infinite_tolerance_is_refused_not_read_as_a_pass():
+    # the README's failing example: its least eigenvalue is -3.42
+    with pytest.raises(ValueError, match="tol must be positive and finite, got inf"):
+        psd_check(parse_kernel("ball_curvature(2,1.5)"), unit_ball(2), 30, 23, tol=float("inf"))
+
+
+_TOL_CHECKS = {
+    "psd_check": lambda tol: psd_check(SzegoDisc(), unit_disc(), 5, tol=tol),
+    "kernel_order_check": lambda tol: kernel_order_check(
+        SzegoDisc(), Scale(SzegoDisc(), 2.0), unit_disc(), 5, tol=tol),
+    "wallach_scan": lambda tol: wallach_scan(
+        SzegoDisc(), -1.0, 1.0, unit_disc(), ((5, 1),), tol=tol),
+    "ordinary_wallach_scan": lambda tol: ordinary_wallach_scan(
+        SzegoDisc(), [0.5, 1.0], unit_disc(), ((5, 1),), tol=tol),
+    "multiplier_bound": lambda tol: multiplier_bound(
+        SzegoDisc(), 0, unit_disc(), ((5, 1),), tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), 0.0])
+@pytest.mark.parametrize("check", sorted(_TOL_CHECKS))
+def test_every_verdict_refuses_a_tolerance_that_is_not_positive_and_finite(check, tol):
+    # the Szego Gram of 5 points is positive definite (least eigenvalue
+    # 6.8e-3), and a nan or negative tolerance used to call it "not psd"
+    with pytest.raises(ValueError, match="^tol must be positive and finite"):
+        _TOL_CHECKS[check](tol)
+
+
+@pytest.mark.parametrize("tol", [True, "1e-9", None])
+def test_a_tolerance_that_is_not_a_real_is_a_type_error_naming_it(tol):
+    with pytest.raises(TypeError, match="^tol must be a real"):
+        psd_check(SzegoDisc(), unit_disc(), 5, tol=tol)
+
+
 # scalar built-ins and every scalar combinator, on their own domains
 _ONE_PASS_BASES = [
     ("szego_disc()", unit_disc()),

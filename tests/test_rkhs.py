@@ -84,6 +84,13 @@ def test_matrix_kernel_directions_must_match_the_size():
         element(BallCurvature(2, 3.0), [(1.0, (0.1, 0.2), (0, 0), (1.0,))])
 
 
+@pytest.mark.parametrize("term", [(1.0, 0.1, (0,)), (1.0, 0.1, (0,), (1.0,), 0), 1.0, None])
+def test_a_term_that_is_not_a_4_tuple_is_a_shape_error_naming_its_position(term):
+    good = (1.0, 0.2, (0,), (1.0,))
+    with pytest.raises(ShapeError, match=r"^term 1 is not a \(coef, base, index, direction\)"):
+        element(SzegoDisc(), [good, term])
+
+
 @pytest.mark.parametrize("lam", [2.5, 3.0, 5.0, 10.0])
 def test_monomial_section_norm_formula(lam):
     got = z2_tensor_e1_norm(2, lam)
