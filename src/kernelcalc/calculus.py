@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .expr import DiagonalSeries, KernelExpr, LogHessian, Pow, Product
+from .params import checked
 
 
 def phi_gram(expr: KernelExpr, alpha: float, beta: float, z, w) -> np.ndarray:
@@ -26,6 +27,8 @@ def phi_gram(expr: KernelExpr, alpha: float, beta: float, z, w) -> np.ndarray:
     Python complex arithmetic; it equals a b (a+b) times the (i, j)
     curvature entry.
     """
+    checked("finite", alpha, "alpha")
+    checked("finite", beta, "beta")
     if not (alpha > 0 and beta > 0):
         raise ValueError("alpha and beta must be positive")
     if not expr.is_scalar:
@@ -46,8 +49,9 @@ def series_head_coefficients(coefficients, t: float) -> tuple[float, float]:
 
     K = 1 + sum a_n z^n wbar^n on the disc.  The values are read off the
     order-1 jet table of product(pow(K, t), log_hessian(K)) at the origin,
-    not from the closed form a_1, 4 a_2 + (t-2) a_1^2.
+    not from the closed form a_1, 4 a_2 + (t-2) a_1^2.  The coefficients
+    and t are checked as the fields of their nodes (ShapeError).
     """
-    k = DiagonalSeries(list(coefficients))
+    k = DiagonalSeries(coefficients)
     table = Product(Pow(k, t), LogHessian(k)).eval_jet(0.0, 0.0, 1)
     return (table.value[0, 0].real, table.entry((1,), (1,))[0, 0].real)

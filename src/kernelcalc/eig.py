@@ -19,12 +19,27 @@ columns already factored, in place, so no (n - k)^2 rank-1 update is formed.
 `hermitian_part` is the one symmetrizing rule.  The sampled Grams of
 `positivity` arrive Hermitian from it; `eigenvalues` and `ldl_eliminate`
 apply it to their input again only as a guard for other callers.
+
+Both column loops run on a step plan of the input's width n: a workspace
+of two n x n buffers and the views that step k reads and writes, made once
+(Golub & Van Loan keep LAPACK's workspace the same way).  A call copies its
+input into the workspace once, as `hermitian_part`, and then each step
+issues only its arithmetic, into `out=` targets; the operations and their
+order are those of the loops without a plan, so the pivots, factors, tau
+and the tridiagonal (d, e) are the same bit for bit.  A call checks a plan
+out of the idle plans of its width, or builds one, and gives it back when
+it returns, so calls are reentrant and thread-safe.  Idle plans are kept
+for at most `_KEPT_WIDTHS` widths of at most `_MAX_KEPT_WIDTH`, the least
+recently used width dropped first: at most about 0.8 MB a width (at 128,
+with both loops' views) for each thread that solves at the same time.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,14 +56,108 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _hermitian_copy(h) -> np.ndarray:
-    """`hermitian_part` of a finite square matrix, refusing any other input."""
+def _checked_square(h) -> np.ndarray:
+    """h as a complex array, refusing one that is not finite and square."""
     a = np.asarray(h, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if not np.isfinite(a).all():
         raise EvaluationError("matrix has non-finite entries")
-    return hermitian_part(a)
+    return a
+
+
+#: idle plans are kept for this many widths, the least recently used width
+#: dropped first, and only for widths up to _MAX_KEPT_WIDTH: a wider call
+#: builds its plan and drops it
+_KEPT_WIDTHS, _MAX_KEPT_WIDTH = 8, 128
+
+
+class _Plan:
+    """The workspace of one width n, and the views that step k of each column
+    loop reads and writes, made on the loop's first run.  `a` takes the
+    Hermitian part of the input and then the factors or the first trailing
+    block; `spare` takes conj(a) in the copy-in, then |a| for the scaling,
+    then the second trailing block."""
+
+    __slots__ = ("n", "a", "spare", "diagonal", "_ldl", "_tri")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.a, self.spare = np.empty((2, n, n), dtype=complex)
+        self.diagonal = self.a.reshape(-1)[:: n + 1]
+        self._ldl = self._tri = None
+
+    def detached(self) -> np.ndarray:
+        """The workspace `a` for a caller to keep: a copy, unless the plan
+        is too wide to be kept for reuse."""
+        return self.a if self.n > _MAX_KEPT_WIDTH else self.a.copy()
+
+    def ldl_steps(self) -> list:
+        """Per step k: column k from the diagonal down, its part below the
+        diagonal, row k of L^H right of it, the factored columns beside
+        column k and column k above the diagonal (None at k = 0), and a
+        mat-vec buffer of n - k entries."""
+        if self._ldl is None:
+            a, prod = self.a, np.empty(self.n, dtype=complex)
+            self._ldl = [
+                (a[k:, k], a[k + 1 :, k], a[k, k + 1 :],
+                 a[k:, :k] if k else None, a[:k, k], prod[: self.n - k])
+                for k in range(self.n)
+            ]
+        return self._ldl
+
+    def tri_steps(self) -> tuple[list, np.ndarray]:
+        """Per step k (m = n - 1 - k): the flat buffer whose head is the
+        trailing block's (0, 0) entry, the column below it and the block
+        right of that, the next m x m block in the other buffer, u and w,
+        (u, w)^T, the (conj w, conj u) target and its source (w, u), and an
+        m-entry scratch vector."""
+        if self._tri is None:
+            n = self.n
+            flat = [self.a.reshape(-1), self.spare.reshape(-1)]
+            uw, wu = np.empty((2, 2, n), dtype=complex)
+            su = np.empty(n, dtype=complex)
+            steps = []
+            for k in range(n - 1):
+                m = n - 1 - k
+                b = flat[k % 2][: (m + 1) ** 2].reshape(m + 1, m + 1)
+                steps.append((flat[k % 2], b[1:, 0], b[1:, 1:],
+                              flat[(k + 1) % 2][: m * m].reshape(m, m),
+                              uw[0, :m], uw[1, :m], uw[:, :m].T, wu[:, :m],
+                              uw[::-1, :m], su[:m]))
+            self._tri = steps, flat[(n - 1) % 2]
+        return self._tri
+
+
+#: the idle plans of each kept width, the least recently used width first
+_idle: OrderedDict[int, list[_Plan]] = OrderedDict()
+_idle_lock = threading.Lock()
+
+
+def _checkout(a: np.ndarray) -> _Plan:
+    """A plan of a's width (n >= 1) that no other call holds, its workspace
+    holding `hermitian_part(a)`; `_release` gives it back."""
+    n = a.shape[0]
+    with _idle_lock:
+        free = _idle.get(n)
+        plan = free.pop() if free else None
+    if plan is None:
+        plan = _Plan(n)
+    np.true_divide(a, 2, out=plan.a)  # hermitian_part, into the workspace
+    np.conjugate(plan.a, out=plan.spare)
+    np.add(plan.a, plan.spare.T, out=plan.a)
+    return plan
+
+
+def _release(plan: _Plan) -> None:
+    """Give `plan` back to the idle plans of its width."""
+    if plan.n > _MAX_KEPT_WIDTH:
+        return
+    with _idle_lock:
+        _idle.setdefault(plan.n, []).append(plan)
+        _idle.move_to_end(plan.n)
+        if len(_idle) > _KEPT_WIDTHS:
+            _idle.popitem(last=False)
 
 
 #: a pass splits every bracket 16 ways (15 shifts), so 53 mantissa bits take
@@ -56,36 +165,51 @@ def _hermitian_copy(h) -> np.ndarray:
 _SPLIT, _MAX_PASSES = 16, -(-53 // 4) + 2
 
 
-def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _tridiagonal(plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and |off-diagonal| of a real tridiagonal unitarily similar to
-    the Hermitian `a` (n >= 1; its storage is reused).  H = I - u u^H maps
-    column k below the diagonal to a multiple of e_1; the trailing block
-    H A H = A - u w^H - w u^H is written once per column, contiguously; a
-    diagonal unitary similarity then makes the off-diagonal real."""
-    b, n = a, a.shape[0]
+    the Hermitian `plan.a` (n >= 1; the plan's buffers are overwritten).
+    H = I - u u^H maps column k below the diagonal to a multiple of e_1; the
+    trailing block H A H = A - u w^H - w u^H is written once per column,
+    contiguously, into the other buffer; a diagonal unitary similarity then
+    makes the off-diagonal real."""
+    n = plan.n
     d, e = np.empty(n), np.zeros(n - 1)
-    flat = [a.reshape(-1), np.empty(n * n, dtype=complex)]
-    uw, wu = np.empty((2, 2, n), dtype=complex)
-    for k in range(n - 1):
-        m, d[k], x = n - 1 - k, b[0, 0].real, b[1:, 0]
+    steps, last = plan.tri_steps()
+    for k, (head, x, trail, b, u, w, uw_t, wu, uw_rev, su) in enumerate(steps):
+        d[k] = head.item(0).real
         e[k] = alpha = math.sqrt(np.vdot(x, x).real)
-        b, trail = flat[(k + 1) % 2][: m * m].reshape(m, m), b[1:, 1:]
-        if alpha == 0 or m == 1:  # nothing to reduce
+        if alpha == 0 or len(x) == 1:  # nothing to reduce
             np.copyto(b, trail)
             continue
         # u = sqrt(beta) v, v = x / alpha normalised before beta = 2 / |v|^2
         # (summed: alpha may have lost entries whose squares underflow)
-        u, w = uw[0, :m], uw[1, :m]
         np.divide(x, alpha, out=u)
         v0 = complex(u[0])
         u[0] = v0 + (v0 / abs(v0) if v0 else 1.0)
         u *= math.sqrt(2.0 / np.vdot(u, u).real)
         np.matmul(trail, u, out=w)
-        w -= (0.5 * np.vdot(u, w).real) * u
-        np.conjugate(uw[::-1, :m], out=wu[:, :m])
-        np.subtract(trail, np.matmul(uw[:, :m].T, wu[:, :m], out=b), out=b)
-    d[-1] = b[0, 0].real
+        w -= np.multiply(0.5 * np.vdot(u, w).real, u, out=su)
+        np.conjugate(uw_rev, out=wu)
+        np.subtract(trail, np.matmul(uw_t, wu, out=b), out=b)
+    d[-1] = last.item(0).real
     return d, e
+
+
+def _scaled_tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """`_tridiagonal` of hermitian_part(a) (n >= 1) scaled by 2^-exponent,
+    where 2^exponent is just above its largest entry, and the exponent; None
+    when every entry is 0."""
+    plan = _checkout(a)
+    try:
+        re = plan.a.view(float)
+        big = float(np.abs(re, out=plan.spare.view(float)).max(initial=0.0))
+        if big == 0:
+            return None
+        exponent = math.frexp(big)[1]  # 2^-exponent rounds only subnormals
+        np.ldexp(re, -exponent, out=re)
+        return (*_tridiagonal(plan), exponent)
+    finally:
+        _release(plan)
 
 
 _MAX_SWEEPS = 30  # QL sweeps allowed per eigenvalue, as in LAPACK's dsterf
@@ -220,7 +344,7 @@ def eigenvalues(h: np.ndarray, count: int | None = None) -> np.ndarray:
     method meets LAPACK's n eps ||T|| contract.
     """
     with np.errstate(all="ignore"):  # overflow is detected, not warned about
-        a = _hermitian_copy(h)
+        a = _checked_square(h)
         n = a.shape[0]
         if count is None:
             count = n
@@ -228,11 +352,10 @@ def eigenvalues(h: np.ndarray, count: int | None = None) -> np.ndarray:
             raise ValueError("matrix is empty: it has no eigenvalues")
         elif isinstance(count, bool) or not isinstance(count, numbers.Integral) or not 1 <= count <= n:
             raise ValueError(f"count must be an integer in 1..{n}, got {count!r}")
-        big = float(np.max(np.abs(a.view(float)), initial=0.0))
-        if big == 0:
+        reduced = _scaled_tridiagonal(a) if n else None
+        if reduced is None:
             return np.zeros(count)
-        exponent = math.frexp(big)[1]  # 2^-exponent rounds only subnormals
-        d, e = _tridiagonal(np.ldexp(a.view(float), -exponent).view(complex))
+        d, e, exponent = reduced
         if not (np.isfinite(d).all() and np.isfinite(e).all()):
             raise EvaluationError("eigensolver failed: the tridiagonal form is not finite")
         radius = np.append(e, 0.0) + np.append(0.0, e)
@@ -290,22 +413,26 @@ def ldl_eliminate(g: np.ndarray, tol: float) -> tuple[int | None, np.ndarray, fl
     diagonal, column j holds column j of L D (L's column times the pivot
     d_j); above it, row j holds row j of L^H.  Column k of the Schur
     complement is then A[k:, k] - (L D)[k:, :k] L^H[:k, k], one mat-vec.
+    The steps run in the plan of G's width; the factors returned are the
+    caller's to keep.
     """
-    a = _hermitian_copy(g)
-    n = a.shape[0]
-    if n == 0:
+    a = _checked_square(g)
+    if a.shape[0] == 0:
         raise ValueError("matrix is empty: there is no verdict to give")
-    shift = tol * (1 + float(a.diagonal().real.max()))
-    a.flat[:: n + 1] += shift
-    for k in range(n):
-        col = a[k:, k]
-        if k:
-            col -= a[k:, :k] @ a[:k, k]
-        d = col[0].real
-        if not d > 0:
-            return k, a, shift
-        a[k, k + 1 :] = col[1:].conj() / d  # row k of L^H
-    return None, a, shift
+    plan = _checkout(a)
+    try:
+        shift = tol * (1 + float(plan.diagonal.real.max()))
+        plan.diagonal += shift
+        for k, (col, below, row, left, top, prod) in enumerate(plan.ldl_steps()):
+            if left is not None:
+                col -= np.matmul(left, top, out=prod)
+            d = col.item(0).real
+            if not d > 0:
+                return k, plan.detached(), shift
+            np.divide(np.conjugate(below, out=row), d, out=row)  # row k of L^H
+        return None, plan.detached(), shift
+    finally:
+        _release(plan)
 
 
 def ldl_verdict(g: np.ndarray, tol: float) -> LdlVerdict:

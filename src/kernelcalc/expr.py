@@ -32,7 +32,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
 import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -42,7 +41,7 @@ import numpy as np
 from .errors import BranchError, DomainError, EvaluationError, OrderCapError, ShapeError
 from .geometry import graded_lex_tuples, in_unit_ball, point_array
 from .jets import Jet, _group, check_finite, coordinate_products, monomial_positions
-from .params import checked
+from .params import checked, is_integral, is_real
 
 #: cap on the derivative order of eval_jet and of the jet kernel
 DEFAULT_ORDER_CAP = 4
@@ -269,20 +268,14 @@ class JetTable:
         return self.derivatives[0, 0]
 
 
-def _real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 #: kind of a field -> (the kind in words, whether a value has it, the value
 #: stored or None for the value itself, how to_dsl prints it)
 _KINDS = {
     "expr": ("a kernel expression", lambda v: isinstance(v, KernelExpr), None, KernelExpr.to_dsl),
-    "num": ("a numeric", _real, None, lambda v: repr(float(v))),  # a float prints as its repr
-    "int": ("an integer",
-            lambda v: _real(v) and (isinstance(v, numbers.Integral) or float(v).is_integer()),
-            int, str),
+    "num": ("a numeric", is_real, None, lambda v: repr(float(v))),  # a float prints as its repr
+    "int": ("an integer", is_integral, int, str),
     "list": ("a coefficient list",
-             lambda v: isinstance(v, (list, tuple, np.ndarray)) and all(map(_real, v)),
+             lambda v: isinstance(v, (list, tuple, np.ndarray)) and all(map(is_real, v)),
              lambda v: tuple(map(float, v)), lambda v: f"[{', '.join(map(repr, v))}]"),
 }
 _KINDS["scalar"] = _KINDS["expr"]

@@ -18,7 +18,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import DomainError
-from .params import checked
+from .params import checked, is_integral
 
 #: default radius of the closed sub-domain that sampled points live in
 DEFAULT_SAMPLE_RADIUS = 0.8
@@ -92,15 +92,17 @@ def in_unit_ball(points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, order=False)
 class MultiIndex:
-    """A multi-index in Z_+^m: a tuple of non-negative ints."""
+    """A multi-index in Z_+^m: a tuple of non-negative ints.  Its entries
+    follow the node kind `int` (integral reals, stored as ints), so 1.5 is
+    refused rather than rounded."""
 
     entries: tuple[int, ...]
 
     def __init__(self, entries):
-        entries = tuple(int(e) for e in entries)
-        if any(e < 0 for e in entries):
-            raise ValueError("multi-index entries must be non-negative")
-        object.__setattr__(self, "entries", entries)
+        entries = tuple(entries)
+        if not all(is_integral(e) and e >= 0 for e in entries):
+            raise ValueError(f"multi-index entries must be non-negative integers, got {entries!r}")
+        object.__setattr__(self, "entries", tuple(map(int, entries)))
 
     @property
     def order(self) -> int:

@@ -25,6 +25,17 @@ RULES = {
 }
 
 
+def is_real(value) -> bool:
+    """A real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_integral(value) -> bool:
+    """An integral real that is not a bool (2 and 2.0, not 2.5): the node
+    kind `int` and the entries of a multi-index."""
+    return is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())
+
+
 def checked(rule: str, value, name: str):
     """`value` of parameter `name` under `rule`; an integer comes back as an int."""
     kind, in_range, what = RULES[rule]

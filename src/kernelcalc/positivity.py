@@ -33,7 +33,7 @@ from .eig import hermitian_part, ldl_eliminate, min_eigenvalue
 from .errors import BracketError, EvaluationError, KernelCalcError, ShapeError
 from .expr import KernelExpr
 from .geometry import DomainSpec, Point, point_array, sample_array
-from .params import checked
+from .params import checked, is_real
 
 #: default relative PSD tolerance: psd iff min eig >= -tol * (1 + max diagonal)
 DEFAULT_TOL = 1e-9
@@ -244,12 +244,26 @@ class _CurvatureFamilyGram:
         return g.reshape(self.blocks.shape[0] * self.blocks.shape[1], -1)
 
 
+def _family_pairs(family) -> tuple:
+    """`family` as a tuple of (count, seed) pairs, refusing an entry that is
+    not a pair with a ShapeError naming it."""
+    pairs = []
+    for i, entry in enumerate(family):
+        try:
+            count, seed = entry
+        except (TypeError, ValueError):
+            raise ShapeError(f"family entry {i} is not a (count, seed) pair, got {entry!r}") from None
+        pairs.append((count, seed))
+    return tuple(pairs)
+
+
 def gram_families(expr: KernelExpr, domain: DomainSpec, family, values_of, family_of) -> list:
     """One parametric Gram family per (count, seed) of `family`, refusing an
-    empty family (ValueError) or a domain outside C^m (ShapeError) before
-    sampling.  The pairs of all point sets go through one `_pairwise` batch of
-    values_of; family_of((n, m) points, *nk x nk matrices) returns (B, M)."""
-    family = tuple(family)
+    empty family (ValueError), an entry that is not a pair or a domain
+    outside C^m (ShapeError) before sampling.  The pairs of all point sets go
+    through one `_pairwise` batch of values_of; family_of((n, m) points,
+    *nk x nk matrices) returns (B, M)."""
+    family = _family_pairs(family)
     if not family:
         raise ValueError("the point family is empty: it needs at least one (count, seed)")
     sets = [_sample(domain, expr.m, n, s) for n, s in family]
@@ -308,6 +322,11 @@ def multiplier_families(expr: KernelExpr, func, domain: DomainSpec, family, powe
 
 
 def _check_interval(lo: float, hi: float) -> None:
+    """Refuse t_lo or t_hi that is not a real (TypeError naming it) and an
+    interval that is not finite with lo < hi (ValueError)."""
+    for name, value in (("t_lo", lo), ("t_hi", hi)):
+        if not is_real(value):
+            raise TypeError(f"{name} must be a real, got {value!r}")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"the interval needs finite lo < hi, got [{lo}, {hi}]")
 
@@ -383,6 +402,7 @@ def ordinary_wallach_scan(
 ) -> list[tuple[float, bool]]:
     """Per-t PSD verdicts for the powers K^t, t > 0."""
     checked("positive", tol, "tol")
+    t_grid = [checked("finite", t, "t_grid") for t in t_grid]
     if any(t <= 0 for t in t_grid):
         raise ValueError("ordinary Wallach scan needs t > 0")
     fams = _power_families(base, domain, family)
@@ -415,7 +435,7 @@ def multiplier_bound(
     checked("positive", resolution, "resolution")
     checked("positive", tol, "tol")
     func, label = _as_function(f, expr.m)
-    family = tuple((n, checked("seed", s, "seed")) for n, s in family)
+    family = tuple((n, checked("seed", s, "seed")) for n, s in _family_pairs(family))
     fams = multiplier_families(expr, func, domain, family)
     lo, hi = 0.0, 1.0
     while not families_pass(fams, hi, tol):

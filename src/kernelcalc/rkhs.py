@@ -56,11 +56,17 @@ def element(kernel: KernelExpr, terms) -> RkhsElement:
             coef, base, index, direction = term
         except (TypeError, ValueError):
             raise ShapeError(f"term {i} is not a (coef, base, index, direction) tuple") from None
+        if not isinstance(index, MultiIndex):
+            try:
+                index = MultiIndex(index)
+            except (TypeError, ValueError):
+                raise ShapeError(
+                    f"term {i}: index must be non-negative integers, got {index!r}") from None
         built.append(
             Term(
                 complex(coef),
                 Point(point_array([base], kernel.m)[0]),
-                index if isinstance(index, MultiIndex) else MultiIndex(index),
+                index,
                 tuple(complex(d) for d in direction),
             )
         )

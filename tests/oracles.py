@@ -10,7 +10,9 @@ fourth-order central stencils summed one term at a time, the quasi-invariance
 residual by separate calls for the z and the w points, jet products by contracting the w group and then the z group,
 jet pow, exp and log by summing the powers of the series argument,
 RKHS inner products by one jet table per pair of terms, the LDL^H
-verdict by right-looking rank-1 Schur updates, eigenvalues by vectorised
+verdict by right-looking rank-1 Schur updates, the left-looking LDL^H
+elimination and the Householder tridiagonal form as they ran before step
+plans held their views and buffers, eigenvalues by vectorised
 Sturm multisection of their brackets, the early-exit pivot test by
 Sturm counts guarded at every step, sampled Grams by per-pair evaluation,
 conjugate completion and the two-halves symmetrization, the phi-section
@@ -35,7 +37,7 @@ from unittest import mock
 import numpy as np
 
 from kernelcalc.automorphisms import CocycleSpec, MobiusMap
-from kernelcalc.eig import _MAX_PASSES, _SPLIT, LdlVerdict, _hermitian_copy, _tridiagonal
+from kernelcalc.eig import _MAX_PASSES, _SPLIT, LdlVerdict, hermitian_part
 from kernelcalc.errors import DomainError, EvaluationError, ParseError, ShapeError
 from kernelcalc.expr import JetKernel, KernelExpr, Pow
 from kernelcalc.geometry import (
@@ -357,6 +359,89 @@ def inner_product_per_pair(e1: RkhsElement, e2: RkhsElement) -> complex:
     return acc
 
 
+def _hermitian_copy(h) -> np.ndarray:
+    """`hermitian_part` of a finite square matrix, refusing any other input."""
+    a = np.asarray(h, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    if not np.isfinite(a).all():
+        raise EvaluationError("matrix has non-finite entries")
+    return hermitian_part(a)
+
+
+def tridiagonal_unplanned(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and |off-diagonal| of a real tridiagonal unitarily similar to
+    the Hermitian `a` (n >= 1; its storage is reused).  H = I - u u^H maps
+    column k below the diagonal to a multiple of e_1; the trailing block
+    H A H = A - u w^H - w u^H is written once per column, contiguously; a
+    diagonal unitary similarity then makes the off-diagonal real."""
+    b, n = a, a.shape[0]
+    d, e = np.empty(n), np.zeros(n - 1)
+    flat = [a.reshape(-1), np.empty(n * n, dtype=complex)]
+    uw, wu = np.empty((2, 2, n), dtype=complex)
+    for k in range(n - 1):
+        m, d[k], x = n - 1 - k, b[0, 0].real, b[1:, 0]
+        e[k] = alpha = math.sqrt(np.vdot(x, x).real)
+        b, trail = flat[(k + 1) % 2][: m * m].reshape(m, m), b[1:, 1:]
+        if alpha == 0 or m == 1:  # nothing to reduce
+            np.copyto(b, trail)
+            continue
+        # u = sqrt(beta) v, v = x / alpha normalised before beta = 2 / |v|^2
+        # (summed: alpha may have lost entries whose squares underflow)
+        u, w = uw[0, :m], uw[1, :m]
+        np.divide(x, alpha, out=u)
+        v0 = complex(u[0])
+        u[0] = v0 + (v0 / abs(v0) if v0 else 1.0)
+        u *= math.sqrt(2.0 / np.vdot(u, u).real)
+        np.matmul(trail, u, out=w)
+        w -= (0.5 * np.vdot(u, w).real) * u
+        np.conjugate(uw[::-1, :m], out=wu[:, :m])
+        np.subtract(trail, np.matmul(uw[:, :m].T, wu[:, :m], out=b), out=b)
+    d[-1] = b[0, 0].real
+    return d, e
+
+
+def ldl_eliminate_unplanned(g: np.ndarray, tol: float) -> tuple[int | None, np.ndarray, float]:
+    """LDL^H of A = G + tau I, tau = tol * (1 + max diag G), left-looking:
+    (the first pivot k that is not > 0, or None; the factors; tau).  All
+    pivots are > 0 exactly when the least eigenvalue of (the Hermitian part
+    of) G exceeds -tau.  No eigenvalue and no witness is computed.
+
+    Step k needs the entries of A only in column k, on and below the
+    diagonal, so the factors overwrite A as they are made: below the
+    diagonal, column j holds column j of L D (L's column times the pivot
+    d_j); above it, row j holds row j of L^H.  Column k of the Schur
+    complement is then A[k:, k] - (L D)[k:, :k] L^H[:k, k], one mat-vec.
+    """
+    a = _hermitian_copy(g)
+    n = a.shape[0]
+    if n == 0:
+        raise ValueError("matrix is empty: there is no verdict to give")
+    shift = tol * (1 + float(a.diagonal().real.max()))
+    a.flat[:: n + 1] += shift
+    for k in range(n):
+        col = a[k:, k]
+        if k:
+            col -= a[k:, :k] @ a[:k, k]
+        d = col[0].real
+        if not d > 0:
+            return k, a, shift
+        a[k, k + 1 :] = col[1:].conj() / d  # row k of L^H
+    return None, a, shift
+
+
+def scaled_tridiagonal_unplanned(h) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """(d, e) of h as `eig.eigenvalues` reduced it before step plans (the
+    Hermitian copy scaled by 2^-exponent, 2^exponent just above its largest
+    entry) and the exponent; None when every entry is 0."""
+    a = _hermitian_copy(h)
+    big = float(np.max(np.abs(a.view(float)), initial=0.0))
+    if big == 0:
+        return None
+    exponent = math.frexp(big)[1]
+    return (*tridiagonal_unplanned(np.ldexp(a.view(float), -exponent).view(complex)), exponent)
+
+
 def ldl_verdict_right_looking(g, tol: float) -> LdlVerdict:
     """`ldl_verdict` by the right-looking elimination: n rank-1 Schur updates
     of the trailing block, L stored below the diagonal."""
@@ -444,7 +529,7 @@ def spectrum_by_multisection(h, count: int | None = None) -> np.ndarray:
         if big == 0:
             return np.zeros(count)
         exponent = math.frexp(big)[1]  # 2^-exponent rounds only subnormals
-        d, e = _tridiagonal(np.ldexp(a.view(float), -exponent).view(complex))
+        d, e = tridiagonal_unplanned(np.ldexp(a.view(float), -exponent).view(complex))
         if not np.all(np.isfinite(np.r_[d, e])):
             raise EvaluationError("eigensolver failed: the tridiagonal form is not finite")
         radius = np.r_[e, 0.0] + np.r_[0.0, e]

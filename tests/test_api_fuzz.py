@@ -12,10 +12,11 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import kernelcalc as kc
-from kernelcalc.errors import KernelCalcError
+from kernelcalc.errors import KernelCalcError, ShapeError
 
 K = kc.SzegoDisc()
 DISC = kc.unit_disc()
@@ -38,6 +39,7 @@ ACCEPTS = {
     "norm_dim": lambda v: _integer(v) and 2 <= v <= 16,
     "finite": lambda v: _real(v) and math.isfinite(v),
     "term": lambda v: False,  # no malformed value is a (coef, base, index, direction)
+    "pair": lambda v: False,  # nor a (count, seed) entry of a point family
     "expr": lambda v: isinstance(v, kc.KernelExpr),
     "scalar": lambda v: isinstance(v, kc.KernelExpr),
     "num": _real,
@@ -81,6 +83,22 @@ ENTRIES = {
                                                [(0.1, 0.2j)]),
         {"t": "finite"}),
     "element": (lambda term=(1.0, 0.1, (0,), (1.0,)): kc.element(K, [term]), {"term": "term"}),
+    "wallach_scan interval": (
+        lambda t_lo=-2.0, t_hi=0.0: kc.wallach_scan(kc.bergman_disc(), t_lo, t_hi, DISC, ((4, 1),)),
+        {"t_lo": "finite", "t_hi": "finite"}),
+    "wallach_scan family": (
+        lambda entry=(4, 1): kc.wallach_scan(kc.bergman_disc(), -2.0, 0.0, DISC, (entry,)),
+        {"entry": "pair"}),
+    "ordinary_wallach_scan t_grid": (
+        lambda t_grid=0.5: kc.ordinary_wallach_scan(K, [t_grid, 1.0], DISC, ((4, 1),)),
+        {"t_grid": "positive"}),
+    "multiplier_bound family": (
+        lambda entry=(4, 1): kc.multiplier_bound(K, 0, DISC, (entry,)), {"entry": "pair"}),
+    "phi_gram": (lambda alpha=1.0, beta=2.0: kc.phi_gram(K, alpha, beta, 0.1, 0.2),
+                 {"alpha": "positive", "beta": "positive"}),
+    "series_head_coefficients": (
+        lambda coefficients=(1.0, 0.1), t=1.0: kc.series_head_coefficients(coefficients, t),
+        {"coefficients": "list", "t": "num"}),
 }
 
 #: a valid value of each node kind
@@ -135,3 +153,22 @@ def test_every_entry_point_returns_at_its_valid_defaults():
     # so that a refusal in the property above is the malformed value's
     for call, _ in ENTRIES.values():
         call()
+
+
+@pytest.mark.parametrize("call,error,words", [
+    (lambda: kc.wallach_scan(K, 2.0, 3.0, DISC, ((4,),)), ShapeError,
+     "family entry 0 is not a (count, seed) pair"),
+    (lambda: kc.multiplier_bound(K, 0, DISC, ((4, 1), (4,))), ShapeError,
+     "family entry 1 is not a (count, seed) pair"),
+    (lambda: kc.wallach_scan(kc.bergman_disc(), "a", 0, DISC, ((4, 1),)), TypeError,
+     "t_lo must be a real"),
+    (lambda: kc.ordinary_wallach_scan(K, [0.5, "a"], DISC, ((4, 1),)), TypeError,
+     "t_grid must be a real"),
+    (lambda: kc.phi_gram(K, "a", 1.0, 0.1, 0.2), TypeError, "alpha must be a real"),
+    (lambda: kc.series_head_coefficients(5, 1.0), ShapeError,
+     "expected a coefficient list argument for coefficients"),
+])
+def test_malformed_scan_and_calculus_inputs_are_refused_by_name(call, error, words):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(words) or f": {words}" in str(info.value)

@@ -73,7 +73,9 @@ def test_the_in_place_hermitian_copy_equals_hermitian_part(scale):
     rng = np.random.default_rng(5)
     a = scale * (rng.random((30, 30)) + 1j * rng.random((30, 30)))
     before = a.copy()
-    got = eig._hermitian_copy(a)
+    plan = eig._checkout(a)  # the copy-in of both column loops
+    got = plan.a.copy()
+    eig._release(plan)
     want = oracles.hermitian_part_by_halves(a)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.array_equal(hermitian_part(a).view(np.uint64), want.view(np.uint64))
@@ -514,3 +516,138 @@ def test_ldl_verdict_rejects_bad_input():
         ldl_verdict(np.zeros((0, 0)), 1e-9)
     with pytest.raises(EvaluationError):
         ldl_verdict(np.array([[1.0, np.nan], [np.nan, 1.0]]), 1e-9)
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _plan_input(kind: str, n: int, scale: float, seed: int) -> np.ndarray:
+    """A matrix of one of the kinds the step plans must not change the
+    answers on; "general" is not Hermitian, so the copy-in symmetrizes it."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "positive definite":
+        a = b @ b.conj().T / n + 0.1 * np.eye(n)
+    elif kind == "indefinite":
+        a = (b + b.conj().T) / 2
+    elif kind == "general":
+        a = b
+    elif kind == "zero columns":  # column 0 and others zeros of both signs
+        a = (b + b.conj().T) / 2
+        zero = rng.random(n) < 0.5
+        zero[0] = True
+        zeros = np.empty((n, n), dtype=complex)
+        zeros.real, zeros.imag = np.copysign(0.0, rng.standard_normal((2, n, n)))
+        a[zero, :], a[:, zero] = zeros[zero, :], zeros[:, zero]
+        a[zero, zero] = rng.standard_normal(np.count_nonzero(zero))
+    else:  # "diagonal": every column is zero below the diagonal
+        a = np.diag(rng.standard_normal(n))
+    return a * scale
+
+
+_PLAN_KINDS = ["positive definite", "indefinite", "general", "zero columns", "diagonal"]
+# entries near 1e300, ordinary ones and subnormal ones (1e-310 * N(0, 1))
+_PLAN_SCALES = [1.0, 1e300, 1e-310]
+
+
+def _assert_planned_answers_are_the_unplanned(a, tol):
+    with np.errstate(all="ignore"):  # 1e300 entries overflow both ways alike
+        pivot, factors, shift = eig.ldl_eliminate(a, tol)
+        want_pivot, want_factors, want_shift = oracles.ldl_eliminate_unplanned(a, tol)
+        reduced = eig._scaled_tridiagonal(a)
+        want_reduced = oracles.scaled_tridiagonal_unplanned(a)
+    assert pivot == want_pivot
+    assert _same_bits(factors, want_factors)
+    assert _same_bits(shift, want_shift)
+    assert (reduced is None) == (want_reduced is None)
+    if reduced is not None:
+        (d, e, exponent), (want_d, want_e, want_exponent) = reduced, want_reduced
+        assert exponent == want_exponent
+        assert _same_bits(d, want_d) and _same_bits(e, want_e)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 64),
+    st.sampled_from(_PLAN_KINDS),
+    st.sampled_from(_PLAN_SCALES),
+    st.sampled_from([1e-9, 1e-6, 0.0]),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, "general", 1.0, 1e-9, 0)
+@example(64, "indefinite", 1e300, 1e-9, 1)
+@example(64, "zero columns", 1e-310, 1e-9, 2)
+@example(2, "diagonal", 1.0, 0.0, 3)
+def test_the_planned_loops_give_the_unplanned_answers_bit_for_bit(n, kind, scale, tol, seed):
+    # the pivot, every factor, tau, the tridiagonal (d, e) and its scaling
+    _assert_planned_answers_are_the_unplanned(_plan_input(kind, n, scale, seed), tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([1, 2, 7, 8, 33]), st.sampled_from(_PLAN_KINDS),
+                  st.integers(0, 2**32 - 1)),
+        min_size=2, max_size=12,
+    )
+)
+def test_repeated_and_interleaved_widths_reuse_plans_without_changing_answers(calls):
+    # a plan keeps whatever the last call at its width left in its buffers
+    for n, kind, seed in calls:
+        _assert_planned_answers_are_the_unplanned(_plan_input(kind, n, 1.0, seed), 1e-9)
+
+
+def test_threads_running_same_width_solves_get_the_sequential_answers():
+    # more threads than cores, switching often, all on one width: a plan
+    # held by two calls at once would mix their workspaces
+    import sys
+    import threading
+
+    threads_n = 4
+    grams = [[_plan_input(kind, 24, 1.0, 100 * t + i) for i, kind in enumerate(_PLAN_KINDS * 30)]
+             for t in range(threads_n)]
+
+    def solve(g):
+        pivot, factors, shift = eig.ldl_eliminate(g, 1e-9)
+        return pivot, factors.tobytes(), shift, eigenvalues(g).tobytes()
+
+    want = [[solve(g) for g in gs] for gs in grams]
+    got = [[] for _ in range(threads_n)]
+    start = threading.Barrier(threads_n)
+
+    def run(t):
+        start.wait()
+        got[t].extend(solve(g) for g in grams[t])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
+
+
+def test_plans_are_kept_for_a_bounded_number_of_widths():
+    for n in range(1, 3 * eig._KEPT_WIDTHS + 1):
+        eig.ldl_eliminate(np.eye(n), 1e-9)
+        eigenvalues(np.eye(n), 1)
+        assert len(eig._idle) <= eig._KEPT_WIDTHS
+    # the most recently used widths are the ones kept
+    assert list(eig._idle) == list(range(2 * eig._KEPT_WIDTHS + 1, 3 * eig._KEPT_WIDTHS + 1))
+    wide = eig._MAX_KEPT_WIDTH + 1
+    eig.ldl_eliminate(np.eye(wide), 1e-9)
+    eigenvalues(np.eye(wide), 1)
+    assert wide not in eig._idle
+    # factors handed out are the caller's: a later call does not change them
+    _, factors, _ = eig.ldl_eliminate(2 * np.eye(5), 1e-9)
+    kept = factors.copy()
+    eig.ldl_eliminate(np.ones((5, 5)), 1e-9)
+    assert np.array_equal(factors, kept)

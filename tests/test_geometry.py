@@ -158,6 +158,20 @@ def test_multi_index_order_and_partial_order():
         MultiIndex((-1, 0))
 
 
+@pytest.mark.parametrize("entries", [(1.5,), (0, 0.5), (1, float("nan")), (float("inf"),),
+                                     (True,), ("1",), (1j,)])
+def test_a_multi_index_refuses_entries_that_are_not_integral(entries):
+    # int(1.5) would round it to the first derivative
+    with pytest.raises(ValueError, match="non-negative integers"):
+        MultiIndex(entries)
+
+
+def test_a_multi_index_stores_integral_reals_as_ints():
+    i = MultiIndex((2.0, np.int64(1), 0))
+    assert i.entries == (2, 1, 0)
+    assert all(type(e) is int for e in i.entries)
+
+
 def test_enumeration_matches_hand_listing():
     got = graded_lex_tuples(2, 1)
     assert got == [(0, 0), (1, 0), (0, 1)]

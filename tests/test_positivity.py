@@ -220,6 +220,14 @@ def test_ordinary_wallach_powers_of_szego_stay_positive():
         ordinary_wallach_scan(SzegoDisc(), [0.0], unit_disc())
 
 
+def test_an_ordinary_wallach_grid_given_as_a_generator_is_read_once():
+    # the t > 0 check used to exhaust it, leaving no t to scan
+    family = ((4, 1),)
+    want = ordinary_wallach_scan(SzegoDisc(), [0.5, 1.0], unit_disc(), family)
+    assert ordinary_wallach_scan(SzegoDisc(), (t for t in [0.5, 1.0]), unit_disc(), family) == want
+    assert len(want) == 2
+
+
 def test_failing_pair_is_named_in_evaluation_errors():
     from kernelcalc.errors import EvaluationError
 

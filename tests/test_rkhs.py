@@ -91,6 +91,13 @@ def test_a_term_that_is_not_a_4_tuple_is_a_shape_error_naming_its_position(term)
         element(SzegoDisc(), [good, term])
 
 
+@pytest.mark.parametrize("index", [(1.5,), (-1,), (0.5, 0), 3, None])
+def test_an_index_that_is_not_non_negative_integers_is_a_shape_error_naming_its_term(index):
+    # (1.5,) used to be read as (1,): a first derivative nobody asked for
+    with pytest.raises(ShapeError, match=r"^term 0: index must be non-negative integers"):
+        element(SzegoDisc(), [(1.0, 0.1, index, (1.0,))])
+
+
 @pytest.mark.parametrize("lam", [2.5, 3.0, 5.0, 10.0])
 def test_monomial_section_norm_formula(lam):
     got = z2_tensor_e1_norm(2, lam)
