@@ -11,6 +11,8 @@ the engine live with the tests.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from .errors import ShapeError
@@ -50,8 +52,11 @@ def series_head_coefficients(coefficients, t: float) -> tuple[float, float]:
     K = 1 + sum a_n z^n wbar^n on the disc.  The values are read off the
     order-1 jet table of product(pow(K, t), log_hessian(K)) at the origin,
     not from the closed form a_1, 4 a_2 + (t-2) a_1^2.  The coefficients
-    and t are checked as the fields of their nodes (ShapeError).
+    (any iterable, read once) and t are checked as the fields of their nodes
+    (ShapeError).
     """
+    if isinstance(coefficients, Iterable):
+        coefficients = tuple(coefficients)
     k = DiagonalSeries(coefficients)
     table = Product(Pow(k, t), LogHessian(k)).eval_jet(0.0, 0.0, 1)
     return (table.value[0, 0].real, table.entry((1,), (1,))[0, 0].real)

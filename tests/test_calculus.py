@@ -111,6 +111,13 @@ def test_series_head_examples():
     assert series_head_coefficients([0, 0.3], 1.5) == pytest.approx((0.0, 1.2))
 
 
+def test_series_head_reads_any_iterable_of_coefficients_once():
+    want = series_head_coefficients([1, 0.1], 1.0)
+    assert series_head_coefficients((c for c in [1, 0.1]), 1.0) == want
+    assert series_head_coefficients(np.array([1, 0.1]), 1.0) == want
+    assert series_head_coefficients(iter((1, 0.1)), 1.0) == want
+
+
 def test_series_head_matches_the_closed_form_on_random_input():
     rng = np.random.default_rng(42)
     for _ in range(20):
