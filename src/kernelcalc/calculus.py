@@ -52,10 +52,10 @@ def series_head_coefficients(coefficients, t: float) -> tuple[float, float]:
     K = 1 + sum a_n z^n wbar^n on the disc.  The values are read off the
     order-1 jet table of product(pow(K, t), log_hessian(K)) at the origin,
     not from the closed form a_1, 4 a_2 + (t-2) a_1^2.  The coefficients
-    (any iterable, read once) and t are checked as the fields of their nodes
-    (ShapeError).
+    (any iterable but a string, read once) and t are checked as the fields
+    of their nodes (ShapeError).
     """
-    if isinstance(coefficients, Iterable):
+    if isinstance(coefficients, Iterable) and not isinstance(coefficients, (str, bytes)):
         coefficients = tuple(coefficients)
     k = DiagonalSeries(coefficients)
     table = Product(Pow(k, t), LogHessian(k)).eval_jet(0.0, 0.0, 1)

@@ -23,7 +23,8 @@ apply it to their input again only as a guard for other callers.
 Both column loops run on a step plan of the input's width n: a workspace
 of two n x n buffers and the views that step k reads and writes, made once
 (Golub & Van Loan keep LAPACK's workspace the same way).  A call copies its
-input into the workspace once, as `hermitian_part`, and then each step
+input into the workspace once, as `hermitian_part` (`ldl_pivot` has its
+caller form G in the workspace, and keeps no factors), and then each step
 issues only its arithmetic, into `out=` targets; the operations and their
 order are those of the loops without a plan, so the pivots, factors, tau
 and the tridiagonal (d, e) are the same bit for bit.  A call checks a plan
@@ -141,16 +142,17 @@ _idle: OrderedDict[int, list[_Plan]] = OrderedDict()
 _idle_lock = threading.Lock()
 
 
-def _checkout(a: np.ndarray) -> _Plan:
-    """A plan of a's width (n >= 1) that no other call holds, its workspace
-    holding `hermitian_part(a)`; `_release` gives it back."""
-    n = a.shape[0]
+def _checkout(n: int) -> _Plan:
+    """A plan of width n >= 1 that no other call holds; `_release` gives it back."""
     with _idle_lock:
         free = _idle.get(n)
         plan = free.pop() if free else None
-    if plan is None:
-        plan = _Plan(n)
-    np.true_divide(a, 2, out=plan.a)  # hermitian_part, into the workspace
+    return _Plan(n) if plan is None else plan
+
+
+def _load(plan: _Plan, a: np.ndarray) -> _Plan:
+    """`hermitian_part(a)` into the workspace `a` (a may be `plan.spare`)."""
+    np.true_divide(a, 2, out=plan.a)
     np.conjugate(plan.a, out=plan.spare)
     np.add(plan.a, plan.spare.T, out=plan.a)
     return plan
@@ -206,7 +208,7 @@ def _scaled_tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | N
     """`_tridiagonal` of hermitian_part(a) (n >= 1) scaled by 2^-exponent,
     where 2^exponent is just above its largest entry, and the exponent; None
     when every entry is 0."""
-    plan = _checkout(a)
+    plan = _load(_checkout(len(a)), a)
     try:
         re = plan.a.view(float)
         big = float(np.abs(re, out=plan.spare.view(float)).max(initial=0.0))
@@ -426,8 +428,21 @@ def ldl_eliminate(g: np.ndarray, tol: float) -> tuple[int | None, np.ndarray, fl
     a = _checked_square(g)
     if a.shape[0] == 0:
         raise ValueError("matrix is empty: there is no verdict to give")
-    plan = _checkout(a)
+    return _eliminate(len(a), lambda plan: _load(plan, a), tol, True)
+
+
+def ldl_pivot(n: int, fill, tol: float) -> int | None:
+    """The pivot of `ldl_eliminate` for the n x n G that fill(out) writes
+    into the plan's workspace and returns; no factor is copied out."""
+    return _eliminate(n, lambda plan: _load(plan, _checked_square(fill(plan.spare))), tol, False)[0]
+
+
+def _eliminate(n: int, load, tol: float, copy: bool) -> tuple:
+    """`ldl_eliminate` on a plan of width n whose workspace load(plan) fills:
+    (the pivot, the factors if `copy` or None, tau)."""
+    plan = _checkout(n)
     try:
+        load(plan)
         shift = tol * (1 + float(plan.diagonal.real.max()))
         plan.diagonal += shift
         for k, (col, below, row, left, top, prod) in enumerate(plan.ldl_steps()):
@@ -435,9 +450,9 @@ def ldl_eliminate(g: np.ndarray, tol: float) -> tuple[int | None, np.ndarray, fl
                 col -= np.matmul(left, top, out=prod)
             d = col.item(0).real
             if not d > 0:
-                return k, plan.detached(), shift
+                return k, plan.detached() if copy else None, shift
             np.divide(np.conjugate(below, out=row), d, out=row)  # row k of L^H
-        return None, plan.detached(), shift
+        return None, plan.detached() if copy else None, shift
     finally:
         _release(plan)
 

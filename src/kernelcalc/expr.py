@@ -33,7 +33,6 @@ import dataclasses
 import functools
 import math
 import operator
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,20 +51,6 @@ MAX_DEPTH = 64
 
 def _coords(row) -> tuple:
     return tuple(complex(c) for c in row)
-
-
-@contextmanager
-def _naming_pairs(zs: np.ndarray, ws: np.ndarray):
-    """Evaluate without floating-point warnings; a jet error for batch
-    entry p is raised again naming the pair (zs[p], ws[p])."""
-    try:
-        with np.errstate(all="ignore"):
-            yield
-    except (BranchError, EvaluationError) as exc:
-        if exc.batch_index is None:
-            raise
-        p = exc.batch_index[0]
-        raise type(exc)(f"{exc} at pair ({_coords(zs[p])}, {_coords(ws[p])})") from exc
 
 
 class KernelExpr:
@@ -167,10 +152,16 @@ class KernelExpr:
         if zs.shape != ws.shape:
             raise ShapeError("a batch of pairs needs as many z as w points")
         self._check_pairs(zs, ws)
-        with _naming_pairs(zs, ws):
-            out = evaluate(zs, ws)
-            for a in out:
-                check_finite(a, "kernel value")
+        try:
+            with np.errstate(all="ignore"):
+                out = evaluate(zs, ws)
+                for a in out:
+                    check_finite(a, "kernel value")
+        except (BranchError, EvaluationError) as exc:
+            if exc.batch_index is None:
+                raise
+            p = exc.batch_index[0]
+            raise type(exc)(f"{exc} at pair ({_coords(zs[p])}, {_coords(ws[p])})") from exc
         return out
 
     def values(self, zs, ws, log: bool = False) -> np.ndarray:
@@ -214,7 +205,7 @@ class KernelExpr:
         (derivatives,) = self._checked_values(
             zs, ws, lambda z, w: (self.jets(z, w, order, order).derivatives(),))
         # (B, k, k, N, N) -> (B, N, N, k, k): one k x k block per derivative
-        blocks = np.ascontiguousarray(np.moveaxis(derivatives, (-2, -1), (1, 2)))
+        blocks = np.ascontiguousarray(derivatives.transpose(0, 3, 4, 1, 2))
         return [JetTable(order, self.m, self.size, d) for d in blocks]
 
     def eval_jet(self, z, w, order: int) -> "JetTable":

@@ -22,7 +22,8 @@ from math import factorial, prod
 
 import numpy as np
 
-from .expr import JetTable, KernelExpr
+from .errors import DomainError
+from .expr import JetTable, KernelExpr, _coords
 from .geometry import graded_lex_tuples, point_array
 
 _NODES, _RADIUS = 5, 0.02  # angles per variable, radius of the torus
@@ -30,16 +31,17 @@ _NODES, _RADIUS = 5, 0.02  # angles per variable, radius of the torus
 
 @functools.cache
 def _torus(m: int, order: int) -> tuple:
-    """The N^m node offsets in C^m and the (n, N^m) matrix F of scaled DFT
+    """The N^m node offsets in C^m, the (n, N^m) matrix F of scaled DFT
     rows, F[a, p] = i! e^(-2 pi i (i . k_p) / N) / (N^m r^|i|) for the a-th
-    multi-index i in graded lex order and the angle indices k_p of node p;
-    shared: do not modify."""
+    multi-index i in graded lex order and the angle indices k_p of node p,
+    and F^H; shared: do not modify."""
     nodes = np.array(list(product(range(_NODES), repeat=m)))
     offsets = _RADIUS * np.exp(2j * np.pi * nodes / _NODES)
     indices = np.array(graded_lex_tuples(m, order))
     twiddles = np.exp(-2j * np.pi * np.arange(_NODES) / _NODES)
     scale = [prod(map(factorial, i)) / (_NODES**m * _RADIUS ** sum(i)) for i in indices]
-    return offsets, twiddles[indices @ nodes.T % _NODES] * np.array(scale)[:, None]
+    rows = twiddles[indices @ nodes.T % _NODES] * np.array(scale)[:, None]
+    return offsets, rows, rows.conj().T
 
 
 def _fd_derivatives(expr: KernelExpr, z, w, order: int) -> np.ndarray:
@@ -48,18 +50,24 @@ def _fd_derivatives(expr: KernelExpr, z, w, order: int) -> np.ndarray:
     if order > 2:
         raise ValueError("finite-difference oracle supports order <= 2 per variable")
     m = expr.m
-    offsets, rows = _torus(m, order)
+    offsets, rows, rows_h = _torus(m, order)
     n = len(offsets)
-    zs, ws = point_array([z, w], m)[:, None] + offsets
-    vals = expr.values(np.repeat(zs, n, 0), np.tile(ws, (n, 1)))
-    grid = vals.reshape((n, n) + vals.shape[1:])
-    # (a, q, k, k), then (a, k, k, b)
-    coeffs = np.tensordot(np.tensordot(rows, grid, axes=(1, 0)), rows.conj(), axes=(1, 1))
-    return np.moveaxis(coeffs, -1, 1)
+    pair = point_array([z, w], m)
+    zs, ws = pair[:, None] + offsets
+    try:
+        vals = expr.values(np.repeat(zs, n, 0), np.tile(ws, (n, 1)))
+    except DomainError:
+        raise DomainError(f"the torus of radius {_RADIUS} about the pair ({_coords(pair[0])}, "
+                          f"{_coords(pair[1])}) leaves the domain of {expr.to_dsl()}") from None
+    # np.tensordot's two products with its layouts: (a, q, k k), (a k k, b)
+    half = np.dot(rows, vals.reshape(n, -1)).reshape(len(rows), n, -1)
+    coeffs = np.dot(half.transpose(0, 2, 1).reshape(-1, n), rows_h)
+    return coeffs.reshape(len(rows), *vals.shape[1:], -1).transpose(0, 3, 1, 2)
 
 
 def fd_jet_table(expr: KernelExpr, z, w, order: int) -> JetTable:
-    """The mixed derivatives up to `order` per group, from the torus."""
+    """The mixed derivatives up to `order` per group, from the torus; a pair
+    whose torus leaves the domain is refused (DomainError)."""
     return JetTable(order, expr.m, expr.size, _fd_derivatives(expr, z, w, order))
 
 

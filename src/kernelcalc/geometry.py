@@ -12,6 +12,7 @@ Domains are the disc, the ball and the polydisc, each with the radius that
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -62,16 +63,21 @@ class Point:
 def point_array(points, m: int) -> np.ndarray:
     """A (B, m) complex array from such an array or a sequence of points:
     `Point`s, sequences of coordinates or, when m = 1, scalars (numpy
-    scalars and 0-d arrays included, and a 1-D array is B scalars)."""
+    scalars and 0-d arrays included, and a 1-D array is B scalars).  Points
+    that are not a sequence, and a row with a coordinate that is not a
+    number or is a bool, by the dtype numpy infers, are refused (DomainError)."""
     if isinstance(points, np.ndarray):
-        arr = points.astype(complex, copy=False)
+        arr = rows = points
         if arr.ndim == 1 and m == 1:
             arr = arr.reshape(-1, 1)
+    elif isinstance(points, (str, bytes)) or not np.iterable(points):
+        raise DomainError(f"expected a sequence of points of C^{m}, got {points!r}")
     else:
         rows = [p.coords if isinstance(p, Point) else p for p in points]
         try:
-            arr = np.array(rows, dtype=complex)
+            arr = np.array(rows)
         except ValueError:  # rows of different lengths: name the first wrong one
+            _check_numeric(rows, m)
             rows = [np.atleast_1d(np.asarray(p, dtype=complex)) for p in rows]
             for i, row in enumerate(rows):
                 if row.shape != (m,):
@@ -80,9 +86,20 @@ def point_array(points, m: int) -> np.ndarray:
             arr = np.array(rows)
         if arr.ndim == 1:  # scalars are points of C^1, and no rows is (0, m)
             arr = arr.reshape(len(rows), -1 if rows else m)
+    if arr.dtype.kind not in "iufc":
+        _check_numeric(rows, m)
     if arr.ndim != 2 or arr.shape[1] != m:
         raise DomainError(f"expected points of C^{m}, got an array of shape {arr.shape}")
-    return arr
+    return arr.astype(complex, copy=False)
+
+
+def _check_numeric(rows, m: int) -> None:
+    """Refuse the first row with a coordinate that is not a number or is a bool."""
+    for i, row in enumerate(rows):
+        if not all(isinstance(c, numbers.Number) and not isinstance(c, bool)
+                   for c in np.asarray(row, dtype=object).ravel()):
+            raise DomainError(
+                f"expected points of C^{m} with numeric coordinates, got row {i}: {row!r}")
 
 
 def in_unit_ball(points: np.ndarray) -> np.ndarray:

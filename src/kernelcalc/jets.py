@@ -200,8 +200,8 @@ def _balanced(coeffs: np.ndarray, m: int, nz: int, nw: int) -> bool:
     every pair off the origin, are looked at first."""
     if np.count_nonzero(coeffs[..., 0, 1:]) or np.count_nonzero(coeffs[..., 1:, 0]):
         return False
-    flat = coeffs.reshape(coeffs.shape[:-2] + (-1,))
-    return not np.count_nonzero(np.take(flat, _off_balance(m, nz, nw), axis=-1))
+    flat = coeffs.reshape(coeffs.shape[:-2] + (coeffs.shape[-2] * coeffs.shape[-1],))
+    return not np.count_nonzero(flat.take(_off_balance(m, nz, nw), axis=-1))
 
 
 def _pair_sums(x: np.ndarray, y: np.ndarray, runs, weights=None):
@@ -209,10 +209,10 @@ def _pair_sums(x: np.ndarray, y: np.ndarray, runs, weights=None):
     over the pairs (l, r) of each output in rows, in table order.  y is read
     when a run starts, after the caller has stored the runs before it."""
     for rows, left, right, starts in runs:
-        terms = np.take(x, left, axis=-1)
+        terms = x.take(left, axis=-1)
         if weights is not None:
-            terms *= np.take(weights, left)
-        yield rows, np.add.reduceat(terms * np.take(y, right, axis=-1), starts, axis=-1)
+            terms *= weights.take(left)
+        yield rows, np.add.reduceat(terms * y.take(right, axis=-1), starts, axis=-1)
 
 
 def _convolve(x: np.ndarray, y: np.ndarray, m: int, nz: int, nw: int) -> np.ndarray:
@@ -273,8 +273,7 @@ class Jet:
     def derivatives(self) -> np.ndarray:
         """All mixed derivatives (d/dz)^a (d/dwbar)^b at the base point: the
         coefficients times a! b!, shape (*batch, Nz, Nw)."""
-        gz, gw = _group(self.m, self.nz), _group(self.m, self.nw)
-        return self.coeffs * (gz.factorials[:, None] * gw.factorials[None, :])
+        return self.coeffs * _factorials(self.m, self.nz, self.nw)
 
     def deriv(self, i, j):
         """Mixed Wirtinger derivative (d/dz)^i (d/dwbar)^j at the base point."""
@@ -359,20 +358,22 @@ class Jet:
         check_finite(self.coeffs, f"{what} argument")
         return self.value
 
-    def _series(self, scale, a: float, b: float, c: float, h0: float) -> np.ndarray:
-        """The series h of x = (self - c0) * scale with h_0 = h0 and
+    def _series(self, inverse: bool, a: float, b: float, c: float, h0: complex) -> np.ndarray:
+        """The series h of x = (self - c0) / c0 (self - c0 unless `inverse`)
+        with h_0 = h0 and
         D h_D = c D x_D + sum (a |l| + b |r|) x_l h_r for D = 1 .. nz + nw.
 
         The sum runs over the pairs (l, r) with l + r of total degree D;
         x has no constant term, so h_D needs only lower degrees.  With
         |r| = D - |l| each term is x_l h_r weighted by ((a - b) |l| + b D) / D.
-        Of a balanced x only the balanced outputs are summed.
+        Of a balanced x only the balanced outputs are summed.  At caps
+        (0, 0) h is the number h0, which multiplies as the array would.
         """
+        if self.nz == self.nw == 0:
+            return h0
         h = np.zeros_like(self.coeffs)
         h[..., 0, 0] = h0
-        if self.nz == self.nw == 0:
-            return h
-        x = self.coeffs * scale
+        x = self.coeffs * ((1.0 / self.value)[..., None, None] if inverse else 1.0)
         x[..., 0, 0] = 0
         m, nz, nw = self.m, self.nz, self.nw
         by_degree = _degree_runs(m, nz, nw, _run_pairs(math.prod(x.shape[:-2])),
@@ -407,16 +408,14 @@ class Jet:
         with np.errstate(all="ignore"):
             head = c0 ** t if is_integer else np.exp(t * np.log(c0))
             # (c0 + x)^t = c0^t (1 + x/c0)^t
-            out = self._series((1.0 / c0)[..., None, None], t, -1.0, 0.0, 1.0)
-            out *= head[..., None, None]
+            out = self._series(True, t, -1.0, 0.0, 1 + 0j) * head[..., None, None]
         check_finite(out, "jet power")
         return self._like(out)
 
     def exp(self):
         c0 = self._constant("exp argument")
         with np.errstate(all="ignore"):
-            out = self._series(1.0, 1.0, 0.0, 0.0, 1.0)
-            out *= np.exp(c0)[..., None, None]
+            out = self._series(False, 1.0, 0.0, 0.0, 1 + 0j) * np.exp(c0)[..., None, None]
         check_finite(out, "jet exp")
         return self._like(out)
 
@@ -428,8 +427,11 @@ class Jet:
         ))
         with np.errstate(all="ignore"):
             # log(c0 + x) = log(c0) + log(1 + x/c0)
-            out = self._series((1.0 / c0)[..., None, None], 0.0, -1.0, 1.0, 0.0)
-            out[..., 0, 0] += np.log(c0)
+            out = self._series(True, 0.0, -1.0, 1.0, 0j)
+            if self.nz == self.nw == 0:
+                out = out + np.log(c0)[..., None, None]
+            else:
+                out[..., 0, 0] += np.log(c0)
         check_finite(out, "jet log")
         return self._like(out)
 
@@ -550,6 +552,12 @@ def _product_runs(m: int, nz: int, nw: int, max_pairs: int, balanced: bool):
 
 
 @functools.cache
+def _factorials(m: int, nz: int, nw: int) -> np.ndarray:
+    """a! b! of every monomial (a, b), shape (Nz, Nw); shared: do not modify."""
+    return _group(m, nz).factorials[:, None] * _group(m, nw).factorials[None, :]
+
+
+@functools.cache
 def _total_degrees(m: int, nz: int, nw: int) -> np.ndarray:
     """|a| + |b| of every flattened monomial (a, b)."""
     dz, dw = _group(m, nz).degrees, _group(m, nw).degrees
@@ -582,20 +590,39 @@ def coordinate_products(z, w, m, nz, nw, i, j) -> Jet:
     the wbar-linear term z_i at e_j and 1 at (e_i, e_j); nothing else is
     nonzero.  The values equal the products of the `variable_jets` seeds.
     """
-    zi = np.asarray(z, dtype=complex)[..., i]
-    wj = np.conj(np.asarray(w, dtype=complex))[..., j]
+    i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+    i_at, j_at, w_at, z_at, one_at = _product_slots(m, nz, nw, i.shape, i.tobytes(), j.tobytes())
+    zi = np.asarray(z, dtype=complex)[..., i_at]
+    wj = np.conj(np.asarray(w, dtype=complex)[..., j_at])
     value = zi * wj
     if nz == nw == 0:  # a constant: the value alone
         return Jet(m, 0, 0, value[..., None, None])
     coeffs = np.zeros(value.shape + (_group(m, nz).size, _group(m, nw).size), dtype=complex)
     coeffs[..., 0, 0] = value
-    # one axis over the products; graded lex order puts e_k at position 1 + k
-    flat = coeffs.reshape(value.shape[: value.ndim - i.ndim] + (i.size,) + coeffs.shape[-2:])
-    each, i, j = np.arange(i.size), 1 + i.ravel(), 1 + j.ravel()
+    batch = value.shape[: value.ndim - i.ndim]
+    flat = coeffs.reshape(batch + (i.size * coeffs.shape[-2] * coeffs.shape[-1],))
     if nz >= 1:
-        flat[..., each, i, 0] = wj.reshape(flat.shape[:-2])
+        flat[..., w_at] = wj.reshape(batch + (i.size,))
     if nw >= 1:
-        flat[..., each, 0, j] = zi.reshape(flat.shape[:-2])
+        flat[..., z_at] = zi.reshape(batch + (i.size,))
     if nz >= 1 and nw >= 1:
-        flat[..., each, i, j] = 1.0
+        flat[..., one_at] = 1.0
     return Jet(m, nz, nw, coeffs)
+
+
+@functools.lru_cache(maxsize=64)
+def _product_slots(m: int, nz: int, nw: int, shape: tuple, i: bytes, j: bytes) -> tuple:
+    """For `coordinate_products` of index arrays of this shape and bytes: the
+    indices of z_i and w_j and the flat positions of the terms at (e_i, 0), (0, e_j)
+    and (e_i, e_j) (e_k is at 1 + k), each a slice where a 1-D run of equal steps."""
+
+    def slot(positions, shape):
+        step = int(positions[1] - positions[0]) if len(positions) > 1 else 1
+        if len(shape) == 1 and len(positions) and step > 0 and (np.diff(positions) == step).all():
+            return slice(int(positions[0]), int(positions[-1]) + 1, step)
+        return positions.reshape(shape)
+
+    i, j = np.frombuffer(i, dtype=np.intp), np.frombuffer(j, dtype=np.intp)
+    wide, base = _group(m, nw).size, np.arange(len(i)) * _group(m, nz).size * _group(m, nw).size
+    flat = (base + (1 + i) * wide, base + 1 + j, base + (1 + i) * wide + 1 + j)
+    return slot(i, shape), slot(j, shape), *(slot(p, p.shape) for p in flat)

@@ -6,7 +6,7 @@ Hermitian; reports, differences and families use it as it is.
 Reports (`psd_check`, `kernel_order_check`) carry the least eigenvalue from
 `eig.eigenvalues`, the max diagonal and tau = tol * (1 + max diagonal).
 Scan and bound verdicts need only a sign, so they come from the LDL^H
-elimination of G + tau I (`eig.ldl_eliminate`), which computes no
+elimination of G + tau I (`eig.ldl_pivot`), which computes no
 eigenvalue and stops at the first pivot that is not positive, keeping no
 witness: a proof on a finite point set (`eig.ldl_verdict` gives its vector
 v with v^H G v < -tau |v|^2), where a passing one is evidence for
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eig import hermitian_part, ldl_eliminate, min_eigenvalue
+from .eig import hermitian_part, ldl_pivot, min_eigenvalue
 from .errors import BracketError, EvaluationError, KernelCalcError, ShapeError
 from .expr import KernelExpr
 from .geometry import DomainSpec, Point, point_array, sample_array
@@ -162,7 +162,7 @@ def _sample(domain: DomainSpec, m: int, n: int, seed) -> np.ndarray:
 def _verdict(g: np.ndarray, tol: float) -> tuple[float, float, bool]:
     mineig = min_eigenvalue(g)
     maxdiag = float(np.max(np.diag(g).real))
-    return mineig, maxdiag, mineig >= -tol * (1 + maxdiag)
+    return mineig, maxdiag, mineig >= -(tol * (1 + maxdiag))  # no negative unsigned tol
 
 
 def _sampled_report(label: str, m: int, gram_of, domain, n, seed, tol) -> GramReport:
@@ -225,7 +225,7 @@ class _CurvatureFamilyGram:
     kept as an (n, k, n, k) view; only the n x n modulation M(t) changes
     with the parameter, so no kernel is evaluated per t, and G(t) is one
     broadcast product of M(t) against the blocks.  G(t) is Hermitian up to
-    the rounding of M(t); `ldl_eliminate` symmetrizes it.  Only `gram_families`
+    the rounding of M(t); `ldl_pivot` symmetrizes it.  Only `gram_families`
     builds families, for `_wallach_families`, `_power_families` and
     `multiplier_families`.
     """
@@ -236,11 +236,10 @@ class _CurvatureFamilyGram:
         self.blocks = blocks.reshape(n, blocks.shape[0] // n, n, -1)
         self.modulation = modulation
 
-    def gram_at(self, t: float) -> np.ndarray:
-        # a product past the float range is left as inf or nan, without a
-        # warning; `families_pass` refuses it
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = self.modulation(t)[:, None, :, None] * self.blocks
+    def gram_at(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
+        """G(t), written into `out` (a C-contiguous nk x nk array) if given."""
+        g = np.multiply(self.modulation(t)[:, None, :, None], self.blocks,
+                        out=None if out is None else out.reshape(self.blocks.shape))
         return g.reshape(self.blocks.shape[0] * self.blocks.shape[1], -1)
 
 
@@ -276,10 +275,13 @@ def gram_families(expr: KernelExpr, domain: DomainSpec, family, values_of, famil
 
 def families_pass(fams, t: float, tol: float) -> bool:
     """Whether the Gram of every family at t has no failing pivot in
-    `ldl_eliminate`, which refuses a Gram that is not finite
-    (EvaluationError, naming t here)."""
+    `ldl_eliminate`, formed in its workspace (`ldl_pivot`), which refuses a
+    Gram that is not finite (EvaluationError, naming t here)."""
     try:
-        return all(ldl_eliminate(f.gram_at(t), tol)[0] is None for f in fams)
+        # a Gram past the float range is refused, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return all(ldl_pivot(f.blocks.shape[0] * f.blocks.shape[1],
+                                 lambda out, f=f: f.gram_at(t, out), tol) is None for f in fams)
     except EvaluationError as exc:
         raise EvaluationError(f"the Gram family at t = {t} is not finite") from exc
 

@@ -20,12 +20,15 @@ Gram one entry (two jet tables) at a time, Mobius Jacobians by pushing
 order-1 jets of the coordinates through the involution, the products
 and series of balanced jets on the full pair tables, and the log-Hessian
 and jet-kernel matrices of derivative jets one shifted entry at a time,
-and kernel DSL text by the tokenizer class with its two comma-list loops
-that the one token list and `_sequence` rule of `kernelcalc.parser` replaced.
+kernel DSL text by the tokenizer class with its two comma-list loops
+that the one token list and `_sequence` rule of `kernelcalc.parser` replaced,
+and the whole evaluation path by the functions whose per-call bookkeeping
+was cut, as they ran before (`with_per_call_bookkeeping`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -36,10 +39,14 @@ from unittest import mock
 
 import numpy as np
 
+from kernelcalc import automorphisms, fd, positivity, repro, rkhs
+from kernelcalc import expr as expr_module
 from kernelcalc.automorphisms import CocycleSpec, MobiusMap
-from kernelcalc.eig import _MAX_PASSES, _SPLIT, LdlVerdict, hermitian_part
-from kernelcalc.errors import DomainError, EvaluationError, ParseError, ShapeError
-from kernelcalc.expr import JetKernel, KernelExpr, Pow
+from kernelcalc.eig import _MAX_PASSES, _SPLIT, LdlVerdict, hermitian_part, ldl_eliminate
+from kernelcalc.errors import (BranchError, DomainError, EvaluationError, OrderCapError,
+                               ParseError, ShapeError)
+from kernelcalc.expr import DEFAULT_ORDER_CAP, JetKernel, JetTable, KernelExpr, Pow, _coords
+from kernelcalc.params import checked
 from kernelcalc.geometry import (
     DomainSpec,
     Point,
@@ -756,3 +763,318 @@ def _parse_arg(tz: _Tokenizer):
     if kind == "name":
         return _parse_expr(tz)
     raise ParseError(f"expected an argument, found {val or 'end of input'!r}", pos)
+
+
+# -- the evaluation path with its per-call bookkeeping ------------------------
+#
+# Verbatim copies of the functions whose fixed per-call costs were cut: the
+# series of pow, exp and log at caps (0, 0), the coefficient fill of
+# coordinate products, the factorial table of derivatives, the moveaxis and
+# tensordot glue of eval_jets and the torus, the generator that names a
+# failing pair, the Gram families formed outside the elimination, the pair
+# sums and balance check through np.take and the point coercion through
+# dtype=complex, and the m x m loop of the Mobius Jacobians, which stays in
+# the package (a vectorised form moves bits: numpy's complex product of a
+# broadcast one-entry array and of a Python scalar can differ by an ulp).
+# `with_per_call_bookkeeping()` patches them all in, so that one call gives
+# the old path's answer.
+
+
+def _pair_sums_by_np_take(x: np.ndarray, y: np.ndarray, runs, weights=None):
+    """Yield (rows, sums) per run: sum x_l y_r (times weights[l], if given)
+    over the pairs (l, r) of each output in rows, in table order.  y is read
+    when a run starts, after the caller has stored the runs before it."""
+    for rows, left, right, starts in runs:
+        terms = np.take(x, left, axis=-1)
+        if weights is not None:
+            terms *= np.take(weights, left)
+        yield rows, np.add.reduceat(terms * np.take(y, right, axis=-1), starts, axis=-1)
+
+
+def _balanced_by_np_take(coeffs: np.ndarray, m: int, nz: int, nw: int) -> bool:
+    """Whether every coefficient (a, b) with |a| != |b| is exactly 0, in
+    every batch entry.  The row (0, b) and the column (a, 0), nonzero at
+    every pair off the origin, are looked at first."""
+    if np.count_nonzero(coeffs[..., 0, 1:]) or np.count_nonzero(coeffs[..., 1:, 0]):
+        return False
+    flat = coeffs.reshape(coeffs.shape[:-2] + (-1,))
+    return not np.count_nonzero(np.take(flat, jets._off_balance(m, nz, nw), axis=-1))
+
+
+def _derivatives_by_factorial_product(self) -> np.ndarray:
+    """All mixed derivatives (d/dz)^a (d/dwbar)^b at the base point: the
+    coefficients times a! b!, shape (*batch, Nz, Nw)."""
+    gz, gw = jets._group(self.m, self.nz), jets._group(self.m, self.nw)
+    return self.coeffs * (gz.factorials[:, None] * gw.factorials[None, :])
+
+
+def _series_at_every_cap(self, scale, a: float, b: float, c: float, h0: float) -> np.ndarray:
+    """The series h of x = (self - c0) * scale with h_0 = h0 and
+    D h_D = c D x_D + sum (a |l| + b |r|) x_l h_r for D = 1 .. nz + nw.
+
+    The sum runs over the pairs (l, r) with l + r of total degree D;
+    x has no constant term, so h_D needs only lower degrees.  With
+    |r| = D - |l| each term is x_l h_r weighted by ((a - b) |l| + b D) / D.
+    Of a balanced x only the balanced outputs are summed.
+    """
+    h = np.zeros_like(self.coeffs)
+    h[..., 0, 0] = h0
+    if self.nz == self.nw == 0:
+        return h
+    x = self.coeffs * scale
+    x[..., 0, 0] = 0
+    m, nz, nw = self.m, self.nz, self.nw
+    by_degree = jets._degree_runs(m, nz, nw, _run_pairs(math.prod(x.shape[:-2])),
+                                  jets._balanced(x, m, nz, nw))
+    shape = x.shape
+    flat = shape[:-2] + (shape[-2] * shape[-1],)
+    x, h = x.reshape(flat), h.reshape(flat)
+    degrees = jets._total_degrees(m, nz, nw)
+    for degree, runs in by_degree:
+        if not degree:  # h_0 is set above
+            continue
+        # one weight per left monomial
+        for rows, sums in jets._pair_sums(x, h, runs, degrees * ((a - b) / degree) + b):
+            if c:
+                sums += c * x[..., rows]
+            h[..., rows] = sums
+    return h.reshape(shape)
+
+
+def _pow_through_series(self, t):
+    t = float(t)
+    if not math.isfinite(t):
+        raise EvaluationError(f"jet power with non-finite exponent {t}")
+    c0 = self._constant("pow base")
+    jets._fail_where(c0 == 0, EvaluationError,
+                     lambda i: "jet power of a series with zero constant term")
+    is_integer = t == int(t)
+    if not is_integer:
+        jets._fail_where(c0.real <= 0, BranchError, lambda i: (
+            f"pow base has non-positive real part ({complex(c0[i]):.6g}); "
+            "principal branch unavailable"
+        ))
+    with np.errstate(all="ignore"):
+        head = c0 ** t if is_integer else np.exp(t * np.log(c0))
+        # (c0 + x)^t = c0^t (1 + x/c0)^t
+        out = self._series((1.0 / c0)[..., None, None], t, -1.0, 0.0, 1.0)
+        out *= head[..., None, None]
+    jets.check_finite(out, "jet power")
+    return self._like(out)
+
+
+def _exp_through_series(self):
+    c0 = self._constant("exp argument")
+    with np.errstate(all="ignore"):
+        out = self._series(1.0, 1.0, 0.0, 0.0, 1.0)
+        out *= np.exp(c0)[..., None, None]
+    jets.check_finite(out, "jet exp")
+    return self._like(out)
+
+
+def _log_through_series(self):
+    c0 = self._constant("log argument")
+    jets._fail_where(c0.real <= 0, BranchError, lambda i: (
+        f"log base has non-positive real part ({complex(c0[i]):.6g}); "
+        "principal branch unavailable"
+    ))
+    with np.errstate(all="ignore"):
+        # log(c0 + x) = log(c0) + log(1 + x/c0)
+        out = self._series((1.0 / c0)[..., None, None], 0.0, -1.0, 1.0, 0.0)
+        out[..., 0, 0] += np.log(c0)
+    jets.check_finite(out, "jet log")
+    return self._like(out)
+
+
+def coordinate_products_by_fancy_assignment(z, w, m, nz, nw, i, j) -> Jet:
+    """The jets of z_i wbar_j for index arrays i and j of one shape S:
+    batch (*batch, *S).
+
+    z and w are as for `variable_jets`.  The coefficients are filled in
+    directly: the constant z_i conj(w_j), the z-linear term wbar_j at e_i,
+    the wbar-linear term z_i at e_j and 1 at (e_i, e_j); nothing else is
+    nonzero.  The values equal the products of the `variable_jets` seeds.
+    """
+    zi = np.asarray(z, dtype=complex)[..., i]
+    wj = np.conj(np.asarray(w, dtype=complex))[..., j]
+    value = zi * wj
+    if nz == nw == 0:  # a constant: the value alone
+        return Jet(m, 0, 0, value[..., None, None])
+    coeffs = np.zeros(value.shape + (jets._group(m, nz).size, jets._group(m, nw).size),
+                      dtype=complex)
+    coeffs[..., 0, 0] = value
+    # one axis over the products; graded lex order puts e_k at position 1 + k
+    flat = coeffs.reshape(value.shape[: value.ndim - i.ndim] + (i.size,) + coeffs.shape[-2:])
+    each, i, j = np.arange(i.size), 1 + i.ravel(), 1 + j.ravel()
+    if nz >= 1:
+        flat[..., each, i, 0] = wj.reshape(flat.shape[:-2])
+    if nw >= 1:
+        flat[..., each, 0, j] = zi.reshape(flat.shape[:-2])
+    if nz >= 1 and nw >= 1:
+        flat[..., each, i, j] = 1.0
+    return Jet(m, nz, nw, coeffs)
+
+
+@contextmanager
+def _naming_pairs(zs: np.ndarray, ws: np.ndarray):
+    """Evaluate without floating-point warnings; a jet error for batch
+    entry p is raised again naming the pair (zs[p], ws[p])."""
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    except (BranchError, EvaluationError) as exc:
+        if exc.batch_index is None:
+            raise
+        p = exc.batch_index[0]
+        raise type(exc)(f"{exc} at pair ({_coords(zs[p])}, {_coords(ws[p])})") from exc
+
+
+def _checked_values_in_a_generator(self, zs, ws, evaluate) -> tuple:
+    """evaluate(zs, ws), a tuple of arrays at the B pairs (zs[p], ws[p]),
+    after the domain check; a failing or non-finite pair is named."""
+    zs, ws = expr_module.point_array(zs, self.m), expr_module.point_array(ws, self.m)
+    if zs.shape != ws.shape:
+        raise ShapeError("a batch of pairs needs as many z as w points")
+    self._check_pairs(zs, ws)
+    with _naming_pairs(zs, ws):
+        out = evaluate(zs, ws)
+        for a in out:
+            jets.check_finite(a, "kernel value")
+    return out
+
+
+def _eval_jets_by_moveaxis(self, zs, ws, order: int) -> list:
+    """The JetTables of the B pairs (zs[p], ws[p]), from one batch of jets.
+
+    Lower coefficients do not depend on the truncation caps, so each
+    table equals its own `eval_jet` bit for bit, except that a batch
+    mixing pairs with balanced jets (origin pairs, say) with others sums
+    them on the full pair tables, which can move them by an ulp (see
+    `jets`).
+    """
+    order = checked("non_negative_int", order, "order")
+    if order > DEFAULT_ORDER_CAP:
+        raise OrderCapError(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
+    (derivatives,) = self._checked_values(
+        zs, ws, lambda z, w: (self.jets(z, w, order, order).derivatives(),))
+    # (B, k, k, N, N) -> (B, N, N, k, k): one k x k block per derivative
+    blocks = np.ascontiguousarray(np.moveaxis(derivatives, (-2, -1), (1, 2)))
+    return [JetTable(order, self.m, self.size, d) for d in blocks]
+
+
+@functools.cache
+def _torus_rows(m: int, order: int) -> tuple:
+    """The N^m node offsets in C^m and the (n, N^m) matrix F of scaled DFT
+    rows, F[a, p] = i! e^(-2 pi i (i . k_p) / N) / (N^m r^|i|) for the a-th
+    multi-index i in graded lex order and the angle indices k_p of node p;
+    shared: do not modify."""
+    _NODES, _RADIUS = fd._NODES, fd._RADIUS
+    nodes = np.array(list(product(range(_NODES), repeat=m)))
+    offsets = _RADIUS * np.exp(2j * np.pi * nodes / _NODES)
+    indices = np.array(graded_lex_tuples(m, order))
+    twiddles = np.exp(-2j * np.pi * np.arange(_NODES) / _NODES)
+    scale = [math.prod(map(math.factorial, i)) / (_NODES**m * _RADIUS ** sum(i))
+             for i in indices]
+    return offsets, twiddles[indices @ nodes.T % _NODES] * np.array(scale)[:, None]
+
+
+def _fd_derivatives_by_tensordot(expr: KernelExpr, z, w, order: int) -> np.ndarray:
+    """The derivatives as one (n, n, k, k) array, entry (a, b) for the a-th
+    and b-th multi-indices i, j in graded lex order."""
+    if order > 2:
+        raise ValueError("finite-difference oracle supports order <= 2 per variable")
+    m = expr.m
+    offsets, rows = _torus_rows(m, order)
+    n = len(offsets)
+    zs, ws = fd.point_array([z, w], m)[:, None] + offsets
+    vals = expr.values(np.repeat(zs, n, 0), np.tile(ws, (n, 1)))
+    grid = vals.reshape((n, n) + vals.shape[1:])
+    # (a, q, k, k), then (a, k, k, b)
+    coeffs = np.tensordot(np.tensordot(rows, grid, axes=(1, 0)), rows.conj(), axes=(1, 1))
+    return np.moveaxis(coeffs, -1, 1)
+
+
+def _gram_at_fresh(self, t: float) -> np.ndarray:
+    # a product past the float range is left as inf or nan, without a
+    # warning; `families_pass` refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = self.modulation(t)[:, None, :, None] * self.blocks
+    return g.reshape(self.blocks.shape[0] * self.blocks.shape[1], -1)
+
+
+def _families_pass_by_factors(fams, t: float, tol: float) -> bool:
+    """Whether the Gram of every family at t has no failing pivot in
+    `ldl_eliminate`, which refuses a Gram that is not finite
+    (EvaluationError, naming t here)."""
+    try:
+        return all(ldl_eliminate(f.gram_at(t), tol)[0] is None for f in fams)
+    except EvaluationError as exc:
+        raise EvaluationError(f"the Gram family at t = {t} is not finite") from exc
+
+
+def _jacobians_by_loop(self, zs) -> np.ndarray:
+    """Holomorphic Jacobians (d phi_k / d z_i) at a (B, m) array of
+    points, from the closed form of the module docstring."""
+    zs = self._points(zs)
+    img, denom = self._phi_a(zs)
+    jac = np.zeros((len(zs), self.m, self.m), dtype=complex)
+    if denom is None:
+        return self.unitary @ (jac + np.eye(self.m))
+    s = self._s
+    for i, c in enumerate(ai.conjugate() for ai in self.a):
+        for k, ak in enumerate(self.a):
+            jac[:, k, i] = (img[k] * c - (ak * c / (1 + s) + s * (k == i))) * denom
+    return self.unitary @ jac
+
+
+def point_array_by_complex_dtype(points, m: int) -> np.ndarray:
+    """A (B, m) complex array from such an array or a sequence of points:
+    `Point`s, sequences of coordinates or, when m = 1, scalars (numpy
+    scalars and 0-d arrays included, and a 1-D array is B scalars)."""
+    if isinstance(points, np.ndarray):
+        arr = points.astype(complex, copy=False)
+        if arr.ndim == 1 and m == 1:
+            arr = arr.reshape(-1, 1)
+    else:
+        rows = [p.coords if isinstance(p, Point) else p for p in points]
+        try:
+            arr = np.array(rows, dtype=complex)
+        except ValueError:  # rows of different lengths: name the first wrong one
+            rows = [np.atleast_1d(np.asarray(p, dtype=complex)) for p in rows]
+            for i, row in enumerate(rows):
+                if row.shape != (m,):
+                    raise DomainError(
+                        f"expected points of C^{m}, got row {i} of dimension {row.size}")
+            arr = np.array(rows)
+        if arr.ndim == 1:  # scalars are points of C^1, and no rows is (0, m)
+            arr = arr.reshape(len(rows), -1 if rows else m)
+    if arr.ndim != 2 or arr.shape[1] != m:
+        raise DomainError(f"expected points of C^{m}, got an array of shape {arr.shape}")
+    return arr
+
+
+@contextmanager
+def with_per_call_bookkeeping():
+    """Run the evaluation path on the copies above in place of the functions
+    that replaced them (on every module that binds them by name)."""
+    with contextlib.ExitStack() as stack:
+        patch = lambda owner, name, value: stack.enter_context(
+            mock.patch.object(owner, name, value))
+        patch(jets, "_pair_sums", _pair_sums_by_np_take)
+        patch(jets, "_balanced", _balanced_by_np_take)
+        for name, value in (("derivatives", _derivatives_by_factorial_product),
+                            ("_series", _series_at_every_cap), ("__pow__", _pow_through_series),
+                            ("exp", _exp_through_series), ("log", _log_through_series)):
+            patch(Jet, name, value)
+        for module in (jets, expr_module):
+            patch(module, "coordinate_products", coordinate_products_by_fancy_assignment)
+        patch(KernelExpr, "_checked_values", _checked_values_in_a_generator)
+        patch(KernelExpr, "eval_jets", _eval_jets_by_moveaxis)
+        patch(fd, "_fd_derivatives", _fd_derivatives_by_tensordot)
+        patch(positivity._CurvatureFamilyGram, "gram_at", _gram_at_fresh)
+        for module in (positivity, repro):
+            patch(module, "families_pass", _families_pass_by_factors)
+        patch(MobiusMap, "jacobians", _jacobians_by_loop)
+        for module in (expr_module, fd, positivity, automorphisms, rkhs):
+            patch(module, "point_array", point_array_by_complex_dtype)
+        yield

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kernelcalc as kc
-from kernelcalc.errors import KernelCalcError, ShapeError
+from kernelcalc.errors import DomainError, KernelCalcError, ShapeError
+from kernelcalc.fd import fd_relative_error
 
 K = kc.SzegoDisc()
 DISC = kc.unit_disc()
@@ -28,6 +29,13 @@ def _real(v) -> bool:
 
 def _integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _point(v) -> bool:
+    """A point of C^1: a number that is not a bool, or a sequence of one."""
+    if isinstance(v, (list, tuple)):
+        return len(v) == 1 and _point(v[0]) and not isinstance(v[0], (list, tuple))
+    return isinstance(v, (int, float, complex, np.number)) and not isinstance(v, bool)
 
 
 #: rule -> whether it accepts a value, written apart from the package's table
@@ -45,6 +53,8 @@ ACCEPTS = {
     "num": _real,
     "int": lambda v: _real(v) and float(v).is_integer(),
     "list": lambda v: isinstance(v, (list, tuple)) and all(map(_real, v)),
+    "point": _point,
+    "points": lambda v: isinstance(v, (list, tuple)) and all(map(_point, v)),
 }
 
 #: entry point -> (call with valid defaults, {parameter: rule})
@@ -99,6 +109,14 @@ ENTRIES = {
     "series_head_coefficients": (
         lambda coefficients=(1.0, 0.1), t=1.0: kc.series_head_coefficients(coefficients, t),
         {"coefficients": "list", "t": "num"}),
+    "gram": (lambda points=[0.1, 0.2j]: kc.gram(K, points), {"points": "points"}),
+    "values": (lambda zs=[0.1], ws=[0.2j]: K.values(zs, ws), {"zs": "points", "ws": "points"}),
+    "eval": (lambda z=0.1, w=0.2j: K.eval(z, w), {"z": "point", "w": "point"}),
+    "eval_jet": (lambda z=0.1, w=0.2j: K.eval_jet(z, w, 2), {"z": "point", "w": "point"}),
+    "eval_jets": (lambda zs=[0.1], ws=[0.2j]: K.eval_jets(zs, ws, 2),
+                  {"zs": "points", "ws": "points"}),
+    "fd_relative_error": (lambda z=0.1, w=0.2j: fd_relative_error(K, z, w, 2),
+                          {"z": "point", "w": "point"}),
 }
 
 #: a valid value of each node kind
@@ -121,7 +139,8 @@ ENTRIES["bergman_ball"] = _node_entry(kc.bergman_ball, ["m"], ["int"])
 MALFORMED = st.sampled_from([
     None, "1", "", True, False, 0, -1, 2**64, 2**64 - 1, 0.0, -0.0, 0.5, 1.5, 2.0, 1e-300,
     1e300, math.nan, math.inf, -math.inf, 1j, [], [1.0], (1,), [True], np.float64(0.5),
-    np.int64(3), np.float32(2.0), np.uint64(7), K, object(),
+    np.int64(3), np.float32(2.0), np.uint64(7), K, object(), "0.1", [None], [0.1, "0.2", 0.3],
+    [[0.1]], [0.1j, 0.2, np.bool_(True)], b"0",
 ]) | st.integers(-3, 40) | st.floats()
 #: parameters whose accepted values set how many points are sampled
 COUNTS = ("n", "count")
@@ -167,8 +186,42 @@ def test_every_entry_point_returns_at_its_valid_defaults():
     (lambda: kc.phi_gram(K, "a", 1.0, 0.1, 0.2), TypeError, "alpha must be a real"),
     (lambda: kc.series_head_coefficients(5, 1.0), ShapeError,
      "expected a coefficient list argument for coefficients"),
+    (lambda: kc.series_head_coefficients("", 1.0), ShapeError,
+     "expected a coefficient list argument for coefficients"),
+    (lambda: kc.series_head_coefficients(b"0", 1.0), ShapeError,
+     "expected a coefficient list argument for coefficients"),
 ])
 def test_malformed_scan_and_calculus_inputs_are_refused_by_name(call, error, words):
     with pytest.raises(error) as info:
         call()
     assert str(info.value).startswith(words) or f": {words}" in str(info.value)
+
+
+def test_an_unsigned_integer_tolerance_gives_the_verdict_of_its_float():
+    # -tol of a numpy unsigned integer overflows; the threshold is negated last
+    for check in (lambda tol: kc.psd_check(K, DISC, 6, 1, tol),
+                  lambda tol: kc.kernel_order_check(K, kc.Scale(K, 2.0), DISC, 6, 1, tol)):
+        assert check(np.uint64(7)).to_dict() == check(7.0).to_dict()
+
+
+@pytest.mark.parametrize("call, words", [
+    (lambda: K.eval("0.1", "0.2"),
+     "expected points of C^1 with numeric coordinates, got row 0: '0.1'"),
+    (lambda: K.eval(None, 0.2), "expected points of C^1 with numeric coordinates, got row 0: None"),
+    (lambda: K.eval(0.1, True), "expected points of C^1 with numeric coordinates, got row 0: True"),
+    (lambda: K.values([0.1, 0.2, [None]], [0.1, 0.2, 0.3]),
+     "expected points of C^1 with numeric coordinates, got row 2: [None]"),
+    (lambda: kc.gram(K, None), "expected a sequence of points of C^1, got None"),
+    (lambda: kc.gram(K, "0.1"), "expected a sequence of points of C^1, got '0.1'"),
+    (lambda: kc.gram(K, b"0"), "expected a sequence of points of C^1, got b'0'"),
+    (lambda: kc.BallPower(2, 3.0).eval((0.1, "x"), (0.1, 0.2)),
+     "expected points of C^2 with numeric coordinates, got row 0: (0.1, 'x')"),
+    (lambda: kc.BallPower(2, 3.0).values([(0.1, 0.2), (0.1, 0.2, "x")], [(0.1, 0.2)] * 2),
+     "expected points of C^2 with numeric coordinates, got row 1: (0.1, 0.2, 'x')"),
+    (lambda: fd_relative_error(K, [None], 0.2, 1),
+     "expected points of C^1 with numeric coordinates, got row 0: [None]"),
+])
+def test_points_that_are_not_numbers_are_refused_naming_the_row(call, words):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == words

@@ -69,15 +69,20 @@ def test_hermitian_part():
 @pytest.mark.parametrize("scale", [1.0, 1e-310, 1.7e308])
 def test_the_in_place_hermitian_copy_equals_hermitian_part(scale):
     # subnormal entries are halved with the same rounding on both paths, and
-    # entries near the float maximum must not overflow
+    # entries near the float maximum must not overflow; `ldl_pivot` loads the
+    # matrix from the plan's own spare buffer
     rng = np.random.default_rng(5)
     a = scale * (rng.random((30, 30)) + 1j * rng.random((30, 30)))
     before = a.copy()
-    plan = eig._checkout(a)  # the copy-in of both column loops
-    got = plan.a.copy()
-    eig._release(plan)
     want = oracles.hermitian_part_by_halves(a)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for from_spare in (False, True):
+        plan = eig._checkout(len(a))
+        if from_spare:
+            np.copyto(plan.spare, a)
+        eig._load(plan, plan.spare if from_spare else a)  # the copy-in of both column loops
+        got = plan.a.copy()
+        eig._release(plan)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.array_equal(hermitian_part(a).view(np.uint64), want.view(np.uint64))
     assert np.array_equal(a, before)
 

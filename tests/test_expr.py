@@ -16,6 +16,7 @@ from kernelcalc.errors import (
     ShapeError,
 )
 from kernelcalc.expr import (
+    DEFAULT_ORDER_CAP,
     BallCurvature,
     BallPower,
     Curvature,
@@ -41,6 +42,7 @@ from kernelcalc.geometry import (
 )
 from kernelcalc import jets
 from kernelcalc.parser import parse_kernel
+from kernelcalc.positivity import gram
 from oracles import (fd_jet_table_per_term, full_tables, hessian_per_entry,
                      jet_kernel_per_entry)
 
@@ -691,3 +693,41 @@ def test_fd_relative_error_on_one_array_equals_the_entry_passes(text, order, see
     except KernelCalcError:
         assume(False)
     assert fd_relative_error(expr, z, w, order) == want
+
+
+#: one kernel of every node kind
+_EVERY_KIND = [
+    "szego_disc()", "bergman_disc()", "bergman_ball(2)", "ball_power(3, 1.5)",
+    "diagonal_series([0.5, 0.25])", "pow(szego_disc(), 0.5)",
+    "product(szego_disc(), bergman_disc())", "sum(szego_disc(), scale(bergman_disc(), 0.5))",
+    "tensor(szego_disc(), bergman_disc())", "log_hessian(bergman_ball(2))",
+    "curvature(bergman_ball(2), 1.0, 1.0)", "jet(szego_disc(), szego_disc(), 2)",
+    "ball_curvature(2, 3.0)",
+]
+
+
+@pytest.mark.parametrize("text", _EVERY_KIND)
+def test_a_batch_of_no_pairs_gives_empty_results_at_every_cap(text):
+    expr = parse_kernel(text)
+    none = np.zeros((0, expr.m))
+    k = expr.size
+    for order in range(DEFAULT_ORDER_CAP + 1):
+        assert expr.eval_jets(none, none, order) == []
+        assert expr.eval_jets([], [], order) == []
+    assert expr.values(none, none).shape == (0, k, k)
+    assert gram(expr, []).shape == (0, 0)
+    if expr.is_scalar:
+        assert expr.values([], [], log=True).shape == (0, 1, 1)
+        logk, hess = expr.log_hessian_values(none, none)
+        assert logk.shape == (0, 1, 1) and hess.shape == (0, expr.m, expr.m)
+
+
+def test_the_fd_oracle_refuses_a_torus_that_leaves_the_domain_naming_the_pair():
+    with pytest.raises(DomainError) as info:
+        fd_relative_error(SzegoDisc(), (0.99,), (0.1,), 2)
+    assert str(info.value) == ("the torus of radius 0.02 about the pair (((0.99+0j),), "
+                               "((0.1+0j),)) leaves the domain of szego_disc()")
+    with pytest.raises(DomainError, match=r"about the pair \(\(\(0.1\+0j\), 0j\), "):
+        fd_jet_table(parse_kernel("bergman_ball(2)"), (0.1, 0.0), (0.7, 0.7), 1)
+    # a torus inside the domain is evaluated, up to its rim
+    assert fd_relative_error(SzegoDisc(), (0.97,), (0.1,), 1) < 1e-6
