@@ -8,17 +8,19 @@ of a spectrum comes from the root-free QL iteration of LAPACK's dsterf
 (Parlett, The Symmetric Eigenvalue Problem, 8.15).  As with LAPACK, the
 absolute error is of order n eps ||G||.
 
-`ldl_eliminate` decides only the sign question: an LDL^H (square-root-free
-Cholesky) elimination of G + tau I succeeds exactly when every eigenvalue
-of G exceeds -tau, and stops at the first pivot that is not positive;
-`ldl_verdict` then back-substitutes a vector on which G is negative.  The
-elimination is left-looking (the "gaxpy" form of Golub & Van Loan, 4.2):
-step k forms column k of the Schur complement with one mat-vec against the
-columns already factored, in place, so no (n - k)^2 rank-1 update is formed.
+`ldl_pivot` and `ldl_verdict` decide only the sign question: an LDL^H
+(square-root-free Cholesky) elimination of G + tau I (`_eliminate`)
+succeeds exactly when every eigenvalue of G exceeds -tau, and stops at the
+first pivot that is not positive; `ldl_verdict` then back-substitutes a
+vector on which G is negative.  The elimination is left-looking (the
+"gaxpy" form of Golub & Van Loan, 4.2): step k forms column k of the Schur
+complement with one mat-vec against the columns already factored, in
+place, so no (n - k)^2 rank-1 update is formed.
 
-`hermitian_part` is the one symmetrizing rule.  The sampled Grams of
-`positivity` arrive Hermitian from it; `eigenvalues` and `ldl_eliminate`
-apply it to their input again only as a guard for other callers.
+`hermitian_part` is the one symmetrizing rule, and every call's copy-in.
+The sampled Grams of `positivity` arrive Hermitian from it; `eigenvalues`
+and `ldl_verdict` apply it to their input again only as a guard for other
+callers.
 
 Both column loops run on a step plan of the input's width n: a workspace
 of two n x n buffers and the views that step k reads and writes, made once
@@ -27,23 +29,25 @@ input into the workspace once, as `hermitian_part` (`ldl_pivot` has its
 caller form G in the workspace, and keeps no factors), and then each step
 issues only its arithmetic, into `out=` targets; the operations and their
 order are those of the loops without a plan, so the pivots, factors, tau
-and the tridiagonal (d, e) are the same bit for bit.  A call checks a plan
-out of the idle plans of its width, or builds one, and gives it back when
-it returns, so calls are reentrant and thread-safe.  Idle plans are kept
-for at most `_KEPT_WIDTHS` widths of at most `_MAX_KEPT_WIDTH`, the least
-recently used width dropped first: at most about 0.8 MB a width (at 128,
-with both loops' views) for each thread that solves at the same time.
-The saving is in the reuse: the first call at a width builds its plan and
-costs a little more than a call without plans (3-10 us in an elimination
-at n = 8-60); writing into `out=` targets without kept views saves 1-2%.
+and the tridiagonal (d, e) are the same bit for bit.  One plan is kept per
+width, for at most `_KEPT_WIDTHS` widths of at most `_MAX_KEPT_WIDTH`, the
+least recently used width dropped first: at most about 0.8 MB a width (at
+128, with both loops' views), whatever the number of threads.  A call
+holds its width's plan by taking the plan's lock without waiting; a call
+that finds it held (by another thread, or by the `ldl_pivot` whose fill
+makes the call) builds a throwaway plan, as a wider call does, so calls
+are reentrant and thread-safe.  The saving is in the reuse: the first call
+at a width builds its plan and costs a little more than a call without
+plans (3-10 us in an elimination at n = 8-60); writing into `out=` targets
+without kept views saves 1-2%.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,13 +55,16 @@ import numpy as np
 from .errors import EvaluationError
 
 
-def hermitian_part(a: np.ndarray) -> np.ndarray:
+def hermitian_part(a: np.ndarray, out: np.ndarray | None = None,
+                   scratch: np.ndarray | None = None) -> np.ndarray:
     """(A + A^H) / 2, halved before the sum so that entries near the float
-    maximum cannot overflow.  Equals a / 2 + a.conj().T / 2 up to the sign
-    of a zero (conj(a / 2) and conj(a) / 2 can differ in it)."""
-    a = a / 2
-    a += a.conj().T
-    return a
+    maximum cannot overflow, written into `out` (with conj(A / 2) in
+    `scratch`, which may be `a` itself) when they are given.  Equals
+    a / 2 + a.conj().T / 2 up to the sign of a zero (conj(a / 2) and
+    conj(a) / 2 can differ in it)."""
+    out = np.true_divide(a, 2, out=out)
+    out += np.conjugate(out, out=scratch).T
+    return out
 
 
 def _checked_square(h) -> np.ndarray:
@@ -70,11 +77,11 @@ def _checked_square(h) -> np.ndarray:
     return a
 
 
-#: idle plans are kept for this many widths, the least recently used width
-#: dropped first, and only for widths up to _MAX_KEPT_WIDTH: a wider call
-#: builds its plan and drops it.  8 holds every width of a Wallach or bound
-#: scan over three families (7 widths, 8 to 48, in a benchmark run) and
-#: every width of the psd reports (4, 20 to 60).
+#: one plan is kept for each of this many widths, the least recently used
+#: width dropped first, and only for widths up to _MAX_KEPT_WIDTH: a wider
+#: call builds its plan and drops it.  8 holds every width of a Wallach or
+#: bound scan over three families (7 widths, 8 to 48, in a benchmark run)
+#: and every width of the psd reports (4, 20 to 60).
 _KEPT_WIDTHS, _MAX_KEPT_WIDTH = 8, 128
 
 
@@ -83,22 +90,17 @@ class _Plan:
     loop reads and writes, made on the loop's first run.  `a` takes the
     Hermitian part of the input and then the factors or the first trailing
     block; `spare` takes conj(a) in the copy-in, then |a| for the scaling,
-    then the second trailing block."""
+    then the second trailing block.  A call uses the plan only while it
+    holds `busy`."""
 
-    __slots__ = ("n", "a", "spare", "diagonal", "_ldl", "_tri")
+    __slots__ = ("n", "a", "spare", "diagonal", "busy", "_ldl", "_tri")
 
     def __init__(self, n: int):
         self.n = n
         self.a, self.spare = np.empty((2, n, n), dtype=complex)
         self.diagonal = self.a.reshape(-1)[:: n + 1]
+        self.busy = threading.Lock()
         self._ldl = self._tri = None
-
-    def detached(self) -> np.ndarray:
-        """The workspace `a` for a caller to keep: a copy (n^2 entries, under
-        1% of an elimination) when the plan goes back to the idle plans, and
-        `a` itself when it is too wide to be kept, so that a wide call holds
-        two n x n matrices, not three."""
-        return self.a if self.n > _MAX_KEPT_WIDTH else self.a.copy()
 
     def ldl_steps(self) -> list:
         """Per step k: column k from the diagonal down, its part below the
@@ -137,36 +139,22 @@ class _Plan:
         return self._tri
 
 
-#: the idle plans of each kept width, the least recently used width first
-_idle: OrderedDict[int, list[_Plan]] = OrderedDict()
-_idle_lock = threading.Lock()
+@functools.lru_cache(maxsize=_KEPT_WIDTHS)
+def _kept(n: int) -> _Plan:
+    """The kept plan of width 1 <= n <= _MAX_KEPT_WIDTH."""
+    return _Plan(n)
 
 
 def _checkout(n: int) -> _Plan:
-    """A plan of width n >= 1 that no other call holds; `_release` gives it back."""
-    with _idle_lock:
-        free = _idle.get(n)
-        plan = free.pop() if free else None
-    return _Plan(n) if plan is None else plan
-
-
-def _load(plan: _Plan, a: np.ndarray) -> _Plan:
-    """`hermitian_part(a)` into the workspace `a` (a may be `plan.spare`)."""
-    np.true_divide(a, 2, out=plan.a)
-    np.conjugate(plan.a, out=plan.spare)
-    np.add(plan.a, plan.spare.T, out=plan.a)
+    """A plan of width n >= 1 that this call holds until it releases
+    `plan.busy`: the kept plan of width n when it is free, else a throwaway."""
+    if n <= _MAX_KEPT_WIDTH:
+        plan = _kept(n)
+        if plan.busy.acquire(blocking=False):
+            return plan
+    plan = _Plan(n)
+    plan.busy.acquire()
     return plan
-
-
-def _release(plan: _Plan) -> None:
-    """Give `plan` back to the idle plans of its width."""
-    if plan.n > _MAX_KEPT_WIDTH:
-        return
-    with _idle_lock:
-        _idle.setdefault(plan.n, []).append(plan)
-        _idle.move_to_end(plan.n)
-        if len(_idle) > _KEPT_WIDTHS:
-            _idle.popitem(last=False)
 
 
 #: a pass splits every bracket 16 ways (15 shifts), so 53 mantissa bits take
@@ -208,8 +196,9 @@ def _scaled_tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | N
     """`_tridiagonal` of hermitian_part(a) (n >= 1) scaled by 2^-exponent,
     where 2^exponent is just above its largest entry, and the exponent; None
     when every entry is 0."""
-    plan = _load(_checkout(len(a)), a)
+    plan = _checkout(len(a))
     try:
+        hermitian_part(a, plan.a, plan.spare)
         re = plan.a.view(float)
         big = float(np.abs(re, out=plan.spare.view(float)).max(initial=0.0))
         if big == 0:
@@ -218,7 +207,7 @@ def _scaled_tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | N
         np.ldexp(re, -exponent, out=re)
         return (*_tridiagonal(plan), exponent)
     finally:
-        _release(plan)
+        plan.busy.release()
 
 
 _MAX_SWEEPS = 30  # QL sweeps allowed per eigenvalue, as in LAPACK's dsterf
@@ -411,63 +400,67 @@ class LdlVerdict:
     rayleigh: float | None = None
 
 
-def ldl_eliminate(g: np.ndarray, tol: float) -> tuple[int | None, np.ndarray, float]:
-    """LDL^H of A = G + tau I, tau = tol * (1 + max diag G), left-looking:
-    (the first pivot k that is not > 0, or None; the factors; tau).  All
-    pivots are > 0 exactly when the least eigenvalue of (the Hermitian part
-    of) G exceeds -tau.  No eigenvalue and no witness is computed.
+def tau(tol, max_diagonal: float) -> float:
+    """tol * (1 + max_diagonal): a Gram passes when its least eigenvalue is
+    at least -tau.  Formed only here, so that the elimination's shift and a
+    report's verdict and threshold agree bit for bit."""
+    return tol * (1 + max_diagonal)
+
+
+def _eliminate(plan: _Plan, a: np.ndarray, tol: float) -> tuple[int | None, float]:
+    """LDL^H of A = G + tau I, G = hermitian_part(a), tau = `tau`(tol, max
+    diag G), left-looking, in the workspace of `plan` (a's width; a may be
+    `plan.spare`): (the first pivot k that is not > 0, or None; tau).  All
+    pivots are > 0 exactly when the least eigenvalue of G exceeds -tau.
 
     Step k needs the entries of A only in column k, on and below the
-    diagonal, so the factors overwrite A as they are made: below the
-    diagonal, column j holds column j of L D (L's column times the pivot
-    d_j); above it, row j holds row j of L^H.  Column k of the Schur
+    diagonal, so the factors overwrite A in `plan.a` as they are made:
+    below the diagonal, column j holds column j of L D (L's column times the
+    pivot d_j); above it, row j holds row j of L^H.  Column k of the Schur
     complement is then A[k:, k] - (L D)[k:, :k] L^H[:k, k], one mat-vec.
-    The steps run in the plan of G's width; the factors returned are the
-    caller's to keep.
     """
-    a = _checked_square(g)
-    if a.shape[0] == 0:
-        raise ValueError("matrix is empty: there is no verdict to give")
-    return _eliminate(len(a), lambda plan: _load(plan, a), tol, True)
+    hermitian_part(a, plan.a, plan.spare)
+    shift = tau(tol, float(plan.diagonal.real.max()))
+    plan.diagonal += shift
+    for k, (col, below, row, left, top, prod) in enumerate(plan.ldl_steps()):
+        if left is not None:
+            col -= np.matmul(left, top, out=prod)
+        d = col.item(0).real
+        if not d > 0:
+            return k, shift
+        np.divide(np.conjugate(below, out=row), d, out=row)  # row k of L^H
+    return None, shift
 
 
 def ldl_pivot(n: int, fill, tol: float) -> int | None:
-    """The pivot of `ldl_eliminate` for the n x n G that fill(out) writes
-    into the plan's workspace and returns; no factor is copied out."""
-    return _eliminate(n, lambda plan: _load(plan, _checked_square(fill(plan.spare))), tol, False)[0]
-
-
-def _eliminate(n: int, load, tol: float, copy: bool) -> tuple:
-    """`ldl_eliminate` on a plan of width n whose workspace load(plan) fills:
-    (the pivot, the factors if `copy` or None, tau)."""
+    """The first failing pivot of the elimination (`_eliminate`) of the
+    n x n G that fill(out) writes into the plan's workspace and returns, or
+    None when every pivot is positive; no factor and no witness is kept."""
     plan = _checkout(n)
     try:
-        load(plan)
-        shift = tol * (1 + float(plan.diagonal.real.max()))
-        plan.diagonal += shift
-        for k, (col, below, row, left, top, prod) in enumerate(plan.ldl_steps()):
-            if left is not None:
-                col -= np.matmul(left, top, out=prod)
-            d = col.item(0).real
-            if not d > 0:
-                return k, plan.detached() if copy else None, shift
-            np.divide(np.conjugate(below, out=row), d, out=row)  # row k of L^H
-        return None, plan.detached() if copy else None, shift
+        return _eliminate(plan, _checked_square(fill(plan.spare)), tol)[0]
     finally:
-        _release(plan)
+        plan.busy.release()
 
 
 def ldl_verdict(g: np.ndarray, tol: float) -> LdlVerdict:
-    """Is G >= -tol * (1 + max diagonal) * I?  `ldl_eliminate` decides it; a
-    failing verdict then solves L^H v = e_k over the leading (k + 1) block
-    by back substitution for its witness."""
-    k, factored, shift = ldl_eliminate(g, tol)
-    if k is None:
-        return LdlVerdict(True, shift)
-    v = np.zeros(factored.shape[0], dtype=complex)
-    v[k] = 1.0
-    for i in range(k - 1, -1, -1):
-        v[i] = -(factored[i, i + 1 : k + 1] @ v[i + 1 : k + 1])
-    gv = np.asarray(g, dtype=complex) @ v
-    rayleigh = float(np.vdot(v, gv).real / np.vdot(v, v).real)
+    """Is G >= -tau * I, tau = `tau`(tol, max diagonal)?  `_eliminate`
+    decides it; a failing verdict then solves L^H v = e_k over the leading
+    (k + 1) block by back substitution, in the plan, for its witness."""
+    a = _checked_square(g)
+    n = a.shape[0]
+    if n == 0:
+        raise ValueError("matrix is empty: there is no verdict to give")
+    plan = _checkout(n)
+    try:
+        k, shift = _eliminate(plan, a, tol)
+        if k is None:
+            return LdlVerdict(True, shift)
+        v = np.zeros(n, dtype=complex)
+        v[k] = 1.0
+        for i in range(k - 1, -1, -1):
+            v[i] = -(plan.a[i, i + 1 : k + 1] @ v[i + 1 : k + 1])
+    finally:
+        plan.busy.release()
+    rayleigh = float(np.vdot(v, a @ v).real / np.vdot(v, v).real)
     return LdlVerdict(False, shift, k, v, rayleigh)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eig import hermitian_part, ldl_pivot, min_eigenvalue
+from .eig import hermitian_part, ldl_pivot, min_eigenvalue, tau
 from .errors import BracketError, EvaluationError, KernelCalcError, ShapeError
 from .expr import KernelExpr
 from .geometry import DomainSpec, Point, point_array, sample_array
@@ -73,7 +73,7 @@ class GramReport:
             "psd": self.psd,
             "tol": self.tolerance,
             "max_diagonal": self.max_diagonal,
-            "threshold": self.tolerance * (1 + self.max_diagonal),
+            "threshold": tau(self.tolerance, self.max_diagonal),
             "seed": self.seed,
         }
 
@@ -162,7 +162,7 @@ def _sample(domain: DomainSpec, m: int, n: int, seed) -> np.ndarray:
 def _verdict(g: np.ndarray, tol: float) -> tuple[float, float, bool]:
     mineig = min_eigenvalue(g)
     maxdiag = float(np.max(np.diag(g).real))
-    return mineig, maxdiag, mineig >= -(tol * (1 + maxdiag))  # no negative unsigned tol
+    return mineig, maxdiag, mineig >= -tau(tol, maxdiag)  # no negative unsigned tol
 
 
 def _sampled_report(label: str, m: int, gram_of, domain, n, seed, tol) -> GramReport:
@@ -244,22 +244,26 @@ class _CurvatureFamilyGram:
 
 
 def _family_pairs(family) -> tuple:
-    """`family` as a tuple of (count, seed) pairs, refusing an entry that is
-    not a pair with a ShapeError naming it."""
+    """`family` as a tuple of (count, seed) pairs of ints, refusing an entry
+    that is not a pair, or whose count or seed breaks its rule, with a
+    ShapeError naming it."""
     pairs = []
     for i, entry in enumerate(family):
         try:
             count, seed = entry
         except (TypeError, ValueError):
             raise ShapeError(f"family entry {i} is not a (count, seed) pair, got {entry!r}") from None
-        pairs.append((count, seed))
+        try:
+            pairs.append((checked("positive_int", count, "count"), checked("seed", seed, "seed")))
+        except (TypeError, ValueError) as exc:
+            raise ShapeError(f"family entry {i}: {exc}") from None
     return tuple(pairs)
 
 
 def gram_families(expr: KernelExpr, domain: DomainSpec, family, values_of, family_of) -> list:
     """One parametric Gram family per (count, seed) of `family`, refusing an
-    empty family (ValueError), an entry that is not a pair or a domain
-    outside C^m (ShapeError) before sampling.  The pairs of all point sets go
+    empty family (ValueError), a malformed entry or a domain outside C^m
+    (ShapeError) before sampling.  The pairs of all point sets go
     through one `_pairwise` batch of values_of; family_of((n, m) points,
     *nk x nk matrices) returns (B, M)."""
     family = _family_pairs(family)
@@ -274,8 +278,8 @@ def gram_families(expr: KernelExpr, domain: DomainSpec, family, values_of, famil
 
 
 def families_pass(fams, t: float, tol: float) -> bool:
-    """Whether the Gram of every family at t has no failing pivot in
-    `ldl_eliminate`, formed in its workspace (`ldl_pivot`), which refuses a
+    """Whether the Gram of every family at t has no failing pivot in the
+    elimination of `ldl_pivot`, formed in its workspace, which refuses a
     Gram that is not finite (EvaluationError, naming t here)."""
     try:
         # a Gram past the float range is refused, without a warning
@@ -437,7 +441,7 @@ def multiplier_bound(
     checked("positive", resolution, "resolution")
     checked("positive", tol, "tol")
     func, label = _as_function(f, expr.m)
-    family = tuple((n, checked("seed", s, "seed")) for n, s in _family_pairs(family))
+    family = _family_pairs(family)
     fams = multiplier_families(expr, func, domain, family)
     lo, hi = 0.0, 1.0
     while not families_pass(fams, hi, tol):

@@ -42,7 +42,7 @@ import numpy as np
 from kernelcalc import automorphisms, fd, positivity, repro, rkhs
 from kernelcalc import expr as expr_module
 from kernelcalc.automorphisms import CocycleSpec, MobiusMap
-from kernelcalc.eig import _MAX_PASSES, _SPLIT, LdlVerdict, hermitian_part, ldl_eliminate
+from kernelcalc.eig import _MAX_PASSES, _SPLIT, LdlVerdict, hermitian_part
 from kernelcalc.errors import (BranchError, DomainError, EvaluationError, OrderCapError,
                                ParseError, ShapeError)
 from kernelcalc.expr import DEFAULT_ORDER_CAP, JetKernel, JetTable, KernelExpr, Pow, _coords
@@ -1004,10 +1004,10 @@ def _gram_at_fresh(self, t: float) -> np.ndarray:
 
 def _families_pass_by_factors(fams, t: float, tol: float) -> bool:
     """Whether the Gram of every family at t has no failing pivot in
-    `ldl_eliminate`, which refuses a Gram that is not finite
+    `ldl_eliminate_unplanned`, which refuses a Gram that is not finite
     (EvaluationError, naming t here)."""
     try:
-        return all(ldl_eliminate(f.gram_at(t), tol)[0] is None for f in fams)
+        return all(ldl_eliminate_unplanned(f.gram_at(t), tol)[0] is None for f in fams)
     except EvaluationError as exc:
         raise EvaluationError(f"the Gram family at t = {t} is not finite") from exc
 

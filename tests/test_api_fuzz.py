@@ -140,7 +140,7 @@ MALFORMED = st.sampled_from([
     None, "1", "", True, False, 0, -1, 2**64, 2**64 - 1, 0.0, -0.0, 0.5, 1.5, 2.0, 1e-300,
     1e300, math.nan, math.inf, -math.inf, 1j, [], [1.0], (1,), [True], np.float64(0.5),
     np.int64(3), np.float32(2.0), np.uint64(7), K, object(), "0.1", [None], [0.1, "0.2", 0.3],
-    [[0.1]], [0.1j, 0.2, np.bool_(True)], b"0",
+    [[0.1]], [0.1j, 0.2, np.bool_(True)], b"0", (0.1, "0.2"),
 ]) | st.integers(-3, 40) | st.floats()
 #: parameters whose accepted values set how many points are sampled
 COUNTS = ("n", "count")
@@ -162,8 +162,10 @@ def test_malformed_arguments_are_refused_by_name(data):
         assert not ACCEPTS[rule](value), (name, param, value, exc)
     except ValueError as exc:
         assert "unpack" not in str(exc), (name, param, value, exc)
-    except KernelCalcError:
-        pass
+    except KernelCalcError as exc:
+        # a scan names the family entry whose count or seed it refuses
+        assert f": {param} must be" not in str(exc) or not ACCEPTS[rule](value), (
+            name, param, value, exc)
     else:
         assert ACCEPTS[rule](value), f"{name}({param}={value!r}) returned"
 
@@ -179,6 +181,10 @@ def test_every_entry_point_returns_at_its_valid_defaults():
      "family entry 0 is not a (count, seed) pair"),
     (lambda: kc.multiplier_bound(K, 0, DISC, ((4, 1), (4,))), ShapeError,
      "family entry 1 is not a (count, seed) pair"),
+    (lambda: kc.wallach_scan(kc.bergman_disc(), -2.0, 0.0, DISC, ((4, 1), (0.1, "0.2"))),
+     ShapeError, "family entry 1: count must be an integer, got 0.1"),
+    (lambda: kc.multiplier_bound(K, 0, DISC, ((4, -1),)), ShapeError,
+     "family entry 0: seed must be an integer of 64 bits, in [0, 2^64), got -1"),
     (lambda: kc.wallach_scan(kc.bergman_disc(), "a", 0, DISC, ((4, 1),)), TypeError,
      "t_lo must be a real"),
     (lambda: kc.ordinary_wallach_scan(K, [0.5, "a"], DISC, ((4, 1),)), TypeError,

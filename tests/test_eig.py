@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from kernelcalc import eig
-from kernelcalc.eig import eigenvalues, hermitian_part, ldl_verdict, min_eigenvalue
+from kernelcalc.eig import eigenvalues, hermitian_part, ldl_pivot, ldl_verdict, min_eigenvalue
 from kernelcalc.errors import EvaluationError
 from kernelcalc.geometry import sample_points, unit_disc
 from kernelcalc.parser import parse_kernel
@@ -79,9 +79,10 @@ def test_the_in_place_hermitian_copy_equals_hermitian_part(scale):
         plan = eig._checkout(len(a))
         if from_spare:
             np.copyto(plan.spare, a)
-        eig._load(plan, plan.spare if from_spare else a)  # the copy-in of both column loops
+        # the copy-in of both column loops
+        hermitian_part(plan.spare if from_spare else a, plan.a, plan.spare)
         got = plan.a.copy()
-        eig._release(plan)
+        plan.busy.release()
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.array_equal(hermitian_part(a).view(np.uint64), want.view(np.uint64))
     assert np.array_equal(a, before)
@@ -91,17 +92,20 @@ def test_ldl_verdict_peaks_at_about_two_matrices():
     import tracemalloc
 
     rng = np.random.default_rng(9)
-    n = 300  # a 1.44 MB complex matrix
-    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    g = b @ b.conj().T / n
-    assert ldl_verdict(g, 1e-9).psd
-    tracemalloc.start()
-    try:
-        ldl_verdict(g, 1e-9)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.3e6
+    # a passing 300-wide Gram (1.44 MB) gets a throwaway plan of two
+    # matrices; a failing Gram of the widest kept width (0.26 MB) reuses its
+    # width's plan and back-substitutes its witness there, copying no factors
+    for n, shift in ((300, 0.0), (eig._MAX_KEPT_WIDTH, -0.5)):
+        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        g = b @ b.conj().T / n + shift * np.eye(n)
+        assert ldl_verdict(g, 1e-9).psd == (shift == 0)
+        tracemalloc.start()
+        try:
+            ldl_verdict(g, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (3.3e6 if shift == 0 else 0.75 * g.nbytes), n
 
 
 @settings(max_examples=25, deadline=None)
@@ -493,10 +497,9 @@ def test_the_elimination_pivot_is_the_verdict_pivot(n, deficiency, move, offset,
         g -= c * np.eye(n)
     else:
         g.flat[:: n + 1] = np.nextafter(g.diagonal().real, np.inf if move == "ulp up" else -np.inf)
-    pivot, factored, shift = eig.ldl_eliminate(g, tol)
+    pivot = ldl_pivot(n, _filler(g), tol)
     res = ldl_verdict(g, tol)
-    assert factored.shape == (n, n)
-    assert shift == res.shift
+    assert res.shift == oracles.ldl_eliminate_unplanned(g, tol)[2]
     assert pivot == res.pivot
     assert (pivot is None) == res.psd
 
@@ -521,6 +524,15 @@ def test_ldl_verdict_rejects_bad_input():
         ldl_verdict(np.zeros((0, 0)), 1e-9)
     with pytest.raises(EvaluationError):
         ldl_verdict(np.array([[1.0, np.nan], [np.nan, 1.0]]), 1e-9)
+
+
+def _filler(g):
+    """A `ldl_pivot` fill that writes g into the plan's workspace."""
+    def fill(out):
+        np.copyto(out, g)
+        return out
+
+    return fill
 
 
 def _same_bits(got, want) -> bool:
@@ -557,9 +569,21 @@ _PLAN_KINDS = ["positive definite", "indefinite", "general", "zero columns", "di
 _PLAN_SCALES = [1.0, 1e300, 1e-310]
 
 
+def _planned_elimination(a, tol):
+    """(the pivot, a copy of every factor, tau) of `_eliminate` on a plan
+    checked out as `ldl_verdict` checks one out."""
+    a = eig._checked_square(a)
+    plan = eig._checkout(len(a))
+    try:
+        pivot, shift = eig._eliminate(plan, a, tol)
+        return pivot, plan.a.copy(), shift
+    finally:
+        plan.busy.release()
+
+
 def _assert_planned_answers_are_the_unplanned(a, tol):
     with np.errstate(all="ignore"):  # 1e300 entries overflow both ways alike
-        pivot, factors, shift = eig.ldl_eliminate(a, tol)
+        pivot, factors, shift = _planned_elimination(a, tol)
         want_pivot, want_factors, want_shift = oracles.ldl_eliminate_unplanned(a, tol)
         reduced = eig._scaled_tridiagonal(a)
         want_reduced = oracles.scaled_tridiagonal_unplanned(a)
@@ -615,8 +639,10 @@ def test_threads_running_same_width_solves_get_the_sequential_answers():
              for t in range(threads_n)]
 
     def solve(g):
-        pivot, factors, shift = eig.ldl_eliminate(g, 1e-9)
-        return pivot, factors.tobytes(), shift, eigenvalues(g).tobytes()
+        res = ldl_verdict(g, 1e-9)
+        witness = None if res.witness is None else res.witness.tobytes()
+        return (ldl_pivot(len(g), _filler(g), 1e-9), res.pivot, res.shift, witness,
+                res.rayleigh, eigenvalues(g).tobytes())
 
     want = [[solve(g) for g in gs] for gs in grams]
     got = [[] for _ in range(threads_n)]
@@ -641,18 +667,44 @@ def test_threads_running_same_width_solves_get_the_sequential_answers():
 
 
 def test_plans_are_kept_for_a_bounded_number_of_widths():
+    eig._kept.cache_clear()
     for n in range(1, 3 * eig._KEPT_WIDTHS + 1):
-        eig.ldl_eliminate(np.eye(n), 1e-9)
+        ldl_verdict(np.eye(n), 1e-9)
         eigenvalues(np.eye(n), 1)
-        assert len(eig._idle) <= eig._KEPT_WIDTHS
+        assert eig._kept.cache_info().currsize <= eig._KEPT_WIDTHS
     # the most recently used widths are the ones kept
-    assert list(eig._idle) == list(range(2 * eig._KEPT_WIDTHS + 1, 3 * eig._KEPT_WIDTHS + 1))
+    info = eig._kept.cache_info()
+    for n in range(2 * eig._KEPT_WIDTHS + 1, 3 * eig._KEPT_WIDTHS + 1):
+        ldl_pivot(n, _filler(np.eye(n)), 1e-9)
+    assert eig._kept.cache_info().hits == info.hits + eig._KEPT_WIDTHS
+    assert eig._kept.cache_info().misses == info.misses
     wide = eig._MAX_KEPT_WIDTH + 1
-    eig.ldl_eliminate(np.eye(wide), 1e-9)
+    ldl_verdict(np.eye(wide), 1e-9)
     eigenvalues(np.eye(wide), 1)
-    assert wide not in eig._idle
-    # factors handed out are the caller's: a later call does not change them
-    _, factors, _ = eig.ldl_eliminate(2 * np.eye(5), 1e-9)
-    kept = factors.copy()
-    eig.ldl_eliminate(np.ones((5, 5)), 1e-9)
-    assert np.array_equal(factors, kept)
+    assert eig._kept.cache_info()[:2] == (info.hits + eig._KEPT_WIDTHS, info.misses)
+    # a witness handed out is the caller's: a later call at its width does
+    # not change it
+    res = ldl_verdict(np.diag([1.0, -1.0, 1.0, 1.0, 1.0]), 1e-9)
+    kept = res.witness.copy()
+    ldl_verdict(np.ones((5, 5)) - 2 * np.eye(5), 1e-9)
+    assert np.array_equal(res.witness, kept)
+
+
+def test_a_solve_inside_a_fill_gets_the_sequential_answers():
+    # the outer ldl_pivot holds its width's kept plan while fill runs, after
+    # G is in the workspace: a solve at the same width inside fill must
+    # build its own plan, or it would overwrite G
+    g = _plan_input("indefinite", 12, 1.0, 4)
+    h = _plan_input("positive definite", 12, 1.0, 5)
+    want = (ldl_pivot(12, _filler(g), 1e-9), ldl_pivot(12, _filler(h), 1e-9),
+            eigenvalues(h).tobytes())
+    assert want[0] != want[1]
+    inner = []
+
+    def fill(out):
+        np.copyto(out, g)
+        inner.append(ldl_pivot(12, _filler(h), 1e-9))
+        inner.append(eigenvalues(h).tobytes())
+        return out
+
+    assert (ldl_pivot(12, fill, 1e-9), *inner) == want
