@@ -17,29 +17,35 @@ vector on which G is negative.  The elimination is left-looking (the
 complement with one mat-vec against the columns already factored, in
 place, so no (n - k)^2 rank-1 update is formed.
 
-`hermitian_part` is the one symmetrizing rule, and every call's copy-in.
-The sampled Grams of `positivity` arrive Hermitian from it; `eigenvalues`
-and `ldl_verdict` apply it to their input again only as a guard for other
-callers.
+`hermitian_part` is the one symmetrizing rule.  The sampled Grams of
+`positivity` arrive Hermitian from it; `eigenvalues` and `ldl_verdict`
+apply it to their input again, as their copy-in, only as a guard for other
+callers.  Its in-place add of the transposed conjugate runs through
+numpy's ufunc buffering, a temporary of min(n^2, 8192) complex entries per
+copy-in.  `ldl_pivot` copies nothing in: it eliminates the Hermitian
+matrix that its caller's fill writes straight into the factor buffer, and
+checks it finite with one sum, looking at each entry only when that sum is
+not finite.
 
 Both column loops run on a step plan of the input's width n: a workspace
 of two n x n buffers and the views that step k reads and writes, made once
-(Golub & Van Loan keep LAPACK's workspace the same way).  A call copies its
-input into the workspace once, as `hermitian_part` (`ldl_pivot` has its
-caller form G in the workspace, and keeps no factors), and then each step
-issues only its arithmetic, into `out=` targets; the operations and their
-order are those of the loops without a plan, so the pivots, factors, tau
-and the tridiagonal (d, e) are the same bit for bit.  One plan is kept per
-width, for at most `_KEPT_WIDTHS` widths of at most `_MAX_KEPT_WIDTH`, the
-least recently used width dropped first: at most about 0.8 MB a width (at
-128, with both loops' views), whatever the number of threads.  A call
-holds its width's plan by taking the plan's lock without waiting; a call
-that finds it held (by another thread, or by the `ldl_pivot` whose fill
-makes the call) builds a throwaway plan, as a wider call does, so calls
-are reentrant and thread-safe.  The saving is in the reuse: the first call
-at a width builds its plan and costs a little more than a call without
-plans (3-10 us in an elimination at n = 8-60); writing into `out=` targets
-without kept views saves 1-2%.
+(Golub & Van Loan keep LAPACK's workspace the same way).  Each step then
+issues only its arithmetic, `out` passed positionally: an elimination step
+is `col -= left @ top` and np.divide(np.conjugate(below, row), pivot, row),
+and a scalar such as the pivot goes to numpy as a 0-d complex kept in the
+plan, the operand numpy would make of the Python float.  The operations
+and their order are those of the loops without a plan, so the pivots,
+factors, tau and the tridiagonal (d, e) are the same bit for bit.
+
+One plan is kept per width, for at most `_KEPT_WIDTHS` widths of at most
+`_MAX_KEPT_WIDTH`, the least recently used width dropped first: at most
+about 0.8 MB a width (at 128, with both loops' views), whatever the number
+of threads.  A call holds its width's plan by taking the plan's lock
+without waiting; a call that finds it held (by another thread, or by the
+`ldl_pivot` whose fill makes the call) builds a throwaway plan, as a wider
+call does, so calls are reentrant and thread-safe.  The saving is in the
+reuse: the first call at a width builds its plan and costs a little more
+than a call without plans (3-10 us in an elimination at n = 8-60).
 """
 
 from __future__ import annotations
@@ -88,30 +94,33 @@ _KEPT_WIDTHS, _MAX_KEPT_WIDTH = 8, 128
 class _Plan:
     """The workspace of one width n, and the views that step k of each column
     loop reads and writes, made on the loop's first run.  `a` takes the
-    Hermitian part of the input and then the factors or the first trailing
-    block; `spare` takes conj(a) in the copy-in, then |a| for the scaling,
-    then the second trailing block.  A call uses the plan only while it
-    holds `busy`."""
+    Hermitian input and then the factors or the first trailing block;
+    `spare` takes conj(a) in the copy-in (or whatever an `ldl_pivot` fill
+    puts there), then |a| for the scaling, then the second trailing block.  `operands` are three (0-d complex, its real
+    part) pairs: a loop sets a scalar through the real part and hands numpy
+    the complex operand, as numpy would convert the Python float.  A call
+    uses the plan only while it holds `busy`."""
 
-    __slots__ = ("n", "a", "spare", "diagonal", "busy", "_ldl", "_tri")
+    __slots__ = ("n", "a", "spare", "flat", "diagonal", "operands", "busy", "_ldl", "_tri")
 
     def __init__(self, n: int):
         self.n = n
         self.a, self.spare = np.empty((2, n, n), dtype=complex)
-        self.diagonal = self.a.reshape(-1)[:: n + 1]
+        self.flat = self.a.reshape(-1)
+        self.diagonal = self.flat[:: n + 1]
+        ops = np.zeros(3, dtype=complex)
+        self.operands = [(ops[i, ...], ops.real[i, ...]) for i in range(3)]
         self.busy = threading.Lock()
         self._ldl = self._tri = None
 
     def ldl_steps(self) -> list:
         """Per step k: column k from the diagonal down, its part below the
-        diagonal, row k of L^H right of it, the factored columns beside
-        column k and column k above the diagonal (None at k = 0), and a
-        mat-vec buffer of n - k entries."""
+        diagonal, row k of L^H right of it, and the factored columns beside
+        column k and column k above the diagonal (None at k = 0)."""
         if self._ldl is None:
-            a, prod = self.a, np.empty(self.n, dtype=complex)
+            a = self.a
             self._ldl = [
-                (a[k:, k], a[k + 1 :, k], a[k, k + 1 :],
-                 a[k:, :k] if k else None, a[:k, k], prod[: self.n - k])
+                (a[k:, k], a[k + 1 :, k], a[k, k + 1 :], a[k:, :k] if k else None, a[:k, k])
                 for k in range(self.n)
             ]
         return self._ldl
@@ -172,6 +181,7 @@ def _tridiagonal(plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
     n = plan.n
     d, e = np.empty(n), np.zeros(n - 1)
     steps, last = plan.tri_steps()
+    (alpha_op, alpha_re), (scale_op, scale_re), (half_op, half_re) = plan.operands
     for k, (head, x, trail, b, u, w, uw_t, wu, uw_rev, su) in enumerate(steps):
         d[k] = head.item(0).real
         e[k] = alpha = math.sqrt(np.vdot(x, x).real)
@@ -180,14 +190,17 @@ def _tridiagonal(plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
             continue
         # u = sqrt(beta) v, v = x / alpha normalised before beta = 2 / |v|^2
         # (summed: alpha may have lost entries whose squares underflow)
-        np.divide(x, alpha, out=u)
+        alpha_re[()] = alpha
+        np.divide(x, alpha_op, u)
         v0 = complex(u[0])
         u[0] = v0 + (v0 / abs(v0) if v0 else 1.0)
-        u *= math.sqrt(2.0 / np.vdot(u, u).real)
-        np.matmul(trail, u, out=w)
-        w -= np.multiply(0.5 * np.vdot(u, w).real, u, out=su)
-        np.conjugate(uw_rev, out=wu)
-        np.subtract(trail, np.matmul(uw_t, wu, out=b), out=b)
+        scale_re[()] = math.sqrt(2.0 / np.vdot(u, u).real)
+        np.multiply(u, scale_op, u)
+        np.matmul(trail, u, w)
+        half_re[()] = 0.5 * np.vdot(u, w).real
+        np.subtract(w, np.multiply(half_op, u, su), w)
+        np.conjugate(uw_rev, wu)
+        np.subtract(trail, np.matmul(uw_t, wu, b), b)
     d[-1] = last.item(0).real
     return d, e
 
@@ -407,38 +420,51 @@ def tau(tol, max_diagonal: float) -> float:
     return tol * (1 + max_diagonal)
 
 
-def _eliminate(plan: _Plan, a: np.ndarray, tol: float) -> tuple[int | None, float]:
-    """LDL^H of A = G + tau I, G = hermitian_part(a), tau = `tau`(tol, max
-    diag G), left-looking, in the workspace of `plan` (a's width; a may be
-    `plan.spare`): (the first pivot k that is not > 0, or None; tau).  All
-    pivots are > 0 exactly when the least eigenvalue of G exceeds -tau.
+def _eliminate(plan: _Plan, tol: float) -> tuple[int | None, float]:
+    """LDL^H of A = G + tau I, G the Hermitian matrix in `plan.a`, tau =
+    `tau`(tol, max diag G), left-looking, in place: (the first pivot k that
+    is not > 0, or None; tau).  All pivots are > 0 exactly when the least
+    eigenvalue of G exceeds -tau.
 
     Step k needs the entries of A only in column k, on and below the
-    diagonal, so the factors overwrite A in `plan.a` as they are made:
-    below the diagonal, column j holds column j of L D (L's column times the
-    pivot d_j); above it, row j holds row j of L^H.  Column k of the Schur
+    diagonal, so the factors overwrite A as they are made: below the
+    diagonal, column j holds column j of L D (L's column times the pivot
+    d_j); above it, row j holds row j of L^H.  Column k of the Schur
     complement is then A[k:, k] - (L D)[k:, :k] L^H[:k, k], one mat-vec.
+    G's upper triangle and the imaginary part of its diagonal are never read.
     """
-    hermitian_part(a, plan.a, plan.spare)
     shift = tau(tol, float(plan.diagonal.real.max()))
     plan.diagonal += shift
-    for k, (col, below, row, left, top, prod) in enumerate(plan.ldl_steps()):
+    pivot, pivot_re = plan.operands[0]
+    for k, (col, below, row, left, top) in enumerate(plan.ldl_steps()):
         if left is not None:
-            col -= np.matmul(left, top, out=prod)
+            col -= left @ top
         d = col.item(0).real
         if not d > 0:
             return k, shift
-        np.divide(np.conjugate(below, out=row), d, out=row)  # row k of L^H
+        pivot_re[()] = d
+        np.divide(np.conjugate(below, row), pivot, row)  # row k of L^H
     return None, shift
 
 
 def ldl_pivot(n: int, fill, tol: float) -> int | None:
     """The first failing pivot of the elimination (`_eliminate`) of the
-    n x n G that fill(out) writes into the plan's workspace and returns, or
-    None when every pivot is positive; no factor and no witness is kept."""
+    n x n Hermitian G that fill(out, spare) writes into `out`, the plan's
+    factor buffer, using the n x n `spare` as it likes, or None when every
+    pivot is positive; no factor and no witness is kept.  Nothing
+    symmetrizes G here: a fill whose G is not Hermitian bit for bit writes
+    `hermitian_part` of it.  A G with an entry that is not finite is
+    refused (EvaluationError)."""
+    if n == 0:
+        raise ValueError("matrix is empty: there is no verdict to give")
     plan = _checkout(n)
     try:
-        return _eliminate(plan, _checked_square(fill(plan.spare)), tol)[0]
+        fill(plan.a, plan.spare)
+        # |G|_F^2 is finite unless an entry is not, or G is past 1e154; BLAS
+        # sums it without numpy's floating-point warnings
+        if not math.isfinite(np.vdot(plan.flat, plan.flat).real) and not np.isfinite(plan.flat).all():
+            raise EvaluationError("matrix has non-finite entries")
+        return _eliminate(plan, tol)[0]
     finally:
         plan.busy.release()
 
@@ -453,7 +479,8 @@ def ldl_verdict(g: np.ndarray, tol: float) -> LdlVerdict:
         raise ValueError("matrix is empty: there is no verdict to give")
     plan = _checkout(n)
     try:
-        k, shift = _eliminate(plan, a, tol)
+        hermitian_part(a, plan.a, plan.spare)
+        k, shift = _eliminate(plan, tol)
         if k is None:
             return LdlVerdict(True, shift)
         v = np.zeros(n, dtype=complex)

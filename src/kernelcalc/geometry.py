@@ -221,11 +221,11 @@ def sample_array(domain: DomainSpec, count: int, seed: int = 0) -> np.ndarray:
         n = min(need * attempts_per_point * 5 // 4 + 8, _MAX_CHUNK)
         u = rng.random((n, 2, m))
         z = r * np.sqrt(u[:, 0]) * np.exp(1j * (2 * np.pi * u[:, 1]))
-        if ball:
-            z = z[np.linalg.norm(z, axis=1) <= r]
+        if ball:  # the operations of np.linalg.norm(z, axis=1), inline
+            z = z[np.sqrt(np.add.reduce((z.conj() * z).real, axis=1)) <= r]
         chunks.append(z[:need])
         need -= len(chunks[-1])
-    return np.concatenate(chunks)
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def sample_points(domain: DomainSpec, count: int, seed: int = 0) -> list[Point]:

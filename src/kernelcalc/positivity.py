@@ -22,6 +22,7 @@ complex row, which indexes like a `Point`.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -114,16 +115,45 @@ class MultiplierBound:
         }
 
 
+#: the point counts and (count, block size) pairs whose pairs and scatter
+#: positions are kept: every family and report size of a run, many times over
+_KEPT_COMPLETIONS = 64
+
+
+def _read_only(*arrays) -> tuple:
+    """The arrays, made read-only: a cache hands them to every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=_KEPT_COMPLETIONS)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs p <= q of n points, row by row: the indices of
+    np.triu_indices(n), at a third of its cost."""
+    return _read_only(*np.nonzero(np.tri(n, dtype=bool).T))
+
+
+@functools.lru_cache(maxsize=_KEPT_COMPLETIONS)
+def _scatter_positions(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where entry (i, j) of the k x k block of pair (p, q) of `_upper_pairs`
+    goes in the flat nk x nk Gram, (p k + i, q k + j), and where its
+    conjugate goes, (q k + j, p k + i): two (pairs, k, k) index arrays."""
+    p, q = (x[:, None, None] for x in _upper_pairs(n))
+    i, j = np.arange(k)[:, None], np.arange(k)
+    return _read_only(((p * k + i) * n + q) * k + j, ((q * k + j) * n + p) * k + i)
+
+
 def _pairwise(point_sets, values_of) -> list:
     """Per point set, the nk x nk matrices whose block (p, q) is each array
     that values_of gives at (z_p, z_q), conjugate-completed and then made
     Hermitian by `hermitian_part`.
 
     values_of returns a tuple of (B, k, k) arrays.  The pairs p <= q of all
-    sets are evaluated as one batch; a failing pair is named.
+    sets are evaluated as one batch; a failing pair is named.  A block on
+    the diagonal (p = q) is written as it is, over its conjugate transpose.
     """
-    # the indices of np.triu_indices, at a third of its cost
-    upper = [np.nonzero(np.tri(len(pts), dtype=bool).T) for pts in point_sets]
+    upper = [_upper_pairs(len(pts)) for pts in point_sets]
     zs = np.concatenate([pts[p] for pts, (p, _) in zip(point_sets, upper)])
     ws = np.concatenate([pts[q] for pts, (_, q) in zip(point_sets, upper)])
     try:
@@ -131,16 +161,17 @@ def _pairwise(point_sets, values_of) -> list:
     except KernelCalcError as exc:
         raise EvaluationError(f"evaluation failed: {exc}") from exc
     result, start = [], 0
-    for pts, (p, q) in zip(point_sets, upper):
+    for pts, (p, _) in zip(point_sets, upper):
         n, stop = len(pts), start + len(p)
         completed = []
         for out in outs:
             blocks = out[start:stop]
             k = blocks.shape[-1]
-            g = np.empty((n, k, n, k), dtype=complex)
-            g[q, :, p, :] = blocks.conj().transpose(0, 2, 1)
-            g[p, :, q, :] = blocks
-            completed.append(hermitian_part(g.reshape(n * k, n * k)))
+            at, mirrored = _scatter_positions(n, k)
+            flat = np.empty(n * k * n * k, dtype=complex)
+            flat[mirrored] = blocks.conj()
+            flat[at] = blocks
+            completed.append(hermitian_part(flat.reshape(n * k, n * k)))
         result.append(tuple(completed))
         start = stop
     return result
@@ -224,23 +255,33 @@ class _CurvatureFamilyGram:
     The block Gram B (k x k blocks, an nk x nk matrix from `_pairwise`) is
     kept as an (n, k, n, k) view; only the n x n modulation M(t) changes
     with the parameter, so no kernel is evaluated per t, and G(t) is one
-    broadcast product of M(t) against the blocks.  G(t) is Hermitian up to
-    the rounding of M(t); `ldl_pivot` symmetrizes it.  Only `gram_families`
-    builds families, for `_wallach_families`, `_power_families` and
-    `multiplier_families`.
+    broadcast product of M(t) against the blocks.  When `hermitian`, M(t)
+    is Hermitian bit for bit, as exp(t L) of a Hermitian L from `_pairwise`
+    is, and then so is G(t) (`fill` writes it as it is); otherwise `fill`
+    symmetrizes it.  Only `gram_families` builds families, for
+    `_wallach_families`, `_power_families` and `multiplier_families`.
     """
 
-    def __init__(self, points, blocks: np.ndarray, modulation):
+    def __init__(self, points, blocks: np.ndarray, modulation, hermitian: bool):
         n = len(points)
         self.points = points
         self.blocks = blocks.reshape(n, blocks.shape[0] // n, n, -1)
         self.modulation = modulation
+        self.hermitian = hermitian
+        self.width = blocks.shape[0]
 
     def gram_at(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
         """G(t), written into `out` (a C-contiguous nk x nk array) if given."""
         g = np.multiply(self.modulation(t)[:, None, :, None], self.blocks,
                         out=None if out is None else out.reshape(self.blocks.shape))
-        return g.reshape(self.blocks.shape[0] * self.blocks.shape[1], -1)
+        return g.reshape(self.width, self.width)
+
+    def fill(self, t: float):
+        """The `ldl_pivot` fill of G(t): G(t) itself when it is Hermitian
+        bit for bit, else `hermitian_part` of G(t) formed in `spare`."""
+        if self.hermitian:
+            return lambda out, spare: self.gram_at(t, out)
+        return lambda out, spare: hermitian_part(self.gram_at(t, spare), out, spare)
 
 
 def _family_pairs(family) -> tuple:
@@ -260,32 +301,34 @@ def _family_pairs(family) -> tuple:
     return tuple(pairs)
 
 
-def gram_families(expr: KernelExpr, domain: DomainSpec, family, values_of, family_of) -> list:
+def gram_families(expr: KernelExpr, domain: DomainSpec, family, values_of, family_of,
+                  hermitian: bool = True) -> list:
     """One parametric Gram family per (count, seed) of `family`, refusing an
     empty family (ValueError), a malformed entry or a domain outside C^m
     (ShapeError) before sampling.  The pairs of all point sets go
     through one `_pairwise` batch of values_of; family_of((n, m) points,
-    *nk x nk matrices) returns (B, M)."""
+    *nk x nk matrices) returns (B, M), where M(t) o B is Hermitian bit for
+    bit when `hermitian`."""
     family = _family_pairs(family)
     if not family:
         raise ValueError("the point family is empty: it needs at least one (count, seed)")
     sets = [_sample(domain, expr.m, n, s) for n, s in family]
     outs = _pairwise(sets, values_of)
     return [
-        _CurvatureFamilyGram(pts, *family_of(pts, *out))
+        _CurvatureFamilyGram(pts, *family_of(pts, *out), hermitian)
         for pts, out in zip(sets, outs)
     ]
 
 
 def families_pass(fams, t: float, tol: float) -> bool:
     """Whether the Gram of every family at t has no failing pivot in the
-    elimination of `ldl_pivot`, formed in its workspace, which refuses a
-    Gram that is not finite (EvaluationError, naming t here)."""
+    elimination of `ldl_pivot`, formed in its workspace by the family's
+    `fill`, which refuses a Gram that is not finite (EvaluationError,
+    naming t here)."""
     try:
         # a Gram past the float range is refused, without a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            return all(ldl_pivot(f.blocks.shape[0] * f.blocks.shape[1],
-                                 lambda out, f=f: f.gram_at(t, out), tol) is None for f in fams)
+            return all(ldl_pivot(f.width, f.fill(t), tol) is None for f in fams)
     except EvaluationError as exc:
         raise EvaluationError(f"the Gram family at t = {t} is not finite") from exc
 
@@ -323,8 +366,9 @@ def multiplier_families(expr: KernelExpr, func, domain: DomainSpec, family, powe
             return k, lambda c: c * c - ffbar
         return k, lambda c: (c * c - ffbar) ** power
 
+    # f(z) conj(f(w)) is Hermitian only up to rounding
     return gram_families(expr, domain, family, lambda zs, ws: (expr.values(zs, ws),),
-                         family_of)
+                         family_of, hermitian=False)
 
 
 def _check_interval(lo: float, hi: float) -> None:

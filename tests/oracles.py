@@ -15,7 +15,10 @@ elimination and the Householder tridiagonal form as they ran before step
 plans held their views and buffers, eigenvalues by vectorised
 Sturm multisection of their brackets, the early-exit pivot test by
 Sturm counts guarded at every step, sampled Grams by per-pair evaluation,
-conjugate completion and the two-halves symmetrization, the phi-section
+conjugate completion and the two-halves symmetrization, the completion of
+batched pairs by mixed fancy indexing and seeded sampling by
+`np.linalg.norm` and a concatenation of chunks, as they ran before the
+completion kept its scatter positions and sampling inlined the norm, the phi-section
 Gram one entry (two jet tables) at a time, Mobius Jacobians by pushing
 order-1 jets of the coordinates through the involution, the products
 and series of balanced jets on the full pair tables, and the log-Hessian
@@ -43,11 +46,13 @@ from kernelcalc import automorphisms, fd, positivity, repro, rkhs
 from kernelcalc import expr as expr_module
 from kernelcalc.automorphisms import CocycleSpec, MobiusMap
 from kernelcalc.eig import _MAX_PASSES, _SPLIT, LdlVerdict, hermitian_part
-from kernelcalc.errors import (BranchError, DomainError, EvaluationError, OrderCapError,
-                               ParseError, ShapeError)
+from kernelcalc.errors import (BranchError, DomainError, EvaluationError, KernelCalcError,
+                               OrderCapError, ParseError, ShapeError)
 from kernelcalc.expr import DEFAULT_ORDER_CAP, JetKernel, JetTable, KernelExpr, Pow, _coords
 from kernelcalc.params import checked
 from kernelcalc.geometry import (
+    _MAX_ATTEMPTS,
+    _MAX_CHUNK,
     DomainSpec,
     Point,
     graded_lex_tuples,
@@ -578,6 +583,62 @@ def pairwise_by_completion(points: np.ndarray, values_of) -> tuple:
                 g[q, :, p, :] = v[0].conj().T
                 g[p, :, q, :] = v[0]
     return tuple(hermitian_part_by_halves(g.reshape(n * g.shape[1], -1)) for g in grams)
+
+
+def pairwise_by_fancy_index(point_sets, values_of) -> list:
+    """`positivity._pairwise` as it completed each Gram before it kept its
+    scatter positions: mixed fancy indexing of an (n, k, n, k) array."""
+    # the indices of np.triu_indices, at a third of its cost
+    upper = [np.nonzero(np.tri(len(pts), dtype=bool).T) for pts in point_sets]
+    zs = np.concatenate([pts[p] for pts, (p, _) in zip(point_sets, upper)])
+    ws = np.concatenate([pts[q] for pts, (_, q) in zip(point_sets, upper)])
+    try:
+        outs = values_of(zs, ws)
+    except KernelCalcError as exc:
+        raise EvaluationError(f"evaluation failed: {exc}") from exc
+    result, start = [], 0
+    for pts, (p, q) in zip(point_sets, upper):
+        n, stop = len(pts), start + len(p)
+        completed = []
+        for out in outs:
+            blocks = out[start:stop]
+            k = blocks.shape[-1]
+            g = np.empty((n, k, n, k), dtype=complex)
+            g[q, :, p, :] = blocks.conj().transpose(0, 2, 1)
+            g[p, :, q, :] = blocks
+            completed.append(hermitian_part(g.reshape(n * k, n * k)))
+        result.append(tuple(completed))
+        start = stop
+    return result
+
+
+def sample_array_by_linalg_norm(domain: DomainSpec, count: int, seed: int = 0) -> np.ndarray:
+    """`geometry.sample_array` as it ran before it inlined the norm of the
+    ball's rejection test and returned a one-chunk draw as it is."""
+    count = checked("positive_int", count, "count")
+    seed = checked("seed", seed, "seed")
+    rng = np.random.default_rng(seed)
+    r = domain.sample_radius
+    m = domain.dim
+    ball = domain.kind == "unit-ball"
+    # the ball keeps 1/m! of the attempts (its volume over the polydisc's)
+    attempts_per_point = math.factorial(m) if ball else 1
+    if ball and count * attempts_per_point > _MAX_ATTEMPTS:
+        raise ValueError(
+            f"sampling {count} point(s) of the unit ball of C^{m} needs about "
+            f"{count * attempts_per_point} attempts, over the budget of {_MAX_ATTEMPTS}"
+        )
+    chunks = []
+    need = count
+    while need > 0:
+        n = min(need * attempts_per_point * 5 // 4 + 8, _MAX_CHUNK)
+        u = rng.random((n, 2, m))
+        z = r * np.sqrt(u[:, 0]) * np.exp(1j * (2 * np.pi * u[:, 1]))
+        if ball:
+            z = z[np.linalg.norm(z, axis=1) <= r]
+        chunks.append(z[:need])
+        need -= len(chunks[-1])
+    return np.concatenate(chunks)
 
 
 def phi_gram_by_entries(expr: KernelExpr, alpha: float, beta: float, z, w) -> np.ndarray:

@@ -526,11 +526,34 @@ def test_ldl_verdict_rejects_bad_input():
         ldl_verdict(np.array([[1.0, np.nan], [np.nan, 1.0]]), 1e-9)
 
 
+def test_ldl_pivot_refuses_an_empty_matrix_as_ldl_verdict_does():
+    # it used to end in numpy's "zero-size array to reduction operation"
+    def fill(out, spare):
+        raise AssertionError("an empty matrix is refused before it is filled")
+
+    with pytest.raises(ValueError, match="^matrix is empty: there is no verdict to give"):
+        ldl_pivot(0, fill, 1e-9)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e160, 1e300])
+def test_ldl_pivot_refuses_exactly_the_grams_with_an_entry_that_is_not_finite(scale):
+    # the one-sum check overflows on finite entries past 1e154; only then
+    # does it look at each entry
+    g = _plan_input("indefinite", 6, 1.0, 8) * scale
+    with np.errstate(all="ignore"):
+        assert ldl_pivot(6, _filler(g), 1e-9) == ldl_verdict(g, 1e-9).pivot
+    for bad in (np.inf, -np.inf, np.nan, complex(0, np.inf)):
+        h = g.copy()
+        h[4, 1] = bad
+        with pytest.raises(EvaluationError, match="non-finite"):
+            ldl_pivot(6, lambda out, spare: np.copyto(out, h), 1e-9)
+
+
 def _filler(g):
-    """A `ldl_pivot` fill that writes g into the plan's workspace."""
-    def fill(out):
-        np.copyto(out, g)
-        return out
+    """A `ldl_pivot` fill that writes the Hermitian part of g into the
+    plan's factor buffer, as `ldl_verdict` copies g in."""
+    def fill(out, spare):
+        hermitian_part(g, out, spare)
 
     return fill
 
@@ -571,11 +594,12 @@ _PLAN_SCALES = [1.0, 1e300, 1e-310]
 
 def _planned_elimination(a, tol):
     """(the pivot, a copy of every factor, tau) of `_eliminate` on a plan
-    checked out as `ldl_verdict` checks one out."""
+    checked out and loaded as `ldl_verdict` checks out and loads one."""
     a = eig._checked_square(a)
     plan = eig._checkout(len(a))
     try:
-        pivot, shift = eig._eliminate(plan, a, tol)
+        hermitian_part(a, plan.a, plan.spare)
+        pivot, shift = eig._eliminate(plan, tol)
         return pivot, plan.a.copy(), shift
     finally:
         plan.busy.release()
@@ -701,10 +725,9 @@ def test_a_solve_inside_a_fill_gets_the_sequential_answers():
     assert want[0] != want[1]
     inner = []
 
-    def fill(out):
-        np.copyto(out, g)
+    def fill(out, spare):
+        _filler(g)(out, spare)
         inner.append(ldl_pivot(12, _filler(h), 1e-9))
         inner.append(eigenvalues(h).tobytes())
-        return out
 
     assert (ldl_pivot(12, fill, 1e-9), *inner) == want

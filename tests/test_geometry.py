@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kernelcalc.automorphisms import CocycleSpec, MobiusMap
 from kernelcalc.errors import DomainError
@@ -21,7 +21,7 @@ from kernelcalc.geometry import (
 from kernelcalc.parser import parse_kernel
 from kernelcalc.rkhs import element, norm
 
-from oracles import as_point, sample_points_per_attempt
+from oracles import as_point, sample_array_by_linalg_norm, sample_points_per_attempt
 
 
 def test_point_basics():
@@ -271,3 +271,20 @@ def test_sample_points_are_the_sample_array_rows_bit_for_bit(domain, seed):
     assert arr.shape == (25, domain.dim) and arr.dtype == complex
     coords = np.array([p.coords for p in sample_points(domain, 25, seed)], dtype=complex)
     assert np.array_equal(coords.view(np.uint64), arr.view(np.uint64))
+
+
+_SAMPLED_DOMAINS = [unit_disc(), unit_disc(0.35), unit_ball(2), unit_ball(3, 0.5),
+                    unit_ball(4), polydisc(2), polydisc(3, 0.9)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_SAMPLED_DOMAINS), st.integers(1, 64), st.integers(0, 2**64 - 1))
+@example(unit_ball(3), 64, 0)
+@example(unit_disc(), 1, 2**64 - 1)
+def test_sampling_equals_the_draw_it_replaced_bit_for_bit(domain, count, seed):
+    # the ball's rejection test inlines np.linalg.norm's operations, and a
+    # one-chunk draw is returned without a concatenation
+    got = sample_array(domain, count, seed)
+    want = sample_array_by_linalg_norm(domain, count, seed)
+    assert got.shape == want.shape == (count, domain.dim) and got.dtype == complex
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -4,9 +4,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from kernelcalc.eig import ldl_verdict
+from kernelcalc.eig import hermitian_part, ldl_verdict
 from kernelcalc.errors import BracketError, ShapeError
 from kernelcalc.expr import (
     BallCurvature,
@@ -19,7 +19,8 @@ from kernelcalc.expr import (
     bergman_ball,
     bergman_disc,
 )
-from kernelcalc.geometry import Point, point_array, sample_array, sample_points, unit_ball, unit_disc
+from kernelcalc.geometry import (Point, point_array, polydisc, sample_array, sample_points,
+                                 unit_ball, unit_disc)
 from kernelcalc.parser import parse_kernel
 from kernelcalc.positivity import (
     DEFAULT_FAMILIES,
@@ -38,7 +39,7 @@ from kernelcalc.positivity import (
     wallach_scan,
 )
 
-from oracles import hermitian_part_by_halves, pairwise_by_completion
+from oracles import hermitian_part_by_halves, pairwise_by_completion, pairwise_by_fancy_index
 
 
 def test_gram_against_a_hand_computed_matrix():
@@ -68,6 +69,41 @@ def test_pairwise_grams_are_hermitian_and_equal_the_completed_halves(text, famil
             for got, want in zip(grams, pairwise_by_completion(pts, values_of), strict=True):
                 assert np.array_equal(got, got.conj().T)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _seeded_blocks(k: int, seed: int):
+    """A values_of whose (B, k, k) blocks are seeded normals, so that two
+    completions of one batch see the same values: diagonal blocks that are
+    not Hermitian and zero entries of both signs included."""
+    def values_of(zs, ws):
+        rng = np.random.default_rng(seed)
+        blocks = rng.standard_normal((len(zs), k, k)) + 1j * rng.standard_normal((len(zs), k, k))
+        zero = rng.random(blocks.shape) < 0.1
+        blocks[zero] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(zero)))
+        return (blocks, blocks[:, :1, :1] * 1e-310)
+
+    return values_of
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([unit_disc(), unit_ball(2), unit_ball(3), polydisc(2), polydisc(3)]),
+    st.lists(st.tuples(st.integers(1, 64), st.integers(0, 2**64 - 1)), min_size=1, max_size=3),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+@example(unit_ball(3), [(64, 0), (1, 1)], 3, 0)
+def test_the_cached_completion_equals_the_fancy_index_completion_bit_for_bit(
+        domain, family, k, seed):
+    # scatter positions kept per (count, block size) must write every entry
+    # where the mixed fancy index wrote it, diagonal blocks last
+    sets = [sample_array(domain, n, s) for n, s in family]
+    got = _pairwise(sets, _seeded_blocks(k, seed))
+    want = pairwise_by_fancy_index(sets, _seeded_blocks(k, seed))
+    assert len(got) == len(want) == len(sets)
+    for grams, want_grams in zip(got, want):
+        for g, w in zip(grams, want_grams, strict=True):
+            assert g.shape == w.shape and np.array_equal(g.view(np.int64), w.view(np.int64))
 
 
 def test_gram_blocks_for_matrix_kernels():
@@ -561,3 +597,50 @@ def test_sign_only_scans_and_bounds_equal_the_full_verdict_runs(seeds):
         full = [json.dumps(run().to_dict()) for run in runs]
     assert ref.call_count > 5 * 5
     assert fast == full
+
+
+# the scan intervals of the README, the CI and the benchmark, per base
+_HERMITIAN_FAMILY_BASES = [
+    ("bergman_disc()", unit_disc(), (-2.0, 0.0)),
+    ("szego_disc()", unit_disc(), (-2.0, 2.0)),
+    ("bergman_ball(2)", unit_ball(2), (-1.0, 1.0)),
+    ("ball_power(2, 2.5)", unit_ball(2), (-1.0, 1.0)),
+    ("bergman_ball(3)", unit_ball(3), (-1.0, 1.0)),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(_HERMITIAN_FAMILY_BASES),
+    st.booleans(),
+    st.lists(st.tuples(st.integers(1, 16), st.integers(0, 2**64 - 1)), min_size=1, max_size=3),
+    st.floats(0.0, 1.0),
+)
+@example(_HERMITIAN_FAMILY_BASES[4], True, [(16, 0)], 0.0)
+@example(_HERMITIAN_FAMILY_BASES[0], False, [(1, 3)], 1.0)
+def test_wallach_and_power_family_grams_are_hermitian_bit_for_bit(base, curvature, family, s):
+    # `ldl_pivot` eliminates these Grams as their fill writes them, where it
+    # used to eliminate hermitian_part of them.  exp(t L) o B is Hermitian
+    # bit for bit because L and B come out of hermitian_part; the identity
+    # G = hermitian_part(G) fails only for subnormal entries, where
+    # x / 2 + x / 2 != x
+    text, domain, (lo, hi) = base
+    build = _wallach_families if curvature else _power_families
+    t = lo + (hi - lo) * s
+    for fam in build(parse_kernel(text), domain, family):
+        assert fam.hermitian
+        g = fam.gram_at(t)
+        assert np.array_equal(g.view(np.int64), hermitian_part(g).view(np.int64))
+
+
+def test_multiplier_families_are_symmetrized_by_their_fill():
+    # f(z) conj(f(w)) is Hermitian only up to rounding, so the fill writes
+    # hermitian_part of G(c), as the elimination's copy-in did
+    family = ((8, 1), (12, 2))
+    for fam in multiplier_families(bergman_disc(), lambda p: p[0], unit_disc(), family):
+        assert not fam.hermitian
+        for c in (0.5, 0.97, 1.5):
+            out, spare = np.empty((2, fam.width, fam.width), dtype=complex)
+            fam.fill(c)(out, spare)
+            want = hermitian_part(fam.gram_at(c))
+            assert np.array_equal(out.view(np.int64), want.view(np.int64))
