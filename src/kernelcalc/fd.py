@@ -9,9 +9,14 @@ where row i of F is the DFT row of the multi-index i times i! / (N^m r^|i|);
 no jet coefficient is read.  Aliasing folds c_(i+N) onto c_i and falls
 like (r/rho)^N for a singularity at distance rho, so a polynomial of degree
 < N per variable is exact up to rounding; rounding grows like
-eps / r^(|i|+|j|).  N = 5 and r = 0.02 balance the two up to order 2 per
-group (battery worst 8.6e-8 against the jet engine, bound 1e-6); order 3
-would lose two more factors of 1/r, so it is refused.
+eps / r^(|i|+|j|) and does not depend on N.  r = 0.02 keeps rounding small
+up to order 2 per group; order 3 would lose two more factors of 1/r, so it
+is refused.  At N = 5 aliasing is (r/rho)^5, 3e-4 at rho = 0.1, and nested
+disc trees with a zero of an inner kernel that close missed 1e-6 at up to
+a third of their pairs.  So N = 16 at m = 1, where the 256 values cost
+about what 25 do and (r/rho)^16 is 7e-12 at rho = 0.1.  At m >= 2 the
+N^(2m) values grow fast and N stays 5 (battery worst 8.6e-8 against the
+jet engine, bound 1e-6).
 """
 
 from __future__ import annotations
@@ -26,7 +31,12 @@ from .errors import DomainError
 from .expr import JetTable, KernelExpr, _coords
 from .geometry import graded_lex_tuples, point_array
 
-_NODES, _RADIUS = 5, 0.02  # angles per variable, radius of the torus
+_RADIUS = 0.02  # radius of the torus
+
+
+def _nodes(m: int) -> int:
+    """N, the angles per variable of the torus in C^m."""
+    return 16 if m == 1 else 5
 
 
 @functools.cache
@@ -35,12 +45,13 @@ def _torus(m: int, order: int) -> tuple:
     rows, F[a, p] = i! e^(-2 pi i (i . k_p) / N) / (N^m r^|i|) for the a-th
     multi-index i in graded lex order and the angle indices k_p of node p,
     and F^H; shared: do not modify."""
-    nodes = np.array(list(product(range(_NODES), repeat=m)))
-    offsets = _RADIUS * np.exp(2j * np.pi * nodes / _NODES)
+    big_n = _nodes(m)
+    nodes = np.array(list(product(range(big_n), repeat=m)))
+    offsets = _RADIUS * np.exp(2j * np.pi * nodes / big_n)
     indices = np.array(graded_lex_tuples(m, order))
-    twiddles = np.exp(-2j * np.pi * np.arange(_NODES) / _NODES)
-    scale = [prod(map(factorial, i)) / (_NODES**m * _RADIUS ** sum(i)) for i in indices]
-    rows = twiddles[indices @ nodes.T % _NODES] * np.array(scale)[:, None]
+    twiddles = np.exp(-2j * np.pi * np.arange(big_n) / big_n)
+    scale = [prod(map(factorial, i)) / (big_n**m * _RADIUS ** sum(i)) for i in indices]
+    rows = twiddles[indices @ nodes.T % big_n] * np.array(scale)[:, None]
     return offsets, rows, rows.conj().T
 
 

@@ -1029,14 +1029,14 @@ def _torus_rows(m: int, order: int) -> tuple:
     rows, F[a, p] = i! e^(-2 pi i (i . k_p) / N) / (N^m r^|i|) for the a-th
     multi-index i in graded lex order and the angle indices k_p of node p;
     shared: do not modify."""
-    _NODES, _RADIUS = fd._NODES, fd._RADIUS
-    nodes = np.array(list(product(range(_NODES), repeat=m)))
-    offsets = _RADIUS * np.exp(2j * np.pi * nodes / _NODES)
+    big_n, radius = fd._nodes(m), fd._RADIUS
+    nodes = np.array(list(product(range(big_n), repeat=m)))
+    offsets = radius * np.exp(2j * np.pi * nodes / big_n)
     indices = np.array(graded_lex_tuples(m, order))
-    twiddles = np.exp(-2j * np.pi * np.arange(_NODES) / _NODES)
-    scale = [math.prod(map(math.factorial, i)) / (_NODES**m * _RADIUS ** sum(i))
+    twiddles = np.exp(-2j * np.pi * np.arange(big_n) / big_n)
+    scale = [math.prod(map(math.factorial, i)) / (big_n**m * radius ** sum(i))
              for i in indices]
-    return offsets, twiddles[indices @ nodes.T % _NODES] * np.array(scale)[:, None]
+    return offsets, twiddles[indices @ nodes.T % big_n] * np.array(scale)[:, None]
 
 
 def _fd_derivatives_by_tensordot(expr: KernelExpr, z, w, order: int) -> np.ndarray:
