@@ -155,6 +155,7 @@ class CocycleSpec:
     def __post_init__(self):
         if self.kind not in ("det_jacobian_power", "curvature_cocycle"):
             raise ShapeError(f"unknown cocycle kind {self.kind!r}")
+        checked("finite", self.t, "t")
 
     def matrices(self, phi: MobiusMap, zs, size: int) -> np.ndarray:
         """J(phi, z) at a (B, m) array of points, as a (B, size, size) array."""
@@ -182,14 +183,23 @@ def quasi_invariance_residual(
     expr: KernelExpr, cocycle: CocycleSpec, phi: MobiusMap, pairs
 ) -> float:
     """Max relative residual of J(z) K(phi z, phi w) J(w)^* = K(z, w), from one
-    batch of the 2B points (z first) and one of the 2B pairs (moved first)."""
+    batch of the 2B points (z first) and one of the 2B pairs (moved first).
+    An entry of `pairs` that is not a (z, w) pair is refused (ShapeError
+    naming it)."""
     if phi.m != expr.m:
         raise ShapeError("map and kernel dimensions differ")
-    pairs = list(pairs)
-    if not pairs:
+    zs, ws = [], []
+    for i, entry in enumerate(pairs):
+        try:
+            z, w = entry
+        except (TypeError, ValueError):
+            raise ShapeError(f"pairs entry {i} is not a (z, w) pair, got {entry!r}") from None
+        zs.append(z)
+        ws.append(w)
+    if not zs:
         return 0.0
-    b = len(pairs)
-    pts = point_array([z for z, _ in pairs] + [w for _, w in pairs], expr.m)
+    b = len(zs)
+    pts = point_array(zs + ws, expr.m)
     j = cocycle.matrices(phi, pts, expr.size)
     img = phi.images(pts)
     try:

@@ -23,9 +23,9 @@ apply it to their input again, as their copy-in, only as a guard for other
 callers.  Its in-place add of the transposed conjugate runs through
 numpy's ufunc buffering, a temporary of min(n^2, 8192) complex entries per
 copy-in.  `ldl_pivot` copies nothing in: it eliminates the Hermitian
-matrix that its caller's fill writes straight into the factor buffer, and
-checks it finite with one sum, looking at each entry only when that sum is
-not finite.
+matrix that its caller's fill(out) writes straight into the factor buffer,
+and checks it finite with one sum, looking at each entry only when that sum
+is not finite.
 
 Both column loops run on a step plan of the input's width n: a workspace
 of two n x n buffers and the views that step k reads and writes, made once
@@ -95,11 +95,12 @@ class _Plan:
     """The workspace of one width n, and the views that step k of each column
     loop reads and writes, made on the loop's first run.  `a` takes the
     Hermitian input and then the factors or the first trailing block;
-    `spare` takes conj(a) in the copy-in (or whatever an `ldl_pivot` fill
-    puts there), then |a| for the scaling, then the second trailing block.  `operands` are three (0-d complex, its real
-    part) pairs: a loop sets a scalar through the real part and hands numpy
-    the complex operand, as numpy would convert the Python float.  A call
-    uses the plan only while it holds `busy`."""
+    `spare` takes conj(a) in the copy-in, then |a| for the scaling, then
+    the second trailing block, and stays inside this module.  `operands`
+    are three (0-d complex, its real part) pairs: a loop sets a scalar
+    through the real part and hands numpy the complex operand, as numpy
+    would convert the Python float.  A call uses the plan only while it
+    holds `busy`."""
 
     __slots__ = ("n", "a", "spare", "flat", "diagonal", "operands", "busy", "_ldl", "_tri")
 
@@ -449,17 +450,15 @@ def _eliminate(plan: _Plan, tol: float) -> tuple[int | None, float]:
 
 def ldl_pivot(n: int, fill, tol: float) -> int | None:
     """The first failing pivot of the elimination (`_eliminate`) of the
-    n x n Hermitian G that fill(out, spare) writes into `out`, the plan's
-    factor buffer, using the n x n `spare` as it likes, or None when every
-    pivot is positive; no factor and no witness is kept.  Nothing
-    symmetrizes G here: a fill whose G is not Hermitian bit for bit writes
-    `hermitian_part` of it.  A G with an entry that is not finite is
-    refused (EvaluationError)."""
+    n x n Hermitian G that fill(out) writes into `out`, the plan's factor
+    buffer, or None when every pivot is positive; no factor and no witness
+    is kept.  Nothing symmetrizes G here: G must be Hermitian bit for bit.
+    A G with an entry that is not finite is refused (EvaluationError)."""
     if n == 0:
         raise ValueError("matrix is empty: there is no verdict to give")
     plan = _checkout(n)
     try:
-        fill(plan.a, plan.spare)
+        fill(plan.a)
         # |G|_F^2 is finite unless an entry is not, or G is past 1e154; BLAS
         # sums it without numpy's floating-point warnings
         if not math.isfinite(np.vdot(plan.flat, plan.flat).real) and not np.isfinite(plan.flat).all():

@@ -16,8 +16,10 @@ Scans and bounds build their parametric Gram families t -> M(t) o B in one
 place, `gram_families`: one (n, m) point array per (count, seed), the pairs
 of all arrays in one batch of jets.  Each t then costs one broadcast
 product per family and one left-looking elimination, judged by
-`families_pass`.  A multiplier callable gets each point as a length-m
-complex row, which indexes like a `Point`.
+`families_pass`; every family's Gram is Hermitian bit for bit, so it is
+eliminated as it is formed.  A multiplier callable gets each point as a
+length-m complex row, which indexes like a `Point`, and gives one complex
+number.
 """
 
 from __future__ import annotations
@@ -255,19 +257,19 @@ class _CurvatureFamilyGram:
     The block Gram B (k x k blocks, an nk x nk matrix from `_pairwise`) is
     kept as an (n, k, n, k) view; only the n x n modulation M(t) changes
     with the parameter, so no kernel is evaluated per t, and G(t) is one
-    broadcast product of M(t) against the blocks.  When `hermitian`, M(t)
-    is Hermitian bit for bit, as exp(t L) of a Hermitian L from `_pairwise`
-    is, and then so is G(t) (`fill` writes it as it is); otherwise `fill`
-    symmetrizes it.  Only `gram_families` builds families, for
-    `_wallach_families`, `_power_families` and `multiplier_families`.
+    broadcast product of M(t) against the blocks.  M(t) is an entrywise
+    function of a matrix from `hermitian_part` that keeps conjugate pairs
+    (exp(t L), or (c^2 - H)^power), so G(t) is Hermitian bit for bit and
+    `gram_at` is the `ldl_pivot` fill of every family.  Only
+    `gram_families` builds families, for `_wallach_families`,
+    `_power_families` and `multiplier_families`.
     """
 
-    def __init__(self, points, blocks: np.ndarray, modulation, hermitian: bool):
+    def __init__(self, points, blocks: np.ndarray, modulation):
         n = len(points)
         self.points = points
         self.blocks = blocks.reshape(n, blocks.shape[0] // n, n, -1)
         self.modulation = modulation
-        self.hermitian = hermitian
         self.width = blocks.shape[0]
 
     def gram_at(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -275,13 +277,6 @@ class _CurvatureFamilyGram:
         g = np.multiply(self.modulation(t)[:, None, :, None], self.blocks,
                         out=None if out is None else out.reshape(self.blocks.shape))
         return g.reshape(self.width, self.width)
-
-    def fill(self, t: float):
-        """The `ldl_pivot` fill of G(t): G(t) itself when it is Hermitian
-        bit for bit, else `hermitian_part` of G(t) formed in `spare`."""
-        if self.hermitian:
-            return lambda out, spare: self.gram_at(t, out)
-        return lambda out, spare: hermitian_part(self.gram_at(t, spare), out, spare)
 
 
 def _family_pairs(family) -> tuple:
@@ -301,21 +296,20 @@ def _family_pairs(family) -> tuple:
     return tuple(pairs)
 
 
-def gram_families(expr: KernelExpr, domain: DomainSpec, family, values_of, family_of,
-                  hermitian: bool = True) -> list:
+def gram_families(expr: KernelExpr, domain: DomainSpec, family, values_of, family_of) -> list:
     """One parametric Gram family per (count, seed) of `family`, refusing an
     empty family (ValueError), a malformed entry or a domain outside C^m
     (ShapeError) before sampling.  The pairs of all point sets go
     through one `_pairwise` batch of values_of; family_of((n, m) points,
     *nk x nk matrices) returns (B, M), where M(t) o B is Hermitian bit for
-    bit when `hermitian`."""
+    bit."""
     family = _family_pairs(family)
     if not family:
         raise ValueError("the point family is empty: it needs at least one (count, seed)")
     sets = [_sample(domain, expr.m, n, s) for n, s in family]
     outs = _pairwise(sets, values_of)
     return [
-        _CurvatureFamilyGram(pts, *family_of(pts, *out), hermitian)
+        _CurvatureFamilyGram(pts, *family_of(pts, *out))
         for pts, out in zip(sets, outs)
     ]
 
@@ -323,12 +317,13 @@ def gram_families(expr: KernelExpr, domain: DomainSpec, family, values_of, famil
 def families_pass(fams, t: float, tol: float) -> bool:
     """Whether the Gram of every family at t has no failing pivot in the
     elimination of `ldl_pivot`, formed in its workspace by the family's
-    `fill`, which refuses a Gram that is not finite (EvaluationError,
+    `gram_at`, which refuses a Gram that is not finite (EvaluationError,
     naming t here)."""
     try:
         # a Gram past the float range is refused, without a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            return all(ldl_pivot(f.width, f.fill(t), tol) is None for f in fams)
+            return all(ldl_pivot(f.width, functools.partial(f.gram_at, t), tol) is None
+                       for f in fams)
     except EvaluationError as exc:
         raise EvaluationError(f"the Gram family at t = {t} is not finite") from exc
 
@@ -356,19 +351,58 @@ def _power_families(base: KernelExpr, domain: DomainSpec, family) -> list:
                          lambda pts, logk: (np.ones(logk.shape), lambda t: np.exp(t * logk)))
 
 
+def _one_number(v, i: int, p) -> complex:
+    """The multiplier's value v at point i (the row p) as one complex, a
+    one-element array counting as one; any other value is refused
+    (ShapeError naming the point)."""
+    try:
+        one = np.asarray(v).item()
+    except ValueError:  # a vector, an empty or a ragged value
+        one = None
+    if not isinstance(one, numbers.Number):
+        raise ShapeError("the multiplier must give one complex number at point "
+                         f"{i} {tuple(map(complex, p))}, got {v!r}")
+    try:
+        return complex(one)
+    except OverflowError:  # an int past the float range
+        return complex(math.inf)
+
+
+def _multiplier_values(func, pts) -> np.ndarray:
+    """func at each row of pts, one complex number per point (`_one_number`),
+    refusing a value whose |f|^2 is not finite (EvaluationError naming the
+    point) without a floating-point warning."""
+    raw = [func(p) for p in pts]
+    try:  # one array of numbers, when every value is one number
+        vals = np.array(raw)
+    except ValueError:  # values of different shapes
+        vals = np.empty(0)
+    if vals.size != len(raw) or vals.dtype.kind not in "biufc":
+        vals = np.array([_one_number(v, i, p) for i, (v, p) in enumerate(zip(raw, pts))])
+    vals = vals.astype(complex, copy=False).reshape(-1)
+    # the sum of |f|^2 is finite unless some |f|^2 is not or the sum
+    # overflows; BLAS sums it without numpy's floating-point warnings
+    if not math.isfinite(np.vdot(vals, vals).real):
+        for i, z in enumerate(vals.tolist()):
+            if not math.isfinite(z.real * z.real + z.imag * z.imag):
+                raise EvaluationError("the multiplier's |f|^2 is not finite at point "
+                                      f"{i} {tuple(map(complex, pts[i]))}, f = {raw[i]!r}")
+    return vals
+
+
 def multiplier_families(expr: KernelExpr, func, domain: DomainSpec, family, power=1) -> list:
-    """c -> (c^2 - f(z) conj(f(w)))^power o K(z, w) per (count, seed), f = func on rows."""
+    """c -> (c^2 - H)^power o K(z, w) per (count, seed), H = `hermitian_part`
+    of f(z) conj(f(w)), f = func on rows: the outer product is Hermitian
+    only up to rounding, and H bit for bit."""
 
     def family_of(pts, k):
-        vals = np.array([func(p) for p in pts], dtype=complex)
-        ffbar = np.outer(vals, vals.conj())
+        vals = _multiplier_values(func, pts)
+        h = hermitian_part(np.outer(vals, vals.conj()))
         if power == 1:  # a complex ** 1 costs three times the subtraction
-            return k, lambda c: c * c - ffbar
-        return k, lambda c: (c * c - ffbar) ** power
+            return k, lambda c: c * c - h
+        return k, lambda c: (c * c - h) ** power
 
-    # f(z) conj(f(w)) is Hermitian only up to rounding
-    return gram_families(expr, domain, family, lambda zs, ws: (expr.values(zs, ws),),
-                         family_of, hermitian=False)
+    return gram_families(expr, domain, family, lambda zs, ws: (expr.values(zs, ws),), family_of)
 
 
 def _check_interval(lo: float, hi: float) -> None:

@@ -10,13 +10,14 @@ for a value the rule refuses.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import kernelcalc as kc
-from kernelcalc.errors import DomainError, KernelCalcError, ShapeError
+from kernelcalc.errors import DomainError, EvaluationError, KernelCalcError, ShapeError
 from kernelcalc.fd import fd_relative_error
 
 K = kc.SzegoDisc()
@@ -92,6 +93,7 @@ ENTRIES = {
         lambda t=1.0: kc.curvature_quasi_check(kc.bergman_disc(), t, kc.MobiusMap((0.3,)),
                                                [(0.1, 0.2j)]),
         {"t": "finite"}),
+    "CocycleSpec": (lambda t=1.0: kc.CocycleSpec("det_jacobian_power", t), {"t": "finite"}),
     "element": (lambda term=(1.0, 0.1, (0,), (1.0,)): kc.element(K, [term]), {"term": "term"}),
     "wallach_scan interval": (
         lambda t_lo=-2.0, t_hi=0.0: kc.wallach_scan(kc.bergman_disc(), t_lo, t_hi, DISC, ((4, 1),)),
@@ -196,11 +198,42 @@ def test_every_entry_point_returns_at_its_valid_defaults():
      "expected a coefficient list argument for coefficients"),
     (lambda: kc.series_head_coefficients(b"0", 1.0), ShapeError,
      "expected a coefficient list argument for coefficients"),
+    (lambda: kc.multiplier_bound(K, lambda p: [1, 2], DISC, ((4, 1),)), ShapeError,
+     "the multiplier must give one complex number at point 0 ("),
+    (lambda: kc.multiplier_bound(K, lambda p: "1", DISC, ((4, 1),)), ShapeError,
+     "the multiplier must give one complex number at point 0 ("),
+    (lambda: kc.multiplier_bound(K, lambda p: None, DISC, ((4, 1),)), ShapeError,
+     "the multiplier must give one complex number at point 0 ("),
+    (lambda: kc.multiplier_bound(K, lambda p: 1e200, DISC, ((4, 1),)), EvaluationError,
+     "the multiplier's |f|^2 is not finite at point 0 ("),
+    (lambda: kc.multiplier_bound(K, lambda p: math.inf, DISC, ((4, 1),)), EvaluationError,
+     "the multiplier's |f|^2 is not finite at point 0 ("),
+    (lambda: kc.quasi_invariance_residual(K, kc.CocycleSpec("det_jacobian_power", 1.0),
+                                          kc.MobiusMap((0.3,)), [(0.1, 0.2j), 0.5]),
+     ShapeError, "pairs entry 1 is not a (z, w) pair, got 0.5"),
+    (lambda: kc.curvature_quasi_check(kc.bergman_disc(), 1.0, kc.MobiusMap((0.3,)), [(0.1,)]),
+     ShapeError, "pairs entry 0 is not a (z, w) pair, got (0.1,)"),
+    (lambda: kc.CocycleSpec("det_jacobian_power", "a"), TypeError, "t must be a real"),
 ])
 def test_malformed_scan_and_calculus_inputs_are_refused_by_name(call, error, words):
     with pytest.raises(error) as info:
         call()
     assert str(info.value).startswith(words) or f": {words}" in str(info.value)
+
+
+@pytest.mark.parametrize("value", [1e200, math.inf, math.nan, complex(1e155, 1e155)])
+def test_a_multiplier_past_the_float_range_is_refused_without_a_warning(value):
+    # numpy used to warn of the overflow in f fbar^T before the Gram was refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match=r"^the multiplier's \|f\|\^2 is not finite"):
+            kc.multiplier_bound(K, lambda p: value, DISC, ((4, 1),))
+
+
+def test_a_one_element_array_is_one_multiplier_value():
+    # `lambda p: p` gives each point of the disc as a length-1 row
+    got = kc.multiplier_bound(K, lambda p: p, DISC)
+    assert got.bracket == kc.multiplier_bound(K, 0, DISC).bracket
 
 
 def test_an_unsigned_integer_tolerance_gives_the_verdict_of_its_float():

@@ -69,8 +69,8 @@ def test_hermitian_part():
 @pytest.mark.parametrize("scale", [1.0, 1e-310, 1.7e308])
 def test_the_in_place_hermitian_copy_equals_hermitian_part(scale):
     # subnormal entries are halved with the same rounding on both paths, and
-    # entries near the float maximum must not overflow; `ldl_pivot` loads the
-    # matrix from the plan's own spare buffer
+    # entries near the float maximum must not overflow; the scratch may be
+    # the input itself
     rng = np.random.default_rng(5)
     a = scale * (rng.random((30, 30)) + 1j * rng.random((30, 30)))
     before = a.copy()
@@ -528,7 +528,7 @@ def test_ldl_verdict_rejects_bad_input():
 
 def test_ldl_pivot_refuses_an_empty_matrix_as_ldl_verdict_does():
     # it used to end in numpy's "zero-size array to reduction operation"
-    def fill(out, spare):
+    def fill(out):
         raise AssertionError("an empty matrix is refused before it is filled")
 
     with pytest.raises(ValueError, match="^matrix is empty: there is no verdict to give"):
@@ -546,14 +546,14 @@ def test_ldl_pivot_refuses_exactly_the_grams_with_an_entry_that_is_not_finite(sc
         h = g.copy()
         h[4, 1] = bad
         with pytest.raises(EvaluationError, match="non-finite"):
-            ldl_pivot(6, lambda out, spare: np.copyto(out, h), 1e-9)
+            ldl_pivot(6, lambda out: np.copyto(out, h), 1e-9)
 
 
 def _filler(g):
     """A `ldl_pivot` fill that writes the Hermitian part of g into the
     plan's factor buffer, as `ldl_verdict` copies g in."""
-    def fill(out, spare):
-        hermitian_part(g, out, spare)
+    def fill(out):
+        hermitian_part(g, out)
 
     return fill
 
@@ -725,8 +725,8 @@ def test_a_solve_inside_a_fill_gets_the_sequential_answers():
     assert want[0] != want[1]
     inner = []
 
-    def fill(out, spare):
-        _filler(g)(out, spare)
+    def fill(out):
+        _filler(g)(out)
         inner.append(ldl_pivot(12, _filler(h), 1e-9))
         inner.append(eigenvalues(h).tobytes())
 

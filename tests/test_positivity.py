@@ -569,7 +569,7 @@ def test_multiplier_grams_of_one_pass_equal_the_per_family_grams():
             assert np.array_equal(squared.blocks, plain.blocks)
             f = np.array([p[0] for p in pts])
             for c in (0.5, 1.0, 1.5):
-                want = c * c - np.outer(f, f.conj())
+                want = c * c - hermitian_part_by_halves(np.outer(f, f.conj()))
                 assert np.array_equal(plain.modulation(c), want)
                 assert np.array_equal(squared.modulation(c), np.square(want))
 
@@ -612,35 +612,28 @@ _HERMITIAN_FAMILY_BASES = [
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(_HERMITIAN_FAMILY_BASES),
-    st.booleans(),
+    st.sampled_from(["wallach", "power", 1, 2]),
     st.lists(st.tuples(st.integers(1, 16), st.integers(0, 2**64 - 1)), min_size=1, max_size=3),
     st.floats(0.0, 1.0),
 )
-@example(_HERMITIAN_FAMILY_BASES[4], True, [(16, 0)], 0.0)
-@example(_HERMITIAN_FAMILY_BASES[0], False, [(1, 3)], 1.0)
-def test_wallach_and_power_family_grams_are_hermitian_bit_for_bit(base, curvature, family, s):
-    # `ldl_pivot` eliminates these Grams as their fill writes them, where it
-    # used to eliminate hermitian_part of them.  exp(t L) o B is Hermitian
-    # bit for bit because L and B come out of hermitian_part; the identity
+@example(_HERMITIAN_FAMILY_BASES[4], "wallach", [(16, 0)], 0.0)
+@example(_HERMITIAN_FAMILY_BASES[0], "power", [(1, 3)], 1.0)
+@example(_HERMITIAN_FAMILY_BASES[1], 2, [(16, 5)], 0.5)
+def test_wallach_and_power_family_grams_are_hermitian_bit_for_bit(base, kind, family, s):
+    # `ldl_pivot` eliminates every family's Gram as `gram_at` writes it.
+    # exp(t L) o B is Hermitian bit for bit because L and B come out of
+    # hermitian_part, and so is (c^2 - H)^power o B, H = hermitian_part(f
+    # fbar^T), for a multiplier family (kind = its power); the identity
     # G = hermitian_part(G) fails only for subnormal entries, where
     # x / 2 + x / 2 != x
     text, domain, (lo, hi) = base
-    build = _wallach_families if curvature else _power_families
-    t = lo + (hi - lo) * s
-    for fam in build(parse_kernel(text), domain, family):
-        assert fam.hermitian
+    expr = parse_kernel(text)
+    if kind == "wallach":
+        t, fams = lo + (hi - lo) * s, _wallach_families(expr, domain, family)
+    elif kind == "power":
+        t, fams = lo + (hi - lo) * s, _power_families(expr, domain, family)
+    else:  # c in [0, 2] brackets the z1 bound of every base
+        t, fams = 2 * s, multiplier_families(expr, lambda p: p[0], domain, family, power=kind)
+    for fam in fams:
         g = fam.gram_at(t)
         assert np.array_equal(g.view(np.int64), hermitian_part(g).view(np.int64))
-
-
-def test_multiplier_families_are_symmetrized_by_their_fill():
-    # f(z) conj(f(w)) is Hermitian only up to rounding, so the fill writes
-    # hermitian_part of G(c), as the elimination's copy-in did
-    family = ((8, 1), (12, 2))
-    for fam in multiplier_families(bergman_disc(), lambda p: p[0], unit_disc(), family):
-        assert not fam.hermitian
-        for c in (0.5, 0.97, 1.5):
-            out, spare = np.empty((2, fam.width, fam.width), dtype=complex)
-            fam.fill(c)(out, spare)
-            want = hermitian_part(fam.gram_at(c))
-            assert np.array_equal(out.view(np.int64), want.view(np.int64))
