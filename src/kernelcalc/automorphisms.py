@@ -185,7 +185,8 @@ def quasi_invariance_residual(
     """Max relative residual of J(z) K(phi z, phi w) J(w)^* = K(z, w), from one
     batch of the 2B points (z first) and one of the 2B pairs (moved first).
     An entry of `pairs` that is not a (z, w) pair is refused (ShapeError
-    naming it)."""
+    naming it), and one whose z or w is not a point of the open ball
+    (DomainError naming the entry and the side)."""
     if phi.m != expr.m:
         raise ShapeError("map and kernel dimensions differ")
     zs, ws = [], []
@@ -199,8 +200,12 @@ def quasi_invariance_residual(
     if not zs:
         return 0.0
     b = len(zs)
-    pts = point_array(zs + ws, expr.m)
-    j = cocycle.matrices(phi, pts, expr.size)
+    try:
+        pts = point_array(zs + ws, expr.m)
+        j = cocycle.matrices(phi, pts, expr.size)
+    except DomainError:  # the batch names a row or no point at all
+        _refuse_by_entry(zs, ws, expr.m)
+        raise
     img = phi.images(pts)
     try:
         vals = expr.values(np.concatenate([img[:b], pts[:b]]), np.concatenate([img[b:], pts[b:]]))
@@ -217,6 +222,21 @@ def quasi_invariance_residual(
         z, w = (tuple(complex(c) for c in pts[q]) for q in (p, b + p))
         raise EvaluationError(f"the residual is not finite at pair ({z}, {w})")
     return float(res.max())
+
+
+def _refuse_by_entry(zs: list, ws: list, m: int) -> None:
+    """Raise DomainError naming the first entry of `pairs` whose z or w is
+    not a point of the open unit ball of C^m, by entry, not by batch row."""
+    for i, pair in enumerate(zip(zs, ws)):
+        for side, p in zip("zw", pair):
+            try:
+                point = point_array([p], m)
+            except DomainError:
+                raise DomainError(
+                    f"pairs entry {i}: {side} is not a point of C^{m}, got {p!r}") from None
+            if not in_unit_ball(point)[0]:  # NaN is outside
+                coords = tuple(complex(c) for c in point[0])
+                raise DomainError(f"pairs entry {i}: {side} = {coords} lies outside the unit ball")
 
 
 def curvature_quasi_check(base: KernelExpr, t: float, phi: MobiusMap, pairs) -> float:

@@ -4,9 +4,9 @@ Subcommands: eval, psd, wallach, norm, bound, quasi, repro.  JSON is the
 default output format, one compact line per report; `psd --format csv`
 emits the Gram spectrum as CSV.  Library records give `to_dict()`, and
 `_emit` is the one writer that encodes them as strict JSON.  It writes the
-tables of `eval` in the bytes of `json.dumps` from cached k x k block
-templates: a block of exact +0.0 entries is not re-encoded, and a
-non-finite table is refused like any other report.
+tables of `eval` in the bytes of `json.dumps`, with one `%` of a format
+cached per pattern of k x k blocks: a block of exact +0.0 entries is not
+re-encoded, and a non-finite table is refused like any other report.
 Every flag can also be supplied through a JSON config file (--config): keys
 are flag names, validated like flags (a bad value or unknown key exits 2),
 and explicit flags win.  Each numeric flag follows a rule of `params.RULES`,
@@ -90,21 +90,18 @@ def _emit(args, report: dict, name: str | None = None, blocks=None, keys=None) -
     cycle check is needed.  With a `name`, report[name] is a (n, k, k) stack
     of complex `blocks` as [re, im] pairs, in the bytes of `json.dumps`: an
     object under `keys` (the `"key": ` texts of `_entry_keys`) or, without
-    keys, the one block.  A block of +0.0 reuses its cached text (a -0.0 has
-    its sign bit set), so only the others are encoded."""
+    keys, the one block.  It is one `%` of the cached format of its pattern
+    of live blocks: a block of +0.0 is its cached text (a -0.0 has its sign
+    bit set), so only the others are encoded, one `repr` per float."""
     table = ""
     if name is not None:
         n, k = blocks.shape[:2]
         floats = np.ascontiguousarray(blocks, dtype=complex).view(float).reshape(n, 2 * k * k)
         if not np.isfinite(floats).all():
             raise EvaluationError(f"the {name} of the report is not finite")
-        zero, fmt = _block_templates(k)
-        texts = [zero] * n
         live = floats.view(np.int64).any(axis=1)  # +0.0 is the one float whose bits are all 0
-        for i, values in zip(np.flatnonzero(live).tolist(), floats[live].tolist()):
-            texts[i] = fmt % tuple(values)
-        entries = texts[0] if keys is None else "{" + ", ".join(map(str.__add__, keys, texts)) + "}"
-        table = f', "{name}": {entries}'
+        fmt = _table_format(keys, k, live.tobytes())
+        table = f', "{name}": ' + fmt % tuple(floats[live].ravel().tolist())
     try:
         text = json.dumps(report, allow_nan=False, check_circular=False)
     except ValueError:
@@ -136,6 +133,16 @@ def _block_templates(k: int) -> tuple[str, str]:
     row = "[" + ", ".join(["[%r, %r]"] * k) + "]"
     fmt = "[" + ", ".join([row] * k) + "]"
     return fmt % ((0.0,) * (2 * k * k)), fmt
+
+
+@functools.lru_cache(maxsize=16)
+def _table_format(keys, k: int, live: bytes) -> str:
+    """The `%` format of a table of k x k blocks, an object under `keys` or,
+    without keys, the one block: the +0.0 text of `_block_templates` where
+    `live` has a zero byte, and `%r` directives for each other block."""
+    zero, fmt = _block_templates(k)
+    texts = [fmt if on else zero for on in live]
+    return texts[0] if keys is None else "{" + ", ".join(map(str.__add__, keys, texts)) + "}"
 
 
 @functools.cache
@@ -341,8 +348,13 @@ def _with_config(parser, argv: list[str]) -> list[str]:
     """Insert the flags of a --config file right after the subcommand name.
 
     Each key becomes `--key=value`, parsed like a flag typed by the user;
-    the user's own flags come later and so win.
+    the user's own flags come later and so win.  argparse finds --config
+    only in a token that starts with `--c` (a prefix of it, or `--config=`)
+    or `--=` (the empty prefix with a value), so without one there is
+    nothing to pre-parse.
     """
+    if not any(token.startswith(("--c", "--=")) for token in argv):
+        return argv
     path = _config_parser(parser.prog).parse_known_args(argv)[0].config
     if not path:
         return argv

@@ -65,7 +65,7 @@ def hermitian_part(a: np.ndarray, out: np.ndarray | None = None,
                    scratch: np.ndarray | None = None) -> np.ndarray:
     """(A + A^H) / 2, halved before the sum so that entries near the float
     maximum cannot overflow, written into `out` (with conj(A / 2) in
-    `scratch`, which may be `a` itself) when they are given.  Equals
+    `scratch`) when they are given.  Equals
     a / 2 + a.conj().T / 2 up to the sign of a zero (conj(a / 2) and
     conj(a) / 2 can differ in it)."""
     out = np.true_divide(a, 2, out=out)

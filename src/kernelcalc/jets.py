@@ -206,13 +206,14 @@ def _balanced(coeffs: np.ndarray, m: int, nz: int, nw: int) -> bool:
 
 def _pair_sums(x: np.ndarray, y: np.ndarray, runs, weights=None):
     """Yield (rows, sums) per run: sum x_l y_r (times weights[l], if given)
-    over the pairs (l, r) of each output in rows, in table order.  y is read
-    when a run starts, after the caller has stored the runs before it."""
+    over the pairs (l, r) of each output in rows, in table order.  The
+    weights multiply x once per monomial, not once per pair: each term is
+    still fl(x_l w_l) y_r.  y is read when a run starts, after the caller
+    has stored the runs before it."""
+    if weights is not None:
+        x = x * weights
     for rows, left, right, starts in runs:
-        terms = x.take(left, axis=-1)
-        if weights is not None:
-            terms *= weights.take(left)
-        yield rows, np.add.reduceat(terms * y.take(right, axis=-1), starts, axis=-1)
+        yield rows, np.add.reduceat(x.take(left, axis=-1) * y.take(right, axis=-1), starts, axis=-1)
 
 
 def _convolve(x: np.ndarray, y: np.ndarray, m: int, nz: int, nw: int) -> np.ndarray:

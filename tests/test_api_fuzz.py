@@ -214,6 +214,21 @@ def test_every_entry_point_returns_at_its_valid_defaults():
     (lambda: kc.curvature_quasi_check(kc.bergman_disc(), 1.0, kc.MobiusMap((0.3,)), [(0.1,)]),
      ShapeError, "pairs entry 0 is not a (z, w) pair, got (0.1,)"),
     (lambda: kc.CocycleSpec("det_jacobian_power", "a"), TypeError, "t must be a real"),
+    (lambda: kc.quasi_invariance_residual(kc.bergman_disc(), kc.CocycleSpec("det_jacobian_power"),
+                                          kc.MobiusMap((0.3,)), [(0.1, 0.2), (0.1, "x")]),
+     DomainError, "pairs entry 1: w is not a point of C^1, got 'x'"),
+    (lambda: kc.quasi_invariance_residual(kc.bergman_disc(), kc.CocycleSpec("det_jacobian_power"),
+                                          kc.MobiusMap((0.3,)), [(0.1, 0.2), (0.3, 1.5)]),
+     DomainError, "pairs entry 1: w = ((1.5+0j),) lies outside the unit ball"),
+    (lambda: kc.curvature_quasi_check(kc.bergman_ball(2), 1.0, kc.MobiusMap((0.3, 0.0)),
+                                      [((0.1, 0.0), (0.0, 0.1)), ((0.1,), (0.0, 0.1))]),
+     DomainError, "pairs entry 1: z is not a point of C^2, got (0.1,)"),
+    (lambda: kc.curvature_quasi_check(kc.bergman_ball(2), 1.0, kc.MobiusMap((0.3, 0.0)),
+                                      [((0.1, 0.0), (0.0, 0.1)), ((0.9, 0.9), (0.0, 0.1))]),
+     DomainError, "pairs entry 1: z = ((0.9+0j), (0.9+0j)) lies outside the unit ball"),
+    (lambda: kc.curvature_quasi_check(kc.bergman_disc(), 0.0, kc.MobiusMap((0.3,)),
+                                      [(0.1, math.nan)]),
+     DomainError, "pairs entry 0: w = ((nan+0j),) lies outside the unit ball"),
 ])
 def test_malformed_scan_and_calculus_inputs_are_refused_by_name(call, error, words):
     with pytest.raises(error) as info:

@@ -613,14 +613,19 @@ _TABLE_FLOATS = st.one_of(
 
 @st.composite
 def _jet_tables(draw):
-    """m, an order and a (n, k, k) complex stack of the table's size, k in 1..3:
-    each block all +0.0 or of drawn floats, -0.0, subnormals and huge ones among them."""
-    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
-    order = draw(st.integers(1, 3 if m == 1 else 2))
+    """m, an order and a (n, k, k) complex stack of the table's size, k in 1..3,
+    up to the README's m = 3, order-4 table of 1,225 blocks: each block all
+    +0.0 or, mostly, live, its floats drawn from a palette (-0.0, subnormals
+    and huge ones among them) and from random bit patterns."""
+    k, m, order = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
     n = len(graded_lex_tuples(m, order)) ** 2
-    floats = np.zeros((n, 2 * k * k))
-    for i in np.flatnonzero(draw(st.lists(st.booleans(), min_size=n, max_size=n))):
-        floats[i] = draw(st.lists(_TABLE_FLOATS, min_size=2 * k * k, max_size=2 * k * k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    palette = draw(st.lists(_TABLE_FLOATS, min_size=1, max_size=16))
+    floats = rng.choice(np.array(palette), size=(n, 2 * k * k))
+    bits = rng.integers(0, 2**64, size=floats.shape, dtype=np.uint64).view(float)
+    noise = np.isfinite(bits) & (rng.random(floats.shape) < draw(st.sampled_from([0.0, 0.5])))
+    floats[noise] = bits[noise]
+    floats[rng.random(n) >= draw(st.sampled_from([0.0, 0.5, 0.9, 0.99, 1.0]))] = 0.0
     return m, order, floats.view(complex).reshape(n, k, k)
 
 
@@ -650,6 +655,43 @@ def test_the_table_writer_writes_the_bytes_of_json_dumps(table, poison):
     want = [json.dumps({**head, "entries": dict(zip(keys, pairs))}),
             json.dumps({**head, "value": pairs[0]})]
     assert out.getvalue() == "\n".join(want) + "\n"
+
+
+def test_the_table_format_cache_keeps_its_bound(capsys):
+    keys, rng = cli._entry_keys(2, 2), np.random.default_rng(5)
+    bound = cli._table_format.cache_info().maxsize
+    misses = cli._table_format.cache_info().misses
+    for _ in range(4 * bound):
+        blocks = np.where(rng.random((len(keys), 1, 1)) < 0.5, 1.5 - 0.5j, 0j)
+        cli._emit(None, {"order": 2}, "entries", blocks, keys)
+        assert cli._table_format.cache_info().currsize <= bound
+    assert cli._table_format.cache_info().misses - misses == 4 * bound
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["order"] == 2
+
+
+@pytest.mark.parametrize("flags", [["--conf", "{}"], ["--config={}"], ["--c", "{}"]],
+                         ids=["prefix", "equals", "shortest"])
+def test_every_spelling_of_the_config_flag_loads_the_file(tmp_path, capsys, flags):
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps({"kernel": "szego_disc()", "n": 4}))
+    code, out, _ = _run(capsys, "psd", *[flag.format(conf) for flag in flags])
+    assert code == 0 and len(json.loads(out)["points"]) == 4
+    # the pre-parser also reads `--=path` as --config (the main parser then
+    # finds it ambiguous), so a missing file is still named
+    code, _, err = _run(capsys, "psd", f"--={tmp_path / 'missing.json'}")
+    assert code == 2 and "cannot read config" in err
+
+
+def test_a_request_that_cannot_name_the_config_is_not_pre_parsed(capsys, monkeypatch):
+    calls = []
+    pre_parser = cli._config_parser
+    monkeypatch.setattr(cli, "_config_parser", lambda prog: calls.append(prog) or pre_parser(prog))
+    code, out, _ = _run(capsys, "psd", "--kernel", "szego_disc()", "--n", "4", "-c")
+    assert code == 2 and calls == []
+    code, out, _ = _run(capsys, "psd", "--kernel", "szego_disc()", "--n", "4")
+    assert code == 0 and len(json.loads(out)["points"]) == 4 and calls == []
+    code, out, _ = _run(capsys, "psd", "--kernel", "--config=x.json")
+    assert code == 2 and calls == ["kernelcalc"]
 
 
 def test_config_runs_share_one_pre_parser(tmp_path, capsys):
