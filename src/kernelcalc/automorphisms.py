@@ -30,7 +30,7 @@ from .geometry import Point, in_unit_ball, point_array
 from .params import checked
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MobiusMap:
     """Ball automorphism z -> U phi_a(z) with base point a and unitary U."""
 

@@ -4,7 +4,7 @@ Subcommands: eval, psd, wallach, norm, bound, quasi, repro.  JSON is the
 default output format, one compact line per report; `psd --format csv`
 emits the Gram spectrum as CSV.  Library records give `to_dict()`, and
 `_emit` is the one writer that encodes them as strict JSON.  It writes the
-tables of `eval` in the bytes of `json.dumps`, with one `%` of a format
+`eval --order` tables in the bytes of `json.dumps`, with one `%` of a format
 cached per pattern of k x k blocks: a block of exact +0.0 entries is not
 re-encoded, and a non-finite table is refused like any other report.
 Every flag can also be supplied through a JSON config file (--config): keys
@@ -87,12 +87,12 @@ def _emit(args, report: dict, name: str | None = None, blocks=None, keys=None) -
     """Write the report as one line of strict JSON, which has no NaN or
     infinity: a report holding one is refused, naming its key, before
     anything is written.  Reports are fresh trees of dicts and lists, so no
-    cycle check is needed.  With a `name`, report[name] is a (n, k, k) stack
-    of complex `blocks` as [re, im] pairs, in the bytes of `json.dumps`: an
-    object under `keys` (the `"key": ` texts of `_entry_keys`) or, without
-    keys, the one block.  It is one `%` of the cached format of its pattern
-    of live blocks: a block of +0.0 is its cached text (a -0.0 has its sign
-    bit set), so only the others are encoded, one `repr` per float."""
+    cycle check is needed.  With a `name`, report[name] is an object of
+    the (n, k, k) stack of complex `blocks` as [re, im] pairs under `keys`
+    (the `"key": ` texts of `_entry_keys`), in the bytes of `json.dumps`.
+    It is one `%` of the cached format of its pattern of live blocks: a
+    block of +0.0 is its cached text (a -0.0 has its sign bit set), so only
+    the others are encoded, one `repr` per float."""
     table = ""
     if name is not None:
         n, k = blocks.shape[:2]
@@ -126,23 +126,15 @@ def _write(args, text: str) -> None:
         print(text)
 
 
-@functools.cache
-def _block_templates(k: int) -> tuple[str, str]:
-    """The JSON text of a k x k block of +0.0 [re, im] pairs, and a `%`
-    format that writes any k x k block: `%r` of a float is its JSON text."""
-    row = "[" + ", ".join(["[%r, %r]"] * k) + "]"
-    fmt = "[" + ", ".join([row] * k) + "]"
-    return fmt % ((0.0,) * (2 * k * k)), fmt
-
-
 @functools.lru_cache(maxsize=16)
 def _table_format(keys, k: int, live: bytes) -> str:
-    """The `%` format of a table of k x k blocks, an object under `keys` or,
-    without keys, the one block: the +0.0 text of `_block_templates` where
-    `live` has a zero byte, and `%r` directives for each other block."""
-    zero, fmt = _block_templates(k)
-    texts = [fmt if on else zero for on in live]
-    return texts[0] if keys is None else "{" + ", ".join(map(str.__add__, keys, texts)) + "}"
+    """The `%` format of an object of k x k blocks under `keys`: `%r` (a
+    float's JSON text) for each float of a block where `live` has a nonzero
+    byte, and the text of a block of +0.0 [re, im] pairs for the others."""
+    row = "[" + ", ".join(["[%r, %r]"] * k) + "]"
+    fmt = "[" + ", ".join([row] * k) + "]"
+    zero = fmt % ((0.0,) * (2 * k * k))
+    return "{" + ", ".join(key + (fmt if on else zero) for key, on in zip(keys, live)) + "}"
 
 
 @functools.cache
@@ -163,7 +155,9 @@ def cmd_eval(args) -> int:
         _emit(args, report, "entries", derivatives.reshape((-1,) + derivatives.shape[2:]),
               _entry_keys(expr.m, args.order))
     else:
-        _emit(args, report, "value", expr.eval(z, w)[None])
+        value = expr.eval(z, w)
+        report["value"] = np.stack((value.real, value.imag), axis=-1).tolist()
+        _emit(args, report)
     return EXIT_OK
 
 
@@ -349,13 +343,15 @@ def _with_config(parser, argv: list[str]) -> list[str]:
 
     Each key becomes `--key=value`, parsed like a flag typed by the user;
     the user's own flags come later and so win.  argparse finds --config
-    only in a token that starts with `--c` (a prefix of it, or `--config=`)
-    or `--=` (the empty prefix with a value), so without one there is
-    nothing to pre-parse.
+    only in a token that starts with `--c` (a prefix of it, or `--config=`),
+    so without one there is nothing to pre-parse.  The pre-parser alone would
+    read `--=path` as --config, so it is not shown such a token: the main
+    parser refuses it as ambiguous before any file is opened.
     """
-    if not any(token.startswith(("--c", "--=")) for token in argv):
+    if not any(token.startswith("--c") for token in argv):
         return argv
-    path = _config_parser(parser.prog).parse_known_args(argv)[0].config
+    visible = [token for token in argv if not token.startswith("--=")]
+    path = _config_parser(parser.prog).parse_known_args(visible)[0].config
     if not path:
         return argv
     try:

@@ -396,7 +396,7 @@ def min_eigenvalue(h: np.ndarray) -> float:
     return float(eigenvalues(h, 1)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LdlVerdict:
     """Outcome of the LDL^H elimination of G + shift * I.
 

@@ -230,7 +230,7 @@ class KernelExpr:
         return hash(self._dsl)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JetTable:
     """Mixed Wirtinger derivatives of a kernel at one pair, up to a cutoff.
 

@@ -90,20 +90,6 @@ class _Group:
         """|a| of each monomial a."""
         return np.array([sum(a) for a in self.tuples], dtype=np.int32)
 
-    @functools.cached_property
-    def pairs(self) -> tuple:
-        """(left, right, starts): every pair of monomials whose product has
-        degree <= n, sorted by the product; `starts[k]` is where the run of
-        pairs of product monomial k begins (each monomial has one)."""
-        pairs = sorted(
-            (self.index[tuple(x + y for x, y in zip(a, b))], i, j)
-            for i, a in enumerate(self.tuples)
-            for j, b in enumerate(self.tuples)
-            if sum(a) + sum(b) <= self.n
-        )
-        k, left, right = (np.array(col, dtype=np.intp) for col in zip(*pairs))
-        return left, right, np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-
     @functools.cache
     def shifts(self, indices: tuple, n: int) -> tuple:
         """(source, factor) of the derivatives d/dz^d for d in `indices`,
@@ -116,15 +102,18 @@ class _Group:
 
     @functools.cached_property
     def pair_arrays(self) -> tuple:
-        """`pairs` as int32 arrays (left, right, product, left degree) and
-        `first`: the pairs whose product has degree d are first[d] ..
-        first[d + 1] - 1."""
-        left, right, starts = self.pairs
-        runs = np.diff(np.r_[starts, len(left)])
-        product = np.repeat(np.arange(self.size, dtype=np.int32), runs)
+        """The group's one pair table: int32 columns (left, right, product, left
+        degree) of the pairs whose product has degree <= n, sorted by product
+        (each monomial a run), and `first`: product degree d is first[d]:first[d + 1]."""
+        pairs = sorted(
+            (self.index[tuple(x + y for x, y in zip(a, b))], i, j)
+            for i, a in enumerate(self.tuples)
+            for j, b in enumerate(self.tuples)
+            if sum(a) + sum(b) <= self.n
+        )
+        product, left, right = (np.array(col, dtype=np.int32) for col in zip(*pairs))
         first = np.r_[0, np.cumsum(np.bincount(self.degrees[product], minlength=self.n + 1))]
-        return (left.astype(np.int32), right.astype(np.int32), product,
-                self.degrees[left], first)
+        return left, right, product, self.degrees[left], first
 
     @functools.cached_property
     def degree_counts(self) -> np.ndarray:
@@ -449,7 +438,7 @@ def _pair_count(m: int, nz: int, nw: int, balanced: bool) -> int:
     """Pairs in the (m, nz, nw) table, full or balanced."""
     gz, gw = _group(m, nz), _group(m, nw)
     if not balanced:
-        return len(gz.pairs[0]) * len(gw.pairs[0])
+        return len(gz.pair_arrays[0]) * len(gw.pair_arrays[0])
     k = min(nz, nw) + 1
     return int((gz.degree_counts[:k, :k] * gw.degree_counts[:k, :k]).sum())
 
@@ -463,7 +452,7 @@ def _degree_tables(m: int, nz: int, nw: int, balanced: bool):
     (z pair major), and `starts` is where each output's pairs begin.  An
     output's pairs are the z pairs of its z part times the w pairs of its w
     part, so the tables are built one block of degrees (dz, D - dz) at a
-    time from the group tables.
+    time from the two groups' pair tables (`_Group.pair_arrays`).
 
     A balanced table keeps only the outputs with |a| = |b| and, of their
     pairs, those whose left monomial (and so the right one) is balanced

@@ -289,15 +289,18 @@ _FD_EXPRESSIONS = (
     "jet(bergman_ball(2), bergman_ball(2), 1)",
 )
 
+#: seeded (z, w) pairs per expression of the finite-difference cross-check
+_FD_PAIRS = 50
 
-def check_fd_oracle(n_pairs: int = 50) -> CheckResult:
+
+def check_fd_oracle() -> CheckResult:
     """Jet-engine derivatives against the Cauchy integrals of `fd`."""
     worst = 0.0
     worst_name = ""
     for text in _FD_EXPRESSIONS:
         expr = parse_kernel(text)
         domain = unit_ball(expr.m, 0.35) if expr.m > 1 else unit_disc(0.35)
-        for seed in range(n_pairs):
+        for seed in range(_FD_PAIRS):
             z, w = sample_array(domain, 2, seed + 1)
             err = fd_relative_error(expr, z, w, 2)
             if err > worst:

@@ -269,12 +269,38 @@ def _cuts(bounds: np.ndarray, max_pairs: int):
         k0 = k1
 
 
+def _pair_runs(group: _Group) -> tuple:
+    """(left, right, starts) of the group's pair table: `starts[k]` is where
+    the product column changes to monomial k."""
+    left, right, product = group.pair_arrays[:3]
+    return left, right, np.flatnonzero(np.r_[True, product[1:] != product[:-1]])
+
+
+def pair_table_by_sorting(group: _Group) -> tuple:
+    """The pair table of `_Group.pair_arrays` built as (left, right, starts)
+    intp arrays first and re-encoded as int32 columns (left, right,
+    product, left degree) and `first` after."""
+    pairs = sorted(
+        (group.index[tuple(x + y for x, y in zip(a, b))], i, j)
+        for i, a in enumerate(group.tuples)
+        for j, b in enumerate(group.tuples)
+        if sum(a) + sum(b) <= group.n
+    )
+    k, left, right = (np.array(col, dtype=np.intp) for col in zip(*pairs))
+    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
+    runs = np.diff(np.r_[starts, len(left)])
+    product = np.repeat(np.arange(group.size, dtype=np.int32), runs)
+    first = np.r_[0, np.cumsum(np.bincount(group.degrees[product], minlength=group.n + 1))]
+    return (left.astype(np.int32), right.astype(np.int32), product,
+            group.degrees[left], first)
+
+
 @functools.cache
 def _chunks(group: _Group, max_pairs: int) -> list:
     """The product tables cut into runs of consecutive product monomials,
     (rows, left, right, starts) each, with at most `max_pairs` pairs per
     run unless one monomial alone has more."""
-    left, right, starts = group.pairs
+    left, right, starts = _pair_runs(group)
     bounds = np.r_[starts, len(left)]
     return [(slice(k0, k1), left[s0:s1], right[s0:s1], starts[k0:k1] - s0)
             for k0, k1, s0, s1 in _cuts(bounds, max_pairs)]
@@ -290,7 +316,7 @@ def convolve_separable(x: np.ndarray, y: np.ndarray, gz: _Group, gw: _Group) -> 
     """
     if gz.size == gw.size == 1:  # constant jets: no pairs to sum
         return x * y
-    wl, wr, wstarts = gw.pairs
+    wl, wr, wstarts = _pair_runs(gw)
     batch = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
     out = np.empty(batch + (gz.size, gw.size), dtype=complex)
     for rows, zl, zr, zstarts in _chunks(gz, _run_pairs(math.prod(batch) * len(wl))):

@@ -12,7 +12,8 @@ from kernelcalc import cli
 from kernelcalc.automorphisms import MobiusMap
 from kernelcalc.cli import main
 from kernelcalc.expr import BallCurvature
-from kernelcalc.geometry import graded_lex_tuples, sample_points, unit_ball, unit_disc, unit_index
+from kernelcalc.geometry import graded_lex_tuples, sample_array, sample_points, unit_ball, unit_disc
+from kernelcalc.geometry import unit_index
 from kernelcalc.parser import parse_kernel
 from kernelcalc.positivity import psd_check, wallach_scan
 from kernelcalc.rkhs import element, multiplier_bound, norm
@@ -647,14 +648,35 @@ def test_the_table_writer_writes_the_bytes_of_json_dumps(table, poison):
                 cli._emit(None, head, "entries", blocks, cli._entry_keys(m, order))
         else:
             cli._emit(None, head, "entries", blocks, cli._entry_keys(m, order))
-            cli._emit(None, head, "value", blocks[:1])
     if poison is not None:
         assert out.getvalue() == ""
         return
     pairs = blocks.view(float).reshape(blocks.shape + (2,)).tolist()
-    want = [json.dumps({**head, "entries": dict(zip(keys, pairs))}),
-            json.dumps({**head, "value": pairs[0]})]
-    assert out.getvalue() == "\n".join(want) + "\n"
+    assert out.getvalue() == json.dumps({**head, "entries": dict(zip(keys, pairs))}) + "\n"
+
+
+def _drawn_point(m, seed):
+    domain = unit_ball(m, 0.9) if m > 1 else unit_disc(0.9)
+    return ",".join(f"{c.real!r}{c.imag:+}j" for c in sample_array(domain, 1, seed)[0].tolist())
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from([("szego_disc()", 1), ("pow(log_hessian(szego_disc()), 0.5)", 1),
+                             ("ball_curvature(2, 3.0)", 2),
+                             ("jet(szego_disc(), bergman_disc(), 2)", 1)]),
+       seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)))
+def test_an_order_0_value_is_written_as_a_plain_report_field(case, seeds):
+    kernel, m = case
+    z, w = (_drawn_point(m, seed) for seed in seeds)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["eval", "--kernel", kernel, f"--z={z}", f"--w={w}"]) == 0
+    expr = parse_kernel(kernel)
+    value = expr.eval(cli._parse_point(z, "--z", m), cli._parse_point(w, "--w", m))
+    assert value.shape in {(1, 1), (2, 2), (3, 3)}
+    pairs = [[[v.real, v.imag] for v in row] for row in value.tolist()]
+    want = {"version": cli.__version__, "kernel": expr.to_dsl(), "value": pairs}
+    assert out.getvalue() == json.dumps(want) + "\n"
 
 
 def test_the_table_format_cache_keeps_its_bound(capsys):
@@ -676,10 +698,12 @@ def test_every_spelling_of_the_config_flag_loads_the_file(tmp_path, capsys, flag
     conf.write_text(json.dumps({"kernel": "szego_disc()", "n": 4}))
     code, out, _ = _run(capsys, "psd", *[flag.format(conf) for flag in flags])
     assert code == 0 and len(json.loads(out)["points"]) == 4
-    # the pre-parser also reads `--=path` as --config (the main parser then
-    # finds it ambiguous), so a missing file is still named
-    code, _, err = _run(capsys, "psd", f"--={tmp_path / 'missing.json'}")
-    assert code == 2 and "cannot read config" in err
+    # `--=path` is no spelling of --config: the pre-parser does not see it,
+    # and the main parser refuses it as ambiguous
+    missing = tmp_path / "missing.json"
+    for argv in ([f"--={missing}"], ["--c", str(conf), f"--={missing}"]):
+        code, _, err = _run(capsys, "psd", *argv)
+        assert code == 2 and "ambiguous option" in err and "cannot read config" not in err
 
 
 def test_a_request_that_cannot_name_the_config_is_not_pre_parsed(capsys, monkeypatch):
@@ -690,6 +714,8 @@ def test_a_request_that_cannot_name_the_config_is_not_pre_parsed(capsys, monkeyp
     assert code == 2 and calls == []
     code, out, _ = _run(capsys, "psd", "--kernel", "szego_disc()", "--n", "4")
     assert code == 0 and len(json.loads(out)["points"]) == 4 and calls == []
+    code, out, _ = _run(capsys, "psd", "--=x.json")
+    assert code == 2 and calls == []
     code, out, _ = _run(capsys, "psd", "--kernel", "--config=x.json")
     assert code == 2 and calls == ["kernelcalc"]
 

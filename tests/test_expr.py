@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from kernelcalc.automorphisms import MobiusMap
+from kernelcalc.eig import ldl_verdict
 from kernelcalc.errors import (
     BranchError,
     DomainError,
@@ -731,3 +733,15 @@ def test_the_fd_oracle_refuses_a_torus_that_leaves_the_domain_naming_the_pair():
         fd_jet_table(parse_kernel("bergman_ball(2)"), (0.1, 0.0), (0.7, 0.7), 1)
     # a torus inside the domain is evaluated, up to its rim
     assert fd_relative_error(SzegoDisc(), (0.97,), (0.1,), 1) < 1e-6
+
+
+def test_records_that_hold_arrays_compare_by_identity_and_hash():
+    def twins():
+        yield MobiusMap((0.1, 0.2)), MobiusMap((0.1, 0.2))
+        z, w = (0.1, 0.2), (0.3, 0.0)
+        yield BallPower(2, 3.0).eval_jet(z, w, 2), BallPower(2, 3.0).eval_jet(z, w, 2)
+        yield ldl_verdict(np.diag([1.0, -1.0]), 1e-9), ldl_verdict(np.diag([1.0, -1.0]), 1e-9)
+
+    for a, b in twins():
+        assert a == a and a != b and not (a == b)
+        assert hash(a) == hash(a) and len({a, b, a}) == 2

@@ -12,7 +12,7 @@ from kernelcalc.expr import BallPower
 from kernelcalc.geometry import graded_lex_tuples, unit_index
 from kernelcalc.jets import Jet, coordinate_products, variable_jets
 from oracles import (convolve_separable, exp_by_powers, full_tables, log_by_powers,
-                     pow_by_powers)
+                     pair_table_by_sorting, pow_by_powers)
 
 
 def test_variable_jets_track_the_base_point():
@@ -465,6 +465,39 @@ def test_balanced_tables_are_the_full_tables_filtered(m, nz, nw):
             assert np.array_equal(got, expected)
     counts = sum(len(left) for _, left, _, _ in tables.values())
     assert jets._pair_count(m, nz, nw, True) == counts
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_each_group_keeps_the_pair_table_built_by_sorting(m):
+    for n in range(7):
+        group, table = jets._group(m, n), pair_table_by_sorting(jets._group(m, n))
+        for got, want in zip(group.pair_arrays, table, strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert jets._pair_count(m, n, n, False) == len(table[0]) ** 2
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_degree_tables_equal_those_of_the_pair_tables_built_by_sorting(m, monkeypatch):
+    built = {}
+
+    def sorted_group(m, n):
+        if (m, n) not in built:
+            built[m, n] = jets._Group(m, n)
+            # a cached_property is read from the instance dict once set
+            built[m, n].__dict__["pair_arrays"] = pair_table_by_sorting(built[m, n])
+        return built[m, n]
+
+    for nz in range(6):
+        for nw in range(6):
+            for balanced in (False, True):
+                got = list(jets._degree_tables(m, nz, nw, balanced))
+                with monkeypatch.context() as patch:
+                    patch.setattr(jets, "_group", sorted_group)
+                    want = list(jets._degree_tables(m, nz, nw, balanced))
+                for got_table, want_table in zip(got, want, strict=True):
+                    assert got_table[0] == want_table[0]
+                    for a, b in zip(got_table[1:], want_table[1:], strict=True):
+                        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def _balanced_jet(rng, m, nz, nw, batch, integers=False):
