@@ -39,6 +39,8 @@ class MobiusMap:
 
     def __init__(self, a, unitary=None):
         a = tuple(complex(c) for c in a)
+        if not a:
+            raise ShapeError("base point needs at least one coordinate")
         norm2 = sum(abs(c) ** 2 for c in a)
         if not math.sqrt(norm2) < 1:  # NaN compares false
             raise DomainError("base point must lie inside the unit ball")

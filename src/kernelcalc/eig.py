@@ -20,9 +20,7 @@ place, so no (n - k)^2 rank-1 update is formed.
 `hermitian_part` is the one symmetrizing rule.  The sampled Grams of
 `positivity` arrive Hermitian from it; `eigenvalues` and `ldl_verdict`
 apply it to their input again, as their copy-in, only as a guard for other
-callers.  Its in-place add of the transposed conjugate runs through
-numpy's ufunc buffering, a temporary of min(n^2, 8192) complex entries per
-copy-in.  `ldl_pivot` copies nothing in: it eliminates the Hermitian
+callers.  `ldl_pivot` copies nothing in: it eliminates the Hermitian
 matrix that its caller's fill(out) writes straight into the factor buffer,
 and checks it finite with one sum, looking at each entry only when that sum
 is not finite.
@@ -59,17 +57,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError
+from .params import checked
 
 
 def hermitian_part(a: np.ndarray, out: np.ndarray | None = None,
                    scratch: np.ndarray | None = None) -> np.ndarray:
     """(A + A^H) / 2, halved before the sum so that entries near the float
-    maximum cannot overflow, written into `out` (with conj(A / 2) in
+    maximum cannot overflow, written into `out` (with conj(A / 2)^T in
     `scratch`) when they are given.  Equals
     a / 2 + a.conj().T / 2 up to the sign of a zero (conj(a / 2) and
-    conj(a) / 2 can differ in it)."""
+    conj(a) / 2 can differ in it).  The transpose is copied into `scratch`
+    before the add, so that the add reads two contiguous operands and
+    allocates no buffer."""
     out = np.true_divide(a, 2, out=out)
-    out += np.conjugate(out, out=scratch).T
+    if scratch is None:
+        scratch = np.empty_like(out)
+    np.copyto(scratch, out.T)
+    out += np.conjugate(scratch, out=scratch)
     return out
 
 
@@ -453,7 +457,9 @@ def ldl_pivot(n: int, fill, tol: float) -> int | None:
     n x n Hermitian G that fill(out) writes into `out`, the plan's factor
     buffer, or None when every pivot is positive; no factor and no witness
     is kept.  Nothing symmetrizes G here: G must be Hermitian bit for bit.
-    A G with an entry that is not finite is refused (EvaluationError)."""
+    A G with an entry that is not finite is refused (EvaluationError).
+    `tol` is not checked here, on the hot path: every caller passes a tol
+    that it has checked finite and not negative."""
     if n == 0:
         raise ValueError("matrix is empty: there is no verdict to give")
     plan = _checkout(n)
@@ -471,7 +477,9 @@ def ldl_pivot(n: int, fill, tol: float) -> int | None:
 def ldl_verdict(g: np.ndarray, tol: float) -> LdlVerdict:
     """Is G >= -tau * I, tau = `tau`(tol, max diagonal)?  `_eliminate`
     decides it; a failing verdict then solves L^H v = e_k over the leading
-    (k + 1) block by back substitution, in the plan, for its witness."""
+    (k + 1) block by back substitution, in the plan, for its witness.  A
+    tol that is negative or not finite is refused; tol = 0 asks for G >= 0."""
+    tol = checked("non_negative", tol, "tol")
     a = _checked_square(g)
     n = a.shape[0]
     if n == 0:

@@ -21,15 +21,16 @@ A failing pair (outside the domain, across a branch cut, not finite) is
 named in the error.
 
 The node table lives on the node classes: each declares its DSL name
-(`dsl_name`) and the kind of each dataclass field in field order (`kinds`).
-The parser's table, the kind checks on construction, `to_dsl`, the
-scalar-child `ShapeError` and the defaults of `m`, `size` and `contains`
-are all read off that declaration.
+(`dsl_name`) and its arguments once, as (name, kind) pairs in order
+(`args`).  `KernelExpr.__init_subclass__` makes each node a frozen
+dataclass with one field per argument, typed by its kind; the parser's
+table, the kind checks on construction, `to_dsl`, the scalar-child
+`ShapeError` and the defaults of `m`, `size` and `contains` are all read
+off the same declaration.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import operator
@@ -58,21 +59,30 @@ class KernelExpr:
 
     #: the node's name in the DSL
     dsl_name: str
-    #: kind of each dataclass field, in field order: "expr" (a kernel child),
-    #: "scalar" (a kernel child of size 1), "num", "int" or "list", as in `_KINDS`
-    kinds: tuple = ()
+    #: (name, kind) of each argument, in order; the kind is "expr" (a kernel
+    #: child), "scalar" (a kernel child of size 1), "num", "int" or "list",
+    #: as in `_KINDS`
+    args: tuple = ()
     #: nesting depth, set bottom-up by __post_init__; 0 for a leaf
     _depth = 0
 
+    def __init_subclass__(cls, **kwargs):
+        """Make the node a frozen dataclass with one field per argument,
+        annotated with the Python type of its kind; `==` and `hash` stay
+        those of the DSL."""
+        super().__init_subclass__(**kwargs)
+        cls.__annotations__ = {name: _KINDS[kind][4] for name, kind in cls.args}
+        dataclass(frozen=True, eq=False)(cls)
+
     def __post_init__(self):
-        for name, kind in self._layout():
+        for name, kind in self.args:
             object.__setattr__(self, name, _of_kind(kind, getattr(self, name), self.dsl_name, name))
         if self._children:
             depth = 1 + max(child._depth for child in self._children)
             if depth > MAX_DEPTH:
                 raise ShapeError(f"kernel nested deeper than {MAX_DEPTH} levels")
             object.__setattr__(self, "_depth", depth)
-        for name, kind in self._layout():
+        for name, kind in self.args:
             child = getattr(self, name)
             if kind == "scalar" and not child.is_scalar:
                 raise ShapeError(
@@ -83,17 +93,10 @@ class KernelExpr:
     def _check(self):
         """Argument checks of the node beyond its scalar children."""
 
-    @classmethod
-    @functools.cache
-    def _layout(cls) -> tuple:
-        """(field name, kind) of each dataclass field, in field order."""
-        return tuple(zip((f.name for f in dataclasses.fields(cls)), cls.kinds, strict=True))
-
     @functools.cached_property
     def _children(self) -> tuple:
-        """The kernel-valued fields, in field order."""
-        return tuple(getattr(self, name) for name, kind in self._layout()
-                     if kind in ("expr", "scalar"))
+        """The kernel-valued arguments, in order."""
+        return tuple(getattr(self, name) for name, kind in self.args if kind in ("expr", "scalar"))
 
     @property
     def m(self) -> int:
@@ -217,8 +220,8 @@ class KernelExpr:
     @functools.cached_property
     def _dsl(self) -> str:
         """The node in the DSL, printed once per node."""
-        args = (_KINDS[kind][3](getattr(self, name)) for name, kind in self._layout())
-        return f"{self.dsl_name}({', '.join(args)})"
+        printed = (_KINDS[kind][3](getattr(self, name)) for name, kind in self.args)
+        return f"{self.dsl_name}({', '.join(printed)})"
 
     def to_dsl(self) -> str:
         return self._dsl
@@ -259,23 +262,26 @@ class JetTable:
         return self.derivatives[0, 0]
 
 
-#: kind of a field -> (the kind in words, whether a value has it, the value
-#: stored or None for the value itself, how to_dsl prints it)
+#: kind of an argument -> (the kind in words, whether a value has it, the
+#: value stored or None for the value itself, how to_dsl prints it, the
+#: Python type of its field)
 _KINDS = {
-    "expr": ("a kernel expression", lambda v: isinstance(v, KernelExpr), None, KernelExpr.to_dsl),
-    "num": ("a numeric", is_real, None, lambda v: repr(float(v))),  # a float prints as its repr
-    "int": ("an integer", is_integral, int, str),
+    "expr": ("a kernel expression", lambda v: isinstance(v, KernelExpr), None, KernelExpr.to_dsl,
+             "KernelExpr"),
+    "num": ("a numeric", is_real, None, lambda v: repr(float(v)), "float"),  # printed as its repr
+    "int": ("an integer", is_integral, int, str, "int"),
     "list": ("a coefficient list",
              lambda v: isinstance(v, (list, tuple, np.ndarray)) and all(map(is_real, v)),
-             lambda v: tuple(map(float, v)), lambda v: f"[{', '.join(map(repr, v))}]"),
+             lambda v: tuple(map(float, v)), lambda v: f"[{', '.join(map(repr, v))}]",
+             "tuple[float, ...]"),
 }
 _KINDS["scalar"] = _KINDS["expr"]
 
 
 def _of_kind(kind: str, value, node: str, field: str):
-    """`value` as the field `field` of kind `kind` of `node`; a ShapeError
+    """`value` as the argument `field` of kind `kind` of `node`; a ShapeError
     naming both unless it has the kind."""
-    what, has_kind, store, _ = _KINDS[kind]
+    what, has_kind, store, *_ = _KINDS[kind]
     if not has_kind(value):
         raise ShapeError(f"{node}: expected {what} argument for {field}, got {value!r}")
     return value if store is None else store(value)
@@ -314,7 +320,6 @@ def _one_minus(terms) -> Jet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class SzegoDisc(KernelExpr):
     """(1 - z wbar)^{-1} on the unit disc."""
 
@@ -334,15 +339,11 @@ class SzegoDisc(KernelExpr):
         return _scalar(-(self._base_jet(z, w, nz, nw).log()))
 
 
-@dataclass(frozen=True, eq=False)
 class BallPower(KernelExpr):
     """(1 - <z, w>)^{-lam} on the unit ball of C^m."""
 
-    dim: int
-    lam: float
-
     dsl_name = "ball_power"
-    kinds = ("int", "num")
+    args = (("dim", "int"), ("lam", "num"))
 
     def _check(self):
         if self.dim < 1:
@@ -378,14 +379,11 @@ def bergman_disc() -> BallPower:
     return BallPower(1, 2.0)
 
 
-@dataclass(frozen=True, eq=False)
 class DiagonalSeries(KernelExpr):
     """1 + sum_n a_n z^n wbar^n on the disc, with finitely many coefficients."""
 
-    coefficients: tuple[float, ...]
-
     dsl_name = "diagonal_series"
-    kinds = ("list",)
+    args = (("coefficients", "list"),)
     m = 1
 
     def contains(self, p):
@@ -406,15 +404,11 @@ class DiagonalSeries(KernelExpr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class Pow(KernelExpr):
     """Principal-branch power K^t of a scalar kernel."""
 
-    child: KernelExpr
-    t: float
-
     dsl_name = "pow"
-    kinds = ("scalar", "num")
+    args = (("child", "scalar"), ("t", "num"))
 
     def jets(self, z, w, nz, nw):
         return self.log_jet(z, w, nz, nw).exp()
@@ -423,15 +417,11 @@ class Pow(KernelExpr):
         return self.child.log_jet(z, w, nz, nw) * self.t
 
 
-@dataclass(frozen=True, eq=False)
 class Product(KernelExpr):
     """Pointwise product of two scalar kernels on the same domain."""
 
-    left: KernelExpr
-    right: KernelExpr
-
     dsl_name = "product"
-    kinds = ("scalar", "scalar")
+    args = (("left", "scalar"), ("right", "scalar"))
 
     def _check(self):
         if self.left.m != self.right.m:
@@ -444,15 +434,11 @@ class Product(KernelExpr):
         return self.left.log_jet(z, w, nz, nw) + self.right.log_jet(z, w, nz, nw)
 
 
-@dataclass(frozen=True, eq=False)
 class Sum(KernelExpr):
     """Pointwise sum of two kernels of identical shape."""
 
-    left: KernelExpr
-    right: KernelExpr
-
     dsl_name = "sum"
-    kinds = ("expr", "expr")
+    args = (("left", "expr"), ("right", "expr"))
 
     def _check(self):
         if self.left.m != self.right.m or self.left.size != self.right.size:
@@ -462,15 +448,11 @@ class Sum(KernelExpr):
         return self.left.jets(z, w, nz, nw) + self.right.jets(z, w, nz, nw)
 
 
-@dataclass(frozen=True, eq=False)
 class Scale(KernelExpr):
     """c * K for a positive constant c."""
 
-    child: KernelExpr
-    factor: float
-
     dsl_name = "scale"
-    kinds = ("expr", "num")
+    args = (("child", "expr"), ("factor", "num"))
 
     def _check(self):
         if not self.factor > 0:
@@ -483,15 +465,11 @@ class Scale(KernelExpr):
         return self.child.log_jet(z, w, nz, nw) + math.log(self.factor)
 
 
-@dataclass(frozen=True, eq=False)
 class Tensor(KernelExpr):
     """(K1 (x) K2)(z, zeta; w, rho) = K1(z, w) K2(zeta, rho) on C^{m1+m2}."""
 
-    left: KernelExpr
-    right: KernelExpr
-
     dsl_name = "tensor"
-    kinds = ("scalar", "scalar")
+    args = (("left", "scalar"), ("right", "scalar"))
 
     @property
     def m(self):
@@ -529,14 +507,11 @@ def _hessian(g: Jet) -> Jet:
     return _entry(g).shifts(units, units)
 
 
-@dataclass(frozen=True, eq=False)
 class LogHessian(KernelExpr):
     """The m x m matrix kernel (d_i dbar_j log K) of a scalar kernel K."""
 
-    child: KernelExpr
-
     dsl_name = "log_hessian"
-    kinds = ("scalar",)
+    args = (("child", "scalar"),)
 
     @property
     def size(self):
@@ -546,16 +521,11 @@ class LogHessian(KernelExpr):
         return _hessian(self.child.log_jet(z, w, nz + 1, nw + 1))
 
 
-@dataclass(frozen=True, eq=False)
 class Curvature(KernelExpr):
     """The m x m curvature-type kernel K^{alpha+beta} (d_i dbar_j log K)."""
 
-    child: KernelExpr
-    alpha: float
-    beta: float
-
     dsl_name = "curvature"
-    kinds = ("scalar", "num", "num")
+    args = (("child", "scalar"), ("alpha", "num"), ("beta", "num"))
 
     def _check(self):
         if not (self.alpha > 0 and self.beta > 0):
@@ -572,16 +542,11 @@ class Curvature(KernelExpr):
         return power * _hessian(g)
 
 
-@dataclass(frozen=True, eq=False)
 class JetKernel(KernelExpr):
     """The d x d jet kernel with entries K1 * d^i dbar^j K2, |i|,|j| <= k."""
 
-    k1: KernelExpr
-    k2: KernelExpr
-    order: int
-
     dsl_name = "jet"
-    kinds = ("scalar", "scalar", "int")
+    args = (("k1", "scalar"), ("k2", "scalar"), ("order", "int"))
 
     def _check(self):
         if self.k1.m != self.k2.m:
@@ -606,7 +571,6 @@ class JetKernel(KernelExpr):
         return j1 * j2.shifts(indices, indices)
 
 
-@dataclass(frozen=True, eq=False)
 class BallCurvature(KernelExpr):
     """The explicit m x m ball kernel with prefactor (1 - <z,w>)^{-lam}.
 
@@ -615,11 +579,8 @@ class BallCurvature(KernelExpr):
     Bergman kernel B when lam = t (m+1) + 2.
     """
 
-    dim: int
-    lam: float
-
     dsl_name = "ball_curvature"
-    kinds = ("int", "num")
+    args = (("dim", "int"), ("lam", "num"))
 
     def _check(self):
         if self.dim < 2:

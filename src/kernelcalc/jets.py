@@ -403,14 +403,14 @@ class Jet:
         return self._like(out)
 
     def exp(self):
-        c0 = self._constant("exp argument")
+        c0 = self._constant("exp")
         with np.errstate(all="ignore"):
             out = self._series(False, 1.0, 0.0, 0.0, 1 + 0j) * np.exp(c0)[..., None, None]
         check_finite(out, "jet exp")
         return self._like(out)
 
     def log(self):
-        c0 = self._constant("log argument")
+        c0 = self._constant("log")
         _fail_where(c0.real <= 0, BranchError, lambda i: (
             f"log base has non-positive real part ({complex(c0[i]):.6g}); "
             "principal branch unavailable"

@@ -16,6 +16,7 @@ MAX_NORM_DIM = 16
 #: rule -> (int or float, test of the range, the range in words)
 RULES = {
     "positive": (float, lambda v: 0 < v < math.inf, "positive and finite"),
+    "non_negative": (float, lambda v: 0 <= v < math.inf, "non-negative and finite"),
     "positive_int": (int, lambda v: v > 0, "a positive integer"),
     "non_negative_int": (int, lambda v: v >= 0, "a non-negative integer"),
     "seed": (int, lambda v: 0 <= v < 2**64, "an integer of 64 bits, in [0, 2^64)"),

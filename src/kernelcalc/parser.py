@@ -13,9 +13,10 @@ and the numbers of a list up to ']'.  The parser descends at most
 refuses a deeper kernel at the name of its first node past the limit.
 
 The node table `_NODES` is read off the node classes in `expr`, each of
-which declares its DSL name and argument kinds once (`dsl_name`, `kinds`);
-only the sugar names `bergman_ball` and `bergman_disc` are added here.  The
-constructors check the kinds; their `ShapeError`s become `ParseError`s.
+which declares its DSL name and its (name, kind) arguments once
+(`dsl_name`, `args`); only the sugar names `bergman_ball` and
+`bergman_disc` are added here.  The constructors check the kinds; their
+`ShapeError`s become `ParseError`s.
 """
 
 from __future__ import annotations
@@ -107,7 +108,8 @@ def _number(tokens: list) -> float:
 
 
 #: DSL name -> (constructor, kinds of its arguments, checked by the constructor)
-_NODES = {cls.dsl_name: (cls, cls.kinds) for cls in KernelExpr.__subclasses__()}
+_NODES = {cls.dsl_name: (cls, tuple(kind for _, kind in cls.args))
+          for cls in KernelExpr.__subclasses__()}
 _NODES.update(bergman_ball=(bergman_ball, ("int",)), bergman_disc=(bergman_disc, ()))
 
 

@@ -951,7 +951,7 @@ def _pow_through_series(self, t):
 
 
 def _exp_through_series(self):
-    c0 = self._constant("exp argument")
+    c0 = self._constant("exp")
     with np.errstate(all="ignore"):
         out = self._series(1.0, 1.0, 0.0, 0.0, 1.0)
         out *= np.exp(c0)[..., None, None]
@@ -960,7 +960,7 @@ def _exp_through_series(self):
 
 
 def _log_through_series(self):
-    c0 = self._constant("log argument")
+    c0 = self._constant("log")
     jets._fail_where(c0.real <= 0, BranchError, lambda i: (
         f"log base has non-positive real part ({complex(c0[i]):.6g}); "
         "principal branch unavailable"

@@ -8,7 +8,6 @@ It never raises `AttributeError` or an unpack error, and it never returns
 for a value the rule refuses.
 """
 
-import dataclasses
 import math
 import warnings
 
@@ -134,8 +133,7 @@ def _node_entry(make, fields, kinds):
 
 for _cls in (kc.BallCurvature, kc.BallPower, kc.Curvature, kc.DiagonalSeries, kc.JetKernel,
              kc.LogHessian, kc.Pow, kc.Product, kc.Scale, kc.Sum, kc.Tensor):
-    ENTRIES[_cls.__name__] = _node_entry(
-        _cls, [f.name for f in dataclasses.fields(_cls)], _cls.kinds)
+    ENTRIES[_cls.__name__] = _node_entry(_cls, *zip(*_cls.args))
 ENTRIES["bergman_ball"] = _node_entry(kc.bergman_ball, ["m"], ["int"])
 
 MALFORMED = st.sampled_from([

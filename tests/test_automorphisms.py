@@ -100,6 +100,9 @@ def test_validation_of_map_data():
         MobiusMap([0.1, 0.2], [[1, 0], [0, float("inf")]])
     with pytest.raises(ShapeError):
         MobiusMap([0.1, 0.2], np.ones((2, 2)))
+    for empty in ((), [], np.zeros(0)):
+        with pytest.raises(ShapeError, match="^base point needs at least one coordinate$"):
+            MobiusMap(empty)
     with pytest.raises(ShapeError):
         CocycleSpec("unknown_kind")
 

@@ -88,6 +88,26 @@ def test_the_in_place_hermitian_copy_equals_hermitian_part(scale):
     assert np.array_equal(a, before)
 
 
+def test_a_kept_plan_copy_in_allocates_no_buffer():
+    import tracemalloc
+
+    n = eig._MAX_KEPT_WIDTH
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    plan = eig._checkout(n)
+    try:
+        hermitian_part(a, plan.a, plan.spare)
+        tracemalloc.start()
+        try:
+            hermitian_part(a, plan.a, plan.spare)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        plan.busy.release()
+    assert peak < 1024
+
+
 def test_ldl_verdict_peaks_at_about_two_matrices():
     import tracemalloc
 
@@ -502,6 +522,16 @@ def test_the_elimination_pivot_is_the_verdict_pivot(n, deficiency, move, offset,
     assert res.shift == oracles.ldl_eliminate_unplanned(g, tol)[2]
     assert pivot == res.pivot
     assert (pivot is None) == res.psd
+
+
+@pytest.mark.parametrize("tol, error", [
+    (float("nan"), ValueError), (-1.0, ValueError), (-1e-300, ValueError),
+    (float("inf"), ValueError), ("1e-9", TypeError), (True, TypeError),
+])
+def test_ldl_verdict_refuses_a_tol_that_is_negative_or_not_finite(tol, error):
+    with pytest.raises(error, match="^tol must be "):
+        ldl_verdict(np.eye(2), tol)
+    assert ldl_verdict(np.eye(2), 0.0).psd
 
 
 def test_ldl_verdict_on_small_matrices():

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 from contextlib import contextmanager, nullcontext
 from unittest import mock
@@ -24,6 +26,7 @@ from kernelcalc.expr import (
     Curvature,
     DiagonalSeries,
     JetKernel,
+    KernelExpr,
     LogHessian,
     Pow,
     Product,
@@ -43,7 +46,7 @@ from kernelcalc.geometry import (
     unit_disc,
 )
 from kernelcalc import jets
-from kernelcalc.parser import parse_kernel
+from kernelcalc.parser import _NODES, parse_kernel
 from kernelcalc.positivity import gram
 from oracles import (fd_jet_table_per_term, full_tables, hessian_per_entry,
                      jet_kernel_per_entry)
@@ -477,6 +480,16 @@ def test_overflowing_values_raise_evaluation_errors():
         Curvature(bergman_ball(2), 5e299, 5e299).eval(z, z)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("pow(szego_disc(), 1e999)", "exp argument is not finite"),
+    ("log_hessian(diagonal_series([1e999]))", "log argument is not finite"),
+])
+def test_a_jet_that_is_not_finite_is_named_once(text, message):
+    with pytest.raises(EvaluationError) as exc:
+        parse_kernel(text).eval(0.1, 0.1)
+    assert str(exc.value) == f"{message} at pair (((0.1+0j),), ((0.1+0j),))"
+
+
 @contextmanager
 def _recording_balance_checks():
     """Collect (coefficients, m, nz, nw, answer) of every balance check made
@@ -745,3 +758,60 @@ def test_records_that_hold_arrays_compare_by_identity_and_hash():
     for a, b in twins():
         assert a == a and a != b and not (a == b)
         assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
+#: each node class, the keyword arguments of one instance, its repr and the
+#: signature of its constructor
+_NODE_CONTRACTS = [
+    (SzegoDisc, {}, "SzegoDisc()", "() -> None"),
+    (BallPower, {"dim": 2.0, "lam": 3.0}, "BallPower(dim=2, lam=3.0)",
+     "(dim: 'int', lam: 'float') -> None"),
+    (DiagonalSeries, {"coefficients": [0.5, 1]}, "DiagonalSeries(coefficients=(0.5, 1.0))",
+     "(coefficients: 'tuple[float, ...]') -> None"),
+    (Pow, {"child": SzegoDisc(), "t": 0.5}, "Pow(child=SzegoDisc(), t=0.5)",
+     "(child: 'KernelExpr', t: 'float') -> None"),
+    (Product, {"left": SzegoDisc(), "right": BallPower(1, 2.0)},
+     "Product(left=SzegoDisc(), right=BallPower(dim=1, lam=2.0))",
+     "(left: 'KernelExpr', right: 'KernelExpr') -> None"),
+    (Sum, {"left": LogHessian(BallPower(2, 3.0)), "right": BallCurvature(2, 3.0)},
+     "Sum(left=LogHessian(child=BallPower(dim=2, lam=3.0)), right=BallCurvature(dim=2, lam=3.0))",
+     "(left: 'KernelExpr', right: 'KernelExpr') -> None"),
+    (Scale, {"child": BallCurvature(2, 3.0), "factor": 2.0},
+     "Scale(child=BallCurvature(dim=2, lam=3.0), factor=2.0)",
+     "(child: 'KernelExpr', factor: 'float') -> None"),
+    (Tensor, {"left": SzegoDisc(), "right": DiagonalSeries([0.5])},
+     "Tensor(left=SzegoDisc(), right=DiagonalSeries(coefficients=(0.5,)))",
+     "(left: 'KernelExpr', right: 'KernelExpr') -> None"),
+    (LogHessian, {"child": BallPower(2, 3.0)}, "LogHessian(child=BallPower(dim=2, lam=3.0))",
+     "(child: 'KernelExpr') -> None"),
+    (Curvature, {"child": BallPower(2, 3.0), "alpha": 1.0, "beta": 1.0},
+     "Curvature(child=BallPower(dim=2, lam=3.0), alpha=1.0, beta=1.0)",
+     "(child: 'KernelExpr', alpha: 'float', beta: 'float') -> None"),
+    (JetKernel, {"k1": SzegoDisc(), "k2": BallPower(1, 2.0), "order": 2},
+     "JetKernel(k1=SzegoDisc(), k2=BallPower(dim=1, lam=2.0), order=2)",
+     "(k1: 'KernelExpr', k2: 'KernelExpr', order: 'int') -> None"),
+    (BallCurvature, {"dim": 3, "lam": 4.5}, "BallCurvature(dim=3, lam=4.5)",
+     "(dim: 'int', lam: 'float') -> None"),
+]
+
+
+def test_every_node_class_has_its_contract_pinned():
+    assert {cls for cls, *_ in _NODE_CONTRACTS} == set(KernelExpr.__subclasses__())
+
+
+@pytest.mark.parametrize("cls, kwargs, text, signature", _NODE_CONTRACTS,
+                         ids=[cls.__name__ for cls, *_ in _NODE_CONTRACTS])
+def test_each_node_is_the_frozen_dataclass_of_its_args(cls, kwargs, text, signature):
+    node = cls(**kwargs)
+    assert repr(node) == text
+    assert str(inspect.signature(cls)) == signature
+    names = [name for name, _ in cls.args]
+    assert [f.name for f in dataclasses.fields(cls)] == names == list(kwargs)
+    assert _NODES[cls.dsl_name] == (cls, tuple(kind for _, kind in cls.args))
+    for name in [*names, "dsl_name"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, getattr(node, name))
+    # equal and hashed by the DSL: positionally, and through the printer and parser
+    for twin in (cls(*kwargs.values()), parse_kernel(node.to_dsl())):
+        assert twin is not node and twin == node and hash(twin) == hash(node)
+        assert repr(twin) == text
