@@ -268,7 +268,7 @@ class JetTable:
 _KINDS = {
     "expr": ("a kernel expression", lambda v: isinstance(v, KernelExpr), None, KernelExpr.to_dsl,
              "KernelExpr"),
-    "num": ("a numeric", is_real, None, lambda v: repr(float(v)), "float"),  # printed as its repr
+    "num": ("a numeric", is_real, float, repr, "float"),
     "int": ("an integer", is_integral, int, str, "int"),
     "list": ("a coefficient list",
              lambda v: isinstance(v, (list, tuple, np.ndarray)) and all(map(is_real, v)),
@@ -284,7 +284,12 @@ def _of_kind(kind: str, value, node: str, field: str):
     what, has_kind, store, *_ = _KINDS[kind]
     if not has_kind(value):
         raise ShapeError(f"{node}: expected {what} argument for {field}, got {value!r}")
-    return value if store is None else store(value)
+    if store is None:
+        return value
+    try:
+        return store(value)
+    except OverflowError:
+        raise ShapeError(f"{node}: {field} holds a number past the float range") from None
 
 
 def _scalar(jet: Jet) -> Jet:
@@ -371,7 +376,7 @@ class BallPower(KernelExpr):
 def bergman_ball(m: int) -> BallPower:
     """Bergman kernel of the unit ball, (1 - <z,w>)^{-(m+1)}."""
     m = _of_kind("int", m, "bergman_ball", "m")
-    return BallPower(m, float(m + 1))
+    return BallPower(m, m + 1)
 
 
 def bergman_disc() -> BallPower:

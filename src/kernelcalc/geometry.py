@@ -94,12 +94,18 @@ def point_array(points, m: int) -> np.ndarray:
 
 
 def _check_numeric(rows, m: int) -> None:
-    """Refuse the first row with a coordinate that is not a number or is a bool."""
+    """Refuse the first row with a coordinate that is not a number, is a
+    bool or lies past the float range."""
     for i, row in enumerate(rows):
-        if not all(isinstance(c, numbers.Number) and not isinstance(c, bool)
-                   for c in np.asarray(row, dtype=object).ravel()):
+        coords = np.asarray(row, dtype=object).ravel()
+        if not all(isinstance(c, numbers.Number) and not isinstance(c, bool) for c in coords):
             raise DomainError(
                 f"expected points of C^{m} with numeric coordinates, got row {i}: {row!r}")
+        try:
+            coords.astype(complex)
+        except OverflowError:
+            raise DomainError(
+                f"expected points of C^{m} within the float range, got row {i}") from None
 
 
 def in_unit_ball(points: np.ndarray) -> np.ndarray:

@@ -39,13 +39,15 @@ one pass over the pairs of one product, where summing the powers x, x^2,
 `_pair_sums`, over one pair table per total degree, flat over the Nz * Nw
 monomials, int32 indices sorted by output; an
 (m, nz, nw) table has C(2m + nz, 2m) * C(2m + nw, 2m) pairs, e.g. 44,100 at
-m = 3 and caps (4, 4), 213,444 at (5, 5) and 853,776 at (6, 6).  Tables of
-at most `_TABLE_BUDGET` pairs (65,536, about 0.5 MB) are cached; larger
-ones are rebuilt on each call, one degree at a time, so they never stay in
-memory.  The pairs are applied in runs of at most `_PRODUCT_CHUNK` entries
-of the broadcast batch times the pairs, so no temporary spans all pairs
-whatever the batch.  A product needs no degree order: it reads the runs of
-the whole cached table in one pass.  At caps (0, 0) there is no pair work.
+m = 3 and caps (4, 4), 213,444 at (5, 5) and 853,776 at (6, 6).  Each
+table is built once, whatever its size, and kept with its two cuts into
+runs, per degree (for pow, exp and log) and across degrees (for a
+product), in least-recently-used caches of `_KEPT_TABLES` entries each; a
+kept table and its product cut take about 16 bytes per pair.  The pairs
+are applied in runs of at most `_PRODUCT_CHUNK` entries of the broadcast
+batch times the pairs, so no temporary spans all pairs whatever the batch.
+A product needs no degree order: it reads the runs of the whole table in
+one pass.  At caps (0, 0) there is no pair work.
 
 Balanced jets.  At the origin a circular kernel has coefficients only at
 |a| = |b|.  A product or series reads this off its inputs: if every other
@@ -114,15 +116,6 @@ class _Group:
         product, left, right = (np.array(col, dtype=np.int32) for col in zip(*pairs))
         first = np.r_[0, np.cumsum(np.bincount(self.degrees[product], minlength=self.n + 1))]
         return left, right, product, self.degrees[left], first
-
-    @functools.cached_property
-    def degree_counts(self) -> np.ndarray:
-        """counts[d, e]: the pairs whose product has degree d and whose left
-        monomial has degree e."""
-        _, _, product, left_degree, _ = self.pair_arrays
-        counts = np.zeros((self.n + 1, self.n + 1), dtype=np.int64)
-        np.add.at(counts, (self.degrees[product], left_degree), 1)
-        return counts
 
     @functools.cache
     def embed(self, m: int, offset: int) -> np.ndarray:
@@ -428,23 +421,15 @@ class Jet:
 
 # -- per-degree pair tables of products and series ---------------------------
 
-#: pairs in one (m, nz, nw) pair table that may be cached (about 0.5 MB);
-#: a larger table is rebuilt on each call, one total degree at a time
-_TABLE_BUDGET = 1 << 16
+#: (m, nz, nw, balanced) pair tables kept, least recently used first out, and
+#: as many run cuts of each kind; a `sections` run reads 11 tables, 11
+#: per-degree cuts and 5 product cuts
+_KEPT_TABLES = 32
 
 
-@functools.cache
-def _pair_count(m: int, nz: int, nw: int, balanced: bool) -> int:
-    """Pairs in the (m, nz, nw) table, full or balanced."""
-    gz, gw = _group(m, nz), _group(m, nw)
-    if not balanced:
-        return len(gz.pair_arrays[0]) * len(gw.pair_arrays[0])
-    k = min(nz, nw) + 1
-    return int((gz.degree_counts[:k, :k] * gw.degree_counts[:k, :k]).sum())
-
-
-def _degree_tables(m: int, nz: int, nw: int, balanced: bool):
-    """Yield (D, out, left, right, starts) for each total degree D = 0 .. nz + nw.
+@functools.lru_cache(maxsize=_KEPT_TABLES)
+def _degree_tables(m: int, nz: int, nw: int, balanced: bool) -> list:
+    """(D, out, left, right, starts) for each total degree D = 0 .. nz + nw.
 
     Positions are flattened, i * Nw + j for z-monomial i and w-monomial j.
     `out` holds the output monomials of degree D; `left` and `right` list,
@@ -463,6 +448,7 @@ def _degree_tables(m: int, nz: int, nw: int, balanced: bool):
     (zl, zr, zk, zdeg, zfirst), (wl, wr, wk, wdeg, wfirst) = (
         _group(m, nz).pair_arrays, _group(m, nw).pair_arrays)
     nw_size = np.int32(_group(m, nw).size)
+    tables = []
     for degree in range(nz + nw + 1):
         if not balanced:
             blocks = [(dz, degree - dz) for dz in range(max(0, degree - nw), min(nz, degree) + 1)]
@@ -486,7 +472,8 @@ def _degree_tables(m: int, nz: int, nw: int, balanced: bool):
         keys = np.concatenate(keys)
         starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
         out = keys[starts].astype(np.intp)  # an int32 index is converted on each use
-        yield degree, out, np.concatenate(lefts), np.concatenate(rights), starts
+        tables.append((degree, out, np.concatenate(lefts), np.concatenate(rights), starts))
+    return tables
 
 
 def _runs(out, left, right, starts, max_pairs: int) -> list:
@@ -503,42 +490,22 @@ def _runs(out, left, right, starts, max_pairs: int) -> list:
     return runs
 
 
-@functools.cache
-def _cached_tables(m: int, nz: int, nw: int, balanced: bool) -> list:
-    return list(_degree_tables(m, nz, nw, balanced))
-
-
-@functools.cache
-def _cached_runs(m: int, nz: int, nw: int, max_pairs: int, balanced: bool) -> list:
+@functools.lru_cache(maxsize=_KEPT_TABLES)
+def _degree_runs(m: int, nz: int, nw: int, max_pairs: int, balanced: bool) -> list:
+    """(D, runs) per total degree D, for pow, exp and log."""
     return [(degree, _runs(*table, max_pairs))
-            for degree, *table in _cached_tables(m, nz, nw, balanced)]
+            for degree, *table in _degree_tables(m, nz, nw, balanced)]
 
 
-def _degree_runs(m: int, nz: int, nw: int, max_pairs: int, balanced: bool):
-    """(D, runs) per total degree: cached while the table fits the budget,
-    else built as it is consumed."""
-    if _pair_count(m, nz, nw, balanced) <= _TABLE_BUDGET:
-        return _cached_runs(m, nz, nw, max_pairs, balanced)
-    return ((degree, _runs(*table, max_pairs))
-            for degree, *table in _degree_tables(m, nz, nw, balanced))
-
-
-@functools.cache
-def _cached_product_runs(m: int, nz: int, nw: int, max_pairs: int, balanced: bool) -> list:
-    """The runs of the whole cached table, cut across its degrees."""
-    tables = _cached_tables(m, nz, nw, balanced)
+@functools.lru_cache(maxsize=_KEPT_TABLES)
+def _product_runs(m: int, nz: int, nw: int, max_pairs: int, balanced: bool) -> list:
+    """The runs of a product, which needs no degree order: the whole table
+    cut across its degrees."""
+    tables = _degree_tables(m, nz, nw, balanced)
     offsets = np.cumsum([0] + [len(t[2]) for t in tables])
     out, left, right = (np.concatenate([t[k] for t in tables]) for k in (1, 2, 3))
     starts = np.concatenate([t[4] + offset for t, offset in zip(tables, offsets)])
     return _runs(out, left, right, starts, max_pairs)
-
-
-def _product_runs(m: int, nz: int, nw: int, max_pairs: int, balanced: bool):
-    """The runs of a product, which needs no degree order: cut over the
-    whole table while it fits the budget, else degree by degree as built."""
-    if _pair_count(m, nz, nw, balanced) <= _TABLE_BUDGET:
-        return _cached_product_runs(m, nz, nw, max_pairs, balanced)
-    return (run for _, runs in _degree_runs(m, nz, nw, max_pairs, balanced) for run in runs)
 
 
 @functools.cache

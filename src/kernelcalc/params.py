@@ -13,16 +13,26 @@ import operator
 #: largest m of rkhs.z2_tensor_e1_norm; its jets take memory of order m^4
 MAX_NORM_DIM = 16
 
+
+def _finite(value) -> bool:
+    """Whether a float holds the real `value` finite: an int past the float
+    range is not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 #: rule -> (int or float, test of the range, the range in words)
 RULES = {
-    "positive": (float, lambda v: 0 < v < math.inf, "positive and finite"),
-    "non_negative": (float, lambda v: 0 <= v < math.inf, "non-negative and finite"),
+    "positive": (float, lambda v: v > 0 and _finite(v), "positive and finite"),
+    "non_negative": (float, lambda v: v >= 0 and _finite(v), "non-negative and finite"),
     "positive_int": (int, lambda v: v > 0, "a positive integer"),
     "non_negative_int": (int, lambda v: v >= 0, "a non-negative integer"),
     "seed": (int, lambda v: 0 <= v < 2**64, "an integer of 64 bits, in [0, 2^64)"),
     "radius": (float, lambda v: 0 < v < 1, "in (0, 1)"),
     "norm_dim": (int, lambda v: 2 <= v <= MAX_NORM_DIM, f"an integer in 2 .. {MAX_NORM_DIM}"),
-    "finite": (float, math.isfinite, "finite"),
+    "finite": (float, _finite, "finite"),
 }
 
 

@@ -36,7 +36,7 @@ from .eig import hermitian_part, ldl_pivot, min_eigenvalue, tau
 from .errors import BracketError, EvaluationError, KernelCalcError, ShapeError
 from .expr import KernelExpr
 from .geometry import DomainSpec, Point, point_array, sample_array
-from .params import checked, is_real
+from .params import RULES, checked, is_real
 
 #: default relative PSD tolerance: psd iff min eig >= -tol * (1 + max diagonal)
 DEFAULT_TOL = 1e-9
@@ -411,7 +411,8 @@ def _check_interval(lo: float, hi: float) -> None:
     for name, value in (("t_lo", lo), ("t_hi", hi)):
         if not is_real(value):
             raise TypeError(f"{name} must be a real, got {value!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    finite = RULES["finite"][1]  # an int past the float range is not finite
+    if not (finite(lo) and finite(hi) and lo < hi):
         raise ValueError(f"the interval needs finite lo < hi, got [{lo}, {hi}]")
 
 

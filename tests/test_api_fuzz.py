@@ -31,28 +31,34 @@ def _integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _float(v) -> bool:
+    """A real that a float holds: an int past the float range is not one."""
+    return _real(v) and not (_integer(v) and abs(int(v)) >= 2**1024 - 2**970)
+
+
 def _point(v) -> bool:
     """A point of C^1: a number that is not a bool, or a sequence of one."""
     if isinstance(v, (list, tuple)):
         return len(v) == 1 and _point(v[0]) and not isinstance(v[0], (list, tuple))
-    return isinstance(v, (int, float, complex, np.number)) and not isinstance(v, bool)
+    return isinstance(v, (int, float, complex, np.number)) and not isinstance(v, bool) and (
+        not _integer(v) or _float(v))
 
 
 #: rule -> whether it accepts a value, written apart from the package's table
 ACCEPTS = {
-    "positive": lambda v: _real(v) and 0 < v < math.inf,
+    "positive": lambda v: _float(v) and 0 < v < math.inf,
     "positive_int": lambda v: _integer(v) and v > 0,
     "seed": lambda v: _integer(v) and 0 <= v < 2**64,
     "radius": lambda v: _real(v) and 0 < v < 1,
     "norm_dim": lambda v: _integer(v) and 2 <= v <= 16,
-    "finite": lambda v: _real(v) and math.isfinite(v),
+    "finite": lambda v: _float(v) and math.isfinite(v),
     "term": lambda v: False,  # no malformed value is a (coef, base, index, direction)
     "pair": lambda v: False,  # nor a (count, seed) entry of a point family
     "expr": lambda v: isinstance(v, kc.KernelExpr),
     "scalar": lambda v: isinstance(v, kc.KernelExpr),
-    "num": _real,
-    "int": lambda v: _real(v) and float(v).is_integer(),
-    "list": lambda v: isinstance(v, (list, tuple)) and all(map(_real, v)),
+    "num": _float,
+    "int": lambda v: _integer(v) or (_real(v) and float(v).is_integer()),
+    "list": lambda v: isinstance(v, (list, tuple)) and all(map(_float, v)),
     "point": _point,
     "points": lambda v: isinstance(v, (list, tuple)) and all(map(_point, v)),
 }
@@ -137,8 +143,8 @@ for _cls in (kc.BallCurvature, kc.BallPower, kc.Curvature, kc.DiagonalSeries, kc
 ENTRIES["bergman_ball"] = _node_entry(kc.bergman_ball, ["m"], ["int"])
 
 MALFORMED = st.sampled_from([
-    None, "1", "", True, False, 0, -1, 2**64, 2**64 - 1, 0.0, -0.0, 0.5, 1.5, 2.0, 1e-300,
-    1e300, math.nan, math.inf, -math.inf, 1j, [], [1.0], (1,), [True], np.float64(0.5),
+    None, "1", "", True, False, 0, -1, 2**64, 2**64 - 1, 10**400, 0.0, -0.0, 0.5, 1.5, 2.0,
+    1e-300, 1e300, math.nan, math.inf, -math.inf, 1j, [], [1.0], (1,), [True], np.float64(0.5),
     np.int64(3), np.float32(2.0), np.uint64(7), K, object(), "0.1", [None], [0.1, "0.2", 0.3],
     [[0.1]], [0.1j, 0.2, np.bool_(True)], b"0", (0.1, "0.2"),
 ]) | st.integers(-3, 40) | st.floats()
@@ -227,6 +233,13 @@ def test_every_entry_point_returns_at_its_valid_defaults():
     (lambda: kc.curvature_quasi_check(kc.bergman_disc(), 0.0, kc.MobiusMap((0.3,)),
                                       [(0.1, math.nan)]),
      DomainError, "pairs entry 0: w = ((nan+0j),) lies outside the unit ball"),
+    (lambda: kc.psd_check(K, DISC, 4, 0, 10**400), ValueError,
+     "tol must be positive and finite, got 1000"),
+    (lambda: kc.CocycleSpec("det_jacobian_power", -10**400), ValueError,
+     "t must be finite, got -1000"),
+    (lambda: kc.phi_gram(K, 1.0, 10**400, 0.1, 0.2), ValueError, "beta must be finite, got 1000"),
+    (lambda: kc.wallach_scan(kc.bergman_disc(), -10**400, 0.0, DISC, ((4, 1),)), ValueError,
+     "the interval needs finite lo < hi, got [-1000"),
 ])
 def test_malformed_scan_and_calculus_inputs_are_refused_by_name(call, error, words):
     with pytest.raises(error) as info:
@@ -272,6 +285,9 @@ def test_an_unsigned_integer_tolerance_gives_the_verdict_of_its_float():
      "expected points of C^2 with numeric coordinates, got row 1: (0.1, 0.2, 'x')"),
     (lambda: fd_relative_error(K, [None], 0.2, 1),
      "expected points of C^1 with numeric coordinates, got row 0: [None]"),
+    (lambda: K.eval(10**400, 0.2), "expected points of C^1 within the float range, got row 0"),
+    (lambda: kc.BallPower(2, 3.0).values([(0.1, 0.2), (0.1, -10**400)], [(0.1, 0.2)] * 2),
+     "expected points of C^2 within the float range, got row 1"),
 ])
 def test_points_that_are_not_numbers_are_refused_naming_the_row(call, words):
     with pytest.raises(DomainError) as info:

@@ -1,6 +1,8 @@
 import cmath
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,24 +381,6 @@ def test_coordinate_products_equal_the_products_of_the_seeds(m, nz, nw, batch, s
         assert np.array_equal(diagonal.coeffs[..., i, :, :], full.coeffs[..., i, i, :, :])
 
 
-@pytest.mark.parametrize("m, nz, nw, batch", [(1, 6, 5, (2,)), (2, 4, 3, ()), (3, 4, 4, (2, 2))])
-def test_series_tables_rebuilt_per_call_give_the_cached_results(monkeypatch, m, nz, nw, batch):
-    rng = np.random.default_rng(7)
-    shape = batch + (math.comb(m + nz, m), math.comb(m + nw, m))
-    c = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    c[..., 0, 0] = 1.2
-    f = Jet(m, nz, nw, c)
-
-    g = Jet(m, nz, nw, 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
-
-    def series():
-        return [h.coeffs.tobytes() for h in (f ** -2.5, f ** 0.7, f.exp(), f.log(), f * g)]
-
-    cached = series()
-    monkeypatch.setattr(jets, "_TABLE_BUDGET", 0)
-    assert series() == cached
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     m=st.integers(1, 3),
@@ -463,8 +447,6 @@ def test_balanced_tables_are_the_full_tables_filtered(m, nz, nw):
         want = (out[keep_out], left[keep], right[keep], kept_starts)
         for got, expected in zip(tables[degree], want, strict=True):
             assert np.array_equal(got, expected)
-    counts = sum(len(left) for _, left, _, _ in tables.values())
-    assert jets._pair_count(m, nz, nw, True) == counts
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -473,7 +455,6 @@ def test_each_group_keeps_the_pair_table_built_by_sorting(m):
         group, table = jets._group(m, n), pair_table_by_sorting(jets._group(m, n))
         for got, want in zip(group.pair_arrays, table, strict=True):
             assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert jets._pair_count(m, n, n, False) == len(table[0]) ** 2
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -493,11 +474,78 @@ def test_degree_tables_equal_those_of_the_pair_tables_built_by_sorting(m, monkey
                 got = list(jets._degree_tables(m, nz, nw, balanced))
                 with monkeypatch.context() as patch:
                     patch.setattr(jets, "_group", sorted_group)
-                    want = list(jets._degree_tables(m, nz, nw, balanced))
+                    # the kept tables are the package's own: build afresh
+                    want = jets._degree_tables.__wrapped__(m, nz, nw, balanced)
                 for got_table, want_table in zip(got, want, strict=True):
                     assert got_table[0] == want_table[0]
                     for a, b in zip(got_table[1:], want_table[1:], strict=True):
                         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+_PAIR_CACHES = (jets._degree_tables, jets._degree_runs, jets._product_runs)
+
+
+def _random_jet(rng, m, nz, nw, scale=0.1):
+    shape = (math.comb(m + nz, m), math.comb(m + nw, m))
+    c = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    c[0, 0] = 1.2
+    return Jet(m, nz, nw, c)
+
+
+def test_a_pair_table_is_built_once():
+    # m = 2 at caps (8, 8): 245,025 pairs, read by two powers and a product
+    for cache in _PAIR_CACHES:
+        cache.cache_clear()
+    f = _random_jet(np.random.default_rng(5), 2, 8, 8, scale=0.05)
+    first = (f ** 0.7).coeffs
+    assert np.array_equal((f ** 0.7).coeffs, first)
+    f * f
+    assert sum(len(left) for _, _, left, _, _ in jets._degree_tables(2, 8, 8, False)) == 245_025
+    assert jets._degree_tables.cache_info().misses == 1
+    assert jets._degree_runs.cache_info().misses == 1
+    assert jets._product_runs.cache_info().misses == 1
+
+
+def test_the_pair_caches_keep_at_most_their_bound():
+    for cache in _PAIR_CACHES:
+        cache.cache_clear()
+    rng = np.random.default_rng(9)
+    caps = [(nz, nw) for nz in range(7) for nw in range(7) if nz or nw]
+    assert len(caps) > jets._KEPT_TABLES
+    f = {cap: _random_jet(rng, 1, *cap) for cap in caps}
+
+    def results(cap):
+        return [h.coeffs.tobytes() for h in (f[cap] ** -2.5, f[cap].log(), f[cap] * f[cap])]
+
+    first = results(caps[0])
+    for cap in caps[1:]:
+        results(cap)
+    for cache in _PAIR_CACHES:
+        assert cache.cache_info().misses == len(caps)
+        assert cache.cache_info().currsize <= jets._KEPT_TABLES
+    # the first caps' tables were dropped; built again, they give the same bits
+    assert results(caps[0]) == first
+    assert jets._degree_tables.cache_info().misses == len(caps) + 1
+
+
+def _load_references():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "references.py"
+    spec = importlib.util.spec_from_file_location("perfbench_references", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_deep_table_matches_the_power_series_reference():
+    # m = 2 at caps (8, 8) off the origin: the full 245,025-pair table, built
+    # by the first call and read from the cache by the second
+    lam, z, w = 3.5, np.array([0.1, 0.05j]), np.array([0.05, 0.1j])
+    rows = graded_lex_tuples(2, 8)
+    table = _load_references().ball_power_table(2, lam, z, w, rows, rows)
+    want = np.array([[table[i, j] for j in rows] for i in rows])
+    for _ in range(2):
+        got = BallPower(2, lam).jets(z[None], w[None], 8, 8).derivatives()[0, 0, 0]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
 
 def _balanced_jet(rng, m, nz, nw, batch, integers=False):
@@ -559,17 +607,3 @@ def test_the_balance_check_reads_every_coefficient_off_balance():
         f = Jet.constant(1.0, 2, 2, 2)
         f.coeffs[3, 1] = bad
         assert not _read_balanced(f)
-
-
-@pytest.mark.parametrize("m, nz, nw, batch", [(1, 6, 5, (2,)), (2, 4, 3, ()), (3, 4, 4, (2, 2))])
-def test_balanced_tables_rebuilt_per_call_give_the_cached_results(monkeypatch, m, nz, nw, batch):
-    rng = np.random.default_rng(11)
-    f, g = (_balanced_jet(rng, m, nz, nw, batch) for _ in range(2))
-    assert _read_balanced(f) and _read_balanced(g)
-
-    def series():
-        return [h.coeffs.tobytes() for h in (f ** -2.5, f ** 0.7, f.exp(), f.log(), f * g)]
-
-    cached = series()
-    monkeypatch.setattr(jets, "_TABLE_BUDGET", 0)
-    assert series() == cached

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kernelcalc.errors import ParseError, ShapeError
-from kernelcalc.expr import (MAX_DEPTH, BallPower, DiagonalSeries, JetKernel, Pow, Scale,
-                             SzegoDisc)
+from kernelcalc.expr import (MAX_DEPTH, BallCurvature, BallPower, Curvature, DiagonalSeries,
+                             JetKernel, Pow, Scale, SzegoDisc, bergman_ball)
 from kernelcalc.geometry import unit_disc
 from kernelcalc.parser import _NODES, parse_kernel
 from kernelcalc.positivity import psd_check
@@ -121,6 +121,15 @@ def test_an_argument_of_the_wrong_kind_is_refused_naming_the_node_and_field(
     (lambda: BallPower(float("inf"), 1.0),
      "ball_power: expected an integer argument for dim, got inf"),
     (lambda: DiagonalSeries(x for x in [1.0]), "diagonal_series: expected a coefficient list"),
+    (lambda: BallPower(2, 10**400), "ball_power: lam holds a number past the float range"),
+    (lambda: Pow(SzegoDisc(), 10**400), "pow: t holds a number past the float range"),
+    (lambda: Scale(SzegoDisc(), 10**400), "scale: factor holds a number past the float range"),
+    (lambda: Curvature(SzegoDisc(), 1.0, -10**400),
+     "curvature: beta holds a number past the float range"),
+    (lambda: BallCurvature(2, 10**400), "ball_curvature: lam holds a number past the float range"),
+    (lambda: DiagonalSeries([0.5, 10**400]),
+     "diagonal_series: coefficients holds a number past the float range"),
+    (lambda: bergman_ball(10**400), "ball_power: lam holds a number past the float range"),
 ])
 def test_api_probes_of_the_wrong_kind_are_shape_errors(build, message):
     with pytest.raises(ShapeError, match=f"^{re.escape(message)}"):
@@ -135,6 +144,11 @@ def test_a_count_that_is_a_bool_is_a_type_error_naming_it():
 def test_integral_reals_are_stored_as_ints_and_lists_as_float_tuples():
     expr = BallPower(np.int64(2), 3)
     assert type(expr.dim) is int and expr == BallPower(2.0, 3.0) == parse_kernel("ball_power(2, 3)")
+    # a numeric is the float the DSL prints and parses back
+    for node in (expr, Pow(SzegoDisc(), np.float32(0.3)), Scale(SzegoDisc(), np.uint8(2)),
+                 Curvature(expr, 1, np.float16(0.5))):
+        assert repr(parse_kernel(node.to_dsl())) == repr(node)
+        assert all(type(getattr(node, name)) is float for name, kind in node.args if kind == "num")
     series = DiagonalSeries(np.array([1, 2]))
     assert series.coefficients == (1.0, 2.0) and type(series.coefficients[0]) is float
 
