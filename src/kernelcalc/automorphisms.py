@@ -38,22 +38,32 @@ class MobiusMap:
     unitary: np.ndarray | None = None
 
     def __init__(self, a, unitary=None):
-        a = tuple(complex(c) for c in a)
-        if not a:
+        try:
+            m = len(a)
+        except TypeError:  # a scalar is a point of C^1
+            m = 1
+        if not m:
             raise ShapeError("base point needs at least one coordinate")
+        try:
+            a = tuple(point_array([a], m)[0].tolist())
+        except DomainError:
+            raise DomainError(f"base point is not a point of C^{m}, got {a!r}") from None
         norm2 = sum(abs(c) ** 2 for c in a)
         if not math.sqrt(norm2) < 1:  # NaN compares false
             raise DomainError("base point must lie inside the unit ball")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "_norm2", norm2)
         object.__setattr__(self, "_s", math.sqrt(1 - norm2))
-        m = len(a)
         if unitary is None:
             u = np.eye(m, dtype=complex)
         else:
-            u = np.array(unitary, dtype=complex)
-            if u.shape != (m, m):
-                raise ShapeError("unitary factor has the wrong shape")
+            try:
+                u = np.array(unitary, dtype=complex)
+            except (TypeError, ValueError, OverflowError):
+                u = None
+            if u is None or u.shape != (m, m):
+                raise ShapeError(f"unitary factor must be a numeric {m} x {m} array, "
+                                 f"got {unitary!r}")
             if not np.isfinite(u).all() or np.max(np.abs(u @ u.conj().T - np.eye(m))) > 1e-10:
                 raise ShapeError("factor is not unitary")
         object.__setattr__(self, "unitary", u)

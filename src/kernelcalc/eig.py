@@ -465,9 +465,7 @@ def ldl_pivot(n: int, fill, tol: float) -> int | None:
     plan = _checkout(n)
     try:
         fill(plan.a)
-        # |G|_F^2 is finite unless an entry is not, or G is past 1e154; BLAS
-        # sums it without numpy's floating-point warnings
-        if not math.isfinite(np.vdot(plan.flat, plan.flat).real) and not np.isfinite(plan.flat).all():
+        if not np.isfinite(plan.flat).all():
             raise EvaluationError("matrix has non-finite entries")
         return _eliminate(plan, tol)[0]
     finally:

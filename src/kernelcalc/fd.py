@@ -30,6 +30,7 @@ import numpy as np
 from .errors import DomainError
 from .expr import JetTable, KernelExpr, _coords
 from .geometry import graded_lex_tuples, point_array
+from .params import checked
 
 _RADIUS = 0.02  # radius of the torus
 
@@ -77,8 +78,10 @@ def _fd_derivatives(expr: KernelExpr, z, w, order: int) -> np.ndarray:
 
 
 def fd_jet_table(expr: KernelExpr, z, w, order: int) -> JetTable:
-    """The mixed derivatives up to `order` per group, from the torus; a pair
-    whose torus leaves the domain is refused (DomainError)."""
+    """The mixed derivatives up to `order` per group, from the torus; an
+    order that is not a non-negative integer is refused as in `eval_jets`,
+    and a pair whose torus leaves the domain (DomainError)."""
+    order = checked("non_negative_int", order, "order")
     return JetTable(order, expr.m, expr.size, _fd_derivatives(expr, z, w, order))
 
 

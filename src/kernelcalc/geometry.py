@@ -11,7 +11,6 @@ Domains are the disc, the ball and the polydisc, each with the radius that
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -27,9 +26,10 @@ DEFAULT_SAMPLE_RADIUS = 0.8
 #: most attempts `sample_array` draws at once (2m doubles each)
 _MAX_CHUNK = 1 << 16
 
-#: most attempts `sample_array` expects to need for one call (count * m!
-#: on the ball); enough for 40 points of the ball of C^8
-_MAX_ATTEMPTS = 1 << 21
+#: most coordinates `sample_array` expects to draw for one call: count * m
+#: on the disc and the polydisc, count * m! * m on the ball; enough for 40
+#: points of the ball of C^8
+_MAX_COORDINATES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -196,6 +196,25 @@ def polydisc(m: int, sample_radius: float = DEFAULT_SAMPLE_RADIUS) -> DomainSpec
     return DomainSpec("polydisc", m, sample_radius)
 
 
+def _attempts_per_point(domain: DomainSpec, count: int) -> int:
+    """The attempts `sample_array` expects to draw per point: m! on the ball,
+    which keeps 1/m! of them (its volume over the polydisc's), and 1
+    elsewhere.  A call expected to draw more than _MAX_COORDINATES
+    coordinates is refused (ValueError), and m! is not computed past that."""
+    m = domain.dim
+    drawn, per_point = count * m, 1
+    if domain.kind == "unit-ball":
+        for k in range(2, m + 1):
+            if drawn * per_point > _MAX_COORDINATES:
+                break
+            per_point *= k
+    if drawn * per_point > _MAX_COORDINATES:
+        raise ValueError(
+            f"sampling {count} point(s) of the {domain.kind.replace('-', ' ')} of C^{m} "
+            f"draws more coordinates than the budget of {_MAX_COORDINATES}")
+    return per_point
+
+
 def sample_array(domain: DomainSpec, count: int, seed: int = 0) -> np.ndarray:
     """Draw `count` points of the closed sub-domain of radius sample_radius: a (count, m) array.
 
@@ -204,27 +223,21 @@ def sample_array(domain: DomainSpec, count: int, seed: int = 0) -> np.ndarray:
     for the unit ball, attempts are rejected until the Euclidean norm is
     within the radius.  Attempts are drawn in chunks, in the order of a loop
     over single attempts.  `seed` is any integer in [0, 2^64), numpy integers
-    included; equal seeds give bitwise-identical points.  A ball request
-    expected to need more than _MAX_ATTEMPTS attempts is refused with a
-    ValueError.
+    included; equal seeds give bitwise-identical points.  A request expected
+    to draw more than _MAX_COORDINATES coordinates is refused with a
+    ValueError before anything is drawn (`_attempts_per_point`).
     """
     count = checked("positive_int", count, "count")
     seed = checked("seed", seed, "seed")
+    attempts_per_point = _attempts_per_point(domain, count)
     rng = np.random.default_rng(seed)
     r = domain.sample_radius
     m = domain.dim
     ball = domain.kind == "unit-ball"
-    # the ball keeps 1/m! of the attempts (its volume over the polydisc's)
-    attempts_per_point = math.factorial(m) if ball else 1
-    if ball and count * attempts_per_point > _MAX_ATTEMPTS:
-        raise ValueError(
-            f"sampling {count} point(s) of the unit ball of C^{m} needs about "
-            f"{count * attempts_per_point} attempts, over the budget of {_MAX_ATTEMPTS}"
-        )
     chunks = []
     need = count
-    while need > 0:
-        n = min(need * attempts_per_point * 5 // 4 + 8, _MAX_CHUNK)
+    while need > 0:  # only the ball rejects, so only it draws spare attempts
+        n = min(need * attempts_per_point * 5 // 4 + 8 if ball else need, _MAX_CHUNK)
         u = rng.random((n, 2, m))
         z = r * np.sqrt(u[:, 0]) * np.exp(1j * (2 * np.pi * u[:, 1]))
         if ball:  # the operations of np.linalg.norm(z, axis=1), inline

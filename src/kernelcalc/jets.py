@@ -178,10 +178,7 @@ def _off_balance(m: int, nz: int, nw: int) -> np.ndarray:
 
 def _balanced(coeffs: np.ndarray, m: int, nz: int, nw: int) -> bool:
     """Whether every coefficient (a, b) with |a| != |b| is exactly 0, in
-    every batch entry.  The row (0, b) and the column (a, 0), nonzero at
-    every pair off the origin, are looked at first."""
-    if np.count_nonzero(coeffs[..., 0, 1:]) or np.count_nonzero(coeffs[..., 1:, 0]):
-        return False
+    every batch entry."""
     flat = coeffs.reshape(coeffs.shape[:-2] + (coeffs.shape[-2] * coeffs.shape[-1],))
     return not np.count_nonzero(flat.take(_off_balance(m, nz, nw), axis=-1))
 

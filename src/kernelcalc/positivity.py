@@ -17,9 +17,9 @@ place, `gram_families`: one (n, m) point array per (count, seed), the pairs
 of all arrays in one batch of jets.  Each t then costs one broadcast
 product per family and one left-looking elimination, judged by
 `families_pass`; every family's Gram is Hermitian bit for bit, so it is
-eliminated as it is formed.  A multiplier callable gets each point as a
-length-m complex row, which indexes like a `Point`, and gives one complex
-number.
+eliminated as it is formed.  A coordinate multiplier is a column of the
+sampled points; a callable gets each point as a length-m complex row, which
+indexes like a `Point`, and must give one complex number there.
 """
 
 from __future__ import annotations
@@ -52,6 +52,10 @@ BOUND_RESOLUTION = 0.01
 
 #: multiplier_bound gives up when no c up to this one certifies
 MAX_BOUND = 10.0
+
+#: widest Gram (n points times k x k blocks) that is sampled or assembled:
+#: a 2048-wide `szego_disc()` report takes about 11 s and 0.4 GB
+MAX_GRAM_WIDTH = 2048
 
 
 @dataclass(frozen=True)
@@ -179,9 +183,19 @@ def _pairwise(point_sets, values_of) -> list:
     return result
 
 
+def _check_width(n: int, k: int) -> None:
+    """Refuse a Gram of n points with k x k blocks wider than MAX_GRAM_WIDTH
+    (ValueError naming n, k and the bound)."""
+    if n * k > MAX_GRAM_WIDTH:
+        raise ValueError(f"a Gram of {n} points with {k} x {k} blocks is {n * k} wide, "
+                         f"over the bound of {MAX_GRAM_WIDTH}")
+
+
 def gram(expr: KernelExpr, points) -> np.ndarray:
     """Block Gram matrix with block (p, q) = eval(expr, z_p, z_q), Hermitian."""
-    ((g,),) = _pairwise([point_array(points, expr.m)], lambda zs, ws: (expr.values(zs, ws),))
+    pts = point_array(points, expr.m)
+    _check_width(len(pts), expr.size)
+    ((g,),) = _pairwise([pts], lambda zs, ws: (expr.values(zs, ws),))
     return g
 
 
@@ -198,11 +212,13 @@ def _verdict(g: np.ndarray, tol: float) -> tuple[float, float, bool]:
     return mineig, maxdiag, mineig >= -tau(tol, maxdiag)  # no negative unsigned tol
 
 
-def _sampled_report(label: str, m: int, gram_of, domain, n, seed, tol) -> GramReport:
-    """Sample a point family, assemble its Gram matrix and certify it."""
+def _sampled_report(label: str, expr: KernelExpr, gram_of, domain, n, seed, tol) -> GramReport:
+    """Sample a point family for expr's Gram, assemble it with gram_of and
+    certify it; a Gram too wide to hold is refused before sampling."""
     n = checked("positive_int", n, "n")
     checked("positive", tol, "tol")
-    pts = _sample(domain, m, n, seed)
+    _check_width(n, expr.size)
+    pts = _sample(domain, expr.m, n, seed)
     g = gram_of(pts)
     mineig, maxdiag, psd = _verdict(g, tol)
     return GramReport(
@@ -225,7 +241,7 @@ def psd_check(
     tol: float = DEFAULT_TOL,
 ) -> GramReport:
     """Sample a point family and certify the Gram matrix eigenvalue verdict."""
-    return _sampled_report(expr.to_dsl(), expr.m, lambda pts: gram(expr, pts),
+    return _sampled_report(expr.to_dsl(), expr, lambda pts: gram(expr, pts),
                            domain, n, seed, tol)
 
 
@@ -247,7 +263,7 @@ def kernel_order_check(
                                 lambda zs, ws: (k2.values(zs, ws), k1.values(zs, ws)))
         return g2 - g1
 
-    return _sampled_report(f"difference({k2.to_dsl()}, {k1.to_dsl()})", k1.m,
+    return _sampled_report(f"difference({k2.to_dsl()}, {k1.to_dsl()})", k1,
                            difference_gram, domain, n, seed, tol)
 
 
@@ -280,9 +296,12 @@ class _CurvatureFamilyGram:
 
 
 def _family_pairs(family) -> tuple:
-    """`family` as a tuple of (count, seed) pairs of ints, refusing an entry
-    that is not a pair, or whose count or seed breaks its rule, with a
-    ShapeError naming it."""
+    """`family` as a tuple of (count, seed) pairs of ints, refusing a family
+    that is not a sequence, and an entry that is not a pair or whose count
+    or seed breaks its rule, with a ShapeError naming it."""
+    if not np.iterable(family):
+        raise ShapeError(f"the point family is not a sequence of (count, seed) pairs, "
+                         f"got {family!r}")
     pairs = []
     for i, entry in enumerate(family):
         try:
@@ -296,16 +315,19 @@ def _family_pairs(family) -> tuple:
     return tuple(pairs)
 
 
-def gram_families(expr: KernelExpr, domain: DomainSpec, family, values_of, family_of) -> list:
-    """One parametric Gram family per (count, seed) of `family`, refusing an
-    empty family (ValueError), a malformed entry or a domain outside C^m
-    (ShapeError) before sampling.  The pairs of all point sets go
-    through one `_pairwise` batch of values_of; family_of((n, m) points,
-    *nk x nk matrices) returns (B, M), where M(t) o B is Hermitian bit for
-    bit."""
+def gram_families(expr: KernelExpr, domain: DomainSpec, family, k: int, values_of,
+                  family_of) -> list:
+    """One parametric Gram family of k x k blocks per (count, seed) of
+    `family`, refusing an empty family or a Gram too wide to hold
+    (ValueError), a malformed entry or a domain outside C^m (ShapeError)
+    before sampling.  The pairs of all point sets go through one
+    `_pairwise` batch of values_of; family_of((n, m) points, *nk x nk
+    matrices) returns (B, M), where M(t) o B is Hermitian bit for bit."""
     family = _family_pairs(family)
     if not family:
         raise ValueError("the point family is empty: it needs at least one (count, seed)")
+    for n, _ in family:
+        _check_width(n, k)
     sets = [_sample(domain, expr.m, n, s) for n, s in family]
     outs = _pairwise(sets, values_of)
     return [
@@ -339,70 +361,60 @@ def _wallach_families(base: KernelExpr, domain: DomainSpec, family) -> list:
     on the continuous log branch, which equals pow(base, t) pairwise exactly;
     one caps-(1, 1) log jet gives the blocks and log K, bit for bit."""
     _check_scalar_base(base, "wallach_scan")
-    return gram_families(base, domain, family, base.log_hessian_values,
+    return gram_families(base, domain, family, base.m, base.log_hessian_values,
                          lambda pts, logk, hess: (hess, lambda t: np.exp(t * logk)))
 
 
 def _power_families(base: KernelExpr, domain: DomainSpec, family) -> list:
     """t -> K^t per (count, seed), as in `_wallach_families`, all blocks ones."""
     _check_scalar_base(base, "ordinary_wallach_scan")
-    return gram_families(base, domain, family,
+    return gram_families(base, domain, family, 1,
                          lambda zs, ws: (base.values(zs, ws, log=True),),
                          lambda pts, logk: (np.ones(logk.shape), lambda t: np.exp(t * logk)))
 
 
-def _one_number(v, i: int, p) -> complex:
-    """The multiplier's value v at point i (the row p) as one complex, a
-    one-element array counting as one; any other value is refused
-    (ShapeError naming the point)."""
-    try:
-        one = np.asarray(v).item()
-    except ValueError:  # a vector, an empty or a ragged value
-        one = None
-    if not isinstance(one, numbers.Number):
-        raise ShapeError("the multiplier must give one complex number at point "
-                         f"{i} {tuple(map(complex, p))}, got {v!r}")
-    try:
-        return complex(one)
-    except OverflowError:  # an int past the float range
-        return complex(math.inf)
-
-
 def _multiplier_values(func, pts) -> np.ndarray:
-    """func at each row of pts, one complex number per point (`_one_number`),
-    refusing a value whose |f|^2 is not finite (EvaluationError naming the
-    point) without a floating-point warning."""
-    raw = [func(p) for p in pts]
-    try:  # one array of numbers, when every value is one number
-        vals = np.array(raw)
-    except ValueError:  # values of different shapes
-        vals = np.empty(0)
-    if vals.size != len(raw) or vals.dtype.kind not in "biufc":
-        vals = np.array([_one_number(v, i, p) for i, (v, p) in enumerate(zip(raw, pts))])
-    vals = vals.astype(complex, copy=False).reshape(-1)
-    # the sum of |f|^2 is finite unless some |f|^2 is not or the sum
-    # overflows; BLAS sums it without numpy's floating-point warnings
-    if not math.isfinite(np.vdot(vals, vals).real):
-        for i, z in enumerate(vals.tolist()):
-            if not math.isfinite(z.real * z.real + z.imag * z.imag):
-                raise EvaluationError("the multiplier's |f|^2 is not finite at point "
-                                      f"{i} {tuple(map(complex, pts[i]))}, f = {raw[i]!r}")
-    return vals
+    """func at each row of pts, one complex number per point, a one-element
+    array counting as one.  The first point whose value is not one number
+    (ShapeError) or whose |f|^2, taken in Python floats and so without a
+    floating-point warning, is not finite (EvaluationError) is named, and
+    func is not called on the points after it."""
+    vals = []
+    for i, p in enumerate(pts):
+        v = func(p)
+        try:
+            one = np.asarray(v).item()
+        except ValueError:  # a vector, an empty or a ragged value
+            one = None
+        if not isinstance(one, numbers.Number):
+            raise ShapeError("the multiplier must give one complex number at point "
+                             f"{i} {tuple(map(complex, p))}, got {v!r}")
+        try:
+            z = complex(one)
+        except OverflowError:  # an int past the float range
+            z = complex(math.inf)
+        if not math.isfinite(z.real * z.real + z.imag * z.imag):
+            raise EvaluationError("the multiplier's |f|^2 is not finite at point "
+                                  f"{i} {tuple(map(complex, p))}, f = {v!r}")
+        vals.append(z)
+    return np.array(vals)
 
 
-def multiplier_families(expr: KernelExpr, func, domain: DomainSpec, family, power=1) -> list:
+def multiplier_families(expr: KernelExpr, f, domain: DomainSpec, family, power=1) -> list:
     """c -> (c^2 - H)^power o K(z, w) per (count, seed), H = `hermitian_part`
-    of f(z) conj(f(w)), f = func on rows: the outer product is Hermitian
-    only up to rounding, and H bit for bit."""
+    of f(z) conj(f(w)), f as `_as_function` reads it: the outer product is
+    Hermitian only up to rounding, and H bit for bit."""
+    values_at = _as_function(f, expr.m)[0]
 
     def family_of(pts, k):
-        vals = _multiplier_values(func, pts)
+        vals = values_at(pts)
         h = hermitian_part(np.outer(vals, vals.conj()))
         if power == 1:  # a complex ** 1 costs three times the subtraction
             return k, lambda c: c * c - h
         return k, lambda c: (c * c - h) ** power
 
-    return gram_families(expr, domain, family, lambda zs, ws: (expr.values(zs, ws),), family_of)
+    return gram_families(expr, domain, family, expr.size,
+                         lambda zs, ws: (expr.values(zs, ws),), family_of)
 
 
 def _check_interval(lo: float, hi: float) -> None:
@@ -495,15 +507,17 @@ def ordinary_wallach_scan(
 
 
 def _as_function(f, m):
-    """Coerce a multiplier spec: a coordinate index (an integer, not a bool) or a callable."""
+    """A multiplier spec as (pts -> its values at the rows, label): a coordinate
+    index (an integer, not a bool) is the column pts[:, f], a callable is
+    called per row by `_multiplier_values`."""
     if callable(f):
-        return f, getattr(f, "__name__", "f")
+        return functools.partial(_multiplier_values, f), getattr(f, "__name__", "f")
     if not isinstance(f, numbers.Integral) or isinstance(f, bool):
         raise ShapeError("multiplier must be a coordinate index or a callable")
     f = operator.index(f)
     if not 0 <= f < m:
         raise ShapeError("coordinate index out of range")
-    return (lambda p: p[f]), f"z{f + 1}"
+    return (lambda pts: pts[:, f]), f"z{f + 1}"
 
 
 def multiplier_bound(
@@ -519,9 +533,9 @@ def multiplier_bound(
     and then [last failing c, c] (or [0, 1]) is bisected."""
     checked("positive", resolution, "resolution")
     checked("positive", tol, "tol")
-    func, label = _as_function(f, expr.m)
+    label = _as_function(f, expr.m)[1]
     family = _family_pairs(family)
-    fams = multiplier_families(expr, func, domain, family)
+    fams = multiplier_families(expr, f, domain, family)
     lo, hi = 0.0, 1.0
     while not families_pass(fams, hi, tol):
         if hi >= MAX_BOUND:
@@ -539,6 +553,7 @@ __all__ = [
     "DEFAULT_TOL",
     "GramReport",
     "MAX_BOUND",
+    "MAX_GRAM_WIDTH",
     "MultiplierBound",
     "WallachEstimate",
     "gram",

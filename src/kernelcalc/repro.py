@@ -234,8 +234,8 @@ def check_multiplier_bound() -> CheckResult:
     curv = Curvature(base, 1.0, 1.0)
     violations = 0
     tested = 0
-    plains = multiplier_families(base, lambda p: p[0], unit_disc(), DEFAULT_FAMILIES)
-    squares = multiplier_families(curv, lambda p: p[0], unit_disc(), DEFAULT_FAMILIES, power=2)
+    plains = multiplier_families(base, 0, unit_disc(), DEFAULT_FAMILIES)
+    squares = multiplier_families(curv, 0, unit_disc(), DEFAULT_FAMILIES, power=2)
     for plain, squared in zip(plains, squares):
         for c in (0.8, 0.9, 1.0, 1.1, 1.5):
             tested += 1

@@ -8,7 +8,9 @@ and are re-exported here for callers such as the benchmark in `perfbench/`.
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +50,22 @@ class RkhsElement:
                 raise ShapeError("term direction must match the kernel output size")
 
 
+def _finite_number(value, i: int, what: str) -> complex:
+    """`value` as a complex, refusing one that is not a finite number (a
+    bool is not one) with a ShapeError naming term i."""
+    if isinstance(value, numbers.Number) and not isinstance(value, bool):
+        try:
+            z = complex(value)
+        except OverflowError:  # an int past the float range
+            z = complex(math.inf)
+        if cmath.isfinite(z):
+            return z
+    raise ShapeError(f"term {i}: {what} must be a finite number, got {value!r}")
+
+
 def element(kernel: KernelExpr, terms) -> RkhsElement:
-    """Build an RkhsElement from (coef, base, index, direction) tuples."""
+    """Build an RkhsElement from (coef, base, index, direction) tuples,
+    refusing a malformed term with a ShapeError naming its position."""
     built = []
     for i, term in enumerate(terms):
         try:
@@ -62,12 +78,14 @@ def element(kernel: KernelExpr, terms) -> RkhsElement:
             except (TypeError, ValueError):
                 raise ShapeError(
                     f"term {i}: index must be non-negative integers, got {index!r}") from None
+        if not np.iterable(direction):
+            raise ShapeError(f"term {i}: direction must be a sequence, got {direction!r}")
         built.append(
             Term(
-                complex(coef),
+                _finite_number(coef, i, "coef"),
                 Point(point_array([base], kernel.m)[0]),
                 index,
-                tuple(complex(d) for d in direction),
+                tuple(_finite_number(d, i, "a direction entry") for d in direction),
             )
         )
     return RkhsElement(kernel, tuple(built))

@@ -51,7 +51,6 @@ from kernelcalc.errors import (BranchError, DomainError, EvaluationError, Kernel
 from kernelcalc.expr import DEFAULT_ORDER_CAP, JetKernel, JetTable, KernelExpr, Pow, _coords
 from kernelcalc.params import checked
 from kernelcalc.geometry import (
-    _MAX_ATTEMPTS,
     _MAX_CHUNK,
     DomainSpec,
     Point,
@@ -640,7 +639,8 @@ def pairwise_by_fancy_index(point_sets, values_of) -> list:
 
 def sample_array_by_linalg_norm(domain: DomainSpec, count: int, seed: int = 0) -> np.ndarray:
     """`geometry.sample_array` as it ran before it inlined the norm of the
-    ball's rejection test and returned a one-chunk draw as it is."""
+    ball's rejection test, returned a one-chunk draw as it is and drew no
+    spare attempts off the ball, without its budget check."""
     count = checked("positive_int", count, "count")
     seed = checked("seed", seed, "seed")
     rng = np.random.default_rng(seed)
@@ -649,11 +649,6 @@ def sample_array_by_linalg_norm(domain: DomainSpec, count: int, seed: int = 0) -
     ball = domain.kind == "unit-ball"
     # the ball keeps 1/m! of the attempts (its volume over the polydisc's)
     attempts_per_point = math.factorial(m) if ball else 1
-    if ball and count * attempts_per_point > _MAX_ATTEMPTS:
-        raise ValueError(
-            f"sampling {count} point(s) of the unit ball of C^{m} needs about "
-            f"{count * attempts_per_point} attempts, over the budget of {_MAX_ATTEMPTS}"
-        )
     chunks = []
     need = count
     while need > 0:
@@ -860,11 +855,8 @@ def _parse_arg(tz: _Tokenizer):
 # tensordot glue of eval_jets and the torus, the generator that names a
 # failing pair, the Gram families formed outside the elimination, the pair
 # sums and balance check through np.take and the point coercion through
-# dtype=complex, and the m x m loop of the Mobius Jacobians, which stays in
-# the package (a vectorised form moves bits: numpy's complex product of a
-# broadcast one-entry array and of a Python scalar can differ by an ulp).
-# `with_per_call_bookkeeping()` patches them all in, so that one call gives
-# the old path's answer.
+# dtype=complex.  `with_per_call_bookkeeping()` patches them all in, so that
+# one call gives the old path's answer.
 
 
 def _pair_sums_by_np_take(x: np.ndarray, y: np.ndarray, runs, weights=None):
@@ -1099,21 +1091,6 @@ def _families_pass_by_factors(fams, t: float, tol: float) -> bool:
         raise EvaluationError(f"the Gram family at t = {t} is not finite") from exc
 
 
-def _jacobians_by_loop(self, zs) -> np.ndarray:
-    """Holomorphic Jacobians (d phi_k / d z_i) at a (B, m) array of
-    points, from the closed form of the module docstring."""
-    zs = self._points(zs)
-    img, denom = self._phi_a(zs)
-    jac = np.zeros((len(zs), self.m, self.m), dtype=complex)
-    if denom is None:
-        return self.unitary @ (jac + np.eye(self.m))
-    s = self._s
-    for i, c in enumerate(ai.conjugate() for ai in self.a):
-        for k, ak in enumerate(self.a):
-            jac[:, k, i] = (img[k] * c - (ak * c / (1 + s) + s * (k == i))) * denom
-    return self.unitary @ jac
-
-
 def point_array_by_complex_dtype(points, m: int) -> np.ndarray:
     """A (B, m) complex array from such an array or a sequence of points:
     `Point`s, sequences of coordinates or, when m = 1, scalars (numpy
@@ -1161,7 +1138,6 @@ def with_per_call_bookkeeping():
         patch(positivity._CurvatureFamilyGram, "gram_at", _gram_at_fresh)
         for module in (positivity, repro):
             patch(module, "families_pass", _families_pass_by_factors)
-        patch(MobiusMap, "jacobians", _jacobians_by_loop)
         for module in (expr_module, fd, positivity, automorphisms, rkhs):
             patch(module, "point_array", point_array_by_complex_dtype)
         yield

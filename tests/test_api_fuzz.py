@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import kernelcalc as kc
 from kernelcalc.errors import DomainError, EvaluationError, KernelCalcError, ShapeError
-from kernelcalc.fd import fd_relative_error
+from kernelcalc.fd import fd_jet_table, fd_relative_error
 
 K = kc.SzegoDisc()
 DISC = kc.unit_disc()
@@ -148,8 +148,6 @@ MALFORMED = st.sampled_from([
     np.int64(3), np.float32(2.0), np.uint64(7), K, object(), "0.1", [None], [0.1, "0.2", 0.3],
     [[0.1]], [0.1j, 0.2, np.bool_(True)], b"0", (0.1, "0.2"),
 ]) | st.integers(-3, 40) | st.floats()
-#: parameters whose accepted values set how many points are sampled
-COUNTS = ("n", "count")
 
 
 @settings(max_examples=300, deadline=None)
@@ -159,8 +157,7 @@ def test_malformed_arguments_are_refused_by_name(data):
     call, rules = ENTRIES[name]
     param = data.draw(st.sampled_from(sorted(rules)))
     rule = rules[param]
-    # a huge count that is accepted would sample for ever
-    value = data.draw(MALFORMED.filter(lambda v: not (param in COUNTS and _integer(v) and v > 40)))
+    value = data.draw(MALFORMED)
     try:
         call(**{param: value})
     except TypeError as exc:
@@ -240,6 +237,31 @@ def test_every_entry_point_returns_at_its_valid_defaults():
     (lambda: kc.phi_gram(K, 1.0, 10**400, 0.1, 0.2), ValueError, "beta must be finite, got 1000"),
     (lambda: kc.wallach_scan(kc.bergman_disc(), -10**400, 0.0, DISC, ((4, 1),)), ValueError,
      "the interval needs finite lo < hi, got [-1000"),
+    (lambda: kc.wallach_scan(kc.bergman_disc(), -2.0, 0.0, DISC, None), ShapeError,
+     "the point family is not a sequence of (count, seed) pairs, got None"),
+    (lambda: kc.multiplier_bound(K, 0, DISC, 4), ShapeError,
+     "the point family is not a sequence of (count, seed) pairs, got 4"),
+    (lambda: fd_jet_table(K, 0.1, 0.2, "2"), TypeError, "order must be an integer, got '2'"),
+    (lambda: fd_jet_table(K, 0.1, 0.2, True), TypeError, "order must be an integer, got True"),
+    (lambda: fd_jet_table(K, 0.1, 0.2, -1), ValueError,
+     "order must be a non-negative integer, got -1"),
+    (lambda: kc.MobiusMap(["a"]), DomainError, "base point is not a point of C^1, got ['a']"),
+    (lambda: kc.MobiusMap([[0.1]]), DomainError, "base point is not a point of C^1, got [[0.1]]"),
+    (lambda: kc.MobiusMap(None), DomainError, "base point is not a point of C^1, got None"),
+    (lambda: kc.MobiusMap([0.1], "x"), ShapeError,
+     "unitary factor must be a numeric 1 x 1 array, got 'x'"),
+    (lambda: kc.MobiusMap([0.1, 0.2], [[1, 0], [0, "x"]]), ShapeError,
+     "unitary factor must be a numeric 2 x 2 array, got [[1, 0], [0, 'x']]"),
+    (lambda: kc.element(K, [("x", 0.1, (0,), (1.0,))]), ShapeError,
+     "term 0: coef must be a finite number, got 'x'"),
+    (lambda: kc.element(K, [(1.0, 0.1, (0,), (1.0,)), (math.nan, 0.1, (0,), (1.0,))]),
+     ShapeError, "term 1: coef must be a finite number, got nan"),
+    (lambda: kc.element(K, [(1.0, 0.1, (0,), ("x",))]), ShapeError,
+     "term 0: a direction entry must be a finite number, got 'x'"),
+    (lambda: kc.element(K, [(1.0, 0.1, (0,), (complex(0, math.inf),))]), ShapeError,
+     "term 0: a direction entry must be a finite number, got infj"),
+    (lambda: kc.element(K, [(1.0, 0.1, (0,), None)]), ShapeError,
+     "term 0: direction must be a sequence, got None"),
 ])
 def test_malformed_scan_and_calculus_inputs_are_refused_by_name(call, error, words):
     with pytest.raises(error) as info:
@@ -254,6 +276,24 @@ def test_a_multiplier_past_the_float_range_is_refused_without_a_warning(value):
         warnings.simplefilter("error")
         with pytest.raises(EvaluationError, match=r"^the multiplier's \|f\|\^2 is not finite"):
             kc.multiplier_bound(K, lambda p: value, DISC, ((4, 1),))
+
+
+@pytest.mark.parametrize("values, error, point", [
+    ([1.0, 1e200, "x"], EvaluationError, 1),
+    ([1.0, [1, 2], math.nan], ShapeError, 1),
+    ([0.5, 0.5, 10**400, None], EvaluationError, 2),
+])
+def test_a_multiplier_is_refused_at_its_first_bad_point_and_not_called_after_it(
+        values, error, point):
+    calls = []
+
+    def f(p):
+        calls.append(p)
+        return values[len(calls) - 1] if len(calls) <= len(values) else 0.5
+
+    with pytest.raises(error, match=rf" at point {point} \("):
+        kc.multiplier_bound(K, f, DISC, ((6, 1),))
+    assert len(calls) == point + 1
 
 
 def test_a_one_element_array_is_one_multiplier_value():

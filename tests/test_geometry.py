@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from kernelcalc.automorphisms import CocycleSpec, MobiusMap
 from kernelcalc.errors import DomainError
 from kernelcalc.fd import fd_relative_error
+from kernelcalc import geometry
 from kernelcalc.geometry import (
     MultiIndex,
     Point,
@@ -234,6 +235,55 @@ def test_ball_sampling_over_the_attempt_budget_is_refused_at_once():
         with pytest.raises(ValueError, match=r"unit ball of C\^12"):
             sample_points(unit_ball(12), count, 0)
         assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("domain, count, words", [
+    (unit_ball(10**400), 3, "3 point(s) of the unit ball of C^" + "1" + "0" * 400),
+    (unit_ball(10**5), 1, "1 point(s) of the unit ball of C^100000"),
+    (unit_ball(8), 53, "53 point(s) of the unit ball of C^8"),
+    (unit_disc(), 10**12, "1000000000000 point(s) of the unit disc of C^1"),
+    (unit_disc(), 2**64, f"{2**64} point(s) of the unit disc of C^1"),
+    (unit_disc(), 2**24 + 1, f"{2**24 + 1} point(s) of the unit disc of C^1"),
+    (polydisc(2), 2**23 + 1, f"{2**23 + 1} point(s) of the polydisc of C^2"),
+    (polydisc(10**400), 1, "1 point(s) of the polydisc of C^1" + "0" * 400),
+], ids=["ball 10^400", "ball 10^5", "ball 8", "disc 10^12", "disc 2^64", "disc 2^24+1",
+        "polydisc 2", "polydisc 10^400"])
+def test_every_domain_refuses_a_draw_over_the_coordinate_budget_at_once(domain, count, words):
+    # count * m coordinates, times m! attempts per point on the ball
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        sample_array(domain, count, 0)
+    assert str(info.value) == (f"sampling {words} draws more coordinates than the budget "
+                               f"of {geometry._MAX_COORDINATES}")
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("domain, count, per_point", [
+    (unit_ball(8), 40, 40320), (unit_ball(8), 52, 40320), (unit_ball(9), 5, 362880),
+    (unit_ball(2), 2**21, 2), (unit_disc(), 2**24, 1), (polydisc(2), 2**23, 1),
+    (polydisc(2**24), 1, 1),
+], ids=["ball 8 at 40", "ball 8 at 52", "ball 9", "ball 2", "disc", "polydisc 2",
+        "polydisc 2^24"])
+def test_draws_within_the_budget_are_accepted(domain, count, per_point):
+    # every ball request the attempt budget of 2^21 accepted still is
+    assert geometry._attempts_per_point(domain, count) == per_point
+
+
+def test_off_the_ball_every_attempt_is_kept_so_none_is_spare(monkeypatch):
+    shapes, make = [], np.random.default_rng
+
+    class Spy:
+        def __init__(self, seed):
+            self.rng = make(seed)
+
+        def random(self, shape):
+            shapes.append(shape)
+            return self.rng.random(shape)
+
+    monkeypatch.setattr(np.random, "default_rng", Spy)
+    sample_array(polydisc(3), 5, 1)
+    sample_array(unit_disc(), 70000, 2)
+    assert shapes == [(5, 2, 3), (65536, 2, 1), (70000 - 65536, 2, 1)]
 
 
 def test_domain_validation():

@@ -429,6 +429,43 @@ def test_an_empty_family_is_refused_before_sampling(scan, monkeypatch):
             rkhs.multiplier_bound(SzegoDisc(), 0, unit_disc(), ())
 
 
+_SZEGO, _BALL2, _MATRIX = SzegoDisc(), bergman_ball(2), parse_kernel("ball_curvature(2,1.5)")
+
+
+@pytest.mark.parametrize("call, n, k", [
+    (lambda n: psd_check(_SZEGO, unit_disc(), n), 9, 1),
+    (lambda n: psd_check(_MATRIX, unit_ball(2), n), 5, 2),
+    (lambda n: psd_check(_SZEGO, unit_disc(), n), 2**64, 1),
+    (lambda n: kernel_order_check(_SZEGO, bergman_disc(), unit_disc(), n), 9, 1),
+    (lambda n: wallach_scan(_BALL2, -1.0, 1.0, unit_ball(2), ((4, 1), (n, 2))), 5, 2),
+    (lambda n: ordinary_wallach_scan(_SZEGO, [0.5], unit_disc(), ((n, 1),)), 9, 1),
+    (lambda n: multiplier_bound(_SZEGO, 0, unit_disc(), ((4, 1), (n, 2))), 9, 1),
+    (lambda n: multiplier_bound(_MATRIX, 1, unit_ball(2), ((n, 2),)), 5, 2),
+], ids=["psd_check", "psd_check blocks", "psd_check 2^64", "kernel_order_check",
+        "wallach_scan", "ordinary_wallach_scan", "multiplier_bound", "multiplier_bound blocks"])
+def test_a_gram_too_wide_to_hold_is_refused_before_sampling(call, n, k, monkeypatch):
+    from kernelcalc import positivity
+
+    monkeypatch.setattr(positivity, "MAX_GRAM_WIDTH", 8)
+    monkeypatch.setattr(positivity, "sample_array", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(ValueError) as info:
+        call(n)
+    assert str(info.value) == (f"a Gram of {n} points with {k} x {k} blocks is {n * k} wide, "
+                               "over the bound of 8")
+
+
+def test_a_gram_at_the_width_bound_is_assembled(monkeypatch):
+    from kernelcalc import positivity
+
+    monkeypatch.setattr(positivity, "MAX_GRAM_WIDTH", 8)
+    assert psd_check(_SZEGO, unit_disc(), 8).size == 8
+    assert psd_check(_MATRIX, unit_ball(2), 4).size == 8
+    assert gram(_SZEGO, [0.1] * 8).shape == (8, 8)
+    with pytest.raises(ValueError, match="^a Gram of 9 points with 1 x 1 blocks is 9 wide"):
+        gram(_SZEGO, [0.1] * 9)
+    assert multiplier_bound(_SZEGO, 0, unit_disc(), ((8, 1),)).point_family == ((8, 1),)
+
+
 @pytest.mark.parametrize("check", [
     lambda d: psd_check(SzegoDisc(), d, 5),
     lambda d: kernel_order_check(SzegoDisc(), bergman_disc(), d, 5),
@@ -554,6 +591,21 @@ def test_broadcast_family_grams_equal_the_kronecker_formula(t, which):
     )
     for fam in fams:
         assert np.array_equal(hermitian_part_by_halves(fam.gram_at(t)), _kron_gram(fam, t))
+
+
+@pytest.mark.parametrize("text, k", [("szego_disc()", 0), ("bergman_ball(2)", 1),
+                                     ("ball_curvature(2,1.5)", 0)])
+def test_a_coordinate_multiplier_is_the_column_a_callable_would_give(text, k):
+    # the column pts[:, k] holds the complex values that p[k] gives per row
+    expr = parse_kernel(text)
+    domain = unit_disc() if expr.m == 1 else unit_ball(expr.m)
+    family = ((8, 1), (12, 2))
+    for power in (1, 2):
+        by_index = multiplier_families(expr, k, domain, family, power=power)
+        by_rows = multiplier_families(expr, lambda p: p[k], domain, family, power=power)
+        for a, b in zip(by_index, by_rows):
+            for c in (0.5, 1.0, 1.5):
+                assert np.array_equal(a.gram_at(c).view(np.int64), b.gram_at(c).view(np.int64))
 
 
 def test_multiplier_grams_of_one_pass_equal_the_per_family_grams():
