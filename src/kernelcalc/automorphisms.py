@@ -26,8 +26,9 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError, KernelCalcError, ShapeError
 from .expr import KernelExpr, Curvature, LogHessian
-from .geometry import Point, in_unit_ball, point_array
-from .params import checked
+from .geometry import Point, in_unit_ball, point_array, point_coords
+from .jets import _fail_where
+from .params import checked, shown
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +48,7 @@ class MobiusMap:
         try:
             a = tuple(point_array([a], m)[0].tolist())
         except DomainError:
-            raise DomainError(f"base point is not a point of C^{m}, got {a!r}") from None
+            raise DomainError(f"base point is not a point of C^{m}, got {shown(a)}") from None
         norm2 = sum(abs(c) ** 2 for c in a)
         if not math.sqrt(norm2) < 1:  # NaN compares false
             raise DomainError("base point must lie inside the unit ball")
@@ -63,7 +64,7 @@ class MobiusMap:
                 u = None
             if u is None or u.shape != (m, m):
                 raise ShapeError(f"unitary factor must be a numeric {m} x {m} array, "
-                                 f"got {unitary!r}")
+                                 f"got {shown(unitary)}")
             if not np.isfinite(u).all() or np.max(np.abs(u @ u.conj().T - np.eye(m))) > 1e-10:
                 raise ShapeError("factor is not unitary")
         object.__setattr__(self, "unitary", u)
@@ -176,12 +177,8 @@ class CocycleSpec:
         zs = phi._points(zs)
         with np.errstate(all="ignore"):
             scal = np.exp(self.t * phi.log_det_derivatives(zs))
-        if not np.isfinite(scal).all():
-            p = int(np.argmax(~np.isfinite(scal)))
-            raise EvaluationError(
-                f"cocycle (det D phi)^{self.t} is not finite at point "
-                f"{tuple(complex(c) for c in zs[p])}"
-            )
+        _fail_where(~np.isfinite(scal), EvaluationError, lambda i: (
+            f"cocycle (det D phi)^{self.t} is not finite at point {point_coords(zs[i])}"))
         if self.kind == "det_jacobian_power":
             return scal[:, None, None] * np.eye(size, dtype=complex)
         return scal[:, None, None] * phi.jacobians(zs).transpose(0, 2, 1)
@@ -206,7 +203,8 @@ def quasi_invariance_residual(
         try:
             z, w = entry
         except (TypeError, ValueError):
-            raise ShapeError(f"pairs entry {i} is not a (z, w) pair, got {entry!r}") from None
+            raise ShapeError(
+                f"pairs entry {i} is not a (z, w) pair, got {shown(entry)}") from None
         zs.append(z)
         ws.append(w)
     if not zs:
@@ -229,10 +227,9 @@ def quasi_invariance_residual(
     with np.errstate(over="ignore", invalid="ignore"):
         lhs, rhs = j[:b] @ vals[:b] @ j[b:].conj().transpose(0, 2, 1), vals[b:]
         res = np.linalg.norm(lhs - rhs, axis=(1, 2)) / (1 + np.linalg.norm(rhs, axis=(1, 2)))
-    if not np.isfinite(res).all():
-        p = int(np.argmax(~np.isfinite(res)))
-        z, w = (tuple(complex(c) for c in pts[q]) for q in (p, b + p))
-        raise EvaluationError(f"the residual is not finite at pair ({z}, {w})")
+    _fail_where(~np.isfinite(res), EvaluationError, lambda i: (
+        f"the residual is not finite at pair ({point_coords(pts[i[0]])}, "
+        f"{point_coords(pts[b + i[0]])})"))
     return float(res.max())
 
 
@@ -245,10 +242,10 @@ def _refuse_by_entry(zs: list, ws: list, m: int) -> None:
                 point = point_array([p], m)
             except DomainError:
                 raise DomainError(
-                    f"pairs entry {i}: {side} is not a point of C^{m}, got {p!r}") from None
+                    f"pairs entry {i}: {side} is not a point of C^{m}, got {shown(p)}") from None
             if not in_unit_ball(point)[0]:  # NaN is outside
-                coords = tuple(complex(c) for c in point[0])
-                raise DomainError(f"pairs entry {i}: {side} = {coords} lies outside the unit ball")
+                raise DomainError(f"pairs entry {i}: {side} = {point_coords(point[0])} "
+                                  "lies outside the unit ball")
 
 
 def curvature_quasi_check(base: KernelExpr, t: float, phi: MobiusMap, pairs) -> float:

@@ -34,11 +34,11 @@ from . import __version__
 from .automorphisms import MobiusMap, curvature_quasi_check
 from .eig import eigenvalues
 from .errors import BracketError, DomainError, EvaluationError, KernelCalcError, ParseError
-from .geometry import DEFAULT_SAMPLE_RADIUS, graded_lex_tuples, sample_array
-from .geometry import unit_ball, unit_disc
+from .geometry import DEFAULT_SAMPLE_RADIUS, graded_lex_tuples, sample_array, sample_pairs
+from .geometry import sampling_domain
 from .params import RULES
 from .parser import parse_kernel
-from .positivity import BOUND_RESOLUTION, DEFAULT_TOL, WALLACH_RESOLUTION, gram
+from .positivity import BOUND_RESOLUTION, DEFAULT_TOL, WALLACH_RESOLUTION, check_width, gram
 from .positivity import multiplier_bound, psd_check, wallach_scan
 from .repro import run_all
 from .rkhs import z2_tensor_e1_norm
@@ -66,10 +66,6 @@ def _parse_point(text: str, flag: str, m: int) -> tuple[complex, ...]:
         raise ParseError(f"bad point {flag} {text!r}: expected a point of C^{m}, "
                          f"got dimension {len(coords)}")
     return tuple(coords)
-
-
-def _domain_for(m: int, radius: float):
-    return unit_disc(radius) if m == 1 else unit_ball(m, radius)
 
 
 def _provenance(args, kernel: str | None) -> dict:
@@ -163,8 +159,9 @@ def cmd_eval(args) -> int:
 
 def cmd_psd(args) -> int:
     expr = parse_kernel(args.kernel)
-    domain = _domain_for(expr.m, args.radius)
+    domain = sampling_domain(expr.m, args.radius)
     if args.format == "csv":
+        check_width(args.n, expr.size)  # before a point is drawn, as psd_check does
         eigs = eigenvalues(gram(expr, sample_array(domain, args.n, args.seed)))
         lines = ["index,eigenvalue"] + [
             f"{i},{float(v)!r}" for i, v in enumerate(eigs)
@@ -182,7 +179,7 @@ def cmd_wallach(args) -> int:
     if not args.lo < args.hi:
         raise ParseError(f"--lo {args.lo} must be below --hi {args.hi}")
     base = parse_kernel(args.base)
-    domain = _domain_for(base.m, args.radius)
+    domain = sampling_domain(base.m, args.radius)
     est = wallach_scan(base, args.lo, args.hi, domain, tol=args.tol,
                        resolution=args.resolution)
     payload = est.to_dict()
@@ -205,7 +202,7 @@ def cmd_bound(args) -> int:
     f = int(digits) - 1 if args.f.startswith("z") and digits.isdecimal() else -1
     if not 0 <= f < expr.m:
         raise ParseError(f"--f {args.f!r} names no coordinate of C^{expr.m}")
-    domain = _domain_for(expr.m, args.radius)
+    domain = sampling_domain(expr.m, args.radius)
     est = multiplier_bound(expr, f, domain, resolution=args.resolution)
     payload = est.to_dict()
     payload.update(_provenance(args, expr.to_dsl()))
@@ -225,9 +222,7 @@ def cmd_quasi(args) -> int:
     else:
         v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         phi = MobiusMap(0.5 * rng.random() * v / np.linalg.norm(v))
-    domain = _domain_for(m, args.radius)
-    pts = sample_array(domain, 2 * args.pairs, args.seed)
-    pairs = list(zip(pts[: args.pairs], pts[args.pairs :]))
+    pairs = sample_pairs(sampling_domain(m, args.radius), args.pairs, args.seed)
     residual = curvature_quasi_check(base, args.t, phi, pairs)
     payload = _provenance(args, base.to_dsl())
     payload.update({"t": args.t, "map": phi.to_dict(), "pairs": args.pairs, "residual": residual})

@@ -22,8 +22,7 @@ place, so no (n - k)^2 rank-1 update is formed.
 apply it to their input again, as their copy-in, only as a guard for other
 callers.  `ldl_pivot` copies nothing in: it eliminates the Hermitian
 matrix that its caller's fill(out) writes straight into the factor buffer,
-and checks it finite with one sum, looking at each entry only when that sum
-is not finite.
+and refuses it when an entry is not finite.
 
 Both column loops run on a step plan of the input's width n: a workspace
 of two n x n buffers and the views that step k reads and writes, made once
@@ -38,12 +37,13 @@ factors, tau and the tridiagonal (d, e) are the same bit for bit.
 One plan is kept per width, for at most `_KEPT_WIDTHS` widths of at most
 `_MAX_KEPT_WIDTH`, the least recently used width dropped first: at most
 about 0.8 MB a width (at 128, with both loops' views), whatever the number
-of threads.  A call holds its width's plan by taking the plan's lock
-without waiting; a call that finds it held (by another thread, or by the
-`ldl_pivot` whose fill makes the call) builds a throwaway plan, as a wider
-call does, so calls are reentrant and thread-safe.  The saving is in the
-reuse: the first call at a width builds its plan and costs a little more
-than a call without plans (3-10 us in an elimination at n = 8-60).
+of threads.  A call holds its width's plan, in a `with` block, by taking
+the plan's lock without waiting; a call that finds it held (by another
+thread, or by the `ldl_pivot` whose fill makes the call) builds a throwaway
+plan, as a wider call does, so calls are reentrant and thread-safe.  The
+saving is in the reuse: the first call at a width builds its plan and
+costs a little more than a call without plans (3-10 us in an elimination
+at n = 8-60).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError
-from .params import checked
+from .params import checked, shown
 
 
 def hermitian_part(a: np.ndarray, out: np.ndarray | None = None,
@@ -78,8 +78,12 @@ def hermitian_part(a: np.ndarray, out: np.ndarray | None = None,
 
 
 def _checked_square(h) -> np.ndarray:
-    """h as a complex array, refusing one that is not finite and square."""
-    a = np.asarray(h, dtype=complex)
+    """h as a complex array, refusing one that is not an array of numbers
+    in the float range (ValueError), square and finite."""
+    try:
+        a = np.asarray(h, dtype=complex)
+    except (TypeError, ValueError, OverflowError):  # ragged, a string, past the range
+        raise ValueError("matrix is not an array of numbers within the float range") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if not np.isfinite(a).all():
@@ -104,7 +108,7 @@ class _Plan:
     are three (0-d complex, its real part) pairs: a loop sets a scalar
     through the real part and hands numpy the complex operand, as numpy
     would convert the Python float.  A call uses the plan only while it
-    holds `busy`."""
+    holds `busy`, in the `with` block whose exit releases it."""
 
     __slots__ = ("n", "a", "spare", "flat", "diagonal", "operands", "busy", "_ldl", "_tri")
 
@@ -117,6 +121,12 @@ class _Plan:
         self.operands = [(ops[i, ...], ops.real[i, ...]) for i in range(3)]
         self.busy = threading.Lock()
         self._ldl = self._tri = None
+
+    def __enter__(self) -> _Plan:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.busy.release()
 
     def ldl_steps(self) -> list:
         """Per step k: column k from the diagonal down, its part below the
@@ -160,8 +170,11 @@ def _kept(n: int) -> _Plan:
 
 
 def _checkout(n: int) -> _Plan:
-    """A plan of width n >= 1 that this call holds until it releases
-    `plan.busy`: the kept plan of width n when it is free, else a throwaway."""
+    """A plan of width n that this call holds until the `with` block it
+    opens ends: the kept plan of width n when it is free, else a throwaway.
+    Width 0 is refused: an empty matrix has no verdict."""
+    if n == 0:
+        raise ValueError("matrix is empty: there is no verdict to give")
     if n <= _MAX_KEPT_WIDTH:
         plan = _kept(n)
         if plan.busy.acquire(blocking=False):
@@ -214,8 +227,7 @@ def _scaled_tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | N
     """`_tridiagonal` of hermitian_part(a) (n >= 1) scaled by 2^-exponent,
     where 2^exponent is just above its largest entry, and the exponent; None
     when every entry is 0."""
-    plan = _checkout(len(a))
-    try:
+    with _checkout(len(a)) as plan:
         hermitian_part(a, plan.a, plan.spare)
         re = plan.a.view(float)
         big = float(np.abs(re, out=plan.spare.view(float)).max(initial=0.0))
@@ -224,8 +236,6 @@ def _scaled_tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | N
         exponent = math.frexp(big)[1]  # 2^-exponent rounds only subnormals
         np.ldexp(re, -exponent, out=re)
         return (*_tridiagonal(plan), exponent)
-    finally:
-        plan.busy.release()
 
 
 _MAX_SWEEPS = 30  # QL sweeps allowed per eigenvalue, as in LAPACK's dsterf
@@ -367,7 +377,7 @@ def eigenvalues(h: np.ndarray, count: int | None = None) -> np.ndarray:
         elif n == 0:
             raise ValueError("matrix is empty: it has no eigenvalues")
         elif isinstance(count, bool) or not isinstance(count, numbers.Integral) or not 1 <= count <= n:
-            raise ValueError(f"count must be an integer in 1..{n}, got {count!r}")
+            raise ValueError(f"count must be an integer in 1..{n}, got {shown(count)}")
         reduced = _scaled_tridiagonal(a) if n else None
         if reduced is None:
             return np.zeros(count)
@@ -460,16 +470,11 @@ def ldl_pivot(n: int, fill, tol: float) -> int | None:
     A G with an entry that is not finite is refused (EvaluationError).
     `tol` is not checked here, on the hot path: every caller passes a tol
     that it has checked finite and not negative."""
-    if n == 0:
-        raise ValueError("matrix is empty: there is no verdict to give")
-    plan = _checkout(n)
-    try:
+    with _checkout(n) as plan:
         fill(plan.a)
         if not np.isfinite(plan.flat).all():
             raise EvaluationError("matrix has non-finite entries")
         return _eliminate(plan, tol)[0]
-    finally:
-        plan.busy.release()
 
 
 def ldl_verdict(g: np.ndarray, tol: float) -> LdlVerdict:
@@ -480,10 +485,7 @@ def ldl_verdict(g: np.ndarray, tol: float) -> LdlVerdict:
     tol = checked("non_negative", tol, "tol")
     a = _checked_square(g)
     n = a.shape[0]
-    if n == 0:
-        raise ValueError("matrix is empty: there is no verdict to give")
-    plan = _checkout(n)
-    try:
+    with _checkout(n) as plan:
         hermitian_part(a, plan.a, plan.spare)
         k, shift = _eliminate(plan, tol)
         if k is None:
@@ -492,7 +494,5 @@ def ldl_verdict(g: np.ndarray, tol: float) -> LdlVerdict:
         v[k] = 1.0
         for i in range(k - 1, -1, -1):
             v[i] = -(plan.a[i, i + 1 : k + 1] @ v[i + 1 : k + 1])
-    finally:
-        plan.busy.release()
     rayleigh = float(np.vdot(v, a @ v).real / np.vdot(v, v).real)
     return LdlVerdict(False, shift, k, v, rayleigh)

@@ -39,19 +39,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchError, DomainError, EvaluationError, OrderCapError, ShapeError
-from .geometry import graded_lex_tuples, in_unit_ball, point_array
-from .jets import Jet, _group, check_finite, coordinate_products, monomial_positions
-from .params import checked, is_integral, is_real
+from .geometry import graded_lex_tuples, in_unit_ball, point_array, point_coords
+from .jets import Jet, _fail_where, _group, check_finite, coordinate_products, monomial_positions
+from .params import checked, is_integral, is_real, shown
 
 #: cap on the derivative order of eval_jet and of the jet kernel
 DEFAULT_ORDER_CAP = 4
 #: deepest nesting of kernel nodes: a leaf is at depth 0, a combinator one
 #: level above its deepest child
 MAX_DEPTH = 64
-
-
-def _coords(row) -> tuple:
-    return tuple(complex(c) for c in row)
 
 
 class KernelExpr:
@@ -122,12 +118,8 @@ class KernelExpr:
 
     def _check_pairs(self, zs: np.ndarray, ws: np.ndarray):
         for pts in (zs, ws):
-            outside = ~self.contains(pts)
-            if outside.any():
-                p = int(np.argmax(outside))
-                raise DomainError(
-                    f"point {_coords(pts[p])} outside the domain of {self.to_dsl()}"
-                )
+            _fail_where(~self.contains(pts), DomainError, lambda i: (
+                f"point {point_coords(pts[i])} outside the domain of {self.to_dsl()}"))
 
     # -- jet engine ----------------------------------------------------
 
@@ -163,8 +155,8 @@ class KernelExpr:
         except (BranchError, EvaluationError) as exc:
             if exc.batch_index is None:
                 raise
-            p = exc.batch_index[0]
-            raise type(exc)(f"{exc} at pair ({_coords(zs[p])}, {_coords(ws[p])})") from exc
+            z, w = (point_coords(pts[exc.batch_index[0]]) for pts in (zs, ws))
+            raise type(exc)(f"{exc} at pair ({z}, {w})") from exc
         return out
 
     def values(self, zs, ws, log: bool = False) -> np.ndarray:
@@ -204,7 +196,7 @@ class KernelExpr:
         """
         order = checked("non_negative_int", order, "order")
         if order > DEFAULT_ORDER_CAP:
-            raise OrderCapError(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
+            raise OrderCapError(f"order {shown(order)} exceeds cap {DEFAULT_ORDER_CAP}")
         (derivatives,) = self._checked_values(
             zs, ws, lambda z, w: (self.jets(z, w, order, order).derivatives(),))
         # (B, k, k, N, N) -> (B, N, N, k, k): one k x k block per derivative
@@ -283,7 +275,7 @@ def _of_kind(kind: str, value, node: str, field: str):
     naming both unless it has the kind."""
     what, has_kind, store, *_ = _KINDS[kind]
     if not has_kind(value):
-        raise ShapeError(f"{node}: expected {what} argument for {field}, got {value!r}")
+        raise ShapeError(f"{node}: expected {what} argument for {field}, got {shown(value)}")
     if store is None:
         return value
     try:
@@ -560,7 +552,7 @@ class JetKernel(KernelExpr):
             raise ShapeError("jet order must be >= 0")
         if self.order > DEFAULT_ORDER_CAP:
             raise OrderCapError(
-                f"jet order {self.order} exceeds cap {DEFAULT_ORDER_CAP}"
+                f"jet order {shown(self.order)} exceeds cap {DEFAULT_ORDER_CAP}"
             )
 
     @property

@@ -28,8 +28,8 @@ from math import factorial, prod
 import numpy as np
 
 from .errors import DomainError
-from .expr import JetTable, KernelExpr, _coords
-from .geometry import graded_lex_tuples, point_array
+from .expr import JetTable, KernelExpr
+from .geometry import graded_lex_tuples, point_array, point_coords
 from .params import checked
 
 _RADIUS = 0.02  # radius of the torus
@@ -69,8 +69,9 @@ def _fd_derivatives(expr: KernelExpr, z, w, order: int) -> np.ndarray:
     try:
         vals = expr.values(np.repeat(zs, n, 0), np.tile(ws, (n, 1)))
     except DomainError:
-        raise DomainError(f"the torus of radius {_RADIUS} about the pair ({_coords(pair[0])}, "
-                          f"{_coords(pair[1])}) leaves the domain of {expr.to_dsl()}") from None
+        z, w = map(point_coords, pair)
+        raise DomainError(f"the torus of radius {_RADIUS} about the pair ({z}, {w}) leaves "
+                          f"the domain of {expr.to_dsl()}") from None
     # np.tensordot's two products with its layouts: (a, q, k k), (a k k, b)
     half = np.dot(rows, vals.reshape(n, -1)).reshape(len(rows), n, -1)
     coeffs = np.dot(half.transpose(0, 2, 1).reshape(-1, n), rows_h)

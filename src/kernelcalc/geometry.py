@@ -4,9 +4,11 @@ Inside the engine a batch of points is a (B, m) complex array and a
 multi-index is a tuple of ints.  `Point` and `MultiIndex` are the records
 that public results carry (`sample_points`, `GramReport.points`, the terms
 of an RKHS element, `MobiusMap.apply`); `point_array` is the one converter
-at the edge, for a batch and, as a batch of one, for a single point.
-Domains are the disc, the ball and the polydisc, each with the radius that
-`sample_array` draws from (`sample_points` is its `Point` view).
+at the edge, for a batch and, as a batch of one, for a single point, and
+`point_coords` the one text of a point in a refusal.  Domains are the disc,
+the ball and the polydisc, each with the radius that `sample_array` draws
+from (`sample_points` is its `Point` view, `sample_pairs` its (z, w) pairs,
+and `sampling_domain` the disc or ball that C^m is sampled in).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import DomainError
-from .params import checked, is_integral
+from .params import checked, is_integral, shown
 
 #: default radius of the closed sub-domain that sampled points live in
 DEFAULT_SAMPLE_RADIUS = 0.8
@@ -39,7 +41,7 @@ class Point:
     coords: tuple[complex, ...]
 
     def __init__(self, coords):
-        object.__setattr__(self, "coords", tuple(complex(c) for c in coords))
+        object.__setattr__(self, "coords", point_coords(coords))
         if len(self.coords) < 1:
             raise ValueError("Point needs at least one coordinate")
 
@@ -60,6 +62,11 @@ class Point:
         return len(self.coords)
 
 
+def point_coords(row) -> tuple[complex, ...]:
+    """A point's coordinates as Python complexes: what a `Point` holds and a refusal names."""
+    return tuple(complex(c) for c in row)
+
+
 def point_array(points, m: int) -> np.ndarray:
     """A (B, m) complex array from such an array or a sequence of points:
     `Point`s, sequences of coordinates or, when m = 1, scalars (numpy
@@ -71,7 +78,7 @@ def point_array(points, m: int) -> np.ndarray:
         if arr.ndim == 1 and m == 1:
             arr = arr.reshape(-1, 1)
     elif isinstance(points, (str, bytes)) or not np.iterable(points):
-        raise DomainError(f"expected a sequence of points of C^{m}, got {points!r}")
+        raise DomainError(f"expected a sequence of points of C^{m}, got {shown(points)}")
     else:
         rows = [p.coords if isinstance(p, Point) else p for p in points]
         try:
@@ -100,7 +107,7 @@ def _check_numeric(rows, m: int) -> None:
         coords = np.asarray(row, dtype=object).ravel()
         if not all(isinstance(c, numbers.Number) and not isinstance(c, bool) for c in coords):
             raise DomainError(
-                f"expected points of C^{m} with numeric coordinates, got row {i}: {row!r}")
+                f"expected points of C^{m} with numeric coordinates, got row {i}: {shown(row)}")
         try:
             coords.astype(complex)
         except OverflowError:
@@ -124,7 +131,8 @@ class MultiIndex:
     def __init__(self, entries):
         entries = tuple(entries)
         if not all(is_integral(e) and e >= 0 for e in entries):
-            raise ValueError(f"multi-index entries must be non-negative integers, got {entries!r}")
+            raise ValueError(
+                f"multi-index entries must be non-negative integers, got {shown(entries)}")
         object.__setattr__(self, "entries", tuple(map(int, entries)))
 
     @property
@@ -196,12 +204,17 @@ def polydisc(m: int, sample_radius: float = DEFAULT_SAMPLE_RADIUS) -> DomainSpec
     return DomainSpec("polydisc", m, sample_radius)
 
 
+def sampling_domain(m: int, sample_radius: float = DEFAULT_SAMPLE_RADIUS) -> DomainSpec:
+    """The domain C^m is sampled in: the unit disc at m = 1, else the unit ball."""
+    return unit_disc(sample_radius) if m == 1 else unit_ball(m, sample_radius)
+
+
 def _attempts_per_point(domain: DomainSpec, count: int) -> int:
     """The attempts `sample_array` expects to draw per point: m! on the ball,
     which keeps 1/m! of them (its volume over the polydisc's), and 1
     elsewhere.  A call expected to draw more than _MAX_COORDINATES
     coordinates is refused (ValueError), and m! is not computed past that."""
-    m = domain.dim
+    m = int(domain.dim)
     drawn, per_point = count * m, 1
     if domain.kind == "unit-ball":
         for k in range(2, m + 1):
@@ -210,8 +223,8 @@ def _attempts_per_point(domain: DomainSpec, count: int) -> int:
             per_point *= k
     if drawn * per_point > _MAX_COORDINATES:
         raise ValueError(
-            f"sampling {count} point(s) of the {domain.kind.replace('-', ' ')} of C^{m} "
-            f"draws more coordinates than the budget of {_MAX_COORDINATES}")
+            f"sampling {shown(count)} point(s) of the {domain.kind.replace('-', ' ')} of "
+            f"C^{shown(m)} draws more coordinates than the budget of {_MAX_COORDINATES}")
     return per_point
 
 
@@ -250,3 +263,9 @@ def sample_array(domain: DomainSpec, count: int, seed: int = 0) -> np.ndarray:
 def sample_points(domain: DomainSpec, count: int, seed: int = 0) -> list[Point]:
     """`sample_array` as a list of `Point`s, coordinate for coordinate."""
     return [Point(p) for p in sample_array(domain, count, seed).tolist()]
+
+
+def sample_pairs(domain: DomainSpec, n: int, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
+    """n (z, w) pairs of the 2n points of `sample_array`, the z the first n."""
+    pts = sample_array(domain, 2 * n, seed)
+    return list(zip(pts[:n], pts[n:]))

@@ -143,7 +143,8 @@ def monomial_positions(m: int, nz: int, nw: int, i, j) -> tuple:
 
 def _fail_where(mask, error, message):
     """Raise `error` for the first batch entry where `mask` holds; `message`
-    maps that entry's batch index to the error text."""
+    maps that entry's batch index (a tuple) to the error text.  The one
+    search for a failing entry of every batched refusal."""
     if mask.any():
         index = tuple(int(i) for i in np.unravel_index(np.argmax(mask), mask.shape))
         exc = error(message(index))

@@ -3,7 +3,8 @@
 `checked(rule, value, name)` applies a rule of `RULES`: a value of the
 wrong type (a bool is neither an integer nor a real here) raises TypeError,
 and one out of range ValueError, both naming the parameter.  The CLI builds
-its flag types from the same table.
+its flag types from the same table.  A refusal writes the value it refuses
+with `shown`, which also writes an int too long for Python to print.
 """
 
 import math
@@ -36,6 +37,22 @@ RULES = {
 }
 
 
+def shown(value, text=repr) -> str:
+    """text(value) for a refusal to name the value by: an int with more
+    digits than Python prints (sys.get_int_max_str_digits) is written by
+    its digit count, and a value holding one by its type."""
+    try:
+        return text(value)
+    except ValueError:
+        if not isinstance(value, numbers.Integral):
+            return f"<{type(value).__name__} holding an int too long to print>"
+    size = abs(int(value))
+    digits = max(1, int(size.bit_length() * math.log10(2)))  # the count, or one less
+    while 10**digits <= size:
+        digits += 1
+    return f"{'-' if value < 0 else ''}<int of {digits} digits>"
+
+
 def is_real(value) -> bool:
     """A real number that is not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -52,8 +69,8 @@ def checked(rule: str, value, name: str):
     kind, in_range, what = RULES[rule]
     cls, words = (numbers.Integral, "an integer") if kind is int else (numbers.Real, "a real")
     if isinstance(value, bool) or not isinstance(value, cls):
-        raise TypeError(f"{name} must be {words}, got {value!r}")
+        raise TypeError(f"{name} must be {words}, got {shown(value)}")
     value = operator.index(value) if kind is int else value
     if not in_range(value):
-        raise ValueError(f"{name} must be {what}, got {value!r}")
+        raise ValueError(f"{name} must be {what}, got {shown(value)}")
     return value

@@ -35,8 +35,8 @@ import numpy as np
 from .eig import hermitian_part, ldl_pivot, min_eigenvalue, tau
 from .errors import BracketError, EvaluationError, KernelCalcError, ShapeError
 from .expr import KernelExpr
-from .geometry import DomainSpec, Point, point_array, sample_array
-from .params import RULES, checked, is_real
+from .geometry import DomainSpec, Point, point_array, point_coords, sample_array
+from .params import RULES, checked, is_real, shown
 
 #: default relative PSD tolerance: psd iff min eig >= -tol * (1 + max diagonal)
 DEFAULT_TOL = 1e-9
@@ -183,18 +183,19 @@ def _pairwise(point_sets, values_of) -> list:
     return result
 
 
-def _check_width(n: int, k: int) -> None:
+def check_width(n: int, k: int) -> None:
     """Refuse a Gram of n points with k x k blocks wider than MAX_GRAM_WIDTH
-    (ValueError naming n, k and the bound)."""
+    (ValueError naming n, k and the bound): every sampled Gram is checked
+    before its points are drawn."""
     if n * k > MAX_GRAM_WIDTH:
-        raise ValueError(f"a Gram of {n} points with {k} x {k} blocks is {n * k} wide, "
-                         f"over the bound of {MAX_GRAM_WIDTH}")
+        raise ValueError(f"a Gram of {shown(n)} points with {k} x {k} blocks is "
+                         f"{shown(n * k)} wide, over the bound of {MAX_GRAM_WIDTH}")
 
 
 def gram(expr: KernelExpr, points) -> np.ndarray:
     """Block Gram matrix with block (p, q) = eval(expr, z_p, z_q), Hermitian."""
     pts = point_array(points, expr.m)
-    _check_width(len(pts), expr.size)
+    check_width(len(pts), expr.size)
     ((g,),) = _pairwise([pts], lambda zs, ws: (expr.values(zs, ws),))
     return g
 
@@ -217,7 +218,7 @@ def _sampled_report(label: str, expr: KernelExpr, gram_of, domain, n, seed, tol)
     certify it; a Gram too wide to hold is refused before sampling."""
     n = checked("positive_int", n, "n")
     checked("positive", tol, "tol")
-    _check_width(n, expr.size)
+    check_width(n, expr.size)
     pts = _sample(domain, expr.m, n, seed)
     g = gram_of(pts)
     mineig, maxdiag, psd = _verdict(g, tol)
@@ -301,13 +302,14 @@ def _family_pairs(family) -> tuple:
     or seed breaks its rule, with a ShapeError naming it."""
     if not np.iterable(family):
         raise ShapeError(f"the point family is not a sequence of (count, seed) pairs, "
-                         f"got {family!r}")
+                         f"got {shown(family)}")
     pairs = []
     for i, entry in enumerate(family):
         try:
             count, seed = entry
         except (TypeError, ValueError):
-            raise ShapeError(f"family entry {i} is not a (count, seed) pair, got {entry!r}") from None
+            raise ShapeError(
+                f"family entry {i} is not a (count, seed) pair, got {shown(entry)}") from None
         try:
             pairs.append((checked("positive_int", count, "count"), checked("seed", seed, "seed")))
         except (TypeError, ValueError) as exc:
@@ -327,7 +329,7 @@ def gram_families(expr: KernelExpr, domain: DomainSpec, family, k: int, values_o
     if not family:
         raise ValueError("the point family is empty: it needs at least one (count, seed)")
     for n, _ in family:
-        _check_width(n, k)
+        check_width(n, k)
     sets = [_sample(domain, expr.m, n, s) for n, s in family]
     outs = _pairwise(sets, values_of)
     return [
@@ -388,14 +390,14 @@ def _multiplier_values(func, pts) -> np.ndarray:
             one = None
         if not isinstance(one, numbers.Number):
             raise ShapeError("the multiplier must give one complex number at point "
-                             f"{i} {tuple(map(complex, p))}, got {v!r}")
+                             f"{i} {point_coords(p)}, got {shown(v)}")
         try:
             z = complex(one)
         except OverflowError:  # an int past the float range
             z = complex(math.inf)
         if not math.isfinite(z.real * z.real + z.imag * z.imag):
             raise EvaluationError("the multiplier's |f|^2 is not finite at point "
-                                  f"{i} {tuple(map(complex, p))}, f = {v!r}")
+                                  f"{i} {point_coords(p)}, f = {shown(v)}")
         vals.append(z)
     return np.array(vals)
 
@@ -422,10 +424,11 @@ def _check_interval(lo: float, hi: float) -> None:
     interval that is not finite with lo < hi (ValueError)."""
     for name, value in (("t_lo", lo), ("t_hi", hi)):
         if not is_real(value):
-            raise TypeError(f"{name} must be a real, got {value!r}")
+            raise TypeError(f"{name} must be a real, got {shown(value)}")
     finite = RULES["finite"][1]  # an int past the float range is not finite
     if not (finite(lo) and finite(hi) and lo < hi):
-        raise ValueError(f"the interval needs finite lo < hi, got [{lo}, {hi}]")
+        raise ValueError(f"the interval needs finite lo < hi, got [{shown(lo, str)}, "
+                         f"{shown(hi, str)}]")
 
 
 def _bisect(is_psd, lo: float, hi: float, resolution: float) -> tuple[float, float]:

@@ -36,7 +36,7 @@ from .expr import (
     bergman_disc,
 )
 from .fd import fd_relative_error
-from .geometry import sample_array, unit_ball, unit_disc, unit_index
+from .geometry import sample_array, sample_pairs, sampling_domain, unit_ball, unit_disc, unit_index
 from .parser import parse_kernel
 from .positivity import DEFAULT_FAMILIES, DEFAULT_TOL, families_pass, gram, psd_check
 from .positivity import multiplier_bound, multiplier_families, wallach_scan
@@ -50,11 +50,6 @@ class CheckResult:
     detail: str
 
 
-def _pairs(domain, n, seed):
-    pts = sample_array(domain, 2 * n, seed)
-    return list(zip(pts[:n], pts[n:]))
-
-
 def check_curvature_power_law() -> CheckResult:
     """curvature(szego, a, b) coincides with (1 - z wbar)^-(a+b+2)."""
     t0 = time.time()
@@ -62,7 +57,7 @@ def check_curvature_power_law() -> CheckResult:
     for alpha, beta in ((1.0, 1.0), (0.5, 2.0), (2.0, 3.0)):
         curv = Curvature(SzegoDisc(), alpha, beta)
         ref = BallPower(1, alpha + beta + 2)
-        zs, ws = zip(*_pairs(unit_disc(), 100, 101))
+        zs, ws = zip(*sample_pairs(unit_disc(), 100, 101))
         a, b = curv.values(zs, ws), ref.values(zs, ws)
         worst = max(worst, float(np.max(np.abs(a - b) / np.abs(b))))
     elapsed = time.time() - t0
@@ -84,7 +79,7 @@ def check_gram_factorization() -> CheckResult:
         (bergman_ball(2), unit_ball(2)),
     ):
         curv = Curvature(base, alpha, beta)
-        for z, w in _pairs(domain, 50, 7):
+        for z, w in sample_pairs(domain, 50, 7):
             lhs = phi_gram(base, alpha, beta, z, w)
             rhs = factor * curv.eval(z, w)
             worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1.0))))
@@ -192,11 +187,11 @@ def check_quasi_invariance() -> CheckResult:
     worst_det = 0.0
     for m in (1, 2, 3):
         base = bergman_ball(m) if m > 1 else bergman_disc()
-        domain = unit_ball(m) if m > 1 else unit_disc()
+        domain = sampling_domain(m)
         for _ in range(10):
             a = 0.5 * rng.random() * _random_direction(rng, m)
             phi = MobiusMap(a)
-            pairs = _pairs(domain, 20, int(rng.integers(1, 10**6)))
+            pairs = sample_pairs(domain, 20, int(rng.integers(1, 10**6)))
             res = quasi_invariance_residual(
                 base, CocycleSpec("det_jacobian_power", 1.0), phi, pairs
             )
@@ -206,7 +201,7 @@ def check_quasi_invariance() -> CheckResult:
         for _ in range(10):
             a = 0.5 * rng.random() * _random_direction(rng, 2)
             phi = MobiusMap(a)
-            pairs = _pairs(unit_ball(2), 20, int(rng.integers(1, 10**6)))
+            pairs = sample_pairs(unit_ball(2), 20, int(rng.integers(1, 10**6)))
             res = curvature_quasi_check(bergman_ball(2), t, phi, pairs)
             worst_curv = max(worst_curv, res)
     ok = worst_det < 1e-8 and worst_curv < 1e-8
@@ -257,7 +252,7 @@ def check_jet_kernel() -> CheckResult:
     """Order-0 jet kernel is the product kernel; order-1 Gram is definite."""
     jk0 = JetKernel(SzegoDisc(), bergman_disc(), 0)
     prod = Product(SzegoDisc(), bergman_disc())
-    zs, ws = zip(*_pairs(unit_disc(), 50, 17))
+    zs, ws = zip(*sample_pairs(unit_disc(), 50, 17))
     worst = float(np.max(np.abs(jk0.values(zs, ws) - prod.values(zs, ws))))
     pts = sample_array(unit_disc(), 10, 29)
     g = gram(JetKernel(SzegoDisc(), SzegoDisc(), 1), pts)
@@ -299,7 +294,7 @@ def check_fd_oracle() -> CheckResult:
     worst_name = ""
     for text in _FD_EXPRESSIONS:
         expr = parse_kernel(text)
-        domain = unit_ball(expr.m, 0.35) if expr.m > 1 else unit_disc(0.35)
+        domain = sampling_domain(expr.m, 0.35)
         for seed in range(_FD_PAIRS):
             z, w = sample_array(domain, 2, seed + 1)
             err = fd_relative_error(expr, z, w, 2)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import EvaluationError, ShapeError
 from .expr import BallCurvature, KernelExpr
 from .geometry import MultiIndex, Point, point_array, unit_index
-from .params import checked
+from .params import checked, shown
 from .positivity import MultiplierBound, multiplier_bound  # re-exported
 
 
@@ -60,7 +60,7 @@ def _finite_number(value, i: int, what: str) -> complex:
             z = complex(math.inf)
         if cmath.isfinite(z):
             return z
-    raise ShapeError(f"term {i}: {what} must be a finite number, got {value!r}")
+    raise ShapeError(f"term {i}: {what} must be a finite number, got {shown(value)}")
 
 
 def element(kernel: KernelExpr, terms) -> RkhsElement:
@@ -77,9 +77,9 @@ def element(kernel: KernelExpr, terms) -> RkhsElement:
                 index = MultiIndex(index)
             except (TypeError, ValueError):
                 raise ShapeError(
-                    f"term {i}: index must be non-negative integers, got {index!r}") from None
+                    f"term {i}: index must be non-negative integers, got {shown(index)}") from None
         if not np.iterable(direction):
-            raise ShapeError(f"term {i}: direction must be a sequence, got {direction!r}")
+            raise ShapeError(f"term {i}: direction must be a sequence, got {shown(direction)}")
         built.append(
             Term(
                 _finite_number(coef, i, "coef"),

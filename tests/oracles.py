@@ -48,7 +48,7 @@ from kernelcalc.automorphisms import CocycleSpec, MobiusMap
 from kernelcalc.eig import _MAX_PASSES, _SPLIT, LdlVerdict, hermitian_part
 from kernelcalc.errors import (BranchError, DomainError, EvaluationError, KernelCalcError,
                                OrderCapError, ParseError, ShapeError)
-from kernelcalc.expr import DEFAULT_ORDER_CAP, JetKernel, JetTable, KernelExpr, Pow, _coords
+from kernelcalc.expr import DEFAULT_ORDER_CAP, JetKernel, JetTable, KernelExpr, Pow
 from kernelcalc.params import checked
 from kernelcalc.geometry import (
     _MAX_CHUNK,
@@ -56,6 +56,7 @@ from kernelcalc.geometry import (
     Point,
     graded_lex_tuples,
     point_array,
+    point_coords,
     unit_index,
 )
 from kernelcalc import jets
@@ -1005,7 +1006,7 @@ def _naming_pairs(zs: np.ndarray, ws: np.ndarray):
         if exc.batch_index is None:
             raise
         p = exc.batch_index[0]
-        raise type(exc)(f"{exc} at pair ({_coords(zs[p])}, {_coords(ws[p])})") from exc
+        raise type(exc)(f"{exc} at pair ({point_coords(zs[p])}, {point_coords(ws[p])})") from exc
 
 
 def _checked_values_in_a_generator(self, zs, ws, evaluate) -> tuple:

@@ -16,8 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kernelcalc as kc
-from kernelcalc.errors import DomainError, EvaluationError, KernelCalcError, ShapeError
+from kernelcalc.eig import eigenvalues, ldl_verdict
+from kernelcalc.errors import (BracketError, DomainError, EvaluationError, KernelCalcError,
+                               ShapeError)
 from kernelcalc.fd import fd_jet_table, fd_relative_error
+from kernelcalc.params import shown
 
 K = kc.SzegoDisc()
 DISC = kc.unit_disc()
@@ -36,6 +39,13 @@ def _float(v) -> bool:
     return _real(v) and not (_integer(v) and abs(int(v)) >= 2**1024 - 2**970)
 
 
+def _matrix(v) -> bool:
+    """A square nested sequence of floats, as a matrix of the solvers."""
+    return isinstance(v, (list, tuple)) and len(v) > 0 and all(
+        isinstance(row, (list, tuple)) and len(row) == len(v) and all(map(_float, row))
+        for row in v)
+
+
 def _point(v) -> bool:
     """A point of C^1: a number that is not a bool, or a sequence of one."""
     if isinstance(v, (list, tuple)):
@@ -47,6 +57,7 @@ def _point(v) -> bool:
 #: rule -> whether it accepts a value, written apart from the package's table
 ACCEPTS = {
     "positive": lambda v: _float(v) and 0 < v < math.inf,
+    "non_negative": lambda v: _float(v) and 0 <= v < math.inf,
     "positive_int": lambda v: _integer(v) and v > 0,
     "seed": lambda v: _integer(v) and 0 <= v < 2**64,
     "radius": lambda v: _real(v) and 0 < v < 1,
@@ -61,7 +72,12 @@ ACCEPTS = {
     "list": lambda v: isinstance(v, (list, tuple)) and all(map(_float, v)),
     "point": _point,
     "points": lambda v: isinstance(v, (list, tuple)) and all(map(_point, v)),
+    "matrix": _matrix,
+    "count": lambda v: v is None or (_integer(v) and 1 <= v <= 2),  # of a 2 x 2 matrix
 }
+
+#: a Hermitian positive definite matrix
+_H = [[2.0, 1j], [-1j, 2.0]]
 
 #: entry point -> (call with valid defaults, {parameter: rule})
 ENTRIES = {
@@ -124,6 +140,11 @@ ENTRIES = {
                   {"zs": "points", "ws": "points"}),
     "fd_relative_error": (lambda z=0.1, w=0.2j: fd_relative_error(K, z, w, 2),
                           {"z": "point", "w": "point"}),
+    "min_eigenvalue": (lambda h=_H: kc.min_eigenvalue(h), {"h": "matrix"}),
+    "eigenvalues": (lambda h=_H, count=1: eigenvalues(h, count),
+                    {"h": "matrix", "count": "count"}),
+    "ldl_verdict": (lambda g=_H, tol=1e-9: ldl_verdict(g, tol),
+                    {"g": "matrix", "tol": "non_negative"}),
 }
 
 #: a valid value of each node kind
@@ -333,3 +354,83 @@ def test_points_that_are_not_numbers_are_refused_naming_the_row(call, words):
     with pytest.raises(DomainError) as info:
         call()
     assert str(info.value) == words
+
+
+#: an int with more digits than Python prints by default (4300)
+_LONG = 10**5000
+
+
+@pytest.mark.parametrize("call, words", [
+    (lambda: kc.geometry.sample_array(DISC, 1, _LONG),
+     "seed must be an integer of 64 bits, in [0, 2^64), got <int of 5001 digits>"),
+    (lambda: kc.sample_points(kc.unit_ball(_LONG), 1, 0),
+     "sampling 1 point(s) of the unit ball of C^<int of 5001 digits> draws more coordinates "
+     "than the budget of 16777216"),
+    (lambda: kc.psd_check(K, DISC, _LONG),
+     "a Gram of <int of 5001 digits> points with 1 x 1 blocks is <int of 5001 digits> wide, "
+     "over the bound of 2048"),
+], ids=["sample_array seed", "sample_points ball dimension", "psd_check n"])
+def test_a_refusal_writes_an_int_too_long_to_print_by_its_digits(call, words):
+    # each used to fail in its own message: "Exceeds the limit (4300 digits)"
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == words
+
+
+@pytest.mark.parametrize("value", [_LONG, -_LONG, [_LONG], (1, -_LONG)],
+                         ids=["long", "negative long", "list", "tuple"])
+def test_no_refusal_fails_while_writing_a_value_too_long_to_print(value):
+    for name, (call, rules) in ENTRIES.items():
+        for param in rules:
+            try:
+                call(**{param: value})
+            except (KernelCalcError, TypeError, ValueError) as exc:
+                assert "Exceeds the limit" not in str(exc), (name, param, exc)
+
+
+def test_shown_is_repr_but_for_ints_too_long_to_print():
+    assert [shown(v) for v in (7, -7, "7", 0.5, np.int64(3))] == [
+        "7", "-7", "'7'", "0.5", "np.int64(3)"]
+    assert shown(np.float64(0.5), str) == "0.5"
+    assert shown(10**4300 - 1) == "9" * 4300  # 4300 digits still print
+    assert shown(10**4300) == "<int of 4301 digits>"
+    assert shown(-_LONG, str) == "-<int of 5001 digits>"
+    assert shown([1, _LONG]) == "<list holding an int too long to print>"
+
+
+@pytest.mark.parametrize("call, error, words", [
+    (lambda: kc.Scale(K, -1), ShapeError, "scale factor must be positive"),
+    (lambda: kc.JetKernel(K, K, -1), ShapeError, "jet order must be >= 0"),
+    (lambda: kc.kernel_order_check(K, kc.bergman_ball(2), DISC, 4), ShapeError,
+     "kernels must share dimension and output size"),
+    # K = 1 + 0.1 z wbar: K^t d dbar log K = 0.1 (1 + 0.1 z wbar)^(t - 2) is psd
+    # at t = 2, and at t = 2.5 its z^2 wbar^2 coefficient is negative
+    (lambda: kc.wallach_scan(kc.DiagonalSeries([1, 0.1]), 2.0, 2.5, DISC), BracketError,
+     "psd region must lie at the upper end of the scanned interval"),
+    (lambda: kc.multiplier_bound(K, 5, DISC), ShapeError, "coordinate index out of range"),
+    (lambda: kc.quasi_invariance_residual(K, kc.CocycleSpec("det_jacobian_power"),
+                                          kc.MobiusMap((0.1, 0.0)), [((0.1, 0.0), (0.0, 0.1))]),
+     ShapeError, "map and kernel dimensions differ"),
+    (lambda: kc.CocycleSpec("curvature_cocycle").matrix(kc.MobiusMap((0.1, 0.0)), (0.1, 0.0), 3),
+     ShapeError, "curvature cocycle needs an m x m kernel"),
+    (lambda: kc.element(K, [(1.0, 0.1, (0, 0), (1.0,))]), ShapeError,
+     "term index has the wrong dimension"),
+    (lambda: kc.element(K, [(10**400, 0.1, (0,), (1.0,))]), ShapeError,
+     f"term 0: coef must be a finite number, got {10**400}"),
+    # <dbar K(., 0), dbar K(., 0)> = d dbar K(0, 0) = -1 for K = 1 - z wbar
+    (lambda: kc.norm(kc.element(kc.Pow(K, -1.0), [(1.0, 0.0, (1,), (1.0,))])), EvaluationError,
+     "negative self inner product -1.000e+00+0.000e+00j: kernel is not NND here"),
+    (lambda: kc.BallPower(2, math.inf).eval((0.1, 0.0), (0.1, 0.0)), EvaluationError,
+     "jet power with non-finite exponent -inf"),
+], ids=["scale", "jet order", "kernel_order_check m", "wallach_scan upper end fails",
+        "multiplier index", "quasi m", "curvature cocycle size", "element index dimension",
+        "element coef 10^400", "norm negative", "ball_power inf"])
+def test_refusals_reached_only_through_the_api_name_their_cause(call, error, words):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == words
+
+
+def test_the_inner_product_of_empty_elements_is_zero():
+    got = kc.inner_product(kc.element(K, []), kc.element(K, []))
+    assert got == 0j and isinstance(got, complex)

@@ -506,6 +506,24 @@ def test_eigensolver_non_convergence_exits_3(capsys, monkeypatch, fmt):
     assert "no convergence" in err
 
 
+@pytest.mark.parametrize("kernel, n", [("szego_disc()", 16000000), ("ball_curvature(2,1.5)", 1025)])
+def test_a_gram_too_wide_is_refused_before_sampling_in_both_formats(capsys, monkeypatch, kernel, n):
+    # the csv path used to draw every point (528 MB at 16,000,000) before it refused
+    from kernelcalc import geometry
+
+    def no_draw(*args):
+        raise AssertionError("a point was drawn")
+
+    monkeypatch.setattr(geometry, "sample_array", no_draw)
+    monkeypatch.setattr(cli, "sample_array", no_draw)
+    k = parse_kernel(kernel).size
+    for fmt in ("json", "csv"):
+        code, out, err = _run(capsys, "psd", "--kernel", kernel, "--n", str(n), "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err == (f"error: a Gram of {n} points with {k} x {k} blocks is {n * k} wide, "
+                       "over the bound of 2048\n")
+
+
 def test_ql_non_convergence_exits_3(capsys, monkeypatch):
     from kernelcalc import eig
 

@@ -76,13 +76,12 @@ def test_the_in_place_hermitian_copy_equals_hermitian_part(scale):
     before = a.copy()
     want = oracles.hermitian_part_by_halves(a)
     for from_spare in (False, True):
-        plan = eig._checkout(len(a))
-        if from_spare:
-            np.copyto(plan.spare, a)
-        # the copy-in of both column loops
-        hermitian_part(plan.spare if from_spare else a, plan.a, plan.spare)
-        got = plan.a.copy()
-        plan.busy.release()
+        with eig._checkout(len(a)) as plan:
+            if from_spare:
+                np.copyto(plan.spare, a)
+            # the copy-in of both column loops
+            hermitian_part(plan.spare if from_spare else a, plan.a, plan.spare)
+            got = plan.a.copy()
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.array_equal(hermitian_part(a).view(np.uint64), want.view(np.uint64))
     assert np.array_equal(a, before)
@@ -94,8 +93,7 @@ def test_a_kept_plan_copy_in_allocates_no_buffer():
     n = eig._MAX_KEPT_WIDTH
     rng = np.random.default_rng(10)
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    plan = eig._checkout(n)
-    try:
+    with eig._checkout(n) as plan:
         hermitian_part(a, plan.a, plan.spare)
         tracemalloc.start()
         try:
@@ -103,8 +101,6 @@ def test_a_kept_plan_copy_in_allocates_no_buffer():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    finally:
-        plan.busy.release()
     assert peak < 1024
 
 
@@ -556,6 +552,32 @@ def test_ldl_verdict_rejects_bad_input():
         ldl_verdict(np.array([[1.0, np.nan], [np.nan, 1.0]]), 1e-9)
 
 
+@pytest.mark.parametrize("solve", [min_eigenvalue, eigenvalues, lambda h: ldl_verdict(h, 1e-9)],
+                         ids=["min_eigenvalue", "eigenvalues", "ldl_verdict"])
+@pytest.mark.parametrize("h", [[[10**400]], [[1.0, -10**400], [0.0, 1.0]], "ab",
+                               [[1.0, 2.0], [3.0]], [[object()]]],
+                         ids=["10^400", "-10^400 entry", "string", "ragged", "object"])
+def test_a_malformed_matrix_is_refused_by_name(solve, h):
+    # it used to end in a bare OverflowError or in numpy's own words
+    with pytest.raises(ValueError) as info:
+        solve(h)
+    assert str(info.value) == "matrix is not an array of numbers within the float range"
+
+
+def test_only_one_check_out_refuses_an_empty_matrix():
+    with pytest.raises(ValueError, match="^matrix is empty: there is no verdict to give$"):
+        eig._checkout(0)
+
+
+def test_a_plan_is_released_when_its_block_raises():
+    with pytest.raises(RuntimeError):
+        with eig._checkout(12) as plan:
+            raise RuntimeError
+    assert not plan.busy.locked()
+    with eig._checkout(12) as again:
+        assert again is plan  # the kept plan, free again
+
+
 def test_ldl_pivot_refuses_an_empty_matrix_as_ldl_verdict_does():
     # it used to end in numpy's "zero-size array to reduction operation"
     def fill(out):
@@ -626,13 +648,10 @@ def _planned_elimination(a, tol):
     """(the pivot, a copy of every factor, tau) of `_eliminate` on a plan
     checked out and loaded as `ldl_verdict` checks out and loads one."""
     a = eig._checked_square(a)
-    plan = eig._checkout(len(a))
-    try:
+    with eig._checkout(len(a)) as plan:
         hermitian_part(a, plan.a, plan.spare)
         pivot, shift = eig._eliminate(plan, tol)
         return pivot, plan.a.copy(), shift
-    finally:
-        plan.busy.release()
 
 
 def _assert_planned_answers_are_the_unplanned(a, tol):
