@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError
-from .params import checked, shown
+from .params import checked, is_number, shown
 
 
 def hermitian_part(a: np.ndarray, out: np.ndarray | None = None,
@@ -79,10 +79,15 @@ def hermitian_part(a: np.ndarray, out: np.ndarray | None = None,
 
 def _checked_square(h) -> np.ndarray:
     """h as a complex array, refusing one that is not an array of numbers
-    in the float range (ValueError), square and finite."""
+    in the float range (ValueError), square and finite.  Entries are numbers
+    by `geometry.point_array`'s rule: by the dtype numpy infers, and else
+    one by one, so a string or None is refused, not parsed or read as NaN."""
     try:
-        a = np.asarray(h, dtype=complex)
-    except (TypeError, ValueError, OverflowError):  # ragged, a string, past the range
+        a = np.asarray(h)
+        if a.dtype.kind not in "iufc" and not all(map(is_number, a.astype(object).ravel())):
+            raise TypeError("an entry is not a number")
+        a = a.astype(complex, copy=False)
+    except (TypeError, ValueError, OverflowError):  # ragged, not numbers, past the range
         raise ValueError("matrix is not an array of numbers within the float range") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")

@@ -301,6 +301,32 @@ def _inner_terms(z, w, m, nz, nw) -> list:
     return [Jet(m, nz, nw, p.coeffs[:, i]) for i in range(m)]
 
 
+def _one_minus_inner(z, w, m, nz, nw) -> Jet:
+    """The jet of 1 - <z, w>, batch (B,), in one fill.  It must equal
+    `_one_minus(_inner_terms(z, w, m, nz, nw))` bit for bit, the signs of
+    its zeros included, so it keeps that subtraction's op order: the value
+    ((-z_0 wbar_0) + 1) - z_1 wbar_1 - ..., -wbar_k at (e_k, 0), -z_k at
+    (0, e_k), complex(-1, -0.0) at (e_k, e_k) and complex(-0.0, -0.0) at
+    every other coefficient."""
+    z, wbar = np.asarray(z, dtype=complex), np.conj(np.asarray(w, dtype=complex))
+    products = z * wbar
+    value = np.negative(products[..., 0])
+    value += 1.0
+    for k in range(1, m):
+        value -= products[..., k]
+    tall, wide = _group(m, nz).size, _group(m, nw).size
+    coeffs = np.full(value.shape + (tall, wide), complex(-0.0, -0.0))
+    flat = coeffs.reshape(value.shape + (tall * wide,))
+    flat[..., 0] = value
+    if nz >= 1:
+        np.negative(wbar, out=flat[..., wide:(m + 1) * wide:wide])
+    if nw >= 1:
+        np.negative(z, out=flat[..., 1:m + 1])
+    if nz >= 1 and nw >= 1:
+        flat[..., wide + 1:(m + 1) * (wide + 1):wide + 1] = complex(-1, -0.0)
+    return Jet(m, nz, nw, coeffs)
+
+
 def _one_minus(terms) -> Jet:
     """The jet of 1 minus the given jets, subtracted in order, in place."""
     terms = iter(terms)
@@ -327,7 +353,7 @@ class SzegoDisc(KernelExpr):
         return np.abs(p[..., 0]) < 1
 
     def _base_jet(self, z, w, nz, nw):
-        return _one_minus(_inner_terms(z, w, 1, nz, nw))
+        return _one_minus_inner(z, w, 1, nz, nw)
 
     def jets(self, z, w, nz, nw):
         return _scalar(self._base_jet(z, w, nz, nw) ** -1)
@@ -354,7 +380,7 @@ class BallPower(KernelExpr):
         return in_unit_ball(p)
 
     def _base_jet(self, z, w, nz, nw):
-        return _one_minus(_inner_terms(z, w, self.dim, nz, nw))
+        return _one_minus_inner(z, w, self.dim, nz, nw)
 
     def jets(self, z, w, nz, nw):
         # 1 - <z, w> stays in the right half-plane on the ball, so the

@@ -13,14 +13,13 @@ and `sampling_domain` the disc or ball that C^m is sampled in).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .errors import DomainError
-from .params import checked, is_integral, shown
+from .params import checked, is_integral, is_number, shown
 
 #: default radius of the closed sub-domain that sampled points live in
 DEFAULT_SAMPLE_RADIUS = 0.8
@@ -105,7 +104,7 @@ def _check_numeric(rows, m: int) -> None:
     bool or lies past the float range."""
     for i, row in enumerate(rows):
         coords = np.asarray(row, dtype=object).ravel()
-        if not all(isinstance(c, numbers.Number) and not isinstance(c, bool) for c in coords):
+        if not all(map(is_number, coords)):
             raise DomainError(
                 f"expected points of C^{m} with numeric coordinates, got row {i}: {shown(row)}")
         try:

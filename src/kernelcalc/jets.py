@@ -49,12 +49,24 @@ batch times the pairs, so no temporary spans all pairs whatever the batch.
 A product needs no degree order: it reads the runs of the whole table in
 one pass.  At caps (0, 0) there is no pair work.
 
+Each run is summed by one np.add.reduceat, except where every output of
+the run has the same count l <= 4 of pairs (`_runs` records it as the
+run's `slots`) and the run has at least `_SLOT_TERMS` terms over the
+batch, as the caps-(1, 1) series of a Gram or a derivative torus do.
+There l - 1 strided adds sum it, grouped as reduceat groups a complex
+segment that short, t0 + ((t1 + t2) + t3), t0 + (t1 + t2) and t0 + t1, so
+the sums are reduceat's bit for bit, signed zeros included.  From l = 5
+numpy sums the terms after t0 in pairwise blocks, (t1 + t2) + (t3 + t4),
+and longer runs would have to copy its block rule, so they stay on
+reduceat, as do runs of mixed counts and small runs, where one reduceat
+call costs less than the adds.
+
 Balanced jets.  At the origin a circular kernel has coefficients only at
-|a| = |b|.  A product or series reads this off its inputs: if every other
-coefficient is exactly 0 (NaN is not) in every batch entry, it reads
-tables of the balanced outputs and pairs only, built from the (d, d)
-blocks (at m = 3 and caps (9, 9), 860k of the full table's 25M pairs), and
-leaves the other outputs +0.0.  Only exact zeros are dropped, so the
+|a| = |b|.  A product or series reads this off its inputs (the first
+batch entry alone first): if every other coefficient is exactly 0 (NaN
+is not) in every batch entry, it reads tables of the balanced outputs and
+pairs only, built from the (d, d) blocks (at m = 3 and caps (9, 9), 860k
+of the full table's 25M pairs), and leaves the other outputs +0.0.  Only exact zeros are dropped, so the
 results equal the full tables' up to the sign of a zero and an ulp where
 numpy's pairwise sum regroups a run of 8 or more terms; a balanced entry of
 a batch that is not balanced can move by such an ulp too.
@@ -179,9 +191,37 @@ def _off_balance(m: int, nz: int, nw: int) -> np.ndarray:
 
 def _balanced(coeffs: np.ndarray, m: int, nz: int, nw: int) -> bool:
     """Whether every coefficient (a, b) with |a| != |b| is exactly 0, in
-    every batch entry."""
-    flat = coeffs.reshape(coeffs.shape[:-2] + (coeffs.shape[-2] * coeffs.shape[-1],))
-    return not np.count_nonzero(flat.take(_off_balance(m, nz, nw), axis=-1))
+    every batch entry.  The first entry is counted alone first, since a
+    batch off the origin fails there already."""
+    off = _off_balance(m, nz, nw)
+    entries = coeffs.reshape(-1, coeffs.shape[-2] * coeffs.shape[-1])
+    if np.count_nonzero(entries[:1].take(off, axis=-1)):
+        return False
+    return len(entries) < 2 or not np.count_nonzero(entries[1:].take(off, axis=-1))
+
+
+#: the most pairs per output that `_slot_sums` adds; from 5 terms on,
+#: np.add.reduceat sums a complex segment in pairwise blocks
+_SLOT_PAIRS = 4
+#: the fewest terms of a run that `_slot_sums` adds: below about this many,
+#: one reduceat call costs less than the slot adds' 2-3 calls
+_SLOT_TERMS = 512
+
+
+def _slot_sums(terms: np.ndarray, slots: int) -> np.ndarray:
+    """np.add.reduceat of `terms` over consecutive segments of `slots` <=
+    `_SLOT_PAIRS` terms, bit for bit, signed zeros included: reduceat adds
+    t1, t2, t3 in turn onto -0.0 and then that sum onto t0, so a segment is
+    t0 + ((t1 + t2) + t3), t0 + (t1 + t2) or t0 + t1."""
+    t = terms.reshape(terms.shape[:-1] + (terms.shape[-1] // slots, slots))
+    if slots == 1:
+        return t[..., 0]
+    if slots == 2:
+        return t[..., 0] + t[..., 1]
+    rest = t[..., 1] + t[..., 2]
+    if slots == 4:
+        rest += t[..., 3]
+    return np.add(t[..., 0], rest, out=rest)
 
 
 def _pair_sums(x: np.ndarray, y: np.ndarray, runs, weights=None):
@@ -189,11 +229,17 @@ def _pair_sums(x: np.ndarray, y: np.ndarray, runs, weights=None):
     over the pairs (l, r) of each output in rows, in table order.  The
     weights multiply x once per monomial, not once per pair: each term is
     still fl(x_l w_l) y_r.  y is read when a run starts, after the caller
-    has stored the runs before it."""
+    has stored the runs before it.  A run whose outputs share a pair count
+    of at most `_SLOT_PAIRS` (`slots`) and that has at least `_SLOT_TERMS`
+    terms is summed by slot adds, the others by np.add.reduceat."""
     if weights is not None:
         x = x * weights
-    for rows, left, right, starts in runs:
-        yield rows, np.add.reduceat(x.take(left, axis=-1) * y.take(right, axis=-1), starts, axis=-1)
+    for rows, left, right, starts, slots in runs:
+        terms = x.take(left, axis=-1) * y.take(right, axis=-1)
+        if slots and terms.size >= _SLOT_TERMS:
+            yield rows, _slot_sums(terms, slots)
+        else:
+            yield rows, np.add.reduceat(terms, starts, axis=-1)
 
 
 def _convolve(x: np.ndarray, y: np.ndarray, m: int, nz: int, nw: int) -> np.ndarray:
@@ -475,15 +521,21 @@ def _degree_tables(m: int, nz: int, nw: int, balanced: bool) -> list:
 
 
 def _runs(out, left, right, starts, max_pairs: int) -> list:
-    """A table cut into runs of consecutive outputs, (out, left, right,
-    starts) each, with at most `max_pairs` pairs per run unless one output
-    alone has more."""
+    """A table cut into runs of consecutive outputs, (rows, left, right,
+    starts, slots) each, with at most `max_pairs` pairs per run unless one
+    output alone has more.  `rows` are the run's outputs, a slice where
+    they are equally spaced; `slots` is the pair count that every output of
+    the run shares if it is at most `_SLOT_PAIRS`, else 0."""
     bounds = np.r_[starts, len(left)]
+    counts = np.diff(bounds)
     runs, k0 = [], 0
     while k0 < len(out):
         k1 = max(int(np.searchsorted(bounds, bounds[k0] + max_pairs, "right")) - 1, k0 + 1)
         s0, s1 = bounds[k0], bounds[k1]
-        runs.append((out[k0:k1], left[s0:s1], right[s0:s1], starts[k0:k1] - s0))
+        ell = int(counts[k0])
+        slots = ell if ell <= _SLOT_PAIRS and (counts[k0:k1] == ell).all() else 0
+        rows = _as_slice(out[k0:k1], (k1 - k0,))
+        runs.append((rows, left[s0:s1], right[s0:s1], starts[k0:k1] - s0, slots))
         k0 = k1
     return runs
 
@@ -571,13 +623,16 @@ def _product_slots(m: int, nz: int, nw: int, shape: tuple, i: bytes, j: bytes) -
     indices of z_i and w_j and the flat positions of the terms at (e_i, 0), (0, e_j)
     and (e_i, e_j) (e_k is at 1 + k), each a slice where a 1-D run of equal steps."""
 
-    def slot(positions, shape):
-        step = int(positions[1] - positions[0]) if len(positions) > 1 else 1
-        if len(shape) == 1 and len(positions) and step > 0 and (np.diff(positions) == step).all():
-            return slice(int(positions[0]), int(positions[-1]) + 1, step)
-        return positions.reshape(shape)
-
     i, j = np.frombuffer(i, dtype=np.intp), np.frombuffer(j, dtype=np.intp)
     wide, base = _group(m, nw).size, np.arange(len(i)) * _group(m, nz).size * _group(m, nw).size
     flat = (base + (1 + i) * wide, base + 1 + j, base + (1 + i) * wide + 1 + j)
-    return slot(i, shape), slot(j, shape), *(slot(p, p.shape) for p in flat)
+    return _as_slice(i, shape), _as_slice(j, shape), *(_as_slice(p, p.shape) for p in flat)
+
+
+def _as_slice(positions: np.ndarray, shape: tuple):
+    """`positions` as a slice where they are a 1-D run of equal steps, which
+    indexes as a view and costs less, else as an array of `shape`."""
+    step = int(positions[1] - positions[0]) if len(positions) > 1 else 1
+    if len(shape) == 1 and len(positions) and step > 0 and (np.diff(positions) == step).all():
+        return slice(int(positions[0]), int(positions[-1]) + 1, step)
+    return positions.reshape(shape)

@@ -53,6 +53,12 @@ def shown(value, text=repr) -> str:
     return f"{'-' if value < 0 else ''}<int of {digits} digits>"
 
 
+def is_number(value) -> bool:
+    """A number that is not a bool: a coordinate of a point, an entry of a
+    matrix."""
+    return isinstance(value, numbers.Number) and not isinstance(value, bool)
+
+
 def is_real(value) -> bool:
     """A real number that is not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)

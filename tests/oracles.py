@@ -855,20 +855,27 @@ def _parse_arg(tz: _Tokenizer):
 # coordinate products, the factorial table of derivatives, the moveaxis and
 # tensordot glue of eval_jets and the torus, the generator that names a
 # failing pair, the Gram families formed outside the elimination, the pair
-# sums and balance check through np.take and the point coercion through
-# dtype=complex.  `with_per_call_bookkeeping()` patches them all in, so that
-# one call gives the old path's answer.
+# sums and balance check through np.take, the point coercion through
+# dtype=complex and 1 - <z, w> subtracted term by term.
+# `with_per_call_bookkeeping()` patches them all in, so that one call gives
+# the old path's answer.
 
 
 def _pair_sums_by_np_take(x: np.ndarray, y: np.ndarray, runs, weights=None):
     """Yield (rows, sums) per run: sum x_l y_r (times weights[l], if given)
     over the pairs (l, r) of each output in rows, in table order.  y is read
     when a run starts, after the caller has stored the runs before it."""
-    for rows, left, right, starts in runs:
+    for rows, left, right, starts, _slots in runs:
         terms = np.take(x, left, axis=-1)
         if weights is not None:
             terms *= np.take(weights, left)
         yield rows, np.add.reduceat(terms * np.take(y, right, axis=-1), starts, axis=-1)
+
+
+def _one_minus_inner_terms(z, w, m, nz, nw) -> Jet:
+    """The jet of 1 - <z, w>, batch (B,): 1 minus the jets z_k wbar_k,
+    subtracted in order."""
+    return expr_module._one_minus(expr_module._inner_terms(z, w, m, nz, nw))
 
 
 def _balanced_by_np_take(coeffs: np.ndarray, m: int, nz: int, nw: int) -> bool:
@@ -1133,6 +1140,7 @@ def with_per_call_bookkeeping():
             patch(Jet, name, value)
         for module in (jets, expr_module):
             patch(module, "coordinate_products", coordinate_products_by_fancy_assignment)
+        patch(expr_module, "_one_minus_inner", _one_minus_inner_terms)
         patch(KernelExpr, "_checked_values", _checked_values_in_a_generator)
         patch(KernelExpr, "eval_jets", _eval_jets_by_moveaxis)
         patch(fd, "_fd_derivatives", _fd_derivatives_by_tensordot)

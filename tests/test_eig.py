@@ -555,10 +555,14 @@ def test_ldl_verdict_rejects_bad_input():
 @pytest.mark.parametrize("solve", [min_eigenvalue, eigenvalues, lambda h: ldl_verdict(h, 1e-9)],
                          ids=["min_eigenvalue", "eigenvalues", "ldl_verdict"])
 @pytest.mark.parametrize("h", [[[10**400]], [[1.0, -10**400], [0.0, 1.0]], "ab",
-                               [[1.0, 2.0], [3.0]], [[object()]]],
-                         ids=["10^400", "-10^400 entry", "string", "ragged", "object"])
+                               [[1.0, 2.0], [3.0]], [[object()]], [[0.1, "0.2"], [1, 1]],
+                               [[None, 0.0], [0.0, 1.0]], [[True, False], [False, True]]],
+                         ids=["10^400", "-10^400 entry", "string", "ragged", "object",
+                              "numeric string entry", "None entry", "bools"])
 def test_a_malformed_matrix_is_refused_by_name(solve, h):
-    # it used to end in a bare OverflowError or in numpy's own words
+    # it used to end in a bare OverflowError or in numpy's own words; a
+    # numeric string entry was parsed (min_eigenvalue gave -0.2), None was
+    # read as NaN and refused as non-finite, and bools were read as 0 and 1
     with pytest.raises(ValueError) as info:
         solve(h)
     assert str(info.value) == "matrix is not an array of numbers within the float range"

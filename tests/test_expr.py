@@ -37,6 +37,9 @@ from kernelcalc.expr import (
     bergman_ball,
     bergman_disc,
     _hessian,
+    _inner_terms,
+    _one_minus,
+    _one_minus_inner,
 )
 from kernelcalc.fd import fd_jet_table, fd_relative_error
 from kernelcalc.geometry import (
@@ -735,6 +738,23 @@ def test_a_batch_of_no_pairs_gives_empty_results_at_every_cap(text):
         assert expr.values([], [], log=True).shape == (0, 1, 1)
         logk, hess = expr.log_hessian_values(none, none)
         assert logk.shape == (0, 1, 1) and hess.shape == (0, expr.m, expr.m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("nz, nw", [(0, 0), (1, 0), (0, 1), (1, 1), (3, 3)])
+@pytest.mark.parametrize("batch", [0, 1, 625])
+def test_the_one_fill_base_is_one_minus_the_inner_terms_bit_for_bit(m, nz, nw, batch):
+    rng = np.random.default_rng([m, nz, nw, batch])
+    z, w = (0.5 / m * (rng.standard_normal((batch, m)) + 1j * rng.standard_normal((batch, m)))
+            for _ in range(2))
+    for part in (z.real, z.imag, w.real, w.imag):  # zeros of both signs
+        part[rng.random(part.shape) < 0.2] = 0.0
+        part[rng.random(part.shape) < 0.2] = -0.0
+    got = _one_minus_inner(z, w, m, nz, nw)
+    want = _one_minus(_inner_terms(z, w, m, nz, nw))
+    assert (got.m, got.nz, got.nw) == (want.m, want.nz, want.nw)
+    assert got.coeffs.shape == want.coeffs.shape
+    assert np.array_equal(got.coeffs.view(np.int64), want.coeffs.view(np.int64))
 
 
 def test_the_fd_oracle_refuses_a_torus_that_leaves_the_domain_naming_the_pair():

@@ -607,3 +607,53 @@ def test_the_balance_check_reads_every_coefficient_off_balance():
         f = Jet.constant(1.0, 2, 2, 2)
         f.coeffs[3, 1] = bad
         assert not _read_balanced(f)
+
+
+def test_a_batch_balanced_at_its_first_entry_is_read_to_its_last():
+    # the first entry is counted alone first; a later entry off balance at
+    # (2 e_1, e_1), off the row (0, b) and the column (a, 0), still counts
+    f = _balanced_jet(np.random.default_rng(4), 2, 2, 2, (2, 3))
+    assert _read_balanced(f)
+    f.coeffs[1, 2, 3, 1] = 1e-300
+    assert not _read_balanced(f)
+    assert not _read_balanced(Jet(2, 2, 2, f.coeffs[1:]))
+    assert _read_balanced(Jet(2, 2, 2, f.coeffs[:1]))
+
+
+def _signed_parts(rng, shape):
+    """Reals of magnitude 1e-300 to 1e300, both signs, about a third of
+    them zeros of both signs."""
+    part = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-300, 300, shape)
+    return np.where(rng.random(shape) < 0.3, rng.choice([0.0, -0.0], shape), part)
+
+
+@settings(max_examples=80, deadline=None)
+@given(slots=st.integers(1, jets._SLOT_PAIRS), batch=st.integers(1, 700),
+       outputs=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_slot_sums_are_reduceat_bit_for_bit(slots, batch, outputs, seed):
+    rng = np.random.default_rng(seed)
+    terms = np.empty((batch, outputs * slots), dtype=complex)
+    terms.real, terms.imag = _signed_parts(rng, terms.shape), _signed_parts(rng, terms.shape)
+    want = np.add.reduceat(terms, np.arange(0, terms.shape[-1], slots), axis=-1)
+    got = jets._slot_sums(terms, slots)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("counts, slots", [
+    ((1, 1, 1), 1), ((2, 2), 2), ((3,), 3), ((4, 4, 4), 4),
+    ((5,), 0), ((5, 5), 0), ((2, 4), 0), ((4, 3), 0), ((1, 2, 2), 0),
+])
+def test_a_run_keeps_a_slot_tag_only_for_one_pair_count_of_at_most_4(counts, slots):
+    starts = np.r_[0, np.cumsum(counts)[:-1]]
+    pairs = np.arange(sum(counts), dtype=np.int32)
+    out = 3 * np.arange(len(counts)) + 1
+    (run,) = jets._runs(out, pairs, pairs, starts, 64)
+    assert run[4] == slots
+    assert isinstance(run[0], slice) and np.array_equal(np.arange(24)[run[0]], out)
+
+
+def test_run_rows_that_are_not_equally_spaced_stay_an_index_array():
+    pairs = np.arange(6, dtype=np.int32)
+    (run,) = jets._runs(np.array([1, 2, 5]), pairs, pairs, np.array([0, 2, 4]), 64)
+    assert isinstance(run[0], np.ndarray) and run[0].tolist() == [1, 2, 5] and run[4] == 2
