@@ -13,7 +13,8 @@ and explicit flags win.  Each numeric flag follows a rule of `params.RULES`,
 the table the library checks the same parameters with.  Beyond it, --lo
 must lie below --hi, --z, --w and `quasi --a` must be points of C^m (m the
 kernel's dimension) with finite coordinates, `quasi --a` inside the unit
-ball, and `bound --f` a coordinate of C^m.  A bad flag exits 2.
+ball, and `bound --f` a coordinate of C^m.  A bad flag exits 2, as does
+an --output path that cannot be written.
 
 Exit codes: 0 success, 2 configuration or parse error, 3 evaluation error,
 4 scan bracket failure (no sign change in the scanned interval); `repro`
@@ -115,11 +116,16 @@ def _finite_json(value) -> bool:
 
 
 def _write(args, text: str) -> None:
-    if getattr(args, "output", None):
+    """Print `text`, or write it to the --output path; a path that cannot
+    be written is a bad flag (exit 2)."""
+    if not getattr(args, "output", None):
+        print(text)
+        return
+    try:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write output {args.output!r}: {exc.strerror or exc}") from None
 
 
 @functools.lru_cache(maxsize=16)

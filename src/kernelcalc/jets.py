@@ -36,14 +36,15 @@ summed over the same pairs for the output monomials of degree D, so each
 degree needs only lower ones and the result is exact to the caps.  That is
 one pass over the pairs of one product, where summing the powers x, x^2,
 ... took nz + nw - 1 products.  Both sum their pairs in one loop,
-`_pair_sums`, over one pair table per total degree, flat over the Nz * Nw
-monomials, int32 indices sorted by output; an
+`_pair_sums`, over one flat pair table (`_pair_table`) of the Nz * Nw
+monomials, int32 indices sorted by output, the outputs in degree order; an
 (m, nz, nw) table has C(2m + nz, 2m) * C(2m + nw, 2m) pairs, e.g. 44,100 at
 m = 3 and caps (4, 4), 213,444 at (5, 5) and 853,776 at (6, 6).  Each
 table is built once, whatever its size, and kept with its two cuts into
 runs, per degree (for pow, exp and log) and across degrees (for a
-product), in least-recently-used caches of `_KEPT_TABLES` entries each; a
-kept table and its product cut take about 16 bytes per pair.  The pairs
+product), in least-recently-used caches of `_KEPT_TABLES` entries each.
+A cut's pairs are views of the table's, so a kept table takes about 8
+bytes per pair however many cuts read it.  The pairs
 are applied in runs of at most `_PRODUCT_CHUNK` entries of the broadcast
 batch times the pairs, so no temporary spans all pairs whatever the batch.
 A product needs no degree order: it reads the runs of the whole table in
@@ -66,10 +67,11 @@ Balanced jets.  At the origin a circular kernel has coefficients only at
 batch entry alone first): if every other coefficient is exactly 0 (NaN
 is not) in every batch entry, it reads tables of the balanced outputs and
 pairs only, built from the (d, d) blocks (at m = 3 and caps (9, 9), 860k
-of the full table's 25M pairs), and leaves the other outputs +0.0.  Only exact zeros are dropped, so the
-results equal the full tables' up to the sign of a zero and an ulp where
-numpy's pairwise sum regroups a run of 8 or more terms; a balanced entry of
-a batch that is not balanced can move by such an ulp too.
+of the full table's 25M pairs), and leaves the other outputs +0.0.  Only
+exact zeros are dropped, so the results equal the full tables' up to the
+sign of a zero and an ulp where numpy's pairwise sum regroups a run of 8
+or more terms; a balanced entry of a batch that is not balanced can move
+by such an ulp too.
 
 The branch, zero-base and non-finite checks of pow, exp and log are
 vectorized: each raises for the first bad batch entry and records its
@@ -463,25 +465,28 @@ class Jet:
         return self._like(out)
 
 
-# -- per-degree pair tables of products and series ---------------------------
+# -- the pair tables of products and series ----------------------------------
 
 #: (m, nz, nw, balanced) pair tables kept, least recently used first out, and
-#: as many run cuts of each kind; a `sections` run reads 11 tables, 11
-#: per-degree cuts and 5 product cuts
+#: as many run cuts of each kind, which view the table's pairs; a `sections`
+#: run reads 11 tables, 11 per-degree cuts and 5 product cuts
 _KEPT_TABLES = 32
 
 
 @functools.lru_cache(maxsize=_KEPT_TABLES)
-def _degree_tables(m: int, nz: int, nw: int, balanced: bool) -> list:
-    """(D, out, left, right, starts) for each total degree D = 0 .. nz + nw.
+def _pair_table(m: int, nz: int, nw: int, balanced: bool) -> tuple:
+    """(degrees, out, left, right, bounds): the pairs of every total degree
+    D = 0 .. nz + nw in one flat table.
 
     Positions are flattened, i * Nw + j for z-monomial i and w-monomial j.
-    `out` holds the output monomials of degree D; `left` and `right` list,
-    for each output in turn, every pair of monomials whose product it is
-    (z pair major), and `starts` is where each output's pairs begin.  An
-    output's pairs are the z pairs of its z part times the w pairs of its w
-    part, so the tables are built one block of degrees (dz, D - dz) at a
-    time from the two groups' pair tables (`_Group.pair_arrays`).
+    `out` holds the output monomials in degree order, and `degrees` lists
+    (D, k0, k1) for each degree present: its outputs are out[k0:k1].
+    `left` and `right` list, for each output in turn, every pair of
+    monomials whose product it is (z pair major): output k's pairs are
+    bounds[k]:bounds[k + 1].  An output's pairs are the z pairs of its z
+    part times the w pairs of its w part, so the table is built one block
+    of degrees (dz, D - dz) at a time from the two groups' pair tables
+    (`_Group.pair_arrays`).
 
     A balanced table keeps only the outputs with |a| = |b| and, of their
     pairs, those whose left monomial (and so the right one) is balanced
@@ -492,70 +497,69 @@ def _degree_tables(m: int, nz: int, nw: int, balanced: bool) -> list:
     (zl, zr, zk, zdeg, zfirst), (wl, wr, wk, wdeg, wfirst) = (
         _group(m, nz).pair_arrays, _group(m, nw).pair_arrays)
     nw_size = np.int32(_group(m, nw).size)
-    tables = []
-    for degree in range(nz + nw + 1):
-        if not balanced:
-            blocks = [(dz, degree - dz) for dz in range(max(0, degree - nw), min(nz, degree) + 1)]
-        elif degree % 2 == 0 and degree // 2 <= min(nz, nw):
-            blocks = [(degree // 2, degree // 2)]
-        else:
-            continue
-        keys, lefts, rights = [], [], []
-        for dz, dw in blocks:
-            pz = np.arange(zfirst[dz], zfirst[dz + 1])
-            pw = np.arange(wfirst[dw], wfirst[dw + 1])
-            matched = ([(pz[zdeg[pz] == e], pw[wdeg[pw] == e]) for e in range(dz + 1)]
+    blocks = ([(d, d) for d in range(min(nz, nw) + 1)] if balanced else
+              [(dz, d - dz) for d in range(nz + nw + 1)
+               for dz in range(max(0, d - nw), min(nz, d) + 1)])
+    matches = []  # the z pairs and w pairs of each block, in table order
+    for dz, dw in blocks:
+        pz = np.arange(zfirst[dz], zfirst[dz + 1])
+        pw = np.arange(wfirst[dw], wfirst[dw + 1])
+        matches.append([(pz[zdeg[pz] == e], pw[wdeg[pw] == e]) for e in range(dz + 1)]
                        if balanced else [(pz, pw)])
-            key, left, right = (
-                np.concatenate([(a[p, None] * nw_size + b[q]).ravel() for p, q in matched])
-                for a, b in ((zk, wk), (zl, wl), (zr, wr)))
-            order = np.argsort(key, kind="stable")
-            keys.append(key[order])
-            lefts.append(left[order])
-            rights.append(right[order])
-        keys = np.concatenate(keys)
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        out = keys[starts].astype(np.intp)  # an int32 index is converted on each use
-        tables.append((degree, out, np.concatenate(lefts), np.concatenate(rights), starts))
-    return tables
+    # filled one block at a time, so that building holds one block beside the table
+    size = sum(p.size * q.size for matched in matches for p, q in matched)
+    left, right = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
+    outs, bounds, s0 = [], [], 0
+    for matched in matches:
+        key, block_left, block_right = (
+            np.concatenate([(a[p, None] * nw_size + b[q]).ravel() for p, q in matched])
+            for a, b in ((zk, wk), (zl, wl), (zr, wr)))
+        order = np.argsort(key, kind="stable")
+        key, s1 = key[order], s0 + len(key)
+        left[s0:s1], right[s0:s1] = block_left[order], block_right[order]
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        outs.append(key[first])
+        bounds.append(first + s0)
+        s0 = s1
+    out = np.concatenate(outs).astype(np.intp)  # an int32 index is converted on each use
+    bounds = np.r_[np.concatenate(bounds), size]
+    at = np.searchsorted(_total_degrees(m, nz, nw)[out], np.arange(nz + nw + 2))
+    degrees = [(d, int(at[d]), int(at[d + 1])) for d in range(nz + nw + 1) if at[d] < at[d + 1]]
+    return degrees, out, left, right, bounds
 
 
-def _runs(out, left, right, starts, max_pairs: int) -> list:
-    """A table cut into runs of consecutive outputs, (rows, left, right,
-    starts, slots) each, with at most `max_pairs` pairs per run unless one
-    output alone has more.  `rows` are the run's outputs, a slice where
-    they are equally spaced; `slots` is the pair count that every output of
-    the run shares if it is at most `_SLOT_PAIRS`, else 0."""
-    bounds = np.r_[starts, len(left)]
-    counts = np.diff(bounds)
-    runs, k0 = [], 0
-    while k0 < len(out):
-        k1 = max(int(np.searchsorted(bounds, bounds[k0] + max_pairs, "right")) - 1, k0 + 1)
-        s0, s1 = bounds[k0], bounds[k1]
-        ell = int(counts[k0])
-        slots = ell if ell <= _SLOT_PAIRS and (counts[k0:k1] == ell).all() else 0
-        rows = _as_slice(out[k0:k1], (k1 - k0,))
-        runs.append((rows, left[s0:s1], right[s0:s1], starts[k0:k1] - s0, slots))
-        k0 = k1
+def _runs(table: tuple, k0: int, k1: int, max_pairs: int) -> list:
+    """The outputs k0 .. k1 - 1 of a pair table cut into runs of consecutive
+    outputs, (rows, left, right, starts, slots) each, with at most
+    `max_pairs` pairs per run unless one output alone has more.  `rows` are
+    the run's outputs, a slice where they are equally spaced; `left` and
+    `right` are views of the table's; `slots` is the pair count that every
+    output of the run shares if it is at most `_SLOT_PAIRS`, else 0."""
+    _, out, left, right, bounds = table
+    runs = []
+    while k0 < k1:
+        k = min(max(int(np.searchsorted(bounds, bounds[k0] + max_pairs, "right")) - 1, k0 + 1), k1)
+        s0, s1 = bounds[k0], bounds[k]
+        ell = int(bounds[k0 + 1] - s0)
+        slots = ell if ell <= _SLOT_PAIRS and (np.diff(bounds[k0:k + 1]) == ell).all() else 0
+        runs.append((_as_slice(out[k0:k]), left[s0:s1], right[s0:s1], bounds[k0:k] - s0, slots))
+        k0 = k
     return runs
 
 
 @functools.lru_cache(maxsize=_KEPT_TABLES)
 def _degree_runs(m: int, nz: int, nw: int, max_pairs: int, balanced: bool) -> list:
     """(D, runs) per total degree D, for pow, exp and log."""
-    return [(degree, _runs(*table, max_pairs))
-            for degree, *table in _degree_tables(m, nz, nw, balanced)]
+    table = _pair_table(m, nz, nw, balanced)
+    return [(degree, _runs(table, k0, k1, max_pairs)) for degree, k0, k1 in table[0]]
 
 
 @functools.lru_cache(maxsize=_KEPT_TABLES)
 def _product_runs(m: int, nz: int, nw: int, max_pairs: int, balanced: bool) -> list:
     """The runs of a product, which needs no degree order: the whole table
     cut across its degrees."""
-    tables = _degree_tables(m, nz, nw, balanced)
-    offsets = np.cumsum([0] + [len(t[2]) for t in tables])
-    out, left, right = (np.concatenate([t[k] for t in tables]) for k in (1, 2, 3))
-    starts = np.concatenate([t[4] + offset for t, offset in zip(tables, offsets)])
-    return _runs(out, left, right, starts, max_pairs)
+    table = _pair_table(m, nz, nw, balanced)
+    return _runs(table, 0, len(table[1]), max_pairs)
 
 
 @functools.cache
@@ -593,46 +597,35 @@ def coordinate_products(z, w, m, nz, nw, i, j) -> Jet:
     batch (*batch, *S).
 
     z and w are as for `variable_jets`.  The coefficients are filled in
-    directly: the constant z_i conj(w_j), the z-linear term wbar_j at e_i,
-    the wbar-linear term z_i at e_j and 1 at (e_i, e_j); nothing else is
-    nonzero.  The values equal the products of the `variable_jets` seeds.
+    directly, by indexing: the constant z_i conj(w_j), the z-linear term
+    wbar_j at e_i, the wbar-linear term z_i at e_j and 1 at (e_i, e_j);
+    nothing else is nonzero.  The values equal the products of the
+    `variable_jets` seeds.
     """
     i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
-    i_at, j_at, w_at, z_at, one_at = _product_slots(m, nz, nw, i.shape, i.tobytes(), j.tobytes())
-    zi = np.asarray(z, dtype=complex)[..., i_at]
-    wj = np.conj(np.asarray(w, dtype=complex)[..., j_at])
+    zi = np.asarray(z, dtype=complex)[..., i]
+    wj = np.conj(np.asarray(w, dtype=complex))[..., j]
     value = zi * wj
     if nz == nw == 0:  # a constant: the value alone
         return Jet(m, 0, 0, value[..., None, None])
     coeffs = np.zeros(value.shape + (_group(m, nz).size, _group(m, nw).size), dtype=complex)
     coeffs[..., 0, 0] = value
-    batch = value.shape[: value.ndim - i.ndim]
-    flat = coeffs.reshape(batch + (i.size * coeffs.shape[-2] * coeffs.shape[-1],))
+    # one axis over the products; graded lex order puts e_k at position 1 + k
+    flat = coeffs.reshape(value.shape[: value.ndim - i.ndim] + (i.size,) + coeffs.shape[-2:])
+    each, i, j = np.arange(i.size), 1 + i.ravel(), 1 + j.ravel()
     if nz >= 1:
-        flat[..., w_at] = wj.reshape(batch + (i.size,))
+        flat[..., each, i, 0] = wj.reshape(flat.shape[:-2])
     if nw >= 1:
-        flat[..., z_at] = zi.reshape(batch + (i.size,))
+        flat[..., each, 0, j] = zi.reshape(flat.shape[:-2])
     if nz >= 1 and nw >= 1:
-        flat[..., one_at] = 1.0
+        flat[..., each, i, j] = 1.0
     return Jet(m, nz, nw, coeffs)
 
 
-@functools.lru_cache(maxsize=64)
-def _product_slots(m: int, nz: int, nw: int, shape: tuple, i: bytes, j: bytes) -> tuple:
-    """For `coordinate_products` of index arrays of this shape and bytes: the
-    indices of z_i and w_j and the flat positions of the terms at (e_i, 0), (0, e_j)
-    and (e_i, e_j) (e_k is at 1 + k), each a slice where a 1-D run of equal steps."""
-
-    i, j = np.frombuffer(i, dtype=np.intp), np.frombuffer(j, dtype=np.intp)
-    wide, base = _group(m, nw).size, np.arange(len(i)) * _group(m, nz).size * _group(m, nw).size
-    flat = (base + (1 + i) * wide, base + 1 + j, base + (1 + i) * wide + 1 + j)
-    return _as_slice(i, shape), _as_slice(j, shape), *(_as_slice(p, p.shape) for p in flat)
-
-
-def _as_slice(positions: np.ndarray, shape: tuple):
-    """`positions` as a slice where they are a 1-D run of equal steps, which
-    indexes as a view and costs less, else as an array of `shape`."""
+def _as_slice(positions: np.ndarray):
+    """`positions` as a slice where they are a run of equal steps, which
+    indexes as a view and costs less, else as they are."""
     step = int(positions[1] - positions[0]) if len(positions) > 1 else 1
-    if len(shape) == 1 and len(positions) and step > 0 and (np.diff(positions) == step).all():
+    if len(positions) and step > 0 and (np.diff(positions) == step).all():
         return slice(int(positions[0]), int(positions[-1]) + 1, step)
-    return positions.reshape(shape)
+    return positions

@@ -851,12 +851,12 @@ def _parse_arg(tz: _Tokenizer):
 # -- the evaluation path with its per-call bookkeeping ------------------------
 #
 # Verbatim copies of the functions whose fixed per-call costs were cut: the
-# series of pow, exp and log at caps (0, 0), the coefficient fill of
-# coordinate products, the factorial table of derivatives, the moveaxis and
-# tensordot glue of eval_jets and the torus, the generator that names a
-# failing pair, the Gram families formed outside the elimination, the pair
-# sums and balance check through np.take, the point coercion through
-# dtype=complex and 1 - <z, w> subtracted term by term.
+# series of pow, exp and log at caps (0, 0), the factorial table of
+# derivatives, the moveaxis and tensordot glue of eval_jets and the torus,
+# the generator that names a failing pair, the Gram families formed outside
+# the elimination, the pair sums and balance check through np.take, the
+# point coercion through dtype=complex and 1 - <z, w> subtracted term by
+# term.
 # `with_per_call_bookkeeping()` patches them all in, so that one call gives
 # the old path's answer.
 
@@ -971,35 +971,6 @@ def _log_through_series(self):
         out[..., 0, 0] += np.log(c0)
     jets.check_finite(out, "jet log")
     return self._like(out)
-
-
-def coordinate_products_by_fancy_assignment(z, w, m, nz, nw, i, j) -> Jet:
-    """The jets of z_i wbar_j for index arrays i and j of one shape S:
-    batch (*batch, *S).
-
-    z and w are as for `variable_jets`.  The coefficients are filled in
-    directly: the constant z_i conj(w_j), the z-linear term wbar_j at e_i,
-    the wbar-linear term z_i at e_j and 1 at (e_i, e_j); nothing else is
-    nonzero.  The values equal the products of the `variable_jets` seeds.
-    """
-    zi = np.asarray(z, dtype=complex)[..., i]
-    wj = np.conj(np.asarray(w, dtype=complex))[..., j]
-    value = zi * wj
-    if nz == nw == 0:  # a constant: the value alone
-        return Jet(m, 0, 0, value[..., None, None])
-    coeffs = np.zeros(value.shape + (jets._group(m, nz).size, jets._group(m, nw).size),
-                      dtype=complex)
-    coeffs[..., 0, 0] = value
-    # one axis over the products; graded lex order puts e_k at position 1 + k
-    flat = coeffs.reshape(value.shape[: value.ndim - i.ndim] + (i.size,) + coeffs.shape[-2:])
-    each, i, j = np.arange(i.size), 1 + i.ravel(), 1 + j.ravel()
-    if nz >= 1:
-        flat[..., each, i, 0] = wj.reshape(flat.shape[:-2])
-    if nw >= 1:
-        flat[..., each, 0, j] = zi.reshape(flat.shape[:-2])
-    if nz >= 1 and nw >= 1:
-        flat[..., each, i, j] = 1.0
-    return Jet(m, nz, nw, coeffs)
 
 
 @contextmanager
@@ -1138,8 +1109,6 @@ def with_per_call_bookkeeping():
                             ("_series", _series_at_every_cap), ("__pow__", _pow_through_series),
                             ("exp", _exp_through_series), ("log", _log_through_series)):
             patch(Jet, name, value)
-        for module in (jets, expr_module):
-            patch(module, "coordinate_products", coordinate_products_by_fancy_assignment)
         patch(expr_module, "_one_minus_inner", _one_minus_inner_terms)
         patch(KernelExpr, "_checked_values", _checked_values_in_a_generator)
         patch(KernelExpr, "eval_jets", _eval_jets_by_moveaxis)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -286,6 +287,20 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(path.read_text())["value"] == [[[1.0, 0.0]]]
+
+
+@pytest.mark.parametrize("where, reason", [("missing directory", "No such file or directory"),
+                                           ("directory", "Is a directory"),
+                                           ("/dev/full", "No space left on device")])
+def test_an_unwritable_output_exits_2_with_one_error_line(tmp_path, capsys, where, reason):
+    if where == "/dev/full" and not os.path.exists(where):
+        pytest.skip("no /dev/full here")
+    path = {"missing directory": str(tmp_path / "missing" / "report.json"),
+            "directory": str(tmp_path)}.get(where, where)
+    code, out, err = _run(capsys, "eval", "--kernel", "szego_disc()", "--z", "0", "--w", "0",
+                          "--output", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write output {path!r}: {reason}\n"
 
 
 @pytest.mark.parametrize("argv", [

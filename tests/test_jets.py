@@ -433,9 +433,9 @@ def _balanced_mask(m, nz, nw):
                                        (2, 0, 3), (3, 2, 0)])
 def test_balanced_tables_are_the_full_tables_filtered(m, nz, nw):
     balanced = _balanced_mask(m, nz, nw).ravel()
-    tables = {degree: table for degree, *table in jets._degree_tables(m, nz, nw, True)}
+    tables = {degree: table for degree, *table in _by_degree(jets._pair_table(m, nz, nw, True))}
     assert all(degree % 2 == 0 for degree in tables)
-    for degree, out, left, right, starts in jets._degree_tables(m, nz, nw, False):
+    for degree, out, left, right, starts in _by_degree(jets._pair_table(m, nz, nw, False)):
         keep_out = balanced[out]
         if not keep_out.any():
             assert degree not in tables
@@ -457,6 +457,14 @@ def test_each_group_keeps_the_pair_table_built_by_sorting(m):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def _by_degree(table):
+    """A `jets._pair_table` cut by degree: (D, out, left, right, starts) per
+    degree D, `starts` counted from the degree's first pair."""
+    degrees, out, left, right, bounds = table
+    return [(degree, out[k0:k1], left[bounds[k0]:bounds[k1]], right[bounds[k0]:bounds[k1]],
+             bounds[k0:k1] - bounds[k0]) for degree, k0, k1 in degrees]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_degree_tables_equal_those_of_the_pair_tables_built_by_sorting(m, monkeypatch):
     built = {}
@@ -471,18 +479,18 @@ def test_degree_tables_equal_those_of_the_pair_tables_built_by_sorting(m, monkey
     for nz in range(6):
         for nw in range(6):
             for balanced in (False, True):
-                got = list(jets._degree_tables(m, nz, nw, balanced))
+                got = _by_degree(jets._pair_table(m, nz, nw, balanced))
                 with monkeypatch.context() as patch:
                     patch.setattr(jets, "_group", sorted_group)
                     # the kept tables are the package's own: build afresh
-                    want = jets._degree_tables.__wrapped__(m, nz, nw, balanced)
+                    want = _by_degree(jets._pair_table.__wrapped__(m, nz, nw, balanced))
                 for got_table, want_table in zip(got, want, strict=True):
                     assert got_table[0] == want_table[0]
                     for a, b in zip(got_table[1:], want_table[1:], strict=True):
                         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-_PAIR_CACHES = (jets._degree_tables, jets._degree_runs, jets._product_runs)
+_PAIR_CACHES = (jets._pair_table, jets._degree_runs, jets._product_runs)
 
 
 def _random_jet(rng, m, nz, nw, scale=0.1):
@@ -500,8 +508,9 @@ def test_a_pair_table_is_built_once():
     first = (f ** 0.7).coeffs
     assert np.array_equal((f ** 0.7).coeffs, first)
     f * f
-    assert sum(len(left) for _, _, left, _, _ in jets._degree_tables(2, 8, 8, False)) == 245_025
-    assert jets._degree_tables.cache_info().misses == 1
+    by_degree = _by_degree(jets._pair_table(2, 8, 8, False))
+    assert sum(len(left) for _, _, left, _, _ in by_degree) == 245_025
+    assert jets._pair_table.cache_info().misses == 1
     assert jets._degree_runs.cache_info().misses == 1
     assert jets._product_runs.cache_info().misses == 1
 
@@ -525,7 +534,43 @@ def test_the_pair_caches_keep_at_most_their_bound():
         assert cache.cache_info().currsize <= jets._KEPT_TABLES
     # the first caps' tables were dropped; built again, they give the same bits
     assert results(caps[0]) == first
-    assert jets._degree_tables.cache_info().misses == len(caps) + 1
+    assert jets._pair_table.cache_info().misses == len(caps) + 1
+
+
+@pytest.mark.parametrize("balanced", [False, True])
+def test_every_run_is_a_view_of_its_pair_table(balanced):
+    degrees, out, left, right, _ = table = jets._pair_table(2, 4, 3, balanced)
+
+    def rows_of(cut):
+        return np.concatenate([np.arange(rows.start, rows.stop, rows.step)
+                               if isinstance(rows, slice) else rows for rows, *_ in cut]).tolist()
+
+    for max_pairs in (1, 64, 4096):
+        product = jets._product_runs(2, 4, 3, max_pairs, balanced)
+        by_degree = jets._degree_runs(2, 4, 3, max_pairs, balanced)
+        assert jets._pair_table(2, 4, 3, balanced) is table
+        for rows, run_left, run_right, _, _ in product + [r for _, cut in by_degree for r in cut]:
+            assert np.shares_memory(run_left, left) and np.shares_memory(run_right, right)
+            assert isinstance(rows, slice) or np.shares_memory(rows, out)
+        # each degree's runs hold its outputs and no others
+        assert rows_of(product) == out.tolist()
+        for (degree, cut), (d, k0, k1) in zip(by_degree, degrees, strict=True):
+            assert degree == d and rows_of(cut) == out[k0:k1].tolist()
+
+
+def test_a_second_product_cut_copies_no_pairs():
+    # m = 3 at caps (7, 7): 2.9M pairs, whose int32 left and right indices
+    # take 24 MB; a cut allocates per run and per output, not per pair
+    jets._product_runs(3, 7, 7, 1 << 12, False)
+    _, _, left, right, _ = jets._pair_table(3, 7, 7, False)
+    tracemalloc.start()
+    try:
+        runs = jets._product_runs(3, 7, 7, 1 << 16, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(run[1]) for run in runs) == len(left) == 2_944_656
+    assert peak < 0.01 * (left.nbytes + right.nbytes)
 
 
 def _load_references():
@@ -648,12 +693,12 @@ def test_a_run_keeps_a_slot_tag_only_for_one_pair_count_of_at_most_4(counts, slo
     starts = np.r_[0, np.cumsum(counts)[:-1]]
     pairs = np.arange(sum(counts), dtype=np.int32)
     out = 3 * np.arange(len(counts)) + 1
-    (run,) = jets._runs(out, pairs, pairs, starts, 64)
+    (run,) = jets._runs(([], out, pairs, pairs, np.r_[starts, len(pairs)]), 0, len(out), 64)
     assert run[4] == slots
     assert isinstance(run[0], slice) and np.array_equal(np.arange(24)[run[0]], out)
 
 
 def test_run_rows_that_are_not_equally_spaced_stay_an_index_array():
     pairs = np.arange(6, dtype=np.int32)
-    (run,) = jets._runs(np.array([1, 2, 5]), pairs, pairs, np.array([0, 2, 4]), 64)
+    (run,) = jets._runs(([], np.array([1, 2, 5]), pairs, pairs, np.array([0, 2, 4, 6])), 0, 3, 64)
     assert isinstance(run[0], np.ndarray) and run[0].tolist() == [1, 2, 5] and run[4] == 2

@@ -3,8 +3,8 @@
 Each property runs one public call twice: as it is, and under
 `oracles.with_per_call_bookkeeping()`, which patches in verbatim copies of
 the functions whose fixed per-call costs were cut (series at caps (0, 0),
-coordinate products, derivative factorials, eval_jets and torus glue, pair
-naming, Gram families, pair sums, point coercion).  Jet tables, values,
+derivative factorials, eval_jets and torus glue, pair naming, Gram
+families, pair sums, point coercion).  Jet tables, values,
 Grams, fd tables, residuals and scan brackets must agree bit for bit
 (`.view(np.int64)`), and a failing call must raise the same error naming
 the same pair.  Random trees, caps 0-4, batches of 0-40 pairs, signed zeros
