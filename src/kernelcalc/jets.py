@@ -302,7 +302,8 @@ class Jet:
     def derivatives(self) -> np.ndarray:
         """All mixed derivatives (d/dz)^a (d/dwbar)^b at the base point: the
         coefficients times a! b!, shape (*batch, Nz, Nw)."""
-        return self.coeffs * _factorials(self.m, self.nz, self.nw)
+        gz, gw = _group(self.m, self.nz), _group(self.m, self.nw)
+        return self.coeffs * (gz.factorials[:, None] * gw.factorials[None, :])
 
     def deriv(self, i, j):
         """Mixed Wirtinger derivative (d/dz)^i (d/dwbar)^j at the base point."""
@@ -395,13 +396,12 @@ class Jet:
         The sum runs over the pairs (l, r) with l + r of total degree D;
         x has no constant term, so h_D needs only lower degrees.  With
         |r| = D - |l| each term is x_l h_r weighted by ((a - b) |l| + b D) / D.
-        Of a balanced x only the balanced outputs are summed.  At caps
-        (0, 0) h is the number h0, which multiplies as the array would.
+        Of a balanced x only the balanced outputs are summed.
         """
-        if self.nz == self.nw == 0:
-            return h0
         h = np.zeros_like(self.coeffs)
         h[..., 0, 0] = h0
+        if self.nz == self.nw == 0:
+            return h
         x = self.coeffs * ((1.0 / self.value)[..., None, None] if inverse else 1.0)
         x[..., 0, 0] = 0
         m, nz, nw = self.m, self.nz, self.nw
@@ -457,10 +457,7 @@ class Jet:
         with np.errstate(all="ignore"):
             # log(c0 + x) = log(c0) + log(1 + x/c0)
             out = self._series(True, 0.0, -1.0, 1.0, 0j)
-            if self.nz == self.nw == 0:
-                out = out + np.log(c0)[..., None, None]
-            else:
-                out[..., 0, 0] += np.log(c0)
+            out[..., 0, 0] += np.log(c0)
         check_finite(out, "jet log")
         return self._like(out)
 
@@ -560,12 +557,6 @@ def _product_runs(m: int, nz: int, nw: int, max_pairs: int, balanced: bool) -> l
     cut across its degrees."""
     table = _pair_table(m, nz, nw, balanced)
     return _runs(table, 0, len(table[1]), max_pairs)
-
-
-@functools.cache
-def _factorials(m: int, nz: int, nw: int) -> np.ndarray:
-    """a! b! of every monomial (a, b), shape (Nz, Nw); shared: do not modify."""
-    return _group(m, nz).factorials[:, None] * _group(m, nw).factorials[None, :]
 
 
 @functools.cache

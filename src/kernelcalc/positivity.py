@@ -121,45 +121,18 @@ class MultiplierBound:
         }
 
 
-#: the point counts and (count, block size) pairs whose pairs and scatter
-#: positions are kept: every family and report size of a run, many times over
-_KEPT_COMPLETIONS = 64
-
-
-def _read_only(*arrays) -> tuple:
-    """The arrays, made read-only: a cache hands them to every caller."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-@functools.lru_cache(maxsize=_KEPT_COMPLETIONS)
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs p <= q of n points, row by row: the indices of
-    np.triu_indices(n), at a third of its cost."""
-    return _read_only(*np.nonzero(np.tri(n, dtype=bool).T))
-
-
-@functools.lru_cache(maxsize=_KEPT_COMPLETIONS)
-def _scatter_positions(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where entry (i, j) of the k x k block of pair (p, q) of `_upper_pairs`
-    goes in the flat nk x nk Gram, (p k + i, q k + j), and where its
-    conjugate goes, (q k + j, p k + i): two (pairs, k, k) index arrays."""
-    p, q = (x[:, None, None] for x in _upper_pairs(n))
-    i, j = np.arange(k)[:, None], np.arange(k)
-    return _read_only(((p * k + i) * n + q) * k + j, ((q * k + j) * n + p) * k + i)
-
-
 def _pairwise(point_sets, values_of) -> list:
     """Per point set, the nk x nk matrices whose block (p, q) is each array
     that values_of gives at (z_p, z_q), conjugate-completed and then made
     Hermitian by `hermitian_part`.
 
     values_of returns a tuple of (B, k, k) arrays.  The pairs p <= q of all
-    sets are evaluated as one batch; a failing pair is named.  A block on
-    the diagonal (p = q) is written as it is, over its conjugate transpose.
+    sets are evaluated as one batch; a failing pair is named.  Each Gram is
+    filled as an (n, k, n, k) array, a block on the diagonal (p = q) as it
+    is, over its conjugate transpose.
     """
-    upper = [_upper_pairs(len(pts)) for pts in point_sets]
+    # the indices of np.triu_indices, at a third of its cost
+    upper = [np.nonzero(np.tri(len(pts), dtype=bool).T) for pts in point_sets]
     zs = np.concatenate([pts[p] for pts, (p, _) in zip(point_sets, upper)])
     ws = np.concatenate([pts[q] for pts, (_, q) in zip(point_sets, upper)])
     try:
@@ -167,17 +140,16 @@ def _pairwise(point_sets, values_of) -> list:
     except KernelCalcError as exc:
         raise EvaluationError(f"evaluation failed: {exc}") from exc
     result, start = [], 0
-    for pts, (p, _) in zip(point_sets, upper):
+    for pts, (p, q) in zip(point_sets, upper):
         n, stop = len(pts), start + len(p)
         completed = []
         for out in outs:
             blocks = out[start:stop]
             k = blocks.shape[-1]
-            at, mirrored = _scatter_positions(n, k)
-            flat = np.empty(n * k * n * k, dtype=complex)
-            flat[mirrored] = blocks.conj()
-            flat[at] = blocks
-            completed.append(hermitian_part(flat.reshape(n * k, n * k)))
+            g = np.empty((n, k, n, k), dtype=complex)
+            g[q, :, p, :] = blocks.conj().transpose(0, 2, 1)
+            g[p, :, q, :] = blocks
+            completed.append(hermitian_part(g.reshape(n * k, n * k)))
         result.append(tuple(completed))
         start = stop
     return result

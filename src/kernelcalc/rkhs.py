@@ -120,8 +120,11 @@ def inner_product(e1: RkhsElement, e2: RkhsElement) -> complex:
 
 
 def norm(e: RkhsElement) -> float:
-    """sqrt(<e, e>); errors if the self-inner-product is genuinely negative."""
+    """sqrt(<e, e>); errors if the self-inner-product is not finite or is
+    genuinely negative."""
     v = inner_product(e, e)
+    if not cmath.isfinite(v):
+        raise EvaluationError(f"no norm: the self inner product {v:.3e} is not finite")
     if v.real < -1e-10 * (1 + abs(v)):
         raise EvaluationError(
             f"negative self inner product {v:.3e}: kernel is not NND here"

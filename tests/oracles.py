@@ -15,10 +15,9 @@ elimination and the Householder tridiagonal form as they ran before step
 plans held their views and buffers, eigenvalues by vectorised
 Sturm multisection of their brackets, the early-exit pivot test by
 Sturm counts guarded at every step, sampled Grams by per-pair evaluation,
-conjugate completion and the two-halves symmetrization, the completion of
-batched pairs by mixed fancy indexing and seeded sampling by
-`np.linalg.norm` and a concatenation of chunks, as they ran before the
-completion kept its scatter positions and sampling inlined the norm, the phi-section
+conjugate completion and the two-halves symmetrization (or another one),
+seeded sampling by `np.linalg.norm` and a concatenation of chunks, as it
+ran before sampling inlined the norm, the phi-section
 Gram one entry (two jet tables) at a time, Mobius Jacobians by pushing
 order-1 jets of the coordinates through the involution, the products
 and series of balanced jets on the full pair tables, and the log-Hessian
@@ -46,7 +45,7 @@ from kernelcalc import automorphisms, fd, positivity, repro, rkhs
 from kernelcalc import expr as expr_module
 from kernelcalc.automorphisms import CocycleSpec, MobiusMap
 from kernelcalc.eig import _MAX_PASSES, _SPLIT, LdlVerdict, hermitian_part
-from kernelcalc.errors import (BranchError, DomainError, EvaluationError, KernelCalcError,
+from kernelcalc.errors import (BranchError, DomainError, EvaluationError,
                                OrderCapError, ParseError, ShapeError)
 from kernelcalc.expr import DEFAULT_ORDER_CAP, JetKernel, JetTable, KernelExpr, Pow
 from kernelcalc.params import checked
@@ -593,11 +592,12 @@ def hermitian_part_by_halves(a: np.ndarray) -> np.ndarray:
     return a / 2 + a.conj().T / 2
 
 
-def pairwise_by_completion(points: np.ndarray, values_of) -> tuple:
+def pairwise_by_completion(points: np.ndarray, values_of,
+                           symmetrize=hermitian_part_by_halves) -> tuple:
     """The Grams `positivity._pairwise` gives for one (n, m) point set, each
-    pair p <= q evaluated on its own: per array of values_of, the (n, k, n, k)
-    array with block (p, q) the value and block (q, p) its conjugate
-    transpose, then `hermitian_part_by_halves` of its nk x nk matrix."""
+    pair p <= q evaluated on its own, row by row: per array of values_of, the
+    (n, k, n, k) array with block (q, p) the conjugate transpose of the value
+    and then block (p, q) the value, then `symmetrize` of its nk x nk matrix."""
     n = len(points)
     grams = None
     for p in range(n):
@@ -608,34 +608,7 @@ def pairwise_by_completion(points: np.ndarray, values_of) -> tuple:
             for g, v in zip(grams, outs):
                 g[q, :, p, :] = v[0].conj().T
                 g[p, :, q, :] = v[0]
-    return tuple(hermitian_part_by_halves(g.reshape(n * g.shape[1], -1)) for g in grams)
-
-
-def pairwise_by_fancy_index(point_sets, values_of) -> list:
-    """`positivity._pairwise` as it completed each Gram before it kept its
-    scatter positions: mixed fancy indexing of an (n, k, n, k) array."""
-    # the indices of np.triu_indices, at a third of its cost
-    upper = [np.nonzero(np.tri(len(pts), dtype=bool).T) for pts in point_sets]
-    zs = np.concatenate([pts[p] for pts, (p, _) in zip(point_sets, upper)])
-    ws = np.concatenate([pts[q] for pts, (_, q) in zip(point_sets, upper)])
-    try:
-        outs = values_of(zs, ws)
-    except KernelCalcError as exc:
-        raise EvaluationError(f"evaluation failed: {exc}") from exc
-    result, start = [], 0
-    for pts, (p, q) in zip(point_sets, upper):
-        n, stop = len(pts), start + len(p)
-        completed = []
-        for out in outs:
-            blocks = out[start:stop]
-            k = blocks.shape[-1]
-            g = np.empty((n, k, n, k), dtype=complex)
-            g[q, :, p, :] = blocks.conj().transpose(0, 2, 1)
-            g[p, :, q, :] = blocks
-            completed.append(hermitian_part(g.reshape(n * k, n * k)))
-        result.append(tuple(completed))
-        start = stop
-    return result
+    return tuple(symmetrize(g.reshape(n * g.shape[1], -1)) for g in grams)
 
 
 def sample_array_by_linalg_norm(domain: DomainSpec, count: int, seed: int = 0) -> np.ndarray:
@@ -851,8 +824,7 @@ def _parse_arg(tz: _Tokenizer):
 # -- the evaluation path with its per-call bookkeeping ------------------------
 #
 # Verbatim copies of the functions whose fixed per-call costs were cut: the
-# series of pow, exp and log at caps (0, 0), the factorial table of
-# derivatives, the moveaxis and tensordot glue of eval_jets and the torus,
+# moveaxis and tensordot glue of eval_jets and the torus,
 # the generator that names a failing pair, the Gram families formed outside
 # the elimination, the pair sums and balance check through np.take, the
 # point coercion through dtype=complex and 1 - <z, w> subtracted term by
@@ -886,91 +858,6 @@ def _balanced_by_np_take(coeffs: np.ndarray, m: int, nz: int, nw: int) -> bool:
         return False
     flat = coeffs.reshape(coeffs.shape[:-2] + (-1,))
     return not np.count_nonzero(np.take(flat, jets._off_balance(m, nz, nw), axis=-1))
-
-
-def _derivatives_by_factorial_product(self) -> np.ndarray:
-    """All mixed derivatives (d/dz)^a (d/dwbar)^b at the base point: the
-    coefficients times a! b!, shape (*batch, Nz, Nw)."""
-    gz, gw = jets._group(self.m, self.nz), jets._group(self.m, self.nw)
-    return self.coeffs * (gz.factorials[:, None] * gw.factorials[None, :])
-
-
-def _series_at_every_cap(self, scale, a: float, b: float, c: float, h0: float) -> np.ndarray:
-    """The series h of x = (self - c0) * scale with h_0 = h0 and
-    D h_D = c D x_D + sum (a |l| + b |r|) x_l h_r for D = 1 .. nz + nw.
-
-    The sum runs over the pairs (l, r) with l + r of total degree D;
-    x has no constant term, so h_D needs only lower degrees.  With
-    |r| = D - |l| each term is x_l h_r weighted by ((a - b) |l| + b D) / D.
-    Of a balanced x only the balanced outputs are summed.
-    """
-    h = np.zeros_like(self.coeffs)
-    h[..., 0, 0] = h0
-    if self.nz == self.nw == 0:
-        return h
-    x = self.coeffs * scale
-    x[..., 0, 0] = 0
-    m, nz, nw = self.m, self.nz, self.nw
-    by_degree = jets._degree_runs(m, nz, nw, _run_pairs(math.prod(x.shape[:-2])),
-                                  jets._balanced(x, m, nz, nw))
-    shape = x.shape
-    flat = shape[:-2] + (shape[-2] * shape[-1],)
-    x, h = x.reshape(flat), h.reshape(flat)
-    degrees = jets._total_degrees(m, nz, nw)
-    for degree, runs in by_degree:
-        if not degree:  # h_0 is set above
-            continue
-        # one weight per left monomial
-        for rows, sums in jets._pair_sums(x, h, runs, degrees * ((a - b) / degree) + b):
-            if c:
-                sums += c * x[..., rows]
-            h[..., rows] = sums
-    return h.reshape(shape)
-
-
-def _pow_through_series(self, t):
-    t = float(t)
-    if not math.isfinite(t):
-        raise EvaluationError(f"jet power with non-finite exponent {t}")
-    c0 = self._constant("pow base")
-    jets._fail_where(c0 == 0, EvaluationError,
-                     lambda i: "jet power of a series with zero constant term")
-    is_integer = t == int(t)
-    if not is_integer:
-        jets._fail_where(c0.real <= 0, BranchError, lambda i: (
-            f"pow base has non-positive real part ({complex(c0[i]):.6g}); "
-            "principal branch unavailable"
-        ))
-    with np.errstate(all="ignore"):
-        head = c0 ** t if is_integer else np.exp(t * np.log(c0))
-        # (c0 + x)^t = c0^t (1 + x/c0)^t
-        out = self._series((1.0 / c0)[..., None, None], t, -1.0, 0.0, 1.0)
-        out *= head[..., None, None]
-    jets.check_finite(out, "jet power")
-    return self._like(out)
-
-
-def _exp_through_series(self):
-    c0 = self._constant("exp")
-    with np.errstate(all="ignore"):
-        out = self._series(1.0, 1.0, 0.0, 0.0, 1.0)
-        out *= np.exp(c0)[..., None, None]
-    jets.check_finite(out, "jet exp")
-    return self._like(out)
-
-
-def _log_through_series(self):
-    c0 = self._constant("log")
-    jets._fail_where(c0.real <= 0, BranchError, lambda i: (
-        f"log base has non-positive real part ({complex(c0[i]):.6g}); "
-        "principal branch unavailable"
-    ))
-    with np.errstate(all="ignore"):
-        # log(c0 + x) = log(c0) + log(1 + x/c0)
-        out = self._series((1.0 / c0)[..., None, None], 0.0, -1.0, 1.0, 0.0)
-        out[..., 0, 0] += np.log(c0)
-    jets.check_finite(out, "jet log")
-    return self._like(out)
 
 
 @contextmanager
@@ -1105,10 +992,6 @@ def with_per_call_bookkeeping():
             mock.patch.object(owner, name, value))
         patch(jets, "_pair_sums", _pair_sums_by_np_take)
         patch(jets, "_balanced", _balanced_by_np_take)
-        for name, value in (("derivatives", _derivatives_by_factorial_product),
-                            ("_series", _series_at_every_cap), ("__pow__", _pow_through_series),
-                            ("exp", _exp_through_series), ("log", _log_through_series)):
-            patch(Jet, name, value)
         patch(expr_module, "_one_minus_inner", _one_minus_inner_terms)
         patch(KernelExpr, "_checked_values", _checked_values_in_a_generator)
         patch(KernelExpr, "eval_jets", _eval_jets_by_moveaxis)

@@ -2,16 +2,21 @@
 
 Each property runs one public call twice: as it is, and under
 `oracles.with_per_call_bookkeeping()`, which patches in verbatim copies of
-the functions whose fixed per-call costs were cut (series at caps (0, 0),
-derivative factorials, eval_jets and torus glue, pair naming, Gram
-families, pair sums, point coercion).  Jet tables, values,
-Grams, fd tables, residuals and scan brackets must agree bit for bit
-(`.view(np.int64)`), and a failing call must raise the same error naming
-the same pair.  Random trees, caps 0-4, batches of 0-40 pairs, signed zeros
-and the origin are drawn.
+the functions whose fixed per-call costs were cut (eval_jets and torus
+glue, pair naming, Gram families, pair sums, point coercion).  Jet tables,
+values, Grams, fd tables, residuals and scan brackets must agree bit for
+bit (`.view(np.int64)`), and a failing call must raise the same error
+naming the same pair.  Random trees, caps 0-4, batches of 0-40 pairs,
+signed zeros and the origin are drawn.
+
+Two paths have no old twin and are pinned to references written here,
+bit for bit: the constant term of pow, exp and log at every cap is
+numpy's formula on the constant terms (or the refusal a bad one gets), and
+`jets.coordinate_products` is a fill of one entry at a time.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -19,7 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from kernelcalc import automorphisms, jets, positivity
-from kernelcalc.errors import KernelCalcError
+from kernelcalc.errors import BranchError, EvaluationError, KernelCalcError
 from kernelcalc.expr import DiagonalSeries, JetTable, Pow
 from kernelcalc.fd import fd_jet_table
 from kernelcalc.geometry import sample_array, unit_ball, unit_disc
@@ -113,30 +118,97 @@ def test_jet_tables_and_values_are_the_old_paths_bits(case, order):
     _assert_as_before(lambda: expr.eval_jet(zs[0], ws[0], order))
 
 
-_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, -2.5, 1e-300, -1e300, np.inf, np.nan])
+_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, -2.5, np.inf, -np.inf, np.nan])
+_CAPS = [(nz, nw) for nz in range(3) for nw in range(3)]
+
+
+def _head_or_refusal(op: str, c0: np.ndarray, t: float):
+    """What `op` of jets with constant terms c0 (and finite others) gives at
+    [0, 0], by numpy on the same c0, or the (type, text) it must raise."""
+    what = {"pow": "pow base", "exp": "exp", "log": "log"}[op]
+    if not np.isfinite(c0).all():
+        return EvaluationError, f"{what} argument is not finite"
+    if op == "pow" and (c0 == 0).any():
+        return EvaluationError, "jet power of a series with zero constant term"
+    if op == "log" or op == "pow" and t != int(t):
+        bad = c0.real <= 0
+        if bad.any():
+            return BranchError, (f"{op} base has non-positive real part "
+                                 f"({complex(c0[np.argmax(bad)]):.6g}); "
+                                 "principal branch unavailable")
+    if op == "pow":
+        return (1 + 0j) * (c0 ** t if t == int(t) else np.exp(t * np.log(c0)))
+    return (1 + 0j) * np.exp(c0) if op == "exp" else 0j + np.log(c0)
 
 
 @settings(max_examples=60, deadline=None)
-@given(m=st.integers(1, 2), nz=st.integers(0, 2), nw=st.integers(0, 2),
-       parts=st.lists(_PARTS, min_size=8, max_size=8),
+@given(m=st.integers(1, 2), parts=st.lists(_PARTS, min_size=8, max_size=8),
        t=st.sampled_from([1.0, 2.0, -1.0, 0.5, -0.7, 3.0]), seed=st.integers(0, 2**32 - 1))
-@example(m=1, nz=0, nw=0, parts=[-0.0, 0.25, 1.0, -0.0, -1.0, 0.0, -2.5, 1.0], t=1.0, seed=0)
-def test_series_and_coordinate_products_are_the_old_paths_bits(m, nz, nw, parts, t, seed):
+@example(m=1, parts=[-0.0, 0.25, 1.0, -0.0, -1.0, 0.0, -2.5, 1.0], t=1.0, seed=0)
+@example(m=2, parts=[1.0, 0.25, -0.0, 1.0, -0.0, 0.0, 1.0, -1.0], t=0.5, seed=1)
+def test_series_heads_are_numpys_at_every_cap(m, parts, t, seed):
     # constant terms with signed zeros, such as -0 - 1j, tell (1 + 0j) c0^t
-    # from c0^t, and non-finite ones must fail as before
+    # from c0^t and 0j + log c0 from log c0; a bad one is refused by name
     rng = np.random.default_rng(seed)
-    shape = (4, jets._group(m, nz).size, jets._group(m, nw).size)
-    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    coeffs.real[:, 0, 0], coeffs.imag[:, 0, 0] = parts[:4], parts[4:]
+    ops = {"pow": lambda j: j ** t, "exp": jets.Jet.exp, "log": jets.Jet.log}
+    for nz, nw in _CAPS:
+        shape = (4, jets._group(m, nz).size, jets._group(m, nw).size)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        coeffs.real[:, 0, 0], coeffs.imag[:, 0, 0] = parts[:4], parts[4:]
+        # the batch of four, and each entry alone
+        for (name, op), entries in itertools.product(
+                ops.items(), [coeffs] + [coeffs[e : e + 1] for e in range(4)]):
+            with np.errstate(all="ignore"):
+                want = _head_or_refusal(name, entries.copy()[:, 0, 0], t)
+            got = _outcome(lambda: op(jets.Jet(m, nz, nw, entries.copy())))
+            if isinstance(want, tuple):
+                assert type(got) is want[0] and str(got) == want[1], (nz, nw, name, got)
+            else:
+                _assert_same_bits(got.coeffs[:, 0, 0], want)
+
+
+def _coordinate_products_per_entry(z, w, m, nz, nw, i, j) -> np.ndarray:
+    """The coefficients of the jets of z_i wbar_j, entry by entry: +0.0 but
+    for the four positions of `jets.coordinate_products`'s docstring."""
+    i, j = np.asarray(i), np.asarray(j)
+    wbar = np.conj(np.asarray(w, dtype=complex))
+    z = np.asarray(z, dtype=complex)
+    # one array product, as numpy's may differ from a scalar one in rounding
+    value = z[..., i] * wbar[..., j]
+    out = np.zeros(value.shape + (jets._group(m, nz).size, jets._group(m, nw).size),
+                   dtype=complex)
+    for b in np.ndindex(z.shape[:-1]):
+        for s in np.ndindex(i.shape):
+            entry, row, col = out[b + s], 1 + i[s], 1 + j[s]
+            entry[0, 0] = value[b + s]
+            if nz >= 1:
+                entry[row, 0] = wbar[b + (j[s],)]
+            if nw >= 1:
+                entry[0, col] = z[b + (i[s],)]
+            if nz >= 1 and nw >= 1:
+                entry[row, col] = 1.0
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 2),
+       parts=st.lists(st.one_of(_PARTS, st.sampled_from([1e-300, -1e300])),
+                      min_size=8, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+@example(m=2, parts=[-0.0, 0.25, np.nan, -0.0, -np.inf, 0.0, -1e300, 1e-300], seed=0)
+def test_coordinate_products_fill_the_four_named_positions(m, parts, seed):
+    rng = np.random.default_rng(seed)
     z, w = (rng.standard_normal((4, m)) + 1j * rng.standard_normal((4, m)) for _ in "zw")
-    z[:, 0], w[:, -1] = coeffs[:, 0, 0], coeffs[:, 0, 0]
-    with np.errstate(all="ignore"):  # products with 1e300 and inf overflow
-        for op in (lambda j: (j ** t).coeffs, lambda j: j.exp().coeffs, lambda j: j.log().coeffs,
-                   jets.Jet.derivatives):
-            _assert_as_before(lambda: op(jets.Jet(m, nz, nw, coeffs.copy())))
-        for i, j in ((np.arange(m), np.arange(m)), np.indices((m, m)),
-                     (np.zeros(3, int), np.arange(3) % m)):
-            _assert_as_before(lambda: jets.coordinate_products(z, w, m, nz, nw, i, j).coeffs)
+    z[:, 0].real, z[:, 0].imag = parts[:4], parts[4:]
+    w[:, -1].real, w[:, -1].imag = parts[4:], parts[:4]
+    indices = ((np.arange(m), np.arange(m)), np.indices((m, m)),
+               (np.zeros(3, int), np.arange(3) % m))
+    with np.errstate(all="ignore"):  # products with 1e300, inf and nan
+        for (nz, nw), (i, j), (zs, ws) in itertools.product(_CAPS, indices,
+                                                            ((z, w), (z[0], w[-1]))):
+            got = jets.coordinate_products(zs, ws, m, nz, nw, i, j)
+            assert (got.m, got.nz, got.nw) == (m, nz, nw)
+            _assert_same_bits(got.coeffs, _coordinate_products_per_entry(zs, ws, m, nz, nw, i, j))
 
 
 @settings(max_examples=30, deadline=None)

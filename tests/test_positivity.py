@@ -39,7 +39,7 @@ from kernelcalc.positivity import (
     wallach_scan,
 )
 
-from oracles import hermitian_part_by_halves, pairwise_by_completion, pairwise_by_fancy_index
+from oracles import hermitian_part_by_halves, pairwise_by_completion
 
 
 def test_gram_against_a_hand_computed_matrix():
@@ -93,16 +93,21 @@ def _seeded_blocks(k: int, seed: int):
     st.integers(0, 2**32 - 1),
 )
 @example(unit_ball(3), [(64, 0), (1, 1)], 3, 0)
-def test_the_cached_completion_equals_the_fancy_index_completion_bit_for_bit(
-        domain, family, k, seed):
-    # scatter positions kept per (count, block size) must write every entry
-    # where the mixed fancy index wrote it, diagonal blocks last
+def test_the_gram_fill_equals_a_per_pair_fill_bit_for_bit(domain, family, k, seed):
+    # the mixed fancy index must write every entry where a fill of one pair
+    # at a time, row by row, writes it, diagonal blocks last, before the one
+    # `hermitian_part`
     sets = [sample_array(domain, n, s) for n, s in family]
     got = _pairwise(sets, _seeded_blocks(k, seed))
-    want = pairwise_by_fancy_index(sets, _seeded_blocks(k, seed))
-    assert len(got) == len(want) == len(sets)
-    for grams, want_grams in zip(got, want):
-        for g, w in zip(grams, want_grams, strict=True):
+    sizes = [len(pts) * (len(pts) + 1) // 2 for pts in sets]
+    outs = _seeded_blocks(k, seed)(np.empty(sum(sizes)), np.empty(sum(sizes)))
+    assert len(got) == len(sets)
+    for pts, grams, stop, size in zip(sets, got, np.cumsum(sizes), sizes):
+        pairs = zip(*(out[stop - size : stop] for out in outs))
+        want = pairwise_by_completion(pts, lambda zs, ws: tuple(v[None] for v in next(pairs)),
+                                      hermitian_part)
+        assert next(pairs, None) is None
+        for g, w in zip(grams, want, strict=True):
             assert g.shape == w.shape and np.array_equal(g.view(np.int64), w.view(np.int64))
 
 

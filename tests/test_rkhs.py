@@ -74,6 +74,15 @@ def test_norm_is_linear_in_the_coefficient():
     assert norm(e1) == pytest.approx(2 * norm(_section(k, 0.3)))
 
 
+@pytest.mark.parametrize("coefs, shown", [((1e200,), "inf+nanj"), ((1e200, -1e200), "nan+nanj")])
+def test_a_norm_past_the_float_range_is_refused_naming_the_inner_product(coefs, shown):
+    # |1e200|^2 overflows; with -1e200 beside it, inf - inf is nan
+    e = element(SzegoDisc(), [(c, 0.5, (0,), (1.0,)) for c in coefs])
+    with pytest.raises(EvaluationError) as info:
+        norm(e)
+    assert str(info.value) == f"no norm: the self inner product {shown} is not finite"
+
+
 def test_mixed_kernels_are_rejected():
     with pytest.raises(ShapeError):
         inner_product(_section(SzegoDisc(), 0.1), _section(Curvature(SzegoDisc(), 1, 1), 0.1))
