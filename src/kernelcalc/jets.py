@@ -39,14 +39,16 @@ one pass over the pairs of one product, where summing the powers x, x^2,
 `_pair_sums`, over one flat pair table (`_pair_table`) of the Nz * Nw
 monomials, int32 indices sorted by output, the outputs in degree order; an
 (m, nz, nw) table has C(2m + nz, 2m) * C(2m + nw, 2m) pairs, e.g. 44,100 at
-m = 3 and caps (4, 4), 213,444 at (5, 5) and 853,776 at (6, 6).  Each
-table is built once, whatever its size, and kept with its two cuts into
+m = 3 and caps (4, 4), 213,444 at (5, 5) and 853,776 at (6, 6).  A table
+is filled on first use without sorting, by index arithmetic over the two
+groups' pair runs in chunks of `_FILL_CHUNK` pairs, so that a build peaks
+at about 1.1 times the table's bytes, and kept with its two cuts into
 runs, per degree (for pow, exp and log) and across degrees (for a
-product), in least-recently-used caches of `_KEPT_TABLES` entries each.
-A cut's pairs are views of the table's, so a kept table takes about 8
-bytes per pair however many cuts read it.  The pairs
-are applied in runs of at most `_PRODUCT_CHUNK` entries of the broadcast
-batch times the pairs, so no temporary spans all pairs whatever the batch.
+product), in least-recently-used caches of `_KEPT_TABLES` entries each.  A cut's pairs are views of
+the table's, so a kept table takes about 8 bytes per pair however many
+cuts read it.  The pairs are applied in runs of at most `_PRODUCT_CHUNK`
+entries of the broadcast batch times the pairs, so no temporary spans all
+pairs whatever the batch.
 A product needs no degree order: it reads the runs of the whole table in
 one pass.  At caps (0, 0) there is no pair work.
 
@@ -120,16 +122,22 @@ class _Group:
     def pair_arrays(self) -> tuple:
         """The group's one pair table: int32 columns (left, right, product, left
         degree) of the pairs whose product has degree <= n, sorted by product
-        (each monomial a run), and `first`: product degree d is first[d]:first[d + 1]."""
-        pairs = sorted(
-            (self.index[tuple(x + y for x, y in zip(a, b))], i, j)
-            for i, a in enumerate(self.tuples)
-            for j, b in enumerate(self.tuples)
-            if sum(a) + sum(b) <= self.n
-        )
-        product, left, right = (np.array(col, dtype=np.int32) for col in zip(*pairs))
-        first = np.r_[0, np.cumsum(np.bincount(self.degrees[product], minlength=self.n + 1))]
-        return left, right, product, self.degrees[left], first
+        (each monomial a run, its pairs by left and then right monomial).
+
+        A monomial a is coded as sum a_i (n + 1)^i; no exponent of a product
+        of degree <= n exceeds n, so a code sum is the product's code.  The
+        pairs are listed left major, and one stable sort by product orders
+        them."""
+        m, n, degrees = self.m, self.n, self.degrees
+        dtype = np.int64 if (n + 1) ** m < 1 << 63 else object  # past int64, Python ints
+        codes = np.array(self.tuples, dtype=dtype) @ np.array([(n + 1) ** i for i in range(m)],
+                                                              dtype=dtype)
+        left, right = np.nonzero(degrees[:, None] + degrees <= n)
+        by_code = np.argsort(codes)
+        product = by_code[np.searchsorted(codes[by_code], codes[left] + codes[right])]
+        order = np.argsort(product, kind="stable")
+        left, right, product = (col[order].astype(np.int32) for col in (left, right, product))
+        return left, right, product, degrees[left]
 
     @functools.cache
     def embed(self, m: int, offset: int) -> np.ndarray:
@@ -470,85 +478,119 @@ class Jet:
 _KEPT_TABLES = 32
 
 
+#: pairs filled per chunk of a pair table, so that a build holds no
+#: temporary of the table's size
+_FILL_CHUNK = 1 << 16
+
+
 @functools.lru_cache(maxsize=_KEPT_TABLES)
 def _pair_table(m: int, nz: int, nw: int, balanced: bool) -> tuple:
     """(degrees, out, left, right, bounds): the pairs of every total degree
     D = 0 .. nz + nw in one flat table.
 
     Positions are flattened, i * Nw + j for z-monomial i and w-monomial j.
-    `out` holds the output monomials in degree order, and `degrees` lists
-    (D, k0, k1) for each degree present: its outputs are out[k0:k1].
-    `left` and `right` list, for each output in turn, every pair of
-    monomials whose product it is (z pair major): output k's pairs are
-    bounds[k]:bounds[k + 1].  An output's pairs are the z pairs of its z
-    part times the w pairs of its w part, so the table is built one block
-    of degrees (dz, D - dz) at a time from the two groups' pair tables
-    (`_Group.pair_arrays`).
+    `out` holds the outputs by total degree, then z and w monomial, and
+    `degrees` lists (D, k0, k1) for each degree present: its outputs are
+    out[k0:k1].  Output k's pairs, bounds[k]:bounds[k + 1] of `left` and
+    `right`, are the z pairs of its z part (a run of `_Group.pair_arrays`)
+    times the w pairs of its w part, z pair major.  Such blocks are written
+    in table order by index arithmetic over the two runs, in chunks of
+    about `_FILL_CHUNK` pairs, straight into the table: nothing is sorted.
 
     A balanced table keeps only the outputs with |a| = |b| and, of their
     pairs, those whose left monomial (and so the right one) is balanced
-    too, in the same order; so it has no odd degree.  It is built from the
-    blocks (d, d) alone, matching z pairs and w pairs by the degree of their
-    left monomial, and never holds the full table.
+    too, in the same order; so it has no odd degree.  A run is sorted by
+    left monomial, so by left degree e, and output (a, b) is the blocks of
+    the z and w pairs of left degree e = 0 .. |a|.
     """
-    (zl, zr, zk, zdeg, zfirst), (wl, wr, wk, wdeg, wfirst) = (
-        _group(m, nz).pair_arrays, _group(m, nw).pair_arrays)
-    nw_size = np.int32(_group(m, nw).size)
-    blocks = ([(d, d) for d in range(min(nz, nw) + 1)] if balanced else
-              [(dz, d - dz) for d in range(nz + nw + 1)
-               for dz in range(max(0, d - nw), min(nz, d) + 1)])
-    matches = []  # the z pairs and w pairs of each block, in table order
-    for dz, dw in blocks:
-        pz = np.arange(zfirst[dz], zfirst[dz + 1])
-        pw = np.arange(wfirst[dw], wfirst[dw + 1])
-        matches.append([(pz[zdeg[pz] == e], pw[wdeg[pw] == e]) for e in range(dz + 1)]
-                       if balanced else [(pz, pw)])
-    # filled one block at a time, so that building holds one block beside the table
-    size = sum(p.size * q.size for matched in matches for p, q in matched)
-    left, right = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
-    outs, bounds, s0 = [], [], 0
-    for matched in matches:
-        key, block_left, block_right = (
-            np.concatenate([(a[p, None] * nw_size + b[q]).ravel() for p, q in matched])
-            for a, b in ((zk, wk), (zl, wl), (zr, wr)))
-        order = np.argsort(key, kind="stable")
-        key, s1 = key[order], s0 + len(key)
-        left[s0:s1], right[s0:s1] = block_left[order], block_right[order]
-        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        outs.append(key[first])
-        bounds.append(first + s0)
-        s0 = s1
-    out = np.concatenate(outs).astype(np.intp)  # an int32 index is converted on each use
-    bounds = np.r_[np.concatenate(bounds), size]
-    at = np.searchsorted(_total_degrees(m, nz, nw)[out], np.arange(nz + nw + 2))
-    degrees = [(d, int(at[d]), int(at[d + 1])) for d in range(nz + nw + 1) if at[d] < at[d + 1]]
+    gz, gw = _group(m, nz), _group(m, nw)
+    (zl, zr, zk, zdeg), (wl, wr, wk, wdeg) = gz.pair_arrays, gw.pair_arrays
+    totals = _total_degrees(m, nz, nw)
+    out = (np.flatnonzero(gz.degrees[:, None] == gw.degrees) if balanced
+           else np.arange(gz.size * gw.size))
+    out = out[np.argsort(totals[out], kind="stable")]
+    at = np.searchsorted(totals[out], np.arange(nz + nw + 2)).tolist()
+    degrees = [(d, at[d], at[d + 1]) for d in range(nz + nw + 1) if at[d] < at[d + 1]]
+    # a group's pairs are sorted by product k, then left degree e: those of
+    # (k, e) start at sub[k (n + 1) + e]
+    zsub, wsub = (np.searchsorted(k * np.int64(n + 1) + deg, np.arange(size * (n + 1) + 1))
+                  for k, deg, n, size in ((zk, zdeg, nz, gz.size), (wk, wdeg, nw, gw.size)))
+    # the blocks: per output, its one pair of runs, or one per left degree e
+    kz, kw = np.divmod(out, gw.size)
+    per = gz.degrees[kz] + 1 if balanced else np.ones_like(kz)
+    e = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)
+    zc, wc = np.repeat(kz * (nz + 1), per) + e, np.repeat(kw * (nw + 1), per) + e
+    zs, ws = zsub[zc], wsub[wc]
+    ze, we = (zsub[zc + 1], wsub[wc + 1]) if balanced else (zsub[zc + nz + 1], wsub[wc + nw + 1])
+    height, width = ze - zs, we - ws
+    ends = np.cumsum(height * width)
+    starts = ends - height * width
+    bounds = np.append(starts[np.cumsum(per) - per], ends[-1])
+    left, right = np.empty(ends[-1], dtype=np.int32), np.empty(ends[-1], dtype=np.int32)
+    cuts = [0, *(np.flatnonzero(np.diff(starts // _FILL_CHUNK)) + 1).tolist(), len(starts)]
+    for b0, b1 in zip(cuts, cuts[1:]):
+        # rows: z pair p against the w pairs ws .. we - 1 of its block, pairs q
+        h, w = height[b0:b1], width[b0:b1]
+        p = np.arange(h.sum()) - np.repeat(np.cumsum(h) - h - zs[b0:b1], h)
+        row_width = np.repeat(w, h)
+        q = np.repeat(np.cumsum(row_width) - row_width - np.repeat(ws[b0:b1], h), row_width)
+        np.subtract(np.arange(len(q)), q, out=q)
+        for a, b, table in ((zl, wl, left), (zr, wr, right)):
+            chunk = table[starts[b0]:ends[b1 - 1]]
+            np.take(b, q, out=chunk, mode="wrap")  # q is in range: no buffered copy
+            chunk += np.repeat(a[p] * np.int32(gw.size), row_width)
     return degrees, out, left, right, bounds
 
 
-def _runs(table: tuple, k0: int, k1: int, max_pairs: int) -> list:
-    """The outputs k0 .. k1 - 1 of a pair table cut into runs of consecutive
-    outputs, (rows, left, right, starts, slots) each, with at most
-    `max_pairs` pairs per run unless one output alone has more.  `rows` are
-    the run's outputs, a slice where they are equally spaced; `left` and
-    `right` are views of the table's; `slots` is the pair count that every
-    output of the run shares if it is at most `_SLOT_PAIRS`, else 0."""
+def _runs(table: tuple, ends: list, max_pairs: int) -> list:
+    """A pair table's outputs cut into runs of consecutive outputs, one list
+    of runs up to each of `ends` from the one before.  A run is (rows, left,
+    right, starts, slots) with at most `max_pairs` pairs, unless one output
+    alone has more: `rows` its outputs, a slice where equally spaced;
+    `left`, `right` and `starts` views of the table's pairs and of one array
+    of first pairs, counted from the run's; `slots` the pair count that all
+    its outputs share if at most `_SLOT_PAIRS`, else 0.  Each run's end is
+    one search; the rest are segment reductions over all runs at once."""
     _, out, left, right, bounds = table
-    runs = []
-    while k0 < k1:
-        k = min(max(int(np.searchsorted(bounds, bounds[k0] + max_pairs, "right")) - 1, k0 + 1), k1)
-        s0, s1 = bounds[k0], bounds[k]
-        ell = int(bounds[k0 + 1] - s0)
-        slots = ell if ell <= _SLOT_PAIRS and (np.diff(bounds[k0:k + 1]) == ell).all() else 0
-        runs.append((_as_slice(out[k0:k]), left[s0:s1], right[s0:s1], bounds[k0:k] - s0, slots))
-        k0 = k
-    return runs
+    cut, per_end = [0], []
+    for end in ends:
+        while cut[-1] < end:
+            k = cut[-1]
+            reach = int(bounds.searchsorted(bounds[k] + max_pairs, "right")) - 1
+            cut.append(min(max(reach, k + 1), end))
+        per_end.append(len(cut) - 1)
+    first, last = np.array(cut[:-1]), np.array(cut[1:])
+    count = bounds[first + 1] - bounds[first]
+    slots = np.where(_all_equal(np.diff(bounds), first) & (count <= _SLOT_PAIRS), count, 0)
+    # each run's steps between its outputs as one segment: the step past its last
+    # output is set to its first one (to 1 for a run of one output)
+    step = np.empty_like(out)
+    np.subtract(out[1:], out[:-1], out=step[:-1])
+    step[last - 1] = np.where(last - first > 1, step[first], 1)
+    even = _all_equal(step, first) & (step[first] > 0)
+    step = step[first]
+    starts = np.repeat(bounds[first], last - first)
+    np.subtract(bounds[:-1], starts, out=starts)
+    b = bounds[cut].tolist()
+    runs = [(slice(lo, hi + 1, st) if ev else out[k:k_next], left[s0:s1], right[s0:s1],
+             starts[k:k_next], slot)
+            for k, k_next, s0, s1, lo, hi, st, ev, slot in zip(
+                cut, cut[1:], b, b[1:], out[first].tolist(), out[last - 1].tolist(),
+                step.tolist(), even.tolist(), slots.tolist())]
+    return [runs[i:j] for i, j in zip([0] + per_end, per_end)]
+
+
+def _all_equal(values: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Whether each segment first[i]:first[i + 1] of values is constant."""
+    return np.minimum.reduceat(values, first) == np.maximum.reduceat(values, first)
 
 
 @functools.lru_cache(maxsize=_KEPT_TABLES)
 def _degree_runs(m: int, nz: int, nw: int, max_pairs: int, balanced: bool) -> list:
     """(D, runs) per total degree D, for pow, exp and log."""
     table = _pair_table(m, nz, nw, balanced)
-    return [(degree, _runs(table, k0, k1, max_pairs)) for degree, k0, k1 in table[0]]
+    cuts = _runs(table, [k1 for _, _, k1 in table[0]], max_pairs)
+    return [(degree, runs) for (degree, _, _), runs in zip(table[0], cuts)]
 
 
 @functools.lru_cache(maxsize=_KEPT_TABLES)
@@ -556,7 +598,7 @@ def _product_runs(m: int, nz: int, nw: int, max_pairs: int, balanced: bool) -> l
     """The runs of a product, which needs no degree order: the whole table
     cut across its degrees."""
     table = _pair_table(m, nz, nw, balanced)
-    return _runs(table, 0, len(table[1]), max_pairs)
+    return _runs(table, [len(table[1])], max_pairs)[0]
 
 
 @functools.cache
@@ -611,12 +653,3 @@ def coordinate_products(z, w, m, nz, nw, i, j) -> Jet:
     if nz >= 1 and nw >= 1:
         flat[..., each, i, j] = 1.0
     return Jet(m, nz, nw, coeffs)
-
-
-def _as_slice(positions: np.ndarray):
-    """`positions` as a slice where they are a run of equal steps, which
-    indexes as a view and costs less, else as they are."""
-    step = int(positions[1] - positions[0]) if len(positions) > 1 else 1
-    if len(positions) and step > 0 and (np.diff(positions) == step).all():
-        return slice(int(positions[0]), int(positions[-1]) + 1, step)
-    return positions

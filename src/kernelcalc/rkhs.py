@@ -96,8 +96,17 @@ def inner_product(e1: RkhsElement, e2: RkhsElement) -> complex:
 
     <dbar^j K(., w) eta, dbar^i K(., v) xi> = <(d^i dbar^j K)(v, w) eta, xi>,
     pulled from the jets of all term pairs, evaluated as one batch at the
-    largest order any pair needs.
+    largest order any pair needs.  A sum past the float range (inf or nan)
+    is refused with an EvaluationError that names it.
     """
+    v = _inner_product_sum(e1, e2)
+    if not cmath.isfinite(v):
+        raise EvaluationError(f"the inner product {v:.3e} is not finite")
+    return v
+
+
+def _inner_product_sum(e1: RkhsElement, e2: RkhsElement) -> complex:
+    """<e1, e2> as summed, inf or nan where it leaves the float range."""
     if e1.kernel != e2.kernel:
         raise ShapeError("elements must reference the same kernel")
     pairs = [(s, t) for s in e1.terms for t in e2.terms]
@@ -108,8 +117,7 @@ def inner_product(e1: RkhsElement, e2: RkhsElement) -> complex:
         [t.base for _, t in pairs], [s.base for s, _ in pairs], order
     )
     acc = 0j
-    # a sum past the float range comes out as inf or nan, without a warning;
-    # callers that report it refuse it
+    # a sum past the float range comes out as inf or nan, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for (s, t), table in zip(pairs, tables):
             mat = table.entry(t.index.entries, s.index.entries)
@@ -122,7 +130,7 @@ def inner_product(e1: RkhsElement, e2: RkhsElement) -> complex:
 def norm(e: RkhsElement) -> float:
     """sqrt(<e, e>); errors if the self-inner-product is not finite or is
     genuinely negative."""
-    v = inner_product(e, e)
+    v = _inner_product_sum(e, e)
     if not cmath.isfinite(v):
         raise EvaluationError(f"no norm: the self inner product {v:.3e} is not finite")
     if v.real < -1e-10 * (1 + abs(v)):

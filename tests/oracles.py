@@ -8,6 +8,8 @@ closed form, seeded sampling by a loop that draws and tests one attempt at a tim
 Cauchy-integral derivative table of `kernelcalc.fd` by Richardson-extrapolated
 fourth-order central stencils summed one term at a time, the quasi-invariance
 residual by separate calls for the z and the w points, jet products by contracting the w group and then the z group,
+the jet pair tables by sorting tuple sums per group and then the pairs of
+each block of degrees by their outputs, and their cuts one run at a time,
 jet pow, exp and log by summing the powers of the series argument,
 RKHS inner products by one jet table per pair of terms, the LDL^H
 verdict by right-looking rank-1 Schur updates, the left-looking LDL^H
@@ -276,9 +278,10 @@ def _pair_runs(group: _Group) -> tuple:
 
 
 def pair_table_by_sorting(group: _Group) -> tuple:
-    """The pair table of `_Group.pair_arrays` built as (left, right, starts)
-    intp arrays first and re-encoded as int32 columns (left, right,
-    product, left degree) and `first` after."""
+    """The pair table of `_Group.pair_arrays` built by sorting (product,
+    left, right) triples of tuple sums, as (left, right, starts) intp
+    arrays first and re-encoded as int32 columns (left, right, product,
+    left degree) after."""
     pairs = sorted(
         (group.index[tuple(x + y for x, y in zip(a, b))], i, j)
         for i, a in enumerate(group.tuples)
@@ -289,9 +292,74 @@ def pair_table_by_sorting(group: _Group) -> tuple:
     starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
     runs = np.diff(np.r_[starts, len(left)])
     product = np.repeat(np.arange(group.size, dtype=np.int32), runs)
-    first = np.r_[0, np.cumsum(np.bincount(group.degrees[product], minlength=group.n + 1))]
-    return (left.astype(np.int32), right.astype(np.int32), product,
-            group.degrees[left], first)
+    return left.astype(np.int32), right.astype(np.int32), product, group.degrees[left]
+
+
+def pair_table_by_blocks(m: int, nz: int, nw: int, balanced: bool) -> tuple:
+    """`jets._pair_table` built one block of degrees (dz, D - dz) at a time,
+    on the group tables of `pair_table_by_sorting`: each block's pairs are
+    concatenated and put in output order by a stable sort of their output
+    positions.  A balanced table takes the blocks (d, d) alone, matching z
+    pairs and w pairs by the degree of their left monomial."""
+    gz, gw = jets._group(m, nz), jets._group(m, nw)
+    (zl, zr, zk, zdeg), (wl, wr, wk, wdeg) = pair_table_by_sorting(gz), pair_table_by_sorting(gw)
+    # product degree d is the pairs first[d]:first[d + 1]
+    zfirst, wfirst = (np.r_[0, np.cumsum(np.bincount(g.degrees[k], minlength=g.n + 1))]
+                      for g, k in ((gz, zk), (gw, wk)))
+    nw_size = np.int32(gw.size)
+    blocks = ([(d, d) for d in range(min(nz, nw) + 1)] if balanced else
+              [(dz, d - dz) for d in range(nz + nw + 1)
+               for dz in range(max(0, d - nw), min(nz, d) + 1)])
+    matches = []  # the z pairs and w pairs of each block, in table order
+    for dz, dw in blocks:
+        pz = np.arange(zfirst[dz], zfirst[dz + 1])
+        pw = np.arange(wfirst[dw], wfirst[dw + 1])
+        matches.append([(pz[zdeg[pz] == e], pw[wdeg[pw] == e]) for e in range(dz + 1)]
+                       if balanced else [(pz, pw)])
+    size = sum(p.size * q.size for matched in matches for p, q in matched)
+    left, right = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
+    outs, bounds, s0 = [], [], 0
+    for matched in matches:
+        key, block_left, block_right = (
+            np.concatenate([(a[p, None] * nw_size + b[q]).ravel() for p, q in matched])
+            for a, b in ((zk, wk), (zl, wl), (zr, wr)))
+        order = np.argsort(key, kind="stable")
+        key, s1 = key[order], s0 + len(key)
+        left[s0:s1], right[s0:s1] = block_left[order], block_right[order]
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        outs.append(key[first])
+        bounds.append(first + s0)
+        s0 = s1
+    out = np.concatenate(outs).astype(np.intp)
+    bounds = np.r_[np.concatenate(bounds), size]
+    at = np.searchsorted(jets._total_degrees(m, nz, nw)[out], np.arange(nz + nw + 2))
+    degrees = [(d, int(at[d]), int(at[d + 1])) for d in range(nz + nw + 1) if at[d] < at[d + 1]]
+    return degrees, out, left, right, bounds
+
+
+def _as_slice(positions: np.ndarray):
+    """`positions` as a slice where they are a run of equal steps, else as
+    they are."""
+    step = int(positions[1] - positions[0]) if len(positions) > 1 else 1
+    if len(positions) and step > 0 and (np.diff(positions) == step).all():
+        return slice(int(positions[0]), int(positions[-1]) + 1, step)
+    return positions
+
+
+def runs_by_search(table: tuple, k0: int, k1: int, max_pairs: int) -> list:
+    """`jets._runs` one run at a time: each run's end found by its own
+    search of the bounds, its slot count, rows and starts from its own
+    outputs."""
+    _, out, left, right, bounds = table
+    runs = []
+    while k0 < k1:
+        k = min(max(int(np.searchsorted(bounds, bounds[k0] + max_pairs, "right")) - 1, k0 + 1), k1)
+        s0, s1 = bounds[k0], bounds[k]
+        ell = int(bounds[k0 + 1] - s0)
+        slots = ell if ell <= jets._SLOT_PAIRS and (np.diff(bounds[k0:k + 1]) == ell).all() else 0
+        runs.append((_as_slice(out[k0:k]), left[s0:s1], right[s0:s1], bounds[k0:k] - s0, slots))
+        k0 = k
+    return runs
 
 
 @functools.cache

@@ -423,11 +423,15 @@ def test_shown_is_repr_but_for_ints_too_long_to_print():
     # 1e200 and -1e200 times one section: the products overflow, inf - inf
     (lambda: kc.norm(kc.element(K, [(1e200, 0.5, (0,), (1,)), (-1e200, 0.5, (0,), (1,))])),
      EvaluationError, "no norm: the self inner product nan+nanj is not finite"),
+    (lambda: kc.inner_product(kc.element(K, [(1e200, 0.5, (0,), (1,))]),
+                              kc.element(K, [(1e200, 0.5, (0,), (1,))])),
+     EvaluationError, "the inner product inf+nanj is not finite"),
     (lambda: kc.BallPower(2, math.inf).eval((0.1, 0.0), (0.1, 0.0)), EvaluationError,
      "jet power with non-finite exponent -inf"),
 ], ids=["scale", "jet order", "kernel_order_check m", "wallach_scan upper end fails",
         "multiplier index", "quasi m", "curvature cocycle size", "element index dimension",
-        "element coef 10^400", "norm negative", "norm not finite", "ball_power inf"])
+        "element coef 10^400", "norm negative", "norm not finite", "inner product not finite",
+        "ball_power inf"])
 def test_refusals_reached_only_through_the_api_name_their_cause(call, error, words):
     with pytest.raises(error) as info:
         call()

@@ -14,7 +14,7 @@ from kernelcalc.expr import BallPower
 from kernelcalc.geometry import graded_lex_tuples, unit_index
 from kernelcalc.jets import Jet, coordinate_products, variable_jets
 from oracles import (convolve_separable, exp_by_powers, full_tables, log_by_powers,
-                     pair_table_by_sorting, pow_by_powers)
+                     pair_table_by_blocks, pair_table_by_sorting, pow_by_powers, runs_by_search)
 
 
 def test_variable_jets_track_the_base_point():
@@ -451,10 +451,18 @@ def test_balanced_tables_are_the_full_tables_filtered(m, nz, nw):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_each_group_keeps_the_pair_table_built_by_sorting(m):
-    for n in range(7):
+    for n in range(10):
         group, table = jets._group(m, n), pair_table_by_sorting(jets._group(m, n))
         for got, want in zip(group.pair_arrays, table, strict=True):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m, n", [(40, 2), (64, 1)])
+def test_a_group_whose_codes_pass_int64_keeps_the_pair_table_built_by_sorting(m, n):
+    # (n + 1)^m >= 2^63: the monomials are coded by Python ints
+    group, table = jets._Group(m, n), pair_table_by_sorting(jets._group(m, n))
+    for got, want in zip(group.pair_arrays, table, strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def _by_degree(table):
@@ -465,32 +473,76 @@ def _by_degree(table):
              bounds[k0:k1] - bounds[k0]) for degree, k0, k1 in degrees]
 
 
+_PAIR_CACHES = (jets._pair_table, jets._degree_runs, jets._product_runs)
+
+
+def _assert_same_table(got, want):
+    assert got[0] == want[0]  # (D, k0, k1) per degree
+    for a, b in zip(got[1:], want[1:], strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_degree_tables_equal_those_of_the_pair_tables_built_by_sorting(m, monkeypatch):
-    built = {}
-
-    def sorted_group(m, n):
-        if (m, n) not in built:
-            built[m, n] = jets._Group(m, n)
-            # a cached_property is read from the instance dict once set
-            built[m, n].__dict__["pair_arrays"] = pair_table_by_sorting(built[m, n])
-        return built[m, n]
-
+def test_pair_tables_equal_those_built_block_by_block(m):
     for nz in range(6):
         for nw in range(6):
             for balanced in (False, True):
-                got = _by_degree(jets._pair_table(m, nz, nw, balanced))
-                with monkeypatch.context() as patch:
-                    patch.setattr(jets, "_group", sorted_group)
-                    # the kept tables are the package's own: build afresh
-                    want = _by_degree(jets._pair_table.__wrapped__(m, nz, nw, balanced))
-                for got_table, want_table in zip(got, want, strict=True):
-                    assert got_table[0] == want_table[0]
-                    for a, b in zip(got_table[1:], want_table[1:], strict=True):
-                        assert a.dtype == b.dtype and np.array_equal(a, b)
+                _assert_same_table(jets._pair_table(m, nz, nw, balanced),
+                                   pair_table_by_blocks(m, nz, nw, balanced))
 
 
-_PAIR_CACHES = (jets._pair_table, jets._degree_runs, jets._product_runs)
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 7), st.integers(0, 7), st.booleans())
+def test_pair_tables_at_asymmetric_caps_equal_those_built_block_by_block(m, nz, nw, balanced):
+    if m == 3:  # keep the tables under 10^6 pairs
+        nz, nw = min(nz, 5), min(nw, 6)
+    _assert_same_table(jets._pair_table.__wrapped__(m, nz, nw, balanced),
+                       pair_table_by_blocks(m, nz, nw, balanced))
+
+
+def _assert_same_runs(got, want):
+    assert len(got) == len(want)
+    for (rows, *arrays, slots), (want_rows, *want_arrays, want_slots) in zip(got, want):
+        assert type(rows) is type(want_rows)
+        if isinstance(rows, slice):
+            assert rows == want_rows
+        else:
+            assert rows.dtype == want_rows.dtype and np.array_equal(rows, want_rows)
+        for a, b in zip(arrays, want_arrays, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert type(slots) is int and slots == want_slots
+
+
+@pytest.mark.parametrize("m, nz, nw", [(1, 5, 2), (2, 3, 3), (2, 4, 4), (2, 0, 3), (3, 3, 3),
+                                       (3, 4, 4), (3, 4, 2), (3, 1, 1), (3, 0, 0)])
+@pytest.mark.parametrize("balanced", [False, True])
+def test_run_cuts_equal_those_found_one_run_at_a_time(m, nz, nw, balanced):
+    for cache in _PAIR_CACHES:  # a kept cut may view a table since dropped
+        cache.cache_clear()
+    table = jets._pair_table(m, nz, nw, balanced)
+    degrees, out, left, right, _ = table
+    for max_pairs in (1, 4, 64, 4096):
+        product = jets._product_runs(m, nz, nw, max_pairs, balanced)
+        _assert_same_runs(product, runs_by_search(table, 0, len(out), max_pairs))
+        by_degree = jets._degree_runs(m, nz, nw, max_pairs, balanced)
+        assert [degree for degree, _ in by_degree] == [degree for degree, _, _ in degrees]
+        for (_, runs), (_, k0, k1) in zip(by_degree, degrees, strict=True):
+            _assert_same_runs(runs, runs_by_search(table, k0, k1, max_pairs))
+        for _, run_left, run_right, _, _ in product + [r for _, runs in by_degree for r in runs]:
+            assert np.shares_memory(run_left, left) and np.shares_memory(run_right, right)
+
+
+def test_a_deep_pair_table_is_filled_without_table_sized_temporaries():
+    # m = 3 at caps (7, 7): 2,944,656 pairs, 23.6 MB of int32 left and right
+    jets._group(3, 7).pair_arrays
+    tracemalloc.start()
+    try:
+        _, _, left, right, _ = jets._pair_table.__wrapped__(3, 7, 7, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(left) == 2_944_656
+    assert peak <= 1.5 * (left.nbytes + right.nbytes)
 
 
 def _random_jet(rng, m, nz, nw, scale=0.1):
@@ -693,12 +745,12 @@ def test_a_run_keeps_a_slot_tag_only_for_one_pair_count_of_at_most_4(counts, slo
     starts = np.r_[0, np.cumsum(counts)[:-1]]
     pairs = np.arange(sum(counts), dtype=np.int32)
     out = 3 * np.arange(len(counts)) + 1
-    (run,) = jets._runs(([], out, pairs, pairs, np.r_[starts, len(pairs)]), 0, len(out), 64)
+    ((run,),) = jets._runs(([], out, pairs, pairs, np.r_[starts, len(pairs)]), [len(out)], 64)
     assert run[4] == slots
     assert isinstance(run[0], slice) and np.array_equal(np.arange(24)[run[0]], out)
 
 
 def test_run_rows_that_are_not_equally_spaced_stay_an_index_array():
     pairs = np.arange(6, dtype=np.int32)
-    (run,) = jets._runs(([], np.array([1, 2, 5]), pairs, pairs, np.array([0, 2, 4, 6])), 0, 3, 64)
+    ((run,),) = jets._runs(([], np.array([1, 2, 5]), pairs, pairs, np.array([0, 2, 4, 6])), [3], 64)
     assert isinstance(run[0], np.ndarray) and run[0].tolist() == [1, 2, 5] and run[4] == 2

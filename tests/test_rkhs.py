@@ -83,6 +83,14 @@ def test_a_norm_past_the_float_range_is_refused_naming_the_inner_product(coefs, 
     assert str(info.value) == f"no norm: the self inner product {shown} is not finite"
 
 
+@pytest.mark.parametrize("coefs, shown", [((1e200,), "inf+nanj"), ((1e200, -1e200), "nan+nanj")])
+def test_an_inner_product_past_the_float_range_is_refused_naming_it(coefs, shown):
+    e = element(SzegoDisc(), [(c, 0.5, (0,), (1.0,)) for c in coefs])
+    with pytest.raises(EvaluationError) as info:
+        inner_product(e, e)
+    assert str(info.value) == f"the inner product {shown} is not finite"
+
+
 def test_mixed_kernels_are_rejected():
     with pytest.raises(ShapeError):
         inner_product(_section(SzegoDisc(), 0.1), _section(Curvature(SzegoDisc(), 1, 1), 0.1))
