@@ -30,6 +30,20 @@ from .geometry import Point, in_unit_ball, point_array, point_coords
 from .jets import _fail_where
 from .params import checked, shown
 
+#: most (z, w) pairs of one quasi-invariance residual: its jets take about
+#: 1.4 KB per pair of the disc and 3.5 KB per pair of the ball of C^3, so a
+#: `quasi` run at the bound peaks at about 130 and 260 MB
+MAX_QUASI_PAIRS = 1 << 16
+
+
+def check_pair_count(n: int) -> None:
+    """Refuse a quasi-invariance residual of more than MAX_QUASI_PAIRS pairs
+    (ValueError naming n and the bound): a sampled residual is checked
+    before its pairs are drawn."""
+    if n > MAX_QUASI_PAIRS:
+        raise ValueError(f"a quasi-invariance residual of {shown(n)} pairs is over the "
+                         f"bound of {MAX_QUASI_PAIRS}")
+
 
 @dataclass(frozen=True, eq=False)
 class MobiusMap:
@@ -195,7 +209,8 @@ def quasi_invariance_residual(
     batch of the 2B points (z first) and one of the 2B pairs (moved first).
     An entry of `pairs` that is not a (z, w) pair is refused (ShapeError
     naming it), and one whose z or w is not a point of the open ball
-    (DomainError naming the entry and the side)."""
+    (DomainError naming the entry and the side), as are more than
+    MAX_QUASI_PAIRS pairs (`check_pair_count`)."""
     if phi.m != expr.m:
         raise ShapeError("map and kernel dimensions differ")
     zs, ws = [], []
@@ -210,6 +225,7 @@ def quasi_invariance_residual(
     if not zs:
         return 0.0
     b = len(zs)
+    check_pair_count(b)
     try:
         pts = point_array(zs + ws, expr.m)
         j = cocycle.matrices(phi, pts, expr.size)

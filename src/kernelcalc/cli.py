@@ -32,7 +32,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .automorphisms import MobiusMap, curvature_quasi_check
+from .automorphisms import MobiusMap, check_pair_count, curvature_quasi_check
 from .eig import eigenvalues
 from .errors import BracketError, DomainError, EvaluationError, KernelCalcError, ParseError
 from .geometry import DEFAULT_SAMPLE_RADIUS, graded_lex_tuples, sample_array, sample_pairs
@@ -228,6 +228,7 @@ def cmd_quasi(args) -> int:
     else:
         v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         phi = MobiusMap(0.5 * rng.random() * v / np.linalg.norm(v))
+    check_pair_count(args.pairs)  # before a pair is drawn
     pairs = sample_pairs(sampling_domain(m, args.radius), args.pairs, args.seed)
     residual = curvature_quasi_check(base, args.t, phi, pairs)
     payload = _provenance(args, base.to_dsl())

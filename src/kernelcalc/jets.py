@@ -42,15 +42,15 @@ monomials, int32 indices sorted by output, the outputs in degree order; an
 m = 3 and caps (4, 4), 213,444 at (5, 5) and 853,776 at (6, 6).  A table
 is filled on first use without sorting, by index arithmetic over the two
 groups' pair runs in chunks of `_FILL_CHUNK` pairs, so that a build peaks
-at about 1.1 times the table's bytes, and kept with its two cuts into
-runs, per degree (for pow, exp and log) and across degrees (for a
-product), in least-recently-used caches of `_KEPT_TABLES` entries each.  A cut's pairs are views of
-the table's, so a kept table takes about 8 bytes per pair however many
-cuts read it.  The pairs are applied in runs of at most `_PRODUCT_CHUNK`
-entries of the broadcast batch times the pairs, so no temporary spans all
-pairs whatever the batch.
-A product needs no degree order: it reads the runs of the whole table in
-one pass.  At caps (0, 0) there is no pair work.
+at about 1.1 times the table's bytes.  It owns its cuts into runs, per
+degree (for pow, exp and log) and across degrees (a product needs no
+degree order: it reads the whole table in one pass), made on first use,
+so one least-recently-used cache of `_KEPT_TABLES` tables keeps a cut as
+long as its table.  A cut's pairs are views of the table's, so a kept
+table takes about 8 bytes per pair however many cuts read it.  The pairs
+are applied in runs of at most `_PRODUCT_CHUNK` entries of the broadcast
+batch times the pairs, so no temporary spans all pairs whatever the
+batch.  At caps (0, 0) there is no pair work.
 
 Each run is summed by one np.add.reduceat, except where every output of
 the run has the same count l <= 4 of pairs (`_runs` records it as the
@@ -263,7 +263,7 @@ def _convolve(x: np.ndarray, y: np.ndarray, m: int, nz: int, nw: int) -> np.ndar
     flat = (shape[0] * shape[1],)
     x, y = x.reshape(x.shape[:-2] + flat), y.reshape(y.shape[:-2] + flat)
     out = (np.zeros if balanced else np.empty)(batch + flat, dtype=complex)
-    runs = _product_runs(m, nz, nw, _run_pairs(math.prod(batch)), balanced)
+    runs = _pair_table(m, nz, nw, balanced).runs(_run_pairs(math.prod(batch)), False)
     for rows, sums in _pair_sums(x, y, runs):
         out[..., rows] = sums
     return out.reshape(batch + shape)
@@ -413,17 +413,16 @@ class Jet:
         x = self.coeffs * ((1.0 / self.value)[..., None, None] if inverse else 1.0)
         x[..., 0, 0] = 0
         m, nz, nw = self.m, self.nz, self.nw
-        by_degree = _degree_runs(m, nz, nw, _run_pairs(math.prod(x.shape[:-2])),
-                                 _balanced(x, m, nz, nw))
+        table = _pair_table(m, nz, nw, _balanced(x, m, nz, nw))
         shape = x.shape
         flat = shape[:-2] + (shape[-2] * shape[-1],)
         x, h = x.reshape(flat), h.reshape(flat)
-        degrees = _total_degrees(m, nz, nw)
-        for degree, runs in by_degree:
+        cut = table.runs(_run_pairs(math.prod(flat[:-1])), True)
+        for (degree, _, _), runs in zip(table.degrees, cut):
             if not degree:  # h_0 is set above
                 continue
             # one weight per left monomial
-            for rows, sums in _pair_sums(x, h, runs, degrees * ((a - b) / degree) + b):
+            for rows, sums in _pair_sums(x, h, runs, table.totals * ((a - b) / degree) + b):
                 if c:
                     sums += c * x[..., rows]
                 h[..., rows] = sums
@@ -472,9 +471,9 @@ class Jet:
 
 # -- the pair tables of products and series ----------------------------------
 
-#: (m, nz, nw, balanced) pair tables kept, least recently used first out, and
-#: as many run cuts of each kind, which view the table's pairs; a `sections`
-#: run reads 11 tables, 11 per-degree cuts and 5 product cuts
+#: (m, nz, nw, balanced) pair tables kept, least recently used first out, each
+#: with its own run cuts; over the 16 rounds of seed 41 `scan` reads 3 tables
+#: and 3 cuts, `certify` 2 and 3, `crosscheck` 7 and 14, `sections` 11 and 16
 _KEPT_TABLES = 32
 
 
@@ -483,10 +482,10 @@ _KEPT_TABLES = 32
 _FILL_CHUNK = 1 << 16
 
 
-@functools.lru_cache(maxsize=_KEPT_TABLES)
-def _pair_table(m: int, nz: int, nw: int, balanced: bool) -> tuple:
-    """(degrees, out, left, right, bounds): the pairs of every total degree
-    D = 0 .. nz + nw in one flat table.
+class _PairTable:
+    """The pairs of every total degree D = 0 .. nz + nw in one flat table,
+    `degrees`, `out`, `left`, `right` and `bounds`, with its cuts into runs
+    (`runs`) and |a| + |b| of each flattened monomial (a, b), `totals`.
 
     Positions are flattened, i * Nw + j for z-monomial i and w-monomial j.
     `out` holds the outputs by total degree, then z and w monomial, and
@@ -503,46 +502,65 @@ def _pair_table(m: int, nz: int, nw: int, balanced: bool) -> tuple:
     left monomial, so by left degree e, and output (a, b) is the blocks of
     the z and w pairs of left degree e = 0 .. |a|.
     """
-    gz, gw = _group(m, nz), _group(m, nw)
-    (zl, zr, zk, zdeg), (wl, wr, wk, wdeg) = gz.pair_arrays, gw.pair_arrays
-    totals = _total_degrees(m, nz, nw)
-    out = (np.flatnonzero(gz.degrees[:, None] == gw.degrees) if balanced
-           else np.arange(gz.size * gw.size))
-    out = out[np.argsort(totals[out], kind="stable")]
-    at = np.searchsorted(totals[out], np.arange(nz + nw + 2)).tolist()
-    degrees = [(d, at[d], at[d + 1]) for d in range(nz + nw + 1) if at[d] < at[d + 1]]
-    # a group's pairs are sorted by product k, then left degree e: those of
-    # (k, e) start at sub[k (n + 1) + e]
-    zsub, wsub = (np.searchsorted(k * np.int64(n + 1) + deg, np.arange(size * (n + 1) + 1))
-                  for k, deg, n, size in ((zk, zdeg, nz, gz.size), (wk, wdeg, nw, gw.size)))
-    # the blocks: per output, its one pair of runs, or one per left degree e
-    kz, kw = np.divmod(out, gw.size)
-    per = gz.degrees[kz] + 1 if balanced else np.ones_like(kz)
-    e = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)
-    zc, wc = np.repeat(kz * (nz + 1), per) + e, np.repeat(kw * (nw + 1), per) + e
-    zs, ws = zsub[zc], wsub[wc]
-    ze, we = (zsub[zc + 1], wsub[wc + 1]) if balanced else (zsub[zc + nz + 1], wsub[wc + nw + 1])
-    height, width = ze - zs, we - ws
-    ends = np.cumsum(height * width)
-    starts = ends - height * width
-    bounds = np.append(starts[np.cumsum(per) - per], ends[-1])
-    left, right = np.empty(ends[-1], dtype=np.int32), np.empty(ends[-1], dtype=np.int32)
-    cuts = [0, *(np.flatnonzero(np.diff(starts // _FILL_CHUNK)) + 1).tolist(), len(starts)]
-    for b0, b1 in zip(cuts, cuts[1:]):
-        # rows: z pair p against the w pairs ws .. we - 1 of its block, pairs q
-        h, w = height[b0:b1], width[b0:b1]
-        p = np.arange(h.sum()) - np.repeat(np.cumsum(h) - h - zs[b0:b1], h)
-        row_width = np.repeat(w, h)
-        q = np.repeat(np.cumsum(row_width) - row_width - np.repeat(ws[b0:b1], h), row_width)
-        np.subtract(np.arange(len(q)), q, out=q)
-        for a, b, table in ((zl, wl, left), (zr, wr, right)):
-            chunk = table[starts[b0]:ends[b1 - 1]]
-            np.take(b, q, out=chunk, mode="wrap")  # q is in range: no buffered copy
-            chunk += np.repeat(a[p] * np.int32(gw.size), row_width)
-    return degrees, out, left, right, bounds
+
+    def __init__(self, m: int, nz: int, nw: int, balanced: bool):
+        gz, gw = _group(m, nz), _group(m, nw)
+        (zl, zr, zk, zdeg), (wl, wr, wk, wdeg) = gz.pair_arrays, gw.pair_arrays
+        totals = (gz.degrees[:, None] + gw.degrees).ravel().astype(float)
+        out = (np.flatnonzero(gz.degrees[:, None] == gw.degrees) if balanced
+               else np.arange(gz.size * gw.size))
+        out = out[np.argsort(totals[out], kind="stable")]
+        at = np.searchsorted(totals[out], np.arange(nz + nw + 2)).tolist()
+        degrees = [(d, at[d], at[d + 1]) for d in range(nz + nw + 1) if at[d] < at[d + 1]]
+        # a group's pairs are sorted by product k, then left degree e: those of
+        # (k, e) start at sub[k (n + 1) + e]
+        zsub, wsub = (np.searchsorted(k * np.int64(n + 1) + deg, np.arange(size * (n + 1) + 1))
+                      for k, deg, n, size in ((zk, zdeg, nz, gz.size), (wk, wdeg, nw, gw.size)))
+        # the blocks: per output, its one pair of runs, or one per left degree e
+        kz, kw = np.divmod(out, gw.size)
+        per = gz.degrees[kz] + 1 if balanced else np.ones_like(kz)
+        e = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)
+        zc, wc = np.repeat(kz * (nz + 1), per) + e, np.repeat(kw * (nw + 1), per) + e
+        zs, ws = zsub[zc], wsub[wc]
+        ze, we = zsub[zc + (1 if balanced else nz + 1)], wsub[wc + (1 if balanced else nw + 1)]
+        height, width = ze - zs, we - ws
+        ends = np.cumsum(height * width)
+        starts = ends - height * width
+        bounds = np.append(starts[np.cumsum(per) - per], ends[-1])
+        left, right = np.empty(ends[-1], dtype=np.int32), np.empty(ends[-1], dtype=np.int32)
+        cuts = [0, *(np.flatnonzero(np.diff(starts // _FILL_CHUNK)) + 1).tolist(), len(starts)]
+        for b0, b1 in zip(cuts, cuts[1:]):
+            # rows: z pair p against the w pairs ws .. we - 1 of its block, pairs q
+            h, w = height[b0:b1], width[b0:b1]
+            p = np.arange(h.sum()) - np.repeat(np.cumsum(h) - h - zs[b0:b1], h)
+            row_width = np.repeat(w, h)
+            q = np.repeat(np.cumsum(row_width) - row_width - np.repeat(ws[b0:b1], h), row_width)
+            np.subtract(np.arange(len(q)), q, out=q)
+            for a, b, table in ((zl, wl, left), (zr, wr, right)):
+                chunk = table[starts[b0]:ends[b1 - 1]]
+                np.take(b, q, out=chunk, mode="wrap")  # q is in range: no buffered copy
+                chunk += np.repeat(a[p] * np.int32(gw.size), row_width)
+        self.degrees, self.out, self.left, self.right = degrees, out, left, right
+        self.bounds, self.totals, self._cuts = bounds, totals, {}
+
+    def runs(self, max_pairs: int, by_degree: bool) -> list:
+        """The outputs cut into runs of at most `max_pairs` pairs by `_runs`,
+        on first use, and kept: the runs of each degree of `degrees`, for pow,
+        exp and log, or else the runs of the whole table, for a product."""
+        key = max_pairs, by_degree
+        if key not in self._cuts:
+            cuts = _runs(self, [k1 for *_, k1 in self.degrees] if by_degree else [len(self.out)],
+                         max_pairs)
+            self._cuts.setdefault(key, cuts if by_degree else cuts[0])
+        return self._cuts[key]
 
 
-def _runs(table: tuple, ends: list, max_pairs: int) -> list:
+#: the one cache of pair tables; a table's cuts and totals live and die with
+#: it, and each use refreshes its entry
+_pair_table = functools.lru_cache(maxsize=_KEPT_TABLES)(_PairTable)
+
+
+def _runs(table: _PairTable, ends: list, max_pairs: int) -> list:
     """A pair table's outputs cut into runs of consecutive outputs, one list
     of runs up to each of `ends` from the one before.  A run is (rows, left,
     right, starts, slots) with at most `max_pairs` pairs, unless one output
@@ -551,7 +569,7 @@ def _runs(table: tuple, ends: list, max_pairs: int) -> list:
     of first pairs, counted from the run's; `slots` the pair count that all
     its outputs share if at most `_SLOT_PAIRS`, else 0.  Each run's end is
     one search; the rest are segment reductions over all runs at once."""
-    _, out, left, right, bounds = table
+    out, left, right, bounds = table.out, table.left, table.right, table.bounds
     cut, per_end = [0], []
     for end in ends:
         while cut[-1] < end:
@@ -585,27 +603,9 @@ def _all_equal(values: np.ndarray, first: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(values, first) == np.maximum.reduceat(values, first)
 
 
-@functools.lru_cache(maxsize=_KEPT_TABLES)
-def _degree_runs(m: int, nz: int, nw: int, max_pairs: int, balanced: bool) -> list:
-    """(D, runs) per total degree D, for pow, exp and log."""
-    table = _pair_table(m, nz, nw, balanced)
-    cuts = _runs(table, [k1 for _, _, k1 in table[0]], max_pairs)
-    return [(degree, runs) for (degree, _, _), runs in zip(table[0], cuts)]
-
-
-@functools.lru_cache(maxsize=_KEPT_TABLES)
-def _product_runs(m: int, nz: int, nw: int, max_pairs: int, balanced: bool) -> list:
-    """The runs of a product, which needs no degree order: the whole table
-    cut across its degrees."""
-    table = _pair_table(m, nz, nw, balanced)
-    return _runs(table, [len(table[1])], max_pairs)[0]
-
-
-@functools.cache
-def _total_degrees(m: int, nz: int, nw: int) -> np.ndarray:
-    """|a| + |b| of every flattened monomial (a, b)."""
-    dz, dw = _group(m, nz).degrees, _group(m, nw).degrees
-    return (dz[:, None] + dw).ravel().astype(float)
+def _all_equal(values: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Whether each segment first[i]:first[i + 1] of values is constant."""
+    return np.minimum.reduceat(values, first) == np.maximum.reduceat(values, first)
 
 
 def variable_jets(z, w, m, nz, nw):

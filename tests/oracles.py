@@ -296,7 +296,8 @@ def pair_table_by_sorting(group: _Group) -> tuple:
 
 
 def pair_table_by_blocks(m: int, nz: int, nw: int, balanced: bool) -> tuple:
-    """`jets._pair_table` built one block of degrees (dz, D - dz) at a time,
+    """The fields (degrees, out, left, right, bounds, totals) of a
+    `jets._pair_table`, built one block of degrees (dz, D - dz) at a time,
     on the group tables of `pair_table_by_sorting`: each block's pairs are
     concatenated and put in output order by a stable sort of their output
     positions.  A balanced table takes the blocks (d, d) alone, matching z
@@ -332,9 +333,10 @@ def pair_table_by_blocks(m: int, nz: int, nw: int, balanced: bool) -> tuple:
         s0 = s1
     out = np.concatenate(outs).astype(np.intp)
     bounds = np.r_[np.concatenate(bounds), size]
-    at = np.searchsorted(jets._total_degrees(m, nz, nw)[out], np.arange(nz + nw + 2))
+    totals = (gz.degrees[:, None] + gw.degrees).ravel().astype(float)
+    at = np.searchsorted(totals[out], np.arange(nz + nw + 2))
     degrees = [(d, int(at[d]), int(at[d + 1])) for d in range(nz + nw + 1) if at[d] < at[d + 1]]
-    return degrees, out, left, right, bounds
+    return degrees, out, left, right, bounds, totals
 
 
 def _as_slice(positions: np.ndarray):
@@ -346,11 +348,11 @@ def _as_slice(positions: np.ndarray):
     return positions
 
 
-def runs_by_search(table: tuple, k0: int, k1: int, max_pairs: int) -> list:
+def runs_by_search(table: jets._PairTable, k0: int, k1: int, max_pairs: int) -> list:
     """`jets._runs` one run at a time: each run's end found by its own
     search of the bounds, its slot count, rows and starts from its own
     outputs."""
-    _, out, left, right, bounds = table
+    out, left, right, bounds = table.out, table.left, table.right, table.bounds
     runs = []
     while k0 < k1:
         k = min(max(int(np.searchsorted(bounds, bounds[k0] + max_pairs, "right")) - 1, k0 + 1), k1)

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kernelcalc.automorphisms import (
+    MAX_QUASI_PAIRS,
     CocycleSpec,
     MobiusMap,
+    check_pair_count,
     curvature_quasi_check,
     quasi_invariance_residual,
 )
@@ -290,6 +292,19 @@ def test_negative_curvature_power_is_rejected():
     phi = _random_map(2, 51)
     with pytest.raises(ShapeError):
         curvature_quasi_check(bergman_ball(2), -1.0, phi, [])
+
+
+def test_a_residual_of_more_than_2_16_pairs_is_refused():
+    pairs = [((0.1,), (0.2,))] * 65_537
+    for check in (lambda: quasi_invariance_residual(bergman_disc(), CocycleSpec(
+                      "det_jacobian_power", 1.0), MobiusMap((0.3,)), pairs),
+                  lambda: curvature_quasi_check(bergman_disc(), 1.0, MobiusMap((0.3,)), pairs)):
+        with pytest.raises(ValueError) as info:
+            check()
+        assert str(info.value) == ("a quasi-invariance residual of 65537 pairs is over the "
+                                   "bound of 65536")
+    assert MAX_QUASI_PAIRS == 65_536
+    check_pair_count(65_536)
 
 
 def _base_and_domain(m):

@@ -220,6 +220,22 @@ def test_quasi_command_is_seeded_and_small(capsys):
     assert json.loads(out2) == data
 
 
+def test_quasi_refuses_too_many_pairs_before_drawing_one(capsys, monkeypatch):
+    # 8,388,608 disc pairs pass the sampling budget, and their jets would
+    # take about 11.6 GB
+    def no_draw(*args):
+        raise AssertionError("a pair was drawn")
+
+    monkeypatch.setattr(cli, "sample_pairs", no_draw)
+    for n in (65_537, 8_388_608):
+        code, out, err = _run(capsys, "quasi", "--kernel", "bergman_disc()", "--pairs", str(n))
+        assert (code, out) == (3, "")
+        assert err == (f"error: a quasi-invariance residual of {n} pairs is over the bound "
+                       "of 65536\n")
+    with pytest.raises(AssertionError, match="a pair was drawn"):  # the bound itself is drawn
+        main(["quasi", "--kernel", "bergman_disc()", "--pairs", "65536"])
+
+
 @pytest.mark.parametrize(
     "record",
     [

@@ -3,6 +3,7 @@ import importlib.util
 import math
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from kernelcalc import jets
 from kernelcalc.errors import BranchError
-from kernelcalc.expr import BallPower
+from kernelcalc.expr import BallPower, Product, SzegoDisc
 from kernelcalc.geometry import graded_lex_tuples, unit_index
 from kernelcalc.jets import Jet, coordinate_products, variable_jets
 from oracles import (convolve_separable, exp_by_powers, full_tables, log_by_powers,
@@ -468,17 +469,15 @@ def test_a_group_whose_codes_pass_int64_keeps_the_pair_table_built_by_sorting(m,
 def _by_degree(table):
     """A `jets._pair_table` cut by degree: (D, out, left, right, starts) per
     degree D, `starts` counted from the degree's first pair."""
-    degrees, out, left, right, bounds = table
+    out, left, right, bounds = table.out, table.left, table.right, table.bounds
     return [(degree, out[k0:k1], left[bounds[k0]:bounds[k1]], right[bounds[k0]:bounds[k1]],
-             bounds[k0:k1] - bounds[k0]) for degree, k0, k1 in degrees]
-
-
-_PAIR_CACHES = (jets._pair_table, jets._degree_runs, jets._product_runs)
+             bounds[k0:k1] - bounds[k0]) for degree, k0, k1 in table.degrees]
 
 
 def _assert_same_table(got, want):
-    assert got[0] == want[0]  # (D, k0, k1) per degree
-    for a, b in zip(got[1:], want[1:], strict=True):
+    assert got.degrees == want[0]  # (D, k0, k1) per degree
+    arrays = (got.out, got.left, got.right, got.bounds, got.totals)
+    for a, b in zip(arrays, want[1:], strict=True):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
@@ -517,19 +516,16 @@ def _assert_same_runs(got, want):
                                        (3, 4, 4), (3, 4, 2), (3, 1, 1), (3, 0, 0)])
 @pytest.mark.parametrize("balanced", [False, True])
 def test_run_cuts_equal_those_found_one_run_at_a_time(m, nz, nw, balanced):
-    for cache in _PAIR_CACHES:  # a kept cut may view a table since dropped
-        cache.cache_clear()
     table = jets._pair_table(m, nz, nw, balanced)
-    degrees, out, left, right, _ = table
     for max_pairs in (1, 4, 64, 4096):
-        product = jets._product_runs(m, nz, nw, max_pairs, balanced)
-        _assert_same_runs(product, runs_by_search(table, 0, len(out), max_pairs))
-        by_degree = jets._degree_runs(m, nz, nw, max_pairs, balanced)
-        assert [degree for degree, _ in by_degree] == [degree for degree, _, _ in degrees]
-        for (_, runs), (_, k0, k1) in zip(by_degree, degrees, strict=True):
+        product = table.runs(max_pairs, False)
+        _assert_same_runs(product, runs_by_search(table, 0, len(table.out), max_pairs))
+        by_degree = table.runs(max_pairs, True)
+        for runs, (_, k0, k1) in zip(by_degree, table.degrees, strict=True):
             _assert_same_runs(runs, runs_by_search(table, k0, k1, max_pairs))
-        for _, run_left, run_right, _, _ in product + [r for _, runs in by_degree for r in runs]:
-            assert np.shares_memory(run_left, left) and np.shares_memory(run_right, right)
+        for _, run_left, run_right, _, _ in product + [r for runs in by_degree for r in runs]:
+            assert np.shares_memory(run_left, table.left)
+            assert np.shares_memory(run_right, table.right)
 
 
 def test_a_deep_pair_table_is_filled_without_table_sized_temporaries():
@@ -537,12 +533,12 @@ def test_a_deep_pair_table_is_filled_without_table_sized_temporaries():
     jets._group(3, 7).pair_arrays
     tracemalloc.start()
     try:
-        _, _, left, right, _ = jets._pair_table.__wrapped__(3, 7, 7, False)
+        table = jets._pair_table.__wrapped__(3, 7, 7, False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(left) == 2_944_656
-    assert peak <= 1.5 * (left.nbytes + right.nbytes)
+    assert len(table.left) == 2_944_656
+    assert peak <= 1.5 * (table.left.nbytes + table.right.nbytes)
 
 
 def _random_jet(rng, m, nz, nw, scale=0.1):
@@ -552,24 +548,30 @@ def _random_jet(rng, m, nz, nw, scale=0.1):
     return Jet(m, nz, nw, c)
 
 
-def test_a_pair_table_is_built_once():
+def test_a_pair_table_is_built_once(monkeypatch):
     # m = 2 at caps (8, 8): 245,025 pairs, read by two powers and a product
-    for cache in _PAIR_CACHES:
-        cache.cache_clear()
+    jets._pair_table.cache_clear()
+    cuts, real_runs = [], jets._runs
+
+    def counted_runs(table, ends, max_pairs):
+        cuts.append(ends)
+        return real_runs(table, ends, max_pairs)
+
+    monkeypatch.setattr(jets, "_runs", counted_runs)
     f = _random_jet(np.random.default_rng(5), 2, 8, 8, scale=0.05)
     first = (f ** 0.7).coeffs
     assert np.array_equal((f ** 0.7).coeffs, first)
     f * f
-    by_degree = _by_degree(jets._pair_table(2, 8, 8, False))
+    table = jets._pair_table(2, 8, 8, False)
+    by_degree = _by_degree(table)
     assert sum(len(left) for _, _, left, _, _ in by_degree) == 245_025
     assert jets._pair_table.cache_info().misses == 1
-    assert jets._degree_runs.cache_info().misses == 1
-    assert jets._product_runs.cache_info().misses == 1
+    # one per-degree cut and one product cut
+    assert cuts == [[k1 for _, _, k1 in table.degrees], [len(table.out)]]
 
 
 def test_the_pair_caches_keep_at_most_their_bound():
-    for cache in _PAIR_CACHES:
-        cache.cache_clear()
+    jets._pair_table.cache_clear()
     rng = np.random.default_rng(9)
     caps = [(nz, nw) for nz in range(7) for nw in range(7) if nz or nw]
     assert len(caps) > jets._KEPT_TABLES
@@ -581,9 +583,8 @@ def test_the_pair_caches_keep_at_most_their_bound():
     first = results(caps[0])
     for cap in caps[1:]:
         results(cap)
-    for cache in _PAIR_CACHES:
-        assert cache.cache_info().misses == len(caps)
-        assert cache.cache_info().currsize <= jets._KEPT_TABLES
+    assert jets._pair_table.cache_info().misses == len(caps)
+    assert jets._pair_table.cache_info().currsize <= jets._KEPT_TABLES
     # the first caps' tables were dropped; built again, they give the same bits
     assert results(caps[0]) == first
     assert jets._pair_table.cache_info().misses == len(caps) + 1
@@ -591,38 +592,71 @@ def test_the_pair_caches_keep_at_most_their_bound():
 
 @pytest.mark.parametrize("balanced", [False, True])
 def test_every_run_is_a_view_of_its_pair_table(balanced):
-    degrees, out, left, right, _ = table = jets._pair_table(2, 4, 3, balanced)
+    table = jets._pair_table(2, 4, 3, balanced)
+    degrees, out, left, right = table.degrees, table.out, table.left, table.right
 
     def rows_of(cut):
         return np.concatenate([np.arange(rows.start, rows.stop, rows.step)
                                if isinstance(rows, slice) else rows for rows, *_ in cut]).tolist()
 
     for max_pairs in (1, 64, 4096):
-        product = jets._product_runs(2, 4, 3, max_pairs, balanced)
-        by_degree = jets._degree_runs(2, 4, 3, max_pairs, balanced)
+        product = table.runs(max_pairs, False)
+        by_degree = table.runs(max_pairs, True)
         assert jets._pair_table(2, 4, 3, balanced) is table
-        for rows, run_left, run_right, _, _ in product + [r for _, cut in by_degree for r in cut]:
+        for rows, run_left, run_right, _, _ in product + [r for cut in by_degree for r in cut]:
             assert np.shares_memory(run_left, left) and np.shares_memory(run_right, right)
             assert isinstance(rows, slice) or np.shares_memory(rows, out)
         # each degree's runs hold its outputs and no others
         assert rows_of(product) == out.tolist()
-        for (degree, cut), (d, k0, k1) in zip(by_degree, degrees, strict=True):
-            assert degree == d and rows_of(cut) == out[k0:k1].tolist()
+        for cut, (_, k0, k1) in zip(by_degree, degrees, strict=True):
+            assert rows_of(cut) == out[k0:k1].tolist()
+
+
+def test_a_cut_in_steady_use_keeps_its_table(monkeypatch):
+    # the (2, 4, 4) table's per-degree cut is read between the builds of 35
+    # m = 1 tables, more than the cache keeps; a product at (4, 4) then cuts
+    # the same table, and both cuts view its pairs
+    jets._pair_table.cache_clear()
+    ball, disc = BallPower(2, 3.0), SzegoDisc()
+    z, w = np.array([[0.3, 0.1j]]), np.array([[0.2, -0.1]])
+    ball.jets(z, w, 4, 4)
+    for nz in range(6):
+        for nw in range(6):  # caps (0, 0) build no table
+            disc.jets(z[:, :1], w[:, :1], nz, nw)
+            ball.jets(z, w, 4, 4)
+    lefts, real_sums = [], jets._pair_sums
+
+    def recorded_sums(x, y, runs, weights=None):
+        lefts.extend(left for _, left, _, _, _ in runs)
+        return real_sums(x, y, runs, weights)
+
+    monkeypatch.setattr(jets, "_pair_sums", recorded_sums)
+    ball.jets(z, w, 4, 4)
+    degree_lefts = len(lefts)
+    Product(ball, ball).jets(z, w, 4, 4)
+    table = jets._pair_table(2, 4, 4, False)
+    assert jets._pair_table.cache_info().misses == 36
+    product_lefts = lefts[3 * degree_lefts:]
+    assert degree_lefts and product_lefts and len(lefts) == 3 * degree_lefts + len(product_lefts)
+    for left in lefts:
+        assert np.shares_memory(left, table.left)
+    assert table.runs(jets._run_pairs(1), True)[1][0][1] is lefts[0]
+    assert table.runs(jets._run_pairs(1), False)[0][1] is product_lefts[0]
 
 
 def test_a_second_product_cut_copies_no_pairs():
     # m = 3 at caps (7, 7): 2.9M pairs, whose int32 left and right indices
     # take 24 MB; a cut allocates per run and per output, not per pair
-    jets._product_runs(3, 7, 7, 1 << 12, False)
-    _, _, left, right, _ = jets._pair_table(3, 7, 7, False)
+    table = jets._pair_table(3, 7, 7, False)
+    table.runs(1 << 12, False)
     tracemalloc.start()
     try:
-        runs = jets._product_runs(3, 7, 7, 1 << 16, False)
+        runs = table.runs(1 << 16, False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(len(run[1]) for run in runs) == len(left) == 2_944_656
-    assert peak < 0.01 * (left.nbytes + right.nbytes)
+    assert sum(len(run[1]) for run in runs) == len(table.left) == 2_944_656
+    assert peak < 0.01 * (table.left.nbytes + table.right.nbytes)
 
 
 def _load_references():
@@ -745,12 +779,15 @@ def test_a_run_keeps_a_slot_tag_only_for_one_pair_count_of_at_most_4(counts, slo
     starts = np.r_[0, np.cumsum(counts)[:-1]]
     pairs = np.arange(sum(counts), dtype=np.int32)
     out = 3 * np.arange(len(counts)) + 1
-    ((run,),) = jets._runs(([], out, pairs, pairs, np.r_[starts, len(pairs)]), [len(out)], 64)
+    table = SimpleNamespace(out=out, left=pairs, right=pairs, bounds=np.r_[starts, len(pairs)])
+    ((run,),) = jets._runs(table, [len(out)], 64)
     assert run[4] == slots
     assert isinstance(run[0], slice) and np.array_equal(np.arange(24)[run[0]], out)
 
 
 def test_run_rows_that_are_not_equally_spaced_stay_an_index_array():
     pairs = np.arange(6, dtype=np.int32)
-    ((run,),) = jets._runs(([], np.array([1, 2, 5]), pairs, pairs, np.array([0, 2, 4, 6])), [3], 64)
+    table = SimpleNamespace(out=np.array([1, 2, 5]), left=pairs, right=pairs,
+                            bounds=np.array([0, 2, 4, 6]))
+    ((run,),) = jets._runs(table, [3], 64)
     assert isinstance(run[0], np.ndarray) and run[0].tolist() == [1, 2, 5] and run[4] == 2
