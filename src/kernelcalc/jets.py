@@ -603,11 +603,6 @@ def _all_equal(values: np.ndarray, first: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(values, first) == np.maximum.reduceat(values, first)
 
 
-def _all_equal(values: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Whether each segment first[i]:first[i + 1] of values is constant."""
-    return np.minimum.reduceat(values, first) == np.maximum.reduceat(values, first)
-
-
 def variable_jets(z, w, m, nz, nw):
     """Seed jets for the coordinates z_1..z_m and wbar_1..wbar_m.
 
