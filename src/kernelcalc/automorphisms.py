@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,12 +37,13 @@ from .params import checked, shown
 MAX_QUASI_PAIRS = 1 << 16
 
 
-def check_pair_count(n: int) -> None:
+def check_pair_count(n: int, or_more: bool = False) -> None:
     """Refuse a quasi-invariance residual of more than MAX_QUASI_PAIRS pairs
-    (ValueError naming n and the bound): a sampled residual is checked
-    before its pairs are drawn."""
+    (ValueError naming n, as "n or more" with `or_more`, and the bound): a
+    sampled residual is checked before its pairs are drawn."""
     if n > MAX_QUASI_PAIRS:
-        raise ValueError(f"a quasi-invariance residual of {shown(n)} pairs is over the "
+        more = " or more" if or_more else ""
+        raise ValueError(f"a quasi-invariance residual of {shown(n)}{more} pairs is over the "
                          f"bound of {MAX_QUASI_PAIRS}")
 
 
@@ -210,11 +212,14 @@ def quasi_invariance_residual(
     An entry of `pairs` that is not a (z, w) pair is refused (ShapeError
     naming it), and one whose z or w is not a point of the open ball
     (DomainError naming the entry and the side), as are more than
-    MAX_QUASI_PAIRS pairs (`check_pair_count`)."""
+    MAX_QUASI_PAIRS pairs (`check_pair_count`), by their length if they have
+    one, before an entry is read, else once an entry past the bound is."""
     if phi.m != expr.m:
         raise ShapeError("map and kernel dimensions differ")
+    if hasattr(pairs, "__len__"):
+        check_pair_count(len(pairs))
     zs, ws = [], []
-    for i, entry in enumerate(pairs):
+    for i, entry in enumerate(itertools.islice(pairs, MAX_QUASI_PAIRS + 1)):
         try:
             z, w = entry
         except (TypeError, ValueError):
@@ -225,7 +230,7 @@ def quasi_invariance_residual(
     if not zs:
         return 0.0
     b = len(zs)
-    check_pair_count(b)
+    check_pair_count(b, or_more=True)
     try:
         pts = point_array(zs + ws, expr.m)
         j = cocycle.matrices(phi, pts, expr.size)

@@ -2,10 +2,10 @@
 
 Every node denotes a matrix-valued sesqui-analytic kernel on a domain in C^m
 (scalars are 1x1).  Evaluation and differentiation both go through one
-method per node, `jets(z, w, nz, nw)`: for point arrays z, w of shape
-(B, m) it returns one Jet of batch shape (B, k, k), the truncated Taylor
-expansions of the node's k x k entries around each base pair (z[p], w[p]),
-at exactly the caps (nz, nw).  Leaves seed their own coordinate jets;
+method per node, `jets(z, w, n)`: for point arrays z, w of shape (B, m) it
+returns one Jet of batch shape (B, k, k), the truncated Taylor expansions
+of the node's k x k entries around each base pair (z[p], w[p]), at exactly
+the cap n in z and in wbar.  Leaves seed their own coordinate jets;
 combinators build on the jets of their children, so an AST is traversed
 once for a whole batch of pairs.  `log_jet` gives the continuous branch of
 log K of a size-1 node, so every size-1 node, derived kernels included,
@@ -123,11 +123,11 @@ class KernelExpr:
 
     # -- jet engine ----------------------------------------------------
 
-    def jets(self, z: np.ndarray, w: np.ndarray, nz: int, nw: int) -> Jet:
-        """Entry jets at the pairs (z[p], w[p]), batch (B, k, k), caps (nz, nw)."""
+    def jets(self, z: np.ndarray, w: np.ndarray, n: int) -> Jet:
+        """Entry jets at the pairs (z[p], w[p]), batch (B, k, k), cap n."""
         raise NotImplementedError
 
-    def log_jet(self, z: np.ndarray, w: np.ndarray, nz: int, nw: int) -> Jet:
+    def log_jet(self, z: np.ndarray, w: np.ndarray, n: int) -> Jet:
         """Jet of the continuous branch of log K of a size-1 node, batch (B, 1, 1).
 
         Nodes with multiplicative structure (powers, products, tensors)
@@ -136,7 +136,7 @@ class KernelExpr:
         default takes the principal log of the 1x1 entry and errors out on
         a branch violation.
         """
-        return self.jets(z, w, nz, nw).log()
+        return self.jets(z, w, n).log()
 
     # -- public evaluation ----------------------------------------------
 
@@ -166,17 +166,17 @@ class KernelExpr:
         the continuous branch of log K of a size-1 node instead.
         """
         jet_of = self.log_jet if log else self.jets
-        return self._checked_values(zs, ws, lambda z, w: (jet_of(z, w, 0, 0).value,))[0]
+        return self._checked_values(zs, ws, lambda z, w: (jet_of(z, w, 0).value,))[0]
 
     def log_hessian_values(self, zs, ws) -> tuple[np.ndarray, np.ndarray]:
         """log K and its log-Hessian (d_i dbar_j log K) at the B pairs of a
-        size-1 node: (B, 1, 1) and (B, m, m) arrays from one caps-(1, 1) log
-        jet.  Lower coefficients do not depend on the caps, so they equal
+        size-1 node: (B, 1, 1) and (B, m, m) arrays from one cap-1 log jet.
+        Lower coefficients do not depend on the cap, so they equal
         `values(zs, ws, log=True)` and `LogHessian(self).values(zs, ws)` bit
         for bit."""
 
         def evaluate(z, w):
-            g = self.log_jet(z, w, 1, 1)
+            g = self.log_jet(z, w, 1)
             return g.value, _hessian(g).value
 
         return self._checked_values(zs, ws, evaluate)
@@ -188,7 +188,7 @@ class KernelExpr:
     def eval_jets(self, zs, ws, order: int) -> list:
         """The JetTables of the B pairs (zs[p], ws[p]), from one batch of jets.
 
-        Lower coefficients do not depend on the truncation caps, so each
+        Lower coefficients do not depend on the truncation cap, so each
         table equals its own `eval_jet` bit for bit, except that a batch
         mixing pairs with balanced jets (origin pairs, say) with others sums
         them on the full pair tables, which can move them by an ulp (see
@@ -198,7 +198,7 @@ class KernelExpr:
         if order > DEFAULT_ORDER_CAP:
             raise OrderCapError(f"order {shown(order)} exceeds cap {DEFAULT_ORDER_CAP}")
         (derivatives,) = self._checked_values(
-            zs, ws, lambda z, w: (self.jets(z, w, order, order).derivatives(),))
+            zs, ws, lambda z, w: (self.jets(z, w, order).derivatives(),))
         # (B, k, k, N, N) -> (B, N, N, k, k): one k x k block per derivative
         blocks = np.ascontiguousarray(derivatives.transpose(0, 3, 4, 1, 2))
         return [JetTable(order, self.m, self.size, d) for d in blocks]
@@ -240,7 +240,7 @@ class JetTable:
 
     def entry(self, i, j) -> np.ndarray:
         """The k x k matrix d^i dbar^j K; a ValueError beyond the order."""
-        return self.derivatives[monomial_positions(self.m, self.order, self.order, i, j)]
+        return self.derivatives[monomial_positions(self.m, self.order, i, j)]
 
     @functools.cached_property
     def entries(self) -> dict:
@@ -286,24 +286,24 @@ def _of_kind(kind: str, value, node: str, field: str):
 
 def _scalar(jet: Jet) -> Jet:
     """The (B, 1, 1) entry jet of a scalar node from its (B,) jet."""
-    return Jet(jet.m, jet.nz, jet.nw, jet.coeffs[:, None, None])
+    return Jet(jet.m, jet.n, jet.coeffs[:, None, None])
 
 
 def _entry(jet: Jet) -> Jet:
     """The (B,) jet of a scalar node from its (B, 1, 1) entry jet."""
-    return Jet(jet.m, jet.nz, jet.nw, jet.coeffs[:, 0, 0])
+    return Jet(jet.m, jet.n, jet.coeffs[:, 0, 0])
 
 
-def _inner_terms(z, w, m, nz, nw) -> list:
+def _inner_terms(z, w, m, n) -> list:
     """The jets z_k wbar_k, batch (B,), for k < m."""
     k = np.arange(m)
-    p = coordinate_products(z, w, m, nz, nw, k, k)
-    return [Jet(m, nz, nw, p.coeffs[:, i]) for i in range(m)]
+    p = coordinate_products(z, w, m, n, k, k)
+    return [Jet(m, n, p.coeffs[:, i]) for i in range(m)]
 
 
-def _one_minus_inner(z, w, m, nz, nw) -> Jet:
+def _one_minus_inner(z, w, m, n) -> Jet:
     """The jet of 1 - <z, w>, batch (B,), in one fill.  It must equal
-    `_one_minus(_inner_terms(z, w, m, nz, nw))` bit for bit, the signs of
+    `_one_minus(_inner_terms(z, w, m, n))` bit for bit, the signs of
     its zeros included, so it keeps that subtraction's op order: the value
     ((-z_0 wbar_0) + 1) - z_1 wbar_1 - ..., -wbar_k at (e_k, 0), -z_k at
     (0, e_k), complex(-1, -0.0) at (e_k, e_k) and complex(-0.0, -0.0) at
@@ -314,17 +314,15 @@ def _one_minus_inner(z, w, m, nz, nw) -> Jet:
     value += 1.0
     for k in range(1, m):
         value -= products[..., k]
-    tall, wide = _group(m, nz).size, _group(m, nw).size
-    coeffs = np.full(value.shape + (tall, wide), complex(-0.0, -0.0))
-    flat = coeffs.reshape(value.shape + (tall * wide,))
+    size = _group(m, n).size
+    coeffs = np.full(value.shape + (size, size), complex(-0.0, -0.0))
+    flat = coeffs.reshape(value.shape + (size * size,))
     flat[..., 0] = value
-    if nz >= 1:
-        np.negative(wbar, out=flat[..., wide:(m + 1) * wide:wide])
-    if nw >= 1:
+    if n >= 1:
+        np.negative(wbar, out=flat[..., size:(m + 1) * size:size])
         np.negative(z, out=flat[..., 1:m + 1])
-    if nz >= 1 and nw >= 1:
-        flat[..., wide + 1:(m + 1) * (wide + 1):wide + 1] = complex(-1, -0.0)
-    return Jet(m, nz, nw, coeffs)
+        flat[..., size + 1:(m + 1) * (size + 1):size + 1] = complex(-1, -0.0)
+    return Jet(m, n, coeffs)
 
 
 def _one_minus(terms) -> Jet:
@@ -335,7 +333,7 @@ def _one_minus(terms) -> Jet:
     u[..., 0, 0] += 1.0
     for term in terms:
         u -= term.coeffs
-    return Jet(first.m, first.nz, first.nw, u)
+    return Jet(first.m, first.n, u)
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +350,14 @@ class SzegoDisc(KernelExpr):
     def contains(self, p):
         return np.abs(p[..., 0]) < 1
 
-    def _base_jet(self, z, w, nz, nw):
-        return _one_minus_inner(z, w, 1, nz, nw)
+    def _base_jet(self, z, w, n):
+        return _one_minus_inner(z, w, 1, n)
 
-    def jets(self, z, w, nz, nw):
-        return _scalar(self._base_jet(z, w, nz, nw) ** -1)
+    def jets(self, z, w, n):
+        return _scalar(self._base_jet(z, w, n) ** -1)
 
-    def log_jet(self, z, w, nz, nw):
-        return _scalar(-(self._base_jet(z, w, nz, nw).log()))
+    def log_jet(self, z, w, n):
+        return _scalar(-(self._base_jet(z, w, n).log()))
 
 
 class BallPower(KernelExpr):
@@ -379,16 +377,16 @@ class BallPower(KernelExpr):
     def contains(self, p):
         return in_unit_ball(p)
 
-    def _base_jet(self, z, w, nz, nw):
-        return _one_minus_inner(z, w, self.dim, nz, nw)
+    def _base_jet(self, z, w, n):
+        return _one_minus_inner(z, w, self.dim, n)
 
-    def jets(self, z, w, nz, nw):
+    def jets(self, z, w, n):
         # 1 - <z, w> stays in the right half-plane on the ball, so the
         # principal branch of the outer power is the continuous one
-        return _scalar(self._base_jet(z, w, nz, nw) ** (-self.lam))
+        return _scalar(self._base_jet(z, w, n) ** (-self.lam))
 
-    def log_jet(self, z, w, nz, nw):
-        return _scalar(self._base_jet(z, w, nz, nw).log() * (-self.lam))
+    def log_jet(self, z, w, n):
+        return _scalar(self._base_jet(z, w, n).log() * (-self.lam))
 
 
 def bergman_ball(m: int) -> BallPower:
@@ -412,8 +410,8 @@ class DiagonalSeries(KernelExpr):
     def contains(self, p):
         return np.abs(p[..., 0]) < 1
 
-    def jets(self, z, w, nz, nw):
-        (p,) = _inner_terms(z, w, 1, nz, nw)
+    def jets(self, z, w, n):
+        (p,) = _inner_terms(z, w, 1, n)
         acc = 1.0 + 0.0 * p  # promotes to a jet of the right shape
         power = None
         for a in self.coefficients:
@@ -433,11 +431,11 @@ class Pow(KernelExpr):
     dsl_name = "pow"
     args = (("child", "scalar"), ("t", "num"))
 
-    def jets(self, z, w, nz, nw):
-        return self.log_jet(z, w, nz, nw).exp()
+    def jets(self, z, w, n):
+        return self.log_jet(z, w, n).exp()
 
-    def log_jet(self, z, w, nz, nw):
-        return self.child.log_jet(z, w, nz, nw) * self.t
+    def log_jet(self, z, w, n):
+        return self.child.log_jet(z, w, n) * self.t
 
 
 class Product(KernelExpr):
@@ -450,11 +448,11 @@ class Product(KernelExpr):
         if self.left.m != self.right.m:
             raise ShapeError("product children live on different dimensions")
 
-    def jets(self, z, w, nz, nw):
-        return self.left.jets(z, w, nz, nw) * self.right.jets(z, w, nz, nw)
+    def jets(self, z, w, n):
+        return self.left.jets(z, w, n) * self.right.jets(z, w, n)
 
-    def log_jet(self, z, w, nz, nw):
-        return self.left.log_jet(z, w, nz, nw) + self.right.log_jet(z, w, nz, nw)
+    def log_jet(self, z, w, n):
+        return self.left.log_jet(z, w, n) + self.right.log_jet(z, w, n)
 
 
 class Sum(KernelExpr):
@@ -467,8 +465,8 @@ class Sum(KernelExpr):
         if self.left.m != self.right.m or self.left.size != self.right.size:
             raise ShapeError("sum children must share dimension and output size")
 
-    def jets(self, z, w, nz, nw):
-        return self.left.jets(z, w, nz, nw) + self.right.jets(z, w, nz, nw)
+    def jets(self, z, w, n):
+        return self.left.jets(z, w, n) + self.right.jets(z, w, n)
 
 
 class Scale(KernelExpr):
@@ -481,11 +479,11 @@ class Scale(KernelExpr):
         if not self.factor > 0:
             raise ShapeError("scale factor must be positive")
 
-    def jets(self, z, w, nz, nw):
-        return self.child.jets(z, w, nz, nw) * self.factor
+    def jets(self, z, w, n):
+        return self.child.jets(z, w, n) * self.factor
 
-    def log_jet(self, z, w, nz, nw):
-        return self.child.log_jet(z, w, nz, nw) + math.log(self.factor)
+    def log_jet(self, z, w, n):
+        return self.child.log_jet(z, w, n) + math.log(self.factor)
 
 
 class Tensor(KernelExpr):
@@ -502,20 +500,20 @@ class Tensor(KernelExpr):
         m1 = self.left.m
         return self.left.contains(p[..., :m1]) & self.right.contains(p[..., m1:])
 
-    def _factors(self, method: str, z, w, nz, nw):
+    def _factors(self, method: str, z, w, n):
         """`method` (jets or log_jet) of each child on its own columns of
         the points, moved into the joint variables of C^m."""
         m1 = self.left.m
-        a = getattr(self.left, method)(z[:, :m1], w[:, :m1], nz, nw)
-        b = getattr(self.right, method)(z[:, m1:], w[:, m1:], nz, nw)
+        a = getattr(self.left, method)(z[:, :m1], w[:, :m1], n)
+        b = getattr(self.right, method)(z[:, m1:], w[:, m1:], n)
         return a.embed(self.m, 0), b.embed(self.m, m1)
 
-    def jets(self, z, w, nz, nw):
-        a, b = self._factors("jets", z, w, nz, nw)
+    def jets(self, z, w, n):
+        a, b = self._factors("jets", z, w, n)
         return a * b
 
-    def log_jet(self, z, w, nz, nw):
-        a, b = self._factors("log_jet", z, w, nz, nw)
+    def log_jet(self, z, w, n):
+        a, b = self._factors("log_jet", z, w, n)
         return a + b
 
 
@@ -527,7 +525,7 @@ class Tensor(KernelExpr):
 def _hessian(g: Jet) -> Jet:
     """The (B, m, m) jet of d_i dbar_j g, one cap below g's (B, 1, 1) jet."""
     units = _group(g.m, 1).tuples[1:]  # e_0 .. e_(m-1) in graded lex order
-    return _entry(g).shifts(units, units)
+    return _entry(g).shifts(units)
 
 
 class LogHessian(KernelExpr):
@@ -540,8 +538,8 @@ class LogHessian(KernelExpr):
     def size(self):
         return self.child.m
 
-    def jets(self, z, w, nz, nw):
-        return _hessian(self.child.log_jet(z, w, nz + 1, nw + 1))
+    def jets(self, z, w, n):
+        return _hessian(self.child.log_jet(z, w, n + 1))
 
 
 class Curvature(KernelExpr):
@@ -558,9 +556,9 @@ class Curvature(KernelExpr):
     def size(self):
         return self.child.m
 
-    def jets(self, z, w, nz, nw):
-        g = self.child.log_jet(z, w, nz + 1, nw + 1)
-        power = (g.truncate(nz, nw) * (self.alpha + self.beta)).exp()
+    def jets(self, z, w, n):
+        g = self.child.log_jet(z, w, n + 1)
+        power = (g.truncate(n) * (self.alpha + self.beta)).exp()
         # the power, batch (B, 1, 1), broadcasts over the m x m entries
         return power * _hessian(g)
 
@@ -585,13 +583,13 @@ class JetKernel(KernelExpr):
     def size(self):
         return math.comb(self.m + self.order, self.m)
 
-    def jets(self, z, w, nz, nw):
+    def jets(self, z, w, n):
         k = self.order
-        j1 = self.k1.jets(z, w, nz, nw)
-        j2 = _entry(self.k2.jets(z, w, nz + k, nw + k))
+        j1 = self.k1.jets(z, w, n)
+        j2 = _entry(self.k2.jets(z, w, n + k))
         indices = graded_lex_tuples(self.m, k)
-        # the deepest shifts, |i| = |j| = k, leave exactly the caps (nz, nw)
-        return j1 * j2.shifts(indices, indices)
+        # the deepest shifts, |i| = |j| = k, leave exactly the cap n
+        return j1 * j2.shifts(indices)
 
 
 class BallCurvature(KernelExpr):
@@ -620,12 +618,12 @@ class BallCurvature(KernelExpr):
     def contains(self, p):
         return in_unit_ball(p)
 
-    def jets(self, z, w, nz, nw):
+    def jets(self, z, w, n):
         m = self.dim
         rows, cols = np.indices((m, m))
-        entries = coordinate_products(z, w, m, nz, nw, cols, rows).coeffs  # z_j wbar_i
-        diagonal = [Jet(m, nz, nw, entries[:, i, i].copy()) for i in range(m)]
+        entries = coordinate_products(z, w, m, n, cols, rows).coeffs  # z_j wbar_i
+        diagonal = [Jet(m, n, entries[:, i, i].copy()) for i in range(m)]
         pref = _one_minus(diagonal) ** (-self.lam)
         for i in range(m):  # 1 - sum_{j != i} z_j wbar_j on the diagonal
             entries[:, i, i] = _one_minus(d for j, d in enumerate(diagonal) if j != i).coeffs
-        return _scalar(pref) * Jet(m, nz, nw, entries)
+        return _scalar(pref) * Jet(m, n, entries)

@@ -1,13 +1,13 @@
 """Truncated multivariate Taylor (jet) arithmetic on dense, batched arrays.
 
 A Jet holds the Taylor coefficients of a function of two groups of complex
-variables: m "holomorphic" slots z and m "anti-holomorphic" slots wbar.  The
-truncation cap is per group: coefficients are kept for multi-index pairs
-(a, b) with |a| <= nz and |b| <= nw.  Coefficients are Taylor-normalized,
+variables: m "holomorphic" slots z and m "anti-holomorphic" slots wbar.  One
+truncation cap n bounds both groups: coefficients are kept for multi-index
+pairs (a, b) with |a| <= n and |b| <= n.  Coefficients are Taylor-normalized,
 i.e. coeff(a, b) = (mixed partial derivative) / (a! b!).
 
-The coefficients form a complex array of shape (*batch, Nz, Nw), where Nz
-and Nw count the monomials of each group in graded lex order
+The coefficients form a complex array of shape (*batch, N, N), where N
+counts the monomials of degree <= n of one group in graded lex order
 (`graded_lex_tuples`), so truncating a jet is a slice.  The batch axes hold
 independent expansions (all pairs of a Gram matrix, the nodes of a
 finite-difference grid, the entries of a matrix kernel) and broadcast like
@@ -16,10 +16,10 @@ result equals the one-entry results bit for bit, except where an entry
 that is balanced on its own sits in a batch that is not (below).
 
 `Jet.shifts` gathers a whole matrix of derivative jets, (d/dz)^i
-(d/dwbar)^j for rows i and columns j, at once; the log-Hessian and the jet
-kernel are both such matrices.  Shifts and embeddings use index tables
-that are built on first use and cached per variable group (m, degree),
-shifts also per row indices and output degree.
+(d/dwbar)^j for i and j of one index list, at once; the log-Hessian and
+the jet kernel are both such matrices.  Shifts and embeddings use index
+tables that are built on first use and cached per variable group
+(m, degree), shifts also per index list and output degree.
 
 A product sums the truncated Leibniz formula (f g)_k = sum x_l y_r over
 the pairs (l, r) with l + r = k, for every output monomial k.  pow, exp and
@@ -33,30 +33,30 @@ g = c0 + x for exp, and x without constant term:
     log(1 + x):  D h_D = D x_D - sum |r| x_l h_r,      h_0 = 0
 
 summed over the same pairs for the output monomials of degree D, so each
-degree needs only lower ones and the result is exact to the caps.  That is
+degree needs only lower ones and the result is exact to the cap.  That is
 one pass over the pairs of one product, where summing the powers x, x^2,
-... took nz + nw - 1 products.  Both sum their pairs in one loop,
-`_pair_sums`, over one flat pair table (`_pair_table`) of the Nz * Nw
-monomials, int32 indices sorted by output, the outputs in degree order; an
-(m, nz, nw) table has C(2m + nz, 2m) * C(2m + nw, 2m) pairs, e.g. 44,100 at
-m = 3 and caps (4, 4), 213,444 at (5, 5) and 853,776 at (6, 6).  A table
-is filled on first use without sorting, by index arithmetic over the two
-groups' pair runs in chunks of `_FILL_CHUNK` pairs, so that a build peaks
-at about 1.1 times the table's bytes.  It owns its cuts into runs, per
-degree (for pow, exp and log) and across degrees (a product needs no
-degree order: it reads the whole table in one pass), made on first use,
-so one least-recently-used cache of `_KEPT_TABLES` tables keeps a cut as
-long as its table.  A cut's pairs are views of the table's, so a kept
+... took 2n - 1 products.  Both sum their pairs in one loop, `_pair_sums`,
+over one flat pair table (`_pair_table`) of the N * N monomials, int32
+indices sorted by output, the outputs in degree order; an (m, n) table has
+C(2m + n, 2m)^2 pairs, e.g. 44,100 at m = 3 and cap 4, 213,444 at cap 5
+and 853,776 at cap 6.  A table is filled on first use without sorting, by
+index arithmetic over the group's pair runs, for z and for wbar, in
+chunks of `_FILL_CHUNK` pairs, so that a build peaks at about 1.1 times
+the table's bytes.  It owns its cuts into runs, per degree (for pow, exp
+and log) and across degrees (a product needs no degree order: it reads
+the whole table in one pass), made on first use, so one
+least-recently-used cache of `_KEPT_TABLES` tables keeps a cut as long as
+its table.  A cut's pairs are views of the table's, so a kept
 table takes about 8 bytes per pair however many cuts read it.  The pairs
 are applied in runs of at most `_PRODUCT_CHUNK` entries of the broadcast
 batch times the pairs, so no temporary spans all pairs whatever the
-batch.  At caps (0, 0) there is no pair work.
+batch.  At cap 0 there is no pair work.
 
 Each run is summed by one np.add.reduceat, except where every output of
 the run has the same count l <= 4 of pairs (`_runs` records it as the
 run's `slots`) and the run has at least `_SLOT_TERMS` terms over the
-batch, as the caps-(1, 1) series of a Gram or a derivative torus do.
-There l - 1 strided adds sum it, grouped as reduceat groups a complex
+batch, as the cap-1 series of a Gram or a derivative torus do.  There
+l - 1 strided adds sum it, grouped as reduceat groups a complex
 segment that short, t0 + ((t1 + t2) + t3), t0 + (t1 + t2) and t0 + t1, so
 the sums are reduceat's bit for bit, signed zeros included.  From l = 5
 numpy sums the terms after t0 in pairwise blocks, (t1 + t2) + (t3 + t4),
@@ -68,7 +68,7 @@ Balanced jets.  At the origin a circular kernel has coefficients only at
 |a| = |b|.  A product or series reads this off its inputs (the first
 batch entry alone first): if every other coefficient is exactly 0 (NaN
 is not) in every batch entry, it reads tables of the balanced outputs and
-pairs only, built from the (d, d) blocks (at m = 3 and caps (9, 9), 860k
+pairs only, built from the (d, d) blocks (at m = 3 and cap 9, 860k
 of the full table's 25M pairs), and leaves the other outputs +0.0.  Only
 exact zeros are dropped, so the results equal the full tables' up to the
 sign of a zero and an ulp where numpy's pairwise sum regroups a run of 8
@@ -153,14 +153,14 @@ def _group(m: int, n: int) -> _Group:
     return _Group(m, n)
 
 
-def monomial_positions(m: int, nz: int, nw: int, i, j) -> tuple:
+def monomial_positions(m: int, n: int, i, j) -> tuple:
     """Positions (a, b) of the multi-indices i and j along the coefficient
-    axes of caps (nz, nw); a ValueError names the caps beyond them."""
+    axes of cap n; a ValueError names the caps of both groups beyond them."""
     i, j = tuple(i), tuple(j)
-    iz, iw = _group(m, nz).index, _group(m, nw).index
-    if i not in iz or j not in iw:
-        raise ValueError(f"derivative {i}, {j} lies beyond the caps ({nz}, {nw})")
-    return iz[i], iw[j]
+    index = _group(m, n).index
+    if i not in index or j not in index:
+        raise ValueError(f"derivative {i}, {j} lies beyond the caps ({n}, {n})")
+    return index[i], index[j]
 
 
 def _fail_where(mask, error, message):
@@ -194,16 +194,17 @@ def _run_pairs(per_pair: int) -> int:
 
 
 @functools.cache
-def _off_balance(m: int, nz: int, nw: int) -> np.ndarray:
+def _off_balance(m: int, n: int) -> np.ndarray:
     """The flattened positions of the coefficients (a, b) with |a| != |b|."""
-    return np.flatnonzero(_group(m, nz).degrees[:, None] != _group(m, nw).degrees)
+    degrees = _group(m, n).degrees
+    return np.flatnonzero(degrees[:, None] != degrees)
 
 
-def _balanced(coeffs: np.ndarray, m: int, nz: int, nw: int) -> bool:
+def _balanced(coeffs: np.ndarray, m: int, n: int) -> bool:
     """Whether every coefficient (a, b) with |a| != |b| is exactly 0, in
     every batch entry.  The first entry is counted alone first, since a
     batch off the origin fails there already."""
-    off = _off_balance(m, nz, nw)
+    off = _off_balance(m, n)
     entries = coeffs.reshape(-1, coeffs.shape[-2] * coeffs.shape[-1])
     if np.count_nonzero(entries[:1].take(off, axis=-1)):
         return False
@@ -252,18 +253,18 @@ def _pair_sums(x: np.ndarray, y: np.ndarray, runs, weights=None):
             yield rows, np.add.reduceat(terms, starts, axis=-1)
 
 
-def _convolve(x: np.ndarray, y: np.ndarray, m: int, nz: int, nw: int) -> np.ndarray:
+def _convolve(x: np.ndarray, y: np.ndarray, m: int, n: int) -> np.ndarray:
     """Truncated Leibniz product of two coefficient arrays (batch broadcast);
     of balanced factors only the balanced outputs are summed, the others 0."""
-    if nz == nw == 0:  # constant jets: no pairs to sum
+    if n == 0:  # constant jets: no pairs to sum
         return x * y
-    balanced = _balanced(x, m, nz, nw) and _balanced(y, m, nz, nw)
+    balanced = _balanced(x, m, n) and _balanced(y, m, n)
     batch = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
     shape = x.shape[-2:]
     flat = (shape[0] * shape[1],)
     x, y = x.reshape(x.shape[:-2] + flat), y.reshape(y.shape[:-2] + flat)
     out = (np.zeros if balanced else np.empty)(batch + flat, dtype=complex)
-    runs = _pair_table(m, nz, nw, balanced).runs(_run_pairs(math.prod(batch)), False)
+    runs = _pair_table(m, n, balanced).runs(_run_pairs(math.prod(batch)), False)
     for rows, sums in _pair_sums(x, y, runs):
         out[..., rows] = sums
     return out.reshape(batch + shape)
@@ -273,28 +274,26 @@ class Jet:
     """Truncated Taylor expansions in m + m variables (z-group, wbar-group),
     one per entry of the batch shape `coeffs.shape[:-2]`."""
 
-    __slots__ = ("m", "nz", "nw", "coeffs")
+    __slots__ = ("m", "n", "coeffs")
 
-    def __init__(self, m: int, nz: int, nw: int, coeffs: np.ndarray):
+    def __init__(self, m: int, n: int, coeffs: np.ndarray):
         self.m = m
-        self.nz = nz
-        self.nw = nw
+        self.n = n
         self.coeffs = coeffs
 
     def _like(self, coeffs) -> "Jet":
-        """A jet of these caps."""
-        return Jet(self.m, self.nz, self.nw, coeffs)
+        """A jet of this cap."""
+        return Jet(self.m, self.n, coeffs)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, value, m, nz, nw):
+    def constant(cls, value, m, n):
         """The constant `value` (a number or an array of the batch shape)."""
         value = np.asarray(value, dtype=complex)
-        coeffs = np.zeros(value.shape + (_group(m, nz).size, _group(m, nw).size),
-                          dtype=complex)
+        coeffs = np.zeros(value.shape + (_group(m, n).size,) * 2, dtype=complex)
         coeffs[..., 0, 0] = value
-        return cls(m, nz, nw, coeffs)
+        return cls(m, n, coeffs)
 
     # -- basic queries -------------------------------------------------
 
@@ -309,51 +308,40 @@ class Jet:
 
     def derivatives(self) -> np.ndarray:
         """All mixed derivatives (d/dz)^a (d/dwbar)^b at the base point: the
-        coefficients times a! b!, shape (*batch, Nz, Nw)."""
-        gz, gw = _group(self.m, self.nz), _group(self.m, self.nw)
-        return self.coeffs * (gz.factorials[:, None] * gw.factorials[None, :])
+        coefficients times a! b!, shape (*batch, N, N)."""
+        factorials = _group(self.m, self.n).factorials
+        return self.coeffs * (factorials[:, None] * factorials[None, :])
 
-    def deriv(self, i, j):
-        """Mixed Wirtinger derivative (d/dz)^i (d/dwbar)^j at the base point."""
-        a, b = monomial_positions(self.m, self.nz, self.nw, i, j)
-        gz, gw = _group(self.m, self.nz), _group(self.m, self.nw)
-        return self.coeffs[..., a, b] * (gz.factorials[a] * gw.factorials[b])
-
-    def truncate(self, nz, nw):
-        if nz > self.nz or nw > self.nw:
+    def truncate(self, n):
+        if n > self.n:
             raise ValueError("cannot truncate upwards")
-        return Jet(self.m, nz, nw, self.coeffs[
-            ..., : _group(self.m, nz).size, : _group(self.m, nw).size
-        ])
+        size = _group(self.m, n).size
+        return Jet(self.m, n, self.coeffs[..., :size, :size])
 
-    def shifts(self, rows, cols):
-        """The jets of (d/dz)^rows[p] (d/dwbar)^cols[q] of this function in
-        one gather: batch (*batch, len(rows), len(cols)), caps (nz - max
-        |rows[p]|, nw - max |cols[q]|), which must not be negative."""
-        rows, cols = tuple(map(tuple, rows)), tuple(map(tuple, cols))
-        nz = self.nz - max(map(sum, rows))
-        nw = self.nw - max(map(sum, cols))
-        if nz < 0 or nw < 0:
+    def shifts(self, indices):
+        """The jets of (d/dz)^indices[p] (d/dwbar)^indices[q] of this function
+        in one gather: batch (*batch, len(indices), len(indices)), cap n - max
+        |indices[p]|, which must not be negative."""
+        indices = tuple(map(tuple, indices))
+        n = self.n - max(map(sum, indices))
+        if n < 0:
             raise ValueError("jet not deep enough for requested derivative")
-        sz, fz = _group(self.m, self.nz).shifts(rows, nz)
-        sw, fw = _group(self.m, self.nw).shifts(cols, nw)
-        coeffs = self.coeffs[..., sz[:, None, :, None], sw[None, :, None, :]]
-        return Jet(self.m, nz, nw, coeffs * (fz[:, None, :, None] * fw[None, :, None, :]))
+        source, factor = _group(self.m, self.n).shifts(indices, n)
+        coeffs = self.coeffs[..., source[:, None, :, None], source[None, :, None, :]]
+        return Jet(self.m, n, coeffs * (factor[:, None, :, None] * factor[None, :, None, :]))
 
     def embed(self, m, offset):
         """The same function of the coordinates offset .. offset + self.m - 1
         of C^m (in both groups), constant in the other coordinates."""
-        pz = _group(self.m, self.nz).embed(m, offset)
-        pw = _group(self.m, self.nw).embed(m, offset)
-        coeffs = np.zeros(self.batch + (_group(m, self.nz).size, _group(m, self.nw).size),
-                          dtype=complex)
-        coeffs[..., pz[:, None], pw[None, :]] = self.coeffs
-        return Jet(m, self.nz, self.nw, coeffs)
+        at = _group(self.m, self.n).embed(m, offset)
+        coeffs = np.zeros(self.batch + (_group(m, self.n).size,) * 2, dtype=complex)
+        coeffs[..., at[:, None], at[None, :]] = self.coeffs
+        return Jet(m, self.n, coeffs)
 
     # -- arithmetic ----------------------------------------------------
 
     def _check_compatible(self, other):
-        if (self.m, self.nz, self.nw) != (other.m, other.nz, other.nw):
+        if (self.m, self.n) != (other.m, other.n):
             raise ValueError("jet shapes differ")
 
     def __add__(self, other):
@@ -379,17 +367,9 @@ class Jet:
         if not isinstance(other, Jet):
             return self._like(self.coeffs * complex(other))
         self._check_compatible(other)
-        return self._like(_convolve(self.coeffs, other.coeffs, self.m, self.nz, self.nw))
+        return self._like(_convolve(self.coeffs, other.coeffs, self.m, self.n))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other ** -1
-        return self * (1.0 / complex(other))
-
-    def __rtruediv__(self, other):
-        return self ** -1 * complex(other)
 
     def _constant(self, what: str):
         """The constant terms c0; all coefficients must be finite."""
@@ -399,7 +379,7 @@ class Jet:
     def _series(self, inverse: bool, a: float, b: float, c: float, h0: complex) -> np.ndarray:
         """The series h of x = (self - c0) / c0 (self - c0 unless `inverse`)
         with h_0 = h0 and
-        D h_D = c D x_D + sum (a |l| + b |r|) x_l h_r for D = 1 .. nz + nw.
+        D h_D = c D x_D + sum (a |l| + b |r|) x_l h_r for D = 1 .. 2n.
 
         The sum runs over the pairs (l, r) with l + r of total degree D;
         x has no constant term, so h_D needs only lower degrees.  With
@@ -408,12 +388,11 @@ class Jet:
         """
         h = np.zeros_like(self.coeffs)
         h[..., 0, 0] = h0
-        if self.nz == self.nw == 0:
+        if self.n == 0:
             return h
         x = self.coeffs * ((1.0 / self.value)[..., None, None] if inverse else 1.0)
         x[..., 0, 0] = 0
-        m, nz, nw = self.m, self.nz, self.nw
-        table = _pair_table(m, nz, nw, _balanced(x, m, nz, nw))
+        table = _pair_table(self.m, self.n, _balanced(x, self.m, self.n))
         shape = x.shape
         flat = shape[:-2] + (shape[-2] * shape[-1],)
         x, h = x.reshape(flat), h.reshape(flat)
@@ -471,7 +450,7 @@ class Jet:
 
 # -- the pair tables of products and series ----------------------------------
 
-#: (m, nz, nw, balanced) pair tables kept, least recently used first out, each
+#: (m, n, balanced) pair tables kept, least recently used first out, each
 #: with its own run cuts; over the 16 rounds of seed 41 `scan` reads 3 tables
 #: and 3 cuts, `certify` 2 and 3, `crosscheck` 7 and 14, `sections` 11 and 16
 _KEPT_TABLES = 32
@@ -483,11 +462,11 @@ _FILL_CHUNK = 1 << 16
 
 
 class _PairTable:
-    """The pairs of every total degree D = 0 .. nz + nw in one flat table,
+    """The pairs of every total degree D = 0 .. 2n in one flat table,
     `degrees`, `out`, `left`, `right` and `bounds`, with its cuts into runs
     (`runs`) and |a| + |b| of each flattened monomial (a, b), `totals`.
 
-    Positions are flattened, i * Nw + j for z-monomial i and w-monomial j.
+    Positions are flattened, i * N + j for z-monomial i and w-monomial j.
     `out` holds the outputs by total degree, then z and w monomial, and
     `degrees` lists (D, k0, k1) for each degree present: its outputs are
     out[k0:k1].  Output k's pairs, bounds[k]:bounds[k + 1] of `left` and
@@ -503,43 +482,44 @@ class _PairTable:
     the z and w pairs of left degree e = 0 .. |a|.
     """
 
-    def __init__(self, m: int, nz: int, nw: int, balanced: bool):
-        gz, gw = _group(m, nz), _group(m, nw)
-        (zl, zr, zk, zdeg), (wl, wr, wk, wdeg) = gz.pair_arrays, gw.pair_arrays
-        totals = (gz.degrees[:, None] + gw.degrees).ravel().astype(float)
-        out = (np.flatnonzero(gz.degrees[:, None] == gw.degrees) if balanced
-               else np.arange(gz.size * gw.size))
+    def __init__(self, m: int, n: int, balanced: bool):
+        group = _group(m, n)
+        pair_left, pair_right, product, left_degree = group.pair_arrays
+        size = group.size
+        totals = (group.degrees[:, None] + group.degrees).ravel().astype(float)
+        out = (np.flatnonzero(group.degrees[:, None] == group.degrees) if balanced
+               else np.arange(size * size))
         out = out[np.argsort(totals[out], kind="stable")]
-        at = np.searchsorted(totals[out], np.arange(nz + nw + 2)).tolist()
-        degrees = [(d, at[d], at[d + 1]) for d in range(nz + nw + 1) if at[d] < at[d + 1]]
-        # a group's pairs are sorted by product k, then left degree e: those of
+        at = np.searchsorted(totals[out], np.arange(2 * n + 2)).tolist()
+        degrees = [(d, at[d], at[d + 1]) for d in range(2 * n + 1) if at[d] < at[d + 1]]
+        # the group's pairs are sorted by product k, then left degree e: those of
         # (k, e) start at sub[k (n + 1) + e]
-        zsub, wsub = (np.searchsorted(k * np.int64(n + 1) + deg, np.arange(size * (n + 1) + 1))
-                      for k, deg, n, size in ((zk, zdeg, nz, gz.size), (wk, wdeg, nw, gw.size)))
+        sub = np.searchsorted(product * np.int64(n + 1) + left_degree,
+                              np.arange(size * (n + 1) + 1))
         # the blocks: per output, its one pair of runs, or one per left degree e
-        kz, kw = np.divmod(out, gw.size)
-        per = gz.degrees[kz] + 1 if balanced else np.ones_like(kz)
+        kz, kw = np.divmod(out, size)
+        per = group.degrees[kz] + 1 if balanced else np.ones_like(kz)
         e = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)
-        zc, wc = np.repeat(kz * (nz + 1), per) + e, np.repeat(kw * (nw + 1), per) + e
-        zs, ws = zsub[zc], wsub[wc]
-        ze, we = zsub[zc + (1 if balanced else nz + 1)], wsub[wc + (1 if balanced else nw + 1)]
-        height, width = ze - zs, we - ws
+        zc, wc = np.repeat(kz * (n + 1), per) + e, np.repeat(kw * (n + 1), per) + e
+        zs, ws = sub[zc], sub[wc]
+        step = 1 if balanced else n + 1
+        height, width = sub[zc + step] - zs, sub[wc + step] - ws
         ends = np.cumsum(height * width)
         starts = ends - height * width
         bounds = np.append(starts[np.cumsum(per) - per], ends[-1])
         left, right = np.empty(ends[-1], dtype=np.int32), np.empty(ends[-1], dtype=np.int32)
         cuts = [0, *(np.flatnonzero(np.diff(starts // _FILL_CHUNK)) + 1).tolist(), len(starts)]
         for b0, b1 in zip(cuts, cuts[1:]):
-            # rows: z pair p against the w pairs ws .. we - 1 of its block, pairs q
+            # rows: z pair p against the width w pairs from ws of its block, pairs q
             h, w = height[b0:b1], width[b0:b1]
             p = np.arange(h.sum()) - np.repeat(np.cumsum(h) - h - zs[b0:b1], h)
             row_width = np.repeat(w, h)
             q = np.repeat(np.cumsum(row_width) - row_width - np.repeat(ws[b0:b1], h), row_width)
             np.subtract(np.arange(len(q)), q, out=q)
-            for a, b, table in ((zl, wl, left), (zr, wr, right)):
+            for column, table in ((pair_left, left), (pair_right, right)):
                 chunk = table[starts[b0]:ends[b1 - 1]]
-                np.take(b, q, out=chunk, mode="wrap")  # q is in range: no buffered copy
-                chunk += np.repeat(a[p] * np.int32(gw.size), row_width)
+                np.take(column, q, out=chunk, mode="wrap")  # q is in range: no buffered copy
+                chunk += np.repeat(column[p] * np.int32(size), row_width)
         self.degrees, self.out, self.left, self.right = degrees, out, left, right
         self.bounds, self.totals, self._cuts = bounds, totals, {}
 
@@ -604,23 +584,25 @@ def _all_equal(values: np.ndarray, first: np.ndarray) -> np.ndarray:
 
 
 def variable_jets(z, w, m, nz, nw):
-    """Seed jets for the coordinates z_1..z_m and wbar_1..wbar_m.
+    """Seed jets for the coordinates z_1..z_m and wbar_1..wbar_m, at the one
+    cap nz = nw; unequal caps raise a ValueError naming both.
 
     z and w are points of C^m, or arrays of shape (*batch, m) of them; the
     jets carry that batch shape.  Graded lex order puts e_k at position 1 + k.
     """
+    if nz != nw:
+        raise ValueError(f"a jet has one cap for z and wbar, got {nz} and {nw}")
     z, wbar = np.asarray(z, dtype=complex), np.conj(np.asarray(w, dtype=complex))
-    zv = [Jet.constant(z[..., k], m, nz, nw) for k in range(m)]
-    wv = [Jet.constant(wbar[..., k], m, nz, nw) for k in range(m)]
-    for k in range(m):
-        if nz >= 1:
+    zv = [Jet.constant(z[..., k], m, nz) for k in range(m)]
+    wv = [Jet.constant(wbar[..., k], m, nz) for k in range(m)]
+    if nz >= 1:
+        for k in range(m):
             zv[k].coeffs[..., 1 + k, 0] = 1.0
-        if nw >= 1:
             wv[k].coeffs[..., 0, 1 + k] = 1.0
     return zv, wv
 
 
-def coordinate_products(z, w, m, nz, nw, i, j) -> Jet:
+def coordinate_products(z, w, m, n, i, j) -> Jet:
     """The jets of z_i wbar_j for index arrays i and j of one shape S:
     batch (*batch, *S).
 
@@ -634,17 +616,14 @@ def coordinate_products(z, w, m, nz, nw, i, j) -> Jet:
     zi = np.asarray(z, dtype=complex)[..., i]
     wj = np.conj(np.asarray(w, dtype=complex))[..., j]
     value = zi * wj
-    if nz == nw == 0:  # a constant: the value alone
-        return Jet(m, 0, 0, value[..., None, None])
-    coeffs = np.zeros(value.shape + (_group(m, nz).size, _group(m, nw).size), dtype=complex)
+    if n == 0:  # a constant: the value alone
+        return Jet(m, 0, value[..., None, None])
+    coeffs = np.zeros(value.shape + (_group(m, n).size,) * 2, dtype=complex)
     coeffs[..., 0, 0] = value
     # one axis over the products; graded lex order puts e_k at position 1 + k
     flat = coeffs.reshape(value.shape[: value.ndim - i.ndim] + (i.size,) + coeffs.shape[-2:])
     each, i, j = np.arange(i.size), 1 + i.ravel(), 1 + j.ravel()
-    if nz >= 1:
-        flat[..., each, i, 0] = wj.reshape(flat.shape[:-2])
-    if nw >= 1:
-        flat[..., each, 0, j] = zi.reshape(flat.shape[:-2])
-    if nz >= 1 and nw >= 1:
-        flat[..., each, i, j] = 1.0
-    return Jet(m, nz, nw, coeffs)
+    flat[..., each, i, 0] = wj.reshape(flat.shape[:-2])
+    flat[..., each, 0, j] = zi.reshape(flat.shape[:-2])
+    flat[..., each, i, j] = 1.0
+    return Jet(m, n, coeffs)

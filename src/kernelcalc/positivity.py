@@ -333,7 +333,7 @@ def _check_scalar_base(base: KernelExpr, scan: str) -> None:
 def _wallach_families(base: KernelExpr, domain: DomainSpec, family) -> list:
     """t -> K^t o (log-Hessian Gram) per (count, seed).  K^t is exp(t log K)
     on the continuous log branch, which equals pow(base, t) pairwise exactly;
-    one caps-(1, 1) log jet gives the blocks and log K, bit for bit."""
+    one cap-1 log jet gives the blocks and log K, bit for bit."""
     _check_scalar_base(base, "wallach_scan")
     return gram_families(base, domain, family, base.m, base.log_hessian_values,
                          lambda pts, logk, hess: (hess, lambda t: np.exp(t * logk)))

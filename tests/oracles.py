@@ -234,7 +234,7 @@ def jacobians_by_jets(phi: MobiusMap, zs) -> np.ndarray:
     array."""
     zs = point_array(zs, phi.m)
     m, a = phi.m, phi.a
-    img = variable_jets(zs, zs, m, 1, 0)[0]
+    img = variable_jets(zs, zs, m, 1, 1)[0]
     if any(a):
         s = math.sqrt(1 - sum(abs(c) ** 2 for c in a))
         ip = img[0] * a[0].conjugate()
@@ -250,12 +250,8 @@ def jacobians_by_jets(phi: MobiusMap, zs) -> np.ndarray:
         for k in range(1, m):
             proj = proj + img[k] * u[k].conjugate()
         img = [(a[k] - proj * u[k] - s * (img[k] - proj * u[k])) * denom for k in range(m)]
-    zero = (0,) * m
-    jac = np.stack(
-        [np.stack([img[k].deriv(unit_index(m, i), zero) for i in range(m)], axis=-1)
-         for k in range(m)],
-        axis=-2,
-    )
+    # d/dz_i at (e_i, 0), which graded lex order puts at position 1 + i
+    jac = np.stack([img[k].derivatives()[..., 1:m + 1, 0] for k in range(m)], axis=-2)
     return phi.unitary @ jac
 
 
@@ -295,35 +291,35 @@ def pair_table_by_sorting(group: _Group) -> tuple:
     return left.astype(np.int32), right.astype(np.int32), product, group.degrees[left]
 
 
-def pair_table_by_blocks(m: int, nz: int, nw: int, balanced: bool) -> tuple:
+def pair_table_by_blocks(m: int, n: int, balanced: bool) -> tuple:
     """The fields (degrees, out, left, right, bounds, totals) of a
     `jets._pair_table`, built one block of degrees (dz, D - dz) at a time,
-    on the group tables of `pair_table_by_sorting`: each block's pairs are
+    on the group table of `pair_table_by_sorting`: each block's pairs are
     concatenated and put in output order by a stable sort of their output
     positions.  A balanced table takes the blocks (d, d) alone, matching z
     pairs and w pairs by the degree of their left monomial."""
-    gz, gw = jets._group(m, nz), jets._group(m, nw)
-    (zl, zr, zk, zdeg), (wl, wr, wk, wdeg) = pair_table_by_sorting(gz), pair_table_by_sorting(gw)
-    # product degree d is the pairs first[d]:first[d + 1]
-    zfirst, wfirst = (np.r_[0, np.cumsum(np.bincount(g.degrees[k], minlength=g.n + 1))]
-                      for g, k in ((gz, zk), (gw, wk)))
-    nw_size = np.int32(gw.size)
-    blocks = ([(d, d) for d in range(min(nz, nw) + 1)] if balanced else
-              [(dz, d - dz) for d in range(nz + nw + 1)
-               for dz in range(max(0, d - nw), min(nz, d) + 1)])
+    group = jets._group(m, n)
+    pair_left, pair_right, product, left_degree = pair_table_by_sorting(group)
+    # product degree d is the pairs of_degree[d]:of_degree[d + 1]
+    of_degree = np.r_[0, np.cumsum(np.bincount(group.degrees[product], minlength=n + 1))]
+    width = np.int32(group.size)
+    blocks = ([(d, d) for d in range(n + 1)] if balanced else
+              [(dz, d - dz) for d in range(2 * n + 1)
+               for dz in range(max(0, d - n), min(n, d) + 1)])
     matches = []  # the z pairs and w pairs of each block, in table order
     for dz, dw in blocks:
-        pz = np.arange(zfirst[dz], zfirst[dz + 1])
-        pw = np.arange(wfirst[dw], wfirst[dw + 1])
-        matches.append([(pz[zdeg[pz] == e], pw[wdeg[pw] == e]) for e in range(dz + 1)]
+        pz = np.arange(of_degree[dz], of_degree[dz + 1])
+        pw = np.arange(of_degree[dw], of_degree[dw + 1])
+        matches.append([(pz[left_degree[pz] == e], pw[left_degree[pw] == e])
+                        for e in range(dz + 1)]
                        if balanced else [(pz, pw)])
     size = sum(p.size * q.size for matched in matches for p, q in matched)
     left, right = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
     outs, bounds, s0 = [], [], 0
     for matched in matches:
         key, block_left, block_right = (
-            np.concatenate([(a[p, None] * nw_size + b[q]).ravel() for p, q in matched])
-            for a, b in ((zk, wk), (zl, wl), (zr, wr)))
+            np.concatenate([(col[p, None] * width + col[q]).ravel() for p, q in matched])
+            for col in (product, pair_left, pair_right))
         order = np.argsort(key, kind="stable")
         key, s1 = key[order], s0 + len(key)
         left[s0:s1], right[s0:s1] = block_left[order], block_right[order]
@@ -333,9 +329,9 @@ def pair_table_by_blocks(m: int, nz: int, nw: int, balanced: bool) -> tuple:
         s0 = s1
     out = np.concatenate(outs).astype(np.intp)
     bounds = np.r_[np.concatenate(bounds), size]
-    totals = (gz.degrees[:, None] + gw.degrees).ravel().astype(float)
-    at = np.searchsorted(totals[out], np.arange(nz + nw + 2))
-    degrees = [(d, int(at[d]), int(at[d + 1])) for d in range(nz + nw + 1) if at[d] < at[d + 1]]
+    totals = (group.degrees[:, None] + group.degrees).ravel().astype(float)
+    at = np.searchsorted(totals[out], np.arange(2 * n + 2))
+    degrees = [(d, int(at[d]), int(at[d + 1])) for d in range(2 * n + 1) if at[d] < at[d + 1]]
     return degrees, out, left, right, bounds, totals
 
 
@@ -375,7 +371,7 @@ def _chunks(group: _Group, max_pairs: int) -> list:
             for k0, k1, s0, s1 in _cuts(bounds, max_pairs)]
 
 
-def convolve_separable(x: np.ndarray, y: np.ndarray, gz: _Group, gw: _Group) -> np.ndarray:
+def convolve_separable(x: np.ndarray, y: np.ndarray, m: int, n: int) -> np.ndarray:
     """Truncated Leibniz product of two coefficient arrays (batch broadcast).
 
     The w group is contracted first, for the z-pairs of a run of output
@@ -383,12 +379,13 @@ def convolve_separable(x: np.ndarray, y: np.ndarray, gz: _Group, gw: _Group) -> 
     output monomial.  Both are segment sums in a fixed order, so how the
     outputs are cut into runs (by size) leaves every result unchanged.
     """
-    if gz.size == gw.size == 1:  # constant jets: no pairs to sum
+    group = jets._group(m, n)
+    if n == 0:  # constant jets: no pairs to sum
         return x * y
-    wl, wr, wstarts = _pair_runs(gw)
+    wl, wr, wstarts = _pair_runs(group)
     batch = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
-    out = np.empty(batch + (gz.size, gw.size), dtype=complex)
-    for rows, zl, zr, zstarts in _chunks(gz, _run_pairs(math.prod(batch) * len(wl))):
+    out = np.empty(batch + (group.size, group.size), dtype=complex)
+    for rows, zl, zr, zstarts in _chunks(group, _run_pairs(math.prod(batch) * len(wl))):
         terms = x[..., zl, :][..., wl]
         terms = np.multiply(terms, y[..., zr, :][..., wr],
                             out=terms if x.shape[:-2] == batch else None)
@@ -399,11 +396,11 @@ def convolve_separable(x: np.ndarray, y: np.ndarray, gz: _Group, gw: _Group) -> 
 
 
 def _sum_powers(self: Jet, u: Jet, weights) -> np.ndarray:
-    """sum_k weights[k-1] u^k over k = 1 .. nz + nw, the truncation
-    order; u has no constant term, so the sum stops once u^k vanishes."""
+    """sum_k weights[k-1] u^k over k = 1 .. 2n, the truncation order;
+    u has no constant term, so the sum stops once u^k vanishes."""
     acc = np.zeros_like(u.coeffs)
     term = None
-    for w in itertools.islice(weights, self.nz + self.nw):
+    for w in itertools.islice(weights, 2 * self.n):
         term = u if term is None else term * u
         if not term.coeffs.any():
             break
@@ -426,7 +423,7 @@ def pow_by_powers(f: Jet, t: float) -> np.ndarray:
     binomials = itertools.accumulate(
         ((t - k) / (k + 1) for k in itertools.count()), operator.mul
     )
-    out = _sum_powers(f, Jet(f.m, f.nz, f.nw, x), binomials)
+    out = _sum_powers(f, Jet(f.m, f.n, x), binomials)
     out[..., 0, 0] += 1
     return out * head[..., None, None]
 
@@ -436,7 +433,7 @@ def exp_by_powers(f: Jet) -> np.ndarray:
     inverse_factorials = itertools.accumulate(
         (1 / k for k in itertools.count(1)), operator.mul
     )
-    out = _sum_powers(f, Jet(f.m, f.nz, f.nw, x), inverse_factorials)
+    out = _sum_powers(f, Jet(f.m, f.n, x), inverse_factorials)
     out[..., 0, 0] += 1
     return out * np.exp(c0)[..., None, None]
 
@@ -445,7 +442,7 @@ def log_by_powers(f: Jet) -> np.ndarray:
     c0, x = _split(f)
     x *= (1.0 / c0)[..., None, None]
     alternating = ((-1.0) ** (k + 1) / k for k in itertools.count(1))
-    out = _sum_powers(f, Jet(f.m, f.nz, f.nw, x), alternating)
+    out = _sum_powers(f, Jet(f.m, f.n, x), alternating)
     out[..., 0, 0] += np.log(c0)
     return out
 
@@ -734,13 +731,13 @@ def phi_gram_by_entries(expr: KernelExpr, alpha: float, beta: float, z, w) -> np
 @contextmanager
 def full_tables():
     """Read every jet as unbalanced inside the block, so that products and
-    series sum the full pair tables.  Yields the (m, nz, nw) of each balance
+    series sum the full pair tables.  Yields the (m, n) of each balance
     check that was answered, so a caller can see that the block took
     effect."""
     asked = []
 
-    def unbalanced(coeffs, m, nz, nw):
-        asked.append((m, nz, nw))
+    def unbalanced(coeffs, m, n):
+        asked.append((m, n))
         return False
 
     with mock.patch.object(jets, "_balanced", unbalanced):
@@ -748,24 +745,25 @@ def full_tables():
 
 
 def _shift_table(m: int, n: int, d: tuple) -> tuple:
-    """(source, factor) of d/dz^d on the monomials of degree <= n: output
-    monomial a reads a + d, times (a + d)! / a!, an integer."""
-    index = {a: k for k, a in enumerate(graded_lex_tuples(m, n))}
-    out = graded_lex_tuples(m, n - sum(d))
+    """(source, factor) of d/dz^d onto the monomials of degree <= n: output
+    monomial a reads a + d among the monomials of degree <= n + |d| (the
+    first ones of every deeper cap too), times (a + d)! / a!, an integer."""
+    index = {a: k for k, a in enumerate(graded_lex_tuples(m, n + sum(d)))}
+    out = graded_lex_tuples(m, n)
     source = [index[tuple(x + y for x, y in zip(a, d))] for a in out]
     factor = [math.prod(math.factorial(x + y) // math.factorial(x) for x, y in zip(a, d))
               for a in out]
     return np.array(source, dtype=np.intp), np.array(factor, dtype=float)
 
 
-def shift_per_entry(f: Jet, di, dj) -> Jet:
-    """The jet of (d/dz)^di (d/dwbar)^dj f at caps (nz - |di|, nw - |dj|),
-    from index tables built monomial by monomial."""
+def shift_per_entry(f: Jet, di, dj, n: int) -> Jet:
+    """The jet of (d/dz)^di (d/dwbar)^dj f at cap n, at most f's cap less
+    max(|di|, |dj|), from index tables built monomial by monomial."""
     di, dj = tuple(di), tuple(dj)
-    sz, fz = _shift_table(f.m, f.nz, di)
-    sw, fw = _shift_table(f.m, f.nw, dj)
+    sz, fz = _shift_table(f.m, n, di)
+    sw, fw = _shift_table(f.m, n, dj)
     coeffs = f.coeffs[..., sz[:, None], sw[None, :]] * (fz[:, None] * fw[None, :])
-    return Jet(f.m, f.nz - sum(di), f.nw - sum(dj), coeffs)
+    return Jet(f.m, n, coeffs)
 
 
 def _entry_matrix(rows) -> np.ndarray:
@@ -779,19 +777,17 @@ def hessian_per_entry(g: Jet) -> np.ndarray:
     """The (B, m, m) Hessian coefficients of a (B, 1, 1) jet g, from m^2
     separate shifts by (e_i, e_j)."""
     units = [unit_index(g.m, k) for k in range(g.m)]
-    return _entry_matrix([[shift_per_entry(g, i, j) for j in units] for i in units])
+    return _entry_matrix([[shift_per_entry(g, i, j, g.n - 1) for j in units] for i in units])
 
 
-def jet_kernel_per_entry(expr: JetKernel, z, w, nz: int, nw: int) -> Jet:
+def jet_kernel_per_entry(expr: JetKernel, z, w, n: int) -> Jet:
     """`JetKernel.jets` one entry at a time: K1 times the d^2 jets of K2,
-    each truncated to caps (nz + |i|, nw + |j|) and then shifted by (i, j),
-    so that every entry comes out at caps (nz, nw)."""
-    j1 = expr.k1.jets(z, w, nz, nw)
-    j2 = expr.k2.jets(z, w, nz + expr.order, nw + expr.order)
+    each shifted by (i, j) onto cap n."""
+    j1 = expr.k1.jets(z, w, n)
+    j2 = expr.k2.jets(z, w, n + expr.order)
     indices = graded_lex_tuples(expr.m, expr.order)
-    rows = [[shift_per_entry(j2.truncate(nz + sum(i), nw + sum(j)), i, j) for j in indices]
-            for i in indices]
-    return j1 * Jet(expr.m, nz, nw, _entry_matrix(rows))
+    rows = [[shift_per_entry(j2, i, j, n) for j in indices] for i in indices]
+    return j1 * Jet(expr.m, n, _entry_matrix(rows))
 
 
 class _Tokenizer:
@@ -914,20 +910,20 @@ def _pair_sums_by_np_take(x: np.ndarray, y: np.ndarray, runs, weights=None):
         yield rows, np.add.reduceat(terms * np.take(y, right, axis=-1), starts, axis=-1)
 
 
-def _one_minus_inner_terms(z, w, m, nz, nw) -> Jet:
+def _one_minus_inner_terms(z, w, m, n) -> Jet:
     """The jet of 1 - <z, w>, batch (B,): 1 minus the jets z_k wbar_k,
     subtracted in order."""
-    return expr_module._one_minus(expr_module._inner_terms(z, w, m, nz, nw))
+    return expr_module._one_minus(expr_module._inner_terms(z, w, m, n))
 
 
-def _balanced_by_np_take(coeffs: np.ndarray, m: int, nz: int, nw: int) -> bool:
+def _balanced_by_np_take(coeffs: np.ndarray, m: int, n: int) -> bool:
     """Whether every coefficient (a, b) with |a| != |b| is exactly 0, in
     every batch entry.  The row (0, b) and the column (a, 0), nonzero at
     every pair off the origin, are looked at first."""
     if np.count_nonzero(coeffs[..., 0, 1:]) or np.count_nonzero(coeffs[..., 1:, 0]):
         return False
     flat = coeffs.reshape(coeffs.shape[:-2] + (-1,))
-    return not np.count_nonzero(np.take(flat, jets._off_balance(m, nz, nw), axis=-1))
+    return not np.count_nonzero(np.take(flat, jets._off_balance(m, n), axis=-1))
 
 
 @contextmanager
@@ -961,7 +957,7 @@ def _checked_values_in_a_generator(self, zs, ws, evaluate) -> tuple:
 def _eval_jets_by_moveaxis(self, zs, ws, order: int) -> list:
     """The JetTables of the B pairs (zs[p], ws[p]), from one batch of jets.
 
-    Lower coefficients do not depend on the truncation caps, so each
+    Lower coefficients do not depend on the truncation cap, so each
     table equals its own `eval_jet` bit for bit, except that a batch
     mixing pairs with balanced jets (origin pairs, say) with others sums
     them on the full pair tables, which can move them by an ulp (see
@@ -971,7 +967,7 @@ def _eval_jets_by_moveaxis(self, zs, ws, order: int) -> list:
     if order > DEFAULT_ORDER_CAP:
         raise OrderCapError(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
     (derivatives,) = self._checked_values(
-        zs, ws, lambda z, w: (self.jets(z, w, order, order).derivatives(),))
+        zs, ws, lambda z, w: (self.jets(z, w, order).derivatives(),))
     # (B, k, k, N, N) -> (B, N, N, k, k): one k x k block per derivative
     blocks = np.ascontiguousarray(np.moveaxis(derivatives, (-2, -1), (1, 2)))
     return [JetTable(order, self.m, self.size, d) for d in blocks]

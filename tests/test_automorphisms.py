@@ -1,5 +1,7 @@
 import cmath
+import itertools
 import json
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -305,6 +307,52 @@ def test_a_residual_of_more_than_2_16_pairs_is_refused():
                                    "bound of 65536")
     assert MAX_QUASI_PAIRS == 65_536
     check_pair_count(65_536)
+
+
+class _CountedPairs(Sequence):
+    """2^23 pairs of the disc made on demand, counting the entries read."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def __len__(self):
+        return 1 << 23
+
+    def __getitem__(self, i):
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        self.reads += 1
+        return (0.1,), (0.2,)
+
+
+def test_a_sized_input_over_the_bound_is_refused_before_an_entry_is_read():
+    pairs = _CountedPairs()
+    with pytest.raises(ValueError) as info:
+        quasi_invariance_residual(bergman_disc(), CocycleSpec("det_jacobian_power", 1.0),
+                                  MobiusMap((0.3,)), pairs)
+    assert str(info.value) == ("a quasi-invariance residual of 8388608 pairs is over the "
+                               "bound of 65536")
+    assert pairs.reads == 0
+
+
+def test_an_input_without_a_length_is_read_one_entry_past_the_bound_at_most():
+    reads = itertools.count()
+
+    def pairs():
+        while True:
+            next(reads)
+            yield (0.1,), (0.2,)
+
+    with pytest.raises(ValueError) as info:
+        quasi_invariance_residual(bergman_disc(), CocycleSpec("det_jacobian_power", 1.0),
+                                  MobiusMap((0.3,)), pairs())
+    assert str(info.value) == ("a quasi-invariance residual of 65537 or more pairs is over "
+                               "the bound of 65536")
+    assert next(reads) == MAX_QUASI_PAIRS + 1
+    # a generator within the bound is read to its end
+    few = (pair for pair in [((0.1,), (0.2,))] * 3)
+    assert quasi_invariance_residual(bergman_disc(), CocycleSpec("det_jacobian_power", 1.0),
+                                     MobiusMap((0.3,)), few) < 1e-12
 
 
 def _base_and_domain(m):

@@ -495,46 +495,44 @@ def test_a_jet_that_is_not_finite_is_named_once(text, message):
 
 @contextmanager
 def _recording_balance_checks():
-    """Collect (coefficients, m, nz, nw, answer) of every balance check made
+    """Collect (coefficients, m, n, answer) of every balance check made
     inside the block."""
     seen, check = [], jets._balanced
 
-    def record(coeffs, m, nz, nw):
-        answer = check(coeffs, m, nz, nw)
-        seen.append((coeffs.copy(), m, nz, nw, answer))
+    def record(coeffs, m, n):
+        answer = check(coeffs, m, n)
+        seen.append((coeffs.copy(), m, n, answer))
         return answer
 
     with mock.patch.object(jets, "_balanced", record):
         yield seen
 
 
-def _unbalanced_mask(m, nz, nw) -> np.ndarray:
-    dz = np.array([sum(a) for a in graded_lex_tuples(m, nz)])
-    dw = np.array([sum(b) for b in graded_lex_tuples(m, nw)])
-    return dz[:, None] != dw
+def _unbalanced_mask(m, n) -> np.ndarray:
+    degrees = np.array([sum(a) for a in graded_lex_tuples(m, n)])
+    return degrees[:, None] != degrees
 
 
-def _jets(expr, z, w, nz, nw, full=False):
+def _jets(expr, z, w, n, full=False):
     with np.errstate(all="ignore"), full_tables() if full else nullcontext() as asked:
-        coeffs = expr.jets(z, w, nz, nw).coeffs
-    assert not full or asked or nz == nw == 0  # the full tables were forced
+        coeffs = expr.jets(z, w, n).coeffs
+    assert not full or asked or n == 0  # the full tables were forced
     return coeffs
 
 
-def _origin_jets(expr, nz, nw, full=False):
+def _origin_jets(expr, n, full=False):
     z = np.zeros((1, expr.m))
-    return _jets(expr, z, z, nz, nw, full)
+    return _jets(expr, z, z, n, full)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     text=st.one_of(_disc_asts(2), _ball_asts()),
     where=st.sampled_from(["origin", "off", "z zero", "w zero"]),
-    nz=st.integers(0, 3),
-    nw=st.integers(0, 3),
+    n=st.integers(0, 3),
     seed=st.integers(1, 1000),
 )
-def test_balanced_jets_are_zero_off_balance(text, where, nz, nw, seed):
+def test_balanced_jets_are_zero_off_balance(text, where, n, seed):
     expr = parse_kernel(text)
     z, w = (p.array() for p in sample_points(unit_disc(0.3) if expr.m == 1
                                              else unit_ball(expr.m, 0.3), 2, seed))
@@ -545,12 +543,12 @@ def test_balanced_jets_are_zero_off_balance(text, where, nz, nw, seed):
     with _recording_balance_checks() as seen:
         try:
             with np.errstate(all="ignore"):
-                expr.jets(z[None], w[None], nz, nw)
+                expr.jets(z[None], w[None], n)
         except KernelCalcError:
             assume(False)
-    for coeffs, m, cz, cw, answer in seen:
-        assert answer == (coeffs[..., _unbalanced_mask(m, cz, cw)] == 0).all()
-    assert seen or nz == nw == 0  # every leaf sums a product or a series
+    for coeffs, m, cap, answer in seen:
+        assert answer == (coeffs[..., _unbalanced_mask(m, cap)] == 0).all()
+    assert seen or n == 0  # every leaf sums a product or a series
     if seen and where == "origin":  # every leaf is balanced there
         assert any(answer for *_, answer in seen)
     if seen and where == "off":  # no leaf is off the origin, and the first check reads a leaf
@@ -578,8 +576,7 @@ _EXACT_ORIGIN_CASES = (
 @pytest.mark.parametrize("text, order", _EXACT_ORIGIN_CASES)
 def test_balanced_origin_tables_equal_the_full_ones(text, order):
     expr = parse_kernel(text)
-    assert np.array_equal(_origin_jets(expr, order, order),
-                          _origin_jets(expr, order, order, full=True))
+    assert np.array_equal(_origin_jets(expr, order), _origin_jets(expr, order, full=True))
 
 
 @pytest.mark.parametrize("text, order", [
@@ -594,47 +591,32 @@ def test_balanced_origin_tables_equal_the_full_ones(text, order):
 ])
 def test_deep_balanced_origin_tables_agree_with_the_full_ones(text, order):
     expr = parse_kernel(text)
-    full = _origin_jets(expr, order, order, full=True)
-    got = _origin_jets(expr, order, order)
+    full = _origin_jets(expr, order, full=True)
+    got = _origin_jets(expr, order)
     assert np.abs(got - full).max() <= 1e-15 * np.abs(full).max()
 
 
 @settings(max_examples=60, deadline=None)
-@given(text=st.one_of(_disc_asts(3), _ball_asts()), nz=st.integers(0, 4), nw=st.integers(0, 4))
-def test_balanced_origin_jets_of_random_trees_agree_with_the_full_ones(text, nz, nw):
+@given(text=st.one_of(_disc_asts(3), _ball_asts()), n=st.integers(0, 4))
+def test_balanced_origin_jets_of_random_trees_agree_with_the_full_ones(text, n):
     # log_hessian of a curvature cancels most of its digits, so a regrouped
     # sum moves its small entries by up to about 6e-14 of the largest one
     expr = parse_kernel(text)
     try:
-        full = _origin_jets(expr, nz, nw, full=True)
+        full = _origin_jets(expr, n, full=True)
     except KernelCalcError:
         assume(False)
-    got = _origin_jets(expr, nz, nw)
+    got = _origin_jets(expr, n)
     assert np.abs(got - full).max() <= 1e-12 * np.abs(full).max()
-
-
-@pytest.mark.parametrize("z, w, nz, nw", [(0.0, 0.3, 0, 1), (0.0, 0.3, 0, 3), (0.3, 0.0, 2, 0),
-                                          (0.0, 0.3j, 0, 4)])
-def test_jets_read_balanced_off_the_origin_equal_the_full_ones(z, w, nz, nw):
-    # at z = 0 without z-derivatives every coefficient (0, b), b != 0, of
-    # szego_disc is exactly 0 whatever w is (and so for w = 0 without
-    # w-derivatives), so the balance check takes the balanced tables there
-    expr = parse_kernel("szego_disc()")
-    z, w = np.array([[z]]), np.array([[w]])
-    with _recording_balance_checks() as seen:
-        got = _jets(expr, z, w, nz, nw)
-    assert seen and all(answer for *_, answer in seen)
-    assert np.array_equal(got, _jets(expr, z, w, nz, nw, full=True))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     text=st.one_of(_disc_asts(2), _ball_scalars(2), st.just("bergman_ball(3)")),
-    nz=st.integers(0, 3),
-    nw=st.integers(0, 3),
+    n=st.integers(0, 3),
     seed=st.one_of(st.none(), st.integers(1, 100)),
 )
-def test_the_gathered_hessian_equals_the_per_entry_shifts(text, nz, nw, seed):
+def test_the_gathered_hessian_equals_the_per_entry_shifts(text, n, seed):
     # seed None is the origin pair, where the log jet is balanced
     expr = parse_kernel(text)
     m = expr.m
@@ -645,12 +627,12 @@ def test_the_gathered_hessian_equals_the_per_entry_shifts(text, nz, nw, seed):
         z, w = (p.array()[None] for p in sample_points(domain, 2, seed))
     try:
         with np.errstate(all="ignore"):
-            g = expr.log_jet(z, w, nz + 1, nw + 1)
+            g = expr.log_jet(z, w, n + 1)
     except KernelCalcError:
         assume(False)
     assume(np.isfinite(g.coeffs).all())
     got = _hessian(g)
-    assert (got.m, got.nz, got.nw) == (m, nz, nw)
+    assert (got.m, got.n) == (m, n)
     assert np.array_equal(got.coeffs, hessian_per_entry(g))
 
 
@@ -659,11 +641,10 @@ def test_the_gathered_hessian_equals_the_per_entry_shifts(text, nz, nw, seed):
     k1=st.one_of(_disc_asts(1), _ball_scalars(1)),
     k2=st.one_of(_disc_asts(1), _ball_scalars(1)),
     k=st.integers(0, 3),
-    nz=st.integers(0, 2),
-    nw=st.integers(0, 2),
+    n=st.integers(0, 2),
     seed=st.one_of(st.none(), st.integers(1, 100)),
 )
-def test_the_gathered_jet_kernel_equals_the_per_entry_shifts(k1, k2, k, nz, nw, seed):
+def test_the_gathered_jet_kernel_equals_the_per_entry_shifts(k1, k2, k, n, seed):
     # seed None is the origin pair; a disc child of a ball kernel is refused
     try:
         expr = parse_kernel(f"jet({k1}, {k2}, {k})")
@@ -677,11 +658,11 @@ def test_the_gathered_jet_kernel_equals_the_per_entry_shifts(k1, k2, k, nz, nw, 
         z, w = (p.array()[None] for p in sample_points(domain, 2, seed))
     try:
         with np.errstate(all="ignore"):
-            got = expr.jets(z, w, nz, nw)
-            want = jet_kernel_per_entry(expr, z, w, nz, nw)
+            got = expr.jets(z, w, n)
+            want = jet_kernel_per_entry(expr, z, w, n)
     except KernelCalcError:
         assume(False)
-    assert (got.m, got.nz, got.nw) == (m, nz, nw)
+    assert (got.m, got.n) == (m, n)
     assert np.array_equal(got.derivatives(), want.derivatives(), equal_nan=True)
 
 
@@ -741,18 +722,18 @@ def test_a_batch_of_no_pairs_gives_empty_results_at_every_cap(text):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-@pytest.mark.parametrize("nz, nw", [(0, 0), (1, 0), (0, 1), (1, 1), (3, 3)])
+@pytest.mark.parametrize("n", [0, 1, 3])
 @pytest.mark.parametrize("batch", [0, 1, 625])
-def test_the_one_fill_base_is_one_minus_the_inner_terms_bit_for_bit(m, nz, nw, batch):
-    rng = np.random.default_rng([m, nz, nw, batch])
+def test_the_one_fill_base_is_one_minus_the_inner_terms_bit_for_bit(m, n, batch):
+    rng = np.random.default_rng([m, n, n, batch])
     z, w = (0.5 / m * (rng.standard_normal((batch, m)) + 1j * rng.standard_normal((batch, m)))
             for _ in range(2))
     for part in (z.real, z.imag, w.real, w.imag):  # zeros of both signs
         part[rng.random(part.shape) < 0.2] = 0.0
         part[rng.random(part.shape) < 0.2] = -0.0
-    got = _one_minus_inner(z, w, m, nz, nw)
-    want = _one_minus(_inner_terms(z, w, m, nz, nw))
-    assert (got.m, got.nz, got.nw) == (want.m, want.nz, want.nw)
+    got = _one_minus_inner(z, w, m, n)
+    want = _one_minus(_inner_terms(z, w, m, n))
+    assert (got.m, got.n) == (want.m, want.n)
     assert got.coeffs.shape == want.coeffs.shape
     assert np.array_equal(got.coeffs.view(np.int64), want.coeffs.view(np.int64))
 

@@ -119,7 +119,7 @@ def test_jet_tables_and_values_are_the_old_paths_bits(case, order):
 
 
 _PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, -2.5, np.inf, -np.inf, np.nan])
-_CAPS = [(nz, nw) for nz in range(3) for nw in range(3)]
+_CAPS = range(3)
 
 
 def _head_or_refusal(op: str, c0: np.ndarray, t: float):
@@ -151,8 +151,8 @@ def test_series_heads_are_numpys_at_every_cap(m, parts, t, seed):
     # from c0^t and 0j + log c0 from log c0; a bad one is refused by name
     rng = np.random.default_rng(seed)
     ops = {"pow": lambda j: j ** t, "exp": jets.Jet.exp, "log": jets.Jet.log}
-    for nz, nw in _CAPS:
-        shape = (4, jets._group(m, nz).size, jets._group(m, nw).size)
+    for n in _CAPS:
+        shape = (4,) + (jets._group(m, n).size,) * 2
         coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         coeffs.real[:, 0, 0], coeffs.imag[:, 0, 0] = parts[:4], parts[4:]
         # the batch of four, and each entry alone
@@ -160,14 +160,14 @@ def test_series_heads_are_numpys_at_every_cap(m, parts, t, seed):
                 ops.items(), [coeffs] + [coeffs[e : e + 1] for e in range(4)]):
             with np.errstate(all="ignore"):
                 want = _head_or_refusal(name, entries.copy()[:, 0, 0], t)
-            got = _outcome(lambda: op(jets.Jet(m, nz, nw, entries.copy())))
+            got = _outcome(lambda: op(jets.Jet(m, n, entries.copy())))
             if isinstance(want, tuple):
-                assert type(got) is want[0] and str(got) == want[1], (nz, nw, name, got)
+                assert type(got) is want[0] and str(got) == want[1], (n, name, got)
             else:
                 _assert_same_bits(got.coeffs[:, 0, 0], want)
 
 
-def _coordinate_products_per_entry(z, w, m, nz, nw, i, j) -> np.ndarray:
+def _coordinate_products_per_entry(z, w, m, n, i, j) -> np.ndarray:
     """The coefficients of the jets of z_i wbar_j, entry by entry: +0.0 but
     for the four positions of `jets.coordinate_products`'s docstring."""
     i, j = np.asarray(i), np.asarray(j)
@@ -175,17 +175,14 @@ def _coordinate_products_per_entry(z, w, m, nz, nw, i, j) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     # one array product, as numpy's may differ from a scalar one in rounding
     value = z[..., i] * wbar[..., j]
-    out = np.zeros(value.shape + (jets._group(m, nz).size, jets._group(m, nw).size),
-                   dtype=complex)
+    out = np.zeros(value.shape + (jets._group(m, n).size,) * 2, dtype=complex)
     for b in np.ndindex(z.shape[:-1]):
         for s in np.ndindex(i.shape):
             entry, row, col = out[b + s], 1 + i[s], 1 + j[s]
             entry[0, 0] = value[b + s]
-            if nz >= 1:
+            if n >= 1:
                 entry[row, 0] = wbar[b + (j[s],)]
-            if nw >= 1:
                 entry[0, col] = z[b + (i[s],)]
-            if nz >= 1 and nw >= 1:
                 entry[row, col] = 1.0
     return out
 
@@ -204,11 +201,10 @@ def test_coordinate_products_fill_the_four_named_positions(m, parts, seed):
     indices = ((np.arange(m), np.arange(m)), np.indices((m, m)),
                (np.zeros(3, int), np.arange(3) % m))
     with np.errstate(all="ignore"):  # products with 1e300, inf and nan
-        for (nz, nw), (i, j), (zs, ws) in itertools.product(_CAPS, indices,
-                                                            ((z, w), (z[0], w[-1]))):
-            got = jets.coordinate_products(zs, ws, m, nz, nw, i, j)
-            assert (got.m, got.nz, got.nw) == (m, nz, nw)
-            _assert_same_bits(got.coeffs, _coordinate_products_per_entry(zs, ws, m, nz, nw, i, j))
+        for n, (i, j), (zs, ws) in itertools.product(_CAPS, indices, ((z, w), (z[0], w[-1]))):
+            got = jets.coordinate_products(zs, ws, m, n, i, j)
+            assert (got.m, got.n) == (m, n)
+            _assert_same_bits(got.coeffs, _coordinate_products_per_entry(zs, ws, m, n, i, j))
 
 
 @settings(max_examples=30, deadline=None)
