@@ -722,7 +722,7 @@ def test_a_batch_of_no_pairs_gives_empty_results_at_every_cap(text):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-@pytest.mark.parametrize("n", [0, 1, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("batch", [0, 1, 625])
 def test_the_one_fill_base_is_one_minus_the_inner_terms_bit_for_bit(m, n, batch):
     rng = np.random.default_rng([m, n, n, batch])

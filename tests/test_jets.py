@@ -490,6 +490,14 @@ def test_pair_tables_equal_those_built_block_by_block(m):
                                pair_table_by_blocks(m, n, balanced))
 
 
+@pytest.mark.parametrize("m, n", [(1, 7), (2, 7), (3, 6)])
+@pytest.mark.parametrize("balanced", [False, True])
+def test_deep_pair_tables_equal_those_built_block_by_block(m, n, balanced):
+    # past the caps of the test above; m = 3 at cap 6 keeps under 10^6 pairs
+    _assert_same_table(jets._pair_table.__wrapped__(m, n, balanced),
+                       pair_table_by_blocks(m, n, balanced))
+
+
 def _assert_same_runs(got, want):
     assert len(got) == len(want)
     for (rows, *arrays, slots), (want_rows, *want_arrays, want_slots) in zip(got, want):
@@ -503,7 +511,8 @@ def _assert_same_runs(got, want):
         assert type(slots) is int and slots == want_slots
 
 
-@pytest.mark.parametrize("m, n", [(1, 5), (2, 3), (2, 4), (2, 0), (3, 3), (3, 4), (3, 1), (3, 0)])
+@pytest.mark.parametrize("m, n", [(1, 5), (1, 2), (2, 3), (2, 4), (2, 0), (3, 3), (3, 4),
+                                  (3, 2), (3, 1), (3, 0)])
 @pytest.mark.parametrize("balanced", [False, True])
 def test_run_cuts_equal_those_found_one_run_at_a_time(m, n, balanced):
     table = jets._pair_table(m, n, balanced)
