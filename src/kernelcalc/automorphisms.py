@@ -37,13 +37,12 @@ from .params import checked, shown
 MAX_QUASI_PAIRS = 1 << 16
 
 
-def check_pair_count(n: int, or_more: bool = False) -> None:
+def check_pair_count(n: int) -> None:
     """Refuse a quasi-invariance residual of more than MAX_QUASI_PAIRS pairs
-    (ValueError naming n, as "n or more" with `or_more`, and the bound): a
-    sampled residual is checked before its pairs are drawn."""
+    (ValueError naming n and the bound): a sampled residual is checked
+    before its pairs are drawn."""
     if n > MAX_QUASI_PAIRS:
-        more = " or more" if or_more else ""
-        raise ValueError(f"a quasi-invariance residual of {shown(n)}{more} pairs is over the "
+        raise ValueError(f"a quasi-invariance residual of {shown(n)} pairs is over the "
                          f"bound of {MAX_QUASI_PAIRS}")
 
 
@@ -230,7 +229,7 @@ def quasi_invariance_residual(
     if not zs:
         return 0.0
     b = len(zs)
-    check_pair_count(b, or_more=True)
+    check_pair_count(b)
     try:
         pts = point_array(zs + ws, expr.m)
         j = cocycle.matrices(phi, pts, expr.size)

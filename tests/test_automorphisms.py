@@ -346,7 +346,7 @@ def test_an_input_without_a_length_is_read_one_entry_past_the_bound_at_most():
     with pytest.raises(ValueError) as info:
         quasi_invariance_residual(bergman_disc(), CocycleSpec("det_jacobian_power", 1.0),
                                   MobiusMap((0.3,)), pairs())
-    assert str(info.value) == ("a quasi-invariance residual of 65537 or more pairs is over "
+    assert str(info.value) == ("a quasi-invariance residual of 65537 pairs is over "
                                "the bound of 65536")
     assert next(reads) == MAX_QUASI_PAIRS + 1
     # a generator within the bound is read to its end

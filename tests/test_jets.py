@@ -84,7 +84,7 @@ def test_non_integer_power_requires_right_half_plane():
         bad ** 0.5
 
 
-def test_division_by_jet():
+def test_a_jet_times_its_reciprocal_is_one():
     (z,), (w,) = variable_jets([0.3], [0.4], 1, 2, 2)
     num = z * w + Jet.constant(1.0, 1, 2)
     f = num * num ** -1
