@@ -154,13 +154,9 @@ class MobiusMap:
         carries the sign (-1)^m.
         """
         zs = self._points(zs)
-        return self._log_det_at_origin - (self.m + 1) * np.log(1.0 - self._inner(zs))
-
-    @functools.cached_property
-    def _log_det_at_origin(self) -> complex:
-        """log(det U (-1)^m s^(m+1)), and log det U at a = 0."""
         det_phi_a = (-1) ** self.m * self._s ** (self.m + 1) if any(self.a) else 1
-        return cmath.log(np.linalg.det(self.unitary) * det_phi_a)
+        log_det_0 = cmath.log(np.linalg.det(self.unitary) * det_phi_a)  # log det U at a = 0
+        return log_det_0 - (self.m + 1) * np.log(1.0 - self._inner(zs))
 
     def to_dict(self) -> dict:
         return {

@@ -4,9 +4,9 @@ Subcommands: eval, psd, wallach, norm, bound, quasi, repro.  JSON is the
 default output format, one compact line per report; `psd --format csv`
 emits the Gram spectrum as CSV.  Library records give `to_dict()`, and
 `_emit` is the one writer that encodes them as strict JSON.  It writes the
-`eval --order` tables in the bytes of `json.dumps`, with one `%` of a format
-cached per pattern of k x k blocks: a block of exact +0.0 entries is not
-re-encoded, and a non-finite table is refused like any other report.
+`eval --order` tables in the bytes of `json.dumps`: one `%` of a format
+cached per (m, order, k) and pattern of k x k blocks, which writes the keys
+too; an exact +0.0 block is not re-encoded, and a non-finite table is refused.
 Every flag can also be supplied through a JSON config file (--config): keys
 are flag names, validated like flags (a bad value or unknown key exits 2),
 and explicit flags win.  Each numeric flag follows a rule of `params.RULES`,
@@ -80,31 +80,31 @@ def _provenance(args, kernel: str | None) -> dict:
     return out
 
 
-def _emit(args, report: dict, name: str | None = None, blocks=None, keys=None) -> None:
+def _emit(args, report: dict, table=None) -> None:
     """Write the report as one line of strict JSON, which has no NaN or
     infinity: a report holding one is refused, naming its key, before
     anything is written.  Reports are fresh trees of dicts and lists, so no
-    cycle check is needed.  With a `name`, report[name] is an object of
-    the (n, k, k) stack of complex `blocks` as [re, im] pairs under `keys`
-    (the `"key": ` texts of `_entry_keys`), in the bytes of `json.dumps`.
-    It is one `%` of the cached format of its pattern of live blocks: a
-    block of +0.0 is its cached text (a -0.0 has its sign bit set), so only
-    the others are encoded, one `repr` per float."""
-    table = ""
-    if name is not None:
-        n, k = blocks.shape[:2]
-        floats = np.ascontiguousarray(blocks, dtype=complex).view(float).reshape(n, 2 * k * k)
+    cycle check is needed.  With an `eval --order` JetTable, report["entries"]
+    is an object of its k x k blocks as [re, im] pairs under `"i|j"` keys, in
+    the bytes of `json.dumps`: one `%` of the cached format of its (m, order,
+    k) and pattern of live blocks, which writes the keys.  A block of +0.0 is
+    its cached text (a -0.0 has its sign bit set), so only the others are
+    encoded, one `repr` per float."""
+    entries = ""
+    if table is not None:
+        k = table.size
+        floats = np.ascontiguousarray(table.derivatives).view(float).reshape(-1, 2 * k * k)
         if not np.isfinite(floats).all():
-            raise EvaluationError(f"the {name} of the report is not finite")
+            raise EvaluationError("the entries of the report is not finite")
         live = floats.view(np.int64).any(axis=1)  # +0.0 is the one float whose bits are all 0
-        fmt = _table_format(keys, k, live.tobytes())
-        table = f', "{name}": ' + fmt % tuple(floats[live].ravel().tolist())
+        fmt = _table_format(table.m, table.order, k, live.tobytes())
+        entries = ', "entries": ' + fmt % tuple(floats[live].ravel().tolist())
     try:
         text = json.dumps(report, allow_nan=False, check_circular=False)
     except ValueError:
         bad = [key for key, value in report.items() if not _finite_json(value)]
         raise EvaluationError(f"the {', '.join(bad)} of the report is not finite") from None
-    _write(args, f"{text[:-1]}{table}}}")
+    _write(args, f"{text[:-1]}{entries}}}")
 
 
 def _finite_json(value) -> bool:
@@ -129,21 +129,16 @@ def _write(args, text: str) -> None:
 
 
 @functools.lru_cache(maxsize=16)
-def _table_format(keys, k: int, live: bytes) -> str:
-    """The `%` format of an object of k x k blocks under `keys`: `%r` (a
-    float's JSON text) for each float of a block where `live` has a nonzero
-    byte, and the text of a block of +0.0 [re, im] pairs for the others."""
+def _table_format(m: int, order: int, k: int, live: bytes) -> str:
+    """The `%` format of the k x k blocks of an (m, order) jet table under their
+    `"i|j": ` keys: `%r` (a float's JSON text) for each float of a block where
+    `live` has a nonzero byte, the text of a block of +0.0 pairs for the others."""
     row = "[" + ", ".join(["[%r, %r]"] * k) + "]"
     fmt = "[" + ", ".join([row] * k) + "]"
     zero = fmt % ((0.0,) * (2 * k * k))
-    return "{" + ", ".join(key + (fmt if on else zero) for key, on in zip(keys, live)) + "}"
-
-
-@functools.cache
-def _entry_keys(m: int, order: int) -> tuple:
-    """The JSON text `"i|j": ` opening each entry of a jet table, in table order."""
     labels = [f"{list(i)}" for i in graded_lex_tuples(m, order)]
-    return tuple(f'"{i}|{j}": ' for i in labels for j in labels)
+    keys = (f'"{i}|{j}": ' for i in labels for j in labels)
+    return "{" + ", ".join(key + (fmt if on else zero) for key, on in zip(keys, live)) + "}"
 
 
 def cmd_eval(args) -> int:
@@ -152,10 +147,9 @@ def cmd_eval(args) -> int:
     w = _parse_point(args.w, "--w", expr.m)
     report = _provenance(args, expr.to_dsl())
     if args.order > 0:
-        derivatives = expr.eval_jet(z, w, args.order).derivatives
+        table = expr.eval_jet(z, w, args.order)
         report["order"] = args.order
-        _emit(args, report, "entries", derivatives.reshape((-1,) + derivatives.shape[2:]),
-              _entry_keys(expr.m, args.order))
+        _emit(args, report, table)
     else:
         value = expr.eval(z, w)
         report["value"] = np.stack((value.real, value.imag), axis=-1).tolist()

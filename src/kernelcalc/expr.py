@@ -294,17 +294,10 @@ def _entry(jet: Jet) -> Jet:
     return Jet(jet.m, jet.n, jet.coeffs[:, 0, 0])
 
 
-def _inner_terms(z, w, m, n) -> list:
-    """The jets z_k wbar_k, batch (B,), for k < m."""
-    k = np.arange(m)
-    p = coordinate_products(z, w, m, n, k, k)
-    return [Jet(m, n, p.coeffs[:, i]) for i in range(m)]
-
-
 def _one_minus_inner(z, w, m, n) -> Jet:
     """The jet of 1 - <z, w>, batch (B,), in one fill.  It must equal
-    `_one_minus(_inner_terms(z, w, m, n))` bit for bit, the signs of
-    its zeros included, so it keeps that subtraction's op order: the value
+    `_one_minus` of the jets z_k wbar_k bit for bit, the signs of its
+    zeros included, so it keeps that subtraction's op order: the value
     ((-z_0 wbar_0) + 1) - z_1 wbar_1 - ..., -wbar_k at (e_k, 0), -z_k at
     (0, e_k), complex(-1, -0.0) at (e_k, e_k) and complex(-0.0, -0.0) at
     every other coefficient."""
@@ -411,7 +404,7 @@ class DiagonalSeries(KernelExpr):
         return np.abs(p[..., 0]) < 1
 
     def jets(self, z, w, n):
-        (p,) = _inner_terms(z, w, 1, n)
+        p = coordinate_products(z, w, 1, n, 0, 0)
         acc = 1.0 + 0.0 * p  # promotes to a jet of the right shape
         power = None
         for a in self.coefficients:
@@ -623,7 +616,7 @@ class BallCurvature(KernelExpr):
         rows, cols = np.indices((m, m))
         entries = coordinate_products(z, w, m, n, cols, rows).coeffs  # z_j wbar_i
         diagonal = [Jet(m, n, entries[:, i, i].copy()) for i in range(m)]
-        pref = _one_minus(diagonal) ** (-self.lam)
+        pref = _one_minus_inner(z, w, m, n) ** (-self.lam)
         for i in range(m):  # 1 - sum_{j != i} z_j wbar_j on the diagonal
             entries[:, i, i] = _one_minus(d for j, d in enumerate(diagonal) if j != i).coeffs
         return _scalar(pref) * Jet(m, n, entries)

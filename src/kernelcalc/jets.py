@@ -50,7 +50,9 @@ its table.  A cut's pairs are views of the table's, so a kept
 table takes about 8 bytes per pair however many cuts read it.  The pairs
 are applied in runs of at most `_PRODUCT_CHUNK` entries of the broadcast
 batch times the pairs, so no temporary spans all pairs whatever the
-batch.  At cap 0 there is no pair work.
+batch.  At cap 0 there is no pair work.  A table of more than
+`MAX_TABLE_PAIRS` = 2^27 pairs is refused with a ValueError, its count read
+off the group's pair runs before any array of its size is made.
 
 Each run is summed by one np.add.reduceat, except where every output of
 the run has the same count l <= 4 of pairs (`_runs` records it as the
@@ -66,14 +68,14 @@ call costs less than the adds.
 
 Balanced jets.  At the origin a circular kernel has coefficients only at
 |a| = |b|.  A product or series reads this off its inputs (the first
-batch entry alone first): if every other coefficient is exactly 0 (NaN
-is not) in every batch entry, it reads tables of the balanced outputs and
-pairs only, built from the (d, d) blocks (at m = 3 and cap 9, 860k
-of the full table's 25M pairs), and leaves the other outputs +0.0.  Only
-exact zeros are dropped, so the results equal the full tables' up to the
-sign of a zero and an ulp where numpy's pairwise sum regroups a run of 8
-or more terms; a balanced entry of a batch that is not balanced can move
-by such an ulp too.
+batch entry alone first): if every other coefficient (the group's
+`off_balance`) is exactly 0 (NaN is not) in every batch entry, it reads
+tables of the balanced outputs and pairs only, built from the (d, d)
+blocks (at m = 3 and cap 9, 860k of the full table's 25M pairs), and
+leaves the other outputs +0.0.  Only exact zeros are dropped, so the
+results equal the full tables' up to the sign of a zero and an ulp where
+numpy's pairwise sum regroups a run of 8 or more terms; a balanced entry
+of a batch that is not balanced can move by such an ulp too.
 
 The branch, zero-base and non-finite checks of pow, exp and log are
 vectorized: each raises for the first bad batch entry and records its
@@ -107,6 +109,11 @@ class _Group:
     def degrees(self) -> np.ndarray:
         """|a| of each monomial a."""
         return np.array([sum(a) for a in self.tuples], dtype=np.int32)
+
+    @functools.cached_property
+    def off_balance(self) -> np.ndarray:
+        """The flattened positions of the coefficients (a, b) with |a| != |b|."""
+        return np.flatnonzero(self.degrees[:, None] != self.degrees)
 
     @functools.cache
     def shifts(self, indices: tuple, n: int) -> tuple:
@@ -193,18 +200,11 @@ def _run_pairs(per_pair: int) -> int:
     return 1 << (max(_PRODUCT_CHUNK // max(per_pair, 1), 1).bit_length() - 1)
 
 
-@functools.cache
-def _off_balance(m: int, n: int) -> np.ndarray:
-    """The flattened positions of the coefficients (a, b) with |a| != |b|."""
-    degrees = _group(m, n).degrees
-    return np.flatnonzero(degrees[:, None] != degrees)
-
-
 def _balanced(coeffs: np.ndarray, m: int, n: int) -> bool:
     """Whether every coefficient (a, b) with |a| != |b| is exactly 0, in
     every batch entry.  The first entry is counted alone first, since a
     batch off the origin fails there already."""
-    off = _off_balance(m, n)
+    off = _group(m, n).off_balance
     entries = coeffs.reshape(-1, coeffs.shape[-2] * coeffs.shape[-1])
     if np.count_nonzero(entries[:1].take(off, axis=-1)):
         return False
@@ -460,6 +460,9 @@ _KEPT_TABLES = 32
 #: temporary of the table's size
 _FILL_CHUNK = 1 << 16
 
+#: most pairs of one pair table, 1 GiB of int32 left and right columns
+MAX_TABLE_PAIRS = 1 << 27
+
 
 class _PairTable:
     """The pairs of every total degree D = 0 .. 2n in one flat table,
@@ -485,6 +488,12 @@ class _PairTable:
     def __init__(self, m: int, n: int, balanced: bool):
         group = _group(m, n)
         pair_left, pair_right, product, left_degree = group.pair_arrays
+        # a full table pairs all group pairs, a balanced one those of a (degree, left degree)
+        runs = np.bincount(group.degrees[product] * (n + 1) + left_degree).tolist()
+        count = sum(c * c for c in runs) if balanced else len(pair_left) ** 2
+        if count > MAX_TABLE_PAIRS:
+            raise ValueError(f"a jet of {m} variables at cap {n} needs a table of {count} "
+                             f"pairs, over the bound of {MAX_TABLE_PAIRS}")
         size = group.size
         totals = (group.degrees[:, None] + group.degrees).ravel().astype(float)
         out = (np.flatnonzero(group.degrees[:, None] == group.degrees) if balanced

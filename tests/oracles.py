@@ -910,10 +910,12 @@ def _pair_sums_by_np_take(x: np.ndarray, y: np.ndarray, runs, weights=None):
         yield rows, np.add.reduceat(terms * np.take(y, right, axis=-1), starts, axis=-1)
 
 
-def _one_minus_inner_terms(z, w, m, n) -> Jet:
+def one_minus_inner_terms(z, w, m, n) -> Jet:
     """The jet of 1 - <z, w>, batch (B,): 1 minus the jets z_k wbar_k,
     subtracted in order."""
-    return expr_module._one_minus(expr_module._inner_terms(z, w, m, n))
+    k = np.arange(m)
+    products = jets.coordinate_products(z, w, m, n, k, k).coeffs
+    return expr_module._one_minus(Jet(m, n, products[:, i]) for i in k)
 
 
 def _balanced_by_np_take(coeffs: np.ndarray, m: int, n: int) -> bool:
@@ -923,7 +925,7 @@ def _balanced_by_np_take(coeffs: np.ndarray, m: int, n: int) -> bool:
     if np.count_nonzero(coeffs[..., 0, 1:]) or np.count_nonzero(coeffs[..., 1:, 0]):
         return False
     flat = coeffs.reshape(coeffs.shape[:-2] + (-1,))
-    return not np.count_nonzero(np.take(flat, jets._off_balance(m, n), axis=-1))
+    return not np.count_nonzero(np.take(flat, jets._group(m, n).off_balance, axis=-1))
 
 
 @contextmanager
@@ -1058,7 +1060,7 @@ def with_per_call_bookkeeping():
             mock.patch.object(owner, name, value))
         patch(jets, "_pair_sums", _pair_sums_by_np_take)
         patch(jets, "_balanced", _balanced_by_np_take)
-        patch(expr_module, "_one_minus_inner", _one_minus_inner_terms)
+        patch(expr_module, "_one_minus_inner", one_minus_inner_terms)
         patch(KernelExpr, "_checked_values", _checked_values_in_a_generator)
         patch(KernelExpr, "eval_jets", _eval_jets_by_moveaxis)
         patch(fd, "_fd_derivatives", _fd_derivatives_by_tensordot)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from kernelcalc import cli
 from kernelcalc.automorphisms import MobiusMap
 from kernelcalc.cli import main
-from kernelcalc.expr import BallCurvature
+from kernelcalc.expr import BallCurvature, JetTable
 from kernelcalc.geometry import graded_lex_tuples, sample_array, sample_points, unit_ball, unit_disc
 from kernelcalc.geometry import unit_index
 from kernelcalc.parser import parse_kernel
@@ -690,13 +690,15 @@ def test_the_table_writer_writes_the_bytes_of_json_dumps(table, poison):
     if poison is not None:
         value, at = poison
         blocks.view(float).reshape(-1)[at % blocks.view(float).size] = value
+    k = blocks.shape[-1]
+    jet_table = JetTable(order, m, k, blocks.reshape((len(labels),) * 2 + (k, k)))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         if poison is not None:
             with pytest.raises(cli.EvaluationError, match="the entries of the report is not"):
-                cli._emit(None, head, "entries", blocks, cli._entry_keys(m, order))
+                cli._emit(None, head, jet_table)
         else:
-            cli._emit(None, head, "entries", blocks, cli._entry_keys(m, order))
+            cli._emit(None, head, jet_table)
     if poison is not None:
         assert out.getvalue() == ""
         return
@@ -729,15 +731,38 @@ def test_an_order_0_value_is_written_as_a_plain_report_field(case, seeds):
 
 
 def test_the_table_format_cache_keeps_its_bound(capsys):
-    keys, rng = cli._entry_keys(2, 2), np.random.default_rng(5)
+    size, rng = len(graded_lex_tuples(2, 2)), np.random.default_rng(5)
     bound = cli._table_format.cache_info().maxsize
     misses = cli._table_format.cache_info().misses
     for _ in range(4 * bound):
-        blocks = np.where(rng.random((len(keys), 1, 1)) < 0.5, 1.5 - 0.5j, 0j)
-        cli._emit(None, {"order": 2}, "entries", blocks, keys)
+        blocks = np.where(rng.random((size, size, 1, 1)) < 0.5, 1.5 - 0.5j, 0j)
+        cli._emit(None, {"order": 2}, JetTable(2, 2, 1, blocks))
         assert cli._table_format.cache_info().currsize <= bound
     assert cli._table_format.cache_info().misses - misses == 4 * bound
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["order"] == 2
+
+
+def test_a_repeated_table_shape_reuses_its_format_and_a_new_k_adds_one(capsys):
+    # the format of a table is keyed on (m, order, k) and its live blocks only
+    argv = ["eval", "--z", "0.1,0.2j", "--w", "0.3,-0.1", "--order", "2", "--kernel"]
+    _run(capsys, *argv, "ball_power(2, 1.5)")
+    info = cli._table_format.cache_info()
+    for kernel in ("ball_power(2, 1.5)", "ball_power(2, 2.5)", "bergman_ball(2)"):
+        code, out, _ = _run(capsys, *argv, kernel)
+        assert code == 0 and json.loads(out)["order"] == 2
+    assert cli._table_format.cache_info().misses == info.misses
+    code, out, _ = _run(capsys, *argv, "ball_curvature(2, 3.0)")
+    assert code == 0 and len(json.loads(out)["entries"]) == 36
+    assert cli._table_format.cache_info().misses == info.misses + 1
+
+
+def test_a_jet_table_too_large_to_hold_exits_3_with_one_error_line(capsys):
+    point = ",".join(["0.01"] * 16)
+    code, out, err = _run(capsys, "eval", "--kernel", "ball_power(16, 1.5)", "--z", point,
+                          "--w", point, "--order", "4")
+    assert code == 3 and out == ""
+    assert err == ("error: a jet of 16 variables at cap 4 needs a table of 3469799025 pairs, "
+                   "over the bound of 134217728\n")
 
 
 @pytest.mark.parametrize("flags", [["--conf", "{}"], ["--config={}"], ["--c", "{}"]],

@@ -37,8 +37,6 @@ from kernelcalc.expr import (
     bergman_ball,
     bergman_disc,
     _hessian,
-    _inner_terms,
-    _one_minus,
     _one_minus_inner,
 )
 from kernelcalc.fd import fd_jet_table, fd_relative_error
@@ -52,7 +50,7 @@ from kernelcalc import jets
 from kernelcalc.parser import _NODES, parse_kernel
 from kernelcalc.positivity import gram
 from oracles import (fd_jet_table_per_term, full_tables, hessian_per_entry,
-                     jet_kernel_per_entry)
+                     jet_kernel_per_entry, one_minus_inner_terms)
 
 
 def _scalar(expr, z, w):
@@ -728,11 +726,12 @@ def test_the_one_fill_base_is_one_minus_the_inner_terms_bit_for_bit(m, n, batch)
     rng = np.random.default_rng([m, n, n, batch])
     z, w = (0.5 / m * (rng.standard_normal((batch, m)) + 1j * rng.standard_normal((batch, m)))
             for _ in range(2))
-    for part in (z.real, z.imag, w.real, w.imag):  # zeros of both signs
+    for part in (z.real, z.imag, w.real, w.imag):  # zeros of both signs, tiny parts
         part[rng.random(part.shape) < 0.2] = 0.0
         part[rng.random(part.shape) < 0.2] = -0.0
+        part *= 10.0 ** np.where(rng.random(part.shape) < 0.2, rng.integers(-300, 0, part.shape), 0)
     got = _one_minus_inner(z, w, m, n)
-    want = _one_minus(_inner_terms(z, w, m, n))
+    want = one_minus_inner_terms(z, w, m, n)
     assert (got.m, got.n) == (want.m, want.n)
     assert got.coeffs.shape == want.coeffs.shape
     assert np.array_equal(got.coeffs.view(np.int64), want.coeffs.view(np.int64))

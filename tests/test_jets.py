@@ -492,10 +492,29 @@ def test_pair_tables_equal_those_built_block_by_block(m):
 
 @pytest.mark.parametrize("m, n", [(1, 7), (2, 7), (3, 6)])
 @pytest.mark.parametrize("balanced", [False, True])
-def test_deep_pair_tables_equal_those_built_block_by_block(m, n, balanced):
+def test_deep_pair_tables_equal_those_built_block_by_block(m, n, balanced, monkeypatch):
     # past the caps of the test above; m = 3 at cap 6 keeps under 10^6 pairs
-    _assert_same_table(jets._pair_table.__wrapped__(m, n, balanced),
-                       pair_table_by_blocks(m, n, balanced))
+    table = jets._pair_table.__wrapped__(m, n, balanced)
+    _assert_same_table(table, pair_table_by_blocks(m, n, balanced))
+    # the size check counts exactly the pairs that the build fills
+    monkeypatch.setattr(jets, "MAX_TABLE_PAIRS", len(table.left) - 1)
+    with pytest.raises(ValueError, match=f" needs a table of {len(table.left)} pairs, "):
+        jets._pair_table.__wrapped__(m, n, balanced)
+
+
+def test_a_pair_table_too_large_to_hold_is_refused_before_it_is_built():
+    # m = 16 at cap 4: 3,469,799,025 pairs, 27.8 GB of int32 left and right
+    jets._group(16, 4).pair_arrays
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            jets._pair_table.__wrapped__(16, 4, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == ("a jet of 16 variables at cap 4 needs a table of 3469799025 "
+                               "pairs, over the bound of 134217728")
+    assert peak < 1 << 20
 
 
 def _assert_same_runs(got, want):
